@@ -16,7 +16,7 @@
 use crate::server::ServerMode;
 use hka_anonymity::{Pseudonym, ServiceId};
 use hka_geo::{StBox, TimeSec};
-use hka_obs::{BoxedJournal, Json, RingBuffer};
+use hka_obs::{BoxedJournal, Canonical, Json, ObjectWriter, RingBuffer};
 use hka_trajectory::UserId;
 
 /// One logged TS decision.
@@ -201,10 +201,16 @@ impl TsEvent {
             TsEvent::GwStats { .. } => "gw.stats",
         }
     }
+}
 
-    /// The journal payload for this event (schema v1; field names are
-    /// part of the on-disk format — change only with a version bump).
-    pub fn payload(&self) -> Json {
+/// The journal payload for this event (schema v1; field names are part
+/// of the on-disk format — change only with a version bump). This is
+/// the event's only field list: the fields go straight into the
+/// journal's buffer, in the ascending key order canonical JSON has, and
+/// no `Json` tree is built on the way.
+impl Canonical for TsEvent {
+    fn write_canonical(&self, out: &mut String) {
+        let mut o = ObjectWriter::new(out);
         match self {
             TsEvent::Forwarded {
                 user,
@@ -216,67 +222,56 @@ impl TsEvent {
                 k_req,
                 k_got,
                 lbqid,
-            } => Json::obj([
-                ("user", Json::from(user.0)),
-                ("at", Json::Int(at.0)),
-                ("x_min", Json::Num(context.rect.min().x)),
-                ("y_min", Json::Num(context.rect.min().y)),
-                ("x_max", Json::Num(context.rect.max().x)),
-                ("y_max", Json::Num(context.rect.max().y)),
-                ("t_start", Json::Int(context.span.start().0)),
-                ("t_end", Json::Int(context.span.end().0)),
-                ("generalized", Json::Bool(*generalized)),
-                ("hk_ok", Json::Bool(*hk_ok)),
-                ("service", Json::from(u64::from(service.0))),
-                ("k_req", Json::from(*k_req as u64)),
-                ("k_got", Json::from(*k_got as u64)),
-                (
-                    "lbqid",
-                    match lbqid {
-                        Some(name) => Json::from(name.as_str()),
-                        None => Json::Null,
-                    },
-                ),
-            ]),
+            } => {
+                o.field("at", at.0);
+                o.field("generalized", *generalized);
+                o.field("hk_ok", *hk_ok);
+                o.field("k_got", *k_got as u64);
+                o.field("k_req", *k_req as u64);
+                o.field("lbqid", lbqid);
+                o.field("service", u64::from(service.0));
+                o.field("t_end", context.span.end().0);
+                o.field("t_start", context.span.start().0);
+                o.field("user", user.0);
+                o.field("x_max", context.rect.max().x);
+                o.field("x_min", context.rect.min().x);
+                o.field("y_max", context.rect.max().y);
+                o.field("y_min", context.rect.min().y);
+            }
             TsEvent::Suppressed {
                 user,
                 at,
                 reason,
                 service,
-            } => Json::obj([
-                ("user", Json::from(user.0)),
-                ("at", Json::Int(at.0)),
-                (
+            } => {
+                o.field("at", at.0);
+                o.field(
                     "reason",
-                    Json::from(match reason {
+                    match reason {
                         SuppressReason::MixZone => "mix_zone",
                         SuppressReason::RiskPolicy => "risk_policy",
                         SuppressReason::Degraded => "degraded",
-                    }),
-                ),
-                ("service", Json::from(u64::from(service.0))),
-            ]),
-            TsEvent::PseudonymChanged { user, old, new, at } => Json::obj([
-                ("user", Json::from(user.0)),
-                ("old", Json::from(old.0)),
-                ("new", Json::from(new.0)),
-                ("at", Json::Int(at.0)),
-            ]),
-            TsEvent::AtRisk { user, at, lbqid } => Json::obj([
-                ("user", Json::from(user.0)),
-                ("at", Json::Int(at.0)),
-                ("lbqid", Json::from(lbqid.as_str())),
-            ]),
-            TsEvent::LbqidMatched { user, at, lbqid } => Json::obj([
-                ("user", Json::from(user.0)),
-                ("at", Json::Int(at.0)),
-                ("lbqid", Json::from(lbqid.as_str())),
-            ]),
-            TsEvent::ModeChanged { at, from, to } => Json::obj([
-                ("at", Json::Int(at.0)),
-                ("from", Json::from(from.as_str())),
-                ("to", Json::from(to.as_str())),
-            ]),
+                    },
+                );
+                o.field("service", u64::from(service.0));
+                o.field("user", user.0);
+            }
+            TsEvent::PseudonymChanged { user, old, new, at } => {
+                o.field("at", at.0);
+                o.field("new", new.0);
+                o.field("old", old.0);
+                o.field("user", user.0);
+            }
+            TsEvent::AtRisk { user, at, lbqid } | TsEvent::LbqidMatched { user, at, lbqid } => {
+                o.field("at", at.0);
+                o.field("lbqid", lbqid);
+                o.field("user", user.0);
+            }
+            TsEvent::ModeChanged { at, from, to } => {
+                o.field("at", at.0);
+                o.field("from", from.as_str());
+                o.field("to", to.as_str());
+            }
             TsEvent::SloBreach {
                 at,
                 slo,
@@ -284,37 +279,38 @@ impl TsEvent {
                 threshold,
                 worst_trace,
                 worst_us,
-            } => Json::obj([
-                ("at", Json::Int(at.0)),
-                ("slo", Json::from(slo.as_str())),
-                ("value", Json::Num(*value)),
-                ("threshold", Json::Num(*threshold)),
-                ("worst_trace", Json::from(*worst_trace)),
-                ("worst_us", Json::from(*worst_us)),
-            ]),
+            } => {
+                o.field("at", at.0);
+                o.field("slo", slo);
+                o.field("threshold", *threshold);
+                o.field("value", *value);
+                o.field("worst_trace", *worst_trace);
+                o.field("worst_us", *worst_us);
+            }
             TsEvent::SloRecovered {
                 at,
                 slo,
                 value,
                 threshold,
-            } => Json::obj([
-                ("at", Json::Int(at.0)),
-                ("slo", Json::from(slo.as_str())),
-                ("value", Json::Num(*value)),
-                ("threshold", Json::Num(*threshold)),
-            ]),
+            } => {
+                o.field("at", at.0);
+                o.field("slo", slo);
+                o.field("threshold", *threshold);
+                o.field("value", *value);
+            }
             TsEvent::GwStats {
                 at,
                 conns,
                 drains,
                 queue_depth,
-            } => Json::obj([
-                ("at", Json::Int(at.0)),
-                ("conns", Json::from(*conns)),
-                ("drains", Json::from(*drains)),
-                ("queue_depth", Json::from(*queue_depth)),
-            ]),
+            } => {
+                o.field("at", at.0);
+                o.field("conns", *conns);
+                o.field("drains", *drains);
+                o.field("queue_depth", *queue_depth);
+            }
         }
+        o.finish();
     }
 }
 
@@ -423,12 +419,13 @@ impl JournalSink {
         }
     }
 
-    /// Writes one event, honouring the backoff and retry budgets. When
-    /// `sync` is set (sync-class events, see [`TsEvent::sync_flush`])
-    /// the sink flushes immediately after a successful append, pushing
+    /// Writes one event, honouring the backoff and retry budgets. For a
+    /// sync-class event (see [`TsEvent::sync_flush`]) the sink flushes
+    /// immediately after a successful append, pushing
     /// the record past the write buffer before the event's external
     /// effect happens — the boundary a live audit tail relies on.
-    fn write(&mut self, kind: &str, payload: &Json, sync: bool) {
+    fn write(&mut self, event: &TsEvent) {
+        let sync = event.sync_flush();
         let metrics = hka_obs::global();
         if self.down {
             metrics.counter("ts.journal_skipped").incr();
@@ -441,7 +438,7 @@ impl JournalSink {
         }
         let attempts = self.policy.attempts.max(1);
         for attempt in 0..attempts {
-            if self.journal.append(kind, payload.clone()).is_ok() {
+            if self.journal.append(event.kind(), event).is_ok() {
                 if sync && self.journal.flush().is_err() {
                     // The record is in the chain — re-appending would
                     // duplicate it — so a failed flush escalates
@@ -701,7 +698,7 @@ impl EventLog {
     pub fn push(&mut self, e: TsEvent) {
         self.stats.absorb(&e);
         if let Some(sink) = &mut self.journal {
-            sink.write(e.kind(), &e.payload(), e.sync_flush());
+            sink.write(&e);
         }
         self.ring.push(e);
     }
@@ -773,6 +770,308 @@ mod tests {
             Rect::square(Point::new(0.0, 0.0), side),
             TimeInterval::new(TimeSec(0), TimeSec(dur)),
         )
+    }
+
+    /// The tree construction the encoder replaced, kept as the reference
+    /// the byte-identity tests compare it against.
+    fn oracle_payload(e: &TsEvent) -> Json {
+        match e {
+            TsEvent::Forwarded {
+                user,
+                at,
+                context,
+                generalized,
+                hk_ok,
+                service,
+                k_req,
+                k_got,
+                lbqid,
+            } => Json::obj([
+                ("user", Json::from(user.0)),
+                ("at", Json::Int(at.0)),
+                ("x_min", Json::Num(context.rect.min().x)),
+                ("y_min", Json::Num(context.rect.min().y)),
+                ("x_max", Json::Num(context.rect.max().x)),
+                ("y_max", Json::Num(context.rect.max().y)),
+                ("t_start", Json::Int(context.span.start().0)),
+                ("t_end", Json::Int(context.span.end().0)),
+                ("generalized", Json::Bool(*generalized)),
+                ("hk_ok", Json::Bool(*hk_ok)),
+                ("service", Json::from(u64::from(service.0))),
+                ("k_req", Json::from(*k_req as u64)),
+                ("k_got", Json::from(*k_got as u64)),
+                (
+                    "lbqid",
+                    match lbqid {
+                        Some(name) => Json::from(name.as_str()),
+                        None => Json::Null,
+                    },
+                ),
+            ]),
+            TsEvent::Suppressed {
+                user,
+                at,
+                reason,
+                service,
+            } => Json::obj([
+                ("user", Json::from(user.0)),
+                ("at", Json::Int(at.0)),
+                (
+                    "reason",
+                    Json::from(match reason {
+                        SuppressReason::MixZone => "mix_zone",
+                        SuppressReason::RiskPolicy => "risk_policy",
+                        SuppressReason::Degraded => "degraded",
+                    }),
+                ),
+                ("service", Json::from(u64::from(service.0))),
+            ]),
+            TsEvent::PseudonymChanged { user, old, new, at } => Json::obj([
+                ("user", Json::from(user.0)),
+                ("old", Json::from(old.0)),
+                ("new", Json::from(new.0)),
+                ("at", Json::Int(at.0)),
+            ]),
+            TsEvent::AtRisk { user, at, lbqid } => Json::obj([
+                ("user", Json::from(user.0)),
+                ("at", Json::Int(at.0)),
+                ("lbqid", Json::from(lbqid.as_str())),
+            ]),
+            TsEvent::LbqidMatched { user, at, lbqid } => Json::obj([
+                ("user", Json::from(user.0)),
+                ("at", Json::Int(at.0)),
+                ("lbqid", Json::from(lbqid.as_str())),
+            ]),
+            TsEvent::ModeChanged { at, from, to } => Json::obj([
+                ("at", Json::Int(at.0)),
+                ("from", Json::from(from.as_str())),
+                ("to", Json::from(to.as_str())),
+            ]),
+            TsEvent::SloBreach {
+                at,
+                slo,
+                value,
+                threshold,
+                worst_trace,
+                worst_us,
+            } => Json::obj([
+                ("at", Json::Int(at.0)),
+                ("slo", Json::from(slo.as_str())),
+                ("value", Json::Num(*value)),
+                ("threshold", Json::Num(*threshold)),
+                ("worst_trace", Json::from(*worst_trace)),
+                ("worst_us", Json::from(*worst_us)),
+            ]),
+            TsEvent::SloRecovered {
+                at,
+                slo,
+                value,
+                threshold,
+            } => Json::obj([
+                ("at", Json::Int(at.0)),
+                ("slo", Json::from(slo.as_str())),
+                ("value", Json::Num(*value)),
+                ("threshold", Json::Num(*threshold)),
+            ]),
+            TsEvent::GwStats {
+                at,
+                conns,
+                drains,
+                queue_depth,
+            } => Json::obj([
+                ("at", Json::Int(at.0)),
+                ("conns", Json::from(*conns)),
+                ("drains", Json::from(*drains)),
+                ("queue_depth", Json::from(*queue_depth)),
+            ]),
+        }
+    }
+
+    /// The payload as the journal will hold it: the encoder's bytes,
+    /// parsed back.
+    fn payload(e: &TsEvent) -> Json {
+        let mut out = String::new();
+        e.write_canonical(&mut out);
+        hka_obs::json::parse(&out).expect("the encoder writes JSON")
+    }
+
+    /// Every variant, with the strings and floats most likely to trip an
+    /// encoder: quotes, backslashes, control bytes, non-ASCII; -0.0,
+    /// integral, 1e15, 1e-7, subnormal and 17-digit coordinates.
+    fn every_variant() -> Vec<TsEvent> {
+        let hostile = [
+            "commute",
+            "",
+            "quo\"te \\ back",
+            "nl\n cr\r tab\t \u{0}\u{1f}\u{7f}",
+            "caf\u{e9} \u{4f4d}\u{7f6e} \u{1f512}",
+        ];
+        let floats = [
+            (-0.0, 0.0),
+            (3.0, 1e15),
+            (1e-7, 5e-324),
+            (0.1 + 0.2, 12_345_678.901_234_567),
+            (-1234.5, 999_999_999_999_999.0),
+        ];
+        let mut events = Vec::new();
+        for (i, (name, (lo, hi))) in hostile.into_iter().zip(floats).enumerate() {
+            let at = TimeSec(i as i64 - 2);
+            let user = UserId(u64::MAX - i as u64);
+            events.push(TsEvent::Forwarded {
+                user,
+                at,
+                context: StBox::new(
+                    Rect::new(Point::new(lo, lo), Point::new(hi, hi)),
+                    TimeInterval::new(TimeSec(-5), TimeSec(1 << 40)),
+                ),
+                generalized: i % 2 == 0,
+                hk_ok: i % 3 == 0,
+                service: ServiceId(u32::MAX),
+                k_req: i,
+                k_got: usize::MAX,
+                lbqid: (i > 0).then(|| name.to_string()),
+            });
+            events.push(TsEvent::AtRisk {
+                user,
+                at,
+                lbqid: name.to_string(),
+            });
+            events.push(TsEvent::LbqidMatched {
+                user,
+                at,
+                lbqid: name.to_string(),
+            });
+            events.push(TsEvent::SloBreach {
+                at,
+                slo: name.to_string(),
+                value: lo,
+                threshold: hi,
+                worst_trace: u64::MAX,
+                worst_us: i as u64,
+            });
+            events.push(TsEvent::SloRecovered {
+                at,
+                slo: name.to_string(),
+                value: hi,
+                threshold: lo,
+            });
+        }
+        for reason in [
+            SuppressReason::MixZone,
+            SuppressReason::RiskPolicy,
+            SuppressReason::Degraded,
+        ] {
+            events.push(TsEvent::Suppressed {
+                user: UserId(7),
+                at: TimeSec(3),
+                reason,
+                service: ServiceId(2),
+            });
+        }
+        events.push(TsEvent::PseudonymChanged {
+            user: UserId(1),
+            old: Pseudonym(u64::MAX),
+            new: Pseudonym(0),
+            at: TimeSec(4),
+        });
+        for (from, to) in [
+            (ServerMode::Normal, ServerMode::Degraded),
+            (ServerMode::Degraded, ServerMode::ReadOnly),
+            (ServerMode::ReadOnly, ServerMode::Normal),
+        ] {
+            events.push(TsEvent::ModeChanged {
+                at: TimeSec(5),
+                from,
+                to,
+            });
+        }
+        events.push(TsEvent::GwStats {
+            at: TimeSec(6),
+            conns: 3,
+            drains: u64::MAX,
+            queue_depth: 0,
+        });
+        events
+    }
+
+    #[test]
+    fn every_variant_encodes_exactly_as_the_tree_oracle() {
+        let events = every_variant();
+        let mut direct = hka_obs::Journal::new(Vec::new());
+        let mut tree = hka_obs::Journal::new(Vec::new());
+        for e in &events {
+            let mut out = String::new();
+            e.write_canonical(&mut out);
+            assert_eq!(out, oracle_payload(e).to_string(), "{e:?}");
+            direct.append(e.kind(), e).unwrap();
+            tree.append(e.kind(), oracle_payload(e)).unwrap();
+        }
+        let direct = direct.into_inner();
+        assert_eq!(direct, tree.into_inner());
+
+        // Any batching of the same sequence, straight from the events.
+        let pairs: Vec<(&'static str, TsEvent)> =
+            events.iter().map(|e| (e.kind(), e.clone())).collect();
+        for size in [1, 2, 7, pairs.len()] {
+            let mut batched = hka_obs::Journal::new(Vec::new());
+            for chunk in pairs.chunks(size) {
+                batched.append_batch(chunk).unwrap();
+            }
+            assert_eq!(batched.into_inner(), direct, "batches of {size}");
+        }
+
+        // What a reader gets back is the record that was written.
+        let report = hka_obs::verify_chain(&direct[..]).expect("chain verifies");
+        for (record, e) in report.records.iter().zip(&events) {
+            assert_eq!(record.kind, e.kind());
+            assert_eq!(record.payload.to_string(), oracle_payload(e).to_string());
+        }
+    }
+
+    #[test]
+    fn failed_write_then_retry_journals_the_same_bytes() {
+        use std::sync::{Arc, Mutex};
+
+        /// Fails every `period`-th write (writing nothing), records the rest.
+        struct Flaky {
+            bytes: Arc<Mutex<Vec<u8>>>,
+            period: usize,
+            writes: usize,
+        }
+        impl std::io::Write for Flaky {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                if self.period > 0 && self.writes.is_multiple_of(self.period) {
+                    return Err(std::io::Error::other("transient"));
+                }
+                self.bytes
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let run = |period: usize| {
+            let bytes = Arc::new(Mutex::new(Vec::new()));
+            let mut log = EventLog::new();
+            log.attach_journal(boxed(Flaky {
+                bytes: bytes.clone(),
+                period,
+                writes: 0,
+            }));
+            for e in every_variant() {
+                log.push(e);
+            }
+            assert_eq!(log.journal_health(), JournalHealth::Healthy);
+            let out = bytes.lock().unwrap_or_else(|e| e.into_inner()).clone();
+            out
+        };
+        // Every third write fails once; the in-event retry lands it.
+        assert_eq!(run(3), run(0));
     }
 
     fn forwarded(n: i64) -> TsEvent {
@@ -1182,17 +1481,17 @@ mod tests {
         );
         for e in &events {
             // Every payload is an object naming the user.
-            assert!(e.payload().get("user").is_some());
+            assert!(payload(e).get("user").is_some());
         }
         // Forwarded payloads carry the audit fields, with a null lbqid
         // for non-pattern forwards.
-        let fwd = forwarded(0).payload();
+        let fwd = payload(&forwarded(0));
         assert_eq!(fwd.get("service").and_then(|j| j.as_int()), Some(1));
         assert_eq!(fwd.get("k_req").and_then(|j| j.as_int()), Some(0));
         assert_eq!(fwd.get("k_got").and_then(|j| j.as_int()), Some(0));
         assert_eq!(fwd.get("lbqid"), Some(&Json::Null));
         assert_eq!(
-            events[1].payload().get("service").and_then(|j| j.as_int()),
+            payload(&events[1]).get("service").and_then(|j| j.as_int()),
             Some(1)
         );
         // ModeChanged is server-scoped (no user); it names both modes.
@@ -1203,11 +1502,11 @@ mod tests {
         };
         assert_eq!(mc.kind(), "ts.mode_changed");
         assert_eq!(
-            mc.payload().get("from").and_then(|j| j.as_str()),
+            payload(&mc).get("from").and_then(|j| j.as_str()),
             Some("normal")
         );
         assert_eq!(
-            mc.payload().get("to").and_then(|j| j.as_str()),
+            payload(&mc).get("to").and_then(|j| j.as_str()),
             Some("degraded")
         );
     }

@@ -32,7 +32,7 @@ use std::io;
 use std::path::Path;
 
 use crate::journal::{JournalRecord, GENESIS_HASH};
-use crate::json::{self, Json};
+use crate::json::{self, Json, ObjectWriter};
 use crate::sha256::sha256_hex;
 
 /// The `kind` tag of a checkpoint anchor record.
@@ -84,19 +84,13 @@ impl Snapshot {
     /// included) — exactly the bytes [`write_atomic`] puts on disk and
     /// [`Snapshot::content_hash`] hashes.
     pub fn encode(&self) -> String {
-        let sections = Json::Obj(
-            self.sections
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        );
-        let mut line = Json::obj([
-            ("head", Json::from(self.head.as_str())),
-            ("records", Json::from(self.records)),
-            ("sections", sections),
-            ("v", Json::Int(SNAPSHOT_VERSION)),
-        ])
-        .to_string();
+        let mut line = String::new();
+        let mut object = ObjectWriter::new(&mut line);
+        object.field("head", &self.head);
+        object.field("records", self.records);
+        object.field("sections", &self.sections);
+        object.field("v", SNAPSHOT_VERSION);
+        object.finish();
         line.push('\n');
         line
     }

@@ -20,8 +20,8 @@
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
-use crate::json::{self, Json};
-use crate::sha256::sha256_hex;
+use crate::json::{self, Canonical, Digits, Json};
+use crate::sha256::{HexDigest, Sha256};
 
 /// Journal schema version written into every record.
 pub const JOURNAL_VERSION: i64 = 1;
@@ -29,11 +29,69 @@ pub const JOURNAL_VERSION: i64 = 1;
 /// `prev` of the first record: 64 hex zeros.
 pub const GENESIS_HASH: &str = "0000000000000000000000000000000000000000000000000000000000000000";
 
+// The two places the schema version is spelled into a record's bytes:
+// the head of the hash preimage and the tail of the line.
+const PREIMAGE_HEAD: &[u8] = b"v1:";
+const LINE_TAIL: &str = ",\"v\":1}\n";
+const _: () = assert!(JOURNAL_VERSION == 1, "PREIMAGE_HEAD and LINE_TAIL spell v1");
+
+/// The hash of one record — `sha256("v1:{seq}:{kind}:{payload}:{prev}")`
+/// — streamed piece by piece, so no preimage is ever assembled.
+fn record_digest(seq: u64, kind: &str, payload_canonical: &str, prev: &str) -> HexDigest {
+    let mut hasher = Sha256::new();
+    hasher.update(PREIMAGE_HEAD);
+    hasher.update(Digits::of(seq).as_str().as_bytes());
+    hasher.update(b":");
+    hasher.update(kind.as_bytes());
+    hasher.update(b":");
+    hasher.update(payload_canonical.as_bytes());
+    hasher.update(b":");
+    hasher.update(prev.as_bytes());
+    HexDigest::of(&hasher.finalize())
+}
+
 /// The hash of one record: covers version, sequence number, kind,
 /// canonical payload, and the previous record's hash.
 pub fn event_hash(seq: u64, kind: &str, payload_canonical: &str, prev: &str) -> String {
-    let preimage = format!("v{JOURNAL_VERSION}:{seq}:{kind}:{payload_canonical}:{prev}");
-    sha256_hex(preimage.as_bytes())
+    record_digest(seq, kind, payload_canonical, prev)
+        .as_str()
+        .to_string()
+}
+
+/// The one record encoder. Writes `payload`'s canonical form once, into
+/// `scratch`; hashes it from there; then splices the same bytes into
+/// the record's line, appended to `line` with its newline:
+///
+/// ```text
+/// {"hash":"…","kind":…,"payload":<scratch>,"prev":…,"seq":N,"v":1}\n
+/// ```
+///
+/// — the member order a sorted-key object has. `kind` and `prev` go
+/// into the hash raw and into the line escaped. Returns the record's
+/// hash.
+fn encode_record(
+    line: &mut String,
+    scratch: &mut String,
+    seq: u64,
+    kind: &str,
+    payload: &impl Canonical,
+    prev: &str,
+) -> HexDigest {
+    scratch.clear();
+    payload.write_canonical(scratch);
+    let hash = record_digest(seq, kind, scratch, prev);
+    line.push_str("{\"hash\":\"");
+    line.push_str(hash.as_str());
+    line.push_str("\",\"kind\":");
+    kind.write_canonical(line);
+    line.push_str(",\"payload\":");
+    line.push_str(scratch);
+    line.push_str(",\"prev\":");
+    prev.write_canonical(line);
+    line.push_str(",\"seq\":");
+    seq.write_canonical(line);
+    line.push_str(LINE_TAIL);
+    hash
 }
 
 /// One parsed journal record.
@@ -54,49 +112,38 @@ pub struct JournalRecord {
 }
 
 impl JournalRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("v", Json::Int(self.version)),
-            ("seq", Json::from(self.seq)),
-            ("kind", Json::from(self.kind.as_str())),
-            ("payload", self.payload.clone()),
-            ("prev", Json::from(self.prev.as_str())),
-            ("hash", Json::from(self.hash.as_str())),
-        ])
-    }
-
     /// Parses one JSONL line into a record (no chain checks).
     pub fn parse_line(line: &str) -> Result<JournalRecord, ChainError> {
         let bad = |what: &str| ChainError::Malformed {
             line: 0,
             message: what.to_string(),
         };
-        let value = json::parse(line.trim()).map_err(|e| bad(&e.to_string()))?;
-        let field = |name: &str| {
-            value
-                .get(name)
+        // A non-object has no members: it fails on the first one, `v`.
+        let mut members = match json::parse(line.trim()).map_err(|e| bad(&e.to_string()))? {
+            Json::Obj(members) => members,
+            _ => Default::default(),
+        };
+        // Every member is moved out of the parsed map, never cloned.
+        let mut take = |name: &str| {
+            members
+                .remove(name)
                 .ok_or_else(|| bad(&format!("missing '{name}'")))
         };
-        let version = field("v")?
+        let string = |value: Json, name: &str| match value {
+            Json::Str(s) => Ok(s),
+            _ => Err(bad(&format!("'{name}' not a string"))),
+        };
+        let version = take("v")?
             .as_int()
             .ok_or_else(|| bad("'v' not an integer"))?;
-        let seq = field("seq")?
+        let seq = take("seq")?
             .as_int()
             .and_then(|s| u64::try_from(s).ok())
             .ok_or_else(|| bad("'seq' not a non-negative integer"))?;
-        let kind = field("kind")?
-            .as_str()
-            .ok_or_else(|| bad("'kind' not a string"))?
-            .to_string();
-        let payload = field("payload")?.clone();
-        let prev = field("prev")?
-            .as_str()
-            .ok_or_else(|| bad("'prev' not a string"))?
-            .to_string();
-        let hash = field("hash")?
-            .as_str()
-            .ok_or_else(|| bad("'hash' not a string"))?
-            .to_string();
+        let kind = string(take("kind")?, "kind")?;
+        let payload = take("payload")?;
+        let prev = string(take("prev")?, "prev")?;
+        let hash = string(take("hash")?, "hash")?;
         Ok(JournalRecord {
             version,
             seq,
@@ -114,6 +161,10 @@ pub struct Journal<W: Write> {
     sink: W,
     next_seq: u64,
     prev_hash: String,
+    /// The current record's canonical payload ([`encode_record`]).
+    scratch: String,
+    /// The lines of the current append, written with one `write_all`.
+    lines: String,
 }
 
 /// A journal over a boxed sink, for APIs that don't want to be generic
@@ -123,11 +174,7 @@ pub type BoxedJournal = Journal<Box<dyn Write + Send + Sync>>;
 impl<W: Write> Journal<W> {
     /// A journal writing records to `sink`, starting at sequence 0.
     pub fn new(sink: W) -> Self {
-        Journal {
-            sink,
-            next_seq: 0,
-            prev_hash: GENESIS_HASH.to_string(),
-        }
+        Journal::resume(sink, 0, GENESIS_HASH.to_string())
     }
 
     /// A journal resuming an existing chain: the next append receives
@@ -139,34 +186,15 @@ impl<W: Write> Journal<W> {
             sink,
             next_seq,
             prev_hash,
+            scratch: String::new(),
+            lines: String::new(),
         }
     }
 
     /// Appends one event, returning its assigned sequence number.
-    pub fn append(&mut self, kind: &str, payload: Json) -> io::Result<u64> {
-        let seq = self.next_seq;
-        let canonical = payload.to_string();
-        let hash = event_hash(seq, kind, &canonical, &self.prev_hash);
-        let record = JournalRecord {
-            version: JOURNAL_VERSION,
-            seq,
-            kind: kind.to_string(),
-            payload,
-            // Clone rather than take: on a failed write the journal's
-            // state must be untouched, so a retried append reproduces
-            // byte-identical output and the chain stays verifiable.
-            prev: self.prev_hash.clone(),
-            hash: hash.clone(),
-        };
-        // One buffered write per record (not one per JSON fragment): a
-        // record either lands as a unit or tears once, and an appender
-        // over a raw file does one syscall per event instead of hundreds.
-        let mut line = record.to_json().to_string();
-        line.push('\n');
-        self.sink.write_all(line.as_bytes())?;
-        self.next_seq = seq + 1;
-        self.prev_hash = hash;
-        Ok(seq)
+    pub fn append(&mut self, kind: &str, payload: impl Canonical) -> io::Result<u64> {
+        self.append_all(std::iter::once((kind, &payload)))
+            .map(|seqs| seqs.start)
     }
 
     /// Appends a batch of events with one write.
@@ -182,33 +210,52 @@ impl<W: Write> Journal<W> {
     ///
     /// Returns the assigned sequence-number range (empty for an empty
     /// batch).
-    pub fn append_batch(&mut self, events: &[(String, Json)]) -> io::Result<std::ops::Range<u64>> {
+    pub fn append_batch<K: AsRef<str>, P: Canonical>(
+        &mut self,
+        events: &[(K, P)],
+    ) -> io::Result<std::ops::Range<u64>> {
+        self.append_all(
+            events
+                .iter()
+                .map(|(kind, payload)| (kind.as_ref(), payload)),
+        )
+    }
+
+    /// The loop behind both appends: encode every record into the
+    /// reused line buffer, hand the sink all of it in one `write_all` (a
+    /// record lands as a unit or tears once, and a raw file sees one
+    /// syscall per append), and only then advance — on a failed write
+    /// the state is untouched, so a retry reproduces byte-identical
+    /// output and the chain stays verifiable.
+    fn append_all<'e, P: Canonical + 'e>(
+        &mut self,
+        events: impl Iterator<Item = (&'e str, &'e P)>,
+    ) -> io::Result<std::ops::Range<u64>> {
         let first = self.next_seq;
-        if events.is_empty() {
-            return Ok(first..first);
-        }
-        let mut buf = String::new();
         let mut seq = first;
-        let mut prev = self.prev_hash.clone();
+        let mut head: Option<HexDigest> = None;
+        self.lines.clear();
         for (kind, payload) in events {
-            let canonical = payload.to_string();
-            let hash = event_hash(seq, kind, &canonical, &prev);
-            let record = JournalRecord {
-                version: JOURNAL_VERSION,
+            let prev = head
+                .as_ref()
+                .map_or(self.prev_hash.as_str(), HexDigest::as_str);
+            head = Some(encode_record(
+                &mut self.lines,
+                &mut self.scratch,
                 seq,
-                kind: kind.clone(),
-                payload: payload.clone(),
+                kind,
+                payload,
                 prev,
-                hash: hash.clone(),
-            };
-            buf.push_str(&record.to_json().to_string());
-            buf.push('\n');
-            prev = hash;
+            ));
             seq += 1;
         }
-        self.sink.write_all(buf.as_bytes())?;
+        let Some(head) = head else {
+            return Ok(first..first);
+        };
+        self.sink.write_all(self.lines.as_bytes())?;
         self.next_seq = seq;
-        self.prev_hash = prev;
+        self.prev_hash.clear();
+        self.prev_hash.push_str(head.as_str());
         Ok(first..seq)
     }
 
@@ -401,11 +448,22 @@ pub struct ChainReport {
 /// time. [`JournalReader`], [`recover`], and the tailer
 /// ([`crate::tail::JournalTailer`]) all admit records through the same
 /// cursor, so "fully hash-chained" means exactly one thing everywhere.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ChainCursor {
     records: u64,
     head: String,
+    /// The canonical payload of the record under verification; reused.
+    scratch: String,
 }
+
+/// Two cursors are equal when they stand at the same chain position.
+impl PartialEq for ChainCursor {
+    fn eq(&self, other: &Self) -> bool {
+        self.records == other.records && self.head == other.head
+    }
+}
+
+impl Eq for ChainCursor {}
 
 impl Default for ChainCursor {
     fn default() -> Self {
@@ -416,10 +474,7 @@ impl Default for ChainCursor {
 impl ChainCursor {
     /// A cursor positioned before the first record (genesis).
     pub fn new() -> Self {
-        ChainCursor {
-            records: 0,
-            head: GENESIS_HASH.to_string(),
-        }
+        ChainCursor::resume(0, GENESIS_HASH.to_string())
     }
 
     /// A cursor positioned mid-chain: the next admitted record must
@@ -429,7 +484,11 @@ impl ChainCursor {
     /// carries exactly this pair in its payload
     /// ([`crate::checkpoint::CheckpointAnchor`]).
     pub fn resume(records: u64, head: String) -> Self {
-        ChainCursor { records, head }
+        ChainCursor {
+            records,
+            head,
+            scratch: String::new(),
+        }
     }
 
     /// Records admitted so far (also the next expected sequence number).
@@ -471,16 +530,16 @@ impl ChainCursor {
         if record.prev != self.head {
             return Err(ChainError::BrokenLink { line: line_no });
         }
-        let recomputed = event_hash(
-            record.seq,
-            &record.kind,
-            &record.payload.to_string(),
-            &record.prev,
-        );
-        if recomputed != record.hash {
+        // The one verifier: the hash is re-derived from the *parsed*
+        // payload's canonical form, never from the bytes on the line, so
+        // a record written by a non-canonical encoder cannot verify.
+        self.scratch.clear();
+        record.payload.write_canonical(&mut self.scratch);
+        let recomputed = record_digest(record.seq, &record.kind, &self.scratch, &record.prev);
+        if recomputed.as_str() != record.hash {
             return Err(ChainError::BadHash { line: line_no });
         }
-        self.head = record.hash.clone();
+        self.head.clone_from(&record.hash);
         self.records += 1;
         Ok(record)
     }
@@ -503,6 +562,8 @@ pub struct JournalReader<R: BufRead> {
     cursor: ChainCursor,
     done: bool,
     at_start: bool,
+    /// The line being read; reused from record to record.
+    line: String,
 }
 
 impl<R: BufRead> JournalReader<R> {
@@ -519,6 +580,7 @@ impl<R: BufRead> JournalReader<R> {
             cursor: ChainCursor::new(),
             done: false,
             at_start: true,
+            line: String::new(),
         }
     }
 
@@ -532,6 +594,7 @@ impl<R: BufRead> JournalReader<R> {
             cursor: ChainCursor::resume(records, head),
             done: false,
             at_start: false,
+            line: String::new(),
         }
     }
 
@@ -553,11 +616,10 @@ impl<R: BufRead> Iterator for JournalReader<R> {
         if self.done {
             return None;
         }
-        let mut line = String::new();
         loop {
-            line.clear();
+            self.line.clear();
             self.line_no += 1;
-            match self.input.read_line(&mut line) {
+            match self.input.read_line(&mut self.line) {
                 Ok(0) => {
                     self.done = true;
                     return None;
@@ -568,16 +630,16 @@ impl<R: BufRead> Iterator for JournalReader<R> {
                     return Some(Err(ChainError::Io(e.to_string())));
                 }
             }
-            if line.trim().is_empty() {
+            if self.line.trim().is_empty() {
                 continue;
             }
             if self.at_start {
                 self.at_start = false;
-                if let Some((records, head)) = crate::checkpoint::suffix_anchor(&line) {
+                if let Some((records, head)) = crate::checkpoint::suffix_anchor(&self.line) {
                     self.cursor = ChainCursor::resume(records, head);
                 }
             }
-            let result = self.cursor.admit(self.line_no, &line);
+            let result = self.cursor.admit(self.line_no, &self.line);
             if result.is_err() {
                 self.done = true;
             }
@@ -801,6 +863,12 @@ mod tests {
         journal.append("c", Json::Int(3)).unwrap();
         let report = verify_chain(&journal.sink.bytes[..]).unwrap();
         assert_eq!(report.records.len(), 3);
+        // The failed attempt left no trace in the bytes either.
+        let events = [("a", 1), ("b", 2), ("c", 3)].map(|(k, i)| (k.to_string(), Json::Int(i)));
+        assert_eq!(
+            String::from_utf8(journal.sink.bytes).unwrap(),
+            oracle_chain(0, GENESIS_HASH, &events)
+        );
     }
 
     #[test]
@@ -875,13 +943,152 @@ mod tests {
         ));
     }
 
+    /// The construction the encoder replaced, kept as the reference:
+    /// build the record as a `Json` tree, print it with the old
+    /// per-`char` serializer, `format!` the preimage, hash it one-shot.
+    fn oracle_line(seq: u64, kind: &str, payload: &Json, prev: &str) -> (String, String) {
+        let canonical = json::oracle::to_string(payload);
+        let preimage = format!("v{JOURNAL_VERSION}:{seq}:{kind}:{canonical}:{prev}");
+        let hash = crate::sha256::sha256_hex(preimage.as_bytes());
+        let record = Json::obj([
+            ("v", Json::Int(JOURNAL_VERSION)),
+            ("seq", Json::from(seq)),
+            ("kind", Json::from(kind)),
+            ("payload", payload.clone()),
+            ("prev", Json::from(prev)),
+            ("hash", Json::from(hash.as_str())),
+        ]);
+        (json::oracle::to_string(&record) + "\n", hash)
+    }
+
+    /// The oracle's bytes for `events` chained from `(seq, prev)`.
+    fn oracle_chain(mut seq: u64, prev: &str, events: &[(String, Json)]) -> String {
+        let mut out = String::new();
+        let mut prev = prev.to_string();
+        for (kind, payload) in events {
+            let (line, hash) = oracle_line(seq, kind, payload, &prev);
+            out.push_str(&line);
+            prev = hash;
+            seq += 1;
+        }
+        out
+    }
+
+    const HOSTILE: [&str; 7] = [
+        "plain",
+        "",
+        "quo\"te and back\\slash",
+        "line\nfeed\rreturn\ttab",
+        "\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}",
+        "caf\u{e9} \u{4f4d}\u{7f6e} \u{1f512}",
+        "\\u0041 \"}\n{\"hash\":\"",
+    ];
+
+    const AWKWARD: [f64; 12] = [
+        -0.0,
+        0.0,
+        3.0,
+        -250.0,
+        1e15,
+        999_999_999_999_999.0,
+        1e-7,
+        5e-324,
+        0.1 + 0.2,
+        -1_234.567_890_123_456_7,
+        12_345_678.901_234_567,
+        123_456_789.125,
+    ];
+
+    fn awkward_events() -> Vec<(String, Json)> {
+        let mut events: Vec<(String, Json)> = HOSTILE
+            .iter()
+            .map(|s| {
+                let payload = Json::obj([
+                    ("lbqid", Json::from(*s)),
+                    (*s, Json::Null),
+                    ("nested", Json::Arr(vec![Json::from(*s), Json::obj([])])),
+                ]);
+                (format!("kind.{s}"), payload)
+            })
+            .collect();
+        events.push((
+            "floats".to_string(),
+            Json::Arr(AWKWARD.iter().map(|n| Json::Num(*n)).collect()),
+        ));
+        events.push((
+            "ints".to_string(),
+            Json::Arr(
+                [0, -1, 9, 10, i64::MAX, i64::MIN]
+                    .into_iter()
+                    .map(Json::Int)
+                    .chain([Json::from(u64::MAX), Json::Bool(true), Json::Null])
+                    .collect(),
+            ),
+        ));
+        events
+    }
+
     #[test]
-    fn records_round_trip_through_parse() {
-        let bytes = build_journal(3);
-        let text = String::from_utf8(bytes).unwrap();
-        for line in text.lines() {
-            let record = JournalRecord::parse_line(line).unwrap();
-            assert_eq!(record.to_json().to_string(), line);
+    fn encoder_is_byte_identical_to_the_tree_oracle_and_round_trips() {
+        let events = awkward_events();
+        // `resume` accepts any `prev`: a hostile one must be escaped in
+        // the line and hashed raw, exactly as the tree did.
+        for (first, prev) in [(0, GENESIS_HASH), (41, HOSTILE[2]), (7, HOSTILE[6])] {
+            let mut journal = Journal::resume(Vec::new(), first, prev.to_string());
+            for (kind, payload) in &events {
+                journal.append(kind, payload).unwrap();
+            }
+            let bytes = String::from_utf8(journal.into_inner()).unwrap();
+            assert_eq!(bytes, oracle_chain(first, prev, &events));
+
+            let mut prev = prev.to_string();
+            for ((line, (kind, payload)), seq) in bytes.lines().zip(&events).zip(first..) {
+                let record = JournalRecord::parse_line(line).unwrap();
+                let (_, hash) = oracle_line(seq, kind, payload, &prev);
+                let mut want = JournalRecord {
+                    version: JOURNAL_VERSION,
+                    seq,
+                    kind: kind.clone(),
+                    payload: payload.clone(),
+                    prev,
+                    hash: hash.clone(),
+                };
+                if kind == "floats" {
+                    // v1 prints 1e15 without a decimal point, so it
+                    // reads back as an integer — with the same bytes.
+                    assert_eq!(record.payload.to_string(), payload.to_string());
+                    want.payload = record.payload.clone();
+                }
+                assert_eq!(record, want);
+                assert_eq!(
+                    event_hash(seq, kind, &payload.to_string(), &want.prev),
+                    hash
+                );
+                prev = hash;
+            }
+            if first == 0 {
+                assert_eq!(
+                    verify_chain(bytes.as_bytes()).unwrap().records.len(),
+                    events.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_float_in_a_record_is_malformed_not_a_panic() {
+        let bytes = String::from_utf8(build_journal(2)).unwrap();
+        for literal in ["1e999", "-1e999"] {
+            let hostile = bytes.replacen("\"user\":1", &format!("\"user\":{literal}"), 1);
+            assert_ne!(hostile, bytes);
+            assert!(matches!(
+                JournalRecord::parse_line(hostile.lines().nth(1).unwrap()),
+                Err(ChainError::Malformed { .. })
+            ));
+            assert!(matches!(
+                verify_chain(hostile.as_bytes()),
+                Err(ChainError::Malformed { line: 2, .. })
+            ));
         }
     }
 
@@ -1057,14 +1264,18 @@ mod tests {
         // are 2^7 ways to split the sequence into consecutive batches
         // (one bit per potential split point). Every one of them must
         // produce the same bytes as eight individual appends.
-        let events: Vec<(String, Json)> = (0..8)
-            .map(|i| (format!("kind.{}", i % 3), sample_payload(i)))
-            .collect();
+        let mut events = awkward_events();
+        events.truncate(5);
+        events.extend((0..3).map(|i| (format!("kind.{}", i % 2), sample_payload(i))));
         let mut reference = Journal::new(Vec::new());
         for (kind, payload) in &events {
             reference.append(kind, payload.clone()).unwrap();
         }
         let reference = reference.into_inner();
+        assert_eq!(
+            String::from_utf8(reference.clone()).unwrap(),
+            oracle_chain(0, GENESIS_HASH, &events)
+        );
 
         for split_mask in 0u32..(1 << (events.len() - 1)) {
             let mut journal = Journal::new(Vec::new());
@@ -1091,7 +1302,7 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let mut journal = Journal::new(Vec::new());
         journal.append("a", Json::Int(1)).unwrap();
-        let range = journal.append_batch(&[]).unwrap();
+        let range = journal.append_batch::<String, Json>(&[]).unwrap();
         assert_eq!(range, 1..1);
         assert_eq!(journal.next_seq(), 1);
     }

@@ -44,7 +44,7 @@ pub use journal::{
     DurableJournal, DurableSink, Journal, JournalReader, JournalRecord, RecoveryReport, Unsynced,
     GENESIS_HASH, JOURNAL_VERSION,
 };
-pub use json::Json;
+pub use json::{Canonical, Json, ObjectWriter};
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };

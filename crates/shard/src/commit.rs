@@ -27,7 +27,7 @@
 //!   escalates, but the batch is *not* retried (the records are already
 //!   in the chain; re-appending would duplicate them).
 
-use hka_core::{JournalHealth, RetryPolicy};
+use hka_core::{JournalHealth, RetryPolicy, TsEvent};
 use hka_obs::{DurableJournal, Json};
 
 /// The coordinator's journal sink: one durable hash-chained journal fed
@@ -101,7 +101,7 @@ impl GroupCommit {
     /// attempt, then a single flush + fsync. On success `pending` is
     /// cleared; on append failure it is retained for a byte-identical
     /// retry at a later commit.
-    pub fn commit(&mut self, pending: &mut Vec<(String, Json)>) {
+    pub fn commit(&mut self, pending: &mut Vec<(&'static str, TsEvent)>) {
         let metrics = hka_obs::global();
         // Group commits batch many requests, so the span is its own
         // root rather than a child of any one trace. Minted through the

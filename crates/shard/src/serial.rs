@@ -21,7 +21,6 @@ use hka_core::{
 };
 use hka_faults::FaultInjector;
 use hka_geo::{Point, StBox, StPoint, TimeSec};
-use hka_obs::Json;
 use hka_trajectory::{IndexDelta, IndexSnapshot, UnionIndex, UserId};
 use std::collections::BTreeMap;
 
@@ -43,7 +42,7 @@ pub(crate) struct Coordinator {
     /// job, so the log itself never carries one).
     pub log: EventLog,
     /// Events merged in canonical order, awaiting the next commit.
-    pub pending: Vec<(String, Json)>,
+    pub pending: Vec<(&'static str, TsEvent)>,
     pub journal: Option<GroupCommit>,
     pub outbox: Vec<(UserId, SpRequest)>,
     pub routes: BTreeMap<MsgId, UserId>,
@@ -97,7 +96,7 @@ impl Coordinator {
     pub fn emit_event(&mut self, e: TsEvent, at: TimeSec) {
         self.last_time = at;
         if self.journal.is_some() {
-            self.pending.push((e.kind().to_string(), e.payload()));
+            self.pending.push((e.kind(), e.clone()));
         }
         self.log.push(e);
     }
@@ -144,10 +143,7 @@ impl Coordinator {
             from,
             to: target,
         };
-        if self.journal.is_some() {
-            self.pending.push((e.kind().to_string(), e.payload()));
-        }
-        self.log.push(e);
+        self.emit_event(e, self.last_time);
     }
 }
 

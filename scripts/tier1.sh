@@ -67,4 +67,8 @@ cargo run --release -q --bin hka-sim -- audit --journal "$tmp/drill.journal" \
     --json "$tmp/genesis.json" --quiet
 cmp "$tmp/resume.json" "$tmp/genesis.json"
 
+echo "== benchmark (stand-alone workspace: compiles against today's API, smoke passes) =="
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+benchmark/all.sh --smoke > /dev/null
+
 echo "tier-1: OK"

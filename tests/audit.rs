@@ -107,7 +107,7 @@ fn fixture_bytes() -> Vec<u8> {
     ];
     let mut journal = obs::Journal::new(Vec::new());
     for e in &events {
-        journal.append(e.kind(), e.payload()).unwrap();
+        journal.append(e.kind(), e).unwrap();
     }
     // Non-TsEvent kinds that also live in v1 journals: the recovery
     // marker, and an unknown vendor kind the auditor must tolerate.
