@@ -13,18 +13,15 @@
 //! Writes `BENCH_shard.json` with the throughput of every run, the
 //! headline `speedup_4x` (4-shard sharded vs the durability-equivalent
 //! sequential baseline — dominated by fsync batching, so it holds even
-//! on single-core hosts), the raw shard-vs-shard ladder for hosts
-//! with real parallelism, and an informational `union_pipeline_ratio`
-//! (the 4-shard run repeated with the incremental union index disabled,
-//! i.e. per-request `IndexSnapshot` re-union, against the same outcome
-//! and journal checks). Every journal written is chain-verified and
+//! on single-core hosts), and the raw shard-vs-shard ladder for hosts
+//! with real parallelism. Every journal written is chain-verified and
 //! replayed through `hka-audit`; the bench exits non-zero on a chain
 //! failure, an audit violation, or a per-shard-count outcome mismatch
 //! against the baseline — a correctness regression fails the bench job,
 //! not just a slow run.
 //!
 //! ```text
-//! cargo run --release -p hka-bench --bin bench_shard -- [--out DIR] [--index grid|rtree]
+//! cargo run --release -p hka-bench --bin bench_shard -- [--out DIR] [--index grid|brute]
 //! ```
 //!
 //! `--index` selects the [`SpatialIndex`] backend behind Algorithm 1 on
@@ -257,13 +254,20 @@ fn main() {
             }
             "--index" if i + 1 < args.len() => {
                 backend = IndexBackend::parse(&args[i + 1]).unwrap_or_else(|| {
-                    eprintln!("unknown backend '{}' (use grid|rtree|brute)", args[i + 1]);
+                    eprintln!(
+                        "unknown backend '{}' (use {})",
+                        args[i + 1],
+                        IndexBackend::usage()
+                    );
                     std::process::exit(2);
                 });
                 i += 2;
             }
             other => {
-                eprintln!("usage: bench_shard [--out DIR] [--index grid|rtree] (got '{other}')");
+                eprintln!(
+                    "usage: bench_shard [--out DIR] [--index {}] (got '{other}')",
+                    IndexBackend::usage()
+                );
                 std::process::exit(2);
             }
         }
@@ -380,41 +384,6 @@ fn main() {
         ]));
     }
 
-    // --- Union off: the 4-shard pipeline with per-request re-union. ----
-    // Same workload, same journal contract, incremental index disabled —
-    // isolates what the maintained union buys the full pipeline. The
-    // ratio is reported, not gated: end-to-end walls here are
-    // fsync-dominated, so the index win is diluted and noisy; the hard
-    // >= 2x gate on the query path itself lives in bench_index.
-    let reunion_path = scratch.join("shard4-reunion.jsonl");
-    let mut reunion_ns = u64::MAX;
-    for _ in 0..TRIALS {
-        hka_obs::global().reset();
-        let mut ts = setup_sharded(&world, 4, backend);
-        ts.set_incremental_index(false);
-        ts.attach_journal(hka_obs::Journal::new(Box::new(
-            std::fs::File::create(&reunion_path).expect("create re-union journal"),
-        )
-            as Box<dyn hka_obs::DurableSink>));
-        let t = Instant::now();
-        let outcomes = drive(&mut ts, &envs);
-        ts.flush_journal().expect("re-union flush");
-        reunion_ns = reunion_ns.min(t.elapsed().as_nanos() as u64);
-        drop(ts);
-        for (i, resp) in outcomes.iter().enumerate() {
-            let got = fingerprint(resp);
-            if got != seq_outcomes[i] {
-                eprintln!("FAIL: re-union run diverged from baseline at request {i}: {got}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if check_journal(&reunion_path, "4-shard re-union") != seq_records {
-        eprintln!("FAIL: re-union run journaled a different record count");
-        std::process::exit(1);
-    }
-    let union_pipeline_ratio = reunion_ns as f64 / wall_by_shards[&4] as f64;
-
     let speedup_4x = seq_ns as f64 / wall_by_shards[&4] as f64;
     let ladder_4v1 = wall_by_shards[&1] as f64 / wall_by_shards[&4] as f64;
     let json = Json::obj([
@@ -452,17 +421,6 @@ fn main() {
         ("ladder", Json::Arr(ladder)),
         ("speedup_4x", Json::Num(speedup_4x)),
         ("shard_ladder_speedup_4v1", Json::Num(ladder_4v1)),
-        ("reunion_4x_wall_ns", Json::from(reunion_ns)),
-        ("union_pipeline_ratio", Json::Num(union_pipeline_ratio)),
-        (
-            "union_pipeline_ratio_definition",
-            Json::from(
-                "union_pipeline_ratio = 4-shard wall with the incremental union disabled \
-                 (per-request IndexSnapshot re-union) / 4-shard wall with it enabled, \
-                 identical outcomes and journal bytes. Informational only — end-to-end \
-                 walls are fsync-dominated; the gated query-path ratio is in BENCH_index.",
-            ),
-        ),
         (
             "speedup_definition",
             Json::from(
@@ -482,7 +440,7 @@ fn main() {
     });
     println!("wrote {path}");
     println!(
-        "baseline {:.1} ms | 1 shard {:.1} ms | 4 shards {:.1} ms | speedup_4x {speedup_4x:.2} | ladder 4v1 {ladder_4v1:.2} | union on/off {union_pipeline_ratio:.2}",
+        "baseline {:.1} ms | 1 shard {:.1} ms | 4 shards {:.1} ms | speedup_4x {speedup_4x:.2} | ladder 4v1 {ladder_4v1:.2}",
         seq_ns as f64 / 1e6,
         wall_by_shards[&1] as f64 / 1e6,
         wall_by_shards[&4] as f64 / 1e6,

@@ -19,7 +19,7 @@ use hka_core::{
 use hka_geo::MINUTE;
 use hka_lbqid::Lbqid;
 use hka_mobility::{CityConfig, EventKind, World, WorldConfig, ANCHOR_SERVICE, BACKGROUND_SERVICE};
-use hka_trajectory::{IndexBackend, UserId};
+use hka_trajectory::UserId;
 
 /// A ready-to-run protected city: the workload, the trusted server wired
 /// with services and LBQIDs, and the list of protected users.
@@ -193,30 +193,6 @@ pub fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 /// Prints a rule line of the given width.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
-}
-
-/// Parses a `--backends grid,rtree,soa,brute` argument out of a raw
-/// argument stream (the bench bins are dependency-free, so no clap).
-/// Absent the flag, all backends are compared — oracle last. Unknown
-/// names abort with exit code 2 so CI misconfigurations fail loudly.
-pub fn parse_backends(args: impl IntoIterator<Item = String>) -> Vec<IndexBackend> {
-    let args: Vec<String> = args.into_iter().collect();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--backends" && i + 1 < args.len() {
-            return args[i + 1]
-                .split(',')
-                .map(|name| {
-                    IndexBackend::parse(name.trim()).unwrap_or_else(|| {
-                        eprintln!("unknown backend '{name}' (use grid|rtree|soa|brute)");
-                        std::process::exit(2);
-                    })
-                })
-                .collect();
-        }
-        i += 1;
-    }
-    IndexBackend::ALL.to_vec()
 }
 
 /// One table cell: the human-facing rendering plus the raw value that

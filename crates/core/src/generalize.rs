@@ -59,7 +59,7 @@ pub struct Generalization {
 }
 
 /// Lines 5–6 + 8–13: first-element branch, over any [`SpatialIndex`]
-/// backend (grid, R-tree, or brute — all answer identically).
+/// backend (grid or brute — they answer identically).
 ///
 /// `requester` is excluded from the k selected users: the anonymity set
 /// must contain k users *other than* the issuer so that, per Definition 8,

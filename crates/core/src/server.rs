@@ -60,8 +60,8 @@ impl std::fmt::Display for ServerMode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TsConfig {
     /// Grid-index sizing (also fixes the space–time metric used by
-    /// Algorithm 1's nearest-PHL searches). The R-tree and brute
-    /// backends use only its `scale`.
+    /// Algorithm 1's nearest-PHL searches). The brute backend uses
+    /// only its `scale`.
     pub index: GridIndexConfig,
     /// Which [`SpatialIndex`] backend answers Algorithm 1's queries.
     pub backend: IndexBackend,

@@ -105,12 +105,12 @@ proptest! {
         }
     }
 
-    /// Every `SpatialIndex` backend, driven through the trait by the
-    /// *same* `algorithm1_first` code, produces the identical
-    /// generalization: same anonymity set, same HK-anonymity verdict,
-    /// same `⟨Area, TimeInterval⟩` — under loose and tight tolerances
-    /// alike. This is the server-level face of the differential
-    /// equivalence suite (the brute backend is the oracle).
+    /// The grid index and the brute-force specification, driven through
+    /// the `SpatialIndex` trait by the *same* `algorithm1_first` code,
+    /// produce the identical generalization: same anonymity set, same
+    /// HK-anonymity verdict, same `⟨Area, TimeInterval⟩` — under loose
+    /// and tight tolerances alike. This is the server-level face of the
+    /// differential equivalence suite.
     #[test]
     fn algorithm1_first_equivalent_across_backends(
         store in arb_store(10),
@@ -125,11 +125,9 @@ proptest! {
         };
         let oracle = IndexBackend::Brute.build(&store, cfg);
         let want = algorithm1_first(oracle.as_ref(), &seed, UserId(0), k, &tolerance);
-        for backend in [IndexBackend::Grid, IndexBackend::RTree] {
-            let index = backend.build(&store, cfg);
-            let got = algorithm1_first(index.as_ref(), &seed, UserId(0), k, &tolerance);
-            prop_assert_eq!(&got, &want, "{} vs brute oracle", backend);
-        }
+        let grid = IndexBackend::Grid.build(&store, cfg);
+        let got = algorithm1_first(grid.as_ref(), &seed, UserId(0), k, &tolerance);
+        prop_assert_eq!(&got, &want, "grid vs brute oracle");
     }
 
     /// Subsequent branch: selection is always a subset of the stored

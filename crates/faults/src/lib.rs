@@ -51,8 +51,7 @@ pub mod sites {
     pub const JOURNAL_IO: &str = "journal.io";
     /// Mix-zone subsystem availability at unlink time.
     pub const MIXZONE: &str = "mixzone.available";
-    /// Grid/R-tree moving-object index queries (Algorithm 1's
-    /// candidate search).
+    /// Moving-object index queries (Algorithm 1's candidate search).
     pub const INDEX_QUERY: &str = "index.query";
     /// Request arrival: drop / duplicate / out-of-order timestamps.
     /// Applied by the event driver (simulator, chaos harness), not

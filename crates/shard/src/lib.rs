@@ -3,8 +3,8 @@
 //! A sharded frontend for the paper's Trusted Server: users are
 //! hash-partitioned across N worker shards, each owning the
 //! `TrustedServer`-style per-user state (pseudonym, privacy profile,
-//! LBQID monitors, pattern bookkeeping) and a partition of the PHL
-//! store + grid index for its users.
+//! LBQID monitors, pattern bookkeeping) and the PHL store partition of
+//! its users. The coordinator owns the only spatial index.
 //!
 //! ## Execution model: canonical-order phases
 //!
@@ -20,17 +20,18 @@
 //!   request, and *all* events once a fault plan is attached or a
 //!   randomizer is configured: the scheduler drains the parallel stage
 //!   to quiescence (a **barrier**, which is also the epoch tick that
-//!   publishes a fresh read snapshot), commits the journal, and runs
-//!   the event on the coordinator against the union of all shards.
+//!   publishes the workers' index deltas), commits the journal, and
+//!   runs the event on the coordinator against the union of all shards.
 //!
-//! Cross-shard reads on the serialized path go through
-//! [`IndexSnapshot`](hka_trajectory::IndexSnapshot) — an immutable
-//! epoch snapshot over the per-shard indices whose merged k-candidate
-//! answer is bit-identical to a single index (shards partition users
-//! disjointly). This is what keeps Algorithm 1's anonymity sets exact:
-//! a snapshot that lagged ingests could only *shrink* candidate sets
-//! (fail-closed), never inflate them, but the barrier-published
-//! snapshot has zero lag and the differential tests pin byte equality.
+//! Cross-shard reads on the serialized path go through one
+//! [`UnionIndex`](hka_trajectory::UnionIndex) — a single index over
+//! every shard's users, built from the shard stores the first time a
+//! protected request needs it and kept current from then on by the
+//! observations each barrier publishes. Because the barrier drains
+//! every worker before a protected request runs, the union has zero
+//! lag, holds exactly the points a sequential server's index would,
+//! and the differential tests pin byte equality. A server that never
+//! sees a protected request never builds it.
 //!
 //! ## Group-commit journal
 //!
@@ -185,8 +186,8 @@ impl ShardedTs {
         self.shards.len()
     }
 
-    /// How many epochs (barrier publications of a fresh read snapshot)
-    /// have elapsed.
+    /// How many epochs (barrier publications of the workers' index
+    /// deltas) have elapsed.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -200,31 +201,9 @@ impl ShardedTs {
         self.parallel_threshold = threshold;
     }
 
-    /// Toggles the incrementally maintained union index on the
-    /// protected-request path. On (the default), Algorithm 1's global
-    /// k-candidate query runs against one owned index kept current by
-    /// per-epoch shard deltas; off, every protected request re-unions
-    /// the per-shard indices through an
-    /// [`IndexSnapshot`](hka_trajectory::IndexSnapshot) — the
-    /// pre-incremental baseline the benches and differential tests
-    /// compare against. Answers are identical either way; only the cost
-    /// profile changes.
-    pub fn set_incremental_index(&mut self, on: bool) {
-        self.flush();
-        if !on {
-            self.co.union.invalidate();
-        }
-        self.co.incremental_index = on;
-    }
-
-    /// Whether the protected-request path uses the incremental union.
-    pub fn incremental_index(&self) -> bool {
-        self.co.incremental_index
-    }
-
     /// The union index generation stamp — bumps on every index mutation
     /// or invalidation, so a reading across a compaction can prove the
-    /// snapshot it used was discarded.
+    /// index it used was discarded.
     pub fn union_generation(&self) -> u64 {
         self.co.union.generation()
     }
@@ -232,19 +211,17 @@ impl ShardedTs {
     /// Folds PHL points older than the policy cutoff on **every shard**
     /// (the sharded analogue of
     /// [`compact_history`](hka_core::TrustedServer::compact_history)):
-    /// drains the queue to quiescence, compacts each shard's store,
-    /// rebuilds each shard's index over its folded partition, and
+    /// drains the queue to quiescence, compacts each shard's store, and
     /// **invalidates the union index** — a removal is exactly what the
-    /// insert-only delta stream cannot express, so any snapshot
-    /// generation spanning the compaction is discarded and the next
-    /// protected request rebuilds from the folded stores.
+    /// insert-only delta stream cannot express, so any generation
+    /// spanning the compaction is discarded and the next protected
+    /// request rebuilds from the folded stores.
     ///
     /// When a journal is attached, one deterministic `ts.compaction`
     /// chain record (fields: `at`, `dropped`, `kept`) is appended
     /// durably via the group-commit sink — auditors tolerate the extra
-    /// kind, and the payload is independent of shard count and of the
-    /// incremental-index toggle, so equivalence comparisons across
-    /// configurations stay byte-for-byte.
+    /// kind, and the payload is independent of shard count, so
+    /// equivalence comparisons across configurations stay byte-for-byte.
     pub fn compact_history(
         &mut self,
         now: hka_geo::TimeSec,
@@ -253,13 +230,7 @@ impl ShardedTs {
         self.flush();
         let mut total = hka_trajectory::CompactionStats::default();
         for shard in &mut self.shards {
-            let stats = shard.store.compact(now, policy);
-            shard.index = self
-                .co
-                .config
-                .backend
-                .build(&shard.store, self.co.config.index);
-            total.absorb(stats);
+            total.absorb(shard.store.compact(now, policy));
         }
         self.co.union.invalidate();
         let metrics = hka_obs::global();
@@ -671,7 +642,6 @@ impl ShardedTs {
             shard.store.ensure_user(user);
             for p in phl.points() {
                 shard.store.record(user, *p);
-                shard.index.insert(user, *p);
             }
         }
         for (id, tol) in &meta.services {
@@ -1027,8 +997,8 @@ impl ShardedTs {
         }
         // Publish this epoch's index deltas to the union in canonical
         // position order (no-op — but still a drain — while the union is
-        // invalid or the incremental path is off; the next rebuild reads
-        // the authoritative stores instead).
+        // invalid; the next rebuild reads the authoritative stores
+        // instead).
         self.co.union.apply_epoch(&mut deltas);
         events.sort_by_key(|&(pos, idx, _, _)| (pos, idx));
         for (_, _, e, at) in events {
@@ -1511,13 +1481,50 @@ mod tests {
             hka_trajectory::state::store_to_json(&shd.merged_store()).to_string()
         );
 
-        // And it keeps serving: a protected request from restored state
-        // answers identically to the original server's.
+        // And it keeps serving. Restore builds no index; the first
+        // request Algorithm 1 generalizes rebuilds the union from the
+        // re-hashed stores, and from then on every outcome equals both
+        // the original server's and a sequential server's restored from
+        // the same snapshot (everything serialized, so ids match too).
         let mut restored = restored;
-        let at = sp(0.0, 26.0, 800);
-        let a = shd.request_now(UserId(0), at, ServiceId(1)).unwrap();
-        let b = restored.request_now(UserId(0), at, ServiceId(1)).unwrap();
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        restored.attach_faults(FaultInjector::none());
+        let mut seq = TrustedServer::restore(TsConfig::default(), &rec.snapshot).unwrap();
+        // Monitors restart empty on restore: (re-)attach a pattern whose
+        // first element the morning requests below match.
+        let home = Rect::new(Point::new(-5.0, 0.0), Point::new(100.0, 100.0));
+        let office = Rect::new(Point::new(900.0, 900.0), Point::new(950.0, 950.0));
+        for u in (0..6u64).step_by(2) {
+            seq.add_lbqid(UserId(u), Lbqid::example_commute(home, office));
+            shd.add_lbqid(UserId(u), Lbqid::example_commute(home, office));
+            restored.add_lbqid(UserId(u), Lbqid::example_commute(home, office));
+        }
+        assert_eq!(restored.union_generation(), 0, "restore built no index");
+        for round in 0..3i64 {
+            let t = 7 * 3_600 + 100 * round;
+            for u in 0..6u64 {
+                let loc = sp(10.0 * u as f64 + round as f64, 22.0, t);
+                let at = sp(10.0 * u as f64, 26.0, t + 50);
+                seq.location_update(UserId(u), loc);
+                shd.location_update(UserId(u), loc);
+                restored.location_update(UserId(u), loc);
+                let want = format!("{:?}", seq.try_handle_request(UserId(u), at, ServiceId(1)));
+                let orig = shd.request_now(UserId(u), at, ServiceId(1));
+                let got = restored.request_now(UserId(u), at, ServiceId(1));
+                assert_eq!(
+                    format!("{orig:?}"),
+                    want,
+                    "original, round {round} user {u}"
+                );
+                assert_eq!(format!("{got:?}"), want, "restored, round {round} user {u}");
+                if u == 0 {
+                    assert!(
+                        want.contains("Forwarded"),
+                        "generalized, not suppressed: {want}"
+                    );
+                    assert!(restored.union_generation() > 0, "the union was rebuilt");
+                }
+            }
+        }
     }
 
     #[test]

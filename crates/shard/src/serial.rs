@@ -6,10 +6,10 @@
 //! outbox/routing table, and the group-commit journal. A serialization
 //! point runs against [`SerialHost`], which answers the extracted
 //! strategy's [`RequestHost`] capabilities over the *union* of all
-//! shards — Algorithm 1's candidate search goes through the merged
-//! [`IndexSnapshot`](hka_trajectory::IndexSnapshot), and unlink
-//! attempts iterate the shards' PHLs in global user order, so every
-//! answer is bit-identical to the sequential server's.
+//! shards — Algorithm 1's candidate search goes through the
+//! coordinator's [`UnionIndex`], and unlink attempts iterate the
+//! shards' PHLs in global user order, so every answer is bit-identical
+//! to the sequential server's.
 
 use crate::commit::GroupCommit;
 use crate::worker::ShardState;
@@ -21,7 +21,7 @@ use hka_core::{
 };
 use hka_faults::FaultInjector;
 use hka_geo::{Point, StBox, StPoint, TimeSec};
-use hka_trajectory::{IndexDelta, IndexSnapshot, UnionIndex, UserId};
+use hka_trajectory::{IndexDelta, UnionIndex, UserId};
 use std::collections::BTreeMap;
 
 /// Which shard owns a user: a stable hash of the id. Registration is
@@ -55,15 +55,11 @@ pub(crate) struct Coordinator {
     pub serialize_all: bool,
     pub mode: ServerMode,
     pub last_time: TimeSec,
-    /// The incrementally maintained union index over all shards (the
-    /// tentpole of DESIGN.md §15): built lazily at the first protected
-    /// request, kept current by per-epoch shard deltas, invalidated by
-    /// anything the delta stream cannot express.
+    /// The one index of a sharded server (DESIGN.md §11): a union over
+    /// all shards' users, built lazily from the shard stores at the
+    /// first protected request, kept current by per-epoch shard deltas,
+    /// invalidated by anything the delta stream cannot express.
     pub union: UnionIndex,
-    /// When false, every protected request falls back to the per-request
-    /// [`IndexSnapshot`] re-union (the pre-incremental baseline; the
-    /// benches and the CLI's `--no-incremental-index` use this).
-    pub incremental_index: bool,
 }
 
 impl Coordinator {
@@ -85,7 +81,6 @@ impl Coordinator {
             mode: ServerMode::Normal,
             last_time: TimeSec(0),
             union: UnionIndex::new(config.backend, config.index, shards),
-            incremental_index: true,
         }
     }
 
@@ -164,9 +159,9 @@ impl RequestHost for SerialHost<'_> {
     }
 
     fn record(&mut self, user: UserId, at: StPoint) {
-        let shard = &mut self.shards[shard_of(self.shards.len(), user)];
-        shard.store.record(user, at);
-        shard.index.insert(user, at);
+        self.shards[shard_of(self.shards.len(), user)]
+            .store
+            .record(user, at);
         // Keep the union current on the serialized path too (position 0
         // is fine: `apply` inserts immediately, no reordering happens).
         self.co.union.apply(&IndexDelta {
@@ -214,30 +209,17 @@ impl RequestHost for SerialHost<'_> {
         k: usize,
         tolerance: &Tolerance,
     ) -> Generalization {
-        let picks = if self.co.incremental_index {
-            // The incrementally maintained union (DESIGN.md §15): one
-            // owned index over all shards, kept current by the epoch
-            // delta stream, rebuilt lazily from the authoritative
-            // stores after an invalidation. Its generation-keyed memo
-            // lets co-arriving batch members share identical window
-            // queries — a stale answer can never be served because any
-            // mutation bumps the generation.
-            if !self.co.union.is_live() {
-                self.co
-                    .union
-                    .rebuild(self.shards.iter().map(|s| &s.store), self.shards.len());
-            }
-            self.co.union.k_nearest_users(at, k, Some(user))
-        } else {
-            // Baseline: a per-request epoch snapshot over immutable
-            // references to every shard's index. The merged k-candidate
-            // query reproduces the single-index answer exactly (see
-            // `IndexSnapshot`) — the union path above is differentially
-            // pinned against this one.
-            let snapshot =
-                IndexSnapshot::new(self.shards.iter().map(|s| s.index.as_ref()).collect());
-            snapshot.k_nearest_users(at, k, Some(user))
-        };
+        // Rebuilt lazily from the authoritative stores after an
+        // invalidation (and on first use). The generation-keyed memo
+        // lets co-arriving batch members share identical queries — a
+        // stale answer can never be served because any mutation bumps
+        // the generation.
+        if !self.co.union.is_live() {
+            self.co
+                .union
+                .rebuild(self.shards.iter().map(|s| &s.store), self.shards.len());
+        }
+        let picks = self.co.union.k_nearest_users(at, k, Some(user));
         algorithm1_first_from(at, picks, k, tolerance)
     }
 

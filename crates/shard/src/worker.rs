@@ -2,9 +2,12 @@
 //!
 //! Each shard owns the complete per-user state for its slice of the user
 //! population: `UserState` (pseudonym, privacy profile, monitors,
-//! pattern bookkeeping), the shard's `TrajectoryStore` partition, and a
-//! `GridIndex` over it. A worker batch runs the *identical* extracted
-//! strategy (`hka_core::strategy`) over this state; everything the
+//! pattern bookkeeping) and the shard's `TrajectoryStore` partition.
+//! Shards hold no index of their own: each recorded observation is
+//! also logged as an `IndexDelta`, and the coordinator's union index —
+//! the only index a sharded server has — absorbs those at the barrier.
+//! A worker batch runs the *identical* extracted strategy
+//! (`hka_core::strategy`) over this state; everything the
 //! strategy could need but that a parallel-safe event can never reach
 //! (mix-zone probes, Algorithm-1 searches, unlink attempts) is
 //! implemented as `unreachable!()` so a scheduler classification bug
@@ -18,7 +21,7 @@ use hka_core::{
 };
 use hka_faults::FaultInjector;
 use hka_geo::{Point, Rect, StBox, StPoint, TimeSec};
-use hka_trajectory::{IndexDelta, SpatialIndex, TrajectoryStore, UserId};
+use hka_trajectory::{IndexDelta, TrajectoryStore, UserId};
 use std::collections::BTreeMap;
 
 /// Shard-local ids live in a disjoint space: shard `i` allocates
@@ -51,14 +54,13 @@ pub(crate) enum WorkKind {
     Request { at: StPoint, service: ServiceId },
 }
 
-/// One shard: the per-user state, trajectory partition, and index for
-/// the users hashed onto it, plus the buffers a worker batch fills for
-/// the coordinator to merge at the next barrier.
+/// One shard: the per-user state and trajectory partition for the
+/// users hashed onto it, plus the buffers a worker batch fills for the
+/// coordinator to merge at the next barrier.
 pub(crate) struct ShardState {
     pub id: usize,
     pub users: BTreeMap<UserId, UserState>,
     pub store: TrajectoryStore,
-    pub index: Box<dyn SpatialIndex>,
     /// Static mix-zones, replicated from the coordinator (read-only on
     /// the worker path: crossing detection during ingest).
     pub static_zones: Vec<Rect>,
@@ -82,9 +84,9 @@ pub(crate) struct ShardState {
     pub outbox_buf: Vec<(u64, UserId, SpRequest)>,
     /// Request outcomes this batch.
     pub outcomes_buf: Vec<(u64, UserId, RequestOutcome)>,
-    /// Index mutations this batch, tagged with their canonical position:
-    /// the coordinator drains these at the barrier and applies them to
-    /// the incrementally maintained union index in global order.
+    /// Observations recorded this batch, tagged with their canonical
+    /// position: the coordinator drains these at the barrier and applies
+    /// them to the union index in global order.
     pub deltas_buf: Vec<IndexDelta>,
     cur_pos: u64,
     cur_idx: u32,
@@ -96,7 +98,6 @@ impl ShardState {
             id,
             users: BTreeMap::new(),
             store: TrajectoryStore::new(),
-            index: config.backend.make(config.index),
             static_zones: Vec::new(),
             services: BTreeMap::new(),
             default_tolerance: config.default_tolerance,
@@ -165,7 +166,6 @@ impl RequestHost for ShardState {
 
     fn record(&mut self, user: UserId, at: StPoint) {
         self.store.record(user, at);
-        self.index.insert(user, at);
         self.deltas_buf.push(IndexDelta {
             pos: self.cur_pos,
             user,

@@ -19,8 +19,8 @@ use std::collections::BTreeSet;
 /// free functions in this module.
 ///
 /// This is the differential **oracle** — the executable specification
-/// the grid and R-tree backends are property-tested against — and the
-/// un-indexed O(k·n) baseline of experiment T3. Like
+/// the grid index is property-tested against — and the un-indexed
+/// O(k·n) baseline of experiment T3. Like
 /// [`TrajectoryStore::record`], [`SpatialIndex::insert`] requires
 /// per-user non-decreasing timestamps (the TS ingestion path clamps
 /// regressions before indexing).

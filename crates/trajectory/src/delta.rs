@@ -1,46 +1,47 @@
-//! The incrementally maintained epoch union index.
+//! The sharded server's cross-shard read path: one incrementally
+//! maintained union index.
 //!
-//! The sharded trusted server used to answer every protected request by
-//! constructing an [`crate::IndexSnapshot`] over all shard indices and
-//! merging per-partition k-nearest answers — one full per-shard query
-//! fan-out per request. [`UnionIndex`] replaces that re-union with a
-//! single owned [`SpatialIndex`] over *all* partitions, kept current by
-//! applying the per-shard insertion deltas ([`IndexDelta`]) that worker
-//! batches publish at each epoch barrier:
+//! Algorithm 1's k-nearest-users query is global — "the nearest
+//! neighbor in the PHL of **each user**", not each user on one shard —
+//! while the sharded trusted server partitions users (and their PHLs)
+//! across workers. [`UnionIndex`] is a single owned [`SpatialIndex`]
+//! over *all* partitions, kept current by the per-shard insertion
+//! deltas ([`IndexDelta`]) that worker batches publish at each epoch
+//! barrier:
 //!
-//! * **Deltas.** Every observation a shard indexes during an epoch is
-//!   also logged as an `IndexDelta` tagged with its canonical
-//!   submission position. At the barrier the coordinator drains all
-//!   shards' delta buffers, sorts by position, and applies them — the
-//!   union then holds exactly the points a sequential server would,
-//!   inserted in the same order. (Clamped re-timestamps arrive already
-//!   normalized: the ingestion path clamps before it records, so a
-//!   delta stream never violates per-user time ordering.)
+//! * **Deltas.** Every observation a shard records during an epoch is
+//!   logged as an `IndexDelta` tagged with its canonical submission
+//!   position. At the barrier the coordinator drains all shards' delta
+//!   buffers, sorts by position, and applies them — the union then
+//!   holds exactly the points a sequential server would, inserted in
+//!   the same order. (Clamped re-timestamps arrive already normalized:
+//!   the ingestion path clamps before it records, so a delta stream
+//!   never violates per-user time ordering.)
 //!
 //! * **Generations.** Every mutation (delta application, rebuild,
 //!   invalidation) bumps a generation counter. Cached query results are
 //!   keyed by generation, so a stale answer can never be served — which
-//!   is what makes sharing window queries across a batch of co-arriving
-//!   protected requests order-equivalent to sequential processing by
-//!   construction (DESIGN.md §15).
+//!   is what makes sharing identical queries across a batch of
+//!   co-arriving protected requests order-equivalent to sequential
+//!   processing by construction.
 //!
 //! * **Invalidation.** Anything the delta stream cannot express —
 //!   compaction (points *removed*), a restore that bypasses the record
-//!   path, a shard-count or backend change — calls
-//!   [`UnionIndex::invalidate`]; the union lazily rebuilds from the
-//!   authoritative per-shard stores on the next query. A fresh
+//!   path — calls [`UnionIndex::invalidate`]; the union lazily rebuilds
+//!   from the authoritative per-shard stores on the next query. A fresh
 //!   `UnionIndex` starts invalid for the same reason: it has not seen
-//!   the stores yet.
+//!   the stores yet, and a server that never runs a protected request
+//!   never builds one.
 //!
 //! Exactness relies on the canonical equal-distance tie rule
 //! (`spatial::obs_cmp`): with scan-order-independent answers, a union
-//! built in any insertion order agrees with the per-shard merge and
-//! with a from-scratch sequential build, which is what the differential
-//! suites pin.
+//! built in any insertion order agrees with a from-scratch sequential
+//! build and with [`crate::BruteIndex`] over the merged stores, which
+//! is what the differential suites pin.
 
 use crate::{GridIndexConfig, IndexBackend, SpatialIndex, TrajectoryStore, UserId};
-use hka_geo::{StBox, StPoint};
-use std::collections::{BTreeSet, HashMap};
+use hka_geo::StPoint;
+use std::collections::HashMap;
 
 /// One shard-published index mutation: `user` gained observation
 /// `point` at canonical submission position `pos`. Timestamps are
@@ -59,23 +60,6 @@ pub struct IndexDelta {
 /// exact equality, no epsilon), k, and the excluded user.
 type MemoKey = (u64, u64, i64, usize, Option<UserId>);
 
-/// Memo key for a window (`users_crossing`) query: the box corners by
-/// bit pattern and the time span. Exact equality only, like
-/// [`MemoKey`] — two boxes that differ in the last ulp are different
-/// queries.
-type WindowKey = (u64, u64, u64, u64, i64, i64);
-
-fn window_key(b: &StBox) -> WindowKey {
-    (
-        b.rect.min().x.to_bits(),
-        b.rect.min().y.to_bits(),
-        b.rect.max().x.to_bits(),
-        b.rect.max().y.to_bits(),
-        b.span.start().0,
-        b.span.end().0,
-    )
-}
-
 /// A generation-stamped, incrementally maintained union index over
 /// user-disjoint partitions. See the module docs for the protocol.
 #[derive(Debug)]
@@ -93,12 +77,6 @@ pub struct UnionIndex {
     /// layout invalidates (the delta streams would not line up).
     partitions: usize,
     memo: HashMap<MemoKey, Vec<(UserId, StPoint)>>,
-    /// Window-query memo, same generation fence as `memo`. Crossing
-    /// sets and early-exit counts are cached separately: a count with
-    /// `limit` cannot answer a later set query, and a set is often
-    /// never materialized on the count path.
-    window_memo: HashMap<WindowKey, BTreeSet<UserId>>,
-    count_memo: HashMap<(WindowKey, usize), usize>,
     memo_generation: u64,
 }
 
@@ -115,8 +93,6 @@ impl UnionIndex {
             live: false,
             partitions,
             memo: HashMap::new(),
-            window_memo: HashMap::new(),
-            count_memo: HashMap::new(),
             memo_generation: 0,
         }
     }
@@ -152,15 +128,15 @@ impl UnionIndex {
     }
 
     /// Marks the union stale and drops its storage. Call for anything
-    /// the delta stream cannot express: compaction, restore, a backend
-    /// or shard-layout change. The next query rebuilds lazily.
+    /// the delta stream cannot express: compaction, restore, a
+    /// shard-layout change. The next query rebuilds lazily.
     pub fn invalidate(&mut self) {
         if self.live || !self.index.is_empty() {
             self.index = self.backend.make(self.config);
         }
         self.live = false;
         self.generation += 1;
-        self.clear_memos();
+        self.memo.clear();
         hka_obs::global().counter("union.invalidations").incr();
     }
 
@@ -214,7 +190,7 @@ impl UnionIndex {
         self.live = true;
         self.partitions = partitions;
         self.generation += 1;
-        self.clear_memos();
+        self.memo.clear();
         hka_obs::global().counter("union.rebuilds").incr();
     }
 
@@ -249,81 +225,19 @@ impl UnionIndex {
         out
     }
 
-    /// Drops every memoized query result without touching the index or
-    /// its generation. Correctness never requires this — the generation
-    /// stamp already fences staleness — but benchmarks use it to time
-    /// the memo-miss path, and long-lived epochs can call it to bound
-    /// memory.
-    pub fn clear_memo(&mut self) {
-        self.clear_memos();
-    }
-
-    fn clear_memos(&mut self) {
-        self.memo.clear();
-        self.window_memo.clear();
-        self.count_memo.clear();
-    }
-
-    /// Drops every memo table if the index has mutated since they were
-    /// filled. All memoized queries share one fence: any mutation bumps
-    /// `generation`, so a single stale table implies they all are.
+    /// Drops the memo if the index has mutated since it was filled.
     fn fence_memo(&mut self) {
         if self.memo_generation != self.generation {
-            self.clear_memos();
+            self.memo.clear();
             self.memo_generation = self.generation;
         }
-    }
-
-    /// Distinct users crossing `b`, against the live union — served
-    /// from the generation-keyed window memo when the identical box was
-    /// already queried at this generation (Algorithm 1 probes the same
-    /// candidate windows repeatedly across a co-arriving batch).
-    ///
-    /// # Panics
-    /// If the union is not live; callers rebuild first.
-    pub fn users_crossing(&mut self, b: &StBox) -> BTreeSet<UserId> {
-        assert!(self.live, "query against an invalidated union index");
-        self.fence_memo();
-        let key = window_key(b);
-        if let Some(hit) = self.window_memo.get(&key) {
-            hka_obs::global().counter("union.memo_hits").incr();
-            return hit.clone();
-        }
-        let out = self.index.users_crossing(b);
-        self.window_memo.insert(key, out.clone());
-        out
-    }
-
-    /// Early-exit crossing count, against the live union. Memoized per
-    /// `(box, limit)`: a count capped at `limit` says nothing about any
-    /// other limit, so the limit is part of the key. A full crossing
-    /// set already memoized for the same box answers any limit and is
-    /// preferred over a fresh index walk.
-    ///
-    /// # Panics
-    /// If the union is not live; callers rebuild first.
-    pub fn count_users_crossing(&mut self, b: &StBox, limit: usize) -> usize {
-        assert!(self.live, "query against an invalidated union index");
-        self.fence_memo();
-        let key = window_key(b);
-        if let Some(set) = self.window_memo.get(&key) {
-            hka_obs::global().counter("union.memo_hits").incr();
-            return set.len().min(limit);
-        }
-        if let Some(&hit) = self.count_memo.get(&(key, limit)) {
-            hka_obs::global().counter("union.memo_hits").incr();
-            return hit;
-        }
-        let out = self.index.count_users_crossing(b, limit);
-        self.count_memo.insert((key, limit), out);
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IndexSnapshot;
+    use crate::BruteIndex;
     use hka_geo::TimeSec;
 
     fn sp(x: f64, y: f64, t: i64) -> StPoint {
@@ -337,6 +251,18 @@ mod tests {
             stores[(u.0 % shards as u64) as usize].record(*u, *p);
         }
         stores
+    }
+
+    /// The specification the union is held to: an exhaustive scan over
+    /// the merged shard stores.
+    fn oracle(stores: &[TrajectoryStore], cfg: GridIndexConfig) -> BruteIndex {
+        let mut merged = TrajectoryStore::new();
+        for (u, phl) in stores.iter().flat_map(|s| s.iter()) {
+            for p in phl.points() {
+                merged.record(u, *p);
+            }
+        }
+        BruteIndex::build(&merged, cfg.scale)
     }
 
     #[test]
@@ -355,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn deltas_keep_the_union_equal_to_a_fresh_snapshot_merge() {
+    fn deltas_keep_the_union_equal_to_the_brute_scan_of_the_stores() {
         let cfg = GridIndexConfig::default();
         let mut s: u64 = 7;
         let mut next = |m: f64| {
@@ -367,8 +293,6 @@ mod tests {
         let shards = 3usize;
         let mut stores: Vec<TrajectoryStore> =
             (0..shards).map(|_| TrajectoryStore::new()).collect();
-        let mut indices: Vec<Box<dyn SpatialIndex>> =
-            (0..shards).map(|_| IndexBackend::Grid.make(cfg)).collect();
         let mut union = UnionIndex::new(IndexBackend::Grid, cfg, shards);
         union.rebuild(stores.iter(), shards);
 
@@ -382,7 +306,6 @@ mod tests {
                 .map_or(0, |p| p.t.0);
             let p = sp(next(800.0), next(800.0), last_t + next(90.0) as i64);
             stores[sid].record(user, p);
-            indices[sid].insert(user, p);
             pending.push(IndexDelta {
                 pos,
                 user,
@@ -390,17 +313,61 @@ mod tests {
             });
 
             // Epoch barrier every 7 events: drain + apply, then compare
-            // against a fresh re-union of the shard indices.
+            // against the exhaustive scan of the merged stores.
             if pos % 7 == 6 {
                 union.apply_epoch(&mut pending);
-                let snap = IndexSnapshot::new(indices.iter().map(|i| i.as_ref()).collect());
+                let want = oracle(&stores, cfg);
+                assert_eq!(union.len(), want.len(), "pos={pos}");
                 let seed = sp(next(800.0), next(800.0), next(3600.0) as i64);
                 for k in [1usize, 4, 9] {
-                    assert_eq!(
-                        union.k_nearest_users(&seed, k, Some(user)),
-                        snap.k_nearest_users(&seed, k, Some(user)),
-                        "pos={pos} k={k}"
-                    );
+                    for excl in [None, Some(user)] {
+                        assert_eq!(
+                            union.k_nearest_users(&seed, k, excl),
+                            want.k_nearest_users(&seed, k, excl),
+                            "pos={pos} k={k} excl={excl:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equidistant_ties_straddling_shard_boundaries_resolve_canonically() {
+        // Users 1..=6 each have two observations exactly 10m from the
+        // seed, so every user ties with every other and consecutive
+        // tied users live on different shards. The answer must be the k
+        // smallest user ids however the tie group straddles partitions,
+        // each represented by its canonical smallest-(t, x, y) point.
+        let cfg = GridIndexConfig {
+            scale: hka_geo::SpaceTimeScale::new(0.0), // time costs nothing
+            ..GridIndexConfig::default()
+        };
+        let seed = sp(0.0, 0.0, 50);
+        let points: Vec<_> = (1..=6u64)
+            .flat_map(|u| {
+                [
+                    (UserId(u), sp(10.0, 0.0, 10)),
+                    (UserId(u), sp(-10.0, 0.0, 20)),
+                ]
+            })
+            .collect();
+        for shards in [1usize, 2, 3, 4] {
+            let stores = partitioned(&points, shards);
+            let want = oracle(&stores, cfg);
+            let mut union = UnionIndex::new(IndexBackend::Grid, cfg, shards);
+            union.rebuild(stores.iter(), shards);
+            for k in [0usize, 1, 3, 6, 9] {
+                let got = union.k_nearest_users(&seed, k, None);
+                assert_eq!(
+                    got,
+                    want.k_nearest_users(&seed, k, None),
+                    "shards={shards} k={k}"
+                );
+                assert_eq!(got.len(), k.min(6));
+                for (i, (u, p)) in got.iter().enumerate() {
+                    assert_eq!(u.0, i as u64 + 1, "tie order is ascending user id");
+                    assert_eq!(*p, sp(10.0, 0.0, 10), "canonical equidistant observation");
                 }
             }
         }
@@ -415,8 +382,9 @@ mod tests {
         let seed = sp(0.0, 0.0, 0);
         let first = union.k_nearest_users(&seed, 2, None);
         assert_eq!(union.k_nearest_users(&seed, 2, None), first); // memo hit
-                                                                  // A mutation bumps the generation: the same query must see the
-                                                                  // new point, not the memoized answer.
+
+        // A mutation bumps the generation: the same query must see the
+        // new point, not the memoized answer.
         union.apply(&IndexDelta {
             pos: 1,
             user: UserId(2),
@@ -428,47 +396,8 @@ mod tests {
     }
 
     #[test]
-    fn window_memo_serves_only_within_one_generation() {
-        let mut union = UnionIndex::new(IndexBackend::Grid, GridIndexConfig::default(), 1);
-        let mut store = TrajectoryStore::new();
-        store.record(UserId(1), sp(10.0, 10.0, 5));
-        union.rebuild([&store], 1);
-        let b = StBox::new(
-            hka_geo::Rect::from_bounds(6.0, 6.0, 14.0, 14.0),
-            hka_geo::TimeInterval::new(TimeSec(0), TimeSec(20)),
-        );
-        let first = union.users_crossing(&b);
-        assert_eq!(first.len(), 1);
-        assert_eq!(union.users_crossing(&b), first); // memo hit
-                                                     // A memoized full set answers any limited count.
-        assert_eq!(union.count_users_crossing(&b, usize::MAX), 1);
-        assert_eq!(union.count_users_crossing(&b, 0), 0);
-        // A mutation bumps the generation: the same window must see the
-        // new user, not the memoized answer.
-        union.apply(&IndexDelta {
-            pos: 1,
-            user: UserId(2),
-            point: sp(11.0, 11.0, 6),
-        });
-        let after = union.users_crossing(&b);
-        assert_eq!(after.len(), 2);
-        assert!(after.contains(&UserId(2)));
-        assert_eq!(union.count_users_crossing(&b, usize::MAX), 2);
-        // Count-only path (no prior set query at this generation) also
-        // respects the fence and the limit cap.
-        union.apply(&IndexDelta {
-            pos: 2,
-            user: UserId(3),
-            point: sp(9.0, 9.0, 7),
-        });
-        assert_eq!(union.count_users_crossing(&b, 2), 2);
-        assert_eq!(union.count_users_crossing(&b, 2), 2); // memo hit
-        assert_eq!(union.count_users_crossing(&b, usize::MAX), 3);
-    }
-
-    #[test]
     fn invalidation_drops_state_and_applies_become_noops() {
-        let mut union = UnionIndex::new(IndexBackend::RTree, GridIndexConfig::default(), 2);
+        let mut union = UnionIndex::new(IndexBackend::Brute, GridIndexConfig::default(), 2);
         let mut store = TrajectoryStore::new();
         store.record(UserId(1), sp(1.0, 1.0, 0));
         union.rebuild([&store], 2);

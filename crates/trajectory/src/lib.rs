@@ -20,46 +20,40 @@
 //!   * the set of users crossing a given box
 //!     ([`GridIndex::users_crossing`]), which also yields per-request
 //!     anonymity sets.
-//! * [`RTreeIndex`] — a classic Guttman R-tree over the same geometry,
-//!   the second "indexing moving objects" option; answers identically to
-//!   the grid (differentially tested) with different scaling behaviour.
-//! * [`brute`] — reference implementations by exhaustive scan, used for
-//!   differential testing and as the O(k·n) baseline of experiment T3.
+//! * [`brute`] / [`BruteIndex`] — the same two queries by exhaustive
+//!   scan: the paper's O(k·n) formulation kept as the executable
+//!   specification the grid is differentially tested against, and the
+//!   baseline of experiment T3.
 //! * [`CompactionPolicy`] — granularity-aware folding of old PHL points
 //!   into per-granule representatives (bounded memory over unbounded
 //!   feeds; see the `compact` module docs for the exact invariants), and
 //!   [`state`] — the exact canonical-JSON codec checkpoint snapshots use
 //!   to persist and restore the store.
-//! * [`SpatialIndex`] — the backend-agnostic seam over all of the above:
-//!   [`GridIndex`], [`RTreeIndex`], and [`BruteIndex`] implement it and
-//!   must answer identically; [`IndexBackend`] selects one at run time
-//!   and [`IndexSnapshot`] unions partitions of any mix of backends.
+//! * [`SpatialIndex`] — the seam both implement and must answer
+//!   identically through; [`IndexBackend`] selects one at run time.
+//! * [`UnionIndex`] — the sharded server's one cross-shard reader: a
+//!   single index over every shard's users, kept current by per-epoch
+//!   [`IndexDelta`]s and rebuilt from the shard stores on demand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod brute;
 mod compact;
 pub mod delta;
 mod index;
 pub mod io;
 mod phl;
-mod rtree;
-mod snapshot;
 mod spatial;
 pub mod state;
 mod store;
 mod user;
 
-pub use arena::SoaIndex;
 pub use brute::BruteIndex;
 pub use compact::{CompactionPolicy, CompactionStats};
 pub use delta::{IndexDelta, UnionIndex};
 pub use index::{GridIndex, GridIndexConfig};
 pub use phl::Phl;
-pub use rtree::RTreeIndex;
-pub use snapshot::IndexSnapshot;
 pub use spatial::{IndexBackend, SpatialIndex};
 pub use store::TrajectoryStore;
 pub use user::UserId;

@@ -14,23 +14,22 @@
 //!   mirroring the paper's "nearest neighbor in the PHL of each user,
 //!   then the closest k points".
 //!
-//! Three backends implement it: [`GridIndex`] (uniform space–time
-//! grid), [`RTreeIndex`] (Guttman R-tree), and [`BruteIndex`]
-//! (exhaustive scan — the differential oracle). All three are required
-//! to return *identical* answers, including tie-breaks: ascending
-//! scaled distance under the backend's [`SpaceTimeScale`], ties broken
-//! by ascending user id. That equivalence is enforced by property tests
-//! and is what lets [`crate::IndexSnapshot`] union partitions of
-//! different backends exactly.
+//! Two types implement it: [`GridIndex`] (uniform space–time grid —
+//! the one production index) and [`BruteIndex`] (exhaustive scan — the
+//! executable specification). They are required to return *identical*
+//! answers, including tie-breaks: ascending scaled distance under the
+//! backend's [`SpaceTimeScale`], ties broken by ascending user id.
+//! That equivalence is enforced by property tests, and it is what makes
+//! "the k nearest users" one definition rather than one per backend.
 //!
 //! The trait is object-safe on purpose — servers hold a
-//! `Box<dyn SpatialIndex>` chosen at run time via [`IndexBackend`] —
-//! and requires `Send + Sync` because the sharded frontend moves
-//! per-shard indices across scoped worker threads.
+//! `Box<dyn SpatialIndex>` chosen at run time via [`IndexBackend`], so
+//! any workload can be re-run on the oracle and its journal compared
+//! byte for byte — and requires `Send + Sync` because servers move
+//! between threads.
 
-use crate::arena::SoaIndex;
 use crate::brute::BruteIndex;
-use crate::{GridIndex, GridIndexConfig, RTreeIndex, TrajectoryStore, UserId};
+use crate::{GridIndex, GridIndexConfig, TrajectoryStore, UserId};
 use hka_geo::{SpaceTimeScale, StBox, StPoint};
 use std::collections::BTreeSet;
 
@@ -38,14 +37,14 @@ use std::collections::BTreeSet;
 ///
 /// When two of a user's points are *exactly* equidistant from a query
 /// seed, every backend must report the same representative point or the
-/// answer would depend on scan order — a grid index visits cells
-/// nearest-lower-bound first, an R-tree visits nodes best-first, and
-/// the brute scan walks the PHL outward from the temporal insertion
-/// point, so "first one wins" diverges between them (and between two
-/// insertion orders of the *same* backend). The contract is therefore:
-/// among equidistant candidates, the smallest `(t, x, y)` wins. All
-/// pruning bounds in the backends are strict (`> kth`), so an
-/// equal-distance candidate is never pruned before this rule sees it.
+/// answer would depend on scan order — the grid visits cells
+/// nearest-lower-bound first and the brute scan walks the PHL outward
+/// from the temporal insertion point, so "first one wins" diverges
+/// between them (and between two insertion orders of the grid). The
+/// contract is therefore: among equidistant candidates, the smallest
+/// `(t, x, y)` wins. All pruning bounds in the backends are strict
+/// (`> kth`), so an equal-distance candidate is never pruned before
+/// this rule sees it.
 pub(crate) fn obs_cmp(a: &StPoint, b: &StPoint) -> std::cmp::Ordering {
     a.t.0
         .cmp(&b.t.0)
@@ -64,7 +63,7 @@ pub(crate) fn obs_cmp(a: &StPoint, b: &StPoint) -> std::cmp::Ordering {
 /// results from [`users_crossing`](SpatialIndex::users_crossing) and
 /// [`k_nearest_users`](SpatialIndex::k_nearest_users). The brute
 /// backend ([`BruteIndex`]) is the executable specification; the
-/// differential property suite checks the others against it.
+/// differential property suite checks the grid against it.
 pub trait SpatialIndex: std::fmt::Debug + Send + Sync {
     /// Which backend this is (for logs, reports, and journal metadata).
     fn backend(&self) -> IndexBackend;
@@ -140,57 +139,17 @@ impl SpatialIndex for GridIndex {
     }
 }
 
-impl SpatialIndex for RTreeIndex {
-    fn backend(&self) -> IndexBackend {
-        IndexBackend::RTree
-    }
-
-    fn scale(&self) -> &SpaceTimeScale {
-        RTreeIndex::scale(self)
-    }
-
-    fn len(&self) -> usize {
-        RTreeIndex::len(self)
-    }
-
-    fn insert(&mut self, user: UserId, p: StPoint) {
-        RTreeIndex::insert(self, user, p);
-    }
-
-    fn users_crossing(&self, b: &StBox) -> BTreeSet<UserId> {
-        RTreeIndex::users_crossing(self, b)
-    }
-
-    fn count_users_crossing(&self, b: &StBox, limit: usize) -> usize {
-        RTreeIndex::count_users_crossing(self, b, limit)
-    }
-
-    fn k_nearest_users(
-        &self,
-        seed: &StPoint,
-        k: usize,
-        exclude: Option<UserId>,
-    ) -> Vec<(UserId, StPoint)> {
-        RTreeIndex::k_nearest_users(self, seed, k, exclude)
-    }
-}
-
 /// Which [`SpatialIndex`] implementation to instantiate.
 ///
 /// The enum — rather than a generic parameter — is what keeps the
 /// trait object-safe and lets run-time configuration (`hka-sim
-/// --index rtree`, `TsConfig::backend`) pick a backend without
+/// --index brute`, `TsConfig::backend`) pick a backend without
 /// monomorphizing the whole server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexBackend {
     /// Uniform space–time grid ([`GridIndex`]) — the default.
     #[default]
     Grid,
-    /// Guttman R-tree ([`RTreeIndex`]).
-    RTree,
-    /// Structure-of-arrays scan ([`SoaIndex`]) — per-user columnar
-    /// tracks, time-pruned like the brute scan but cache-friendly.
-    Soa,
     /// Exhaustive scan ([`BruteIndex`]) — the O(k·n) differential
     /// oracle; never pick this for anything but testing and baselines.
     Brute,
@@ -199,48 +158,35 @@ pub enum IndexBackend {
 impl IndexBackend {
     /// All backends, in oracle-last order — handy for differential
     /// sweeps.
-    pub const ALL: [IndexBackend; 4] = [
-        IndexBackend::Grid,
-        IndexBackend::RTree,
-        IndexBackend::Soa,
-        IndexBackend::Brute,
-    ];
+    pub const ALL: [IndexBackend; 2] = [IndexBackend::Grid, IndexBackend::Brute];
 
-    /// Whether this backend answers k-nearest by scanning every user
-    /// (O(users) per query) rather than through a spatial structure.
-    /// Bench gates compare tree/grid backends against the scan class.
-    pub fn is_scan(&self) -> bool {
-        matches!(self, IndexBackend::Soa | IndexBackend::Brute)
+    /// The accepted names joined with `|` (`grid|brute`), for usage and
+    /// error text — built from [`IndexBackend::ALL`] so messages cannot
+    /// drift from the parser.
+    pub fn usage() -> String {
+        Self::ALL.map(|b| b.name()).join("|")
     }
 
-    /// Parses a CLI-style name (`grid`, `rtree`, `soa`, `brute`).
+    /// Parses a CLI-style name (`grid`, `brute`), case-insensitively.
     pub fn parse(s: &str) -> Option<IndexBackend> {
-        match s.to_ascii_lowercase().as_str() {
-            "grid" => Some(IndexBackend::Grid),
-            "rtree" | "r-tree" => Some(IndexBackend::RTree),
-            "soa" => Some(IndexBackend::Soa),
-            "brute" => Some(IndexBackend::Brute),
-            _ => None,
-        }
+        Self::ALL
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(s))
     }
 
-    /// The CLI-style name (`grid`, `rtree`, `soa`, `brute`).
+    /// The CLI-style name (`grid`, `brute`).
     pub fn name(&self) -> &'static str {
         match self {
             IndexBackend::Grid => "grid",
-            IndexBackend::RTree => "rtree",
-            IndexBackend::Soa => "soa",
             IndexBackend::Brute => "brute",
         }
     }
 
     /// An empty index of this backend. Grid uses the full `config`;
-    /// the R-tree, SoA, and brute backends only need its `scale`.
+    /// brute only needs its `scale`.
     pub fn make(&self, config: GridIndexConfig) -> Box<dyn SpatialIndex> {
         match self {
             IndexBackend::Grid => Box::new(GridIndex::new(config)),
-            IndexBackend::RTree => Box::new(RTreeIndex::new(config.scale)),
-            IndexBackend::Soa => Box::new(SoaIndex::new(config.scale)),
             IndexBackend::Brute => Box::new(BruteIndex::new(config.scale)),
         }
     }
@@ -249,8 +195,6 @@ impl IndexBackend {
     pub fn build(&self, store: &TrajectoryStore, config: GridIndexConfig) -> Box<dyn SpatialIndex> {
         match self {
             IndexBackend::Grid => Box::new(GridIndex::build(store, config)),
-            IndexBackend::RTree => Box::new(RTreeIndex::build(store, config.scale)),
-            IndexBackend::Soa => Box::new(SoaIndex::build(store, config.scale)),
             IndexBackend::Brute => Box::new(BruteIndex::build(store, config.scale)),
         }
     }
@@ -277,8 +221,11 @@ mod tests {
             assert_eq!(IndexBackend::parse(b.name()), Some(b));
             assert_eq!(format!("{b}"), b.name());
         }
-        assert_eq!(IndexBackend::parse("R-Tree"), Some(IndexBackend::RTree));
-        assert_eq!(IndexBackend::parse("hashmap"), None);
+        assert_eq!(IndexBackend::parse("Grid"), Some(IndexBackend::Grid));
+        for gone in ["rtree", "soa", "hashmap"] {
+            assert_eq!(IndexBackend::parse(gone), None);
+        }
+        assert_eq!(IndexBackend::usage(), "grid|brute");
         assert_eq!(IndexBackend::default(), IndexBackend::Grid);
     }
 

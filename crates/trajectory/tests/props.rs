@@ -4,8 +4,8 @@
 use hka_geo::{Rect, SpaceTimeScale, StBox, StPoint, TimeInterval, TimeSec};
 use hka_granules::Granularity;
 use hka_trajectory::{
-    brute, CompactionPolicy, GridIndex, GridIndexConfig, IndexBackend, IndexDelta, IndexSnapshot,
-    Phl, RTreeIndex, TrajectoryStore, UnionIndex, UserId,
+    brute, BruteIndex, CompactionPolicy, GridIndex, GridIndexConfig, IndexBackend, IndexDelta, Phl,
+    SpatialIndex, TrajectoryStore, UnionIndex, UserId,
 };
 use proptest::prelude::*;
 
@@ -53,6 +53,18 @@ fn configs() -> impl Strategy<Value = GridIndexConfig> {
 fn arb_box() -> impl Strategy<Value = StBox> {
     (arb_stpoint(), arb_stpoint())
         .prop_map(|(a, b)| StBox::new(Rect::new(a.pos, b.pos), TimeInterval::new(a.t, b.t)))
+}
+
+/// The specification the union index is held to: an exhaustive scan
+/// over the merged (user-disjoint) shard stores.
+fn brute_over(stores: &[TrajectoryStore], cfg: &GridIndexConfig) -> BruteIndex {
+    let mut merged = TrajectoryStore::new();
+    for (u, phl) in stores.iter().flat_map(|s| s.iter()) {
+        for p in phl.points() {
+            merged.record(u, *p);
+        }
+    }
+    BruteIndex::build(&merged, cfg.scale)
 }
 
 /// One step of the sharded ingest lifecycle, as seen by the union index.
@@ -147,62 +159,15 @@ proptest! {
         prop_assert!(got.iter().all(|(u, _)| *u != UserId(excl)));
     }
 
-    #[test]
-    fn rtree_matches_brute_on_all_queries(
-        store in arb_store(12, 15),
-        v in 0.1f64..20.0,
-        b in arb_box(),
-        seed in arb_stpoint(),
-        k in 1usize..8,
-    ) {
-        let scale = SpaceTimeScale::new(v);
-        let tree = RTreeIndex::build(&store, scale);
-        tree.check_invariants().unwrap();
-        // Range query.
-        prop_assert_eq!(tree.users_crossing(&b), brute::users_crossing(&store, &b));
-        // kNN distances.
-        let fast = tree.k_nearest_users(&seed, k, None);
-        let slow = brute::k_nearest_users(&store, &seed, k, None, &scale);
-        prop_assert_eq!(fast.len(), slow.len());
-        for (f, s) in fast.iter().zip(slow.iter()) {
-            let df = scale.dist_sq(&seed, &f.1);
-            let ds = scale.dist_sq(&seed, &s.1);
-            prop_assert!((df - ds).abs() <= 1e-6 * ds.max(1.0), "rtree {} vs brute {}", df, ds);
-        }
-        // Exclusion honored.
-        let excl = tree.k_nearest_users(&seed, k, Some(UserId(0)));
-        prop_assert!(excl.iter().all(|(u, _)| *u != UserId(0)));
-    }
-
-    #[test]
-    fn grid_and_rtree_agree(
-        store in arb_store(10, 12),
-        cfg in configs(),
-        seed in arb_stpoint(),
-        k in 1usize..6,
-    ) {
-        let grid = GridIndex::build(&store, cfg);
-        let tree = RTreeIndex::build(&store, cfg.scale);
-        let a = grid.k_nearest_users(&seed, k, None);
-        let b = tree.k_nearest_users(&seed, k, None);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            let dx = cfg.scale.dist_sq(&seed, &x.1);
-            let dy = cfg.scale.dist_sq(&seed, &y.1);
-            prop_assert!((dx - dy).abs() <= 1e-6 * dy.max(1.0));
-        }
-    }
-
-    /// The tentpole contract: every backend, driven purely through the
-    /// `SpatialIndex` trait, returns identical anonymity sets
+    /// The index contract: the grid, driven purely through the
+    /// `SpatialIndex` trait, returns the brute oracle's anonymity sets
     /// (`users_crossing`), co-location counts (including the early-exit
-    /// variant), and k-nearest rankings. The brute backend is the
-    /// oracle. Answers must match **exactly** — users, and the
-    /// representative points themselves: the canonical equal-distance
-    /// tie rule (smallest `(t, x, y)` among a user's exactly
-    /// equidistant observations) makes the representative point
-    /// scan-order-independent, so byte equality holds across backends,
-    /// insertion orders, and partition layouts.
+    /// variant), and k-nearest rankings. Answers must match
+    /// **exactly** — users, and the representative points themselves:
+    /// the canonical equal-distance tie rule (smallest `(t, x, y)`
+    /// among a user's exactly equidistant observations) makes the
+    /// representative point scan-order-independent, so byte equality
+    /// holds across backends, insertion orders, and partition layouts.
     #[test]
     fn backends_agree_through_the_trait(
         store in arb_store(12, 15),
@@ -214,29 +179,29 @@ proptest! {
         let oracle = IndexBackend::Brute.build(&store, cfg);
         let want_set = oracle.users_crossing(&b);
         let want_knn = oracle.k_nearest_users(&seed, k, None);
-        for backend in [IndexBackend::Grid, IndexBackend::RTree, IndexBackend::Soa] {
-            let idx = backend.build(&store, cfg);
-            prop_assert_eq!(idx.backend(), backend);
-            prop_assert_eq!(idx.len(), store.total_points());
-            prop_assert_eq!(idx.users_crossing(&b), want_set.clone(),
-                "{} anonymity set", backend);
-            for limit in [0usize, 1, 3, usize::MAX] {
-                prop_assert_eq!(
-                    idx.count_users_crossing(&b, limit),
-                    oracle.count_users_crossing(&b, limit),
-                    "{} co-location count at limit {}", backend, limit
-                );
-            }
+        let idx = IndexBackend::Grid.build(&store, cfg);
+        prop_assert_eq!(idx.backend(), IndexBackend::Grid);
+        prop_assert_eq!(idx.len(), store.total_points());
+        prop_assert_eq!(idx.users_crossing(&b), want_set, "anonymity set");
+        for limit in [0usize, 1, 3, usize::MAX] {
             prop_assert_eq!(
-                idx.k_nearest_users(&seed, k, None),
-                want_knn.clone(),
-                "{} kNN answer", backend
+                idx.count_users_crossing(&b, limit),
+                oracle.count_users_crossing(&b, limit),
+                "co-location count at limit {}", limit
             );
         }
+        prop_assert_eq!(idx.k_nearest_users(&seed, k, None), want_knn, "kNN answer");
+        // Exclusion is part of the contract too (Algorithm 1 always
+        // excludes the requester).
+        prop_assert_eq!(
+            idx.k_nearest_users(&seed, k, Some(UserId(0))),
+            oracle.k_nearest_users(&seed, k, Some(UserId(0))),
+            "excluding kNN answer"
+        );
     }
 
-    /// Bulk build and incremental insert are interchangeable for every
-    /// backend — the TS ingests online, benches bulk-load.
+    /// Bulk build and incremental insert are interchangeable for both
+    /// backends — the TS ingests online, benches bulk-load.
     #[test]
     fn incremental_insert_matches_bulk_build(
         store in arb_store(10, 12),
@@ -267,45 +232,11 @@ proptest! {
         }
     }
 
-    /// A partition-union snapshot over a random mix of backends answers
-    /// the global k-nearest query exactly like one whole-store oracle —
-    /// the property that lets a sharded run mix-and-match backends.
-    #[test]
-    fn mixed_backend_snapshot_matches_oracle(
-        store in arb_store(10, 12),
-        cfg in configs(),
-        seed in arb_stpoint(),
-        k in 1usize..6,
-        shards in 1usize..5,
-        picks in prop::collection::vec(0usize..3, 4),
-    ) {
-        let oracle = IndexBackend::Brute.build(&store, cfg);
-        let mut parts: Vec<_> = (0..shards)
-            .map(|i| IndexBackend::ALL[picks[i % picks.len()]].make(cfg))
-            .collect();
-        for (u, phl) in store.iter() {
-            for p in phl.points() {
-                parts[(u.raw() as usize) % shards].insert(u, *p);
-            }
-        }
-        let snap = IndexSnapshot::new(parts.iter().map(|p| p.as_ref()).collect());
-        let got = snap.k_nearest_users(&seed, k, None);
-        let want = oracle.k_nearest_users(&seed, k, None);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want.iter()) {
-            prop_assert_eq!(g.0, w.0);
-            prop_assert_eq!(
-                cfg.scale.dist_sq(&seed, &g.1).to_bits(),
-                cfg.scale.dist_sq(&seed, &w.1).to_bits()
-            );
-        }
-    }
-
     /// The incremental union survives any interleaving of in-order
     /// inserts, clamped re-timestamps, epoch rollovers, and history
     /// compaction: at every epoch boundary (the only instants protected
-    /// requests can observe it) its answers are byte-identical to a
-    /// fresh partition-union built from the shard stores.
+    /// requests can observe it) its answers are byte-identical to the
+    /// brute oracle's over the merged shard stores.
     #[test]
     fn incremental_union_equals_fresh_union_under_interleaving(
         ops in prop::collection::vec(arb_union_op(), 1..60),
@@ -313,7 +244,6 @@ proptest! {
         shards in 1usize..5,
         seed in arb_stpoint(),
         k in 1usize..8,
-        b in arb_box(),
     ) {
         let mut stores: Vec<TrajectoryStore> =
             (0..shards).map(|_| TrajectoryStore::new()).collect();
@@ -370,36 +300,18 @@ proptest! {
                     if !union.is_live() {
                         union.rebuild(stores.iter(), shards);
                     }
-                    // Oracle: a fresh per-shard build merged through the
-                    // snapshot union.
-                    let parts: Vec<_> = stores
-                        .iter()
-                        .map(|s| IndexBackend::Grid.build(s, cfg))
-                        .collect();
-                    let snap = IndexSnapshot::new(parts.iter().map(|p| p.as_ref()).collect());
+                    let oracle = brute_over(&stores, &cfg);
                     prop_assert_eq!(
                         union.k_nearest_users(&seed, k, None),
-                        snap.k_nearest_users(&seed, k, None),
+                        oracle.k_nearest_users(&seed, k, None),
                         "kNN after epoch"
                     );
                     prop_assert_eq!(
                         union.k_nearest_users(&seed, k, Some(UserId(0))),
-                        snap.k_nearest_users(&seed, k, Some(UserId(0))),
+                        oracle.k_nearest_users(&seed, k, Some(UserId(0))),
                         "excluding kNN after epoch"
                     );
-                    // Each window query runs twice: the first answer is
-                    // computed against the index, the second is a memo
-                    // hit — both must equal the fresh snapshot oracle.
-                    let crossing = union.users_crossing(&b);
-                    prop_assert_eq!(&crossing, &snap.users_crossing(&b));
-                    prop_assert_eq!(&union.users_crossing(&b), &crossing, "memoized set");
-                    for limit in [0usize, 1, usize::MAX] {
-                        let n = union.count_users_crossing(&b, limit);
-                        prop_assert_eq!(n, snap.count_users_crossing(&b, limit));
-                        prop_assert_eq!(union.count_users_crossing(&b, limit), n, "memoized count");
-                    }
-                    let total: usize = stores.iter().map(|s| s.total_points()).sum();
-                    prop_assert_eq!(union.len(), total);
+                    prop_assert_eq!(union.len(), oracle.len());
                 }
                 UnionOp::Compact { keep } => {
                     // Sharded compact_history order: flush (drain the
@@ -422,13 +334,18 @@ proptest! {
         if !union.is_live() {
             union.rebuild(stores.iter(), shards);
         }
-        let parts: Vec<_> = stores.iter().map(|s| IndexBackend::Grid.build(s, cfg)).collect();
-        let snap = IndexSnapshot::new(parts.iter().map(|p| p.as_ref()).collect());
+        let oracle = brute_over(&stores, &cfg);
         prop_assert_eq!(
             union.k_nearest_users(&seed, k, None),
-            snap.k_nearest_users(&seed, k, None),
+            oracle.k_nearest_users(&seed, k, None),
             "kNN at the final barrier"
         );
+        prop_assert_eq!(
+            union.k_nearest_users(&seed, k, Some(UserId(0))),
+            oracle.k_nearest_users(&seed, k, Some(UserId(0))),
+            "excluding kNN at the final barrier"
+        );
+        prop_assert_eq!(union.len(), oracle.len());
     }
 
     #[test]

@@ -44,13 +44,14 @@ cargo run --release -q --bin hka-sim -- watch "$tmp/ts.journal" \
     --idle-exit 2 --interval-ms 50 --report "$tmp/watch.json" > /dev/null
 cmp "$tmp/watch.json" "$tmp/audit.json"
 
-echo "== shard union (incremental index + batched requests: bytes invariant) =="
+echo "== shard union (grid index vs its brute-force specification: bytes invariant) =="
 cargo run --release -q --bin hka-sim -- simulate --days 2 --commuters 4 \
-    --roamers 20 --shards 4 --trace-out "$tmp/union-on.journal" > /dev/null
+    --roamers 20 --shards 4 --index grid \
+    --trace-out "$tmp/union-grid.journal" > /dev/null
 cargo run --release -q --bin hka-sim -- simulate --days 2 --commuters 4 \
-    --roamers 20 --shards 4 --no-incremental-index \
-    --trace-out "$tmp/union-off.journal" > /dev/null
-cmp "$tmp/union-on.journal" "$tmp/union-off.journal"
+    --roamers 20 --shards 4 --index brute \
+    --trace-out "$tmp/union-brute.journal" > /dev/null
+cmp "$tmp/union-grid.journal" "$tmp/union-brute.journal"
 
 echo "== gateway (TCP differential + chaos drill + open-loop smoke) =="
 cargo test --release -q --test gateway

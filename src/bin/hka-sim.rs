@@ -3,16 +3,15 @@
 //! ```text
 //! hka-sim simulate [--seed N] [--days N] [--commuters N] [--roamers N] [--k N]
 //!                  [--trace-out FILE] [--metrics] [--shards N]
-//!                  [--no-incremental-index]
-//!                  [--index grid|rtree] [--trace-export FILE]
+//!                  [--index grid|brute] [--trace-export FILE]
 //!                  [--trace-clock logical|wall] [--trace-capacity N] [--slo]
 //! hka-sim plan     [--seed N] [--population N] [--k N] [--samples N]
-//!                  [--index grid|rtree]
+//!                  [--index grid|brute]
 //! hka-sim derive   [--seed N] [--user N] [--days N]
 //! hka-sim attack   [--seed N] [--level off|low|medium|high]
 //! hka-sim export   [--seed N] [--days N] --out FILE     # write a trace file
 //! hka-sim chaos    [--seeds N] [--seed N] [--days N] [--commuters N]
-//!                  [--roamers N] [--k N] [--shards N] [--index grid|rtree]
+//!                  [--roamers N] [--k N] [--shards N] [--index grid|brute]
 //! hka-sim audit    --journal FILE [--snapshot FILE] [--json FILE] [--quiet]
 //!                  [--space-tol M2] [--time-tol SECS]
 //! hka-sim trace    JOURNAL [--out FILE] [--validate FILE]
@@ -20,14 +19,14 @@
 //!                  [--idle-exit N] [--json] [--report FILE]
 //!                  [--space-tol M2] [--time-tol SECS] [--sample-cap N]
 //! hka-sim serve    [--addr HOST:PORT] [--seed N] [--days N] [--commuters N]
-//!                  [--roamers N] [--k N] [--shards N] [--index grid|rtree]
+//!                  [--roamers N] [--k N] [--shards N] [--index grid|brute]
 //!                  [--journal FILE] [--inflight N] [--slo] [--gw-stats]
 //! hka-sim serve-drill [--journal FILE] [--audit-tail] [--chaos SEED]
 //!                  [--checkpoint-every N] [--truncate]
 //!                  [--checkpoint-chaos SEED]
 //!                  [--segments N] [--seed N] [--days N] [--commuters N]
 //!                  [--roamers N] [--k N] [--interval-ms N] [--pace-us N]
-//!                  [--report FILE] [--index grid|rtree]
+//!                  [--report FILE] [--index grid|brute]
 //! ```
 //!
 //! `chaos` drives the simulation under `--seeds` randomized fault
@@ -37,14 +36,13 @@
 //! faulted or degraded request is suppressed, never forwarded exact or
 //! under-generalized. Exits non-zero on any violation. `--shards N`
 //! (also accepted by `simulate`) runs the workload through the sharded
-//! frontend (`hka::shard::ShardedTs`) instead of the sequential server;
-//! `--no-incremental-index` makes that frontend re-union the shard
-//! indexes per protected request instead of maintaining the incremental
-//! union — decisions and journal bytes are identical either way.
-//! `--index grid|rtree` (accepted by `simulate`, `plan`, and `chaos`)
-//! selects the spatial-index backend behind Algorithm 1; the default
-//! `grid` is byte-identical to runs before the flag existed, and every
-//! backend produces the same decisions (differentially tested).
+//! frontend (`hka::shard::ShardedTs`) instead of the sequential server.
+//! `--index grid|brute` (accepted by `simulate`, `plan`, `chaos`,
+//! `serve`, and `serve-drill`) selects what answers Algorithm 1's
+//! k-nearest-users query: the grid index (the default), or the
+//! exhaustive scan it is specified against — decisions and journal
+//! bytes are identical either way (differentially tested), which is the
+//! point of the flag.
 //!
 //! `audit` replays a journal written with `--trace-out` (see
 //! `hka::audit`): it verifies the hash chain, reconstructs per-user
@@ -162,13 +160,16 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     out
 }
 
-/// Parses `--index grid|rtree` (brute is accepted for completeness; it
-/// is the testing oracle and crawls on real workloads).
+/// Parses `--index` (brute is the testing oracle and crawls on real
+/// workloads).
 fn get_backend(flags: &HashMap<String, String>) -> IndexBackend {
     match flags.get("index") {
         None => IndexBackend::default(),
         Some(v) => IndexBackend::parse(v).unwrap_or_else(|| {
-            eprintln!("unknown index backend '{v}' for --index (use grid|rtree|brute)");
+            eprintln!(
+                "unknown index backend '{v}' for --index (use {})",
+                IndexBackend::usage()
+            );
             std::process::exit(2);
         }),
     }
@@ -351,12 +352,6 @@ fn cmd_simulate(flags: HashMap<String, String>) {
     let (st, audit_rows, journal_info, errors, log_len, log_dropped, slo_worst);
     if shards > 1 {
         let mut ts = protected_sharded(&world, k, shards, backend);
-        if flags.contains_key("no-incremental-index") {
-            // Fall back to per-request IndexSnapshot re-union; decisions
-            // and journal bytes are identical (differentially tested),
-            // only the protected-request path gets slower.
-            ts.set_incremental_index(false);
-        }
         if slo {
             ts.enable_slo(hka::obs::SloConfig::default());
         }

@@ -134,7 +134,6 @@ pub mod prelude {
     pub use hka_trajectory::io::{read_store, write_store};
     pub use hka_trajectory::{
         brute, BruteIndex, CompactionPolicy, CompactionStats, GridIndex, GridIndexConfig,
-        IndexBackend, IndexDelta, IndexSnapshot, Phl, RTreeIndex, SoaIndex, SpatialIndex,
-        TrajectoryStore, UnionIndex, UserId,
+        IndexBackend, IndexDelta, Phl, SpatialIndex, TrajectoryStore, UnionIndex, UserId,
     };
 }

@@ -380,12 +380,12 @@ fn a_compacting_server_journals_the_same_bytes_as_an_uncompacted_twin() {
 /// After [`TrustedServer::compact_history`], the server's rebuilt index
 /// must be indistinguishable from an index built from scratch over the
 /// compacted store — same scale, same size, and the same answers to
-/// every query class — for the grid and the R-tree backend alike. A
-/// rebuild that leaked stale cells, forgot by-time bookkeeping, or
-/// dropped tree reinsertions would diverge here.
+/// every query class — for the grid and its brute-force specification
+/// alike. A rebuild that leaked stale cells or forgot by-time
+/// bookkeeping would diverge here.
 #[test]
 fn compact_history_rebuild_matches_a_from_scratch_build() {
-    for backend in [IndexBackend::Grid, IndexBackend::RTree] {
+    for backend in IndexBackend::ALL {
         let config = TsConfig {
             backend,
             ..TsConfig::default()

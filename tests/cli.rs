@@ -15,6 +15,14 @@ fn hka_sim(args: &[&str]) -> (bool, String, String) {
     )
 }
 
+/// A per-process scratch directory: two checkouts tested at once on one
+/// host must not overwrite each other's files mid-compare.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("hka-cli-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 #[test]
 fn simulate_prints_summary_and_audits() {
     let (ok, stdout, _) = hka_sim(&[
@@ -45,8 +53,7 @@ fn plan_reports_verdicts() {
 
 #[test]
 fn export_then_plan_round_trips() {
-    let dir = std::env::temp_dir().join("hka-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("export");
     let trace = dir.join("trace.csv");
     let trace_s = trace.to_str().unwrap();
     let (ok, stdout, _) = hka_sim(&["export", "--days", "1", "--out", trace_s]);
@@ -95,120 +102,116 @@ fn derive_runs_for_commuter_and_roamer() {
 
 #[test]
 fn index_backend_is_observationally_invariant() {
-    let dir = std::env::temp_dir().join("hka-cli-index-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let grid = dir.join("grid.journal");
-    let rtree = dir.join("rtree.journal");
-    let grid_s = grid.to_str().unwrap();
-    let rtree_s = rtree.to_str().unwrap();
+    let dir = scratch("index");
+    let strip = |s: &str| -> String {
+        s.lines()
+            .filter(|l| !l.contains(".journal"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    for shards in ["1", "4"] {
+        let run = |index: &str| {
+            let journal = dir.join(format!("{index}-{shards}.journal"));
+            let (ok, stdout, stderr) = hka_sim(&[
+                "simulate",
+                "--days",
+                "2",
+                "--commuters",
+                "3",
+                "--roamers",
+                "20",
+                "--shards",
+                shards,
+                "--index",
+                index,
+                "--trace-out",
+                journal.to_str().unwrap(),
+            ]);
+            assert!(ok, "{stderr}");
+            (journal, stdout)
+        };
+        let (grid, grid_stdout) = run("grid");
+        let (brute, brute_stdout) = run("brute");
 
-    let run = |index: &str, out: &str| {
+        // The grid is a pure query accelerator over the brute-force
+        // specification: switching between them must not move a single
+        // request between Forwarded and Suppressed, so the journals —
+        // which record every per-request decision — match byte for
+        // byte, and the summary lines agree (modulo the line naming the
+        // output path).
+        assert_eq!(
+            std::fs::read(&grid).unwrap(),
+            std::fs::read(&brute).unwrap(),
+            "{shards} shard(s): grid and brute journals must be byte-identical"
+        );
+        assert_eq!(strip(&grid_stdout), strip(&brute_stdout));
+
+        // The grid-backed run passes the full audit on its own merits.
+        let (ok, stdout, stderr) = hka_sim(&["audit", "--journal", grid.to_str().unwrap()]);
+        assert!(ok, "{stderr}");
+        assert!(stdout.contains("chain: VERIFIED"));
+        assert!(stdout.contains("violations: none"));
+    }
+
+    // Unknown (and retired) backends are a usage error, not a silent
+    // fallback.
+    for gone in ["rtree", "quadtree"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hka-sim"))
+            .args(["simulate", "--days", "1", "--index", gone])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "--index {gone}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown index backend"), "{stderr}");
+        assert!(stderr.contains("grid|brute"), "{stderr}");
+    }
+}
+
+/// A sharded server that never sees a protected request builds no index
+/// at all (each `hka-sim` run is its own process, so the metrics
+/// registry it prints is that run's alone); the first protected request
+/// builds the one union index, once.
+#[test]
+fn sharded_server_builds_its_index_only_for_protected_requests() {
+    let run = |commuters: &str| {
         let (ok, stdout, stderr) = hka_sim(&[
             "simulate",
             "--days",
-            "2",
+            "1",
             "--commuters",
-            "3",
+            commuters,
             "--roamers",
-            "20",
+            "12",
             "--shards",
             "4",
-            "--index",
-            index,
-            "--trace-out",
-            out,
+            "--metrics",
         ]);
         assert!(ok, "{stderr}");
         stdout
     };
-    let grid_stdout = run("grid", grid_s);
-    let rtree_stdout = run("rtree", rtree_s);
-
-    // The index backend is a pure query accelerator: switching it must
-    // not move a single request between Forwarded and Suppressed, so
-    // the journals — which record every per-request decision — match
-    // byte for byte, and the summary lines agree.
-    assert_eq!(
-        std::fs::read(&grid).unwrap(),
-        std::fs::read(&rtree).unwrap(),
-        "grid and rtree journals must be byte-identical"
-    );
-    // Summaries agree too, modulo the line naming the output path.
-    let strip = |s: &str| -> String {
-        s.lines()
-            .filter(|l| !l.contains(".journal"))
-            .collect::<Vec<_>>()
-            .join("\n")
+    let counter = |stdout: &str, name: &str| -> Option<u64> {
+        let line = stdout.lines().find(|l| l.trim_start().starts_with(name))?;
+        line.split_whitespace().last()?.parse().ok()
     };
-    assert_eq!(strip(&grid_stdout), strip(&rtree_stdout));
 
-    // The rtree-backed run passes the full audit on its own merits.
-    let (ok, stdout, stderr) = hka_sim(&["audit", "--journal", rtree_s]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("chain: VERIFIED"));
-    assert!(stdout.contains("violations: none"));
+    // No commuters: every user has privacy off.
+    let off = run("0");
+    assert!(counter(&off, "ts.requests").unwrap() > 0, "{off}");
+    assert_eq!(counter(&off, "union.rebuilds"), None, "{off}");
+    assert_eq!(counter(&off, "union.deltas_applied"), None, "{off}");
 
-    // Unknown backends are a usage error, not a silent fallback.
-    let (ok, _, stderr) = hka_sim(&["simulate", "--days", "1", "--index", "quadtree"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown index backend"));
-}
-
-#[test]
-fn incremental_index_is_observationally_invariant() {
-    let dir = std::env::temp_dir().join("hka-cli-union-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let on = dir.join("union-on.journal");
-    let off = dir.join("union-off.journal");
-    let on_s = on.to_str().unwrap();
-    let off_s = off.to_str().unwrap();
-
-    let base = [
-        "simulate",
-        "--days",
-        "2",
-        "--commuters",
-        "3",
-        "--roamers",
-        "20",
-        "--shards",
-        "4",
-        "--trace-out",
-    ];
-    let (ok, on_stdout, stderr) = hka_sim(&[&base[..], &[on_s]].concat());
-    assert!(ok, "{stderr}");
-    let (ok, off_stdout, stderr) =
-        hka_sim(&[&base[..], &[off_s, "--no-incremental-index"]].concat());
-    assert!(ok, "{stderr}");
-
-    // The incremental union is a pure query accelerator on the
-    // protected-request path: turning it off (per-request re-union of
-    // the shard indexes) must not move a single decision, so the two
-    // journals match byte for byte.
+    let protected = run("3");
     assert_eq!(
-        std::fs::read(&on).unwrap(),
-        std::fs::read(&off).unwrap(),
-        "union-on and union-off journals must be byte-identical"
+        counter(&protected, "union.rebuilds"),
+        Some(1),
+        "{protected}"
     );
-    let strip = |s: &str| -> String {
-        s.lines()
-            .filter(|l| !l.contains(".journal"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&on_stdout), strip(&off_stdout));
-
-    // And the optimized journal audits clean end to end.
-    let (ok, stdout, stderr) = hka_sim(&["audit", "--journal", on_s]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("chain: VERIFIED"));
-    assert!(stdout.contains("violations: none"));
+    assert!(counter(&protected, "union.deltas_applied").unwrap() > 0);
 }
 
 #[test]
 fn simulate_then_audit_round_trips() {
-    let dir = std::env::temp_dir().join("hka-cli-audit-test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("audit");
     let journal = dir.join("ts.journal");
     let journal_s = journal.to_str().unwrap();
     let report = dir.join("audit.json");

@@ -164,7 +164,7 @@ fn hka_sim(args: &[&str]) -> (bool, String, String) {
 
 #[test]
 fn cli_trace_out_and_metrics_default_to_simulate() {
-    let dir = std::env::temp_dir().join("hka-obs-test");
+    let dir = std::env::temp_dir().join(format!("hka-obs-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("trace.jsonl");
     let trace_s = trace.to_str().unwrap();

@@ -329,54 +329,56 @@ fn fault_plans_replay_identically() {
     }
 }
 
-/// The tentpole's safety gate: with the incrementally maintained union
-/// index on (the default) and off (per-request `IndexSnapshot`
-/// re-union), the same workload produces identical outcomes and
-/// **byte-identical journals** — the delta-maintained union is pinned
-/// to the re-union baseline end to end, not just at the query seam.
+/// The sharded read path's safety gate: the same 4-shard workload run
+/// over the grid index and over the brute-force specification produces
+/// identical outcomes and **byte-identical journals** — the
+/// delta-maintained union is pinned to the exhaustive scan end to end,
+/// threaded barrier path included, not just at the query seam.
 #[test]
-fn incremental_union_matches_the_reunion_baseline_byte_for_byte() {
+fn grid_union_matches_the_brute_union_byte_for_byte() {
     let dir = std::env::temp_dir().join(format!("hka-shard-union-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let world = build_world(17, 5);
 
     let mut journals = Vec::new();
-    for incremental in [true, false] {
-        let path = dir.join(format!("union-{incremental}.jsonl"));
-        let mut shd = setup_sharded(&world, TsConfig::default(), 4);
+    for backend in IndexBackend::ALL {
+        let path = dir.join(format!("union-{backend}.jsonl"));
+        let config = TsConfig {
+            backend,
+            ..TsConfig::default()
+        };
+        let mut shd = setup_sharded(&world, config, 4);
         shd.set_parallel_threshold(0);
-        shd.set_incremental_index(incremental);
-        assert_eq!(shd.incremental_index(), incremental);
         shd.attach_journal(obs::Journal::new(
             Box::new(std::fs::File::create(&path).unwrap()) as Box<dyn obs::DurableSink>,
         ));
         let out = drive_sharded(&mut shd, &world);
         shd.flush_journal().unwrap();
-        if incremental {
-            assert!(
-                shd.union_generation() > 0,
-                "the union actually ran (generation stamped)"
-            );
-        }
+        assert!(
+            shd.union_generation() > 0,
+            "{backend}: the union actually ran (generation stamped)"
+        );
         journals.push((std::fs::read(&path).unwrap(), out));
     }
     let (a_bytes, a_out) = &journals[0];
     let (b_bytes, b_out) = &journals[1];
-    assert_eq!(a_out, b_out, "outcomes diverge across the union toggle");
+    assert_eq!(a_out, b_out, "outcomes diverge between grid and brute");
     assert!(!a_bytes.is_empty());
     assert_eq!(
         a_bytes, b_bytes,
-        "journal bytes diverge across the union toggle"
+        "journal bytes diverge between grid and brute"
     );
 }
 
-/// Sharded compaction: folds every shard's partition, rebuilds the
-/// per-shard indices, **invalidates the union** (a removal is what the
-/// insert-only delta stream cannot express), journals one deterministic
-/// `ts.compaction` chain record — and afterwards the server still
-/// answers identically to a sequential server compacted the same way.
+/// Sharded compaction: folds every shard's partition, **invalidates
+/// the union** (a removal is what the insert-only delta stream cannot
+/// express), journals one deterministic `ts.compaction` chain record —
+/// and afterwards the first protected request rebuilds the union from
+/// the folded stores and the server still answers identically to a
+/// sequential server compacted the same way, whether the rest of the
+/// run serializes or goes back through the worker threads.
 #[test]
-fn sharded_compaction_matches_sequential_and_discards_spanning_snapshots() {
+fn sharded_compaction_matches_sequential_and_rebuilds_the_union() {
     let dir = std::env::temp_dir().join(format!("hka-shard-compact-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let world = build_world(29, 6);
@@ -415,19 +417,48 @@ fn sharded_compaction_matches_sequential_and_discards_spanning_snapshots() {
             .collect::<Outcomes>()
     };
 
+    // Every pattern of the first half has its anonymity set by the time
+    // of the compaction, and later elements reuse it without touching
+    // the index. So a user signs up right after the compaction and
+    // shadows one commuter: their first matching request is the first
+    // index query the compacted server has to answer.
+    let shadowed = world.commuters().next().unwrap();
+    let late = UserId(7_000_000);
+    let late_lbqid = || {
+        Lbqid::example_commute(
+            world.home_of(shadowed).unwrap(),
+            world.office_of(shadowed).unwrap(),
+        )
+    };
+    let tail: Vec<Event> = world.events[split..]
+        .iter()
+        .flat_map(|e| {
+            let shadow = (e.user == shadowed).then_some(Event { user: late, ..*e });
+            std::iter::once(*e).chain(shadow)
+        })
+        .collect();
+
     let mut seq = setup_seq(&world, TsConfig::default());
     let mut seq_out = drive_slice(&mut seq, &world.events[..split]);
     let now = world.events[split].at.t;
     let seq_stats = seq.compact_history(now, &policy);
-    seq_out.extend(drive_slice(&mut seq, &world.events[split..]));
+    seq.register_user(late, PrivacyLevel::Custom(medium()));
+    seq.add_lbqid(late, late_lbqid());
+    seq_out.extend(drive_slice(&mut seq, &tail));
 
     let mut chain_bytes = Vec::new();
-    for shards in [2usize, 4] {
-        let path = dir.join(format!("compact-{shards}.jsonl"));
+    for (shards, serialize) in [(2usize, true), (4, true), (4, false)] {
+        let path = dir.join(format!("compact-{shards}-{serialize}.jsonl"));
         let mut shd = setup_sharded(&world, TsConfig::default(), shards);
-        // Serialize everything so the two shard counts journal
-        // byte-identically — including the compaction record.
-        shd.attach_faults(FaultInjector::none());
+        if serialize {
+            // Serialize everything so the two shard counts journal
+            // byte-identically — including the compaction record.
+            shd.attach_faults(FaultInjector::none());
+        } else {
+            // The post-compaction rebuild then keeps absorbing deltas
+            // published by worker threads.
+            shd.set_parallel_threshold(0);
+        }
         shd.attach_journal(obs::Journal::new(
             Box::new(std::fs::File::create(&path).unwrap()) as Box<dyn obs::DurableSink>,
         ));
@@ -440,12 +471,21 @@ fn sharded_compaction_matches_sequential_and_discards_spanning_snapshots() {
             seq_stats.points_dropped(),
             "{shards} shards: same points folded as the sequential server"
         );
+        let gen_compacted = shd.union_generation();
         assert!(
-            shd.union_generation() > gen_before,
-            "{shards} shards: a snapshot generation spanning the compaction is discarded"
+            gen_compacted > gen_before,
+            "{shards} shards: an index generation spanning the compaction is discarded"
         );
 
-        shd_out.extend(drive_slice_shd(&mut shd, &world.events[split..]));
+        shd.register_user(late, PrivacyLevel::Custom(medium()));
+        shd.add_lbqid(late, late_lbqid());
+        shd_out.extend(drive_slice_shd(&mut shd, &tail));
+        // An invalidated union ignores deltas, so only a rebuild moves
+        // its generation.
+        assert!(
+            shd.union_generation() > gen_compacted,
+            "{shards} shards: the union was rebuilt from the folded stores"
+        );
         assert_equivalent(shards, &seq_out, &shd_out);
 
         // The folded global store is the sequential folded store.
@@ -466,7 +506,9 @@ fn sharded_compaction_matches_sequential_and_discards_spanning_snapshots() {
             text.contains("ts.compaction"),
             "{shards} shards: compaction anchored in the chain"
         );
-        chain_bytes.push(bytes);
+        if serialize {
+            chain_bytes.push(bytes);
+        }
     }
     assert_eq!(
         chain_bytes[0], chain_bytes[1],
