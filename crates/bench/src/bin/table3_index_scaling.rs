@@ -110,10 +110,11 @@ fn main() {
     }
     report.note("Reading: brute-force latency grows linearly with n (each doubling of");
     report.note("the database roughly doubles its µs column: brute× ≈ 2), while the grid");
-    report.note("index visits only the occupied cells near the query and grows far more");
-    report.note("slowly (grid× well below 2) — the 'indexing moving objects' optimization");
-    report.note("the paper calls for. The crossover sits around a few hundred thousand");
-    report.note("points: below it, a per-PHL scan with temporal pruning is already fast.");
+    report.note("index visits only the cells near the query and does not grow with n at");
+    report.note("all (grid× ≤ 1: a denser city fills the k places sooner) — the 'indexing");
+    report.note("moving objects' optimization the paper calls for. The crossover sits");
+    report.note("below a hundred thousand points: under it the crowd is so scarce that k");
+    report.note("users are most of the city, and a per-PHL scan with temporal pruning wins.");
     report.note("Correctness note: both run the identical algorithm1_first code through");
     report.note("the SpatialIndex trait and are differentially tested for equal results");
     report.note("in crates/trajectory/tests/props.rs and crates/core/tests/props.rs.");

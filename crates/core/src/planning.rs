@@ -109,7 +109,14 @@ pub fn evaluate_deployment(
             dur_sum += g.context.duration() as f64;
         } else {
             failed += 1;
-            match mz.try_unlink(store, user, &seed_pt, cfg.k) {
+            let unlink = mz.try_unlink(
+                |b| index.users_crossing(b),
+                |u| store.phl(u),
+                user,
+                &seed_pt,
+                cfg.k,
+            );
+            match unlink {
                 UnlinkDecision::Unlinked { .. } => fallback += 1,
                 UnlinkDecision::Infeasible { .. } => at_risk += 1,
             }

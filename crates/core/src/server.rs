@@ -998,7 +998,9 @@ impl RequestHost for TrustedServer {
     }
 
     fn try_unlink(&mut self, user: UserId, at: &StPoint, k: usize) -> UnlinkDecision {
-        self.mixzones.try_unlink(&self.store, user, at, k)
+        let (index, store) = (&self.index, &self.store);
+        self.mixzones
+            .try_unlink(|b| index.users_crossing(b), |u| store.phl(u), user, at, k)
     }
 
     fn fresh_pseudonym(&mut self) -> Pseudonym {

@@ -7,9 +7,10 @@
 //! point runs against [`SerialHost`], which answers the extracted
 //! strategy's [`RequestHost`] capabilities over the *union* of all
 //! shards — Algorithm 1's candidate search goes through the
-//! coordinator's [`UnionIndex`], and unlink attempts iterate the
-//! shards' PHLs in global user order, so every answer is bit-identical
-//! to the sequential server's.
+//! coordinator's [`UnionIndex`], and so does an unlink attempt's crowd
+//! search (the union names the users near the point, their shards hand
+//! out those PHLs), so every answer is bit-identical to the sequential
+//! server's.
 
 use crate::commit::GroupCommit;
 use crate::worker::ShardState;
@@ -149,6 +150,18 @@ pub(crate) struct SerialHost<'a> {
     pub shards: &'a mut [ShardState],
 }
 
+impl SerialHost<'_> {
+    /// Rebuilds the union from the authoritative shard stores if it is
+    /// stale (first use, or after an invalidation).
+    fn ensure_union(&mut self) {
+        if !self.co.union.is_live() {
+            self.co
+                .union
+                .rebuild(self.shards.iter().map(|s| &s.store), self.shards.len());
+        }
+    }
+}
+
 impl RequestHost for SerialHost<'_> {
     fn phl_last(&self, user: UserId) -> Option<StPoint> {
         self.shards[shard_of(self.shards.len(), user)]
@@ -209,16 +222,10 @@ impl RequestHost for SerialHost<'_> {
         k: usize,
         tolerance: &Tolerance,
     ) -> Generalization {
-        // Rebuilt lazily from the authoritative stores after an
-        // invalidation (and on first use). The generation-keyed memo
-        // lets co-arriving batch members share identical queries — a
-        // stale answer can never be served because any mutation bumps
-        // the generation.
-        if !self.co.union.is_live() {
-            self.co
-                .union
-                .rebuild(self.shards.iter().map(|s| &s.store), self.shards.len());
-        }
+        // The generation-keyed memo lets co-arriving batch members share
+        // identical queries — a stale answer can never be served because
+        // any mutation bumps the generation.
+        self.ensure_union();
         let picks = self.co.union.k_nearest_users(at, k, Some(user));
         algorithm1_first_from(at, picks, k, tolerance)
     }
@@ -242,12 +249,15 @@ impl RequestHost for SerialHost<'_> {
     }
 
     fn try_unlink(&mut self, user: UserId, at: &StPoint, k: usize) -> UnlinkDecision {
-        // The greedy heading selection is order-sensitive: feed the
-        // shards' PHLs in ascending global user order, exactly as one
-        // sequential store would iterate.
-        let mut phls: Vec<_> = self.shards.iter().flat_map(|s| s.store.iter()).collect();
-        phls.sort_by_key(|(u, _)| *u);
-        self.co.mixzones.try_unlink_over(phls, user, at, k)
+        self.ensure_union();
+        let (union, shards) = (&self.co.union, &*self.shards);
+        self.co.mixzones.try_unlink(
+            |b| union.users_crossing(b),
+            |u| shards[shard_of(shards.len(), u)].store.phl(u),
+            user,
+            at,
+            k,
+        )
     }
 
     fn fresh_pseudonym(&mut self) -> Pseudonym {

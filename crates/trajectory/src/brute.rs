@@ -101,7 +101,7 @@ pub fn k_nearest_users(
             candidates.push((user, scale.dist_sq(seed, &p), p));
         }
     }
-    candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+    candidates.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     candidates.truncate(k);
     candidates.into_iter().map(|(u, _, p)| (u, p)).collect()
 }

@@ -3,11 +3,13 @@
 //!
 //! Algorithm 1's k-nearest-users query is global — "the nearest
 //! neighbor in the PHL of **each user**", not each user on one shard —
-//! while the sharded trusted server partitions users (and their PHLs)
-//! across workers. [`UnionIndex`] is a single owned [`SpatialIndex`]
-//! over *all* partitions, kept current by the per-shard insertion
-//! deltas ([`IndexDelta`]) that worker batches publish at each epoch
-//! barrier:
+//! and so is the crowd an unlink looks for around a point, while the
+//! sharded trusted server partitions users (and their PHLs) across
+//! workers. [`UnionIndex`] is a single owned [`SpatialIndex`] over *all*
+//! partitions, answering both ([`UnionIndex::k_nearest_users`],
+//! memoised per generation; [`UnionIndex::users_crossing`], a plain
+//! pass-through), kept current by the per-shard insertion deltas
+//! ([`IndexDelta`]) that worker batches publish at each epoch barrier:
 //!
 //! * **Deltas.** Every observation a shard records during an epoch is
 //!   logged as an `IndexDelta` tagged with its canonical submission
@@ -40,8 +42,8 @@
 //! is what the differential suites pin.
 
 use crate::{GridIndexConfig, IndexBackend, SpatialIndex, TrajectoryStore, UserId};
-use hka_geo::StPoint;
-use std::collections::HashMap;
+use hka_geo::{StBox, StPoint};
+use std::collections::{BTreeSet, HashMap};
 
 /// One shard-published index mutation: `user` gained observation
 /// `point` at canonical submission position `pos`. Timestamps are
@@ -223,6 +225,17 @@ impl UnionIndex {
         let out = self.index.k_nearest_users(seed, k, exclude);
         self.memo.insert(key, out.clone());
         out
+    }
+
+    /// Distinct users with an observation inside `b`, ascending by id —
+    /// the candidate set of a mix-zone unlink. A plain pass-through: each
+    /// unlink probes its own box once, so there is nothing to memoise.
+    ///
+    /// # Panics
+    /// If the union is not live; callers rebuild first.
+    pub fn users_crossing(&self, b: &StBox) -> BTreeSet<UserId> {
+        assert!(self.live, "query against an invalidated union index");
+        self.index.users_crossing(b)
     }
 
     /// Drops the memo if the index has mutated since it was filled.

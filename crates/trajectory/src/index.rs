@@ -5,12 +5,27 @@
 //! trajectories" — costs O(k·n) by brute force, and that "optimizations
 //! may be inspired by the work on indexing moving objects". This module is
 //! that optimization: location updates are hashed into uniform
-//! `cell_size × cell_size × cell_duration` buckets, and the k-nearest-user
-//! query expands outward from the query cell in Chebyshev rings, pruning
-//! once the ring's lower-bound distance exceeds the current k-th best.
+//! `cell_size × cell_size × cell_duration` buckets, and both queries cost
+//! what is near them, not what is in the database.
+//!
+//! * The window query ([`GridIndex::users_crossing`]) looks up the cells
+//!   its box overlaps.
+//! * The k-nearest-users query ([`GridIndex::k_nearest_users`]) expands
+//!   time slabs outward from the seed's, and inside each slab looks cells
+//!   up in Chebyshev rings around the seed's own cell, keeping the k best
+//!   distinct users in one small vector ordered by `(distance², user id)`.
+//!   It stops once a ring's lower bound alone exceeds the k-th distance.
+//!   Every bound is strict and an entry is only ever displaced by a
+//!   strictly smaller key, which is why the answer is exactly the
+//!   exhaustive scan's (`TopK` carries the argument; DESIGN.md §11.2).
+//!
+//! `cells` keeps std's SipHash: cell keys are computed from
+//! client-supplied coordinates, and a cheap multiplicative hash would let
+//! a client of the TCP gateway aim its updates at one bucket chain.
 
 use crate::{TrajectoryStore, UserId};
 use hka_geo::{Rect, SpaceTimeScale, StBox, StPoint, TimeInterval, TimeSec};
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
 /// Sizing parameters for the grid.
@@ -46,9 +61,9 @@ type CellKey = (i64, i64, i64);
 pub struct GridIndex {
     config: GridIndexConfig,
     cells: HashMap<CellKey, Vec<(UserId, StPoint)>>,
-    /// Time slab → the (x, y) cells occupied within it. Lets the
-    /// nearest-neighbour search expand outward in time and skip empty
-    /// regions entirely.
+    /// Time slab → the (x, y) cells occupied within it, in no particular
+    /// order. Lets the nearest-neighbour search expand outward in time,
+    /// and bounds what one slab can cost it (see `Search::slab`).
     by_time: std::collections::BTreeMap<i64, Vec<(i64, i64)>>,
     points: usize,
 }
@@ -195,11 +210,11 @@ impl GridIndex {
     /// ("the nearest neighbor in the PHL of each user, … then taking the
     /// closest k points").
     ///
-    /// Search order: time slabs expand outward from the seed's slab; the
-    /// occupied cells of each slab are scanned nearest-lower-bound first.
-    /// The search stops once the *temporal* lower bound of the next slab
-    /// ring alone exceeds the current k-th best per-user distance, so the
-    /// cost scales with the data near the query, not with the database.
+    /// Search order: time slabs expand outward from the seed's slab, and
+    /// within a slab cells are visited in Chebyshev rings around the
+    /// seed's own cell. Both expansions stop once their lower bound alone
+    /// exceeds the current k-th best per-user distance, so the cost
+    /// scales with the data near the query, not with the database.
     ///
     /// Returns fewer than `k` entries when the index does not contain
     /// enough distinct users. Results are sorted by distance (ties by
@@ -211,140 +226,234 @@ impl GridIndex {
         exclude: Option<UserId>,
     ) -> Vec<(UserId, StPoint)> {
         let _span = hka_obs::span("index.query");
-        if k == 0 || self.points == 0 {
-            return Vec::new();
-        }
-        let mut probes = 0u64;
-        let scale = &self.config.scale;
-        let mps = scale.meters_per_second;
-        let seed_slab = seed.t.0.div_euclid(self.config.cell_duration);
+        let (out, cost) = self.search(seed, k, exclude);
+        hka_obs::global().counter("index.probes").add(cost.probes);
+        out
+    }
+
+    /// [`GridIndex::k_nearest_users`] plus what it cost.
+    fn search(
+        &self,
+        seed: &StPoint,
+        k: usize,
+        exclude: Option<UserId>,
+    ) -> (Vec<(UserId, StPoint)>, SearchCost) {
+        let mut search = Search {
+            index: self,
+            seed,
+            home: self.cell_of(seed),
+            exclude,
+            top: TopK::new(k),
+            cost: SearchCost::default(),
+        };
         let (slab_min, slab_max) =
             match (self.by_time.keys().next(), self.by_time.keys().next_back()) {
-                (Some(a), Some(b)) => (*a, *b),
-                _ => return Vec::new(),
+                (Some(a), Some(b)) if k > 0 => (*a, *b),
+                _ => return (Vec::new(), search.cost),
             };
-
-        // Best (distance², point) per user, plus a max-heap of the current
-        // k best distances for pruning.
-        let mut best: HashMap<UserId, (f64, StPoint)> = HashMap::new();
-        let mut topk: std::collections::BinaryHeap<OrdF64> = std::collections::BinaryHeap::new();
-
-        let update = |user: UserId,
-                      d: f64,
-                      p: StPoint,
-                      best: &mut HashMap<UserId, (f64, StPoint)>,
-                      topk: &mut std::collections::BinaryHeap<OrdF64>| {
-            match best.get_mut(&user) {
-                Some(cur) if cur.0 < d => {}
-                Some(cur) if cur.0 == d => {
-                    // Exact tie: keep the canonical smallest-(t, x, y)
-                    // representative regardless of cell scan order. The
-                    // distance set is unchanged, so the heap stands.
-                    if crate::spatial::obs_cmp(&p, &cur.1).is_lt() {
-                        cur.1 = p;
-                    }
-                }
-                Some(cur) => {
-                    *cur = (d, p);
-                    // Rebuild the small heap after improving a user's best.
-                    topk.clear();
-                    let mut ds: Vec<f64> = best.values().map(|(d, _)| *d).collect();
-                    ds.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                    ds.truncate(k);
-                    topk.extend(ds.into_iter().map(OrdF64));
-                }
-                None => {
-                    best.insert(user, (d, p));
-                    if topk.len() < k {
-                        topk.push(OrdF64(d));
-                    } else if d < topk.peek().expect("non-empty").0 {
-                        topk.pop();
-                        topk.push(OrdF64(d));
-                    }
-                }
-            }
-        };
+        let mps = self.config.scale.meters_per_second;
 
         let mut ring = 0i64;
         loop {
-            let lo = seed_slab - ring;
-            let hi = seed_slab + ring;
+            let lo = search.home.2 - ring;
+            let hi = search.home.2 + ring;
             if lo < slab_min && hi > slab_max {
                 break; // every occupied slab has been visited
             }
             // Temporal lower bound for cells in this ring (they are at
             // least (ring − 1) whole slabs away in time).
-            if topk.len() >= k && mps > 0.0 {
-                let kth = topk.peek().expect("non-empty").0;
+            if let Some(kth) = search.top.kth().filter(|_| mps > 0.0) {
                 let lb = mps * ((ring - 1).max(0) * self.config.cell_duration) as f64;
                 if lb * lb > kth {
                     break;
                 }
             }
-            let mut slabs = vec![lo];
-            if hi != lo {
-                slabs.push(hi);
-            }
-            for slab in slabs {
-                let Some(cols) = self.by_time.get(&slab) else {
-                    continue;
-                };
-                // Scan this slab's occupied cells nearest-first.
-                let mut order: Vec<(f64, CellKey)> = cols
-                    .iter()
-                    .map(|(x, y)| {
-                        let key = (*x, *y, slab);
-                        (scale.dist_sq_to_box(seed, &self.cell_box(key)), key)
-                    })
-                    .collect();
-                order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                for (lb, key) in order {
-                    if topk.len() >= k && lb > topk.peek().expect("non-empty").0 {
-                        break;
-                    }
-                    probes += 1;
-                    for (user, p) in &self.cells[&key] {
-                        if Some(*user) == exclude {
-                            continue;
-                        }
-                        update(*user, scale.dist_sq(seed, p), *p, &mut best, &mut topk);
-                    }
+            for slab in [lo, hi].into_iter().take(if ring == 0 { 1 } else { 2 }) {
+                if let Some(cols) = self.by_time.get(&slab) {
+                    search.slab(slab, cols);
                 }
             }
             ring += 1;
         }
-        hka_obs::global().counter("index.probes").add(probes);
-
-        let mut out: Vec<(UserId, f64, StPoint)> =
-            best.into_iter().map(|(u, (d, p))| (u, d, p)).collect();
-        out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        out.truncate(k);
-        out.into_iter().map(|(u, _, p)| (u, p)).collect()
+        (search.top.into_answer(), search.cost)
     }
 }
 
-/// An `f64` with a total order (no NaNs enter the index: geometry is
-/// finite), usable in a `BinaryHeap`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
+/// One nearest-users search in flight: the query, the k best users so
+/// far, and the running cost.
+struct Search<'a> {
+    index: &'a GridIndex,
+    seed: &'a StPoint,
+    /// The seed's own cell.
+    home: CellKey,
+    exclude: Option<UserId>,
+    top: TopK,
+    cost: SearchCost,
+}
 
-impl Eq for OrdF64 {}
+impl Search<'_> {
+    /// Offers one slab's observations to `top`, nearest cells first:
+    /// Chebyshev rings of direct look-ups around the seed's own `(x, y)`
+    /// cell, until a ring's lower bound alone exceeds the k-th distance.
+    ///
+    /// A ring holds 8r cells whether they are occupied or not, so one
+    /// far outlier or a crowd too scarce to fill `top` would make the
+    /// walk quadratic in the slab's extent. Once the rings have cost more
+    /// look-ups than the slab has occupied cells (`cols`), the rest of the
+    /// slab is finished by one pass over that list instead, which bounds
+    /// a slab at a small constant times its own size.
+    fn slab(&mut self, slab: i64, cols: &[(i64, i64)]) {
+        let config = &self.index.config;
+        let (cs, cd) = (config.cell_size, config.cell_duration);
+        // How deep inside its own cell the seed sits: everything outside
+        // the (2r − 1)-cell block around it is at least `inset + (r − 1)·cs`
+        // away in space, and everything in this slab at least `gap` in time.
+        let ox = self.seed.pos.x - self.home.0 as f64 * cs;
+        let oy = self.seed.pos.y - self.home.1 as f64 * cs;
+        let inset = ox.min(cs - ox).min(oy).min(cs - oy).max(0.0);
+        let t = self.seed.t.0;
+        let away = (slab * cd - t).max(t - ((slab + 1) * cd - 1)).max(0);
+        let gap = config.scale.meters_per_second * away as f64;
 
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+        let budget = self.cost.lookups + cols.len() as u64;
+        let mut r = 0i64;
+        while self.cost.lookups <= budget {
+            if let Some(kth) = self.top.kth().filter(|_| r > 0) {
+                let reach = inset + (r - 1) as f64 * cs;
+                if reach * reach + gap * gap > kth {
+                    return;
+                }
+            }
+            for dx in -r..=r {
+                // Full column on the ring's two sides, its two ends between.
+                let step = if dx.abs() == r { 1 } else { 2 * r as usize };
+                for dy in (-r..=r).step_by(step) {
+                    self.cell((self.home.0 + dx, self.home.1 + dy, slab));
+                }
+            }
+            r += 1;
+        }
+        for &(cx, cy) in cols {
+            // Not inside the rings already walked.
+            if cx.abs_diff(self.home.0).max(cy.abs_diff(self.home.1)) >= r as u64 {
+                self.cell((cx, cy, slab));
+            }
+        }
+    }
+
+    /// Looks one cell up and, if it is occupied and its own lower bound
+    /// does not already exceed the k-th distance, offers its observations
+    /// to `top`.
+    fn cell(&mut self, key: CellKey) {
+        self.cost.lookups += 1;
+        let Some(entries) = self.index.cells.get(&key) else {
+            return;
+        };
+        let scale = &self.index.config.scale;
+        if let Some(kth) = self.top.kth() {
+            if scale.dist_sq_to_box(self.seed, &self.index.cell_box(key)) > kth {
+                return;
+            }
+        }
+        self.cost.probes += 1;
+        for (user, p) in entries {
+            if Some(*user) != self.exclude {
+                self.top.offer(*user, scale.dist_sq(self.seed, p), *p);
+            }
+        }
     }
 }
 
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("no NaN distances")
+/// What one nearest-users search cost, in the two units that matter: hash
+/// look-ups into `cells` (hits and misses), and occupied cells whose
+/// entries were scanned (what `index.probes` counts).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct SearchCost {
+    lookups: u64,
+    probes: u64,
+}
+
+/// The `k` best distinct users seen so far, each with its best
+/// observation, ascending by `(distance², user id)` — the total order the
+/// answer is reported in, so selection and final ordering are one thing.
+///
+/// Distances compare with [`f64::total_cmp`]: a NaN distance (a NaN
+/// coordinate reached the index through the public API) sorts after every
+/// real one instead of panicking the server.
+///
+/// Exactness: an offer is refused only when its key is strictly greater
+/// than the k-th key, and an entry is evicted only by a strictly smaller
+/// key. Keys of the retained set therefore only decrease, so a refused or
+/// evicted user can return only through a strictly nearer observation —
+/// never one this structure has already seen — and what remains after
+/// every observation within the k-th distance has been offered is the
+/// k smallest per-user minima, in order.
+struct TopK {
+    k: usize,
+    best: Vec<(f64, UserId, StPoint)>,
+}
+
+impl TopK {
+    fn new(k: usize) -> Self {
+        TopK {
+            k,
+            best: Vec::new(),
+        }
+    }
+
+    /// The k-th best distance², once k distinct users are held — the
+    /// bound every pruning test compares against, strictly (`> kth`), so
+    /// an observation exactly at the k-th distance is always offered.
+    fn kth(&self) -> Option<f64> {
+        if self.best.len() == self.k {
+            self.best.last().map(|e| e.0)
+        } else {
+            None
+        }
+    }
+
+    fn offer(&mut self, user: UserId, d: f64, p: StPoint) {
+        let precedes = |e: &(f64, UserId, StPoint)| e.0.total_cmp(&d).then(e.1.cmp(&user)).is_lt();
+        if self.best.len() == self.k && self.best.last().is_some_and(precedes) {
+            return;
+        }
+        // The slot the new entry may overwrite: the user's own worse
+        // entry, a fresh one, or the k-th (evicted). At most k entries,
+        // so a scan finds the user faster than a hash would.
+        let slot = match self.best.iter().position(|e| e.1 == user) {
+            Some(i) => match d.total_cmp(&self.best[i].0) {
+                Ordering::Greater => return,
+                Ordering::Equal => {
+                    // Exact tie: keep the canonical smallest-(t, x, y)
+                    // representative regardless of cell visit order.
+                    if crate::spatial::obs_cmp(&p, &self.best[i].2).is_lt() {
+                        self.best[i].2 = p;
+                    }
+                    return;
+                }
+                Ordering::Less => i,
+            },
+            None => {
+                if self.best.len() < self.k {
+                    self.best.push((d, user, p));
+                }
+                self.best.len() - 1
+            }
+        };
+        let at = self.best[..slot].partition_point(precedes);
+        self.best[at..=slot].rotate_right(1);
+        self.best[at] = (d, user, p);
+    }
+
+    fn into_answer(self) -> Vec<(UserId, StPoint)> {
+        self.best.into_iter().map(|(_, u, p)| (u, p)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BruteIndex, SpatialIndex};
 
     fn sp(x: f64, y: f64, t: i64) -> StPoint {
         StPoint::xyt(x, y, TimeSec(t))
@@ -450,6 +559,164 @@ mod tests {
         let got = idx.k_nearest_users(&sp(-6.0, -6.0, -6), 2, None);
         assert_eq!(got[0].0, UserId(1));
         assert_eq!(got[1].0, UserId(2));
+    }
+
+    /// Grid and brute over the same insertions, in the given order.
+    fn both(points: &[(u64, StPoint)]) -> (GridIndex, BruteIndex) {
+        let mut grid = GridIndex::new(small_config());
+        let mut brute = BruteIndex::new(small_config().scale);
+        for (u, p) in points {
+            grid.insert(UserId(*u), *p);
+            brute.insert(UserId(*u), *p);
+        }
+        (grid, brute)
+    }
+
+    fn ids(answer: &[(UserId, StPoint)]) -> Vec<u64> {
+        answer.iter().map(|(u, _)| u.raw()).collect()
+    }
+
+    #[test]
+    fn top_k_keeps_the_total_order_under_ties_evictions_and_returns() {
+        let p = |x: f64| sp(x, 0.0, 0);
+        let mut top = TopK::new(2);
+        top.offer(UserId(5), 1.0, p(1.0));
+        assert_eq!(top.kth(), None, "one of two: nothing may be pruned yet");
+        top.offer(UserId(9), 4.0, p(2.0));
+        assert_eq!(top.kth(), Some(4.0));
+        // Exactly the k-th distance, larger id: refused. Smaller id,
+        // arriving after the vector is full: takes the k-th place.
+        top.offer(UserId(11), 4.0, p(-2.0));
+        top.offer(UserId(3), 4.0, p(-2.0));
+        assert_eq!(top.kth(), Some(4.0));
+        // The evicted user returns through a strictly nearer point, and
+        // evicts in turn; its stale distance may not.
+        top.offer(UserId(9), 4.0, p(2.0));
+        top.offer(UserId(9), 0.25, p(0.5));
+        // Improve in place, to the front; a worse point changes nothing.
+        top.offer(UserId(5), 0.0, p(0.0));
+        top.offer(UserId(5), 9.0, p(3.0));
+        // Equidistant observations of one user: smallest (t, x, y) wins,
+        // whichever arrives first.
+        top.offer(UserId(9), 0.25, p(-0.5));
+        assert_eq!(
+            top.into_answer(),
+            vec![(UserId(5), p(0.0)), (UserId(9), p(-0.5))]
+        );
+    }
+
+    #[test]
+    fn a_tie_at_the_kth_distance_is_never_pruned() {
+        // Each case puts user 9 at some distance and user 3 at exactly the
+        // same distance where only a bound that equals the k-th distance
+        // guards it: across a cell border, across a slab border, and
+        // both. Smaller id wins the tie — if the bound is strict.
+        let seed = sp(5.0, 5.0, 9);
+        for (case, near, far) in [
+            ("cell border", sp(0.0, 5.0, 9), sp(10.0, 5.0, 9)),
+            ("slab border", sp(5.0, 6.0, 9), sp(5.0, 5.0, 10)),
+            ("ring and slab", sp(6.0, 10.0, 9), sp(10.0, 5.0, 10)),
+        ] {
+            let (grid, brute) = both(&[(9, near), (3, far)]);
+            let got = grid.k_nearest_users(&seed, 1, None);
+            assert_eq!(got, vec![(UserId(3), far)], "{case}");
+            assert_eq!(got, brute.k_nearest_users(&seed, 1, None), "{case}");
+        }
+    }
+
+    #[test]
+    fn arrival_order_inside_a_cell_does_not_change_the_answer() {
+        // One cell, so entries are offered in insertion order: the k-th
+        // place is taken by a tie with a smaller id after the vector is
+        // full, and the evicted user comes back through a nearer point.
+        let seed = sp(5.0, 5.0, 0);
+        let (grid, brute) = both(&[
+            (5, sp(5.0, 6.0, 0)),
+            (9, sp(5.0, 7.0, 0)),
+            (3, sp(5.0, 3.0, 0)),
+            (9, sp(5.0, 5.5, 0)),
+        ]);
+        for k in 1..=4 {
+            let got = grid.k_nearest_users(&seed, k, None);
+            assert_eq!(got, brute.k_nearest_users(&seed, k, None), "k={k}");
+        }
+        assert_eq!(ids(&grid.k_nearest_users(&seed, 2, None)), vec![9, 5]);
+        assert_eq!(ids(&grid.k_nearest_users(&seed, 3, None)), vec![9, 5, 3]);
+    }
+
+    #[test]
+    fn a_nan_observation_sorts_last_without_panicking() {
+        // `location_update` is a public API: a NaN coordinate can reach
+        // the index even though the wire rejects it.
+        let seed = sp(5.0, 5.0, 0);
+        let nan = sp(f64::NAN, 5.0, 0);
+        let (grid, brute) = both(&[
+            (1, nan),
+            (2, sp(5.0, 6.0, 0)),
+            (3, sp(90.0, 90.0, 0)),
+            (4, nan),
+            (4, sp(50.0, 50.0, 1)), // a real point beats the user's NaN one
+        ]);
+        for k in 1..=5 {
+            let got = grid.k_nearest_users(&seed, k, None);
+            assert_eq!(ids(&got), [2, 4, 3, 1][..k.min(4)], "k={k}");
+            let want = brute.k_nearest_users(&seed, k, None);
+            // NaN != NaN, so compare the representative points by bits.
+            let bits = |a: &[(UserId, StPoint)]| -> Vec<(u64, u64, u64, i64)> {
+                a.iter()
+                    .map(|(u, p)| (u.raw(), p.pos.x.to_bits(), p.pos.y.to_bits(), p.t.0))
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "k={k}");
+        }
+        // A NaN seed makes every distance NaN: ties by user id, no panic.
+        assert_eq!(ids(&grid.k_nearest_users(&nan, 2, None)), vec![1, 2]);
+        assert_eq!(ids(&brute.k_nearest_users(&nan, 2, None)), vec![1, 2]);
+    }
+
+    #[test]
+    fn a_slab_costs_at_most_a_constant_times_its_occupied_cells() {
+        // A dense 40 × 40-cell slab (two users per cell) and one outlier
+        // cell 10,000 cells away. Stated bound per search, in hash
+        // look-ups and in cells scanned: 3 × the slab's occupied cells
+        // (+ 16 for slabs of a few cells) — never the 10,000² bounding box.
+        let mut idx = GridIndex::new(small_config());
+        let mut user = 0u64;
+        for cx in 0..40 {
+            for cy in 0..40 {
+                for _ in 0..2 {
+                    idx.insert(
+                        UserId(user),
+                        sp(cx as f64 * 10.0 + 5.0, cy as f64 * 10.0 + 5.0, 0),
+                    );
+                    user += 1;
+                }
+            }
+        }
+        idx.insert(UserId(user), sp(100_005.0, 100_005.0, 0));
+        let occupied = 40 * 40 + 1;
+        let bound = 3 * occupied + 16;
+
+        // A crowd in reach: the neighbourhood, not the slab.
+        let (got, cost) = idx.search(&sp(205.0, 205.0, 0), 5, None);
+        assert_eq!(got.len(), 5);
+        assert!(cost.lookups <= 25 && cost.probes <= 9, "{cost:?}");
+
+        // Scarce: k never fills, every cell must be read — once.
+        let (got, cost) = idx.search(&sp(205.0, 205.0, 0), 5_000, None);
+        assert_eq!(got.len(), 3201);
+        assert_eq!(cost.probes, occupied);
+        assert!(cost.lookups <= bound, "{cost:?}");
+
+        // From the outlier: its crowd is 10,000 cells away.
+        let (got, cost) = idx.search(&sp(100_005.0, 100_005.0, 0), 5, None);
+        assert_eq!(got.len(), 5);
+        assert!(cost.lookups <= bound && cost.probes <= occupied, "{cost:?}");
+
+        // From empty space beside the slab, no crowd in the seed's cell.
+        let (got, cost) = idx.search(&sp(-3_000.0, 205.0, 0), 5, None);
+        assert_eq!(got.len(), 5);
+        assert!(cost.lookups <= bound && cost.probes <= occupied, "{cost:?}");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!     PHL of each user and then taking the closest k points");
 //!   * the set of users crossing a given box
 //!     ([`GridIndex::users_crossing`]), which also yields per-request
-//!     anonymity sets.
+//!     anonymity sets and the candidates of an on-demand mix-zone.
 //! * [`brute`] / [`BruteIndex`] — the same two queries by exhaustive
 //!   scan: the paper's O(k·n) formulation kept as the executable
 //!   specification the grid is differentially tested against, and the

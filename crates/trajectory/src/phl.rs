@@ -156,9 +156,14 @@ impl Phl {
             // observation, not the first one the walk happens to visit,
             // so every backend (and every insertion order) reports the
             // same representative point.
+            // Distances order by `total_cmp`, like the grid's: a NaN
+            // one loses to every real distance instead of shadowing it.
             let wins = match best {
                 None => true,
-                Some((bd, bp)) => d < *bd || (d == *bd && crate::spatial::obs_cmp(p, bp).is_lt()),
+                Some((bd, bp)) => d
+                    .total_cmp(bd)
+                    .then_with(|| crate::spatial::obs_cmp(p, bp))
+                    .is_lt(),
             };
             if wins {
                 *best = Some((d, *p));
@@ -167,6 +172,9 @@ impl Phl {
 
         // Walk right (later points) and left (earlier points) in lockstep,
         // pruning each side once its time displacement alone is too large.
+        let within = |tdist: f64, best: &Option<(f64, StPoint)>| {
+            mps == 0.0 || best.is_none_or(|(bd, _)| (tdist * tdist).total_cmp(&bd).is_le())
+        };
         let mut r = mid;
         let mut l = mid;
         loop {
@@ -174,7 +182,7 @@ impl Phl {
             if r < self.points.len() {
                 let p = self.points[r];
                 let tdist = mps * (p.t - q.t) as f64;
-                if best.is_none() || tdist * tdist <= best.unwrap().0 || mps == 0.0 {
+                if within(tdist, &best) {
                     consider(&p, &mut best);
                     r += 1;
                     advanced = true;
@@ -185,7 +193,7 @@ impl Phl {
             if l > 0 {
                 let p = self.points[l - 1];
                 let tdist = mps * (q.t - p.t) as f64;
-                if best.is_none() || tdist * tdist <= best.unwrap().0 || mps == 0.0 {
+                if within(tdist, &best) {
                     consider(&p, &mut best);
                     l -= 1;
                     advanced = true;

@@ -9,16 +9,19 @@
 //! * incremental [`SpatialIndex::insert`] (the TS ingests location
 //!   updates online);
 //! * the window / co-location query [`SpatialIndex::users_crossing`]
-//!   (plus an early-exit counting variant);
+//!   (plus an early-exit counting variant) — anonymity sets, and the
+//!   crowd an on-demand mix-zone (paper §6.3) is sought in;
 //! * the k-nearest-**users** query [`SpatialIndex::k_nearest_users`]
 //!   mirroring the paper's "nearest neighbor in the PHL of each user,
-//!   then the closest k points".
+//!   then the closest k points" (Algorithm 1 line 5).
 //!
 //! Two types implement it: [`GridIndex`] (uniform space–time grid —
 //! the one production index) and [`BruteIndex`] (exhaustive scan — the
 //! executable specification). They are required to return *identical*
 //! answers, including tie-breaks: ascending scaled distance under the
-//! backend's [`SpaceTimeScale`], ties broken by ascending user id.
+//! backend's [`SpaceTimeScale`] (compared with `f64::total_cmp`, so a
+//! NaN distance sorts last instead of panicking), ties broken by
+//! ascending user id.
 //! That equivalence is enforced by property tests, and it is what makes
 //! "the k nearest users" one definition rather than one per backend.
 //!
@@ -37,8 +40,8 @@ use std::collections::BTreeSet;
 ///
 /// When two of a user's points are *exactly* equidistant from a query
 /// seed, every backend must report the same representative point or the
-/// answer would depend on scan order — the grid visits cells
-/// nearest-lower-bound first and the brute scan walks the PHL outward
+/// answer would depend on scan order — the grid visits cells in rings
+/// around the seed's and the brute scan walks the PHL outward
 /// from the temporal insertion point, so "first one wins" diverges
 /// between them (and between two insertion orders of the grid). The
 /// contract is therefore: among equidistant candidates, the smallest

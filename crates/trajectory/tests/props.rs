@@ -100,6 +100,84 @@ fn arb_union_op() -> impl Strategy<Value = UnionOp> {
     })
 }
 
+/// A lattice world for the regimes the top-k selection and the ring walk
+/// have to get exactly right: coordinates on a 5 m grid around the origin
+/// (negative ones included) and three bursts of timestamps with empty
+/// slabs between them, so exact distance ties — between users, and
+/// between one user's observations — are the rule, not the exception.
+fn arb_lattice_point() -> impl Strategy<Value = StPoint> {
+    (-6i64..=6, -6i64..=6, 0usize..3, 0i64..=4).prop_map(|(x, y, burst, t)| {
+        StPoint::xyt(
+            5.0 * x as f64,
+            5.0 * y as f64,
+            TimeSec([0, 2_000, 9_000][burst] + 5 * t),
+        )
+    })
+}
+
+/// Up to ten users, from a single observation to hundreds each.
+fn arb_lattice_store() -> impl Strategy<Value = TrajectoryStore> {
+    prop::collection::vec(
+        prop_oneof![
+            prop::collection::vec(arb_lattice_point(), 1..3),
+            prop::collection::vec(arb_lattice_point(), 1..8),
+            prop::collection::vec(arb_lattice_point(), 100..300),
+        ],
+        1..10,
+    )
+    .prop_map(|users| {
+        let mut store = TrajectoryStore::new();
+        for (uid, pts) in users.into_iter().enumerate() {
+            for p in Phl::from_points(pts).points() {
+                store.record(UserId(uid as u64), *p);
+            }
+        }
+        store
+    })
+}
+
+fn lattice_configs() -> impl Strategy<Value = GridIndexConfig> {
+    (0usize..3, 0usize..2, 0usize..3).prop_map(|(cs, cd, v)| GridIndexConfig {
+        cell_size: [5.0, 10.0, 35.0][cs],
+        cell_duration: [5, 60][cd],
+        scale: SpaceTimeScale::new([0.0, 0.5, 1.0][v]),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Grid ≡ brute — users, order and representative points — where
+    /// ties at the k-th distance, improve-in-place, eviction and return,
+    /// scarce crowds (`k` up to well past the population), time that
+    /// costs nothing (`meters_per_second = 0`) and empty slabs all occur.
+    #[test]
+    fn k_nearest_agrees_exactly_on_a_lattice_of_ties(
+        store in arb_lattice_store(),
+        cfg in lattice_configs(),
+        seed in arb_lattice_point(),
+        k in 1usize..12,
+        excl in 0u64..10,
+    ) {
+        // Larger ids first, so that inside a cell the smaller id of a tie
+        // is the one that arrives late.
+        let mut grid = GridIndex::new(cfg);
+        for (user, phl) in store.iter().collect::<Vec<_>>().into_iter().rev() {
+            for p in phl.points() {
+                grid.insert(user, *p);
+            }
+        }
+        for exclude in [None, Some(UserId(excl))] {
+            prop_assert_eq!(
+                grid.k_nearest_users(&seed, k, exclude),
+                brute::k_nearest_users(&store, &seed, k, exclude, &cfg.scale),
+                "k={} exclude={:?}", k, exclude
+            );
+        }
+    }
+
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

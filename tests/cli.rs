@@ -117,9 +117,9 @@ fn index_backend_is_observationally_invariant() {
                 "--days",
                 "2",
                 "--commuters",
-                "3",
+                "4",
                 "--roamers",
-                "20",
+                "60",
                 "--shards",
                 shards,
                 "--index",
@@ -145,6 +145,17 @@ fn index_backend_is_observationally_invariant() {
             "{shards} shard(s): grid and brute journals must be byte-identical"
         );
         assert_eq!(strip(&grid_stdout), strip(&brute_stdout));
+
+        // …on a run crowded enough that both backends also answered the
+        // unlink search, with and without success.
+        let journal = std::fs::read_to_string(&grid).unwrap();
+        for kind in ["ts.pseudonym_changed", "ts.at_risk"] {
+            let needle = format!("\"kind\":\"{kind}\"");
+            assert!(
+                journal.lines().any(|l| l.contains(&needle)),
+                "{shards} shard(s): the scenario must produce a {kind} record"
+            );
+        }
 
         // The grid-backed run passes the full audit on its own merits.
         let (ok, stdout, stderr) = hka_sim(&["audit", "--journal", grid.to_str().unwrap()]);

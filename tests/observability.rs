@@ -194,3 +194,40 @@ fn cli_trace_out_and_metrics_default_to_simulate() {
     assert!(!report.records.is_empty());
     assert!(stdout.contains("journal:"), "{stdout}");
 }
+
+/// An operator can read off `--metrics` that the unlink search is
+/// neighbourhood-sized: `mixzone.candidates` (PHLs read for a heading)
+/// per attempt stays far below the population a full scan would read.
+#[test]
+fn cli_metrics_show_how_big_the_unlink_crowd_examined_was() {
+    let (ok, stdout, stderr) = hka_sim(&[
+        "simulate",
+        "--days",
+        "2",
+        "--commuters",
+        "4",
+        "--roamers",
+        "60",
+        "--metrics",
+    ]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    let counter = |name: &str| -> u64 {
+        stdout
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix(name))
+            .find_map(|rest| rest.trim().parse().ok())
+            .unwrap_or_else(|| panic!("counter {name} missing from:\n{stdout}"))
+    };
+    let attempts = counter("mixzone.unlinked") + counter("mixzone.infeasible");
+    let candidates = counter("mixzone.candidates");
+    assert!(counter("mixzone.unlinked") >= 1, "the scenario must unlink");
+    assert!(
+        candidates >= attempts,
+        "{candidates} PHLs over {attempts} attempts"
+    );
+    // 70 users: the exhaustive scan read 69 PHLs per attempt.
+    assert!(
+        candidates < 20 * attempts,
+        "{candidates} PHLs over {attempts} attempts is not neighbourhood-sized"
+    );
+}

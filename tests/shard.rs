@@ -370,6 +370,107 @@ fn grid_union_matches_the_brute_union_byte_for_byte() {
     );
 }
 
+/// A city crowded enough that some unlink attempts find their k
+/// diverging trajectories and some do not.
+fn build_crowded_world(seed: u64) -> World {
+    World::generate(&WorldConfig {
+        seed,
+        days: 2,
+        n_commuters: 4,
+        n_roamers: 60,
+        n_poi_regulars: 6,
+        city: CityConfig {
+            width: 2_000.0,
+            height: 2_000.0,
+            ..CityConfig::default()
+        },
+        ..WorldConfig::default()
+    })
+}
+
+fn journal_to(path: &std::path::Path) -> obs::Journal<Box<dyn obs::DurableSink>> {
+    obs::Journal::new(Box::new(std::fs::File::create(path).unwrap()) as Box<dyn obs::DurableSink>)
+}
+
+fn count_kind(journal: &[u8], kind: &str) -> usize {
+    let needle = format!("\"kind\":\"{kind}\"");
+    std::str::from_utf8(journal)
+        .unwrap()
+        .lines()
+        .filter(|l| l.contains(&needle))
+        .count()
+}
+
+/// The unlink path end to end: a run in which on-demand mix-zones are
+/// both found (`ts.pseudonym_changed`) and not found (`ts.at_risk`)
+/// writes the same journal bytes whether the crowd is searched through
+/// the sequential server's index or through the union over 1, 2, 4 or 8
+/// shards — with every event serialized, and (per shard count) with the
+/// rest of the traffic run inline or on worker threads.
+#[test]
+fn an_unlinking_run_is_byte_identical_at_every_shard_count() {
+    let dir = std::env::temp_dir().join(format!("hka-shard-unlink-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let world = build_crowded_world(1);
+    let serialized = TsConfig {
+        randomize: Some(RandomizeConfig::default()),
+        ..TsConfig::default()
+    };
+
+    let seq_path = dir.join("seq.jsonl");
+    let mut seq = setup_seq(&world, serialized);
+    seq.attach_journal(obs::Journal::new(
+        Box::new(std::fs::File::create(&seq_path).unwrap())
+            as Box<dyn std::io::Write + Send + Sync>,
+    ));
+    let seq_out = drive_seq(&mut seq, &world);
+    seq.flush_journal().unwrap();
+    let want = std::fs::read(&seq_path).unwrap();
+    let unlinked = count_kind(&want, "ts.pseudonym_changed");
+    let at_risk = count_kind(&want, "ts.at_risk");
+    assert!(
+        unlinked >= 1 && at_risk >= 1,
+        "the scenario must unlink and fail to: {unlinked} ts.pseudonym_changed, {at_risk} ts.at_risk"
+    );
+
+    for shards in [1usize, 2, 4, 8] {
+        // Every event a serialization point: ids and bytes must match
+        // the sequential server's exactly.
+        let path = dir.join(format!("serialized-{shards}.jsonl"));
+        let mut shd = setup_sharded(&world, serialized, shards);
+        shd.attach_journal(journal_to(&path));
+        let out = drive_sharded(&mut shd, &world);
+        shd.flush_journal().unwrap();
+        assert_eq!(out, seq_out, "{shards} shards, serialized: outcomes");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            want,
+            "{shards} shards, serialized: journal bytes"
+        );
+
+        // Parallel-safe traffic inline vs on worker threads: ids come
+        // from per-shard spaces, so the bytes are pinned per shard count.
+        let mut runs = Vec::new();
+        for threshold in [usize::MAX, 0] {
+            let path = dir.join(format!("parallel-{shards}-{threshold}.jsonl"));
+            let mut shd = setup_sharded(&world, TsConfig::default(), shards);
+            shd.set_parallel_threshold(threshold);
+            shd.attach_journal(journal_to(&path));
+            let out = drive_sharded(&mut shd, &world);
+            shd.flush_journal().unwrap();
+            runs.push((std::fs::read(&path).unwrap(), out));
+        }
+        let (inline, threaded) = (&runs[0], &runs[1]);
+        assert_eq!(inline.1, threaded.1, "{shards} shards: outcomes");
+        assert_eq!(inline.0, threaded.0, "{shards} shards: journal bytes");
+        assert!(
+            count_kind(&inline.0, "ts.pseudonym_changed") >= 1
+                && count_kind(&inline.0, "ts.at_risk") >= 1,
+            "{shards} shards: the parallel run must unlink and fail to as well"
+        );
+    }
+}
+
 /// Sharded compaction: folds every shard's partition, **invalidates
 /// the union** (a removal is what the insert-only delta stream cannot
 /// express), journals one deterministic `ts.compaction` chain record —
