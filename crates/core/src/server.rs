@@ -591,13 +591,7 @@ impl TrustedServer {
         policy: &hka_trajectory::CompactionPolicy,
     ) -> hka_trajectory::CompactionStats {
         let stats = self.store.compact(now, policy);
-        let mut index = self.config.backend.make(self.config.index);
-        for (user, phl) in self.store.iter() {
-            for p in phl.points() {
-                index.insert(user, *p);
-            }
-        }
-        self.index = index;
+        self.index = self.config.backend.build(&self.store, self.config.index);
         let metrics = hka_obs::global();
         metrics.counter("ts.compactions").incr();
         metrics
@@ -744,8 +738,8 @@ impl TrustedServer {
     }
 
     /// Rebuilds a server from a checkpoint snapshot's `store`, `server`,
-    /// and `stats` sections: the trajectory store (index re-inserted
-    /// point by point), pseudonym bindings, privacy parameters and
+    /// and `stats` sections: the trajectory store (index bulk-built
+    /// from it), pseudonym bindings, privacy parameters and
     /// overrides, at-risk flags, service tolerances, static mix-zones,
     /// mode, and counters.
     ///
@@ -774,12 +768,7 @@ impl TrustedServer {
                 .ok_or("snapshot has no 'stats' section")?,
         )?;
 
-        let mut index = config.backend.make(config.index);
-        for (user, phl) in store.iter() {
-            for p in phl.points() {
-                index.insert(user, *p);
-            }
-        }
+        let index = config.backend.build(&store, config.index);
         let mut mixzones = MixZoneManager::new(config.mixzone);
         for zone in &meta.static_zones {
             mixzones.add_static_zone(*zone);

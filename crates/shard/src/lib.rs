@@ -164,7 +164,7 @@ impl ShardedTs {
             .unwrap_or(false);
         ShardedTs {
             shards: (0..n).map(|i| ShardState::new(i, &config)).collect(),
-            co: Coordinator::new(config, n),
+            co: Coordinator::new(config),
             registered: BTreeSet::new(),
             privacy: BTreeMap::new(),
             queue: Vec::new(),

@@ -64,7 +64,7 @@ pub(crate) struct Coordinator {
 }
 
 impl Coordinator {
-    pub fn new(config: TsConfig, shards: usize) -> Self {
+    pub fn new(config: TsConfig) -> Self {
         Coordinator {
             config,
             services: BTreeMap::new(),
@@ -81,7 +81,7 @@ impl Coordinator {
             serialize_all: config.randomize.is_some(),
             mode: ServerMode::Normal,
             last_time: TimeSec(0),
-            union: UnionIndex::new(config.backend, config.index, shards),
+            union: UnionIndex::new(config.backend, config.index),
         }
     }
 
@@ -155,9 +155,7 @@ impl SerialHost<'_> {
     /// stale (first use, or after an invalidation).
     fn ensure_union(&mut self) {
         if !self.co.union.is_live() {
-            self.co
-                .union
-                .rebuild(self.shards.iter().map(|s| &s.store), self.shards.len());
+            self.co.union.rebuild(self.shards.iter().map(|s| &s.store));
         }
     }
 }

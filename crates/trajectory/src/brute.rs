@@ -41,8 +41,16 @@ impl BruteIndex {
 
     /// A brute index over a copy of `store`.
     pub fn build(store: &TrajectoryStore, scale: SpaceTimeScale) -> Self {
+        Self::build_all([store], scale)
+    }
+
+    /// A brute index over a copy of the user-disjoint `stores`, merged.
+    pub fn build_all<'a>(
+        stores: impl IntoIterator<Item = &'a TrajectoryStore>,
+        scale: SpaceTimeScale,
+    ) -> Self {
         BruteIndex {
-            store: store.clone(),
+            store: TrajectoryStore::merged(stores),
             scale,
         }
     }
@@ -59,6 +67,10 @@ impl SpatialIndex for BruteIndex {
 
     fn len(&self) -> usize {
         self.store.total_points()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.store.heap_bytes()
     }
 
     fn insert(&mut self, user: UserId, p: StPoint) {

@@ -75,25 +75,21 @@ pub struct UnionIndex {
     /// Whether `index` faithfully reflects the partition stores. When
     /// false, queries must rebuild first ([`UnionIndex::rebuild`]).
     live: bool,
-    /// How many partitions the union was last built over; a different
-    /// layout invalidates (the delta streams would not line up).
-    partitions: usize,
     memo: HashMap<MemoKey, Vec<(UserId, StPoint)>>,
     memo_generation: u64,
 }
 
 impl UnionIndex {
-    /// A new union for `partitions` user-disjoint shards. Starts
-    /// invalid: the first query (or an explicit [`UnionIndex::rebuild`])
-    /// loads the authoritative stores.
-    pub fn new(backend: IndexBackend, config: GridIndexConfig, partitions: usize) -> Self {
+    /// A new union over user-disjoint shards. Starts invalid: the first
+    /// query (or an explicit [`UnionIndex::rebuild`]) loads the
+    /// authoritative stores.
+    pub fn new(backend: IndexBackend, config: GridIndexConfig) -> Self {
         UnionIndex {
             backend,
             config,
             index: backend.make(config),
             generation: 0,
             live: false,
-            partitions,
             memo: HashMap::new(),
             memo_generation: 0,
         }
@@ -109,24 +105,10 @@ impl UnionIndex {
         self.live
     }
 
-    /// The partition count the union was created/rebuilt for.
-    pub fn partitions(&self) -> usize {
-        self.partitions
-    }
-
-    /// The backend the union instantiates.
-    pub fn backend(&self) -> IndexBackend {
-        self.backend
-    }
-
     /// Number of indexed observations (0 while invalid).
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.index.len()
-    }
-
-    /// Whether the union holds no observations.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
     }
 
     /// Marks the union stale and drops its storage. Call for anything
@@ -172,25 +154,11 @@ impl UnionIndex {
         deltas.clear();
     }
 
-    /// Rebuilds the union from the authoritative partition stores
-    /// (global user order, time order within each user) and marks it
-    /// live for `partitions` shards.
-    pub fn rebuild<'a>(
-        &mut self,
-        stores: impl IntoIterator<Item = &'a TrajectoryStore>,
-        partitions: usize,
-    ) {
-        let mut index = self.backend.make(self.config);
-        let mut phls: Vec<_> = stores.into_iter().flat_map(|s| s.iter()).collect();
-        phls.sort_by_key(|(u, _)| *u);
-        for (user, phl) in phls {
-            for p in phl.points() {
-                index.insert(user, *p);
-            }
-        }
-        self.index = index;
+    /// Rebuilds the union from the authoritative partition stores (one
+    /// bulk build, [`IndexBackend::build_all`]) and marks it live.
+    pub fn rebuild<'a>(&mut self, stores: impl IntoIterator<Item = &'a TrajectoryStore>) {
+        self.index = self.backend.build_all(stores, self.config);
         self.live = true;
-        self.partitions = partitions;
         self.generation += 1;
         self.memo.clear();
         hka_obs::global().counter("union.rebuilds").incr();
@@ -280,11 +248,11 @@ mod tests {
 
     #[test]
     fn starts_invalid_and_rebuilds_lazily() {
-        let mut union = UnionIndex::new(IndexBackend::Grid, GridIndexConfig::default(), 4);
+        let mut union = UnionIndex::new(IndexBackend::Grid, GridIndexConfig::default());
         assert!(!union.is_live());
         assert_eq!(union.generation(), 0);
         let stores = partitioned(&[(UserId(1), sp(5.0, 5.0, 10))], 4);
-        union.rebuild(stores.iter(), 4);
+        union.rebuild(stores.iter());
         assert!(union.is_live());
         assert_eq!(union.len(), 1);
         assert_eq!(
@@ -306,8 +274,8 @@ mod tests {
         let shards = 3usize;
         let mut stores: Vec<TrajectoryStore> =
             (0..shards).map(|_| TrajectoryStore::new()).collect();
-        let mut union = UnionIndex::new(IndexBackend::Grid, cfg, shards);
-        union.rebuild(stores.iter(), shards);
+        let mut union = UnionIndex::new(IndexBackend::Grid, cfg);
+        union.rebuild(stores.iter());
 
         let mut pending: Vec<IndexDelta> = Vec::new();
         for pos in 0..120u64 {
@@ -368,8 +336,8 @@ mod tests {
         for shards in [1usize, 2, 3, 4] {
             let stores = partitioned(&points, shards);
             let want = oracle(&stores, cfg);
-            let mut union = UnionIndex::new(IndexBackend::Grid, cfg, shards);
-            union.rebuild(stores.iter(), shards);
+            let mut union = UnionIndex::new(IndexBackend::Grid, cfg);
+            union.rebuild(stores.iter());
             for k in [0usize, 1, 3, 6, 9] {
                 let got = union.k_nearest_users(&seed, k, None);
                 assert_eq!(
@@ -388,10 +356,10 @@ mod tests {
 
     #[test]
     fn memo_serves_only_within_one_generation() {
-        let mut union = UnionIndex::new(IndexBackend::Grid, GridIndexConfig::default(), 1);
+        let mut union = UnionIndex::new(IndexBackend::Grid, GridIndexConfig::default());
         let mut store = TrajectoryStore::new();
         store.record(UserId(1), sp(10.0, 0.0, 0));
-        union.rebuild([&store], 1);
+        union.rebuild([&store]);
         let seed = sp(0.0, 0.0, 0);
         let first = union.k_nearest_users(&seed, 2, None);
         assert_eq!(union.k_nearest_users(&seed, 2, None), first); // memo hit
@@ -410,10 +378,10 @@ mod tests {
 
     #[test]
     fn invalidation_drops_state_and_applies_become_noops() {
-        let mut union = UnionIndex::new(IndexBackend::Brute, GridIndexConfig::default(), 2);
+        let mut union = UnionIndex::new(IndexBackend::Brute, GridIndexConfig::default());
         let mut store = TrajectoryStore::new();
         store.record(UserId(1), sp(1.0, 1.0, 0));
-        union.rebuild([&store], 2);
+        union.rebuild([&store]);
         assert_eq!(union.len(), 1);
         let g = union.generation();
         union.invalidate();
@@ -428,7 +396,7 @@ mod tests {
             point: sp(2.0, 2.0, 0),
         });
         store.record(UserId(2), sp(2.0, 2.0, 0));
-        union.rebuild([&store], 2);
+        union.rebuild([&store]);
         assert_eq!(union.len(), 2);
     }
 }

@@ -74,6 +74,11 @@ impl Phl {
         self.points.is_empty()
     }
 
+    /// Heap bytes of the observation buffer, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.points.capacity() * std::mem::size_of::<StPoint>()
+    }
+
     /// All observations, oldest first.
     pub fn points(&self) -> &[StPoint] {
         &self.points

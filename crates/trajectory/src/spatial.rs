@@ -82,6 +82,10 @@ pub trait SpatialIndex: std::fmt::Debug + Send + Sync {
         self.len() == 0
     }
 
+    /// Heap bytes the index holds, computed from its collections'
+    /// capacities (no allocator hook; allocator overhead not counted).
+    fn heap_bytes(&self) -> usize;
+
     /// Indexes one observation for `user`.
     fn insert(&mut self, user: UserId, p: StPoint);
 
@@ -118,6 +122,10 @@ impl SpatialIndex for GridIndex {
 
     fn len(&self) -> usize {
         GridIndex::len(self)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        GridIndex::heap_bytes(self)
     }
 
     fn insert(&mut self, user: UserId, p: StPoint) {
@@ -196,9 +204,19 @@ impl IndexBackend {
 
     /// An index of this backend bulk-loaded from `store`.
     pub fn build(&self, store: &TrajectoryStore, config: GridIndexConfig) -> Box<dyn SpatialIndex> {
+        self.build_all([store], config)
+    }
+
+    /// An index of this backend bulk-loaded from the user-disjoint
+    /// `stores` — a sharded server's partitions.
+    pub fn build_all<'a>(
+        &self,
+        stores: impl IntoIterator<Item = &'a TrajectoryStore>,
+        config: GridIndexConfig,
+    ) -> Box<dyn SpatialIndex> {
         match self {
-            IndexBackend::Grid => Box::new(GridIndex::build(store, config)),
-            IndexBackend::Brute => Box::new(BruteIndex::build(store, config.scale)),
+            IndexBackend::Grid => Box::new(GridIndex::build_all(stores, config)),
+            IndexBackend::Brute => Box::new(BruteIndex::build_all(stores, config.scale)),
         }
     }
 }

@@ -62,6 +62,16 @@ impl TrajectoryStore {
         self.total_points
     }
 
+    /// Heap bytes the store holds, from its PHLs' capacities plus one
+    /// `(UserId, Phl)` slot per user (the map's node overhead is not
+    /// counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.phls
+            .values()
+            .map(|phl| std::mem::size_of::<(UserId, Phl)>() + phl.heap_bytes())
+            .sum()
+    }
+
     /// A store holding every PHL from the given user-disjoint
     /// partitions — the global view behind a sharded server, used when
     /// an audit or introspection query needs all users at once.

@@ -178,6 +178,74 @@ proptest! {
 
 }
 
+/// Every observation of `store`, in the four insertion orders the grid's
+/// two tiers must be indifferent to: time order (live ingestion), user
+/// order (bulk build and restore), reverse time order, and oldest and
+/// newest alternating (every old point lands in an already-sealed slab).
+fn insertion_orders(store: &TrajectoryStore) -> [(&'static str, Vec<(UserId, StPoint)>); 4] {
+    let by_user: Vec<(UserId, StPoint)> = store
+        .iter()
+        .flat_map(|(u, phl)| phl.points().iter().map(move |p| (u, *p)))
+        .collect();
+    let mut by_time = by_user.clone();
+    by_time.sort_by_key(|(_, p)| p.t);
+    let reverse: Vec<_> = by_time.iter().rev().copied().collect();
+    let n = by_time.len();
+    let alternating = (0..n)
+        .map(|i| by_time[if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 }])
+        .collect();
+    [
+        ("time", by_time),
+        ("user", by_user),
+        ("reverse time", reverse),
+        ("alternating", alternating),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Sealing and merging move observations between tiers, never change
+    /// an answer: grid ≡ brute on all three queries whatever the order
+    /// the observations arrived in, and for the bulk build, which lays
+    /// the sealed slabs out directly.
+    #[test]
+    fn insertion_order_never_changes_an_answer(
+        store in prop_oneof![arb_lattice_store(), arb_store(12, 40)],
+        cfg in prop_oneof![lattice_configs(), configs()],
+        seed in prop_oneof![arb_lattice_point(), arb_stpoint()],
+        b in arb_box(),
+        k in 1usize..12,
+    ) {
+        let oracle = BruteIndex::build(&store, cfg.scale);
+        let inserted = insertion_orders(&store).map(|(order, points)| {
+            let mut grid = GridIndex::new(cfg);
+            for (u, p) in &points {
+                grid.insert(*u, *p);
+            }
+            (order, grid)
+        });
+        for (order, grid) in inserted.into_iter().chain([("bulk build", GridIndex::build(&store, cfg))]) {
+            prop_assert_eq!(grid.len(), oracle.len(), "{}", order);
+            for exclude in [None, Some(UserId(0))] {
+                prop_assert_eq!(
+                    grid.k_nearest_users(&seed, k, exclude),
+                    oracle.k_nearest_users(&seed, k, exclude),
+                    "{} k={} exclude={:?}", order, k, exclude
+                );
+            }
+            prop_assert_eq!(grid.users_crossing(&b), oracle.users_crossing(&b), "{}", order);
+            for limit in [1usize, 3, usize::MAX] {
+                prop_assert_eq!(
+                    grid.count_users_crossing(&b, limit),
+                    oracle.count_users_crossing(&b, limit),
+                    "{} limit={}", order, limit
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -325,7 +393,7 @@ proptest! {
     ) {
         let mut stores: Vec<TrajectoryStore> =
             (0..shards).map(|_| TrajectoryStore::new()).collect();
-        let mut union = UnionIndex::new(IndexBackend::Grid, cfg, shards);
+        let mut union = UnionIndex::new(IndexBackend::Grid, cfg);
         let mut pending: Vec<IndexDelta> = Vec::new();
         let mut pos = 0u64;
         let mut clock = 0i64;
@@ -376,7 +444,7 @@ proptest! {
                     union.apply_epoch(&mut pending);
                     prop_assert!(pending.is_empty());
                     if !union.is_live() {
-                        union.rebuild(stores.iter(), shards);
+                        union.rebuild(stores.iter());
                     }
                     let oracle = brute_over(&stores, &cfg);
                     prop_assert_eq!(
@@ -410,7 +478,7 @@ proptest! {
         // still converge to the fresh union.
         union.apply_epoch(&mut pending);
         if !union.is_live() {
-            union.rebuild(stores.iter(), shards);
+            union.rebuild(stores.iter());
         }
         let oracle = brute_over(&stores, &cfg);
         prop_assert_eq!(

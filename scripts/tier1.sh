@@ -45,20 +45,24 @@ cargo run --release -q --bin hka-sim -- watch "$tmp/ts.journal" \
 cmp "$tmp/watch.json" "$tmp/audit.json"
 
 echo "== shard union (grid index vs its brute-force specification: bytes invariant) =="
-cargo run --release -q --bin hka-sim -- simulate --days 2 --commuters 4 \
-    --roamers 60 --shards 4 --index grid \
-    --trace-out "$tmp/union-grid.journal" > /dev/null
-cargo run --release -q --bin hka-sim -- simulate --days 2 --commuters 4 \
-    --roamers 60 --shards 4 --index brute \
-    --trace-out "$tmp/union-brute.journal" > /dev/null
-# The compare is only worth its name if the run searched for crowds and
-# both found and missed one: an unlink (pseudonym change) and an at-risk.
-for kind in ts.pseudonym_changed ts.at_risk; do
-    n="$(grep -c "\"kind\":\"$kind\"" "$tmp/union-grid.journal" || true)"
-    echo "  $kind records: $n"
-    [ "$n" -ge 1 ]
+# Sequentially (one shard: the server's own index) and through the 4-shard
+# union.
+for shards in 1 4; do
+    for index in grid brute; do
+        cargo run --release -q --bin hka-sim -- simulate --days 2 --commuters 4 \
+            --roamers 60 --shards "$shards" --index "$index" \
+            --trace-out "$tmp/union-$shards-$index.journal" > /dev/null
+    done
+    # The compare is only worth its name if the run searched for crowds
+    # and both found and missed one: an unlink (pseudonym change) and an
+    # at-risk.
+    for kind in ts.pseudonym_changed ts.at_risk; do
+        n="$(grep -c "\"kind\":\"$kind\"" "$tmp/union-$shards-grid.journal" || true)"
+        echo "  $shards shard(s), $kind records: $n"
+        [ "$n" -ge 1 ]
+    done
+    cmp "$tmp/union-$shards-grid.journal" "$tmp/union-$shards-brute.journal"
 done
-cmp "$tmp/union-grid.journal" "$tmp/union-brute.journal"
 
 echo "== gateway (TCP differential + chaos drill + open-loop smoke) =="
 cargo test --release -q --test gateway
