@@ -1,10 +1,8 @@
 //! **Continuous benchmark: tracing overhead on the request path.**
 //!
 //! Drives one seeded protected-city workload through the sharded
-//! frontend (`ShardedTs`, group-commit journal, background traffic
-//! classified parallel-safe so on multi-core hosts the cross-thread
-//! trace handoff is on the measured path; single-core hosts run the
-//! same batches inline on the shard tracks) under three observability
+//! frontend (`ShardedTs`, group-commit journal, every request adopting
+//! the deferred root its submission opened) under three observability
 //! configurations:
 //!
 //! 1. **off** — trace collection disabled (the default). Trace ids are
@@ -96,9 +94,9 @@ fn setup(world: &World) -> ShardedTs {
             Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
         );
     }
-    // Background traffic is exact-forward for everyone; the explicit
-    // override lets the scheduler run those requests on worker threads,
-    // so the cross-thread trace handoff is part of what this measures.
+    // Background traffic is exact-forward for everyone, protected users
+    // included through an explicit override: those requests are traced
+    // too, under the roots their submissions opened.
     for &u in &commuters {
         ts.set_service_privacy(u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off)
             .expect("registered");

@@ -8,13 +8,12 @@
 //!    the durability contract a single-node deployment would run with;
 //! 2. the **ladder**: `ShardedTs` with 1 / 2 / 4 / 8 shards, journaling
 //!    through the group-commit writer (one batched append + one fsync
-//!    per serialization barrier).
+//!    before each protected request and at the end of each flush).
 //!
 //! Writes `BENCH_shard.json` with the throughput of every run, the
 //! headline `speedup_4x` (4-shard sharded vs the durability-equivalent
-//! sequential baseline — dominated by fsync batching, so it holds even
-//! on single-core hosts), and the raw shard-vs-shard ladder for hosts
-//! with real parallelism. Every journal written is chain-verified and
+//! sequential baseline — fsync batching is the whole win), and the
+//! raw shard-vs-shard ladder, which measures what partitioning costs. Every journal written is chain-verified and
 //! replayed through `hka-audit`; the bench exits non-zero on a chain
 //! failure, an audit violation, or a per-shard-count outcome mismatch
 //! against the baseline — a correctness regression fails the bench job,
@@ -124,9 +123,9 @@ fn script(world: &World) -> Script {
             })
             .collect(),
         // The background service is exact-forward for everyone; making
-        // that explicit per user lets the sharded scheduler classify
-        // those requests parallel-safe (the sequential server resolves
-        // the same override to the same decision).
+        // that explicit per user keeps those requests off the
+        // commit-before-run path (the sequential server resolves the
+        // same override to the same decision).
         overrides: commuters
             .iter()
             .map(|&u| (u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off))
@@ -426,9 +425,9 @@ fn main() {
             Json::from(
                 "speedup_4x = durable sequential baseline wall / 4-shard ShardedTs wall, at equal \
                  durability (every record on stable storage at the commit boundary). The win comes \
-                 from group commit batching fsyncs at serialization barriers; worker parallelism \
-                 adds on top on multi-core hosts (shard_ladder_speedup_4v1 reports that raw ratio, \
-                 ~1.0 on single-core CI). Walls are best-of-trials to damp shared-host noise.",
+                 from group commit batching fsyncs between protected requests; every event runs \
+                 in submission order on one thread, so shard_ladder_speedup_4v1 reports what \
+                 partitioning costs. Walls are best-of-trials to damp shared-host noise.",
             ),
         ),
     ]);

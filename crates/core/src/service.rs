@@ -15,7 +15,7 @@
 //!
 //! The seam is deliberately *pull-based*: `submit` never returns an
 //! outcome. Sequential backends answer immediately and buffer; the
-//! sharded backend answers at its next epoch barrier. Callers that
+//! sharded backend answers at its next flush. Callers that
 //! need outcomes call `drain`, which yields every response settled
 //! since the previous drain, in submission order. Location reports
 //! are fire-and-forget and never produce a response.
@@ -31,7 +31,7 @@ use crate::server::{RequestOutcome, ServerMode, TrustedServer, TsError};
 pub trait RequestService {
     /// Ingests one envelope. Location reports are applied immediately
     /// (fire-and-forget); requests are decided now or at the backend's
-    /// next barrier, and their responses surface via
+    /// next flush, and their responses surface via
     /// [`RequestService::drain`].
     fn submit(&mut self, env: &RequestEnvelope);
 
@@ -46,8 +46,8 @@ pub trait RequestService {
     }
 
     /// Takes every response settled since the last drain, in
-    /// submission order. Backends with internal pipelines reach a
-    /// barrier first, so after `drain` returns, every previously
+    /// submission order. Backends with internal queues flush first,
+    /// so after `drain` returns, every previously
     /// submitted request has been answered.
     fn drain(&mut self) -> Vec<ResponseEnvelope>;
 

@@ -7,8 +7,8 @@
 //! * **Zero cost when off.** A single relaxed atomic load gates the hot
 //!   path; with the collector disabled no allocation, locking, or
 //!   clock read happens beyond what [`span`](crate::span) already does.
-//! * **Deterministic export.** Every *track* (the coordinator thread,
-//!   or one worker shard) is single-threaded and processes work in a
+//! * **Deterministic export.** Every *track* (the server's thread, or
+//!   a thread given its own track) is single-threaded and processes work in a
 //!   deterministic order, so span start/end order per track is a pure
 //!   function of the workload. Each track therefore carries a logical
 //!   **tick counter**: opening or closing a span consumes one tick, and
@@ -257,9 +257,9 @@ fn refresh_current(ctx: &ThreadCtx) {
     CURRENT.with(|c| c.set(cur));
 }
 
-/// Assigns this thread's track: 0 for the coordinator / sequential
-/// server, `1 + shard` for worker threads. Worker spawns call this
-/// before running their batch.
+/// Assigns this thread's track (0 by default, the server's). A thread
+/// that records spans concurrently with another takes a track of its
+/// own, so each track stays single-threaded.
 pub fn set_thread_track(track: u32) {
     CTX.with(|c| c.borrow_mut().track = track);
 }
@@ -378,8 +378,8 @@ pub fn root(name: &'static str) -> ActiveSpan {
 
 /// Opens a root span *without* touching the thread's current context.
 /// The sharded frontend uses this for deferred roots that stay open
-/// across a whole flush while children run on worker threads via
-/// [`swap_current`].
+/// from a request's submission until the flush that runs it, which
+/// adopts the root via [`swap_current`].
 pub fn root_detached(name: &'static str) -> ActiveSpan {
     let trace = mint_trace_id();
     if !enabled() {

@@ -1,9 +1,8 @@
 //! Group-commit journal writer.
 //!
 //! The sharded server funnels every shard's events into **one** hash
-//! chain: at each barrier the coordinator merges the workers' event
-//! buffers in canonical (submission-position) order into a pending
-//! batch, and a commit appends the whole batch through
+//! chain: the coordinator queues them in execution (submission) order
+//! in a pending batch, and a commit appends the whole batch through
 //! [`hka_obs::Journal::append_batch`] followed by a single
 //! flush + fsync ([`hka_obs::DurableJournal::commit`]). Chaining is
 //! byte-identical to appending the same events one at a time — the

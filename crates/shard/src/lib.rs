@@ -1,70 +1,58 @@
 //! # hka-shard
 //!
-//! A sharded frontend for the paper's Trusted Server: users are
-//! hash-partitioned across N worker shards, each owning the
+//! A partitioned frontend for the paper's Trusted Server: users are
+//! hash-partitioned across N shards, each holding the
 //! `TrustedServer`-style per-user state (pseudonym, privacy profile,
 //! LBQID monitors, pattern bookkeeping) and the PHL store partition of
-//! its users. The coordinator owns the only spatial index.
+//! its users. The coordinator owns everything global — the mode ladder,
+//! mix-zones, outbox, journal — and the only spatial index.
 //!
-//! ## Execution model: canonical-order phases
+//! ## One execution order
 //!
 //! Events are submitted with a global **position** (their submission
-//! order) and classified:
+//! order) and run at [`ShardedTs::flush`], one at a time and in
+//! position order, on the coordinator: the same `hka_core::strategy`
+//! code the sequential server runs, against a host that reads the
+//! issuing user's partition and, for crowd searches, the union of all
+//! of them. Message ids and pseudonyms come from the coordinator's one
+//! counter, so a sharded run issues the ids a sequential run would.
 //!
-//! * **parallel-safe** — location ingests, and requests whose effective
-//!   privacy is *off* for the addressed service (the exact-forward
-//!   path): these touch only the issuing user's shard, so consecutive
-//!   runs of them execute concurrently, one `std::thread::scope` worker
-//!   per shard, each shard replaying its slice in position order;
-//! * **serialization points** — every protected (pattern-matching)
-//!   request, and *all* events once a fault plan is attached or a
-//!   randomizer is configured: the scheduler drains the parallel stage
-//!   to quiescence (a **barrier**, which is also the epoch tick that
-//!   publishes the workers' index deltas), commits the journal, and
-//!   runs the event on the coordinator against the union of all shards.
-//!
-//! Cross-shard reads on the serialized path go through one
+//! Cross-shard reads go through one
 //! [`UnionIndex`](hka_trajectory::UnionIndex) — a single index over
 //! every shard's users, built from the shard stores the first time a
-//! protected request needs it and kept current from then on by the
-//! observations each barrier publishes. Because the barrier drains
-//! every worker before a protected request runs, the union has zero
-//! lag, holds exactly the points a sequential server's index would,
-//! and the differential tests pin byte equality. A server that never
-//! sees a protected request never builds it.
+//! protected request needs it and kept current from then on by every
+//! recorded observation. It holds exactly the points a sequential
+//! server's index would. A server that never sees a protected request
+//! never builds it.
 //!
 //! ## Group-commit journal
 //!
-//! All shards' events funnel into **one** hash chain: workers buffer
-//! `(position, event)` pairs, the barrier merges them in canonical
-//! order, and a commit appends the whole batch with a single
-//! flush + fsync (see [`crate::commit`]'s module docs in the source for
-//! the batched retry semantics). `verify_chain` and `hka-audit` accept
-//! the result unchanged — batching alters durability cadence, not one
-//! byte of the chain.
+//! All shards' events funnel into **one** hash chain: they queue in a
+//! pending batch in execution order, and a commit appends the whole
+//! batch with a single flush + fsync (see [`crate::commit`]'s module
+//! docs in the source for the batched retry semantics). The journal
+//! commits before each protected request, before every request while a
+//! fault plan is attached, and once at the end of each flush; a
+//! privacy-off request therefore sees the mode as of the last commit.
+//! `verify_chain` and `hka-audit` accept the result unchanged —
+//! batching alters durability cadence, not one byte of the chain.
 //!
 //! ## Equivalence contract
 //!
-//! For every shard count, [`ShardedTs`] produces **identical per-user
-//! outcomes** to the sequential [`TrustedServer`](hka_core::TrustedServer)
-//! run over the same submissions: outcome kind, forwarded context box,
-//! service, suppression reason, per-user event order, and canonical
-//! global event order all match. Message ids and pseudonyms come from
-//! disjoint per-shard id spaces (shard *i* allocates
-//! `((i+1) << 48) | n`), so their *values* differ unless every event
-//! serializes — with a fault plan or randomizer attached the sharded
-//! server replays the sequential id allocation exactly.
+//! For every shard count, [`ShardedTs`] produces **identical outcomes**
+//! to the sequential [`TrustedServer`](hka_core::TrustedServer) run over
+//! the same submissions — outcome kind, forwarded context box, service,
+//! suppression reason, message id and pseudonym — and, with a healthy
+//! journal, the same journal bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod commit;
 mod serial;
-mod worker;
 
 use crate::commit::GroupCommit;
-use crate::serial::{shard_of, Coordinator, SerialHost};
-use crate::worker::{ShardState, Work, WorkKind};
+use crate::serial::{shard_of, Coordinator, SerialHost, Shard};
 use hka_anonymity::{historical_k_anonymity, HkOutcome, MsgId, Pseudonym, ServiceId, SpRequest};
 use hka_core::checkpoint::{
     stats_to_json, AUDIT_SECTION, SERVER_SECTION, STATS_SECTION, STORE_SECTION,
@@ -81,28 +69,12 @@ use hka_lbqid::{Lbqid, Monitor};
 use hka_obs::checkpoint::{anchor_payload, Snapshot};
 use hka_obs::{DurableJournal, CHECKPOINT_KIND};
 use hka_trajectory::{TrajectoryStore, UserId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Classification metadata the scheduler keeps outside the shards, so
-/// submissions can be routed without touching (possibly busy) worker
-/// state: whether privacy is on at registration, and per-service
-/// overrides.
-#[derive(Debug, Clone)]
-struct PrivacyMeta {
-    base_on: bool,
-    overrides: BTreeMap<ServiceId, bool>,
-}
-
-impl PrivacyMeta {
-    fn on_for(&self, service: ServiceId) -> bool {
-        *self.overrides.get(&service).unwrap_or(&self.base_on)
-    }
-}
-
 /// Per-request tracing/SLO bookkeeping: the deferred root span opened
-/// at submission (kept open across the whole flush while children run
-/// on worker threads) and the submission instant for latency samples.
+/// at submission (kept open until the flush that runs the request
+/// settles it) and the submission instant for latency samples.
 #[derive(Debug)]
 struct ReqMeta {
     root: hka_obs::trace::ActiveSpan,
@@ -113,7 +85,6 @@ struct ReqMeta {
 #[derive(Debug, Clone, Copy)]
 enum Submitted {
     Location {
-        pos: u64,
         user: UserId,
         at: StPoint,
     },
@@ -131,10 +102,8 @@ enum Submitted {
 /// them with [`ShardedTs::flush`], and collect request outcomes (tagged
 /// with their submission position) via [`ShardedTs::take_outcomes`].
 pub struct ShardedTs {
-    shards: Vec<ShardState>,
+    shards: Vec<Shard>,
     co: Coordinator,
-    registered: BTreeSet<UserId>,
-    privacy: BTreeMap<UserId, PrivacyMeta>,
     queue: Vec<Submitted>,
     outcomes: Vec<(u64, UserId, Result<RequestOutcome, TsError>)>,
     /// Open request roots keyed by position; populated at submission
@@ -144,29 +113,18 @@ pub struct ShardedTs {
     slo: Option<hka_obs::SloMonitor>,
     next_pos: u64,
     epoch: u64,
-    parallel_threshold: usize,
     /// Submission position → `(req_id, trace)` of envelopes submitted
     /// through the [`RequestService`] seam, consumed by `drain`.
     svc_pending: BTreeMap<u64, (u64, u64)>,
 }
 
 impl ShardedTs {
-    /// Creates an empty sharded TS with `shards` worker partitions
-    /// (clamped to at least 1).
+    /// Creates an empty sharded TS with `shards` partitions (clamped to
+    /// at least 1).
     pub fn new(config: TsConfig, shards: usize) -> Self {
-        let n = shards.max(1);
-        // On a single-core host worker threads cannot overlap; spawning
-        // them per barrier is pure overhead, so default to inline
-        // execution there (results are identical either way — the
-        // differential tests force the threaded path explicitly).
-        let single_core = std::thread::available_parallelism()
-            .map(|p| p.get() == 1)
-            .unwrap_or(false);
         ShardedTs {
-            shards: (0..n).map(|i| ShardState::new(i, &config)).collect(),
+            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
             co: Coordinator::new(config),
-            registered: BTreeSet::new(),
-            privacy: BTreeMap::new(),
             queue: Vec::new(),
             outcomes: Vec::new(),
             req_meta: BTreeMap::new(),
@@ -176,29 +134,18 @@ impl ShardedTs {
             slo: None,
             next_pos: 0,
             epoch: 0,
-            parallel_threshold: if single_core { usize::MAX } else { 64 },
             svc_pending: BTreeMap::new(),
         }
     }
 
-    /// Number of worker shards.
+    /// Number of partitions.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// How many epochs (barrier publications of the workers' index
-    /// deltas) have elapsed.
+    /// How many flushes have run queued events.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Minimum staged batch size before the scheduler spawns worker
-    /// threads; smaller batches run inline (thread spawn costs more
-    /// than it saves). One-shard servers always run inline. Pass `0` to
-    /// force the threaded path, `usize::MAX` to always run inline (the
-    /// default on single-core hosts).
-    pub fn set_parallel_threshold(&mut self, threshold: usize) {
-        self.parallel_threshold = threshold;
     }
 
     /// The union index generation stamp — bumps on every index mutation
@@ -211,11 +158,10 @@ impl ShardedTs {
     /// Folds PHL points older than the policy cutoff on **every shard**
     /// (the sharded analogue of
     /// [`compact_history`](hka_core::TrustedServer::compact_history)):
-    /// drains the queue to quiescence, compacts each shard's store, and
-    /// **invalidates the union index** — a removal is exactly what the
-    /// insert-only delta stream cannot express, so any generation
-    /// spanning the compaction is discarded and the next protected
-    /// request rebuilds from the folded stores.
+    /// runs the queue, compacts each shard's store, and **invalidates
+    /// the union index** — a removal is exactly what an insert cannot
+    /// express, so any generation spanning the compaction is discarded
+    /// and the next protected request rebuilds from the folded stores.
     ///
     /// When a journal is attached, one deterministic `ts.compaction`
     /// chain record (fields: `at`, `dropped`, `kept`) is appended
@@ -273,11 +219,11 @@ impl ShardedTs {
     }
 
     // ------------------------------------------------------------------
-    // Setup (serial; drains any queued events first).
+    // Setup (runs any queued events first).
     // ------------------------------------------------------------------
 
-    /// Registers a user; returns the initial pseudonym (allocated from
-    /// the coordinator's id space, matching the sequential server).
+    /// Registers a user; returns the initial pseudonym (the same one the
+    /// sequential server would allocate).
     ///
     /// # Panics
     /// On the same conditions as the sequential
@@ -305,23 +251,15 @@ impl ShardedTs {
         if let Some(p) = &params {
             p.validate().map_err(TsError::InvalidParams)?;
         }
-        if self.registered.contains(&user) {
+        let sid = shard_of(self.shards.len(), user);
+        let shard = &mut self.shards[sid];
+        if shard.users.contains_key(&user) {
             return Err(TsError::DuplicateUser(user));
         }
         let pseudonym = Pseudonym(self.co.next_pseudonym);
         self.co.next_pseudonym += 1;
-        let sid = shard_of(self.shards.len(), user);
-        let shard = &mut self.shards[sid];
         shard.users.insert(user, UserState::new(pseudonym, params));
         shard.store.ensure_user(user);
-        self.registered.insert(user);
-        self.privacy.insert(
-            user,
-            PrivacyMeta {
-                base_on: params.is_some(),
-                overrides: BTreeMap::new(),
-            },
-        );
         Ok(pseudonym)
     }
 
@@ -374,45 +312,29 @@ impl ShardedTs {
             .get_mut(&user)
             .ok_or(TsError::UnknownUser(user))?;
         state.overrides.insert(service, params);
-        self.privacy
-            .get_mut(&user)
-            .expect("privacy metadata tracks registration")
-            .overrides
-            .insert(service, params.is_some());
         Ok(())
     }
 
-    /// Registers a service's tolerance constraints (replicated to every
-    /// shard — the strategy resolves the tolerance on both paths).
+    /// Registers a service's tolerance constraints.
     pub fn register_service(&mut self, service: ServiceId, tolerance: Tolerance) {
         self.flush();
         self.co.services.insert(service, tolerance);
-        for shard in &mut self.shards {
-            shard.services.insert(service, tolerance);
-        }
     }
 
-    /// Adds a static mix-zone (replicated to every shard for crossing
-    /// detection on the parallel ingest path).
+    /// Adds a static mix-zone.
     pub fn add_static_mixzone(&mut self, zone: Rect) {
         self.flush();
         self.co.mixzones.add_static_zone(zone);
-        for shard in &mut self.shards {
-            shard.static_zones.push(zone);
-        }
     }
 
-    /// Attaches a fault-injection plan. Faults make every event a
-    /// serialization point: the shared plan's triggers (`Once`,
-    /// `EveryNth`, windows) must observe the exact sequential order of
-    /// site checks, so the scheduler stops running anything in parallel.
+    /// Attaches a fault-injection plan. From then on the journal also
+    /// commits before every request, not only before protected ones, so
+    /// journal faults walk the mode ladder at the request boundaries the
+    /// sequential server's per-event sink would.
     pub fn attach_faults(&mut self, injector: FaultInjector) {
         self.flush();
-        for shard in &mut self.shards {
-            shard.injector = injector.clone();
-        }
         self.co.injector = injector;
-        self.co.serialize_all = true;
+        self.co.commit_each_request = true;
     }
 
     /// Routes every logged event into a durable hash-chained journal
@@ -467,8 +389,8 @@ impl ShardedTs {
     // ------------------------------------------------------------------
 
     /// The group-commit sink's chain position `(records, head)`, or
-    /// `None` when no journal is attached. Meaningful only at a commit
-    /// barrier with nothing pending — exactly where
+    /// `None` when no journal is attached. Meaningful only right after a
+    /// commit with nothing pending — exactly where
     /// [`ShardedTs::write_checkpoint`] reads it.
     pub fn journal_position(&self) -> Option<(u64, String)> {
         self.co.journal.as_ref().map(|sink| sink.position())
@@ -509,10 +431,10 @@ impl ShardedTs {
         }
     }
 
-    /// Writes a **coordinated cross-shard checkpoint** at an epoch
-    /// boundary: drains the queue to quiescence (a barrier), commits the
-    /// pending batch so the on-disk chain covers every folded event,
-    /// snapshots the union of all shards (merged store + merged server
+    /// Writes a **coordinated cross-shard checkpoint** at a flush
+    /// boundary: runs the queue, commits the pending batch so the
+    /// on-disk chain covers every folded event, snapshots the union of
+    /// all shards (merged store + merged server
     /// meta + stats + resumed audit state), publishes it atomically
     /// through the [`Checkpointer`], and anchors it into the chain with
     /// a direct durable append on the group-commit sink.
@@ -609,7 +531,7 @@ impl ShardedTs {
     }
 
     /// Rebuilds a sharded server from a checkpoint snapshot, re-hashing
-    /// users (and their PHL partitions) across `shards` workers — the
+    /// users (and their PHL partitions) across `shards` partitions — the
     /// snapshot is shard-count-free, so recovery may scale the fleet up
     /// or down. The same conservative-restart rules as the sequential
     /// [`TrustedServer::restore`](hka_core::TrustedServer::restore)
@@ -644,17 +566,9 @@ impl ShardedTs {
                 shard.store.record(user, *p);
             }
         }
-        for (id, tol) in &meta.services {
-            sharded.co.services.insert(*id, *tol);
-            for shard in &mut sharded.shards {
-                shard.services.insert(*id, *tol);
-            }
-        }
+        sharded.co.services.extend(meta.services.iter().copied());
         for zone in &meta.static_zones {
             sharded.co.mixzones.add_static_zone(*zone);
-            for shard in &mut sharded.shards {
-                shard.static_zones.push(*zone);
-            }
         }
         for u in &meta.users {
             let shard = &mut sharded.shards[shard_of(n, u.user)];
@@ -668,18 +582,6 @@ impl ShardedTs {
                     monitors: Vec::new(),
                     patterns: Vec::new(),
                     at_risk: u.at_risk,
-                },
-            );
-            sharded.registered.insert(u.user);
-            sharded.privacy.insert(
-                u.user,
-                PrivacyMeta {
-                    base_on: u.params.is_some(),
-                    overrides: u
-                        .overrides
-                        .iter()
-                        .map(|(svc, p)| (*svc, p.is_some()))
-                        .collect(),
                 },
             );
         }
@@ -699,7 +601,7 @@ impl ShardedTs {
     pub fn submit_location(&mut self, user: UserId, at: StPoint) -> u64 {
         let pos = self.next_pos;
         self.next_pos += 1;
-        self.queue.push(Submitted::Location { pos, user, at });
+        self.queue.push(Submitted::Location { user, at });
         pos
     }
 
@@ -710,8 +612,9 @@ impl ShardedTs {
         self.next_pos += 1;
         if hka_obs::trace::enabled() || self.slo.is_some() {
             // Deferred root: opened detached (no thread frame) so it can
-            // stay live across the flush while children run on worker
-            // threads, and finished in position order afterwards.
+            // stay live until the flush that runs the request, which
+            // adopts it as the request's context and finishes it in
+            // position order afterwards.
             let mut root = hka_obs::trace::root_detached("ts.request");
             root.attr("pos", hka_obs::Json::from(pos));
             self.req_meta.insert(
@@ -731,114 +634,53 @@ impl ShardedTs {
         pos
     }
 
-    /// Whether a queued request is a serialization point (as opposed to
-    /// parallel-safe exact-forward work or an inline rejection).
-    fn serializes(&self, user: UserId, service: ServiceId) -> bool {
-        self.registered.contains(&user)
-            && (self.co.serialize_all || self.privacy[&user].on_for(service))
+    /// Whether the journal commits before this event runs: before a
+    /// protected request (it consults the mode ladder, so it must see a
+    /// freshly committed health), and before any registered user's
+    /// request while a fault plan is attached.
+    fn commits_before(&self, event: &Submitted) -> bool {
+        let Submitted::Request { user, service, .. } = *event else {
+            return false;
+        };
+        self.shards[shard_of(self.shards.len(), user)]
+            .users
+            .get(&user)
+            .is_some_and(|st| self.co.commit_each_request || st.params_for(service).is_some())
     }
 
-    /// Runs every queued event through the phase scheduler and commits
-    /// the journal.
+    /// Runs every queued event in submission order and commits the
+    /// journal.
     ///
-    /// Co-arriving serialized requests are **batched**: a maximal run of
-    /// consecutive protected requests crosses one barrier (one epoch
-    /// publication) and then executes through a single Algorithm-1 pass
+    /// Co-arriving protected requests are **batched**: a maximal run of
+    /// consecutive ones executes as a single Algorithm-1 pass
     /// ([`strategy::handle_request_batch_on`]-shaped: commit, run,
     /// repeat), sharing the live union index and its generation-keyed
-    /// query memo across the run. The per-request commit cadence is
-    /// exactly what unbatched execution produced — a barrier between two
-    /// back-to-back serialized requests was always empty — so journal
-    /// bytes and the mode ladder are byte-for-byte unchanged.
+    /// query memo across the run (`ts.request_batches` and
+    /// `ts.batched_requests` count them).
     pub fn flush(&mut self) {
         if self.queue.is_empty() {
             return;
         }
         let q = std::mem::take(&mut self.queue);
-        let n = self.shards.len();
-        let mut staged: Vec<Vec<Work>> = (0..n).map(|_| Vec::new()).collect();
-        let mut staged_count = 0usize;
-        let mut i = 0usize;
+        let mut i = 0;
         while i < q.len() {
-            match q[i] {
-                Submitted::Location { pos, user, at } => {
-                    if self.co.serialize_all {
-                        self.run_barrier(&mut staged, &mut staged_count);
-                        self.run_serial_location(user, at);
-                    } else {
-                        staged[shard_of(n, user)].push(Work {
-                            pos,
-                            user,
-                            kind: WorkKind::Location { at },
-                            ctx: None,
-                        });
-                        staged_count += 1;
-                    }
-                    i += 1;
-                }
-                Submitted::Request {
-                    pos,
-                    user,
-                    at,
-                    service,
-                } => {
-                    if !self.registered.contains(&user) {
-                        // The sequential server counts the request
-                        // before rejecting it; keep totals identical.
-                        let _span = hka_obs::span("ts.handle_request");
-                        hka_obs::global().counter("ts.requests").incr();
-                        self.outcomes
-                            .push((pos, user, Err(TsError::UnknownUser(user))));
-                        i += 1;
-                    } else if !self.co.serialize_all && !self.privacy[&user].on_for(service) {
-                        staged[shard_of(n, user)].push(Work {
-                            pos,
-                            user,
-                            kind: WorkKind::Request { at, service },
-                            ctx: self.req_meta.get(&pos).and_then(|m| m.root.context()),
-                        });
-                        staged_count += 1;
-                        i += 1;
-                    } else {
-                        // The maximal run of consecutive serialized
-                        // requests starting here: one barrier, then the
-                        // whole run against the published epoch.
-                        let mut end = i + 1;
-                        while end < q.len() {
-                            match q[end] {
-                                Submitted::Request { user, service, .. }
-                                    if self.serializes(user, service) =>
-                                {
-                                    end += 1
-                                }
-                                _ => break,
-                            }
-                        }
-                        self.run_barrier(&mut staged, &mut staged_count);
-                        let metrics = hka_obs::global();
-                        metrics.counter("ts.request_batches").incr();
-                        metrics.counter("ts.batched_requests").add((end - i) as u64);
-                        for item in &q[i..end] {
-                            let Submitted::Request {
-                                pos,
-                                user,
-                                at,
-                                service,
-                            } = *item
-                            else {
-                                unreachable!("the run scan only admits requests");
-                            };
-                            // Serial requests consult the mode ladder, so
-                            // each must see a freshly committed health.
-                            self.co.commit();
-                            self.run_serial_request(pos, user, at, service);
-                        }
-                        i = end;
-                    }
-                }
+            if !self.commits_before(&q[i]) {
+                self.run(q[i]);
+                i += 1;
+                continue;
             }
+            let run = q[i..].iter().take_while(|e| self.commits_before(e)).count();
+            let metrics = hka_obs::global();
+            metrics.counter("ts.request_batches").incr();
+            metrics.counter("ts.batched_requests").add(run as u64);
+            for &event in &q[i..i + run] {
+                self.co.commit();
+                self.run(event);
+            }
+            i += run;
         }
-        self.run_barrier(&mut staged, &mut staged_count);
+        self.epoch += 1;
+        self.co.union.publish_inserts();
         self.finish_request_roots();
         self.co.commit();
     }
@@ -898,13 +740,11 @@ impl ShardedTs {
         }
     }
 
-    /// Flushes and returns all collected request outcomes, ordered by
-    /// canonical position.
+    /// Flushes and returns all collected request outcomes, in
+    /// submission order.
     pub fn take_outcomes(&mut self) -> Vec<(u64, UserId, Result<RequestOutcome, TsError>)> {
         self.flush();
-        let mut out = std::mem::take(&mut self.outcomes);
-        out.sort_by_key(|(pos, _, _)| *pos);
-        out
+        std::mem::take(&mut self.outcomes)
     }
 
     /// Convenience: submit one request, flush, and return its outcome —
@@ -933,107 +773,44 @@ impl ShardedTs {
     }
 
     // ------------------------------------------------------------------
-    // Phase execution.
+    // Execution.
     // ------------------------------------------------------------------
 
-    /// Drains the staged parallel work to quiescence and publishes a
-    /// new epoch: workers run their slices (threaded above the inline
-    /// threshold), then the coordinator merges events, outcomes, and
-    /// outbox entries back into canonical order.
-    fn run_barrier(&mut self, staged: &mut [Vec<Work>], staged_count: &mut usize) {
-        if *staged_count == 0 {
-            return;
-        }
-        let total = *staged_count;
-        *staged_count = 0;
-        for shard in &mut self.shards {
-            shard.mode = self.co.mode;
-        }
-        if self.shards.len() == 1 || total < self.parallel_threshold {
-            for (sid, work) in staged.iter_mut().enumerate() {
-                if work.is_empty() {
-                    continue;
-                }
-                // Inline execution still attributes spans to the shard's
-                // track, so the export looks the same either way.
-                hka_obs::trace::set_thread_track(sid as u32 + 1);
-                self.shards[sid].run(std::mem::take(work));
-            }
-            hka_obs::trace::set_thread_track(0);
-        } else {
-            std::thread::scope(|scope| {
-                for (shard, work) in self.shards.iter_mut().zip(staged.iter_mut()) {
-                    if work.is_empty() {
-                        continue;
-                    }
-                    let batch = std::mem::take(work);
-                    let track = shard.id as u32 + 1;
-                    scope.spawn(move || {
-                        hka_obs::trace::set_thread_track(track);
-                        shard.run(batch);
-                    });
-                }
-            });
-        }
-        self.epoch += 1;
-        self.merge_worker_buffers();
-    }
-
-    /// Merges the workers' per-batch buffers back into global state in
-    /// canonical (position, emission-index) order, so the ring, the
-    /// journal batch, and the outbox are indistinguishable from a
-    /// sequential execution.
-    fn merge_worker_buffers(&mut self) {
-        let mut events = Vec::new();
-        let mut outs = Vec::new();
-        let mut deltas = Vec::new();
-        for shard in &mut self.shards {
-            events.append(&mut shard.events_buf);
-            outs.append(&mut shard.outbox_buf);
-            deltas.append(&mut shard.deltas_buf);
-            for (pos, user, outcome) in shard.outcomes_buf.drain(..) {
-                self.outcomes.push((pos, user, Ok(outcome)));
-            }
-        }
-        // Publish this epoch's index deltas to the union in canonical
-        // position order (no-op — but still a drain — while the union is
-        // invalid; the next rebuild reads the authoritative stores
-        // instead).
-        self.co.union.apply_epoch(&mut deltas);
-        events.sort_by_key(|&(pos, idx, _, _)| (pos, idx));
-        for (_, _, e, at) in events {
-            self.co.emit_event(e, at);
-        }
-        outs.sort_by_key(|(pos, _, _)| *pos);
-        for (_, user, req) in outs {
-            self.co.routes.insert(req.msg_id, user);
-            self.co.outbox.push((user, req));
+    fn run(&mut self, event: Submitted) {
+        match event {
+            Submitted::Location { user, at } => self.run_location(user, at),
+            Submitted::Request {
+                pos,
+                user,
+                at,
+                service,
+            } => self.run_request(pos, user, at, service),
         }
     }
 
-    fn run_serial_location(&mut self, user: UserId, at: StPoint) {
-        let sid = shard_of(self.shards.len(), user);
-        let state = self.shards[sid].users.remove(&user);
+    fn run_location(&mut self, user: UserId, at: StPoint) {
         let mut host = SerialHost {
             co: &mut self.co,
             shards: &mut self.shards,
         };
-        match state {
-            Some(mut st) => {
-                strategy::location_update_on(&mut host, user, &mut st, at);
-                self.shards[sid].users.insert(user, st);
+        // Unregistered users are still observed by the positioning
+        // infrastructure (sequential behaviour). The user's state is
+        // touched only when the move enters a static mix-zone.
+        let ing = strategy::ingest_on(&mut host, user, at);
+        if !ing.entering {
+            return;
+        }
+        let sid = shard_of(host.shards.len(), user);
+        if let Some(mut state) = host.shards[sid].users.remove(&user) {
+            if state.params.is_some() {
+                strategy::change_pseudonym_on(&mut host, user, &mut state, ing.at);
             }
-            None => {
-                // Unregistered users are still observed by the
-                // positioning infrastructure (sequential behaviour).
-                strategy::ingest_on(&mut host, user, at);
-            }
+            host.shards[sid].users.insert(user, state);
         }
     }
 
-    fn run_serial_request(&mut self, pos: u64, user: UserId, at: StPoint, service: ServiceId) {
-        // Serialized requests run on the coordinator thread (track 0);
-        // adopt the request's root so Algorithm 1 / mix-zone stage spans
+    fn run_request(&mut self, pos: u64, user: UserId, at: StPoint, service: ServiceId) {
+        // Adopt the request's root so Algorithm 1 / mix-zone stage spans
         // parent under it.
         let handoff = self
             .req_meta
@@ -1042,18 +819,18 @@ impl ShardedTs {
             .map(|ctx| hka_obs::trace::swap_current(Some(ctx)));
         let _span = hka_obs::span("ts.handle_request");
         hka_obs::global().counter("ts.requests").incr();
-        let outcome = 'run: {
-            let sid = shard_of(self.shards.len(), user);
-            let Some(mut state) = self.shards[sid].users.remove(&user) else {
-                break 'run Err(TsError::UnknownUser(user));
-            };
-            let mut host = SerialHost {
-                co: &mut self.co,
-                shards: &mut self.shards,
-            };
-            let outcome = strategy::handle_request_on(&mut host, user, &mut state, at, service);
-            self.shards[sid].users.insert(user, state);
-            Ok(outcome)
+        let sid = shard_of(self.shards.len(), user);
+        let outcome = match self.shards[sid].users.remove(&user) {
+            None => Err(TsError::UnknownUser(user)),
+            Some(mut state) => {
+                let mut host = SerialHost {
+                    co: &mut self.co,
+                    shards: &mut self.shards,
+                };
+                let outcome = strategy::handle_request_on(&mut host, user, &mut state, at, service);
+                self.shards[sid].users.insert(user, state);
+                Ok(outcome)
+            }
         };
         self.outcomes.push((pos, user, outcome));
         drop(_span);
@@ -1289,7 +1066,10 @@ impl std::fmt::Debug for ShardedTs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedTs")
             .field("shards", &self.shards.len())
-            .field("users", &self.registered.len())
+            .field(
+                "users",
+                &self.shards.iter().map(|s| s.users.len()).sum::<usize>(),
+            )
             .field("epoch", &self.epoch)
             .field("mode", &self.co.mode)
             .finish()
@@ -1380,9 +1160,6 @@ mod tests {
     fn busy_sharded(dir: &Path, shards: usize) -> (ShardedTs, PathBuf) {
         let journal = dir.join("shard-journal.jsonl");
         let mut ts = ShardedTs::new(TsConfig::default(), shards);
-        // Serialize everything: the sharded server then replays the
-        // sequential id allocation, making runs comparable byte for byte.
-        ts.attach_faults(FaultInjector::none());
         ts.attach_journal(durable_file_journal(&journal));
         ts.register_service(ServiceId(1), Tolerance::new(1e8, 7_200));
         ts.add_static_mixzone(Rect::new(
@@ -1485,9 +1262,8 @@ mod tests {
         // request Algorithm 1 generalizes rebuilds the union from the
         // re-hashed stores, and from then on every outcome equals both
         // the original server's and a sequential server's restored from
-        // the same snapshot (everything serialized, so ids match too).
+        // the same snapshot, ids included.
         let mut restored = restored;
-        restored.attach_faults(FaultInjector::none());
         let mut seq = TrustedServer::restore(TsConfig::default(), &rec.snapshot).unwrap();
         // Monitors restart empty on restore: (re-)attach a pattern whose
         // first element the morning requests below match.

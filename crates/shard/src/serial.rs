@@ -1,28 +1,28 @@
-//! The coordinator and the serialized event path.
+//! The partitions, the coordinator, and the one event path.
 //!
-//! Everything a parallel-safe event can never touch lives here: the
+//! A [`Shard`] holds the per-user state and the PHL store of the users
+//! hashed onto it. Everything global lives on the [`Coordinator`]: the
 //! mix-zone manager (on-demand zones are global state), the randomizer,
 //! the service registry, the fault injector, the mode ladder, the
-//! outbox/routing table, and the group-commit journal. A serialization
-//! point runs against [`SerialHost`], which answers the extracted
-//! strategy's [`RequestHost`] capabilities over the *union* of all
-//! shards — Algorithm 1's candidate search goes through the
+//! outbox/routing table, the group-commit journal, and the server's one
+//! index. Every event runs against [`SerialHost`], which answers the
+//! extracted strategy's [`RequestHost`] capabilities over the *union* of
+//! all partitions — Algorithm 1's candidate search goes through the
 //! coordinator's [`UnionIndex`], and so does an unlink attempt's crowd
 //! search (the union names the users near the point, their shards hand
 //! out those PHLs), so every answer is bit-identical to the sequential
 //! server's.
 
 use crate::commit::GroupCommit;
-use crate::worker::ShardState;
 use hka_anonymity::{MsgId, Pseudonym, ServiceId, SpRequest};
-use hka_core::strategy::RequestHost;
+use hka_core::strategy::{RequestHost, UserState};
 use hka_core::{
     algorithm1_first_from, algorithm1_subsequent_from, EventLog, Generalization, JournalHealth,
     MixZoneManager, Randomizer, ServerMode, Tolerance, TsConfig, TsEvent, UnlinkDecision,
 };
 use hka_faults::FaultInjector;
 use hka_geo::{Point, StBox, StPoint, TimeSec};
-use hka_trajectory::{IndexDelta, UnionIndex, UserId};
+use hka_trajectory::{TrajectoryStore, UnionIndex, UserId};
 use std::collections::BTreeMap;
 
 /// Which shard owns a user: a stable hash of the id. Registration is
@@ -30,6 +30,15 @@ use std::collections::BTreeMap;
 /// way (the sequential server ingests those too).
 pub(crate) fn shard_of(shards: usize, user: UserId) -> usize {
     (user.0 % shards as u64) as usize
+}
+
+/// One partition: the complete per-user state (pseudonym, privacy
+/// profile, monitors, pattern bookkeeping) and the PHL store of the
+/// users hashed onto it. It holds no index of its own.
+#[derive(Default)]
+pub(crate) struct Shard {
+    pub users: BTreeMap<UserId, UserState>,
+    pub store: TrajectoryStore,
 }
 
 /// Coordinator-only state: global subsystems plus the group-commit
@@ -42,7 +51,7 @@ pub(crate) struct Coordinator {
     /// Ring + exact statistics (journaling is the group-commit sink's
     /// job, so the log itself never carries one).
     pub log: EventLog,
-    /// Events merged in canonical order, awaiting the next commit.
+    /// Events in execution order, awaiting the next commit.
     pub pending: Vec<(&'static str, TsEvent)>,
     pub journal: Option<GroupCommit>,
     pub outbox: Vec<(UserId, SpRequest)>,
@@ -50,16 +59,16 @@ pub(crate) struct Coordinator {
     pub next_msg: u64,
     pub next_pseudonym: u64,
     pub injector: FaultInjector,
-    /// Every event becomes a serialization point (fault plan attached,
-    /// or a randomizer configured): the sharded server then replays the
-    /// sequential server's exact id allocation and fault-site order.
-    pub serialize_all: bool,
+    /// A fault plan is attached: every request commits first, so the
+    /// shared plan's journal faults move the mode ladder at the same
+    /// request boundaries as on the sequential server.
+    pub commit_each_request: bool,
     pub mode: ServerMode,
     pub last_time: TimeSec,
     /// The one index of a sharded server (DESIGN.md §11): a union over
     /// all shards' users, built lazily from the shard stores at the
-    /// first protected request, kept current by per-epoch shard deltas,
-    /// invalidated by anything the delta stream cannot express.
+    /// first protected request, kept current by every recorded
+    /// observation, invalidated by anything an insert cannot express.
     pub union: UnionIndex,
 }
 
@@ -78,7 +87,7 @@ impl Coordinator {
             next_msg: 0,
             next_pseudonym: 0,
             injector: FaultInjector::none(),
-            serialize_all: config.randomize.is_some(),
+            commit_each_request: false,
             mode: ServerMode::Normal,
             last_time: TimeSec(0),
             union: UnionIndex::new(config.backend, config.index),
@@ -87,8 +96,7 @@ impl Coordinator {
 
     /// Folds one event into the ring + statistics and queues it for the
     /// next group commit. Unlike the sequential server, no journal write
-    /// happens here — health (and therefore mode) moves only at commit
-    /// barriers.
+    /// happens here — health (and therefore mode) moves only at commits.
     pub fn emit_event(&mut self, e: TsEvent, at: TimeSec) {
         self.last_time = at;
         if self.journal.is_some() {
@@ -143,11 +151,11 @@ impl Coordinator {
     }
 }
 
-/// The serialized-path host: the coordinator's global subsystems plus
-/// mutable access to every quiescent shard.
+/// The event-path host: the coordinator's global subsystems plus
+/// mutable access to every partition.
 pub(crate) struct SerialHost<'a> {
     pub co: &'a mut Coordinator,
-    pub shards: &'a mut [ShardState],
+    pub shards: &'a mut [Shard],
 }
 
 impl SerialHost<'_> {
@@ -173,13 +181,7 @@ impl RequestHost for SerialHost<'_> {
         self.shards[shard_of(self.shards.len(), user)]
             .store
             .record(user, at);
-        // Keep the union current on the serialized path too (position 0
-        // is fine: `apply` inserts immediately, no reordering happens).
-        self.co.union.apply(&IndexDelta {
-            pos: 0,
-            user,
-            point: at,
-        });
+        self.co.union.insert(user, at);
     }
 
     fn check_fault(&mut self, site: &str) -> bool {

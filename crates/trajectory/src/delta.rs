@@ -5,35 +5,32 @@
 //! neighbor in the PHL of **each user**", not each user on one shard —
 //! and so is the crowd an unlink looks for around a point, while the
 //! sharded trusted server partitions users (and their PHLs) across
-//! workers. [`UnionIndex`] is a single owned [`SpatialIndex`] over *all*
+//! shards. [`UnionIndex`] is a single owned [`SpatialIndex`] over *all*
 //! partitions, answering both ([`UnionIndex::k_nearest_users`],
 //! memoised per generation; [`UnionIndex::users_crossing`], a plain
-//! pass-through), kept current by the per-shard insertion deltas
-//! ([`IndexDelta`]) that worker batches publish at each epoch barrier:
+//! pass-through):
 //!
-//! * **Deltas.** Every observation a shard records during an epoch is
-//!   logged as an `IndexDelta` tagged with its canonical submission
-//!   position. At the barrier the coordinator drains all shards' delta
-//!   buffers, sorts by position, and applies them — the union then
-//!   holds exactly the points a sequential server would, inserted in
-//!   the same order. (Clamped re-timestamps arrive already normalized:
-//!   the ingestion path clamps before it records, so a delta stream
-//!   never violates per-user time ordering.)
+//! * **Inserts.** Every observation the server records on any shard is
+//!   inserted at once ([`UnionIndex::insert`]), in execution order —
+//!   the order a sequential server inserts into its own index — so the
+//!   union holds exactly the points a sequential server's index would.
+//!   Timestamps arrive normalized: the ingestion path clamps a
+//!   regression before it records.
 //!
-//! * **Generations.** Every mutation (delta application, rebuild,
-//!   invalidation) bumps a generation counter. Cached query results are
-//!   keyed by generation, so a stale answer can never be served — which
-//!   is what makes sharing identical queries across a batch of
-//!   co-arriving protected requests order-equivalent to sequential
-//!   processing by construction.
+//! * **Generations.** Every mutation (insert, rebuild, invalidation)
+//!   bumps a generation counter. Cached query results are keyed by
+//!   generation, so a stale answer can never be served — which is what
+//!   makes sharing identical queries across a batch of co-arriving
+//!   protected requests order-equivalent to one-by-one processing by
+//!   construction.
 //!
-//! * **Invalidation.** Anything the delta stream cannot express —
-//!   compaction (points *removed*), a restore that bypasses the record
-//!   path — calls [`UnionIndex::invalidate`]; the union lazily rebuilds
-//!   from the authoritative per-shard stores on the next query. A fresh
+//! * **Invalidation.** Anything an insert cannot express — compaction
+//!   (points *removed*), a restore that bypasses the record path — calls
+//!   [`UnionIndex::invalidate`]; the union lazily rebuilds from the
+//!   authoritative per-shard stores on the next query. A fresh
 //!   `UnionIndex` starts invalid for the same reason: it has not seen
 //!   the stores yet, and a server that never runs a protected request
-//!   never builds one.
+//!   never builds one (inserts into an invalid union are dropped).
 //!
 //! Exactness relies on the canonical equal-distance tie rule
 //! (`spatial::obs_cmp`): with scan-order-independent answers, a union
@@ -44,19 +41,6 @@
 use crate::{GridIndexConfig, IndexBackend, SpatialIndex, TrajectoryStore, UserId};
 use hka_geo::{StBox, StPoint};
 use std::collections::{BTreeSet, HashMap};
-
-/// One shard-published index mutation: `user` gained observation
-/// `point` at canonical submission position `pos`. Timestamps are
-/// post-normalization (the ingest path clamps regressions first).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IndexDelta {
-    /// Canonical submission position (global order across shards).
-    pub pos: u64,
-    /// The observed user.
-    pub user: UserId,
-    /// The indexed observation.
-    pub point: StPoint,
-}
 
 /// Memo key for a k-nearest query: seed coordinates (by bit pattern —
 /// exact equality, no epsilon), k, and the excluded user.
@@ -77,6 +61,8 @@ pub struct UnionIndex {
     live: bool,
     memo: HashMap<MemoKey, Vec<(UserId, StPoint)>>,
     memo_generation: u64,
+    /// Inserts not yet added to `union.deltas_applied`.
+    unpublished: u64,
 }
 
 impl UnionIndex {
@@ -92,6 +78,7 @@ impl UnionIndex {
             live: false,
             memo: HashMap::new(),
             memo_generation: 0,
+            unpublished: 0,
         }
     }
 
@@ -112,8 +99,8 @@ impl UnionIndex {
     }
 
     /// Marks the union stale and drops its storage. Call for anything
-    /// the delta stream cannot express: compaction, restore, a
-    /// shard-layout change. The next query rebuilds lazily.
+    /// an insert cannot express: compaction, restore, a shard-layout
+    /// change. The next query rebuilds lazily.
     pub fn invalidate(&mut self) {
         if self.live || !self.index.is_empty() {
             self.index = self.backend.make(self.config);
@@ -124,34 +111,26 @@ impl UnionIndex {
         hka_obs::global().counter("union.invalidations").incr();
     }
 
-    /// Applies one published delta. A no-op while invalid (the pending
-    /// rebuild will read the point from its store instead — callers
-    /// still drain their buffers so deltas are never applied twice).
-    pub fn apply(&mut self, delta: &IndexDelta) {
+    /// Indexes one recorded observation of `user`. A no-op while
+    /// invalid: the pending rebuild reads the point from its store.
+    pub fn insert(&mut self, user: UserId, point: StPoint) {
         if !self.live {
             return;
         }
-        self.index.insert(delta.user, delta.point);
+        self.index.insert(user, point);
         self.generation += 1;
-        hka_obs::global().counter("union.deltas_applied").incr();
+        self.unpublished += 1;
     }
 
-    /// Applies a drained epoch's deltas in canonical position order —
-    /// the same global insertion order a sequential server would use.
-    /// The slice may arrive unsorted (one run per shard); it is sorted
-    /// here by `pos`.
-    pub fn apply_epoch(&mut self, deltas: &mut Vec<IndexDelta>) {
-        if self.live && !deltas.is_empty() {
-            deltas.sort_by_key(|d| d.pos);
-            for d in deltas.iter() {
-                self.index.insert(d.user, d.point);
-            }
-            self.generation += 1;
+    /// Adds the inserts since the last call to the `union.deltas_applied`
+    /// counter: one registry lookup per batch of events, not one per
+    /// observation. Registers nothing while no insert has happened.
+    pub fn publish_inserts(&mut self) {
+        if self.unpublished > 0 {
             hka_obs::global()
                 .counter("union.deltas_applied")
-                .add(deltas.len() as u64);
+                .add(std::mem::take(&mut self.unpublished));
         }
-        deltas.clear();
     }
 
     /// Rebuilds the union from the authoritative partition stores (one
@@ -262,7 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn deltas_keep_the_union_equal_to_the_brute_scan_of_the_stores() {
+    fn inserts_keep_the_union_equal_to_the_brute_scan_of_the_stores() {
         let cfg = GridIndexConfig::default();
         let mut s: u64 = 7;
         let mut next = |m: f64| {
@@ -277,7 +256,6 @@ mod tests {
         let mut union = UnionIndex::new(IndexBackend::Grid, cfg);
         union.rebuild(stores.iter());
 
-        let mut pending: Vec<IndexDelta> = Vec::new();
         for pos in 0..120u64 {
             let user = UserId(next(15.0) as u64 + 1);
             let sid = (user.0 % shards as u64) as usize;
@@ -287,16 +265,11 @@ mod tests {
                 .map_or(0, |p| p.t.0);
             let p = sp(next(800.0), next(800.0), last_t + next(90.0) as i64);
             stores[sid].record(user, p);
-            pending.push(IndexDelta {
-                pos,
-                user,
-                point: p,
-            });
+            union.insert(user, p);
 
-            // Epoch barrier every 7 events: drain + apply, then compare
-            // against the exhaustive scan of the merged stores.
+            // Every 7 events, compare against the exhaustive scan of the
+            // merged stores.
             if pos % 7 == 6 {
-                union.apply_epoch(&mut pending);
                 let want = oracle(&stores, cfg);
                 assert_eq!(union.len(), want.len(), "pos={pos}");
                 let seed = sp(next(800.0), next(800.0), next(3600.0) as i64);
@@ -366,18 +339,14 @@ mod tests {
 
         // A mutation bumps the generation: the same query must see the
         // new point, not the memoized answer.
-        union.apply(&IndexDelta {
-            pos: 1,
-            user: UserId(2),
-            point: sp(1.0, 0.0, 0),
-        });
+        union.insert(UserId(2), sp(1.0, 0.0, 0));
         let after = union.k_nearest_users(&seed, 2, None);
         assert_eq!(after.len(), 2);
         assert_eq!(after[0].0, UserId(2));
     }
 
     #[test]
-    fn invalidation_drops_state_and_applies_become_noops() {
+    fn invalidation_drops_state_and_inserts_become_noops() {
         let mut union = UnionIndex::new(IndexBackend::Brute, GridIndexConfig::default());
         let mut store = TrajectoryStore::new();
         store.record(UserId(1), sp(1.0, 1.0, 0));
@@ -388,13 +357,10 @@ mod tests {
         assert!(!union.is_live());
         assert!(union.generation() > g);
         assert_eq!(union.len(), 0);
-        // Deltas against an invalid union are dropped, not queued: the
+        // Inserts into an invalid union are dropped, not queued: the
         // rebuild reads the authoritative store instead.
-        union.apply(&IndexDelta {
-            pos: 9,
-            user: UserId(2),
-            point: sp(2.0, 2.0, 0),
-        });
+        union.insert(UserId(2), sp(2.0, 2.0, 0));
+        assert_eq!(union.len(), 0);
         store.record(UserId(2), sp(2.0, 2.0, 0));
         union.rebuild([&store]);
         assert_eq!(union.len(), 2);

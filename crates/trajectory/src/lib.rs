@@ -32,8 +32,8 @@
 //! * [`SpatialIndex`] — the seam both implement and must answer
 //!   identically through; [`IndexBackend`] selects one at run time.
 //! * [`UnionIndex`] — the sharded server's one cross-shard reader: a
-//!   single index over every shard's users, kept current by per-epoch
-//!   [`IndexDelta`]s and rebuilt from the shard stores on demand.
+//!   single index over every shard's users, kept current by each
+//!   recorded observation and rebuilt from the shard stores on demand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,7 @@ mod user;
 
 pub use brute::BruteIndex;
 pub use compact::{CompactionPolicy, CompactionStats};
-pub use delta::{IndexDelta, UnionIndex};
+pub use delta::UnionIndex;
 pub use index::{GridIndex, GridIndexConfig};
 pub use phl::Phl;
 pub use spatial::{IndexBackend, SpatialIndex};

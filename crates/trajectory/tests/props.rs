@@ -4,7 +4,7 @@
 use hka_geo::{Rect, SpaceTimeScale, StBox, StPoint, TimeInterval, TimeSec};
 use hka_granules::Granularity;
 use hka_trajectory::{
-    brute, BruteIndex, CompactionPolicy, GridIndex, GridIndexConfig, IndexBackend, IndexDelta, Phl,
+    brute, BruteIndex, CompactionPolicy, GridIndex, GridIndexConfig, IndexBackend, Phl,
     SpatialIndex, TrajectoryStore, UnionIndex, UserId,
 };
 use proptest::prelude::*;
@@ -75,16 +75,16 @@ enum UnionOp {
     /// An out-of-order update whose timestamp the ingest path clamps
     /// forward onto the user's latest observation (`record_clamped`).
     Regress { u: u64, x: f64, y: f64, back: i64 },
-    /// An epoch barrier: every buffered delta drains into the union.
-    Epoch,
-    /// History compaction: barrier, per-shard compact + rebuild, and
-    /// union invalidation — exactly the sharded `compact_history` order.
+    /// A protected request reads the union (rebuilding it if dead).
+    Query,
+    /// History compaction: per-shard compact and union invalidation —
+    /// exactly the sharded `compact_history` order.
     Compact { keep: i64 },
 }
 
 fn arb_union_op() -> impl Strategy<Value = UnionOp> {
     // Weighted mix: mostly records, a sprinkle of clamped regressions
-    // and barriers, occasional compaction.
+    // and reads, occasional compaction.
     (0u32..11, 0u64..8, 0.0f64..1000.0, 0.0f64..1000.0, 1i64..600).prop_map(|(kind, u, x, y, a)| {
         match kind {
             0..=4 => UnionOp::Record {
@@ -94,7 +94,7 @@ fn arb_union_op() -> impl Strategy<Value = UnionOp> {
                 dt: a % 120,
             },
             5 | 6 => UnionOp::Regress { u, x, y, back: a },
-            7..=9 => UnionOp::Epoch,
+            7..=9 => UnionOp::Query,
             _ => UnionOp::Compact { keep: 60 + a % 540 },
         }
     })
@@ -379,10 +379,9 @@ proptest! {
     }
 
     /// The incremental union survives any interleaving of in-order
-    /// inserts, clamped re-timestamps, epoch rollovers, and history
-    /// compaction: at every epoch boundary (the only instants protected
-    /// requests can observe it) its answers are byte-identical to the
-    /// brute oracle's over the merged shard stores.
+    /// inserts, clamped re-timestamps, reads, and history compaction:
+    /// at every read its answers are byte-identical to the brute
+    /// oracle's over the merged shard stores.
     #[test]
     fn incremental_union_equals_fresh_union_under_interleaving(
         ops in prop::collection::vec(arb_union_op(), 1..60),
@@ -394,8 +393,6 @@ proptest! {
         let mut stores: Vec<TrajectoryStore> =
             (0..shards).map(|_| TrajectoryStore::new()).collect();
         let mut union = UnionIndex::new(IndexBackend::Grid, cfg);
-        let mut pending: Vec<IndexDelta> = Vec::new();
-        let mut pos = 0u64;
         let mut clock = 0i64;
         let mut last: std::collections::HashMap<u64, i64> = std::collections::HashMap::new();
 
@@ -422,8 +419,7 @@ proptest! {
                     let t = clock.max(last.get(u).copied().unwrap_or(i64::MIN));
                     let p = StPoint::xyt(*x, *y, TimeSec(t));
                     stores[(*u as usize) % shards].record(UserId(*u), p);
-                    pending.push(IndexDelta { pos, user: UserId(*u), point: p });
-                    pos += 1;
+                    union.insert(UserId(*u), p);
                     last.insert(*u, t);
                 }
                 UnionOp::Regress { u, x, y, back } => {
@@ -433,16 +429,12 @@ proptest! {
                     let clamped = stores[(*u as usize) % shards]
                         .record_clamped(UserId(*u), StPoint::xyt(*x, *y, TimeSec(raw)));
                     prop_assert_eq!(clamped, raw < floor, "clamp detection");
-                    // The delta carries the post-clamp timestamp, just as
+                    // The insert carries the post-clamp timestamp, just as
                     // the ingest path normalizes before recording.
-                    let p = StPoint::xyt(*x, *y, TimeSec(eff));
-                    pending.push(IndexDelta { pos, user: UserId(*u), point: p });
-                    pos += 1;
+                    union.insert(UserId(*u), StPoint::xyt(*x, *y, TimeSec(eff)));
                     last.insert(*u, eff);
                 }
-                UnionOp::Epoch => {
-                    union.apply_epoch(&mut pending);
-                    prop_assert!(pending.is_empty());
+                UnionOp::Query => {
                     if !union.is_live() {
                         union.rebuild(stores.iter());
                     }
@@ -450,19 +442,18 @@ proptest! {
                     prop_assert_eq!(
                         union.k_nearest_users(&seed, k, None),
                         oracle.k_nearest_users(&seed, k, None),
-                        "kNN after epoch"
+                        "kNN at a read"
                     );
                     prop_assert_eq!(
                         union.k_nearest_users(&seed, k, Some(UserId(0))),
                         oracle.k_nearest_users(&seed, k, Some(UserId(0))),
-                        "excluding kNN after epoch"
+                        "excluding kNN at a read"
                     );
                     prop_assert_eq!(union.len(), oracle.len());
                 }
                 UnionOp::Compact { keep } => {
-                    // Sharded compact_history order: flush (drain the
-                    // epoch), compact every shard, invalidate the union.
-                    union.apply_epoch(&mut pending);
+                    // Sharded compact_history order: compact every
+                    // shard, invalidate the union.
                     let policy = CompactionPolicy::new(*keep, Granularity::Minutes);
                     for s in stores.iter_mut() {
                         s.compact(TimeSec(clock), &policy);
@@ -474,9 +465,8 @@ proptest! {
             }
         }
 
-        // A final barrier: whatever state the schedule left behind must
+        // A final read: whatever state the schedule left behind must
         // still converge to the fresh union.
-        union.apply_epoch(&mut pending);
         if !union.is_live() {
             union.rebuild(stores.iter());
         }
@@ -484,12 +474,12 @@ proptest! {
         prop_assert_eq!(
             union.k_nearest_users(&seed, k, None),
             oracle.k_nearest_users(&seed, k, None),
-            "kNN at the final barrier"
+            "kNN at the final read"
         );
         prop_assert_eq!(
             union.k_nearest_users(&seed, k, Some(UserId(0))),
             oracle.k_nearest_users(&seed, k, Some(UserId(0))),
-            "excluding kNN at the final barrier"
+            "excluding kNN at the final read"
         );
         prop_assert_eq!(union.len(), oracle.len());
     }

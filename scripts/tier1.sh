@@ -46,7 +46,7 @@ cmp "$tmp/watch.json" "$tmp/audit.json"
 
 echo "== shard union (grid index vs its brute-force specification: bytes invariant) =="
 # Sequentially (one shard: the server's own index) and through the 4-shard
-# union.
+# union; the sequential and the 4-shard journals must match too.
 for shards in 1 4; do
     for index in grid brute; do
         cargo run --release -q --bin hka-sim -- simulate --days 2 --commuters 4 \
@@ -63,6 +63,7 @@ for shards in 1 4; do
     done
     cmp "$tmp/union-$shards-grid.journal" "$tmp/union-$shards-brute.journal"
 done
+cmp "$tmp/union-1-grid.journal" "$tmp/union-4-grid.journal"
 
 echo "== gateway (TCP differential + chaos drill + open-loop smoke) =="
 cargo test --release -q --test gateway

@@ -741,8 +741,9 @@ fn chaos_run(
 }
 
 /// [`chaos_run`] through the sharded frontend. A fault plan makes every
-/// event a serialization point, so the run exercises the group-commit
-/// journal and the coordinator's mode ladder under the same schedule.
+/// request commit the journal first, so the run exercises the
+/// group-commit journal and the coordinator's mode ladder under the
+/// same schedule.
 /// Events go through one at a time (submit + flush) so `mode()` read
 /// before each request is the mode its fail-closed gate will see.
 fn chaos_run_sharded(

@@ -108,10 +108,10 @@ fn hka_sim(args: &[&str]) -> std::process::Output {
 
 /// The gateway adds zero journal records and perturbs zero decisions:
 /// a TCP-served run is byte-identical to an in-process seam run. The
-/// backend is the 4-shard `ShardedTs` in serialized mode (randomizer
-/// attached), where the journal is required to replay the sequential
-/// execution exactly — so drain-cycle timing, which depends on thread
-/// scheduling inside the gateway, provably cannot leak into the bytes.
+/// backend is the 4-shard `ShardedTs` with the randomizer attached,
+/// whose journal replays the sequential execution exactly — so
+/// drain-cycle timing, which depends on thread scheduling inside the
+/// gateway, provably cannot leak into the bytes.
 #[test]
 fn gateway_journal_is_byte_identical_to_in_process() {
     let dir = TempDir::new("diff");

