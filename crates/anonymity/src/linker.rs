@@ -28,7 +28,7 @@ pub struct PseudonymLinker;
 
 impl Linker for PseudonymLinker {
     fn link(&self, a: &SpRequest, b: &SpRequest) -> f64 {
-        let _span = hka_obs::span("linker.link");
+        let _span = hka_obs::span!("linker.link");
         if a.pseudonym == b.pseudonym {
             1.0
         } else {
@@ -93,7 +93,7 @@ impl TrackerLinker {
 
 impl Linker for TrackerLinker {
     fn link(&self, a: &SpRequest, b: &SpRequest) -> f64 {
-        let _span = hka_obs::span("linker.link");
+        let _span = hka_obs::span!("linker.link");
         if a.pseudonym == b.pseudonym {
             return 1.0;
         }

@@ -506,9 +506,8 @@ impl Checkpointer {
 
     fn check(&self, site: &str) -> Option<FaultKind> {
         let kind = self.injector.check(site)?;
-        let metrics = hka_obs::global();
-        metrics.counter("faults.injected").incr();
-        metrics.counter(&format!("faults.{site}")).incr();
+        hka_obs::counter!("faults.injected").incr();
+        hka_obs::global().counter(&format!("faults.{site}")).incr();
         Some(kind)
     }
 
@@ -639,20 +638,15 @@ impl Checkpointer {
     /// genesis.
     pub fn note_committed(&mut self, path: &Path, bytes: u64, records: u64, started: Instant) {
         self.last_snapshot = Some(path.to_path_buf());
-        let metrics = hka_obs::global();
-        metrics.counter("ts.checkpoints").incr();
-        metrics.counter("ts.checkpoint_bytes").add(bytes);
-        metrics
-            .histogram("ts.checkpoint_write_ns")
-            .record(started.elapsed().as_nanos() as u64);
-        metrics
-            .gauge("ts.checkpoint_last_offset")
-            .set(records as i64);
+        hka_obs::counter!("ts.checkpoints").incr();
+        hka_obs::counter!("ts.checkpoint_bytes").add(bytes);
+        hka_obs::histogram!("ts.checkpoint_write_ns").record(started.elapsed().as_nanos() as u64);
+        hka_obs::gauge!("ts.checkpoint_last_offset").set(records as i64);
     }
 
     /// Counts a failed checkpoint attempt (`ts.checkpoint_failures`).
     pub fn note_failed(&self) {
-        hka_obs::global().counter("ts.checkpoint_failures").incr();
+        hka_obs::counter!("ts.checkpoint_failures").incr();
     }
 
     /// Stages the snapshot atomically: temp file + fsync + rename, with
@@ -824,6 +818,13 @@ mod tests {
         Journal::new(Box::new(std::io::BufWriter::new(file)))
     }
 
+    /// Serializes the tests that checkpoint: one of them counts its
+    /// checkpoint in the process-global `ts.checkpoints`.
+    fn checkpoint_lock() -> std::sync::MutexGuard<'static, ()> {
+        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// A server journaling to `dir/journal.jsonl` with a little traffic.
     fn busy_server(dir: &Path) -> (TrustedServer, PathBuf) {
         let journal = dir.join("journal.jsonl");
@@ -871,6 +872,7 @@ mod tests {
 
     #[test]
     fn checkpoint_then_restore_reproduces_the_server() {
+        let _g = checkpoint_lock();
         let dir = TempDir::new("roundtrip");
         let (mut ts, journal) = busy_server(&dir.0);
         let mut cp = Checkpointer::new(&journal, dir.0.join("snapshots"));
@@ -896,6 +898,7 @@ mod tests {
 
     #[test]
     fn audit_resume_from_checkpoint_is_byte_identical_to_genesis() {
+        let _g = checkpoint_lock();
         let dir = TempDir::new("audit-equiv");
         let (mut ts, journal) = busy_server(&dir.0);
         let mut cp = Checkpointer::new(&journal, dir.0.join("snapshots"));
@@ -916,6 +919,7 @@ mod tests {
 
     #[test]
     fn truncation_archives_the_prefix_and_keeps_the_chain_verifiable() {
+        let _g = checkpoint_lock();
         let dir = TempDir::new("truncate");
         let (mut ts, journal) = busy_server(&dir.0);
         let before = std::fs::metadata(&journal).unwrap().len();
@@ -946,6 +950,7 @@ mod tests {
 
     #[test]
     fn recovery_ladder_falls_back_past_a_doctored_snapshot() {
+        let _g = checkpoint_lock();
         let dir = TempDir::new("ladder");
         let (mut ts, journal) = busy_server(&dir.0);
         let mut cp = Checkpointer::new(&journal, dir.0.join("snapshots"));
@@ -976,6 +981,7 @@ mod tests {
     #[test]
     fn faults_on_the_checkpoint_path_leave_the_previous_state_authoritative() {
         use hka_faults::{FaultPlan, Trigger};
+        let _g = checkpoint_lock();
         for (site, kind) in [
             (sites::SNAPSHOT_WRITE, FaultKind::Torn),
             (sites::SNAPSHOT_WRITE, FaultKind::Io),
@@ -1022,6 +1028,7 @@ mod tests {
 
     #[test]
     fn checkpoint_metrics_are_exported() {
+        let _g = checkpoint_lock();
         let dir = TempDir::new("metrics");
         let (mut ts, journal) = busy_server(&dir.0);
         let mut cp = Checkpointer::new(&journal, dir.0.join("snapshots"));

@@ -426,14 +426,13 @@ impl JournalSink {
     /// effect happens — the boundary a live audit tail relies on.
     fn write(&mut self, event: &TsEvent) {
         let sync = event.sync_flush();
-        let metrics = hka_obs::global();
         if self.down {
-            metrics.counter("ts.journal_skipped").incr();
+            hka_obs::counter!("ts.journal_skipped").incr();
             return;
         }
         if self.skip > 0 {
             self.skip -= 1;
-            metrics.counter("ts.journal_skipped").incr();
+            hka_obs::counter!("ts.journal_skipped").incr();
             return;
         }
         let attempts = self.policy.attempts.max(1);
@@ -444,22 +443,22 @@ impl JournalSink {
                     // duplicate it — so a failed flush escalates
                     // without retrying the write, exactly like the
                     // group-commit fsync path.
-                    metrics.counter("ts.journal_errors").incr();
+                    hka_obs::counter!("ts.journal_errors").incr();
                     self.escalate();
                     return;
                 }
                 if sync {
-                    metrics.counter("ts.journal_sync_flushes").incr();
+                    hka_obs::counter!("ts.journal_sync_flushes").incr();
                 }
                 if self.failures > 0 {
-                    metrics.counter("ts.journal_recoveries").incr();
+                    hka_obs::counter!("ts.journal_recoveries").incr();
                 }
                 self.failures = 0;
                 return;
             }
-            metrics.counter("ts.journal_errors").incr();
+            hka_obs::counter!("ts.journal_errors").incr();
             if attempt + 1 < attempts {
-                metrics.counter("ts.journal_retries").incr();
+                hka_obs::counter!("ts.journal_retries").incr();
             }
         }
         // Every attempt failed: escalate.

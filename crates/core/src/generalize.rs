@@ -73,11 +73,9 @@ pub fn algorithm1_first(
     k: usize,
     tolerance: &Tolerance,
 ) -> Generalization {
-    let _span = hka_obs::span("algo1.generalize");
+    let _span = hka_obs::span!("algo1.generalize");
     let picks = index.k_nearest_users(seed, k, Some(requester));
-    hka_obs::global()
-        .counter("algo1.iterations")
-        .add(picks.len() as u64);
+    hka_obs::counter!("algo1.iterations").add(picks.len() as u64);
     finish(seed, picks, k, tolerance)
 }
 
@@ -135,7 +133,7 @@ pub fn algorithm1_subsequent_from<'p>(
     tolerance: &Tolerance,
     scale: &SpaceTimeScale,
 ) -> Generalization {
-    let _span = hka_obs::span("algo1.generalize");
+    let _span = hka_obs::span!("algo1.generalize");
     let mut picks: Vec<(UserId, f64, StPoint)> = stored_users
         .iter()
         .filter_map(|u| {
@@ -146,9 +144,7 @@ pub fn algorithm1_subsequent_from<'p>(
         .collect();
     picks.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     picks.truncate(k);
-    hka_obs::global()
-        .counter("algo1.iterations")
-        .add(picks.len() as u64);
+    hka_obs::counter!("algo1.iterations").add(picks.len() as u64);
     finish(
         seed,
         picks.into_iter().map(|(u, _, p)| (u, p)).collect(),
@@ -169,10 +165,8 @@ pub fn algorithm1_first_from(
     k: usize,
     tolerance: &Tolerance,
 ) -> Generalization {
-    let _span = hka_obs::span("algo1.generalize");
-    hka_obs::global()
-        .counter("algo1.iterations")
-        .add(picks.len() as u64);
+    let _span = hka_obs::span!("algo1.generalize");
+    hka_obs::counter!("algo1.iterations").add(picks.len() as u64);
     finish(seed, picks, k, tolerance)
 }
 

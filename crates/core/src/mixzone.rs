@@ -172,7 +172,7 @@ impl MixZoneManager {
         at: &StPoint,
         k: usize,
     ) -> UnlinkDecision {
-        let mut span = hka_obs::span("mixzone.try_unlink");
+        let mut span = hka_obs::span!("mixzone.try_unlink");
         span.attr("k", hka_obs::Json::from(k as u64));
         let probe = self.probe(at);
 
@@ -189,7 +189,7 @@ impl MixZoneManager {
                 candidates.push((user, heading));
             }
         }
-        hka_obs::global().counter("mixzone.candidates").add(read);
+        hka_obs::counter!("mixzone.candidates").add(read);
         span.attr("candidates", hka_obs::Json::from(read));
         let decision = self.decide(candidates, probe.rect, requester, at, k);
         let crowd = match &decision {
@@ -259,7 +259,7 @@ impl MixZoneManager {
         // The requester is one of the mixed users; k−1 diverging others
         // suffice for a crowd of k.
         if chosen.len() + 1 >= k.max(2) {
-            hka_obs::global().counter("mixzone.unlinked").incr();
+            hka_obs::counter!("mixzone.unlinked").incr();
             let until = at.t + cfg.cooldown;
             self.active.push(ActiveZone { rect: zone, until });
             let mut mixed: Vec<UserId> = chosen.into_iter().map(|(u, _)| u).collect();
@@ -271,7 +271,7 @@ impl MixZoneManager {
                 until,
             }
         } else {
-            hka_obs::global().counter("mixzone.infeasible").incr();
+            hka_obs::counter!("mixzone.infeasible").incr();
             UnlinkDecision::Infeasible {
                 available: chosen.len(),
             }
@@ -510,6 +510,8 @@ mod tests {
             k in 2usize..5,
             horizon in 0i64..200,
         ) {
+            // The feed is unordered in time: its reports get clamped.
+            let _g = crate::server::tests::reorder_lock();
             for backend in IndexBackend::ALL {
                 let config = TsConfig {
                     backend,

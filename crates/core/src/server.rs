@@ -416,8 +416,8 @@ impl TrustedServer {
             self,
             &tagged,
             |h, user| {
-                let _span = hka_obs::span("ts.handle_request");
-                hka_obs::global().counter("ts.requests").incr();
+                let _span = hka_obs::span!("ts.handle_request");
+                hka_obs::counter!("ts.requests").incr();
                 h.users.remove(&user)
             },
             |h, _i, user, settled| match settled {
@@ -448,8 +448,8 @@ impl TrustedServer {
         // SLO payloads referencing it are identical tracing on or off.
         let mut root = hka_obs::trace::root("ts.request");
         let started = std::time::Instant::now();
-        let _span = hka_obs::span("ts.handle_request");
-        hka_obs::global().counter("ts.requests").incr();
+        let _span = hka_obs::span!("ts.handle_request");
+        hka_obs::counter!("ts.requests").incr();
         let mut state = self.users.remove(&user).ok_or(TsError::UnknownUser(user))?;
         root.attr("uid", hka_obs::Json::from(state.pseudonym.0));
         let outcome = strategy::handle_request_on(self, user, &mut state, at, service);
@@ -503,9 +503,8 @@ impl TrustedServer {
         }
         let from = self.mode;
         self.mode = target;
-        let metrics = hka_obs::global();
-        metrics.counter("ts.mode_changes").incr();
-        metrics.gauge("ts.mode").set(match target {
+        hka_obs::counter!("ts.mode_changes").incr();
+        hka_obs::gauge!("ts.mode").set(match target {
             ServerMode::Normal => 0,
             ServerMode::Degraded => 1,
             ServerMode::ReadOnly => 2,
@@ -592,11 +591,8 @@ impl TrustedServer {
     ) -> hka_trajectory::CompactionStats {
         let stats = self.store.compact(now, policy);
         self.index = self.config.backend.build(&self.store, self.config.index);
-        let metrics = hka_obs::global();
-        metrics.counter("ts.compactions").incr();
-        metrics
-            .counter("ts.compacted_points")
-            .add(stats.points_dropped());
+        hka_obs::counter!("ts.compactions").incr();
+        hka_obs::counter!("ts.compacted_points").add(stats.points_dropped());
         stats
     }
 
@@ -924,16 +920,16 @@ impl RequestHost for TrustedServer {
         self.store.phl(user).and_then(|p| p.last()).copied()
     }
 
-    fn record(&mut self, user: UserId, at: StPoint) {
-        self.store.record(user, at);
-        self.index.insert(user, at);
+    fn record(&mut self, user: UserId, at: StPoint) -> (StPoint, Option<StPoint>) {
+        let (stored, prev) = self.store.record_with_prev(user, at);
+        self.index.insert(user, stored);
+        (stored, prev)
     }
 
     fn check_fault(&mut self, site: &str) -> bool {
         if self.injector.check(site).is_some() {
-            let metrics = hka_obs::global();
-            metrics.counter("faults.injected").incr();
-            metrics.counter(&format!("faults.{site}")).incr();
+            hka_obs::counter!("faults.injected").incr();
+            hka_obs::global().counter(&format!("faults.{site}")).incr();
             true
         } else {
             false
@@ -1032,11 +1028,18 @@ impl RequestHost for TrustedServer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{PrivacyParams, RiskAction};
     use hka_faults::sites;
     use hka_geo::{SpaceTimeScale, TimeSec};
+
+    /// Serializes the tests that clamp reordered timestamps: one of them
+    /// counts its clamps in the process-global `ts.reordered`.
+    pub(crate) fn reorder_lock() -> std::sync::MutexGuard<'static, ()> {
+        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn sp(x: f64, y: f64, t: i64) -> StPoint {
         StPoint::xyt(x, y, TimeSec(t))
@@ -1444,13 +1447,31 @@ mod tests {
 
     #[test]
     fn reordered_timestamps_are_clamped_not_fatal() {
+        let _g = reorder_lock();
         let mut s = ts();
         s.register_user(UserId(1), PrivacyLevel::Off);
         s.location_update(UserId(1), sp(0.0, 0.0, 100));
+        let reordered = || hka_obs::global().snapshot().counter("ts.reordered");
+        let before = reordered();
         s.location_update(UserId(1), sp(5.0, 0.0, 40)); // arrives late
+        assert_eq!(reordered(), before + 1, "one clamp, counted once");
         let phl = s.store().phl(UserId(1)).unwrap();
         assert_eq!(phl.len(), 2);
-        assert_eq!(phl.last().unwrap().t, TimeSec(100), "clamped forward");
+        assert_eq!(phl.last(), Some(&sp(5.0, 0.0, 100)), "clamped forward");
+        // The index holds the point the store holds.
+        assert_eq!(s.index().len(), 2);
+        let indexed = |at| s.index().users_crossing(&StBox::point(at));
+        assert!(indexed(sp(5.0, 0.0, 100)).contains(&UserId(1)));
+        assert!(indexed(sp(5.0, 0.0, 40)).is_empty());
+        // A PHL-write fault on a regressed report drops it before both.
+        s.attach_faults(FaultInjector::new(FaultPlan::new(7).with_rule(
+            sites::PHL_WRITE,
+            Trigger::Once(0),
+            FaultKind::Drop,
+        )));
+        s.location_update(UserId(1), sp(9.0, 0.0, 50));
+        assert_eq!(s.fault_injector().fired(sites::PHL_WRITE), 1);
+        assert_eq!((s.store().total_points(), s.index().len()), (2, 2));
         // A regressed *request* timestamp is clamped and still served.
         match s.handle_request(UserId(1), sp(6.0, 0.0, 70), SVC) {
             RequestOutcome::Forwarded(req) => {

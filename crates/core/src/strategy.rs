@@ -144,9 +144,14 @@ pub trait RequestHost {
     /// The last recorded PHL point for `user`, if any.
     fn phl_last(&self, user: UserId) -> Option<StPoint>;
     /// Records one observation into the PHL store and the
-    /// spatio-temporal index. Called only with timestamps already
-    /// normalized to be non-decreasing per user.
-    fn record(&mut self, user: UserId, at: StPoint);
+    /// spatio-temporal index, clamping a timestamp that regresses behind
+    /// the PHL's last point forward onto it (through
+    /// [`TrajectoryStore::record_with_prev`](hka_trajectory::TrajectoryStore::record_with_prev),
+    /// which counts the clamp). Returns the point as stored
+    /// and the PHL's previous last point (`None` for the user's first
+    /// point), read through the same lookup as the append: a location
+    /// report pays for one PHL lookup, not one per question.
+    fn record(&mut self, user: UserId, at: StPoint) -> (StPoint, Option<StPoint>);
     /// Consults the fault plan at `site`; a fired fault is counted
     /// (`faults.injected`, `faults.<site>`) and reported as `true`.
     fn check_fault(&mut self, site: &str) -> bool;
@@ -208,40 +213,39 @@ pub trait RequestHost {
 }
 
 /// Normalizes an out-of-order observation timestamp against the user's
-/// PHL: a regressed timestamp is clamped forward onto the last recorded
-/// one (counted in `ts.reordered`) instead of panicking the
+/// PHL without writing it: a regressed timestamp is clamped forward onto
+/// the last recorded one (counted in `ts.reordered`, see
+/// [`hka_trajectory::clamp_after`]) instead of panicking the
 /// time-ordered store.
-pub fn normalize_time_on<H: RequestHost>(host: &H, user: UserId, mut at: StPoint) -> StPoint {
-    if let Some(last) = host.phl_last(user) {
-        if at.t < last.t {
-            hka_obs::global().counter("ts.reordered").incr();
-            at.t = last.t;
-        }
-    }
-    at
+pub fn normalize_time_on<H: RequestHost>(host: &H, user: UserId, at: StPoint) -> StPoint {
+    hka_trajectory::clamp_after(host.phl_last(user), at)
 }
 
-/// Records one observation: timestamp normalization, PHL-write fault
-/// check, store + index insert, static-zone crossing detection.
+/// Records one observation: PHL-write fault check, store + index insert
+/// with timestamp normalization, static-zone crossing detection.
+///
+/// Counted (`ts.ingested`, once written), not timed: a location report
+/// costs a few hundred nanoseconds, less than a span around it would
+/// (DESIGN.md §9.4). [`handle_request_on`] times a request's own ingest
+/// step as `ts.stage.ingest`.
 pub fn ingest_on<H: RequestHost>(host: &mut H, user: UserId, at: StPoint) -> Ingest {
-    let _stage = hka_obs::span(hka_obs::stage::INGEST);
-    let at = normalize_time_on(host, user, at);
-    let entering = host.in_static_zone(&at.pos)
-        && host
-            .phl_last(user)
-            .is_some_and(|prev| !host.in_static_zone(&prev.pos));
+    // A fault fires on the site's hit count alone, so checking before
+    // the write drops the same observations as checking after it.
     if host.check_fault(sites::PHL_WRITE) {
         // The observation is lost before it reaches the store; the
         // forwarding boundary fails closed on the `recorded` flag.
         return Ingest {
-            at,
+            at: normalize_time_on(host, user, at),
             recorded: false,
             entering: false,
         };
     }
-    host.record(user, at);
+    let (stored, prev) = host.record(user, at);
+    hka_obs::counter!("ts.ingested").incr();
+    let entering = host.in_static_zone(&stored.pos)
+        && prev.is_some_and(|prev| !host.in_static_zone(&prev.pos));
     Ingest {
-        at,
+        at: stored,
         recorded: true,
         entering,
     }
@@ -272,7 +276,7 @@ pub fn change_pseudonym_on<H: RequestHost>(
     state: &mut UserState,
     at: StPoint,
 ) {
-    hka_obs::global().counter("ts.unlinks").incr();
+    hka_obs::counter!("ts.unlinks").incr();
     let new = host.fresh_pseudonym();
     let old = state.pseudonym;
     state.pseudonym = new;
@@ -324,9 +328,8 @@ pub fn fail_closed_on<H: RequestHost>(
     if !deny {
         return None;
     }
-    let metrics = hka_obs::global();
-    metrics.counter("ts.suppressed").incr();
-    metrics.counter("ts.suppressed_degraded").incr();
+    hka_obs::counter!("ts.suppressed").incr();
+    hka_obs::counter!("ts.suppressed_degraded").incr();
     host.emit(
         TsEvent::Suppressed {
             user,
@@ -351,7 +354,7 @@ pub fn forward_on<H: RequestHost>(
     service: ServiceId,
     disclosure: Disclosure,
 ) -> RequestOutcome {
-    let mut stage = hka_obs::span(hka_obs::stage::FORWARD);
+    let mut stage = hka_obs::span!(hka_obs::stage::FORWARD);
     let Disclosure {
         generalized,
         hk_ok,
@@ -373,10 +376,9 @@ pub fn forward_on<H: RequestHost>(
     };
     let req = SpRequest::new(msg_id, pseudonym, context, service);
     host.deliver(user, req.clone());
-    let metrics = hka_obs::global();
-    metrics.counter("ts.forwarded").incr();
+    hka_obs::counter!("ts.forwarded").incr();
     if generalized {
-        metrics.counter("ts.forwarded_generalized").incr();
+        hka_obs::counter!("ts.forwarded_generalized").incr();
     }
     host.emit(
         TsEvent::Forwarded {
@@ -436,7 +438,10 @@ pub fn handle_request_on<H: RequestHost>(
     service: ServiceId,
 ) -> RequestOutcome {
     // The request instant is part of the PHL ("for each request r_i
-    // there must be an element in the PHL of User(r_i)").
+    // there must be an element in the PHL of User(r_i)"). This is the
+    // request's ingest stage, timed whether or not a location report
+    // already wrote the point; the reports themselves are untimed.
+    let stage = hka_obs::span!(hka_obs::stage::INGEST);
     let at = normalize_time_on(host, user, at);
     let already_recorded = host.phl_last(user).is_some_and(|p| p == at);
     let mut faulted = false;
@@ -447,6 +452,7 @@ pub fn handle_request_on<H: RequestHost>(
             change_pseudonym_on(host, user, state, ing.at);
         }
     }
+    drop(stage);
 
     let tolerance = host.tolerance_for(service);
 
@@ -469,7 +475,7 @@ pub fn handle_request_on<H: RequestHost>(
 
     // Mix-zone suppression (static zones and cooling on-demand zones).
     if host.suppressed_at(&at) {
-        hka_obs::global().counter("ts.suppressed").incr();
+        hka_obs::counter!("ts.suppressed").incr();
         host.emit(
             TsEvent::Suppressed {
                 user,
@@ -487,7 +493,7 @@ pub fn handle_request_on<H: RequestHost>(
     // match an element in only one of the LBQIDs").
     let mut hit: Option<(usize, hka_lbqid::MatchEvent)> = None;
     {
-        let _stage = hka_obs::span(hka_obs::stage::LBQID_MATCH);
+        let _stage = hka_obs::span!(hka_obs::stage::LBQID_MATCH);
         for (mi, monitor) in state.monitors.iter_mut().enumerate() {
             if let Some(ev) = monitor.observe(at) {
                 hit = Some((mi, ev));
@@ -533,7 +539,7 @@ pub fn handle_request_on<H: RequestHost>(
 
     // Generalize with Algorithm 1.
     let (gen, step, k_req) = {
-        let mut stage = hka_obs::span(hka_obs::stage::ALGO1);
+        let mut stage = hka_obs::span!(hka_obs::stage::ALGO1);
         let pattern = &state.patterns[mi];
         let (gen, step, k_req) = if pattern.selected.is_empty() {
             let k0 = params.k_at_step(0);
@@ -590,7 +596,7 @@ pub fn handle_request_on<H: RequestHost>(
             .expect("a faulted request always fails closed");
     }
     let decision = {
-        let mut stage = hka_obs::span(hka_obs::stage::LINK_CHECK);
+        let mut stage = hka_obs::span!(hka_obs::stage::LINK_CHECK);
         let decision = host.try_unlink(user, &at, params.k);
         stage.attr(
             "unlinked",
@@ -603,7 +609,7 @@ pub fn handle_request_on<H: RequestHost>(
             change_pseudonym_on(host, user, state, at);
             // The request itself falls inside the just-activated zone:
             // service is interrupted while the crowd mixes.
-            hka_obs::global().counter("ts.suppressed").incr();
+            hka_obs::counter!("ts.suppressed").incr();
             host.emit(
                 TsEvent::Suppressed {
                     user,
@@ -620,7 +626,7 @@ pub fn handle_request_on<H: RequestHost>(
             // notified about it."
             state.at_risk = true;
             let name = state.monitors[mi].lbqid().name().to_owned();
-            hka_obs::global().counter("ts.at_risk").incr();
+            hka_obs::counter!("ts.at_risk").incr();
             host.emit(
                 TsEvent::AtRisk {
                     user,
@@ -660,7 +666,7 @@ pub fn handle_request_on<H: RequestHost>(
                     )
                 }
                 RiskAction::Suppress => {
-                    hka_obs::global().counter("ts.suppressed").incr();
+                    hka_obs::counter!("ts.suppressed").incr();
                     host.emit(
                         TsEvent::Suppressed {
                             user,

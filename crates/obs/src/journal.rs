@@ -790,9 +790,7 @@ pub fn recover(path: &std::path::Path) -> io::Result<(Journal<std::fs::File>, Re
     };
     let mut journal = Journal::resume(file, valid_records, prev_hash);
     if truncated_bytes > 0 {
-        crate::metrics::global()
-            .counter("ts.journal_recovered_bytes")
-            .add(truncated_bytes);
+        crate::counter!("ts.journal_recovered_bytes").add(truncated_bytes);
         journal.append(
             "journal.recovered",
             Json::obj([

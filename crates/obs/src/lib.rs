@@ -8,9 +8,12 @@
 //!   log₂-bucket latency histograms in a [`MetricsRegistry`];
 //!   [`global()`] is the process-wide instance the pipeline records
 //!   into, and [`MetricsRegistry::snapshot`] produces a point-in-time
-//!   [`MetricsSnapshot`] with p50/p95/p99 summaries.
-//! * **Spans** ([`span()`] / [`span!`]) — scope-guard timers; elapsed
-//!   nanoseconds land in the histogram named after the span on drop.
+//!   [`MetricsSnapshot`] with p50/p95/p99 summaries. Fixed-name sites
+//!   go through [`counter!`] / [`gauge!`], which look their metric up
+//!   once per call site and cache the `&'static` handle there.
+//! * **Spans** ([`span!`]) — scope-guard timers; elapsed nanoseconds
+//!   land in the histogram named after the span on drop, resolved once
+//!   per call site like [`counter!`].
 //! * **Journal** ([`journal`]) — a versioned append-only JSONL log
 //!   where each record carries a monotonic sequence number and a
 //!   SHA-256 hash chained over the previous record, so truncation,
@@ -50,7 +53,7 @@ pub use metrics::{
 };
 pub use ring::RingBuffer;
 pub use slo::{SloConfig, SloEvent, SloMonitor};
-pub use span::{span, SpanGuard};
+pub use span::SpanGuard;
 pub use tail::{JournalTailer, TailBatch, TailedRecord};
 pub use trace::{
     chrome_trace, validate_chrome_trace, ActiveSpan, SpanContext, SpanId, SpanRecord, TraceCheck,

@@ -2,13 +2,20 @@
 //! histograms, collected into point-in-time snapshots.
 //!
 //! Registration is lock-protected but recording is lock-free: looking up
-//! a metric hands back an `Arc` to its atomics, so hot paths pay one
-//! `BTreeMap` lookup on first touch and plain atomic ops thereafter
-//! (or zero lookups if they cache the handle).
+//! a metric by name takes a read lock and a `BTreeMap` walk, and hands
+//! back a `&'static` reference to its atomics. A registry never drops an
+//! entry ([`MetricsRegistry::reset`] zeroes in place), so a handle stays
+//! valid for the life of the process. The [`counter!`](crate::counter),
+//! [`gauge!`](crate::gauge), [`histogram!`](crate::histogram) and
+//! [`span!`](crate::span!) macros resolve
+//! their metric in the [`global`] registry once per call site and keep
+//! the handle in a site-local `static`: steady state is one atomic load
+//! of that cell, then plain atomic ops. Only names built at run time
+//! pay the by-name lookup on every call.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 use crate::json::Json;
 
@@ -209,11 +216,16 @@ impl HistogramSnapshot {
 
 /// Holds every registered metric. One global instance (see [`global`])
 /// serves the whole pipeline; separate instances are useful in tests.
+///
+/// Entries are leaked on creation and never freed, which is what lets
+/// lookups hand out `&'static` handles: a registry is meant to live as
+/// long as the process (the global one does; test-local ones register a
+/// handful of names).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
-    histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
+    counters: RwLock<BTreeMap<String, &'static Counter>>,
+    gauges: RwLock<BTreeMap<String, &'static Gauge>>,
+    histograms: RwLock<BTreeMap<String, &'static Histogram>>,
 }
 
 /// `std` locks poison on panic; metrics must survive a panicking test
@@ -224,46 +236,37 @@ macro_rules! lock {
     };
 }
 
+/// The entry named `name` in `map`, created (and leaked) on first use.
+fn entry<T: Default + Sync>(map: &RwLock<BTreeMap<String, &'static T>>, name: &str) -> &'static T {
+    if let Some(&m) = lock!(map.read()).get(name) {
+        return m;
+    }
+    let mut map = lock!(map.write());
+    map.entry(name.to_string())
+        .or_insert_with(|| Box::leak(Box::default()))
+}
+
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = lock!(self.counters.read()).get(name) {
-            return Arc::clone(c);
-        }
-        Arc::clone(
-            lock!(self.counters.write())
-                .entry(name.to_string())
-                .or_default(),
-        )
+    /// The counter named `name`, created on first use. Every call pays
+    /// the by-name lookup; a fixed name belongs in
+    /// [`counter!`](crate::counter), which pays it once per call site.
+    pub fn counter(&self, name: &str) -> &'static Counter {
+        entry(&self.counters, name)
     }
 
     /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = lock!(self.gauges.read()).get(name) {
-            return Arc::clone(g);
-        }
-        Arc::clone(
-            lock!(self.gauges.write())
-                .entry(name.to_string())
-                .or_default(),
-        )
+    pub fn gauge(&self, name: &str) -> &'static Gauge {
+        entry(&self.gauges, name)
     }
 
     /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = lock!(self.histograms.read()).get(name) {
-            return Arc::clone(h);
-        }
-        Arc::clone(
-            lock!(self.histograms.write())
-                .entry(name.to_string())
-                .or_default(),
-        )
+    pub fn histogram(&self, name: &str) -> &'static Histogram {
+        entry(&self.histograms, name)
     }
 
     /// Point-in-time copy of every metric.
@@ -287,6 +290,8 @@ impl MetricsRegistry {
     /// Zeroes every metric (keeps registrations). Intended for tests and
     /// between-run resets in long-lived processes.
     pub fn reset(&self) {
+        // In place: handles cached at call sites keep recording into
+        // what the next snapshot reports.
         for c in lock!(self.counters.read()).values() {
             c.0.store(0, Ordering::Relaxed);
         }
@@ -391,6 +396,47 @@ static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 /// callers don't have to thread a registry through every API.
 pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
+}
+
+/// Resolves a [`global`] metric once per call site: `$lookup` is the
+/// registry method, `$ty` its handle type. `$name` must be a constant
+/// expression (a literal or a `const`), so a cached handle can never
+/// stand for a name that changes between calls.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __site {
+    ($lookup:ident, $ty:ty, $name:expr) => {{
+        const SITE_NAME: &str = $name;
+        static SITE: ::std::sync::OnceLock<&'static $ty> = ::std::sync::OnceLock::new();
+        *SITE.get_or_init(|| $crate::global().$lookup(SITE_NAME))
+    }};
+}
+
+/// The [`global`] counter `name` as a `&'static Counter`, looked up once
+/// per call site and cached there: `hka_obs::counter!("ts.requests").incr()`.
+#[macro_export]
+macro_rules! counter {
+    ($name:expr) => {
+        $crate::__site!(counter, $crate::Counter, $name)
+    };
+}
+
+/// The [`global`] gauge `name` as a `&'static Gauge`, looked up once per
+/// call site and cached there.
+#[macro_export]
+macro_rules! gauge {
+    ($name:expr) => {
+        $crate::__site!(gauge, $crate::Gauge, $name)
+    };
+}
+
+/// The [`global`] histogram `name` as a `&'static Histogram`, looked up
+/// once per call site and cached there.
+#[macro_export]
+macro_rules! histogram {
+    ($name:expr) => {
+        $crate::__site!(histogram, $crate::Histogram, $name)
+    };
 }
 
 #[cfg(test)]

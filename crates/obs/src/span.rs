@@ -3,10 +3,16 @@
 //!
 //! ```
 //! {
-//!     let _span = hka_obs::span("algo1.generalize");
+//!     let _span = hka_obs::span!("algo1.generalize");
 //!     // ... the timed work ...
 //! } // histogram "algo1.generalize" records the elapsed nanoseconds here
 //! ```
+//!
+//! [`span!`](crate::span!) resolves its histogram in the
+//! [`global`](crate::global) registry once per call site, so a span
+//! costs its two clock reads and one histogram record, not a registry
+//! lookup; [`SpanGuard::start_in`] looks the name up on every call and is
+//! for registries other than the global one.
 //!
 //! When trace collection is enabled ([`trace::enable`](crate::trace))
 //! and a trace context is live on the thread, every guard additionally
@@ -16,11 +22,10 @@
 //! stack), so nested or out-of-order drops cannot misattribute
 //! durations or parentage.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::json::Json;
-use crate::metrics::{global, Histogram, MetricsRegistry};
+use crate::metrics::{Histogram, MetricsRegistry};
 use crate::trace::{self, ActiveSpan};
 
 /// A running span. Records elapsed nanoseconds into its histogram when
@@ -29,7 +34,7 @@ use crate::trace::{self, ActiveSpan};
 #[must_use = "a span records on Drop; binding it to `_` ends it immediately"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    histogram: Arc<Histogram>,
+    histogram: &'static Histogram,
     start: Instant,
     /// The trace child opened under the thread's current context. The
     /// guard owns it so drop order ties the trace interval to the
@@ -38,13 +43,19 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Starts a span recording into `registry`'s histogram `name`.
-    pub fn start_in(registry: &MetricsRegistry, name: &'static str) -> SpanGuard {
+    /// Starts a span named `name` recording into `histogram`.
+    pub fn start(histogram: &'static Histogram, name: &'static str) -> SpanGuard {
         SpanGuard {
-            histogram: registry.histogram(name),
+            histogram,
             start: Instant::now(),
             trace: trace::child(name),
         }
+    }
+
+    /// Starts a span recording into `registry`'s histogram `name`, looked
+    /// up by name on every call.
+    pub fn start_in(registry: &MetricsRegistry, name: &'static str) -> SpanGuard {
+        SpanGuard::start(registry.histogram(name), name)
     }
 
     /// Nanoseconds elapsed so far.
@@ -67,23 +78,23 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Starts a span recording into the [`global`] registry.
-pub fn span(name: &'static str) -> SpanGuard {
-    SpanGuard::start_in(global(), name)
-}
-
-/// Starts a span in the global registry; `span!("name")` mirrors the
-/// `tracing::span!` shape while staying dependency-free.
+/// Starts a span recording into the [`global`](crate::global) histogram
+/// `name`, resolved once per call site (see
+/// [`counter!`](crate::counter)); `span!("name")` mirrors the
+/// `tracing::span!` shape while staying dependency-free. `name` must be
+/// a constant expression.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
+    ($name:expr) => {{
+        const SPAN_NAME: &str = $name;
+        $crate::SpanGuard::start($crate::histogram!(SPAN_NAME), SPAN_NAME)
+    }};
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global;
 
     #[test]
     fn span_records_on_drop() {

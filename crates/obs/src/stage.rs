@@ -1,13 +1,15 @@
 //! Canonical pipeline-stage span names.
 //!
 //! The trusted server times each stage of request handling with a
-//! [`span`](crate::span) named by one of these constants, so the
+//! [`span!`](crate::span!) named by one of these constants, so the
 //! per-stage latency histograms produced by the pipeline, consumed by
 //! the bench harness, and exported into `BENCH_pipeline.json` all agree
 //! on naming. Keep these in sync with the stage list documented in
 //! DESIGN.md §9.
 
-/// Ingesting a location sample into the PHL and trajectory stores.
+/// A request's own ingest step: its location into the PHL and the index,
+/// unless a location report already wrote that point. Location reports
+/// outside a request are counted (`ts.ingested`), not timed.
 pub const INGEST: &str = "ts.stage.ingest";
 
 /// Matching the request position against registered LBQID monitors.

@@ -32,7 +32,6 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use crate::json::Json;
-use crate::metrics::global;
 use crate::ring::RingBuffer;
 
 /// Identifies one request's journey through the stack. Minted
@@ -237,7 +236,7 @@ thread_local! {
     };
     /// Cache of [`current`]'s answer — innermost live frame, else base.
     /// Updated by every frame/base mutation; `const`-initialized so the
-    /// read on the hot path (every `span()` call while collection is
+    /// read on the hot path (every `span!` guard while collection is
     /// enabled, live context or not) is a plain TLS load with no lazy
     /// registration and no `RefCell` borrow.
     static CURRENT: Cell<Option<SpanContext>> = const { Cell::new(None) };
@@ -479,7 +478,7 @@ impl Drop for ActiveSpan {
         };
         let mut ring = handle.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.push(record).is_some() {
-            global().counter("obs.trace_dropped").incr();
+            crate::counter!("obs.trace_dropped").incr();
         }
     }
 }
@@ -675,6 +674,7 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<TraceCheck, String> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::global;
     use std::sync::Mutex as StdMutex;
 
     /// Tests toggling the global collector must not interleave.

@@ -101,7 +101,6 @@ impl GroupCommit {
     /// cleared; on append failure it is retained for a byte-identical
     /// retry at a later commit.
     pub fn commit(&mut self, pending: &mut Vec<(&'static str, TsEvent)>) {
-        let metrics = hka_obs::global();
         // Group commits batch many requests, so the span is its own
         // root rather than a child of any one trace. Minted through the
         // same unconditional counter as request roots, keeping trace-id
@@ -110,9 +109,7 @@ impl GroupCommit {
         span.attr("batch", Json::from(pending.len() as u64));
         if self.down {
             if !pending.is_empty() {
-                metrics
-                    .counter("ts.journal_skipped")
-                    .add(pending.len() as u64);
+                hka_obs::counter!("ts.journal_skipped").add(pending.len() as u64);
                 pending.clear();
             }
             return;
@@ -130,28 +127,26 @@ impl GroupCommit {
             match self.journal.append_batch(pending) {
                 Ok(_) => {
                     let synced = self.journal.commit().is_ok();
-                    metrics
-                        .counter("ts.journal_committed")
-                        .add(pending.len() as u64);
-                    metrics.counter("ts.journal_commits").incr();
+                    hka_obs::counter!("ts.journal_committed").add(pending.len() as u64);
+                    hka_obs::counter!("ts.journal_commits").incr();
                     pending.clear();
                     if synced {
                         if self.failures > 0 {
-                            metrics.counter("ts.journal_recoveries").incr();
+                            hka_obs::counter!("ts.journal_recoveries").incr();
                         }
                         self.failures = 0;
                     } else {
                         // Appended but not durably synced: escalate, but
                         // never re-append (the chain has advanced).
-                        metrics.counter("ts.journal_errors").incr();
+                        hka_obs::counter!("ts.journal_errors").incr();
                         self.escalate();
                     }
                     return;
                 }
                 Err(_) => {
-                    metrics.counter("ts.journal_errors").incr();
+                    hka_obs::counter!("ts.journal_errors").incr();
                     if attempt + 1 < attempts {
-                        metrics.counter("ts.journal_retries").incr();
+                        hka_obs::counter!("ts.journal_retries").incr();
                     }
                 }
             }
@@ -159,9 +154,7 @@ impl GroupCommit {
         // Every attempt failed: the batch stays pending; escalate.
         self.escalate();
         if self.down && !pending.is_empty() {
-            metrics
-                .counter("ts.journal_skipped")
-                .add(pending.len() as u64);
+            hka_obs::counter!("ts.journal_skipped").add(pending.len() as u64);
             pending.clear();
         }
     }

@@ -179,11 +179,8 @@ impl ShardedTs {
             total.absorb(shard.store.compact(now, policy));
         }
         self.co.union.invalidate();
-        let metrics = hka_obs::global();
-        metrics.counter("ts.compactions").incr();
-        metrics
-            .counter("ts.compacted_points")
-            .add(total.points_dropped());
+        hka_obs::counter!("ts.compactions").incr();
+        hka_obs::counter!("ts.compacted_points").add(total.points_dropped());
         if let Some(sink) = &mut self.co.journal {
             let kept: u64 = self
                 .shards
@@ -670,9 +667,8 @@ impl ShardedTs {
                 continue;
             }
             let run = q[i..].iter().take_while(|e| self.commits_before(e)).count();
-            let metrics = hka_obs::global();
-            metrics.counter("ts.request_batches").incr();
-            metrics.counter("ts.batched_requests").add(run as u64);
+            hka_obs::counter!("ts.request_batches").incr();
+            hka_obs::counter!("ts.batched_requests").add(run as u64);
             for &event in &q[i..i + run] {
                 self.co.commit();
                 self.run(event);
@@ -817,8 +813,8 @@ impl ShardedTs {
             .get(&pos)
             .and_then(|m| m.root.context())
             .map(|ctx| hka_obs::trace::swap_current(Some(ctx)));
-        let _span = hka_obs::span("ts.handle_request");
-        hka_obs::global().counter("ts.requests").incr();
+        let _span = hka_obs::span!("ts.handle_request");
+        hka_obs::counter!("ts.requests").incr();
         let sid = shard_of(self.shards.len(), user);
         let outcome = match self.shards[sid].users.remove(&user) {
             None => Err(TsError::UnknownUser(user)),
@@ -1337,6 +1333,42 @@ mod tests {
             assert!(out.chain.verified(), "{site}: {:?}", out.chain.error);
             assert!(out.ok(), "{site}: {:?}", out.violations);
         }
+    }
+
+    #[test]
+    fn reordered_reports_are_stored_and_indexed_clamped_across_shards() {
+        let mut shd = ShardedTs::new(TsConfig::default(), 2);
+        shd.register_user(UserId(1), PrivacyLevel::Off);
+        shd.location_update(UserId(1), sp(0.0, 0.0, 100));
+        // Bring the union live, as a protected request would, so the
+        // record path inserts into it.
+        shd.co.union.rebuild(shd.shards.iter().map(|s| &s.store));
+        let reordered = || hka_obs::global().snapshot().counter("ts.reordered");
+        let before = reordered();
+        shd.location_update(UserId(1), sp(5.0, 0.0, 40)); // arrives late
+        assert_eq!(reordered(), before + 1, "one clamp, counted once");
+        let store = shd.merged_store();
+        assert_eq!(
+            store.phl(UserId(1)).unwrap().last(),
+            Some(&sp(5.0, 0.0, 100)),
+            "clamped forward"
+        );
+        assert_eq!(shd.co.union.len(), 2);
+        let indexed = |shd: &ShardedTs, at| shd.co.union.users_crossing(&StBox::point(at));
+        assert!(indexed(&shd, sp(5.0, 0.0, 100)).contains(&UserId(1)));
+        assert!(indexed(&shd, sp(5.0, 0.0, 40)).is_empty());
+        // A PHL-write fault on a regressed report drops it before both.
+        shd.attach_faults(FaultInjector::new(FaultPlan::new(7).with_rule(
+            sites::PHL_WRITE,
+            Trigger::Once(0),
+            FaultKind::Drop,
+        )));
+        shd.location_update(UserId(1), sp(9.0, 0.0, 50));
+        assert_eq!(shd.co.injector.fired(sites::PHL_WRITE), 1);
+        assert_eq!(
+            (shd.merged_store().total_points(), shd.co.union.len()),
+            (2, 2)
+        );
     }
 
     #[test]

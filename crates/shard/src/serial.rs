@@ -135,9 +135,8 @@ impl Coordinator {
         }
         let from = self.mode;
         self.mode = target;
-        let metrics = hka_obs::global();
-        metrics.counter("ts.mode_changes").incr();
-        metrics.gauge("ts.mode").set(match target {
+        hka_obs::counter!("ts.mode_changes").incr();
+        hka_obs::gauge!("ts.mode").set(match target {
             ServerMode::Normal => 0,
             ServerMode::Degraded => 1,
             ServerMode::ReadOnly => 2,
@@ -177,18 +176,18 @@ impl RequestHost for SerialHost<'_> {
             .copied()
     }
 
-    fn record(&mut self, user: UserId, at: StPoint) {
-        self.shards[shard_of(self.shards.len(), user)]
+    fn record(&mut self, user: UserId, at: StPoint) -> (StPoint, Option<StPoint>) {
+        let (stored, prev) = self.shards[shard_of(self.shards.len(), user)]
             .store
-            .record(user, at);
-        self.co.union.insert(user, at);
+            .record_with_prev(user, at);
+        self.co.union.insert(user, stored);
+        (stored, prev)
     }
 
     fn check_fault(&mut self, site: &str) -> bool {
         if self.co.injector.check(site).is_some() {
-            let metrics = hka_obs::global();
-            metrics.counter("faults.injected").incr();
-            metrics.counter(&format!("faults.{site}")).incr();
+            hka_obs::counter!("faults.injected").incr();
+            hka_obs::global().counter(&format!("faults.{site}")).incr();
             true
         } else {
             false

@@ -14,8 +14,8 @@
 //!   inserted at once ([`UnionIndex::insert`]), in execution order —
 //!   the order a sequential server inserts into its own index — so the
 //!   union holds exactly the points a sequential server's index would.
-//!   Timestamps arrive normalized: the ingestion path clamps a
-//!   regression before it records.
+//!   Timestamps arrive normalized: the record path clamps a regression
+//!   in the store and inserts the point as stored.
 //!
 //! * **Generations.** Every mutation (insert, rebuild, invalidation)
 //!   bumps a generation counter. Cached query results are keyed by
@@ -108,7 +108,7 @@ impl UnionIndex {
         self.live = false;
         self.generation += 1;
         self.memo.clear();
-        hka_obs::global().counter("union.invalidations").incr();
+        hka_obs::counter!("union.invalidations").incr();
     }
 
     /// Indexes one recorded observation of `user`. A no-op while
@@ -123,13 +123,11 @@ impl UnionIndex {
     }
 
     /// Adds the inserts since the last call to the `union.deltas_applied`
-    /// counter: one registry lookup per batch of events, not one per
+    /// counter: one atomic add per batch of events, not one per
     /// observation. Registers nothing while no insert has happened.
     pub fn publish_inserts(&mut self) {
         if self.unpublished > 0 {
-            hka_obs::global()
-                .counter("union.deltas_applied")
-                .add(std::mem::take(&mut self.unpublished));
+            hka_obs::counter!("union.deltas_applied").add(std::mem::take(&mut self.unpublished));
         }
     }
 
@@ -140,7 +138,7 @@ impl UnionIndex {
         self.live = true;
         self.generation += 1;
         self.memo.clear();
-        hka_obs::global().counter("union.rebuilds").incr();
+        hka_obs::counter!("union.rebuilds").incr();
     }
 
     /// The global k-nearest-users query against the live union, served
@@ -166,7 +164,7 @@ impl UnionIndex {
             exclude,
         );
         if let Some(hit) = self.memo.get(&key) {
-            hka_obs::global().counter("union.memo_hits").incr();
+            hka_obs::counter!("union.memo_hits").incr();
             return hit.clone();
         }
         let out = self.index.k_nearest_users(seed, k, exclude);

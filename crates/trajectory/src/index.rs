@@ -312,13 +312,13 @@ impl GridIndex {
 
     /// Distinct users with at least one observation inside `b`.
     pub fn users_crossing(&self, b: &StBox) -> BTreeSet<UserId> {
-        let _span = hka_obs::span("index.query");
+        let _span = hka_obs::span!("index.query");
         let mut out = BTreeSet::new();
         let probes = self.scan_box(b, |user| {
             out.insert(user);
             Continue(())
         });
-        hka_obs::global().counter("index.probes").add(probes);
+        hka_obs::counter!("index.probes").add(probes);
         out
     }
 
@@ -328,7 +328,7 @@ impl GridIndex {
         if limit == 0 {
             return 0;
         }
-        let _span = hka_obs::span("index.query");
+        let _span = hka_obs::span!("index.query");
         let mut seen = BTreeSet::new();
         let probes = self.scan_box(b, |user| {
             if seen.insert(user) && seen.len() >= limit {
@@ -337,7 +337,7 @@ impl GridIndex {
                 Continue(())
             }
         });
-        hka_obs::global().counter("index.probes").add(probes);
+        hka_obs::counter!("index.probes").add(probes);
         seen.len()
     }
 
@@ -389,9 +389,9 @@ impl GridIndex {
         k: usize,
         exclude: Option<UserId>,
     ) -> Vec<(UserId, StPoint)> {
-        let _span = hka_obs::span("index.query");
+        let _span = hka_obs::span!("index.query");
         let (out, cost) = self.search(seed, k, exclude);
-        hka_obs::global().counter("index.probes").add(cost.probes);
+        hka_obs::counter!("index.probes").add(cost.probes);
         out
     }
 

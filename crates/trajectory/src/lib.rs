@@ -55,5 +55,5 @@ pub use delta::UnionIndex;
 pub use index::{GridIndex, GridIndexConfig};
 pub use phl::Phl;
 pub use spatial::{IndexBackend, SpatialIndex};
-pub use store::TrajectoryStore;
+pub use store::{clamp_after, TrajectoryStore};
 pub use user::UserId;

@@ -44,26 +44,6 @@ impl Phl {
         self.points.push(p);
     }
 
-    /// Appends an observation, tolerating out-of-order arrival: a
-    /// timestamp that regresses behind the last recorded one is clamped
-    /// forward onto it (equal timestamps are legal) instead of
-    /// panicking. Returns `true` when the timestamp was clamped.
-    ///
-    /// This is the ingestion path for positioning feeds that may
-    /// deliver updates slightly out of order; [`Phl::push`] remains the
-    /// strict variant for callers that already guarantee ordering.
-    pub fn push_clamped(&mut self, mut p: StPoint) -> bool {
-        let clamped = match self.points.last() {
-            Some(last) if p.t < last.t => {
-                p.t = last.t;
-                true
-            }
-            _ => false,
-        };
-        self.points.push(p);
-        clamped
-    }
-
     /// Number of recorded observations.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -261,20 +241,6 @@ mod tests {
         let mut phl = Phl::new();
         phl.push(sp(0.0, 0.0, 10));
         phl.push(sp(1.0, 0.0, 5));
-    }
-
-    #[test]
-    fn push_clamped_normalizes_regressions() {
-        let mut phl = Phl::new();
-        assert!(!phl.push_clamped(sp(0.0, 0.0, 10)));
-        // A regressed timestamp lands at the last recorded time.
-        assert!(phl.push_clamped(sp(1.0, 0.0, 5)));
-        assert_eq!(phl.last().unwrap().t, TimeSec(10));
-        // In-order points are untouched.
-        assert!(!phl.push_clamped(sp(2.0, 0.0, 20)));
-        assert_eq!(phl.len(), 3);
-        // The history stays legal for the strict API afterwards.
-        phl.push(sp(3.0, 0.0, 20));
     }
 
     #[test]

@@ -33,12 +33,24 @@ impl TrajectoryStore {
 
     /// Records a location update, clamping an out-of-order timestamp
     /// forward onto the user's latest recorded one instead of
-    /// panicking (see [`Phl::push_clamped`]). Returns `true` when the
+    /// panicking (see [`clamp_after`]). Returns `true` when the
     /// timestamp was clamped.
     pub fn record_clamped(&mut self, user: UserId, p: StPoint) -> bool {
-        let clamped = self.phls.entry(user).or_default().push_clamped(p);
+        self.record_with_prev(user, p).0.t != p.t
+    }
+
+    /// Records a location update clamped like
+    /// [`record_clamped`](TrajectoryStore::record_clamped), reading the
+    /// PHL's last point through the same map entry it appends through.
+    /// Returns the point as stored and the point that was last before it
+    /// (`None` for the user's first point).
+    pub fn record_with_prev(&mut self, user: UserId, p: StPoint) -> (StPoint, Option<StPoint>) {
+        let phl = self.phls.entry(user).or_default();
+        let prev = phl.last().copied();
+        let p = clamp_after(prev, p);
+        phl.push(p);
         self.total_points += 1;
-        clamped
+        (p, prev)
     }
 
     /// Registers a user with an empty history (idempotent).
@@ -124,6 +136,21 @@ impl TrajectoryStore {
     }
 }
 
+/// The PHL's clamp rule: a timestamp that regresses behind `last` moves
+/// forward onto it (equal timestamps are legal in a PHL), counted in
+/// `ts.reordered`. Every clamp goes through here, so each is counted
+/// once: clamped writes apply it inside the store, and the trusted
+/// server applies it to a request's point before deciding on it.
+pub fn clamp_after(last: Option<StPoint>, mut p: StPoint) -> StPoint {
+    if let Some(last) = last {
+        if p.t < last.t {
+            hka_obs::counter!("ts.reordered").incr();
+            p.t = last.t;
+        }
+    }
+    p
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +179,26 @@ mod tests {
         assert!(s.record_clamped(UserId(1), sp(1.0, 0.0, 50)));
         assert_eq!(s.phl(UserId(1)).unwrap().last().unwrap().t, TimeSec(100));
         assert_eq!(s.total_points(), 2);
+    }
+
+    #[test]
+    fn record_with_prev_clamps_and_reports_the_previous_point() {
+        let mut s = TrajectoryStore::new();
+        assert_eq!(
+            s.record_with_prev(UserId(1), sp(0.0, 0.0, 100)),
+            (sp(0.0, 0.0, 100), None)
+        );
+        assert_eq!(
+            s.record_with_prev(UserId(1), sp(1.0, 0.0, 50)),
+            (sp(1.0, 0.0, 100), Some(sp(0.0, 0.0, 100))),
+            "a regressed timestamp is stored clamped"
+        );
+        assert_eq!(
+            s.record_with_prev(UserId(1), sp(2.0, 0.0, 160)),
+            (sp(2.0, 0.0, 160), Some(sp(1.0, 0.0, 100)))
+        );
+        assert_eq!(s.phl(UserId(1)).unwrap().last(), Some(&sp(2.0, 0.0, 160)));
+        assert_eq!(s.total_points(), 3);
     }
 
     #[test]

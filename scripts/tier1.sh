@@ -12,6 +12,30 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
+echo "== metric lookups (no literal-name registry lookup outside crates/obs) =="
+# Fixed names go through hka_obs::{counter,gauge,histogram,span}!, which
+# look the metric up once per call site; a by-name lookup takes a lock
+# and a map walk on every call. Any `.counter("…")`, `.gauge("…")` or
+# `.histogram("…")` fails unless its receiver is a snapshot: a
+# `snapshot()` call, or a variable bound from one or typed as one.
+# Test modules are exempt.
+lookups="$(find src crates examples -name '*.rs' -not -path 'crates/obs/*' \
+    -not -path '*/tests/*' -print0 |
+    xargs -0 perl -0777 -ne '
+        s/^#\[cfg\(test\)\]\s*(?:pub(?:\(crate\))?\s+)?mod\b.*//ms;
+        my %snap;
+        $snap{$1} = 1 while /let\s+(?:mut\s+)?(\w+)[^;=]*=[^;]*snapshot\(\)\s*;/g;
+        $snap{$1} = 1 while /(\w+)\s*:\s*&?(?:\w+::)*MetricsSnapshot\b/g;
+        while (/(\w+)(\(\))?\s*\.\s*(?:counter|gauge|histogram)\(\s*"/g) {
+            next if $2 ? $1 =~ /snapshot$/ : $snap{$1};
+            print "$ARGV:", 1 + (substr($_, 0, pos) =~ tr/\n//), "\n";
+        }')"
+if [ -n "$lookups" ]; then
+    echo "literal-name metric lookups (use hka_obs::counter! and friends):"
+    echo "$lookups"
+    exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 

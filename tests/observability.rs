@@ -231,3 +231,42 @@ fn cli_metrics_show_how_big_the_unlink_crowd_examined_was() {
         "{candidates} PHLs over {attempts} attempts is not neighbourhood-sized"
     );
 }
+
+/// Location reports are counted, not timed: `ts.ingested` counts every
+/// observation written, while the `ts.stage.ingest` histogram holds only
+/// requests' own ingests.
+#[test]
+fn cli_metrics_count_location_reports_and_time_only_request_ingests() {
+    let (ok, stdout, stderr) = hka_sim(&[
+        "simulate",
+        "--days",
+        "2",
+        "--commuters",
+        "4",
+        "--roamers",
+        "20",
+        "--metrics",
+    ]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    // The first number after a metric's name: a counter's value, a
+    // histogram's count.
+    let first = |name: &str| -> u64 {
+        stdout
+            .lines()
+            .find_map(|l| {
+                let mut cols = l.split_whitespace();
+                (cols.next() == Some(name)).then(|| cols.next()?.parse().ok())?
+            })
+            .unwrap_or_else(|| panic!("metric {name} missing from:\n{stdout}"))
+    };
+    let (ingested, requests) = (first("ts.ingested"), first("ts.requests"));
+    let timed = first(obs::stage::INGEST);
+    assert!(
+        ingested > requests,
+        "{ingested} ingests, {requests} requests"
+    );
+    assert!(
+        timed > 0 && timed <= requests,
+        "{timed} timed ingests over {requests} requests"
+    );
+}
