@@ -32,6 +32,8 @@
 //! | `err` | TS → client | a frame the TS refused (fail-closed) |
 //! | `bye` | TS → client | the gateway is draining this connection |
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use hka_anonymity::{Pseudonym, ServiceId};
 use hka_geo::{StPoint, TimeSec};
 use hka_obs::{json, Json};

@@ -42,6 +42,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod client;
 
@@ -204,12 +205,12 @@ pub struct Gateway {
     addr: SocketAddr,
     stats: Arc<GatewayStats>,
     stop: Arc<AtomicBool>,
-    listener_thread: Option<JoinHandle<()>>,
-    service_thread: Option<JoinHandle<Box<dyn RequestService + Send>>>,
+    listener_thread: JoinHandle<()>,
+    service_thread: JoinHandle<Box<dyn RequestService + Send>>,
     /// Keeps the service-queue sender alive until shutdown; the
     /// service thread exits when every sender (this one + per-conn
     /// clones) is gone.
-    cmd_tx: Option<SyncSender<Cmd>>,
+    cmd_tx: SyncSender<Cmd>,
 }
 
 impl Gateway {
@@ -250,9 +251,9 @@ impl Gateway {
             addr: local,
             stats,
             stop,
-            listener_thread: Some(listener_thread),
-            service_thread: Some(service_thread),
-            cmd_tx: Some(cmd_tx),
+            listener_thread,
+            service_thread,
+            cmd_tx,
         })
     }
 
@@ -273,23 +274,28 @@ impl Gateway {
 
     /// Graceful drain: stop accepting, close every connection (each
     /// gets `bye`), settle every queued envelope, flush the journal,
-    /// and return the backend.
-    pub fn shutdown(mut self) -> Box<dyn RequestService + Send> {
-        self.stop.store(true, Ordering::SeqCst);
+    /// and return the backend. A panic on the service thread is raised
+    /// again here, with its own payload.
+    pub fn shutdown(self) -> Box<dyn RequestService + Send> {
+        let Gateway {
+            addr,
+            stop,
+            listener_thread,
+            service_thread,
+            cmd_tx,
+            ..
+        } = self;
+        stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.listener_thread.take() {
-            let _ = t.join();
-        }
+        let _ = TcpStream::connect(addr);
+        let _ = listener_thread.join();
         // The listener joined every connection thread, so the only
         // remaining sender is ours; dropping it lets the service loop
         // settle the queue and exit.
-        drop(self.cmd_tx.take());
-        self.service_thread
-            .take()
-            .expect("shutdown runs once")
+        drop(cmd_tx);
+        service_thread
             .join()
-            .expect("service thread never panics")
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
@@ -324,19 +330,28 @@ fn accept_loop(
         }
         stats.conns_total.fetch_add(1, Ordering::Relaxed);
         stats.conns_open.fetch_add(1, Ordering::Relaxed);
+        let conn_stats = Arc::clone(&stats);
         let cmd_tx = cmd_tx.clone();
-        let stats = Arc::clone(&stats);
         let stop = Arc::clone(&stop);
         let mode_cache = Arc::clone(&mode_cache);
         let config = config.clone();
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("gw-conn".into())
             .spawn(move || {
-                connection(stream, cmd_tx, &stats, &stop, &mode_cache, &config);
+                connection(stream, cmd_tx, &conn_stats, &stop, &mode_cache, &config);
+                conn_stats.conns_open.fetch_sub(1, Ordering::Relaxed);
+            });
+        match spawned {
+            Ok(handle) => conns.push(handle),
+            Err(_) => {
+                // Out of threads (a peer can open connections until
+                // spawning fails): refused at the door too. The socket
+                // closed with the unspawned closure; undo its counts and
+                // keep accepting.
+                stats.conns_total.fetch_sub(1, Ordering::Relaxed);
                 stats.conns_open.fetch_sub(1, Ordering::Relaxed);
-            })
-            .expect("spawn connection thread");
-        conns.push(handle);
+            }
+        }
         conns.retain(|h| !h.is_finished());
     }
     for h in conns {
@@ -417,10 +432,13 @@ fn connection(
     let writer_faults = config.faults.clone();
     let writer_stats_faults = Arc::new(AtomicU64::new(0));
     let writer_fault_count = Arc::clone(&writer_stats_faults);
-    let writer = std::thread::Builder::new()
+    // Without a writer thread the connection cannot answer: close it.
+    let Ok(writer) = std::thread::Builder::new()
         .name("gw-write".into())
         .spawn(move || writer_loop(write_half, reply_rx, writer_faults, writer_fault_count))
-        .expect("spawn writer thread");
+    else {
+        return;
+    };
 
     let mut reader = BufReader::new(stream);
     let mut pending = Vec::new();

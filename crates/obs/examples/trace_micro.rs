@@ -1,7 +1,7 @@
 //! Microbenchmark for the span hot paths: what one `hka_obs::span!`
-//! costs next to a by-name `SpanGuard::start_in` (the registry lookup a
-//! call-site cache saves), with collection off, with collection on but no
-//! live context (the inert-child path), and fully recorded under a root.
+//! costs with collection off, with collection on but no live context
+//! (the guard only times), and fully recorded under a root; next to a
+//! site-cached and a by-name counter, and a trace root on and off.
 //! Run with:
 //!
 //! ```text
@@ -9,8 +9,6 @@
 //! ```
 
 use std::time::Instant;
-
-use hka_obs::SpanGuard;
 
 fn measure(label: &str, iters: u64, mut f: impl FnMut()) {
     let t0 = Instant::now();
@@ -30,9 +28,6 @@ fn main() {
     measure("span!, tracing off", iters, || {
         let _s = hka_obs::span!("micro.off");
     });
-    measure("start_in by name, tracing off", iters, || {
-        let _s = SpanGuard::start_in(registry, "micro.off");
-    });
     measure("counter!, incr", iters, || {
         hka_obs::counter!("micro.count").incr();
     });
@@ -43,9 +38,6 @@ fn main() {
     hka_obs::trace::enable(1 << 20);
     measure("span!, enabled, no context", iters, || {
         let _s = hka_obs::span!("micro.inert");
-    });
-    measure("start_in by name, no context", iters, || {
-        let _s = SpanGuard::start_in(registry, "micro.inert");
     });
 
     let recorded = 200_000;

@@ -17,6 +17,8 @@
 //! and in-place edits detectable by [`verify_chain`], which re-derives
 //! every hash from the parsed payload's canonical serialization.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 use std::io::{self, BufRead, Write};
 

@@ -8,6 +8,8 @@
 //! file). Objects are backed by `BTreeMap`, so key order — and therefore
 //! the hash — is deterministic by construction.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -174,7 +176,8 @@ impl Digits {
     }
 
     pub(crate) fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.buf[self.at..]).expect("decimal digits are ASCII")
+        // Decimal digits are ASCII, so this never falls back.
+        std::str::from_utf8(&self.buf[self.at..]).unwrap_or_default()
     }
 }
 
@@ -209,7 +212,8 @@ impl Canonical for f64 {
             out.push_str(".0");
         } else {
             use fmt::Write as _;
-            write!(out, "{n}").expect("writing to a String cannot fail");
+            // Writing to a String cannot fail.
+            let _ = write!(out, "{n}");
         }
     }
 }
@@ -515,8 +519,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("bad number literal"))?;
         if is_float {
             // A literal that overflows (`1e999`) parses to infinity,
             // which has no JSON form: nothing read from a file or a

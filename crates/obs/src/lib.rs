@@ -2,7 +2,7 @@
 //! hash-chained JSONL event journal. Dependency-free by design — every
 //! crate in the workspace can use it, including the lowest layers.
 //!
-//! Three facilities:
+//! Four facilities:
 //!
 //! * **Metrics** ([`metrics`]) — named atomic counters, gauges, and
 //!   log₂-bucket latency histograms in a [`MetricsRegistry`];
@@ -11,17 +11,17 @@
 //!   [`MetricsSnapshot`] with p50/p95/p99 summaries. Fixed-name sites
 //!   go through [`counter!`] / [`gauge!`], which look their metric up
 //!   once per call site and cache the `&'static` handle there.
-//! * **Spans** ([`span!`]) — scope-guard timers; elapsed nanoseconds
-//!   land in the histogram named after the span on drop, resolved once
-//!   per call site like [`counter!`].
+//! * **Spans and tracing** ([`span!`], [`trace`]) — one scope guard,
+//!   [`ActiveSpan`]: elapsed nanoseconds land in the histogram named
+//!   after the span on drop, resolved once per call site like
+//!   [`counter!`]; while collection is enabled and a request's root is
+//!   live, the same guard records a span into one bounded ring, exported
+//!   as Perfetto-loadable Chrome trace-event JSON.
 //! * **Journal** ([`journal`]) — a versioned append-only JSONL log
 //!   where each record carries a monotonic sequence number and a
 //!   SHA-256 hash chained over the previous record, so truncation,
-//!   reordering, and edits are detectable by [`verify_chain`].
-//! * **Tracing** ([`trace`]) — per-request trace/span contexts handed
-//!   across threads, collected into bounded per-track rings, exported
-//!   as Perfetto-loadable Chrome trace-event JSON; span guards open
-//!   trace children automatically when collection is enabled.
+//!   reordering, and edits are detectable by [`verify_chain`]. It records
+//!   decisions; the trace records timing, and neither rebuilds the other.
 //! * **SLOs** ([`slo`]) — a rolling-window watchdog (latency p99,
 //!   suppression rate, flush lag, mode residency) with latched
 //!   breach/recovery transitions.
@@ -36,7 +36,6 @@ pub mod metrics;
 pub mod ring;
 pub mod sha256;
 pub mod slo;
-pub mod span;
 pub mod stage;
 pub mod tail;
 pub mod trace;
@@ -53,7 +52,6 @@ pub use metrics::{
 };
 pub use ring::RingBuffer;
 pub use slo::{SloConfig, SloEvent, SloMonitor};
-pub use span::SpanGuard;
 pub use tail::{JournalTailer, TailBatch, TailedRecord};
 pub use trace::{
     chrome_trace, validate_chrome_trace, ActiveSpan, SpanContext, SpanId, SpanRecord, TraceCheck,

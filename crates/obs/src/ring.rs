@@ -21,10 +21,9 @@ impl<T> RingBuffer<T> {
     /// A buffer holding at most `capacity` elements (minimum 1).
     ///
     /// `capacity` is an eviction bound, not an upfront allocation: the
-    /// backing storage grows on demand. Trace collection creates one
-    /// ring per track at 64Ki slots by default; eagerly reserving those
-    /// would bill megabytes of page faults to the first span recorded
-    /// on each thread.
+    /// backing storage grows on demand. Trace collection creates its
+    /// span ring at 64Ki slots by default; eagerly reserving those would
+    /// bill megabytes of page faults to the first span recorded.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         RingBuffer {

@@ -1,37 +1,53 @@
-//! Causal request tracing: trace/span contexts minted per request,
-//! propagated across threads, collected into bounded per-track rings,
-//! and exported as Chrome trace-event JSON loadable in Perfetto.
+//! Causal request tracing: one scope guard that times into a latency
+//! histogram and, while collection is on, records a span into one bounded
+//! ring, exported as Chrome trace-event JSON loadable in Perfetto.
+//!
+//! ```
+//! {
+//!     let _span = hka_obs::span!("algo1.generalize");
+//!     // ... the timed work ...
+//! } // histogram "algo1.generalize" records the elapsed nanoseconds here
+//! ```
+//!
+//! [`span!`](crate::span!) resolves its histogram in the
+//! [`global`](crate::global) registry once per call site and opens an
+//! [`ActiveSpan::timed`] guard. A request's [`root`] mints its trace id
+//! and, when collection is enabled, becomes the thread's current context;
+//! every timed guard opened under a live context then records a child
+//! span too, so existing instrumentation sites become trace-visible
+//! without changes.
 //!
 //! Design constraints, in order:
 //!
 //! * **Zero cost when off.** A single relaxed atomic load gates the hot
 //!   path; with the collector disabled no allocation, locking, or
-//!   clock read happens beyond what [`span`](crate::span) already does.
-//! * **Deterministic export.** Every *track* (the server's thread, or
-//!   a thread given its own track) is single-threaded and processes work in a
-//!   deterministic order, so span start/end order per track is a pure
-//!   function of the workload. Each track therefore carries a logical
-//!   **tick counter**: opening or closing a span consumes one tick, and
-//!   the default export clock uses ticks, making the artifact
-//!   byte-stable for a fixed seed. Wall-clock micros are recorded
-//!   alongside and selectable with [`TraceClock::Wall`].
+//!   clock read happens beyond the guard's own timer.
+//! * **Deterministic export.** Every server records its spans on the one
+//!   thread that decides its requests, in a deterministic order, so span
+//!   start/end order is a pure function of the workload. The collector
+//!   therefore keeps a logical **tick counter**: opening or closing a
+//!   span consumes one tick, a span's id is its start tick, and the
+//!   default export clock uses ticks, making the artifact byte-stable for
+//!   a fixed seed. Wall-clock micros are recorded alongside and
+//!   selectable with [`TraceClock::Wall`].
 //! * **Out-of-order drops stay correct.** Open spans form a per-thread
 //!   stack of frames; a guard dropped while an inner guard is still
 //!   live marks its frame *dead* instead of clobbering the current
 //!   context, and the innermost live guard sweeps dead frames when it
 //!   closes. Parentage is captured at creation, so durations and parent
 //!   links never migrate between spans (see the interleaved-guard test).
-//! * **Bounded memory.** Spans land in a per-track
+//! * **Bounded memory.** Spans land in one
 //!   [`RingBuffer`](crate::RingBuffer); overflow drops the oldest record
 //!   and increments the `obs.trace_dropped` counter.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::json::Json;
+use crate::metrics::Histogram;
 use crate::ring::RingBuffer;
 
 /// Identifies one request's journey through the stack. Minted
@@ -47,9 +63,8 @@ impl std::fmt::Display for TraceId {
     }
 }
 
-/// Identifies one span. The top 16 bits carry the track that opened it
-/// (mirroring the shard id-space split), the low 48 bits its start
-/// tick, so ids are unique without cross-track coordination.
+/// Identifies one span: the collector tick at which it opened, unique
+/// among the spans collected since the last [`enable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
@@ -59,17 +74,17 @@ impl std::fmt::Display for SpanId {
     }
 }
 
-/// The (trace, span) pair handed across a thread boundary so work on
-/// the far side parents under the originating request.
+/// The (trace, span) pair that work running later parents under, handed
+/// over through [`swap_current`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanContext {
     /// The request's trace.
     pub trace: TraceId,
-    /// The span the far side should parent under.
+    /// The span the adopted work should parent under.
     pub span: SpanId,
 }
 
-/// One finished span as stored in a track ring.
+/// One finished span as stored in the ring.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// The owning trace.
@@ -82,9 +97,7 @@ pub struct SpanRecord {
     /// not data, and a per-span heap allocation is measurable on the
     /// request path.
     pub name: &'static str,
-    /// The track (0 = coordinator / sequential server, 1+i = shard i).
-    pub track: u32,
-    /// Logical tick at open (deterministic per track).
+    /// Logical tick at open (deterministic for a fixed workload).
     pub start_tick: u64,
     /// Logical tick at close.
     pub end_tick: u64,
@@ -96,71 +109,43 @@ pub struct SpanRecord {
     pub attrs: Vec<(&'static str, Json)>,
 }
 
-const TRACK_SHIFT: u32 = 48;
-
-/// Per-track state: the bounded span ring and the logical tick counter.
-/// Aligned out to two cache lines: every span bumps `ticks` twice and
-/// takes `ring` once, and adjacent tracks belong to *different* worker
-/// threads — sharing a line between them turns per-track atomics into
-/// cross-core traffic.
-#[repr(align(128))]
-struct Track {
-    ring: Mutex<RingBuffer<SpanRecord>>,
-    ticks: AtomicU64,
-}
-
-/// The process-wide collector.
+/// The process-wide collector: one span ring and one tick counter.
 struct Collector {
     enabled: AtomicBool,
-    capacity: AtomicUsize,
     next_trace: AtomicU64,
-    /// Bumped by [`enable`] whenever the track table is rebuilt, so
-    /// per-thread cached track handles know to refresh.
-    generation: AtomicU64,
+    ticks: AtomicU64,
     epoch: Instant,
-    tracks: RwLock<Vec<Arc<Track>>>,
+    ring: Mutex<RingBuffer<SpanRecord>>,
 }
 
 fn collector() -> &'static Collector {
     static COLLECTOR: OnceLock<Collector> = OnceLock::new();
     COLLECTOR.get_or_init(|| Collector {
         enabled: AtomicBool::new(false),
-        capacity: AtomicUsize::new(4096),
         next_trace: AtomicU64::new(1),
-        generation: AtomicU64::new(0),
+        ticks: AtomicU64::new(0),
         epoch: Instant::now(),
-        tracks: RwLock::new(Vec::new()),
+        ring: Mutex::new(RingBuffer::new(4096)),
     })
 }
 
 impl Collector {
-    fn track(&self, idx: u32) -> Arc<Track> {
-        {
-            let tracks = self.tracks.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(t) = tracks.get(idx as usize) {
-                return Arc::clone(t);
-            }
-        }
-        let mut tracks = self.tracks.write().unwrap_or_else(|e| e.into_inner());
-        let cap = self.capacity.load(Ordering::Relaxed);
-        while tracks.len() <= idx as usize {
-            tracks.push(Arc::new(Track {
-                ring: Mutex::new(RingBuffer::new(cap)),
-                ticks: AtomicU64::new(0),
-            }));
-        }
-        Arc::clone(&tracks[idx as usize])
+    fn ring(&self) -> MutexGuard<'_, RingBuffer<SpanRecord>> {
+        self.ring.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn micros(&self, at: Instant) -> u64 {
+        u64::try_from(at.duration_since(self.epoch).as_micros()).unwrap_or(u64::MAX)
     }
 }
 
-/// Enables collection with `capacity` span records per track, clearing
-/// any previously collected spans and resetting tick counters. Trace id
-/// minting continues from wherever it was (ids are process-unique).
+/// Enables collection with room for `capacity` span records, clearing
+/// any previously collected spans and resetting the tick counter. Trace
+/// id minting continues from wherever it was (ids are process-unique).
 pub fn enable(capacity: usize) {
     let c = collector();
-    c.capacity.store(capacity.max(1), Ordering::Relaxed);
-    c.tracks.write().unwrap_or_else(|e| e.into_inner()).clear();
-    c.generation.fetch_add(1, Ordering::SeqCst);
+    *c.ring() = RingBuffer::new(capacity);
+    c.ticks.store(0, Ordering::Relaxed);
     c.enabled.store(true, Ordering::SeqCst);
 }
 
@@ -180,23 +165,12 @@ pub fn mint_trace_id() -> TraceId {
     TraceId(collector().next_trace.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Drains every track's collected spans, ordered by (track, start
-/// tick) — a deterministic total order for a deterministic workload.
+/// Drains the collected spans, ordered by start tick — a deterministic
+/// total order for a deterministic workload (start ticks are unique, so
+/// an unstable sort gives it).
 pub fn drain() -> Vec<SpanRecord> {
-    let c = collector();
-    let tracks: Vec<Arc<Track>> = c
-        .tracks
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .cloned()
-        .collect();
-    let mut out = Vec::new();
-    for t in tracks {
-        let mut ring = t.ring.lock().unwrap_or_else(|e| e.into_inner());
-        out.extend(ring.drain());
-    }
-    out.sort_by_key(|r| (r.track, r.start_tick, r.id.0));
+    let mut out = collector().ring().drain();
+    out.sort_unstable_by_key(|r| r.start_tick);
     out
 }
 
@@ -208,30 +182,18 @@ struct Frame {
     dead: bool,
 }
 
-#[derive(Default)]
 struct ThreadCtx {
-    /// Track index spans opened on this thread belong to.
-    track: u32,
-    /// Context handed in from another thread (a worker's current item).
+    /// Context adopted through [`swap_current`] (a deferred request root).
     base: Option<SpanContext>,
     /// Open spans, innermost last. Dead frames are swept lazily.
     frames: Vec<Frame>,
-    /// `(generation, track) -> Arc<Track>` cache. Looking the track up
-    /// in the collector takes a read lock on a `RwLock` every worker
-    /// thread contends on; caching the handle here makes the per-span
-    /// cost an uncontended refcount bump. The generation (bumped by
-    /// [`enable`], which drops the old tracks) invalidates stale
-    /// handles.
-    cached: Option<(u64, u32, Arc<Track>)>,
 }
 
 thread_local! {
     static CTX: RefCell<ThreadCtx> = const {
         RefCell::new(ThreadCtx {
-            track: 0,
             base: None,
             frames: Vec::new(),
-            cached: None,
         })
     };
     /// Cache of [`current`]'s answer — innermost live frame, else base.
@@ -256,18 +218,11 @@ fn refresh_current(ctx: &ThreadCtx) {
     CURRENT.with(|c| c.set(cur));
 }
 
-/// Assigns this thread's track (0 by default, the server's). A thread
-/// that records spans concurrently with another takes a track of its
-/// own, so each track stays single-threaded.
-pub fn set_thread_track(track: u32) {
-    CTX.with(|c| c.borrow_mut().track = track);
-}
-
 /// Swaps the thread's *base* context — the parent adopted by spans
-/// opened while no local guard is live. Workers swap the submitted
-/// request's context in before each work item and restore the previous
-/// value after, which hands spans across the thread boundary. Returns
-/// the previous base.
+/// opened while no local guard is live. The sharded server swaps a
+/// request's deferred root in before running the request and restores
+/// the previous value after, so the request's spans parent under the
+/// root its submission opened. Returns the previous base.
 pub fn swap_current(ctx: Option<SpanContext>) -> Option<SpanContext> {
     CTX.with(|c| {
         let mut c = c.borrow_mut();
@@ -282,14 +237,13 @@ pub fn current() -> Option<SpanContext> {
     CURRENT.with(|c| c.get())
 }
 
+/// A recording span's open state, held inline in its guard so recording
+/// allocates nothing beyond its attributes.
+#[derive(Debug)]
 struct OpenSpan {
     ctx: SpanContext,
     parent: Option<SpanId>,
     name: &'static str,
-    track: u32,
-    /// The track the span opened on, kept so the drop path skips the
-    /// collector's track-table lookup.
-    handle: Arc<Track>,
     start_tick: u64,
     start_us: u64,
     attrs: Vec<(&'static str, Json)>,
@@ -297,82 +251,55 @@ struct OpenSpan {
     framed: bool,
 }
 
-/// A live span guard. Closing (dropping) it stamps the end tick, pushes
-/// the finished [`SpanRecord`] into the track ring, and restores the
-/// thread context — correctly even when guards drop out of creation
-/// order. When collection is disabled the guard is inert but still
-/// carries the minted trace id.
-#[derive(Debug)]
-pub struct ActiveSpan {
-    trace: TraceId,
-    open: Option<OpenSpanOpaque>,
-}
-
-// Keep OpenSpan out of the public debug surface.
-struct OpenSpanOpaque(OpenSpan);
-
-impl std::fmt::Debug for OpenSpanOpaque {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OpenSpan")
-            .field("id", &self.0.ctx.span)
-            .field("name", &self.0.name)
-            .finish()
-    }
-}
-
 fn open_span(
     trace: TraceId,
     name: &'static str,
     parent: Option<SpanId>,
     framed: bool,
-) -> ActiveSpan {
+    at: Instant,
+) -> OpenSpan {
     let c = collector();
-    let start_us = u64::try_from(c.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
-    CTX.with(|tls| {
-        let mut tls = tls.borrow_mut();
-        let track = tls.track;
-        let generation = c.generation.load(Ordering::Relaxed);
-        let handle = match &tls.cached {
-            Some((g, t, h)) if *g == generation && *t == track => Arc::clone(h),
-            _ => {
-                let h = c.track(track);
-                tls.cached = Some((generation, track, Arc::clone(&h)));
-                h
-            }
-        };
-        let start_tick = handle.ticks.fetch_add(1, Ordering::Relaxed);
-        let id = SpanId((u64::from(track) + 1) << TRACK_SHIFT | start_tick);
-        let ctx = SpanContext { trace, span: id };
-        if framed {
-            tls.frames.push(Frame { ctx, dead: false });
-            CURRENT.with(|cur| cur.set(Some(ctx)));
-        }
-        ActiveSpan {
-            trace,
-            open: Some(OpenSpanOpaque(OpenSpan {
-                ctx,
-                parent,
-                name,
-                track,
-                handle,
-                start_tick,
-                start_us,
-                attrs: Vec::new(),
-                framed,
-            })),
-        }
-    })
+    let start_us = c.micros(at);
+    let start_tick = c.ticks.fetch_add(1, Ordering::Relaxed);
+    let ctx = SpanContext {
+        trace,
+        span: SpanId(start_tick),
+    };
+    if framed {
+        CTX.with(|tls| tls.borrow_mut().frames.push(Frame { ctx, dead: false }));
+        CURRENT.with(|cur| cur.set(Some(ctx)));
+    }
+    OpenSpan {
+        ctx,
+        parent,
+        name,
+        start_tick,
+        start_us,
+        attrs: Vec::new(),
+        framed,
+    }
+}
+
+/// A live span guard. Dropping it — end of scope, early return, or
+/// unwinding alike — records a timed guard's elapsed nanoseconds into
+/// its histogram, then, if it is recording, stamps the end tick, pushes
+/// the finished [`SpanRecord`] into the ring, and restores the thread
+/// context, correctly even when guards drop out of creation order. A
+/// guard that is not recording still carries its trace id.
+#[must_use = "a span records on drop; binding it to `_` ends it immediately"]
+#[derive(Debug)]
+pub struct ActiveSpan {
+    trace: TraceId,
+    /// The histogram a timed guard records into, and when it started.
+    timer: Option<(&'static Histogram, Instant)>,
+    open: Option<OpenSpan>,
 }
 
 /// Opens a root span for a new request: mints a trace id (always) and,
 /// when collection is enabled, opens a parentless span and makes it the
 /// thread's current context.
 pub fn root(name: &'static str) -> ActiveSpan {
-    let trace = mint_trace_id();
-    if !enabled() {
-        return ActiveSpan { trace, open: None };
-    }
-    open_span(trace, name, None, true)
+    open_root(name, true)
 }
 
 /// Opens a root span *without* touching the thread's current context.
@@ -380,34 +307,35 @@ pub fn root(name: &'static str) -> ActiveSpan {
 /// from a request's submission until the flush that runs it, which
 /// adopts the root via [`swap_current`].
 pub fn root_detached(name: &'static str) -> ActiveSpan {
-    let trace = mint_trace_id();
-    if !enabled() {
-        return ActiveSpan { trace, open: None };
-    }
-    open_span(trace, name, None, false)
+    open_root(name, false)
 }
 
-/// Opens a child under the thread's current context. Returns an inert
-/// guard when collection is disabled or no context is live.
-pub fn child(name: &'static str) -> ActiveSpan {
-    if !enabled() {
-        return ActiveSpan {
-            trace: TraceId(0),
-            open: None,
-        };
-    }
-    match current() {
-        None => ActiveSpan {
-            trace: TraceId(0),
-            open: None,
-        },
-        Some(parent) => open_span(parent.trace, name, Some(parent.span), true),
+fn open_root(name: &'static str, framed: bool) -> ActiveSpan {
+    let trace = mint_trace_id();
+    ActiveSpan {
+        trace,
+        timer: None,
+        open: enabled().then(|| open_span(trace, name, None, framed, Instant::now())),
     }
 }
 
 impl ActiveSpan {
+    /// Starts a guard that records its elapsed nanoseconds into
+    /// `histogram` when dropped and, while collection is enabled and a
+    /// context is live on this thread, records a child span `name` under
+    /// that context. [`span!`](crate::span!) is the usual way in.
+    pub fn timed(histogram: &'static Histogram, name: &'static str) -> ActiveSpan {
+        let start = Instant::now();
+        let parent = if enabled() { current() } else { None };
+        ActiveSpan {
+            trace: parent.map_or(TraceId(0), |p| p.trace),
+            timer: Some((histogram, start)),
+            open: parent.map(|p| open_span(p.trace, name, Some(p.span), true, start)),
+        }
+    }
+
     /// The trace id (minted even when collection is disabled, except
-    /// for inert children, which report trace 0).
+    /// for timed guards that are not recording, which report trace 0).
     pub fn trace_id(&self) -> TraceId {
         self.trace
     }
@@ -417,26 +345,34 @@ impl ActiveSpan {
         self.open.is_some()
     }
 
-    /// The context to hand across a thread boundary, if recording.
+    /// The context for work adopted through [`swap_current`], if
+    /// recording.
     pub fn context(&self) -> Option<SpanContext> {
-        self.open.as_ref().map(|o| o.0.ctx)
+        self.open.as_ref().map(|o| o.ctx)
     }
 
     /// Attaches a key attribute. No-op when not recording.
     pub fn attr(&mut self, key: &'static str, value: Json) {
         if let Some(o) = self.open.as_mut() {
-            o.0.attrs.push((key, value));
+            o.attrs.push((key, value));
         }
     }
 }
 
 impl Drop for ActiveSpan {
     fn drop(&mut self) {
-        let Some(open) = self.open.take() else {
+        if self.timer.is_none() && self.open.is_none() {
+            return;
+        }
+        // One clock read ends both the timer and the span.
+        let end = Instant::now();
+        if let Some((histogram, start)) = self.timer {
+            let ns = end.duration_since(start).as_nanos();
+            histogram.record(u64::try_from(ns).unwrap_or(u64::MAX));
+        }
+        let Some(o) = self.open.take() else {
             return;
         };
-        let o = open.0;
-        let c = collector();
         if o.framed {
             // Explicit restoration: mark *this* frame dead; only the
             // innermost live guard pops, sweeping any dead frames under
@@ -461,26 +397,36 @@ impl Drop for ActiveSpan {
         if !enabled() {
             return;
         }
-        let handle = o.handle;
-        let end_tick = handle.ticks.fetch_add(1, Ordering::Relaxed);
-        let end_us = u64::try_from(c.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let c = collector();
+        let end_tick = c.ticks.fetch_add(1, Ordering::Relaxed);
         let record = SpanRecord {
             trace: self.trace,
             id: o.ctx.span,
             parent: o.parent,
             name: o.name,
-            track: o.track,
             start_tick: o.start_tick,
             end_tick,
             start_us: o.start_us,
-            end_us,
+            end_us: c.micros(end),
             attrs: o.attrs,
         };
-        let mut ring = handle.ring.lock().unwrap_or_else(|e| e.into_inner());
-        if ring.push(record).is_some() {
+        if c.ring().push(record).is_some() {
             crate::counter!("obs.trace_dropped").incr();
         }
     }
+}
+
+/// Starts an [`ActiveSpan::timed`] guard recording into the
+/// [`global`](crate::global) histogram `name`, resolved once per call
+/// site (see [`counter!`](crate::counter)); `span!("name")` mirrors the
+/// `tracing::span!` shape while staying dependency-free. `name` must be
+/// a constant expression.
+#[macro_export]
+macro_rules! span {
+    ($name:expr) => {{
+        const SPAN_NAME: &str = $name;
+        $crate::ActiveSpan::timed($crate::histogram!(SPAN_NAME), SPAN_NAME)
+    }};
 }
 
 // ---------------------------------------------------------------------------
@@ -489,8 +435,8 @@ impl Drop for ActiveSpan {
 /// Which clock the exporter stamps `ts`/`dur` with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceClock {
-    /// Per-track logical ticks: deterministic, byte-stable for a fixed
-    /// seed. The default.
+    /// Logical ticks: deterministic, byte-stable for a fixed seed. The
+    /// default.
     Logical,
     /// Wall-clock micros since collector creation.
     Wall,
@@ -507,33 +453,19 @@ impl TraceClock {
     }
 }
 
-fn track_label(track: u32) -> String {
-    if track == 0 {
-        "coordinator".to_string()
-    } else {
-        format!("shard-{}", track - 1)
-    }
-}
-
 /// Renders drained span records as Chrome trace-event JSON (the format
-/// Perfetto and `chrome://tracing` load). One complete (`ph:"X"`) event
-/// per span plus a `thread_name` metadata event per track; span, parent
-/// and trace ids ride in `args`.
+/// Perfetto and `chrome://tracing` load): one `thread_name` metadata
+/// event for the thread that recorded them (tid 0), then one complete
+/// (`ph:"X"`) event per span; span, parent and trace ids ride in `args`.
 pub fn chrome_trace(records: &[SpanRecord], clock: TraceClock) -> Json {
-    let mut events = Vec::new();
-    let tracks: BTreeSet<u32> = records.iter().map(|r| r.track).collect();
-    for track in &tracks {
-        events.push(Json::obj([
-            ("ph", Json::from("M")),
-            ("pid", Json::Int(1)),
-            ("tid", Json::from(*track)),
-            ("name", Json::from("thread_name")),
-            (
-                "args",
-                Json::obj([("name", Json::from(track_label(*track)))]),
-            ),
-        ]));
-    }
+    let mut events = Vec::with_capacity(records.len() + 1);
+    events.push(Json::obj([
+        ("ph", Json::from("M")),
+        ("pid", Json::Int(1)),
+        ("tid", Json::Int(0)),
+        ("name", Json::from("thread_name")),
+        ("args", Json::obj([("name", Json::from("coordinator"))])),
+    ]));
     for r in records {
         let (ts, dur) = match clock {
             TraceClock::Logical => (r.start_tick, r.end_tick.saturating_sub(r.start_tick).max(1)),
@@ -555,7 +487,7 @@ pub fn chrome_trace(records: &[SpanRecord], clock: TraceClock) -> Json {
         events.push(Json::obj([
             ("ph", Json::from("X")),
             ("pid", Json::Int(1)),
-            ("tid", Json::from(r.track)),
+            ("tid", Json::Int(0)),
             ("name", Json::from(r.name)),
             ("cat", Json::from("ts")),
             ("ts", Json::from(ts)),
@@ -672,15 +604,77 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<TraceCheck, String> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::global;
+    use crate::{global, MetricsRegistry};
     use std::sync::Mutex as StdMutex;
 
     /// Tests toggling the global collector must not interleave.
-    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
         static GATE: StdMutex<()> = StdMutex::new(());
         GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A timed guard under the thread's current context, timing into a
+    /// histogram these tests never read.
+    fn child(name: &'static str) -> ActiveSpan {
+        ActiveSpan::timed(global().histogram("obs.test.child"), name)
+    }
+
+    #[test]
+    fn timed_guard_records_on_drop() {
+        let registry = MetricsRegistry::new();
+        {
+            let _span = ActiveSpan::timed(registry.histogram("work"), "work");
+            std::hint::black_box((0..1000u64).sum::<u64>());
+        }
+        let snap = registry.snapshot();
+        let h = snap.histogram("work").unwrap();
+        assert_eq!(h.count, 1);
+        assert!(h.max > 0, "a monotonic clock never measures 0ns here");
+    }
+
+    #[test]
+    fn timed_guard_records_on_unwind() {
+        let registry = MetricsRegistry::new();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _span = ActiveSpan::timed(registry.histogram("panicky"), "panicky");
+            panic!("unwind through the span");
+        }));
+        assert!(result.is_err());
+        assert_eq!(registry.snapshot().histogram("panicky").unwrap().count, 1);
+    }
+
+    /// Off, on without a context, on under a root: the histogram sees
+    /// every guard once, the ring only the last.
+    #[test]
+    fn timed_guard_times_always_and_records_a_span_only_under_a_live_context() {
+        let _g = lock();
+        let h = MetricsRegistry::new().histogram("guard");
+        disable();
+        let _ = drain();
+        drop(ActiveSpan::timed(h, "guard"));
+        assert_eq!(h.count(), 1);
+        assert!(drain().is_empty(), "collection off records no span");
+
+        enable(64);
+        assert_eq!(current(), None);
+        let inert = ActiveSpan::timed(h, "guard");
+        assert!(!inert.is_recording());
+        drop(inert);
+        assert_eq!(h.count(), 2);
+        assert!(drain().is_empty(), "no live context records no span");
+
+        let r = root("req");
+        let g = ActiveSpan::timed(h, "guard");
+        assert_eq!(g.trace_id(), r.trace_id());
+        drop(g);
+        drop(r);
+        disable();
+        assert_eq!(h.count(), 3);
+        let records = drain();
+        assert_eq!(records.iter().filter(|r| r.name == "guard").count(), 1);
+        assert_eq!(records.len(), 2, "the guard and its root");
     }
 
     #[test]
@@ -692,11 +686,11 @@ pub(crate) mod tests {
         assert!(r.trace_id().0 > 0);
         assert!(!child("inner").is_recording());
         drop(r);
-        let _ = drain(); // nothing recorded by us; leave the rings clean
+        let _ = drain(); // nothing recorded by us; leave the ring clean
     }
 
     #[test]
-    fn nesting_and_cross_thread_handoff_link_correctly() {
+    fn nesting_and_swap_current_handoff_link_correctly() {
         let _g = lock();
         enable(64);
         let ctx = {
@@ -706,40 +700,40 @@ pub(crate) mod tests {
             }
             root.context().unwrap()
         };
-        // Simulate a worker: separate "thread" context via swap.
+        // Adopt the root as the base context, as the sharded server does
+        // with a deferred root before running its request.
         let prev = swap_current(Some(ctx));
-        set_thread_track(3);
         {
-            let _hop = child("worker-hop");
+            let _hop = child("adopted");
         }
-        set_thread_track(0);
         swap_current(prev);
+        assert_eq!(current(), None);
         disable();
         let records = drain();
         assert_eq!(records.len(), 3);
         let root_rec = records.iter().find(|r| r.name == "req").unwrap();
         let stage = records.iter().find(|r| r.name == "stage").unwrap();
-        let hop = records.iter().find(|r| r.name == "worker-hop").unwrap();
+        let hop = records.iter().find(|r| r.name == "adopted").unwrap();
         assert_eq!(root_rec.parent, None);
         assert_eq!(stage.parent, Some(root_rec.id));
         assert_eq!(hop.parent, Some(root_rec.id));
-        assert_eq!(hop.track, 3);
         assert_eq!(hop.trace, root_rec.trace);
         assert!(stage.start_tick > root_rec.start_tick);
         assert!(stage.end_tick < root_rec.end_tick);
     }
 
     #[test]
-    fn interleaved_drops_do_not_misattribute() {
+    fn interleaved_guards_keep_their_own_parents_and_durations() {
         let _g = lock();
         enable(64);
+        let registry = MetricsRegistry::new();
         let r = root("req");
-        let a = child("a");
+        let a = ActiveSpan::timed(registry.histogram("a"), "a");
         let a_ctx = a.context().unwrap();
-        let b = child("b");
+        let b = ActiveSpan::timed(registry.histogram("b"), "b");
         let b_ctx = b.context().unwrap();
-        // Drop the *outer* child first: the inner child must keep the
-        // current context.
+        // Out of order: the outer guard drops first. The inner guard
+        // must keep the current context and close under `a`.
         drop(a);
         assert_eq!(current(), Some(b_ctx));
         drop(b);
@@ -754,6 +748,18 @@ pub(crate) mod tests {
         assert_eq!(ra.id, a_ctx.span);
         assert!(ra.end_tick < rb.end_tick, "a closed before b");
         assert!(ra.end_tick > ra.start_tick && rb.end_tick > rb.start_tick);
+        let snap = registry.snapshot();
+        assert_eq!(snap.histogram("a").unwrap().count, 1);
+        assert_eq!(snap.histogram("b").unwrap().count, 1);
+    }
+
+    #[test]
+    fn span_macro_uses_global() {
+        {
+            let _span = crate::span!("obs.test.span_macro");
+        }
+        let snap = global().snapshot();
+        assert!(snap.histogram("obs.test.span_macro").unwrap().count >= 1);
     }
 
     #[test]
@@ -786,6 +792,11 @@ pub(crate) mod tests {
         let check = validate_chrome_trace(&doc).expect("valid trace");
         assert_eq!(check.spans, 2);
         assert_eq!(check.roots, 1);
+        assert_eq!(
+            (check.events, check.tracks),
+            (3, 1),
+            "one thread_name event"
+        );
         let reparsed = crate::json::parse(&doc.to_string()).expect("round-trips");
         assert_eq!(reparsed, doc);
         // Logical clock: ticks are 0..4 regardless of wall time.

@@ -14,7 +14,7 @@
 //!                  [--roamers N] [--k N] [--shards N] [--index grid|brute]
 //! hka-sim audit    --journal FILE [--snapshot FILE] [--json FILE] [--quiet]
 //!                  [--space-tol M2] [--time-tol SECS]
-//! hka-sim trace    JOURNAL [--out FILE] [--validate FILE]
+//! hka-sim trace    --validate FILE
 //! hka-sim watch    JOURNAL [--snapshot FILE] [--interval-ms N]
 //!                  [--idle-exit N] [--json] [--report FILE]
 //!                  [--space-tol M2] [--time-tol SECS] [--sample-cap N]
@@ -113,22 +113,21 @@
 //! `--trace-export FILE` turns on causal request tracing
 //! (`hka::obs::trace`) for the run and writes the collected spans as
 //! Chrome trace-event JSON, loadable in Perfetto or `chrome://tracing`.
-//! `--trace-clock logical` (the default) stamps deterministic per-track
+//! `--trace-clock logical` (the default) stamps the ring's deterministic
 //! ticks — the artifact is byte-stable for a fixed seed — while `wall`
-//! stamps real microseconds. `--trace-capacity N` bounds the per-track
-//! span ring (drop-oldest; counted in `obs.trace_dropped`). `--slo`
+//! stamps real microseconds. `--trace-capacity N` bounds the ring (span
+//! records, drop-oldest; counted in `obs.trace_dropped`). `--slo`
 //! arms the continuous SLO watchdog: rolling-window latency
 //! p99 / suppression-rate / mode-residency / flush-lag objectives whose
 //! breach/recovery transitions land in the journal as `ts.slo_breach` /
 //! `ts.slo_recovered` and light up `watch` frames. Tracing never writes
 //! to the journal: bytes are identical with tracing on and off.
 //!
-//! `trace JOURNAL --out FILE` reconstructs a *coarse* trace from a
-//! decision journal after the fact — one complete event per journaled
-//! decision, sequence-numbered ticks — for runs that never had live
-//! tracing on. `trace --validate FILE` schema-checks any trace artifact
-//! (required fields, unique span ids, acyclic parent linkage) and exits
-//! non-zero on the first defect; CI runs it on the exported artifact.
+//! `trace --validate FILE` schema-checks any trace artifact (required
+//! fields, unique span ids, acyclic parent linkage) and exits non-zero on
+//! the first defect; CI runs it on the exported artifact. The journal
+//! records decisions and the trace records timing: neither is rebuilt
+//! from the other.
 //!
 //! `plan` accepts `--trace FILE` to analyze an imported trace (the
 //! `hka-trace v1` text format, see `hka::trajectory::io`) instead of a
@@ -912,122 +911,38 @@ fn cmd_audit(flags: HashMap<String, String>) {
     }
 }
 
-/// `trace JOURNAL --out FILE`: reconstructs a coarse Chrome trace from
-/// a decision journal (one complete event per record, sequence ticks);
-/// `trace --validate FILE` schema-checks an existing artifact. Both
-/// surfaces share `hka::obs::validate_chrome_trace`, so CI's smoke job
-/// and an operator's post-hoc reconstruction apply the same rules.
+/// `trace --validate FILE`: schema-checks a Chrome trace artifact with
+/// `hka::obs::validate_chrome_trace`, the rules `--trace-export` applies
+/// before it writes one.
 fn cmd_trace(args: &[String]) {
-    let (positional, rest) = match args.first() {
-        Some(a) if !a.starts_with("--") => (Some(a.clone()), &args[1..]),
-        _ => (None, args),
-    };
-    let flags = parse_flags(rest);
-
-    if let Some(path) = flags.get("validate").filter(|p| p.as_str() != "true") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
+    let path = match args {
+        [flag, path] if flag == "--validate" => path,
+        _ => {
+            eprintln!("usage: hka-sim trace --validate FILE");
             std::process::exit(2);
-        });
-        let doc = hka::obs::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: not valid JSON: {e:?}");
-            std::process::exit(1);
-        });
-        match hka::obs::validate_chrome_trace(&doc) {
-            Ok(check) => {
-                println!(
-                    "{path}: OK ({} events, {} spans, {} roots, {} tracks)",
-                    check.events, check.spans, check.roots, check.tracks
-                );
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                std::process::exit(1);
-            }
         }
-        return;
-    }
-
-    let Some(journal) = positional.or_else(|| {
-        flags
-            .get("journal")
-            .filter(|p| p.as_str() != "true")
-            .cloned()
-    }) else {
-        eprintln!("trace requires a journal path or --validate FILE\n{TRACE_USAGE}");
-        std::process::exit(2);
     };
-    let Some(out) = flags.get("out").filter(|p| p.as_str() != "true") else {
-        eprintln!("trace reconstruction requires --out FILE\n{TRACE_USAGE}");
-        std::process::exit(2);
-    };
-    let file = std::fs::File::open(&journal).unwrap_or_else(|e| {
-        eprintln!("cannot open {journal}: {e}");
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    // Coarse reconstruction: every journaled decision becomes one
-    // complete event at its (deterministic) sequence tick, so a run that
-    // never had live tracing on still yields a Perfetto-loadable
-    // timeline of what the server decided, in order.
-    let mut events = Vec::new();
-    events.push(hka::obs::Json::obj([
-        ("ph", hka::obs::Json::from("M")),
-        ("pid", hka::obs::Json::Int(1)),
-        ("tid", hka::obs::Json::from(0u64)),
-        ("name", hka::obs::Json::from("thread_name")),
-        (
-            "args",
-            hka::obs::Json::obj([("name", hka::obs::Json::from("journal"))]),
-        ),
-    ]));
-    let mut records = 0u64;
-    for rec in hka::obs::JournalReader::new(std::io::BufReader::new(file)) {
-        let rec = match rec {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{journal}: chain error at record {records}: {e}");
-                std::process::exit(1);
-            }
-        };
-        records += 1;
-        let mut args = std::collections::BTreeMap::new();
-        args.insert(
-            "span".to_string(),
-            hka::obs::Json::from(format!("j{:012x}", rec.seq)),
-        );
-        args.insert("parent".to_string(), hka::obs::Json::Null);
-        args.insert("seq".to_string(), hka::obs::Json::from(rec.seq));
-        if let Some(at) = rec.payload.get("at").and_then(hka::obs::Json::as_int) {
-            args.insert("at".to_string(), hka::obs::Json::Int(at));
-        }
-        events.push(hka::obs::Json::obj([
-            ("ph", hka::obs::Json::from("X")),
-            ("pid", hka::obs::Json::Int(1)),
-            ("tid", hka::obs::Json::from(0u64)),
-            ("name", hka::obs::Json::from(rec.kind.as_str())),
-            ("cat", hka::obs::Json::from("journal")),
-            ("ts", hka::obs::Json::from(rec.seq)),
-            ("dur", hka::obs::Json::Int(1)),
-            ("args", hka::obs::Json::Obj(args)),
-        ]));
-    }
-    let doc = hka::obs::Json::obj([
-        ("displayTimeUnit", hka::obs::Json::from("ms")),
-        ("traceEvents", hka::obs::Json::Arr(events)),
-    ]);
-    let check = hka::obs::validate_chrome_trace(&doc).unwrap_or_else(|e| {
-        eprintln!("reconstructed trace failed validation: {e}");
+    let doc = hka::obs::json::parse(&text).unwrap_or_else(|e| {
+        eprintln!("{path}: not valid JSON: {e:?}");
         std::process::exit(1);
     });
-    std::fs::write(out, doc.to_string() + "\n").unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(2);
-    });
-    println!("{out}: {records} journal records → {} spans", check.spans);
+    match hka::obs::validate_chrome_trace(&doc) {
+        Ok(check) => {
+            println!(
+                "{path}: OK ({} events, {} spans, {} roots, {} tracks)",
+                check.events, check.spans, check.roots, check.tracks
+            );
+        }
+        Err(e) => {
+            eprintln!("{path}: INVALID: {e}");
+            std::process::exit(1);
+        }
+    }
 }
-
-const TRACE_USAGE: &str =
-    "usage: hka-sim trace JOURNAL --out FILE\n       hka-sim trace --validate FILE";
 
 /// Parses the audit tolerances shared by `audit` and `watch`.
 fn audit_config(flags: &HashMap<String, String>) -> hka::audit::AuditConfig {
@@ -1584,8 +1499,8 @@ fn main() {
     } else {
         (first.as_str(), &args[1..])
     };
-    // `watch` and `trace` accept a positional journal path; everything
-    // else is flags-only.
+    // `watch` accepts a positional journal path and `trace` takes its one
+    // form whole; everything else is flags-only.
     if cmd == "watch" {
         cmd_watch(rest);
         return;

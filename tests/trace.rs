@@ -211,38 +211,28 @@ fn journals_are_byte_identical_with_tracing_on_and_off() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `hka-sim trace JOURNAL --out` reconstructs a validator-clean coarse
-/// timeline from a journal written without any live tracing.
+/// The journal records decisions and the trace records timing; no
+/// subcommand rebuilds one from the other. The retired
+/// `trace JOURNAL --out FILE` form is a usage error naming the one
+/// form `trace` keeps.
 #[test]
-fn trace_subcommand_reconstructs_a_valid_timeline_from_a_journal() {
-    let dir = tmp_dir("reconstruct");
+fn trace_rejects_the_retired_journal_reconstruction_form() {
+    let dir = tmp_dir("retired");
     let journal = dir.join("run.jsonl");
-    let (ok, stdout, stderr) = hka_sim(&[
-        "simulate",
-        "--days",
-        "1",
-        "--commuters",
-        "3",
-        "--roamers",
-        "12",
-        "--trace-out",
-        journal.to_str().unwrap(),
-    ]);
-    assert!(ok, "{stdout}{stderr}");
-    let out = dir.join("reconstructed.json");
-    let (ok, stdout, stderr) = hka_sim(&[
-        "trace",
-        journal.to_str().unwrap(),
-        "--out",
-        out.to_str().unwrap(),
-    ]);
-    assert!(ok, "{stdout}{stderr}");
-    assert!(stdout.contains("journal records"), "{stdout}");
-    let (ok, stdout, stderr) = hka_sim(&["trace", "--validate", out.to_str().unwrap()]);
-    assert!(ok, "{stdout}{stderr}");
-    let doc = obs::json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-    let check = obs::validate_chrome_trace(&doc).unwrap();
-    assert!(check.spans > 0);
+    std::fs::write(&journal, "").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hka-sim"))
+        .args([
+            "trace",
+            journal.to_str().unwrap(),
+            "--out",
+            dir.join("coarse.json").to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--validate"), "{stderr}");
+    assert!(!dir.join("coarse.json").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
