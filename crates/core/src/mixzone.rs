@@ -20,17 +20,17 @@
 //! period, then the user emerges under a fresh pseudonym.
 //!
 //! "Sufficiently close to the point" is a window query, so the search
-//! asks the host's spatial index who crossed the zone during the
-//! look-back and reads only the tails of those users' PHLs for a heading:
-//! an attempt costs the neighbourhood, not the database. The exhaustive
-//! scan over every PHL survives as the test oracle the search is held
-//! equal to.
+//! asks the host's spatial index for the observations inside the zone
+//! during the look-back and reads each crowd member's heading off their
+//! own last two: an attempt costs the neighbourhood, not the database,
+//! and reads a PHL only to break a timestamp tie. The exhaustive scan
+//! over every PHL survives as the test oracle the search is held equal
+//! to.
 
 use hka_geo::{angular_separation, Point, Rect, StBox, StPoint, TimeInterval, TimeSec};
 #[cfg(test)]
 use hka_trajectory::TrajectoryStore;
 use hka_trajectory::{Phl, UserId};
-use std::collections::BTreeSet;
 
 /// Parameters of the on-demand mix-zone search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,19 +154,23 @@ impl MixZoneManager {
     /// `min_divergence`.
     ///
     /// The crowd is searched through the host's index, not its database:
-    /// `users_crossing` answers the window query over the probe box (any
-    /// [`hka_trajectory::SpatialIndex::users_crossing`] over the host's
-    /// observations — ascending by user id, which the order-sensitive
-    /// greedy heading selection needs), and `phl_of` hands out the PHLs of
-    /// just those users. A user with no observation in the box has no
-    /// heading there, so nobody the search would have chosen is missed.
+    /// `observations_in` answers the window query over the probe box (any
+    /// [`hka_trajectory::SpatialIndex::observations_in`] over the host's
+    /// observations), and each crowd member's heading is read off their
+    /// last two observations in it by time. The index holds exactly the
+    /// host's PHL points, so those are the two `heading_in` would read
+    /// from the PHL — unless a timestamp ties among them, which only a
+    /// clamped or repeated report produces and which leaves their PHL
+    /// order undecided by time; only then does `phl_of` hand out that
+    /// user's PHL. Users are examined in ascending id, the order the
+    /// greedy heading selection needs.
     ///
     /// On success the zone is activated: service is suppressed inside it
     /// until `at.t + cooldown`, and the caller should change the
     /// requester's pseudonym.
     pub fn try_unlink<'p>(
         &mut self,
-        users_crossing: impl FnOnce(&StBox) -> BTreeSet<UserId>,
+        observations_in: impl FnOnce(&StBox) -> Vec<(UserId, StPoint)>,
         phl_of: impl Fn(UserId) -> Option<&'p Phl>,
         requester: UserId,
         at: &StPoint,
@@ -175,17 +179,20 @@ impl MixZoneManager {
         let mut span = hka_obs::span!("mixzone.try_unlink");
         span.attr("k", hka_obs::Json::from(k as u64));
         let probe = self.probe(at);
+        let mut inside = observations_in(&probe);
+        span.attr("observations", hka_obs::Json::from(inside.len() as u64));
+        inside.sort_unstable_by_key(|(user, p)| (*user, p.t));
 
         // Candidate users near the point, with their current heading.
         let mut read = 0u64;
         let mut candidates: Vec<(UserId, f64)> = Vec::new();
-        for user in users_crossing(&probe) {
+        for track in inside.chunk_by(|a, b| a.0 == b.0) {
+            let user = track[0].0;
             if user == requester {
                 continue;
             }
-            let Some(phl) = phl_of(user) else { continue };
             read += 1;
-            if let Some(heading) = heading_in(phl, &probe) {
+            if let Some(heading) = track_heading(track, || phl_of(user), &probe) {
                 candidates.push((user, heading));
             }
         }
@@ -285,6 +292,28 @@ impl MixZoneManager {
     }
 }
 
+/// A crowd member's heading from their observations inside the probe
+/// box, sorted by time: the bearing between the last two, if there are
+/// two and they differ. When the last or second-to-last timestamp is
+/// shared with another of them, time alone does not say which two the
+/// PHL holds last, and the PHL (`phl`) decides through [`heading_in`].
+fn track_heading<'p>(
+    track: &[(UserId, StPoint)],
+    phl: impl FnOnce() -> Option<&'p Phl>,
+    probe: &StBox,
+) -> Option<f64> {
+    let n = track.len();
+    if n < 2 {
+        return None;
+    }
+    let (a, b) = (&track[n - 2].1, &track[n - 1].1);
+    if a.t == b.t || (n > 2 && track[n - 3].1.t == a.t) {
+        return heading_in(phl()?, probe);
+    }
+    // Stationary: no usable heading.
+    (a.pos != b.pos).then(|| a.pos.bearing_to(&b.pos))
+}
+
 /// A user's current heading inside the probe box: the bearing between
 /// their last two observations that fall in both its window and its
 /// zone, if there are two and they differ.
@@ -337,7 +366,7 @@ mod tests {
     ) -> UnlinkDecision {
         let want = mz.clone().try_unlink_exhaustive(store, requester, at, k);
         let got = mz.try_unlink(
-            |b| index.users_crossing(b),
+            |b| index.observations_in(b),
             |u| store.phl(u),
             requester,
             at,
@@ -390,6 +419,37 @@ mod tests {
         assert!(mz.suppressed_at(&sp(0.0, 0.0, 1100)));
         // …but expires after the cooldown.
         assert!(!mz.suppressed_at(&sp(0.0, 0.0, 2000)));
+    }
+
+    #[test]
+    fn a_crowd_without_timestamp_ties_is_read_off_the_index_alone() {
+        use std::f64::consts::FRAC_PI_2;
+        /// A successful unlink around the origin, held to the exhaustive
+        /// scan, and the users whose PHL it read.
+        fn phls_read(store: &TrajectoryStore, k: usize) -> Vec<UserId> {
+            let index = GridIndex::build(store, GridIndexConfig::default());
+            let at = sp(0.0, 0.0, 1000);
+            let mut mz = MixZoneManager::new(MixZoneConfig::default());
+            let want = mz.clone().try_unlink_exhaustive(store, UserId(9), &at, k);
+            let read = std::cell::RefCell::new(Vec::new());
+            let phl_of = |u| {
+                read.borrow_mut().push(u);
+                store.phl(u)
+            };
+            let got = mz.try_unlink(|b| index.observations_in(b), phl_of, UserId(9), &at, k);
+            assert!(matches!(got, UnlinkDecision::Unlinked { .. }), "{got:?}");
+            assert_eq!(got, want);
+            read.into_inner()
+        }
+        let mut store = crossing_store(&[(1, 0.0), (2, FRAC_PI_2), (3, 2.0 * FRAC_PI_2)]);
+        assert_eq!(phls_read(&store, 3), vec![]);
+
+        // A clamped report ties user 4's last two timestamps: only its
+        // PHL knows it went south, and the window scan meets the two
+        // points the other way round (the southern cell comes first).
+        store.record(UserId(4), sp(0.0, 20.0, 950));
+        store.record(UserId(4), sp(0.0, -20.0, 950));
+        assert_eq!(phls_read(&store, 5), vec![UserId(4)]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Metrics: named atomic counters, gauges, and log₂-bucket latency
+//! Metrics: named atomic counters, gauges, and log-linear-bucket latency
 //! histograms, collected into point-in-time snapshots.
 //!
 //! Registration is lock-protected but recording is lock-free: looking up
@@ -61,14 +61,22 @@ impl Gauge {
     }
 }
 
-/// Number of histogram buckets: bucket `i` covers values whose
-/// bit-length is `i`, i.e. `[2^(i-1), 2^i)`, with bucket 0 holding zero.
-pub const BUCKETS: usize = 64;
+/// Linear sub-buckets per power of two: a bucket spans at most an
+/// eighth of its smallest value.
+const SUB: u64 = 8;
+
+/// Number of histogram buckets: values below [`SUB`] have one bucket
+/// each, and every power-of-two range `[2^b, 2^(b+1))` from `b = 3` up to
+/// `b = 63` is cut into [`SUB`] equal sub-buckets (HDR-style log-linear
+/// layout; 496 × 8 B ≈ 3.9 KiB of counters per histogram).
+pub const BUCKETS: usize = (SUB as usize) * (u64::BITS as usize - 2);
 
 /// A fixed-bucket latency histogram over `u64` values (nanoseconds by
-/// convention). Buckets are powers of two — `leading_zeros` gives the
-/// bucket index in a handful of cycles and no configuration is needed
-/// for values spanning 100 ns to minutes.
+/// convention). Buckets are log-linear — the top four bits of a value
+/// pick its bucket, so `leading_zeros`, a shift and a mask give the index
+/// in a handful of cycles, no configuration is needed for values
+/// spanning 100 ns to minutes, and a percentile read off a bucket bound
+/// is at most 12.5 % above the value it stands for.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -90,24 +98,30 @@ impl Default for Histogram {
 
 impl Histogram {
     fn bucket_index(value: u64) -> usize {
-        (u64::BITS - value.leading_zeros()) as usize
+        if value < SUB {
+            return value as usize;
+        }
+        // The value's top four bits: a leading one and a 3-bit sub-bucket.
+        let shift = u64::BITS - 4 - value.leading_zeros();
+        ((shift as usize + 1) << 3) | ((value >> shift) & (SUB - 1)) as usize
     }
 
-    /// Upper bound (exclusive) of bucket `index`, used as its
-    /// representative value in percentile estimates and in exported
-    /// bucket tables; pessimistic by at most 2×.
+    /// The largest value bucket `index` holds, used as its representative
+    /// value in percentile estimates and in exported bucket tables: at
+    /// most 12.5 % above any value in the bucket, exact below 16.
     pub fn bucket_bound(index: usize) -> u64 {
-        if index == 0 {
-            0
-        } else {
-            1u64 << index.min(63)
+        let index = index.min(BUCKETS - 1);
+        if index < SUB as usize {
+            return index as u64;
         }
+        let shift = (index >> 3) - 1;
+        let low = (SUB | (index as u64 & (SUB - 1))) << shift;
+        low + ((1u64 << shift) - 1)
     }
 
     /// Records one observation.
     pub fn record(&self, value: u64) {
-        let idx = Self::bucket_index(value).min(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
@@ -169,15 +183,16 @@ pub struct HistogramSnapshot {
     pub mean: f64,
     /// Largest observation.
     pub max: u64,
-    /// Median, as the upper bound of its log₂ bucket.
+    /// Median (nearest rank), as the upper bound of its bucket.
     pub p50: u64,
-    /// 95th percentile, as the upper bound of its log₂ bucket.
+    /// 95th percentile, as the upper bound of its bucket.
     pub p95: u64,
-    /// 99th percentile, as the upper bound of its log₂ bucket.
+    /// 99th percentile, as the upper bound of its bucket.
     pub p99: u64,
-    /// Raw per-bucket observation counts (`buckets[i]` covers values of
-    /// bit-length `i`); the full latency distribution, not just its
-    /// summary — audit and bench consumers export these as breakdowns.
+    /// Raw per-bucket observation counts (`buckets[i]` covers the values
+    /// up to [`Histogram::bucket_bound`]`(i)` above the previous bucket's);
+    /// the full latency distribution, not just its summary — audit and
+    /// bench consumers export these as breakdowns.
     pub buckets: [u64; BUCKETS],
 }
 
@@ -457,29 +472,67 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_bit_length() {
+    fn histogram_buckets_are_log_linear() {
+        for v in 0..16u64 {
+            assert_eq!(Histogram::bucket_index(v), v as usize, "exact below 16");
+        }
+        // 16..32 in steps of 2, 32..64 in steps of 4, …
+        assert_eq!(Histogram::bucket_index(17), 16);
+        assert_eq!(Histogram::bucket_index(18), 17);
+        assert_eq!(Histogram::bucket_index(32), 24);
+        assert_eq!(Histogram::bucket_index(1024), 64);
         assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(1024), 11);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
+        assert_eq!(Histogram::bucket_index(u64::MAX), BUCKETS - 1);
+        assert_eq!(Histogram::bucket_bound(BUCKETS - 1), u64::MAX);
+        assert!(std::mem::size_of::<Histogram>() <= 4096);
     }
 
     #[test]
-    fn histogram_percentiles_bound_the_data() {
-        let h = Histogram::default();
-        for v in 1..=1000u64 {
-            h.record(v);
+    fn bucket_bounds_are_monotone_and_hold_their_bucket() {
+        let mut last = None;
+        for i in 0..BUCKETS {
+            let bound = Histogram::bucket_bound(i);
+            assert!(last.is_none_or(|l| bound > l), "bucket {i}");
+            assert_eq!(
+                Histogram::bucket_index(bound),
+                i,
+                "bucket {i} holds its bound"
+            );
+            if let Some(l) = last {
+                // The smallest value of the bucket lands in it too, and
+                // the bound is within an eighth of it.
+                assert_eq!(Histogram::bucket_index(l + 1), i);
+                assert!(bound - (l + 1) <= (l + 1) / 8, "bucket {i}");
+            }
+            last = Some(bound);
         }
-        let s = h.snapshot();
-        assert_eq!(s.count, 1000);
-        assert_eq!(s.sum, 500_500);
-        assert_eq!(s.max, 1000);
-        // Upper bucket bounds: p50 of 1..=1000 is 500 → bucket [256,512).
-        assert_eq!(s.p50, 512);
-        assert_eq!(s.p95, 1024);
-        assert!(s.p99 >= s.p95 && s.p95 >= s.p50);
+    }
+
+    #[test]
+    fn histogram_percentiles_are_within_an_eighth_above_nearest_rank() {
+        // Uniform, and a long-tailed mix of 1 µs-ish and 100 µs-ish spans.
+        let uniform: Vec<u64> = (1..=1000).collect();
+        let mut tailed: Vec<u64> = (0..10_000u64).map(|i| 900 + (i * 7919) % 400).collect();
+        tailed.extend((0..300u64).map(|i| 60_000 + (i * 104_729) % 90_000));
+        tailed.sort_unstable();
+        for data in [uniform, tailed] {
+            let h = Histogram::default();
+            for &v in &data {
+                h.record(v);
+            }
+            let s = h.snapshot();
+            assert_eq!(s.count, data.len() as u64);
+            assert_eq!(s.sum, data.iter().sum::<u64>());
+            assert_eq!(s.max, *data.last().unwrap());
+            for (q, got) in [(0.50, s.p50), (0.95, s.p95), (0.99, s.p99)] {
+                let rank = (q * data.len() as f64).ceil() as usize;
+                let exact = data[rank - 1];
+                assert!(
+                    got >= exact && got - exact <= exact / 8,
+                    "q={q}: {got} vs {exact}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -510,10 +563,11 @@ mod tests {
         assert_eq!(s.buckets.iter().sum::<u64>(), s.count);
         assert_eq!(s.buckets[0], 1, "zero lands in bucket 0");
         assert_eq!(s.buckets[1], 1);
-        assert_eq!(s.buckets[2], 2);
-        assert_eq!(s.buckets[10], 3, "700 has bit-length 10");
+        assert_eq!(s.buckets[3], 2);
+        // 700 = 0b1010111100: top four bits 1010, shifted by 6.
+        assert_eq!(s.buckets[58], 3);
         let sparse: Vec<(u64, u64)> = s.nonzero_buckets().collect();
-        assert_eq!(sparse, vec![(0, 1), (2, 1), (4, 2), (1024, 3)]);
+        assert_eq!(sparse, vec![(0, 1), (1, 1), (3, 2), (703, 3)]);
     }
 
     #[test]

@@ -1354,8 +1354,9 @@ mod tests {
             "clamped forward"
         );
         assert_eq!(shd.co.union.len(), 2);
-        let indexed = |shd: &ShardedTs, at| shd.co.union.users_crossing(&StBox::point(at));
-        assert!(indexed(&shd, sp(5.0, 0.0, 100)).contains(&UserId(1)));
+        let indexed = |shd: &ShardedTs, at| shd.co.union.observations_in(&StBox::point(at));
+        let at = sp(5.0, 0.0, 100);
+        assert_eq!(indexed(&shd, at), vec![(UserId(1), at)]);
         assert!(indexed(&shd, sp(5.0, 0.0, 40)).is_empty());
         // A PHL-write fault on a regressed report drops it before both.
         shd.attach_faults(FaultInjector::new(FaultPlan::new(7).with_rule(

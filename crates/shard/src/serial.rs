@@ -251,7 +251,7 @@ impl RequestHost for SerialHost<'_> {
         self.ensure_union();
         let (union, shards) = (&self.co.union, &*self.shards);
         self.co.mixzones.try_unlink(
-            |b| union.users_crossing(b),
+            |b| union.observations_in(b),
             |u| shards[shard_of(shards.len(), u)].store.phl(u),
             user,
             at,

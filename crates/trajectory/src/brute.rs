@@ -12,11 +12,10 @@
 use crate::spatial::{IndexBackend, SpatialIndex};
 use crate::{TrajectoryStore, UserId};
 use hka_geo::{SpaceTimeScale, StBox, StPoint};
-use std::collections::BTreeSet;
 
 /// The exhaustive-scan backend behind the [`SpatialIndex`] seam: owns
-/// its own copy of the observations and answers every query with the
-/// free functions in this module.
+/// its own copy of the observations and answers every query by walking
+/// every PHL.
 ///
 /// This is the differential **oracle** — the executable specification
 /// the grid index is property-tested against — and the un-indexed
@@ -77,8 +76,17 @@ impl SpatialIndex for BruteIndex {
         self.store.record(user, p);
     }
 
-    fn users_crossing(&self, b: &StBox) -> BTreeSet<UserId> {
-        users_crossing(&self.store, b)
+    fn observations_in(&self, b: &StBox) -> Vec<(UserId, StPoint)> {
+        let mut out = Vec::new();
+        for (user, phl) in self.store.iter() {
+            let inside = phl.in_interval(&b.span).iter();
+            out.extend(
+                inside
+                    .filter(|p| b.rect.contains(&p.pos))
+                    .map(|p| (user, *p)),
+            );
+        }
+        out
     }
 
     fn k_nearest_users(
@@ -118,19 +126,10 @@ pub fn k_nearest_users(
     candidates.into_iter().map(|(u, _, p)| (u, p)).collect()
 }
 
-/// Distinct users crossing `b`, by exhaustive scan.
-pub fn users_crossing(store: &TrajectoryStore, b: &StBox) -> BTreeSet<UserId> {
-    store
-        .iter()
-        .filter(|(_, phl)| phl.crosses(b))
-        .map(|(u, _)| u)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hka_geo::{Rect, TimeInterval, TimeSec};
+    use hka_geo::TimeSec;
 
     fn sp(x: f64, y: f64, t: i64) -> StPoint {
         StPoint::xyt(x, y, TimeSec(t))
@@ -166,18 +165,5 @@ mod tests {
         store.record(UserId(3), sp(-1.0, 0.0, 0));
         let got = k_nearest_users(&store, &sp(0.0, 0.0, 0), 1, None, &SpaceTimeScale::new(1.0));
         assert_eq!(got[0].0, UserId(3));
-    }
-
-    #[test]
-    fn users_crossing_matches_store_helper() {
-        let mut store = TrajectoryStore::new();
-        store.record(UserId(1), sp(0.0, 0.0, 0));
-        store.record(UserId(2), sp(50.0, 50.0, 5));
-        let b = StBox::new(
-            Rect::from_bounds(-1.0, -1.0, 1.0, 1.0),
-            TimeInterval::new(TimeSec(0), TimeSec(10)),
-        );
-        let brute: Vec<UserId> = users_crossing(&store, &b).into_iter().collect();
-        assert_eq!(brute, store.users_crossing(&b));
     }
 }

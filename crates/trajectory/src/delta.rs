@@ -7,7 +7,7 @@
 //! sharded trusted server partitions users (and their PHLs) across
 //! shards. [`UnionIndex`] is a single owned [`SpatialIndex`] over *all*
 //! partitions, answering both ([`UnionIndex::k_nearest_users`],
-//! memoised per generation; [`UnionIndex::users_crossing`], a plain
+//! memoised per generation; [`UnionIndex::observations_in`], a plain
 //! pass-through):
 //!
 //! * **Inserts.** Every observation the server records on any shard is
@@ -40,7 +40,7 @@
 
 use crate::{GridIndexConfig, IndexBackend, SpatialIndex, TrajectoryStore, UserId};
 use hka_geo::{StBox, StPoint};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Memo key for a k-nearest query: seed coordinates (by bit pattern —
 /// exact equality, no epsilon), k, and the excluded user.
@@ -172,15 +172,15 @@ impl UnionIndex {
         out
     }
 
-    /// Distinct users with an observation inside `b`, ascending by id —
-    /// the candidate set of a mix-zone unlink. A plain pass-through: each
-    /// unlink probes its own box once, so there is nothing to memoise.
+    /// Every observation inside `b` — the crowd of a mix-zone unlink. A
+    /// plain pass-through: each unlink probes its own box once, so there
+    /// is nothing to memoise.
     ///
     /// # Panics
     /// If the union is not live; callers rebuild first.
-    pub fn users_crossing(&self, b: &StBox) -> BTreeSet<UserId> {
+    pub fn observations_in(&self, b: &StBox) -> Vec<(UserId, StPoint)> {
         assert!(self.live, "query against an invalidated union index");
-        self.index.users_crossing(b)
+        self.index.observations_in(b)
     }
 
     /// Drops the memo if the index has mutated since it was filled.

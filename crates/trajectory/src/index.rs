@@ -8,7 +8,7 @@
 //! `cell_size × cell_size × cell_duration` cells, and both queries cost
 //! what is near them, not what is in the database.
 //!
-//! * The window query ([`GridIndex::users_crossing`]) looks up the cells
+//! * The window query ([`GridIndex::observations_in`]) looks up the cells
 //!   its box overlaps.
 //! * The k-nearest-users query ([`GridIndex::k_nearest_users`]) expands
 //!   over occupied time slabs outward from the seed's, and inside each
@@ -310,12 +310,12 @@ impl GridIndex {
         )
     }
 
-    /// Distinct users with at least one observation inside `b`.
-    pub fn users_crossing(&self, b: &StBox) -> BTreeSet<UserId> {
+    /// Every observation inside the closed box `b`, in scan order.
+    pub fn observations_in(&self, b: &StBox) -> Vec<(UserId, StPoint)> {
         let _span = hka_obs::span!("index.query");
-        let mut out = BTreeSet::new();
-        let probes = self.scan_box(b, |user| {
-            out.insert(user);
+        let mut out = Vec::new();
+        let probes = self.scan_box(b, |user, p| {
+            out.push((user, *p));
             Continue(())
         });
         hka_obs::counter!("index.probes").add(probes);
@@ -330,7 +330,7 @@ impl GridIndex {
         }
         let _span = hka_obs::span!("index.query");
         let mut seen = BTreeSet::new();
-        let probes = self.scan_box(b, |user| {
+        let probes = self.scan_box(b, |user, _| {
             if seen.insert(user) && seen.len() >= limit {
                 Break(())
             } else {
@@ -341,10 +341,10 @@ impl GridIndex {
         seen.len()
     }
 
-    /// Calls `f` with the user of every observation inside `b`, occupied
-    /// slab by occupied slab, until it breaks. Returns the cells scanned
-    /// (what `index.probes` counts).
-    fn scan_box(&self, b: &StBox, mut f: impl FnMut(UserId) -> ControlFlow<()>) -> u64 {
+    /// Calls `f` with every observation inside `b`, occupied slab by
+    /// occupied slab, until it breaks. Returns the cells scanned (what
+    /// `index.probes` counts).
+    fn scan_box(&self, b: &StBox, mut f: impl FnMut(UserId, &StPoint) -> ControlFlow<()>) -> u64 {
         let lo = self.cell_of(&StPoint::new(b.rect.min(), b.span.start()));
         let hi = self.cell_of(&StPoint::new(b.rect.max(), b.span.end()));
         let mut probes = 0;
@@ -354,7 +354,7 @@ impl GridIndex {
                 for tier in tiers {
                     for (user, p) in tier {
                         if b.contains(p) {
-                            f(*user)?;
+                            f(*user, p)?;
                         }
                     }
                 }
@@ -1114,6 +1114,12 @@ mod tests {
             window(f64::NEG_INFINITY, f64::INFINITY),
         ] {
             assert_eq!(grid.users_crossing(&b), brute.users_crossing(&b), "{b:?}");
+            let sorted = |idx: &dyn SpatialIndex| {
+                let mut v = idx.observations_in(&b);
+                v.sort_by_key(|(u, p)| (*u, p.t, p.pos.x.to_bits(), p.pos.y.to_bits()));
+                v
+            };
+            assert_eq!(sorted(&grid), sorted(&brute), "{b:?}");
             for limit in [1, 2, 9] {
                 assert_eq!(
                     grid.count_users_crossing(&b, limit),
@@ -1249,7 +1255,7 @@ mod tests {
             TimeInterval::new(TimeSec(0), TimeSec(9)),
         );
         let mut users = BTreeSet::new();
-        let probes = idx.scan_box(&row, |u| {
+        let probes = idx.scan_box(&row, |u, _| {
             users.insert(u);
             Continue(())
         });
@@ -1266,12 +1272,12 @@ mod tests {
             Rect::from_bounds(0.0, 0.0, 15.0, 5.0),
             TimeInterval::new(TimeSec(0), TimeSec(9)),
         );
-        assert_eq!(idx.scan_box(&pair, |_| Continue(())), 2);
+        assert_eq!(idx.scan_box(&pair, |_, _| Continue(())), 2);
         let all = StBox::new(
             Rect::from_bounds(-100.0, 0.0, 95.0, 35.0),
             TimeInterval::new(TimeSec(0), TimeSec(9)),
         );
-        assert_eq!(idx.scan_box(&all, |_| Continue(())), 17);
+        assert_eq!(idx.scan_box(&all, |_, _| Continue(())), 17);
         let (got, cost) = idx.search(&sp(1.0, 1.0, 3), 100, None);
         assert_eq!(got.len(), 67);
         assert_eq!(
@@ -1298,7 +1304,7 @@ mod tests {
                 TimeInterval::new(TimeSec(0), TimeSec(9)),
             );
             let mut order = Vec::new();
-            idx.scan_box(&b, |u| {
+            idx.scan_box(&b, |u, _| {
                 order.push(u.raw());
                 Continue(())
             });

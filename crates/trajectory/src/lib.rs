@@ -17,9 +17,10 @@
 //!     ([`GridIndex::k_nearest_users`]) exactly mirroring the paper's own
 //!     brute-force formulation ("considering the nearest neighbor in the
 //!     PHL of each user and then taking the closest k points");
-//!   * the set of users crossing a given box
-//!     ([`GridIndex::users_crossing`]), which also yields per-request
-//!     anonymity sets and the candidates of an on-demand mix-zone.
+//!   * the observations inside a given box
+//!     ([`GridIndex::observations_in`]) — the crowd of an on-demand
+//!     mix-zone — and the set of users crossing it
+//!     ([`SpatialIndex::users_crossing`]), per-request anonymity sets.
 //! * [`brute`] / [`BruteIndex`] — the same two queries by exhaustive
 //!   scan: the paper's O(k·n) formulation kept as the executable
 //!   specification the grid is differentially tested against, and the

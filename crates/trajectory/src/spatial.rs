@@ -8,9 +8,10 @@
 //!
 //! * incremental [`SpatialIndex::insert`] (the TS ingests location
 //!   updates online);
-//! * the window / co-location query [`SpatialIndex::users_crossing`]
-//!   (plus an early-exit counting variant) — anonymity sets, and the
-//!   crowd an on-demand mix-zone (paper §6.3) is sought in;
+//! * the window query [`SpatialIndex::observations_in`] — the crowd an
+//!   on-demand mix-zone (paper §6.3) is sought in — and the co-location
+//!   queries derived from it, [`SpatialIndex::users_crossing`] (plus an
+//!   early-exit counting variant) — anonymity sets;
 //! * the k-nearest-**users** query [`SpatialIndex::k_nearest_users`]
 //!   mirroring the paper's "nearest neighbor in the PHL of each user,
 //!   then the closest k points" (Algorithm 1 line 5).
@@ -64,7 +65,8 @@ pub(crate) fn obs_cmp(a: &StPoint, b: &StPoint) -> std::cmp::Ordering {
 /// sequence of [`insert`](SpatialIndex::insert)s, two backends built
 /// over the same points and the same [`SpaceTimeScale`] return equal
 /// results from [`users_crossing`](SpatialIndex::users_crossing) and
-/// [`k_nearest_users`](SpatialIndex::k_nearest_users). The brute
+/// [`k_nearest_users`](SpatialIndex::k_nearest_users), and the same
+/// multiset from [`observations_in`](SpatialIndex::observations_in). The brute
 /// backend ([`BruteIndex`]) is the executable specification; the
 /// differential property suite checks the grid against it.
 pub trait SpatialIndex: std::fmt::Debug + Send + Sync {
@@ -89,8 +91,22 @@ pub trait SpatialIndex: std::fmt::Debug + Send + Sync {
     /// Indexes one observation for `user`.
     fn insert(&mut self, user: UserId, p: StPoint);
 
-    /// Distinct users with at least one observation inside `b`.
-    fn users_crossing(&self, b: &StBox) -> BTreeSet<UserId>;
+    /// Every indexed observation inside the closed box `b`, each as often
+    /// as it was inserted, in no particular order.
+    fn observations_in(&self, b: &StBox) -> Vec<(UserId, StPoint)>;
+
+    /// Distinct users with at least one observation inside `b`: the users
+    /// of [`observations_in`](SpatialIndex::observations_in).
+    fn users_crossing(&self, b: &StBox) -> BTreeSet<UserId> {
+        let mut users: Vec<UserId> = self
+            .observations_in(b)
+            .into_iter()
+            .map(|(u, _)| u)
+            .collect();
+        users.sort_unstable();
+        users.dedup();
+        users.into_iter().collect()
+    }
 
     /// Number of distinct users crossing `b`, stopping early once
     /// `limit` distinct users are found. Backends may override this
@@ -132,8 +148,8 @@ impl SpatialIndex for GridIndex {
         GridIndex::insert(self, user, p);
     }
 
-    fn users_crossing(&self, b: &StBox) -> BTreeSet<UserId> {
-        GridIndex::users_crossing(self, b)
+    fn observations_in(&self, b: &StBox) -> Vec<(UserId, StPoint)> {
+        GridIndex::observations_in(self, b)
     }
 
     fn count_users_crossing(&self, b: &StBox, limit: usize) -> usize {

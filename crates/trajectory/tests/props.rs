@@ -55,6 +55,15 @@ fn arb_box() -> impl Strategy<Value = StBox> {
         .prop_map(|(a, b)| StBox::new(Rect::new(a.pos, b.pos), TimeInterval::new(a.t, b.t)))
 }
 
+/// `index.observations_in(b)` in a canonical order (by user, then time,
+/// then coordinates by bit pattern), so two backends' multisets compare
+/// as vectors.
+fn sorted_observations(index: &dyn SpatialIndex, b: &StBox) -> Vec<(UserId, StPoint)> {
+    let mut out = index.observations_in(b);
+    out.sort_by_key(|(u, p)| (*u, p.t, p.pos.x.to_bits(), p.pos.y.to_bits()));
+    out
+}
+
 /// The specification the union index is held to: an exhaustive scan
 /// over the merged (user-disjoint) shard stores.
 fn brute_over(stores: &[TrajectoryStore], cfg: &GridIndexConfig) -> BruteIndex {
@@ -206,7 +215,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Sealing and merging move observations between tiers, never change
-    /// an answer: grid ≡ brute on all three queries whatever the order
+    /// an answer: grid ≡ brute on every query whatever the order
     /// the observations arrived in, and for the bulk build, which lays
     /// the sealed slabs out directly.
     #[test]
@@ -235,6 +244,11 @@ proptest! {
                 );
             }
             prop_assert_eq!(grid.users_crossing(&b), oracle.users_crossing(&b), "{}", order);
+            prop_assert_eq!(
+                sorted_observations(&grid, &b),
+                sorted_observations(&oracle, &b),
+                "{}", order
+            );
             for limit in [1usize, 3, usize::MAX] {
                 prop_assert_eq!(
                     grid.count_users_crossing(&b, limit),
@@ -253,8 +267,8 @@ proptest! {
     fn users_crossing_matches_brute(store in arb_store(12, 15), cfg in configs(), b in arb_box()) {
         let idx = GridIndex::build(&store, cfg);
         let fast = idx.users_crossing(&b);
-        let slow = brute::users_crossing(&store, &b);
-        prop_assert_eq!(fast, slow);
+        let slow = store.users_crossing(&b);
+        prop_assert_eq!(fast.into_iter().collect::<Vec<_>>(), slow);
     }
 
     #[test]
@@ -306,7 +320,8 @@ proptest! {
     }
 
     /// The index contract: the grid, driven purely through the
-    /// `SpatialIndex` trait, returns the brute oracle's anonymity sets
+    /// `SpatialIndex` trait, returns the brute oracle's window contents
+    /// (`observations_in`, as a multiset), anonymity sets
     /// (`users_crossing`), co-location counts (including the early-exit
     /// variant), and k-nearest rankings. Answers must match
     /// **exactly** — users, and the representative points themselves:
@@ -329,6 +344,11 @@ proptest! {
         prop_assert_eq!(idx.backend(), IndexBackend::Grid);
         prop_assert_eq!(idx.len(), store.total_points());
         prop_assert_eq!(idx.users_crossing(&b), want_set, "anonymity set");
+        prop_assert_eq!(
+            sorted_observations(&*idx, &b),
+            sorted_observations(&*oracle, &b),
+            "observations in the box"
+        );
         for limit in [0usize, 1, 3, usize::MAX] {
             prop_assert_eq!(
                 idx.count_users_crossing(&b, limit),

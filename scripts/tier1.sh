@@ -108,4 +108,10 @@ echo "== benchmark (stand-alone workspace: compiles against today's API, smoke p
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 benchmark/all.sh --smoke > /dev/null
 
+echo "== pair (scripts/pair.sh smoke: one binary on both sides, decisions identical) =="
+bench="${CARGO_TARGET_DIR:-benchmark/target}/release/hka-benchmark"
+scripts/pair.sh "$bench" "$bench" query_dense 1 --smoke --out "$tmp/pair" 2> /dev/null \
+    > "$tmp/pair.txt"
+grep -qx "identical: yes" "$tmp/pair.txt" || { cat "$tmp/pair.txt"; exit 1; }
+
 echo "tier-1: OK"

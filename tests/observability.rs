@@ -196,8 +196,9 @@ fn cli_trace_out_and_metrics_default_to_simulate() {
 }
 
 /// An operator can read off `--metrics` that the unlink search is
-/// neighbourhood-sized: `mixzone.candidates` (PHLs read for a heading)
-/// per attempt stays far below the population a full scan would read.
+/// neighbourhood-sized: `mixzone.candidates` (crowd members examined for
+/// a heading) per attempt stays far below the population a full scan
+/// would examine.
 #[test]
 fn cli_metrics_show_how_big_the_unlink_crowd_examined_was() {
     let (ok, stdout, stderr) = hka_sim(&[
@@ -223,12 +224,12 @@ fn cli_metrics_show_how_big_the_unlink_crowd_examined_was() {
     assert!(counter("mixzone.unlinked") >= 1, "the scenario must unlink");
     assert!(
         candidates >= attempts,
-        "{candidates} PHLs over {attempts} attempts"
+        "{candidates} crowd members over {attempts} attempts"
     );
-    // 70 users: the exhaustive scan read 69 PHLs per attempt.
+    // 70 users: the exhaustive scan examined 69 PHLs per attempt.
     assert!(
         candidates < 20 * attempts,
-        "{candidates} PHLs over {attempts} attempts is not neighbourhood-sized"
+        "{candidates} crowd members over {attempts} attempts is not neighbourhood-sized"
     );
 }
 

@@ -9,9 +9,10 @@ use hka::prelude::*;
 use std::process::Command;
 use std::sync::Mutex;
 
-/// The trace collector is process-global; library-driven tests that
-/// enable/disable it serialize here (CLI-driven tests run their own
-/// processes and need no lock).
+/// The trace collector is process-global; library-driven tests serialize
+/// here — those that enable it, and those that serve requests in-process,
+/// whose spans would otherwise land in another test's collection
+/// (CLI-driven tests run their own processes and need no lock).
 static COLLECTOR: Mutex<()> = Mutex::new(());
 
 fn hka_sim(args: &[&str]) -> (bool, String, String) {
@@ -242,6 +243,7 @@ fn trace_rejects_the_retired_journal_reconstruction_form() {
 /// the worst request's trace id.
 #[test]
 fn slo_breach_lands_in_the_journal_and_audit_stays_clean() {
+    let _g = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp_dir("slo");
     let path = dir.join("slo.jsonl");
     let world = build_world(1);
