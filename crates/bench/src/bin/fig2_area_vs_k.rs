@@ -20,7 +20,7 @@ use hka_bench::{build, mean, Cell, Report, ScenarioConfig};
 use hka_core::{algorithm1_first, Tolerance};
 use hka_geo::{StPoint, TimeInterval};
 use hka_mobility::EventKind;
-use hka_trajectory::{GridIndex, GridIndexConfig, UserId};
+use hka_trajectory::{GridIndex, GridIndexConfig, SpatialIndex, UserId};
 
 fn main() {
     let s = build(&ScenarioConfig {

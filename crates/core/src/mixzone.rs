@@ -20,17 +20,21 @@
 //! period, then the user emerges under a fresh pseudonym.
 //!
 //! "Sufficiently close to the point" is a window query, so the search
-//! asks the host's spatial index for the observations inside the zone
-//! during the look-back and reads each crowd member's heading off their
-//! own last two: an attempt costs the neighbourhood, not the database,
-//! and reads a PHL only to break a timestamp tie. The exhaustive scan
-//! over every PHL survives as the test oracle the search is held equal
-//! to.
+//! walks the host's spatial index over the zone during the look-back
+//! once, keeping each crowd member's latest observations as it goes,
+//! and reads their heading off the last two: an attempt costs the
+//! neighbourhood, not the database, and reads a PHL only to break a
+//! timestamp tie. The exhaustive scan over every PHL survives as the
+//! test oracle the search is held equal to.
 
 use hka_geo::{angular_separation, Point, Rect, StBox, StPoint, TimeInterval, TimeSec};
 #[cfg(test)]
 use hka_trajectory::TrajectoryStore;
 use hka_trajectory::{Phl, UserId};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+use std::ops::ControlFlow::{self, Continue};
 
 /// Parameters of the on-demand mix-zone search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,12 +91,115 @@ struct ActiveZone {
     until: TimeSec,
 }
 
+/// A crowd member's latest observations inside an unlink's probe box,
+/// kept while the window walk visits them in no particular order: how
+/// many there are, the top three timestamps (with repeats, latest
+/// first) and the positions at the top two.
+#[derive(Debug, Clone, Copy)]
+struct Track {
+    n: usize,
+    t: [TimeSec; 3],
+    pos: [Point; 2],
+}
+
+impl Track {
+    fn new(p: &StPoint) -> Self {
+        Track {
+            n: 1,
+            t: [p.t; 3],
+            pos: [p.pos; 2],
+        }
+    }
+
+    /// Takes in one more observation. A timestamp equal to a kept one
+    /// goes behind it; which of the tied positions is kept then does not
+    /// matter, since a tie among the top three sends the heading to the
+    /// PHL.
+    fn push(&mut self, p: &StPoint) {
+        let [t0, t1, t2] = self.t;
+        if p.t > t0 {
+            self.t = [p.t, t0, t1];
+            self.pos = [p.pos, self.pos[0]];
+        } else if self.n == 1 || p.t > t1 {
+            self.t = [t0, p.t, t1];
+            self.pos[1] = p.pos;
+        } else if self.n == 2 || p.t > t2 {
+            self.t[2] = p.t;
+        }
+        self.n += 1;
+    }
+
+    /// The member's heading: the bearing from their second-latest
+    /// observation in the box to their latest, if there are two and they
+    /// differ. When the latest or second-latest timestamp is shared with
+    /// another of them, time alone does not say which two the PHL holds
+    /// last, and the PHL (`phl`) decides through [`heading_in`].
+    fn heading<'p>(&self, phl: impl FnOnce() -> Option<&'p Phl>, probe: &StBox) -> Option<f64> {
+        if self.n < 2 {
+            return None;
+        }
+        if self.t[0] == self.t[1] || (self.n > 2 && self.t[1] == self.t[2]) {
+            return heading_in(phl()?, probe);
+        }
+        // Stationary: no usable heading.
+        let [b, a] = self.pos;
+        (a != b).then(|| a.bearing_to(&b))
+    }
+}
+
+/// Hashes a [`UserId`] with one keyed multiply-xor: the crowd map takes
+/// a probe per visited observation, where SipHash would cost most of
+/// what the single pass saves. The key is drawn per manager from std's
+/// [`RandomState`], so no fixed set of ids collides on every server.
+#[derive(Clone)]
+struct IdHashState(u64);
+
+impl IdHashState {
+    fn new() -> Self {
+        IdHashState(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for IdHashState {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher(self.0)
+    }
+}
+
+/// The [`IdHashState`] hasher: the 128-bit product of the keyed id and
+/// an odd constant, its halves xored, so every bit of the id reaches
+/// both the bucket bits and the tag bits.
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Static and on-demand mix-zone bookkeeping for the trusted server.
 #[derive(Debug, Clone)]
 pub struct MixZoneManager {
     config: MixZoneConfig,
     static_zones: Vec<Rect>,
     active: Vec<ActiveZone>,
+    /// Scratch of [`MixZoneManager::try_unlink`]: the crowd's tracks,
+    /// cleared at the start of each attempt so its capacity carries over.
+    /// Transient, like `active`: checkpoints do not serialize it.
+    tracks: HashMap<UserId, Track, IdHashState>,
 }
 
 impl MixZoneManager {
@@ -102,6 +209,7 @@ impl MixZoneManager {
             config,
             static_zones: Vec::new(),
             active: Vec::new(),
+            tracks: HashMap::with_hasher(IdHashState::new()),
         }
     }
 
@@ -153,24 +261,25 @@ impl MixZoneManager {
     /// least `k` users whose current headings pairwise diverge by at least
     /// `min_divergence`.
     ///
-    /// The crowd is searched through the host's index, not its database:
-    /// `observations_in` answers the window query over the probe box (any
-    /// [`hka_trajectory::SpatialIndex::observations_in`] over the host's
-    /// observations), and each crowd member's heading is read off their
-    /// last two observations in it by time. The index holds exactly the
-    /// host's PHL points, so those are the two `heading_in` would read
-    /// from the PHL — unless a timestamp ties among them, which only a
-    /// clamped or repeated report produces and which leaves their PHL
-    /// order undecided by time; only then does `phl_of` hand out that
-    /// user's PHL. Users are examined in ascending id, the order the
-    /// greedy heading selection needs.
+    /// The crowd is searched through the host's index, not its database,
+    /// in one pass: `scan_in` walks the probe box (any
+    /// [`hka_trajectory::SpatialIndex::scan_in`] over the host's
+    /// observations), and each visit updates its user's [`Track`] — the
+    /// latest three timestamps and the positions at the latest two. A
+    /// member's heading is read off those two. The index holds exactly
+    /// the host's PHL points, so they are the two `heading_in` would read
+    /// from the PHL — unless a timestamp ties among the latest three,
+    /// which only a clamped or repeated report produces and which leaves
+    /// their PHL order undecided by time; only then does `phl_of` hand
+    /// out that user's PHL. The members with a heading are then sorted
+    /// by id, the order the greedy heading selection needs.
     ///
     /// On success the zone is activated: service is suppressed inside it
     /// until `at.t + cooldown`, and the caller should change the
     /// requester's pseudonym.
     pub fn try_unlink<'p>(
         &mut self,
-        observations_in: impl FnOnce(&StBox) -> Vec<(UserId, StPoint)>,
+        scan_in: impl FnOnce(&StBox, &mut dyn FnMut(UserId, &StPoint) -> ControlFlow<()>),
         phl_of: impl Fn(UserId) -> Option<&'p Phl>,
         requester: UserId,
         at: &StPoint,
@@ -179,23 +288,28 @@ impl MixZoneManager {
         let mut span = hka_obs::span!("mixzone.try_unlink");
         span.attr("k", hka_obs::Json::from(k as u64));
         let probe = self.probe(at);
-        let mut inside = observations_in(&probe);
-        span.attr("observations", hka_obs::Json::from(inside.len() as u64));
-        inside.sort_unstable_by_key(|(user, p)| (*user, p.t));
+        let tracks = &mut self.tracks;
+        tracks.clear();
+        let mut observations = 0u64;
+        scan_in(&probe, &mut |user, p| {
+            observations += 1;
+            if user != requester {
+                tracks
+                    .entry(user)
+                    .and_modify(|track| track.push(p))
+                    .or_insert_with(|| Track::new(p));
+            }
+            Continue(())
+        });
+        span.attr("observations", hka_obs::Json::from(observations));
 
         // Candidate users near the point, with their current heading.
-        let mut read = 0u64;
-        let mut candidates: Vec<(UserId, f64)> = Vec::new();
-        for track in inside.chunk_by(|a, b| a.0 == b.0) {
-            let user = track[0].0;
-            if user == requester {
-                continue;
-            }
-            read += 1;
-            if let Some(heading) = track_heading(track, || phl_of(user), &probe) {
-                candidates.push((user, heading));
-            }
-        }
+        let read = tracks.len() as u64;
+        let mut candidates: Vec<(UserId, f64)> = tracks
+            .iter()
+            .filter_map(|(&user, track)| Some((user, track.heading(|| phl_of(user), &probe)?)))
+            .collect();
+        candidates.sort_unstable_by_key(|&(user, _)| user);
         hka_obs::counter!("mixzone.candidates").add(read);
         span.attr("candidates", hka_obs::Json::from(read));
         let decision = self.decide(candidates, probe.rect, requester, at, k);
@@ -292,28 +406,6 @@ impl MixZoneManager {
     }
 }
 
-/// A crowd member's heading from their observations inside the probe
-/// box, sorted by time: the bearing between the last two, if there are
-/// two and they differ. When the last or second-to-last timestamp is
-/// shared with another of them, time alone does not say which two the
-/// PHL holds last, and the PHL (`phl`) decides through [`heading_in`].
-fn track_heading<'p>(
-    track: &[(UserId, StPoint)],
-    phl: impl FnOnce() -> Option<&'p Phl>,
-    probe: &StBox,
-) -> Option<f64> {
-    let n = track.len();
-    if n < 2 {
-        return None;
-    }
-    let (a, b) = (&track[n - 2].1, &track[n - 1].1);
-    if a.t == b.t || (n > 2 && track[n - 3].1.t == a.t) {
-        return heading_in(phl()?, probe);
-    }
-    // Stationary: no usable heading.
-    (a.pos != b.pos).then(|| a.pos.bearing_to(&b.pos))
-}
-
 /// A user's current heading inside the probe box: the bearing between
 /// their last two observations that fall in both its window and its
 /// zone, if there are two and they differ.
@@ -366,7 +458,7 @@ mod tests {
     ) -> UnlinkDecision {
         let want = mz.clone().try_unlink_exhaustive(store, requester, at, k);
         let got = mz.try_unlink(
-            |b| index.observations_in(b),
+            |b, f| index.scan_in(b, f),
             |u| store.phl(u),
             requester,
             at,
@@ -436,7 +528,7 @@ mod tests {
                 read.borrow_mut().push(u);
                 store.phl(u)
             };
-            let got = mz.try_unlink(|b| index.observations_in(b), phl_of, UserId(9), &at, k);
+            let got = mz.try_unlink(|b, f| index.scan_in(b, f), phl_of, UserId(9), &at, k);
             assert!(matches!(got, UnlinkDecision::Unlinked { .. }), "{got:?}");
             assert_eq!(got, want);
             read.into_inner()
@@ -560,18 +652,21 @@ mod tests {
         /// a store and index the server itself maintained — as ingested,
         /// after history compaction, and after a snapshot restore. The
         /// requester may stand inside the zone, and `at.t` is usually
-        /// earlier than the PHL tails (the planning path).
+        /// earlier than the PHL tails (the planning path). One manager
+        /// serves every attempt of a case, as a server's and a planning
+        /// study's does, so nothing an attempt leaves in its scratch may
+        /// reach the next one's answer.
         #[test]
         fn index_backed_unlink_equals_the_exhaustive_scan(
             feed in arb_feed(),
             grid in arb_grid(),
-            at in arb_lattice_point(1),
-            requester in 0u64..9,
+            probes in prop::collection::vec((arb_lattice_point(1), 0u64..9), 2..4),
             k in 2usize..5,
             horizon in 0i64..200,
         ) {
             // The feed is unordered in time: its reports get clamped.
             let _g = crate::server::tests::reorder_lock();
+            let mut mz = MixZoneManager::new(lattice_config());
             for backend in IndexBackend::ALL {
                 let config = TsConfig {
                     backend,
@@ -583,9 +678,10 @@ mod tests {
                 for (u, p) in &feed {
                     ts.location_update(UserId(*u), *p);
                 }
-                let check = |ts: &TrustedServer| {
-                    let mut mz = MixZoneManager::new(lattice_config());
-                    unlink_via(&mut mz, ts.index(), ts.store(), UserId(requester), &at, k);
+                let mut check = |ts: &TrustedServer| {
+                    for (at, requester) in &probes {
+                        unlink_via(&mut mz, ts.index(), ts.store(), UserId(*requester), at, k);
+                    }
                 };
                 check(&ts);
                 let policy = hka_trajectory::CompactionPolicy::new(

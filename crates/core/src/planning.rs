@@ -110,7 +110,7 @@ pub fn evaluate_deployment(
         } else {
             failed += 1;
             let unlink = mz.try_unlink(
-                |b| index.observations_in(b),
+                |b, f| index.scan_in(b, f),
                 |u| store.phl(u),
                 user,
                 &seed_pt,

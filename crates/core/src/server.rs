@@ -985,7 +985,7 @@ impl RequestHost for TrustedServer {
     fn try_unlink(&mut self, user: UserId, at: &StPoint, k: usize) -> UnlinkDecision {
         let (index, store) = (&self.index, &self.store);
         self.mixzones
-            .try_unlink(|b| index.observations_in(b), |u| store.phl(u), user, at, k)
+            .try_unlink(|b, f| index.scan_in(b, f), |u| store.phl(u), user, at, k)
     }
 
     fn fresh_pseudonym(&mut self) -> Pseudonym {

@@ -193,13 +193,15 @@ impl Rect {
         } else {
             0.5
         };
-        let min_x = pivot.x - fx * new_w;
-        let min_y = pivot.y - fy * new_h;
+        // Rounding can carry a far edge an ulp past the pivot or past the
+        // original rectangle, so each edge is clamped back between them.
+        let min_x = (pivot.x - fx * new_w).max(self.min_x).min(pivot.x);
+        let min_y = (pivot.y - fy * new_h).max(self.min_y).min(pivot.y);
         let mut out = Rect {
             min_x,
             min_y,
-            max_x: min_x + new_w,
-            max_y: min_y + new_h,
+            max_x: (min_x + new_w).min(self.max_x).max(pivot.x),
+            max_y: (min_y + new_h).min(self.max_y).max(pivot.y),
         };
         // The budget is a hard cap: nudge edges inward by single ulps
         // until floating-point round-up is gone, always moving an edge the
@@ -365,6 +367,27 @@ mod tests {
         assert!(s.area() <= 100.0 + 1e-9);
         assert!(s.contains(&pivot));
         assert!(a.contains_rect(&s));
+    }
+
+    #[test]
+    fn shrink_around_keeps_a_pivot_on_the_far_corner() {
+        // A pivot on the max corner, where `min + new_w` can round an ulp
+        // short of it or past the original rectangle.
+        let pivot = Point::new(1980.7952290816895, 1974.3817623037742);
+        for i in 0..200 {
+            let a = r(
+                100.0 + i as f64 * 0.731,
+                50.0 + i as f64 * 0.417,
+                pivot.x,
+                pivot.y,
+            );
+            for budget in [1234.5, 1e5, 3.3e5, 739103.4967507254] {
+                let s = a.shrink_around(&pivot, budget);
+                assert!(s.contains(&pivot), "{a:?} {budget}: {s:?}");
+                assert!(a.contains_rect(&s), "{a:?} {budget}: {s:?}");
+                assert!(s.area() <= budget, "{a:?} {budget}: {s:?}");
+            }
+        }
     }
 
     #[test]

@@ -1354,7 +1354,14 @@ mod tests {
             "clamped forward"
         );
         assert_eq!(shd.co.union.len(), 2);
-        let indexed = |shd: &ShardedTs, at| shd.co.union.observations_in(&StBox::point(at));
+        let indexed = |shd: &ShardedTs, at| {
+            let mut seen = Vec::new();
+            shd.co.union.scan_in(&StBox::point(at), &mut |u, p| {
+                seen.push((u, *p));
+                std::ops::ControlFlow::Continue(())
+            });
+            seen
+        };
         let at = sp(5.0, 0.0, 100);
         assert_eq!(indexed(&shd, at), vec![(UserId(1), at)]);
         assert!(indexed(&shd, sp(5.0, 0.0, 40)).is_empty());

@@ -251,7 +251,7 @@ impl RequestHost for SerialHost<'_> {
         self.ensure_union();
         let (union, shards) = (&self.co.union, &*self.shards);
         self.co.mixzones.try_unlink(
-            |b| union.observations_in(b),
+            |b, f| union.scan_in(b, f),
             |u| shards[shard_of(shards.len(), u)].store.phl(u),
             user,
             at,

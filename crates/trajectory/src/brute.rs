@@ -12,6 +12,7 @@
 use crate::spatial::{IndexBackend, SpatialIndex};
 use crate::{TrajectoryStore, UserId};
 use hka_geo::{SpaceTimeScale, StBox, StPoint};
+use std::ops::ControlFlow;
 
 /// The exhaustive-scan backend behind the [`SpatialIndex`] seam: owns
 /// its own copy of the observations and answers every query by walking
@@ -76,17 +77,14 @@ impl SpatialIndex for BruteIndex {
         self.store.record(user, p);
     }
 
-    fn observations_in(&self, b: &StBox) -> Vec<(UserId, StPoint)> {
-        let mut out = Vec::new();
+    fn scan_in(&self, b: &StBox, f: &mut dyn FnMut(UserId, &StPoint) -> ControlFlow<()>) {
         for (user, phl) in self.store.iter() {
-            let inside = phl.in_interval(&b.span).iter();
-            out.extend(
-                inside
-                    .filter(|p| b.rect.contains(&p.pos))
-                    .map(|p| (user, *p)),
-            );
+            for p in phl.in_interval(&b.span) {
+                if b.rect.contains(&p.pos) && f(user, p).is_break() {
+                    return;
+                }
+            }
         }
-        out
     }
 
     fn k_nearest_users(

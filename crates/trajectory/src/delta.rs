@@ -7,7 +7,7 @@
 //! sharded trusted server partitions users (and their PHLs) across
 //! shards. [`UnionIndex`] is a single owned [`SpatialIndex`] over *all*
 //! partitions, answering both ([`UnionIndex::k_nearest_users`],
-//! memoised per generation; [`UnionIndex::observations_in`], a plain
+//! memoised per generation; [`UnionIndex::scan_in`], a plain
 //! pass-through):
 //!
 //! * **Inserts.** Every observation the server records on any shard is
@@ -41,6 +41,7 @@
 use crate::{GridIndexConfig, IndexBackend, SpatialIndex, TrajectoryStore, UserId};
 use hka_geo::{StBox, StPoint};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// Memo key for a k-nearest query: seed coordinates (by bit pattern —
 /// exact equality, no epsilon), k, and the excluded user.
@@ -172,15 +173,16 @@ impl UnionIndex {
         out
     }
 
-    /// Every observation inside `b` — the crowd of a mix-zone unlink. A
-    /// plain pass-through: each unlink probes its own box once, so there
-    /// is nothing to memoise.
+    /// Calls `f` with every observation inside `b` until it breaks — the
+    /// crowd of a mix-zone unlink ([`SpatialIndex::scan_in`]). A plain
+    /// pass-through: each unlink probes its own box once, so there is
+    /// nothing to memoise.
     ///
     /// # Panics
     /// If the union is not live; callers rebuild first.
-    pub fn observations_in(&self, b: &StBox) -> Vec<(UserId, StPoint)> {
+    pub fn scan_in(&self, b: &StBox, f: &mut dyn FnMut(UserId, &StPoint) -> ControlFlow<()>) {
         assert!(self.live, "query against an invalidated union index");
-        self.index.observations_in(b)
+        self.index.scan_in(b, f);
     }
 
     /// Drops the memo if the index has mutated since it was filled.

@@ -8,8 +8,8 @@
 //! `cell_size × cell_size × cell_duration` cells, and both queries cost
 //! what is near them, not what is in the database.
 //!
-//! * The window query ([`GridIndex::observations_in`]) looks up the cells
-//!   its box overlaps.
+//! * The window walk ([`GridIndex::scan_in`]) looks up the cells its box
+//!   overlaps.
 //! * The k-nearest-users query ([`GridIndex::k_nearest_users`]) expands
 //!   over occupied time slabs outward from the seed's, and inside each
 //!   slab looks cells up in Chebyshev rings around the seed's own cell,
@@ -51,10 +51,10 @@
 use crate::{TrajectoryStore, UserId};
 use hka_geo::{Rect, SpaceTimeScale, StBox, StPoint, TimeInterval, TimeSec};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::mem::size_of;
 use std::ops::Bound::{Excluded, Unbounded};
-use std::ops::ControlFlow::{self, Break, Continue};
+use std::ops::ControlFlow::{self, Continue};
 
 /// Sizing parameters for the grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -310,35 +310,14 @@ impl GridIndex {
         )
     }
 
-    /// Every observation inside the closed box `b`, in scan order.
-    pub fn observations_in(&self, b: &StBox) -> Vec<(UserId, StPoint)> {
-        let _span = hka_obs::span!("index.query");
-        let mut out = Vec::new();
-        let probes = self.scan_box(b, |user, p| {
-            out.push((user, *p));
-            Continue(())
-        });
+    /// Calls `f` with every observation inside the closed box `b` until
+    /// it breaks — the grid's one window walk, behind
+    /// [`SpatialIndex::scan_in`](crate::SpatialIndex::scan_in) and every
+    /// window query derived from it.
+    pub fn scan_in(&self, b: &StBox, f: impl FnMut(UserId, &StPoint) -> ControlFlow<()>) {
+        let _span = hka_obs::span!("index.window");
+        let probes = self.scan_box(b, f);
         hka_obs::counter!("index.probes").add(probes);
-        out
-    }
-
-    /// Counts distinct users crossing `b`, stopping early at `limit`
-    /// (enough for "are there ≥ k potential senders?" checks).
-    pub fn count_users_crossing(&self, b: &StBox, limit: usize) -> usize {
-        if limit == 0 {
-            return 0;
-        }
-        let _span = hka_obs::span!("index.query");
-        let mut seen = BTreeSet::new();
-        let probes = self.scan_box(b, |user, _| {
-            if seen.insert(user) && seen.len() >= limit {
-                Break(())
-            } else {
-                Continue(())
-            }
-        });
-        hka_obs::counter!("index.probes").add(probes);
-        seen.len()
     }
 
     /// Calls `f` with every observation inside `b`, occupied slab by
@@ -831,6 +810,7 @@ impl TopK {
 mod tests {
     use super::*;
     use crate::{BruteIndex, SpatialIndex};
+    use std::collections::BTreeSet;
 
     fn sp(x: f64, y: f64, t: i64) -> StPoint {
         StPoint::xyt(x, y, TimeSec(t))

@@ -18,7 +18,7 @@
 //!     brute-force formulation ("considering the nearest neighbor in the
 //!     PHL of each user and then taking the closest k points");
 //!   * the observations inside a given box
-//!     ([`GridIndex::observations_in`]) — the crowd of an on-demand
+//!     ([`GridIndex::scan_in`]) — the crowd of an on-demand
 //!     mix-zone — and the set of users crossing it
 //!     ([`SpatialIndex::users_crossing`]), per-request anonymity sets.
 //! * [`brute`] / [`BruteIndex`] — the same two queries by exhaustive

@@ -8,10 +8,11 @@
 //!
 //! * incremental [`SpatialIndex::insert`] (the TS ingests location
 //!   updates online);
-//! * the window query [`SpatialIndex::observations_in`] — the crowd an
-//!   on-demand mix-zone (paper §6.3) is sought in — and the co-location
-//!   queries derived from it, [`SpatialIndex::users_crossing`] (plus an
-//!   early-exit counting variant) — anonymity sets;
+//! * the window walk [`SpatialIndex::scan_in`] — the crowd an
+//!   on-demand mix-zone (paper §6.3) is sought in — and the window
+//!   queries derived from it: [`SpatialIndex::observations_in`],
+//!   [`SpatialIndex::users_crossing`] (anonymity sets) and its
+//!   early-exit counting variant;
 //! * the k-nearest-**users** query [`SpatialIndex::k_nearest_users`]
 //!   mirroring the paper's "nearest neighbor in the PHL of each user,
 //!   then the closest k points" (Algorithm 1 line 5).
@@ -36,6 +37,7 @@ use crate::brute::BruteIndex;
 use crate::{GridIndex, GridIndexConfig, TrajectoryStore, UserId};
 use hka_geo::{SpaceTimeScale, StBox, StPoint};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow::{self, Break, Continue};
 
 /// Canonical order on a user's equidistant observations.
 ///
@@ -64,11 +66,12 @@ pub(crate) fn obs_cmp(a: &StPoint, b: &StPoint) -> std::cmp::Ordering {
 /// Implementations must agree bit-for-bit on every query: for any
 /// sequence of [`insert`](SpatialIndex::insert)s, two backends built
 /// over the same points and the same [`SpaceTimeScale`] return equal
-/// results from [`users_crossing`](SpatialIndex::users_crossing) and
-/// [`k_nearest_users`](SpatialIndex::k_nearest_users), and the same
-/// multiset from [`observations_in`](SpatialIndex::observations_in). The brute
-/// backend ([`BruteIndex`]) is the executable specification; the
-/// differential property suite checks the grid against it.
+/// results from [`k_nearest_users`](SpatialIndex::k_nearest_users), and
+/// [`scan_in`](SpatialIndex::scan_in) visits the same multiset of
+/// observations (in any order) — so the window queries derived from it
+/// agree too. The brute backend ([`BruteIndex`]) is the executable
+/// specification; the differential property suite checks the grid
+/// against it.
 pub trait SpatialIndex: std::fmt::Debug + Send + Sync {
     /// Which backend this is (for logs, reports, and journal metadata).
     fn backend(&self) -> IndexBackend;
@@ -91,29 +94,51 @@ pub trait SpatialIndex: std::fmt::Debug + Send + Sync {
     /// Indexes one observation for `user`.
     fn insert(&mut self, user: UserId, p: StPoint);
 
-    /// Every indexed observation inside the closed box `b`, each as often
-    /// as it was inserted, in no particular order.
-    fn observations_in(&self, b: &StBox) -> Vec<(UserId, StPoint)>;
+    /// Calls `f` once for each indexed observation inside the closed box
+    /// `b` — each as often as it was inserted, in no particular order —
+    /// until `f` breaks. The one window walk of a backend: every other
+    /// window query is derived from it.
+    fn scan_in(&self, b: &StBox, f: &mut dyn FnMut(UserId, &StPoint) -> ControlFlow<()>);
 
-    /// Distinct users with at least one observation inside `b`: the users
-    /// of [`observations_in`](SpatialIndex::observations_in).
+    /// Every indexed observation inside `b`: the visits of
+    /// [`scan_in`](SpatialIndex::scan_in), collected.
+    fn observations_in(&self, b: &StBox) -> Vec<(UserId, StPoint)> {
+        let mut out = Vec::new();
+        self.scan_in(b, &mut |user, p| {
+            out.push((user, *p));
+            Continue(())
+        });
+        out
+    }
+
+    /// Distinct users with at least one observation inside `b`.
     fn users_crossing(&self, b: &StBox) -> BTreeSet<UserId> {
-        let mut users: Vec<UserId> = self
-            .observations_in(b)
-            .into_iter()
-            .map(|(u, _)| u)
-            .collect();
+        let mut users = Vec::new();
+        self.scan_in(b, &mut |user, _| {
+            users.push(user);
+            Continue(())
+        });
         users.sort_unstable();
         users.dedup();
         users.into_iter().collect()
     }
 
-    /// Number of distinct users crossing `b`, stopping early once
-    /// `limit` distinct users are found. Backends may override this
-    /// with a cheaper early-exit scan; the result must equal
-    /// `users_crossing(b).len().min(limit)`.
+    /// Number of distinct users crossing `b`, stopping the walk once
+    /// `limit` distinct users are found (enough for "are there ≥ k
+    /// potential senders?" checks): `users_crossing(b).len().min(limit)`.
     fn count_users_crossing(&self, b: &StBox, limit: usize) -> usize {
-        self.users_crossing(b).len().min(limit)
+        if limit == 0 {
+            return 0;
+        }
+        let mut seen = BTreeSet::new();
+        self.scan_in(b, &mut |user, _| {
+            if seen.insert(user) && seen.len() >= limit {
+                Break(())
+            } else {
+                Continue(())
+            }
+        });
+        seen.len()
     }
 
     /// For each of the `k` users (other than `exclude`) whose PHL comes
@@ -148,12 +173,8 @@ impl SpatialIndex for GridIndex {
         GridIndex::insert(self, user, p);
     }
 
-    fn observations_in(&self, b: &StBox) -> Vec<(UserId, StPoint)> {
-        GridIndex::observations_in(self, b)
-    }
-
-    fn count_users_crossing(&self, b: &StBox, limit: usize) -> usize {
-        GridIndex::count_users_crossing(self, b, limit)
+    fn scan_in(&self, b: &StBox, f: &mut dyn FnMut(UserId, &StPoint) -> ControlFlow<()>) {
+        GridIndex::scan_in(self, b, f);
     }
 
     fn k_nearest_users(

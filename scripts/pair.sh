@@ -18,7 +18,12 @@
 # medians differ by more than the parent's inter-quartile range. Then
 # `identical: yes|no` — whether ok_share, suppressed_share, area_p50_m2,
 # journal_bytes_per_req and counts.journal_sha256 matched within every
-# pair. Exits 1 if a run fails or reports `correct: false`, 2 on usage.
+# pair. On a workload whose runs print an `open-loop generator lateness
+# p99` line (gateway_paced), then prints that lateness for each side of
+# each pair and each side's median: milliseconds of lateness mean the
+# host starved the harness's own generator, which moves latency without
+# any change to the code. Printed only; no run is dropped. Exits 1 if a
+# run fails or reports `correct: false`, 2 on usage.
 #
 # Example (10 pairs of 24 s on query_dense, seeds 11..20):
 #   scripts/pair.sh /tmp/parent/hka-benchmark target/release/hka-benchmark \
@@ -165,3 +170,34 @@ END {
     }
     print "identical: " identical
 }'
+
+if grep -q 'open-loop generator lateness p99' "$out"/pairs/*.stdout; then
+    for f in "$out"/pairs/*.stdout; do
+        base="${f##*/}"
+        late="$(grep -o 'open-loop generator lateness p99: [-0-9.]*' "$f" | tail -n 1)"
+        echo "${base%.stdout} ${late##* }"
+    done | awk '
+    # One input line per run: "pNNN-<side> <lateness us>".
+    function median(a, n,    i, j, v) {
+        for (i = 2; i <= n; i++) {
+            v = a[i]
+            for (j = i - 1; j >= 1 && a[j] > v; j--) a[j + 1] = a[j]
+            a[j + 1] = v
+        }
+        return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+    }
+    {
+        split($1, id, "-")
+        if (!(id[1] in seen)) { seen[id[1]] = 1; order[++npairs] = id[1] }
+        late[id[2], id[1]] = $2
+    }
+    END {
+        print "generator lateness p99 (us)    parent     change"
+        for (i = 1; i <= npairs; i++) {
+            p = order[i]
+            printf "  %-28s %9s  %9s\n", p, late["parent", p], late["change", p]
+            a[i] = late["parent", p] + 0; b[i] = late["change", p] + 0
+        }
+        printf "  %-28s %9.1f  %9.1f\n", "median", median(a, npairs), median(b, npairs)
+    }'
+fi
