@@ -1,9 +1,8 @@
 //! **Continuous benchmark: tracing overhead on the request path.**
 //!
-//! Drives one seeded protected-city workload through the sharded
-//! frontend (`ShardedTs`, group-commit journal, every request adopting
-//! the deferred root its submission opened) under three observability
-//! configurations:
+//! Drives one seeded protected-city workload through the group-commit
+//! server (`ShardedTs`, every request traced under its own root) under
+//! three observability configurations:
 //!
 //! 1. **off** — trace collection disabled (the default). Trace ids are
 //!    still minted (they are unconditional, so journal bytes cannot
@@ -45,7 +44,6 @@ const DAYS: i64 = 4;
 const COMMUTERS: usize = 12;
 const ROAMERS: usize = 120;
 const K: usize = 5;
-const SHARDS: usize = 4;
 /// Sized well above the span volume of this workload so `ring` and
 /// `ring_export` never drop: a drop would orphan children and fail the
 /// export validation gate by design.
@@ -71,7 +69,7 @@ fn build_world() -> World {
 
 fn setup(world: &World) -> ShardedTs {
     let commuters: Vec<UserId> = world.commuters().collect();
-    let mut ts = ShardedTs::new(TsConfig::default(), SHARDS);
+    let mut ts = ShardedTs::new(TsConfig::default(), 1);
     ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
     ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
     for a in &world.agents {
@@ -96,7 +94,7 @@ fn setup(world: &World) -> ShardedTs {
     }
     // Background traffic is exact-forward for everyone, protected users
     // included through an explicit override: those requests are traced
-    // too, under the roots their submissions opened.
+    // too, each under its own root.
     for &u in &commuters {
         ts.set_service_privacy(u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off)
             .expect("registered");
@@ -121,11 +119,9 @@ fn run_once(
     let t0 = Instant::now();
     for e in &world.events {
         match e.kind {
-            EventKind::Location => {
-                ts.submit_location(e.user, e.at);
-            }
+            EventKind::Location => ts.location_update(e.user, e.at),
             EventKind::Request { service } => {
-                ts.submit_request(e.user, e.at, ServiceId(service));
+                let _ = ts.try_handle_request(e.user, e.at, ServiceId(service));
             }
         }
     }

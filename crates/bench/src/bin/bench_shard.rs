@@ -1,31 +1,30 @@
-//! **Continuous benchmark: sharded request pipeline + group-commit
-//! journaling.**
+//! **Continuous benchmark: group-commit journaling.**
 //!
 //! Drives one seeded protected-city workload through:
 //!
-//! 1. the **baseline**: the sequential `TrustedServer` with a per-event
-//!    *durable* journal — every appended record is individually fsynced,
-//!    the durability contract a single-node deployment would run with;
-//! 2. the **ladder**: `ShardedTs` with 1 / 2 / 4 / 8 shards, journaling
-//!    through the group-commit writer (one batched append + one fsync
-//!    before each protected request and at the end of each flush).
+//! 1. the **baseline**: the per-record `TrustedServer` with a *durable*
+//!    journal — every appended record is individually fsynced, the
+//!    durability contract a single-node deployment would run with;
+//! 2. the **group-commit server**: `ShardedTs`, journaling one batched
+//!    append + one fsync before each protected request and at each
+//!    drain.
 //!
-//! Writes `BENCH_shard.json` with the throughput of every run, the
-//! headline `speedup_4x` (4-shard sharded vs the durability-equivalent
-//! sequential baseline — fsync batching is the whole win), and the
-//! raw shard-vs-shard ladder, which measures what partitioning costs. Every journal written is chain-verified and
-//! replayed through `hka-audit`; the bench exits non-zero on a chain
-//! failure, an audit violation, or a per-shard-count outcome mismatch
-//! against the baseline — a correctness regression fails the bench job,
-//! not just a slow run.
+//! Writes `BENCH_shard.json` with the throughput of both runs and the
+//! headline `group_commit_speedup` (group commit vs the
+//! durability-equivalent baseline — fsync batching is the whole win).
+//! Both journals are chain-verified and replayed through `hka-audit`;
+//! the bench exits non-zero on a chain failure, an audit violation, an
+//! outcome mismatch, a record-count or byte mismatch between the two
+//! journals, or a speedup under 2.0 — a correctness regression fails
+//! the bench job, not just a slow run.
 //!
 //! ```text
 //! cargo run --release -p hka-bench --bin bench_shard -- [--out DIR] [--index grid|brute]
 //! ```
 //!
 //! `--index` selects the [`SpatialIndex`] backend behind Algorithm 1 on
-//! both the baseline and the ladder (the differential outcome check
-//! then also validates that backend end-to-end under sharding).
+//! both servers (the differential outcome check then also validates that
+//! backend end to end under group commit).
 
 use std::io::Write;
 use std::time::Instant;
@@ -91,89 +90,31 @@ fn params() -> PrivacyParams {
     }
 }
 
-/// The identical setup script, applied to either server type.
-struct Script {
-    users: Vec<(UserId, PrivacyLevel)>,
-    lbqids: Vec<(UserId, Lbqid)>,
-    overrides: Vec<(UserId, ServiceId, PrivacyLevel)>,
-}
-
-fn script(world: &World) -> Script {
-    let commuters: Vec<UserId> = world.commuters().collect();
-    Script {
-        users: world
-            .agents
-            .iter()
-            .map(|a| {
-                let level = if commuters.contains(&a.user) {
-                    PrivacyLevel::Custom(params())
-                } else {
-                    PrivacyLevel::Off
-                };
-                (a.user, level)
-            })
-            .collect(),
-        lbqids: commuters
-            .iter()
-            .map(|&u| {
-                (
-                    u,
-                    Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-                )
-            })
-            .collect(),
-        // The background service is exact-forward for everyone; making
-        // that explicit per user keeps those requests off the
-        // commit-before-run path (the sequential server resolves the
-        // same override to the same decision).
-        overrides: commuters
-            .iter()
-            .map(|&u| (u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off))
-            .collect(),
-    }
-}
-
-fn setup_seq(world: &World, backend: IndexBackend) -> TrustedServer {
-    let s = script(world);
-    let mut ts = TrustedServer::new(TsConfig {
-        backend,
-        ..TsConfig::default()
-    });
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    for (u, level) in s.users {
-        ts.register_user(u, level);
-    }
-    for (u, q) in s.lbqids {
-        ts.add_lbqid(u, q);
-    }
-    for (u, svc, level) in s.overrides {
-        ts.set_service_privacy(u, svc, level).expect("registered");
-    }
-    ts
-}
-
-fn setup_sharded(world: &World, shards: usize, backend: IndexBackend) -> ShardedTs {
-    let s = script(world);
-    let mut ts = ShardedTs::new(
-        TsConfig {
-            backend,
-            ..TsConfig::default()
-        },
-        shards,
-    );
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    for (u, level) in s.users {
-        ts.register_user(u, level);
-    }
-    for (u, q) in s.lbqids {
-        ts.add_lbqid(u, q);
-    }
-    for (u, svc, level) in s.overrides {
-        ts.set_service_privacy(u, svc, level).expect("registered");
-    }
-    ts
+/// Registers the workload on either server: both services, every agent
+/// (commuters protected), the commuters' LBQIDs, and an explicit
+/// privacy-off override of the background service for each of them,
+/// which keeps those requests off the commit-first path.
+macro_rules! setup {
+    ($ts:expr, $world:expr) => {{
+        let (ts, world) = ($ts, $world);
+        ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
+        ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
+        let commuters: Vec<UserId> = world.commuters().collect();
+        for a in &world.agents {
+            let level = if commuters.contains(&a.user) {
+                PrivacyLevel::Custom(params())
+            } else {
+                PrivacyLevel::Off
+            };
+            ts.register_user(a.user, level);
+        }
+        for &u in &commuters {
+            let (home, office) = (world.home_of(u).unwrap(), world.office_of(u).unwrap());
+            ts.add_lbqid(u, Lbqid::example_commute(home, office));
+            ts.set_service_privacy(u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off)
+                .expect("registered");
+        }
+    }};
 }
 
 /// The workload as wire envelopes — what every backend is driven with
@@ -193,8 +134,7 @@ fn envelopes(world: &World) -> Vec<RequestEnvelope> {
 }
 
 /// Submits the whole stream through the seam and drains at the final
-/// barrier — identical driving code for the sequential baseline and
-/// every ladder rung.
+/// barrier — identical driving code for both servers.
 fn drive(svc: &mut dyn RequestService, envs: &[RequestEnvelope]) -> Vec<ResponseEnvelope> {
     for env in envs {
         svc.submit(env);
@@ -288,13 +228,19 @@ fn main() {
     // deterministic, so every trial produces identical outcomes).
     const TRIALS: usize = 3;
 
-    // --- Baseline: sequential server, fsync per journal record. --------
+    let config = TsConfig {
+        backend,
+        ..TsConfig::default()
+    };
+
+    // --- Baseline: per-record server, fsync per journal record. --------
     let seq_path = scratch.join("seq.jsonl");
     let mut seq_ns = u64::MAX;
     let mut seq_outcomes: Vec<String> = Vec::new();
     for _ in 0..TRIALS {
         hka_obs::global().reset();
-        let mut seq = setup_seq(&world, backend);
+        let mut seq = TrustedServer::new(config);
+        setup!(&mut seq, &world);
         seq.attach_journal(hka_obs::Journal::new(Box::new(FsyncEachWrite(
             std::fs::File::create(&seq_path).expect("create baseline journal"),
         ))
@@ -307,84 +253,72 @@ fn main() {
         seq_outcomes = responses.iter().map(fingerprint).collect();
     }
     let seq_records = check_journal(&seq_path, "baseline");
-    let seq_bytes = std::fs::read(&seq_path).expect("baseline journal bytes");
 
-    // --- Ladder: ShardedTs, group-commit journal, 1/2/4/8 shards. ------
-    let mut ladder = Vec::new();
-    let mut wall_by_shards = std::collections::BTreeMap::new();
-    for shards in [1usize, 2, 4, 8] {
-        let path = scratch.join(format!("shard{shards}.jsonl"));
-        let mut ns = u64::MAX;
-        let mut outcomes = Vec::new();
-        let mut epochs = 0;
-        for _ in 0..TRIALS {
-            hka_obs::global().reset();
-            let mut ts = setup_sharded(&world, shards, backend);
-            ts.attach_journal(hka_obs::Journal::new(Box::new(
-                std::fs::File::create(&path).expect("create shard journal"),
-            )
-                as Box<dyn hka_obs::DurableSink>));
-            let t = Instant::now();
-            outcomes = drive(&mut ts, &envs);
-            ts.flush_journal().expect("shard flush");
-            ns = ns.min(t.elapsed().as_nanos() as u64);
-            epochs = ts.epoch();
-            drop(ts);
-        }
+    // --- Group commit: ShardedTs, one fsync per commit. ----------------
+    let path = scratch.join("group.jsonl");
+    let mut ns = u64::MAX;
+    let mut outcomes = Vec::new();
+    let mut commits = 0;
+    for _ in 0..TRIALS {
+        hka_obs::global().reset();
+        let mut ts = ShardedTs::new(config, 1);
+        setup!(&mut ts, &world);
+        ts.attach_journal(hka_obs::Journal::new(Box::new(
+            std::fs::File::create(&path).expect("create group journal"),
+        )
+            as Box<dyn hka_obs::DurableSink>));
+        let t = Instant::now();
+        outcomes = drive(&mut ts, &envs).iter().map(fingerprint).collect();
+        ts.flush_journal().expect("group flush");
+        ns = ns.min(t.elapsed().as_nanos() as u64);
+        commits = hka_obs::global().snapshot().counter("ts.journal_commits");
+        drop(ts);
+    }
 
-        // Differential check: identical per-request outcomes.
-        if outcomes.len() != seq_outcomes.len() {
-            eprintln!(
-                "FAIL: {shards} shards produced {} outcomes, baseline {}",
-                outcomes.len(),
-                seq_outcomes.len()
-            );
-            std::process::exit(1);
-        }
-        for (i, resp) in outcomes.iter().enumerate() {
-            let got = fingerprint(resp);
-            if got != seq_outcomes[i] {
-                eprintln!(
-                    "FAIL: {shards} shards diverged from baseline at request {i}: {got} vs {}",
-                    seq_outcomes[i]
-                );
-                std::process::exit(1);
-            }
-        }
-        let records = check_journal(&path, &format!("{shards}-shard"));
-        if records != seq_records {
-            eprintln!("FAIL: {shards} shards journaled {records} records, baseline {seq_records}");
-            std::process::exit(1);
-        }
-        // Group commit batches appends but chains the same bytes: every
-        // rung's journal is byte-identical to the durable baseline's.
-        if std::fs::read(&path).expect("shard journal bytes") != seq_bytes {
-            eprintln!("FAIL: {shards}-shard journal bytes diverge from the baseline");
-            std::process::exit(1);
-        }
+    // Differential check: identical per-request outcomes.
+    if outcomes.len() != seq_outcomes.len() {
+        eprintln!(
+            "FAIL: group commit produced {} outcomes, baseline {}",
+            outcomes.len(),
+            seq_outcomes.len()
+        );
+        std::process::exit(1);
+    }
+    if let Some(i) = (0..outcomes.len()).find(|&i| outcomes[i] != seq_outcomes[i]) {
+        eprintln!(
+            "FAIL: group commit diverged from baseline at request {i}: {} vs {}",
+            outcomes[i], seq_outcomes[i]
+        );
+        std::process::exit(1);
+    }
+    let records = check_journal(&path, "group");
+    if records != seq_records {
+        eprintln!("FAIL: group commit journaled {records} records, baseline {seq_records}");
+        std::process::exit(1);
+    }
+    // Group commit batches appends but chains the same bytes.
+    if std::fs::read(&path).expect("group journal bytes")
+        != std::fs::read(&seq_path).expect("baseline journal bytes")
+    {
+        eprintln!("FAIL: group journal bytes diverge from the baseline");
+        std::process::exit(1);
+    }
 
-        wall_by_shards.insert(shards, ns);
-        ladder.push(Json::obj([
-            ("shards", Json::from(shards as u64)),
-            ("wall_ns", Json::from(ns)),
+    let run = |mode: &str, wall: u64| {
+        Json::obj([
+            ("mode", Json::from(mode)),
+            ("wall_ns", Json::from(wall)),
             (
                 "events_per_sec",
-                Json::Num(events as f64 / (ns as f64 / 1e9)),
+                Json::Num(events as f64 / (wall as f64 / 1e9)),
             ),
             (
                 "requests_per_sec",
-                Json::Num(requests as f64 / (ns as f64 / 1e9)),
+                Json::Num(requests as f64 / (wall as f64 / 1e9)),
             ),
-            ("epochs", Json::from(epochs)),
-            (
-                "speedup_vs_durable_baseline",
-                Json::Num(seq_ns as f64 / ns as f64),
-            ),
-        ]));
-    }
-
-    let speedup_4x = seq_ns as f64 / wall_by_shards[&4] as f64;
-    let ladder_4v1 = wall_by_shards[&1] as f64 / wall_by_shards[&4] as f64;
+        ])
+    };
+    let speedup = seq_ns as f64 / ns as f64;
     let json = Json::obj([
         ("bench", Json::from("shard")),
         ("index_backend", Json::from(backend.name())),
@@ -402,32 +336,17 @@ fn main() {
         ("requests", Json::from(requests as u64)),
         ("trials", Json::from(TRIALS as u64)),
         ("journal_records", Json::from(seq_records)),
-        (
-            "baseline",
-            Json::obj([
-                ("mode", Json::from("sequential, fsync per record")),
-                ("wall_ns", Json::from(seq_ns)),
-                (
-                    "events_per_sec",
-                    Json::Num(events as f64 / (seq_ns as f64 / 1e9)),
-                ),
-                (
-                    "requests_per_sec",
-                    Json::Num(requests as f64 / (seq_ns as f64 / 1e9)),
-                ),
-            ]),
-        ),
-        ("ladder", Json::Arr(ladder)),
-        ("speedup_4x", Json::Num(speedup_4x)),
-        ("shard_ladder_speedup_4v1", Json::Num(ladder_4v1)),
+        ("baseline", run("per record, fsync per record", seq_ns)),
+        ("group_commit", run("group commit, fsync per commit", ns)),
+        ("group_commits", Json::from(commits)),
+        ("group_commit_speedup", Json::Num(speedup)),
         (
             "speedup_definition",
             Json::from(
-                "speedup_4x = durable sequential baseline wall / 4-shard ShardedTs wall, at equal \
-                 durability (every record on stable storage at the commit boundary). The win comes \
-                 from group commit batching fsyncs between protected requests; every event runs \
-                 in submission order on one thread, so shard_ladder_speedup_4v1 reports what \
-                 partitioning costs. Walls are best-of-trials to damp shared-host noise.",
+                "group_commit_speedup = durable per-record baseline wall / group-commit wall, at \
+                 equal durability (every record on stable storage at the commit boundary). The win \
+                 comes from batching fsyncs between protected requests. Walls are best-of-trials \
+                 to damp shared-host noise.",
             ),
         ),
     ]);
@@ -439,15 +358,14 @@ fn main() {
     });
     println!("wrote {path}");
     println!(
-        "baseline {:.1} ms | 1 shard {:.1} ms | 4 shards {:.1} ms | speedup_4x {speedup_4x:.2} | ladder 4v1 {ladder_4v1:.2}",
+        "baseline {:.1} ms | group commit {:.1} ms ({commits} commits) | group_commit_speedup {speedup:.2}",
         seq_ns as f64 / 1e6,
-        wall_by_shards[&1] as f64 / 1e6,
-        wall_by_shards[&4] as f64 / 1e6,
+        ns as f64 / 1e6,
     );
     let _ = std::fs::remove_dir_all(&scratch);
 
-    if speedup_4x < 2.0 {
-        eprintln!("FAIL: 4-shard speedup over the durable baseline is {speedup_4x:.2} (< 2.0)");
+    if speedup < 2.0 {
+        eprintln!("FAIL: group-commit speedup over the durable baseline is {speedup:.2} (< 2.0)");
         std::process::exit(1);
     }
 }

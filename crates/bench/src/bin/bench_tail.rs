@@ -8,8 +8,8 @@
 //! *tail lag* — the wall-clock between the writer starting the append
 //! and the tailer having verified and ingested it.
 //!
-//! The offered-rate ladder brackets the journal rates the sharded
-//! pipeline actually produces (`BENCH_shard.json` reports the drill
+//! The offered-rate ladder brackets the journal rates the group-commit
+//! server actually produces (`BENCH_shard.json` reports the drill
 //! workload at roughly 13k requests/s), so the gate below is the
 //! acceptance criterion from the live-tailing design: at production
 //! journal rates, a watcher stays under one second behind the writer.

@@ -69,6 +69,7 @@ use hka_trajectory::UserId;
 use crate::events::TsStats;
 use crate::policy::{PrivacyParams, RiskAction, Tolerance};
 use crate::server::{ServerMode, TrustedServer, TsConfig};
+use crate::strategy::UserState;
 
 /// Snapshot section holding the trajectory store.
 pub const STORE_SECTION: &str = "store";
@@ -77,14 +78,31 @@ pub const SERVER_SECTION: &str = "server";
 /// Snapshot section holding the event log's [`TsStats`].
 pub const STATS_SECTION: &str = "stats";
 /// Snapshot section holding the offline auditor's replay state
-/// (re-exported so frontends driving the write protocol — the sharded
-/// server — need no direct dependency on the audit crate).
+/// (re-exported so servers driving the write protocol themselves — the
+/// group-commit server — need no direct dependency on the audit crate).
 pub use hka_audit::AUDIT_SECTION;
 
 // ---------------------------------------------------------------------------
-// Codecs. Shared free functions so the sharded frontend serializes the same
-// canonical bytes as the sequential server.
+// Codecs. Shared free functions so the group-commit server serializes the
+// same canonical bytes as the per-record one.
 // ---------------------------------------------------------------------------
+
+/// Decodes the snapshot sections a restore starts from: the trajectory
+/// store, the [`ServerMeta`], and the event log's [`TsStats`].
+pub fn restore_sections(
+    snapshot: &Snapshot,
+) -> Result<(hka_trajectory::TrajectoryStore, ServerMeta, TsStats), String> {
+    let section = |name: &str| {
+        snapshot
+            .section(name)
+            .ok_or_else(|| format!("snapshot has no '{name}' section"))
+    };
+    Ok((
+        hka_trajectory::state::store_of_json(section(STORE_SECTION)?)?,
+        ServerMeta::of_json(section(SERVER_SECTION)?)?,
+        stats_of_json(section(STATS_SECTION)?)?,
+    ))
+}
 
 /// Encodes the event log's aggregate counters.
 pub fn stats_to_json(s: &TsStats) -> Json {
@@ -249,6 +267,33 @@ pub struct UserMeta {
     pub overrides: Vec<(ServiceId, Option<PrivacyParams>)>,
     /// Whether an at-risk notification is unresolved.
     pub at_risk: bool,
+}
+
+impl UserMeta {
+    /// The durable part of a live user's state.
+    pub fn of(user: UserId, state: &UserState) -> Self {
+        UserMeta {
+            user,
+            pseudonym: state.pseudonym,
+            params: state.params,
+            overrides: state.overrides.iter().map(|(s, p)| (*s, *p)).collect(),
+            at_risk: state.at_risk,
+        }
+    }
+
+    /// The state a restored server starts the user from: the durable
+    /// bindings, with LBQID monitors and pattern traversals restarted
+    /// empty (exactly like after an unlink).
+    pub fn state(&self) -> UserState {
+        UserState {
+            pseudonym: self.pseudonym,
+            params: self.params,
+            overrides: self.overrides.iter().cloned().collect(),
+            monitors: Vec::new(),
+            patterns: Vec::new(),
+            at_risk: self.at_risk,
+        }
+    }
 }
 
 /// The `server` section of a checkpoint snapshot: everything the
@@ -584,9 +629,9 @@ impl Checkpointer {
 
     // ------------------------------------------------------------------
     // Write-protocol building blocks. `checkpoint` composes these for
-    // the sequential server; the sharded frontend drives the same
-    // protocol through its group-commit sink (`ShardedTs::write_checkpoint`
-    // in `hka-shard`), so the sites, codecs, metrics, and the recovery
+    // `TrustedServer`; the group-commit server drives the same protocol
+    // through its group journal (`ShardedTs::write_checkpoint` in
+    // `hka-shard`), so the sites, codecs, metrics, and the recovery
     // ladder stay byte-identical across both.
     // ------------------------------------------------------------------
 

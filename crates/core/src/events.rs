@@ -9,14 +9,15 @@
 //! (default [`EventLog::DEFAULT_CAPACITY`]) and statistics are folded in
 //! incrementally at push time, so a server handling millions of requests
 //! keeps exact totals while holding only the recent tail in memory. For
-//! a complete, durable record, attach a hash-chained JSONL journal with
-//! [`EventLog::attach_journal`] — every event is appended to the journal
-//! before it enters the ring.
+//! a complete, durable record, attach a hash-chained JSONL journal —
+//! [`EventLog::attach_journal`] appends every event before it enters the
+//! ring; [`EventLog::attach_group_journal`] queues events and commits
+//! them in batches, one fsync each, through the same retry ladder.
 
 use crate::server::ServerMode;
 use hka_anonymity::{Pseudonym, ServiceId};
 use hka_geo::{StBox, TimeSec};
-use hka_obs::{BoxedJournal, Canonical, Json, ObjectWriter, RingBuffer};
+use hka_obs::{BoxedJournal, Canonical, DurableJournal, Json, ObjectWriter, RingBuffer};
 use hka_trajectory::UserId;
 
 /// One logged TS decision.
@@ -337,21 +338,22 @@ pub struct EventLog {
     journal: Option<JournalSink>,
 }
 
-/// How [`EventLog::push`] responds to journal write failures.
+/// How the journal sink responds to write failures.
 ///
-/// All budgets are measured in *events*, not wall-clock time: the TS is
-/// driven by simulated request timestamps, so deterministic backoff has
-/// to count what actually flows through it.
+/// All budgets are measured in *writes* (events for a per-record sink,
+/// commits for a group sink), not wall-clock time: the TS is driven by
+/// simulated request timestamps, so deterministic backoff has to count
+/// what actually flows through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Immediate attempts per event (first try included). Minimum 1.
+    /// Immediate attempts per write (first try included). Minimum 1.
     pub attempts: u32,
-    /// Consecutive failed events after which the sink is declared down
+    /// Consecutive failed writes after which the sink is declared down
     /// for good (the server goes read-only).
     pub max_failures: u32,
-    /// After the `n`-th consecutive failed event, skip
-    /// `backoff_base << n` events before trying the sink again
-    /// (exponential backoff in event counts).
+    /// After the `n`-th consecutive failed write, skip
+    /// `backoff_base << n` writes before trying the sink again
+    /// (exponential backoff in write counts).
     pub backoff_base: u64,
 }
 
@@ -375,7 +377,7 @@ pub enum JournalHealth {
     Healthy,
     /// Recent writes failed; the sink is in retry backoff.
     Retrying {
-        /// Consecutive events whose writes exhausted all attempts.
+        /// Consecutive writes that exhausted all attempts.
         failures: u32,
     },
     /// The retry budget is spent; the sink is abandoned until a new
@@ -383,23 +385,23 @@ pub enum JournalHealth {
     Down,
 }
 
-/// Wraps the boxed journal with retry/backoff bookkeeping (and keeps a
-/// useful `Debug` impl — a `Box<dyn Write>` has none).
-struct JournalSink {
-    journal: BoxedJournal,
+/// The one retry ladder both write cadences climb: consecutive failed
+/// writes back off exponentially and, at the policy's budget, take the
+/// sink down for good.
+#[derive(Debug)]
+struct RetryLadder {
     policy: RetryPolicy,
-    /// Consecutive events that exhausted every write attempt.
+    /// Consecutive writes that exhausted every attempt.
     failures: u32,
-    /// Events still to skip before the next write attempt.
+    /// Writes still to skip before the next attempt.
     skip: u64,
     /// Permanently abandoned (failures reached `policy.max_failures`).
     down: bool,
 }
 
-impl JournalSink {
-    fn new(journal: BoxedJournal, policy: RetryPolicy) -> Self {
-        JournalSink {
-            journal,
+impl RetryLadder {
+    fn new(policy: RetryPolicy) -> Self {
+        RetryLadder {
             policy,
             failures: 0,
             skip: 0,
@@ -419,53 +421,40 @@ impl JournalSink {
         }
     }
 
-    /// Writes one event, honouring the backoff and retry budgets. For a
-    /// sync-class event (see [`TsEvent::sync_flush`]) the sink flushes
-    /// immediately after a successful append, pushing
-    /// the record past the write buffer before the event's external
-    /// effect happens — the boundary a live audit tail relies on.
-    fn write(&mut self, event: &TsEvent) {
-        let sync = event.sync_flush();
-        if self.down {
-            hka_obs::counter!("ts.journal_skipped").incr();
-            return;
+    /// Whether a backoff window swallows this write (spending one slot).
+    fn backing_off(&mut self) -> bool {
+        let skipping = self.skip > 0;
+        self.skip = self.skip.saturating_sub(1);
+        skipping
+    }
+
+    /// A write landed durably.
+    fn landed(&mut self) {
+        if self.failures > 0 {
+            hka_obs::counter!("ts.journal_recoveries").incr();
         }
-        if self.skip > 0 {
-            self.skip -= 1;
-            hka_obs::counter!("ts.journal_skipped").incr();
-            return;
-        }
+        self.failures = 0;
+    }
+
+    /// Runs `write` up to `policy.attempts` times (`ts.journal_errors`
+    /// per failure, `ts.journal_retries` per retry) and escalates when
+    /// every attempt failed. Returns whether one succeeded.
+    fn attempt<T>(&mut self, mut write: impl FnMut() -> std::io::Result<T>) -> bool {
         let attempts = self.policy.attempts.max(1);
         for attempt in 0..attempts {
-            if self.journal.append(event.kind(), event).is_ok() {
-                if sync && self.journal.flush().is_err() {
-                    // The record is in the chain — re-appending would
-                    // duplicate it — so a failed flush escalates
-                    // without retrying the write, exactly like the
-                    // group-commit fsync path.
-                    hka_obs::counter!("ts.journal_errors").incr();
-                    self.escalate();
-                    return;
-                }
-                if sync {
-                    hka_obs::counter!("ts.journal_sync_flushes").incr();
-                }
-                if self.failures > 0 {
-                    hka_obs::counter!("ts.journal_recoveries").incr();
-                }
-                self.failures = 0;
-                return;
+            if write().is_ok() {
+                return true;
             }
             hka_obs::counter!("ts.journal_errors").incr();
             if attempt + 1 < attempts {
                 hka_obs::counter!("ts.journal_retries").incr();
             }
         }
-        // Every attempt failed: escalate.
         self.escalate();
+        false
     }
 
-    /// One more fully-failed event: spend the retry budget or back off.
+    /// One more fully-failed write: spend the retry budget or back off.
     fn escalate(&mut self) {
         self.failures += 1;
         if self.failures >= self.policy.max_failures {
@@ -476,11 +465,126 @@ impl JournalSink {
     }
 }
 
+/// The two write cadences.
+enum Cadence {
+    /// Every event is appended as it is pushed; sync-class events are
+    /// flushed through the write buffer as part of the append.
+    Record(BoxedJournal),
+    /// Events queue in execution order and [`EventLog::flush_journal`]
+    /// appends the batch with one flush + fsync. Chaining is byte-identical to
+    /// appending the same events one at a time.
+    Group {
+        journal: DurableJournal,
+        pending: Vec<(&'static str, TsEvent)>,
+    },
+}
+
+/// A journal with its cadence and retry ladder (and a useful `Debug`
+/// impl — a `Box<dyn Write>` has none).
+struct JournalSink {
+    cadence: Cadence,
+    ladder: RetryLadder,
+}
+
+impl JournalSink {
+    fn into_record(self) -> Option<BoxedJournal> {
+        match self.cadence {
+            Cadence::Record(journal) => Some(journal),
+            Cadence::Group { .. } => None,
+        }
+    }
+
+    fn position(&self) -> (u64, String) {
+        match &self.cadence {
+            Cadence::Record(j) => (j.next_seq(), j.head().to_string()),
+            Cadence::Group { journal, .. } => (journal.next_seq(), journal.head().to_string()),
+        }
+    }
+
+    /// Takes one pushed event: a per-record sink writes it now, a group
+    /// sink queues it for the next commit (even while down, so the
+    /// commit counts what it drops).
+    fn push(&mut self, event: &TsEvent) {
+        let journal = match &mut self.cadence {
+            Cadence::Record(journal) => journal,
+            Cadence::Group { pending, .. } => {
+                pending.push((event.kind(), event.clone()));
+                return;
+            }
+        };
+        if self.ladder.down || self.ladder.backing_off() {
+            hka_obs::counter!("ts.journal_skipped").incr();
+            return;
+        }
+        if !self.ladder.attempt(|| journal.append(event.kind(), event)) {
+            return;
+        }
+        if event.sync_flush() {
+            if journal.flush().is_err() {
+                // The record is in the chain — re-appending would
+                // duplicate it — so a failed flush escalates without
+                // retrying the write.
+                hka_obs::counter!("ts.journal_errors").incr();
+                self.ladder.escalate();
+                return;
+            }
+            hka_obs::counter!("ts.journal_sync_flushes").incr();
+        }
+        self.ladder.landed();
+    }
+
+    /// Commits a group sink's pending batch: one `append_batch` per
+    /// attempt, then one flush + fsync.
+    ///
+    /// * A failed `append_batch` leaves the journal's `(seq, prev)`
+    ///   untouched, so the batch **stays pending** and a later commit
+    ///   retries it byte-identically; a backoff window retains it too.
+    /// * An fsync failure after a successful append escalates, but the
+    ///   batch is not retried: its records are already in the chain.
+    /// * A down sink drops the batch (`ts.journal_skipped`).
+    fn commit(&mut self) {
+        let Cadence::Group { journal, pending } = &mut self.cadence else {
+            return;
+        };
+        // A commit may cover many requests, so its span is a root of
+        // its own, minted on every call so that trace ids are the same
+        // with collection on and off.
+        let mut span = hka_obs::trace::root_detached("shard.group_commit");
+        span.attr("batch", Json::from(pending.len() as u64));
+        if pending.is_empty() {
+            return;
+        }
+        if !self.ladder.down {
+            if self.ladder.backing_off() {
+                return;
+            }
+            if self.ladder.attempt(|| journal.append_batch(pending)) {
+                let synced = journal.commit().is_ok();
+                hka_obs::counter!("ts.journal_committed").add(pending.len() as u64);
+                hka_obs::counter!("ts.journal_commits").incr();
+                pending.clear();
+                if synced {
+                    self.ladder.landed();
+                } else {
+                    hka_obs::counter!("ts.journal_errors").incr();
+                    self.ladder.escalate();
+                }
+                return;
+            }
+        }
+        if self.ladder.down {
+            hka_obs::counter!("ts.journal_skipped").add(pending.len() as u64);
+            pending.clear();
+        }
+    }
+}
+
 impl std::fmt::Debug for JournalSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JournalSink")
-            .field("next_seq", &self.journal.next_seq())
-            .field("health", &self.health())
+            .field("next_seq", &self.position().0)
+            .field("group", &matches!(self.cadence, Cadence::Group { .. }))
+            .field("health", &self.ladder.health())
             .finish()
     }
 }
@@ -639,9 +743,10 @@ impl EventLog {
     }
 
     /// Routes every subsequent event into `journal` (before it enters
-    /// the ring), giving a complete hash-chained record on disk even
-    /// after in-memory eviction. Returns the previous sink, if any.
-    /// Retry bookkeeping starts fresh (default [`RetryPolicy`]).
+    /// the ring), one append per event, giving a complete hash-chained
+    /// record on disk even after in-memory eviction. Returns the previous
+    /// per-record journal, if any. Retry bookkeeping starts fresh
+    /// (default [`RetryPolicy`]).
     pub fn attach_journal(&mut self, journal: BoxedJournal) -> Option<BoxedJournal> {
         self.attach_journal_with(journal, RetryPolicy::default())
     }
@@ -652,54 +757,136 @@ impl EventLog {
         journal: BoxedJournal,
         policy: RetryPolicy,
     ) -> Option<BoxedJournal> {
+        let sink = JournalSink {
+            cadence: Cadence::Record(journal),
+            ladder: RetryLadder::new(policy),
+        };
         self.journal
-            .replace(JournalSink::new(journal, policy))
-            .map(|j| j.journal)
+            .replace(sink)
+            .and_then(JournalSink::into_record)
     }
 
-    /// Detaches and returns the journal sink.
+    /// Routes every subsequent event into `journal` by **group commit**
+    /// (default [`RetryPolicy`], counted in commits): events queue in
+    /// execution order and [`EventLog::flush_journal`] appends the batch
+    /// with a single flush + fsync. The outgoing group sink gets a last
+    /// commit; whatever it cannot take carries over to `journal`.
+    pub fn attach_group_journal(&mut self, journal: DurableJournal) {
+        let pending = match self.journal.take() {
+            Some(mut old) => {
+                old.commit();
+                match old.cadence {
+                    Cadence::Group { pending, .. } => pending,
+                    Cadence::Record(_) => Vec::new(),
+                }
+            }
+            None => Vec::new(),
+        };
+        self.journal = Some(JournalSink {
+            cadence: Cadence::Group { journal, pending },
+            ladder: RetryLadder::new(RetryPolicy::default()),
+        });
+    }
+
+    /// Detaches the sink. A per-record journal is returned; a group
+    /// journal gets a last commit and is closed.
     pub fn take_journal(&mut self) -> Option<BoxedJournal> {
-        self.journal.take().map(|j| j.journal)
+        let mut sink = self.journal.take()?;
+        sink.commit();
+        sink.into_record()
     }
 
     /// Current health of the journal sink.
     pub fn journal_health(&self) -> JournalHealth {
         match &self.journal {
             None => JournalHealth::Detached,
-            Some(sink) => sink.health(),
+            Some(sink) => sink.ladder.health(),
         }
     }
 
-    /// Flushes the attached journal, if any.
+    /// Pushes what the sink holds toward storage: a per-record journal
+    /// flushes its write buffer; a group journal commits its pending
+    /// batch (append + fsync), whose failures surface through
+    /// [`EventLog::journal_health`] rather than this result.
     pub fn flush_journal(&mut self) -> std::io::Result<()> {
         match &mut self.journal {
-            Some(sink) => sink.journal.flush(),
+            Some(JournalSink {
+                cadence: Cadence::Record(journal),
+                ..
+            }) => journal.flush(),
+            Some(sink) => {
+                sink.commit();
+                Ok(())
+            }
             None => Ok(()),
         }
     }
 
-    /// Appends an event: folds it into the running statistics, writes it
+    /// Events a group journal holds that no commit has landed yet (0 for
+    /// a per-record journal or none).
+    pub fn uncommitted(&self) -> usize {
+        match &self.journal {
+            Some(JournalSink {
+                cadence: Cadence::Group { pending, .. },
+                ..
+            }) => pending.len(),
+            _ => 0,
+        }
+    }
+
+    /// Appends an event: folds it into the running statistics, hands it
     /// to the journal (if attached), then stores it in the ring.
     ///
-    /// Journal write failures never panic the server. Each event gets up
-    /// to [`RetryPolicy::attempts`] immediate write attempts
+    /// Journal write failures never panic the server. Each write gets up
+    /// to [`RetryPolicy::attempts`] immediate attempts
     /// (`ts.journal_errors` / `ts.journal_retries` counters); after a
-    /// fully-failed event the sink backs off exponentially in event
-    /// counts (`ts.journal_skipped`), and after
-    /// [`RetryPolicy::max_failures`] consecutive failed events it is
-    /// declared [`JournalHealth::Down`] until a new journal is attached.
-    /// The in-memory ring and statistics always stay current.
+    /// fully-failed write the sink backs off exponentially in write
+    /// counts (`ts.journal_skipped` counts the events a per-record sink
+    /// skips), and after [`RetryPolicy::max_failures`] consecutive failed
+    /// writes it is declared [`JournalHealth::Down`] until a new journal
+    /// is attached. The in-memory ring and statistics always stay
+    /// current.
     ///
-    /// Sync-class events ([`TsEvent::sync_flush`]) are flushed through
-    /// the write buffer as part of the append, so their records are
-    /// visible to a concurrent audit tail before the effects they
-    /// describe leave the server.
+    /// A per-record sink flushes sync-class events
+    /// ([`TsEvent::sync_flush`]) through the write buffer as part of the
+    /// append, so their records are visible to a concurrent audit tail
+    /// before the effects they describe leave the server. A group sink
+    /// only queues: its health moves at commits.
     pub fn push(&mut self, e: TsEvent) {
         self.stats.absorb(&e);
         if let Some(sink) = &mut self.journal {
-            sink.write(&e);
+            sink.push(&e);
         }
         self.ring.push(e);
+    }
+
+    /// Moves `mode` to where the journal's health puts it (detached or
+    /// healthy: normal; retrying: degraded; down: read-only), emitting
+    /// the transition — counter `ts.mode_changes`, gauge `ts.mode`, a
+    /// `ts.mode_changed` event stamped `at` — when it moves.
+    pub fn align_mode(&mut self, mode: &mut ServerMode, at: TimeSec) {
+        let target = match self.journal_health() {
+            JournalHealth::Detached | JournalHealth::Healthy => ServerMode::Normal,
+            JournalHealth::Retrying { .. } => ServerMode::Degraded,
+            JournalHealth::Down => ServerMode::ReadOnly,
+        };
+        if target == *mode {
+            return;
+        }
+        let from = std::mem::replace(mode, target);
+        hka_obs::counter!("ts.mode_changes").incr();
+        hka_obs::gauge!("ts.mode").set(match target {
+            ServerMode::Normal => 0,
+            ServerMode::Degraded => 1,
+            ServerMode::ReadOnly => 2,
+        });
+        // No re-alignment: this event's own journal write (which may
+        // itself fail) is observed by whichever alignment comes next.
+        self.push(TsEvent::ModeChanged {
+            at,
+            from,
+            to: target,
+        });
     }
 
     /// The retained events, oldest first. When more than the capacity
@@ -729,33 +916,47 @@ impl EventLog {
 
     /// The attached sink's chain position: `(next_seq, head)` — how many
     /// records the journal holds and the hash of the last one. `None`
-    /// when no journal is attached.
+    /// when no journal is attached. For a group journal this is the
+    /// position of the last commit.
     pub fn journal_position(&self) -> Option<(u64, String)> {
-        self.journal
-            .as_ref()
-            .map(|s| (s.journal.next_seq(), s.journal.head().to_string()))
+        self.journal.as_ref().map(JournalSink::position)
     }
 
-    /// Appends a record directly to the attached journal and flushes it,
+    /// Appends a record directly to the attached journal and makes it
+    /// durable (a per-record journal flushes, a group journal commits),
     /// bypassing the ring, the statistics, and the retry bookkeeping.
     ///
     /// Checkpoint anchors use this: they are chain metadata, not server
     /// events, so a failed append is surfaced to the caller (which
     /// aborts the checkpoint and leaves the journal exactly as it was)
     /// instead of escalating the sink's health ladder. Errors when no
-    /// journal is attached or the sink is already [`JournalHealth::Down`].
+    /// journal is attached, the sink is already [`JournalHealth::Down`],
+    /// or a group journal holds uncommitted events (the record would
+    /// land ahead of them).
     pub fn append_direct(&mut self, kind: &str, payload: Json) -> std::io::Result<u64> {
-        let not_connected =
+        let refuse =
             |msg: &str| std::io::Error::new(std::io::ErrorKind::NotConnected, msg.to_string());
         let Some(sink) = &mut self.journal else {
-            return Err(not_connected("no journal attached"));
+            return Err(refuse("no journal attached"));
         };
-        if sink.down {
-            return Err(not_connected("journal sink is down"));
+        if sink.ladder.down {
+            return Err(refuse("journal sink is down"));
         }
-        let seq = sink.journal.append(kind, payload)?;
-        sink.journal.flush()?;
-        Ok(seq)
+        match &mut sink.cadence {
+            Cadence::Record(journal) => {
+                let seq = journal.append(kind, payload)?;
+                journal.flush()?;
+                Ok(seq)
+            }
+            Cadence::Group { pending, .. } if !pending.is_empty() => {
+                Err(refuse("uncommitted events would follow the record"))
+            }
+            Cadence::Group { journal, .. } => {
+                let seq = journal.append(kind, payload)?;
+                journal.commit()?;
+                Ok(seq)
+            }
+        }
     }
 }
 
@@ -1438,6 +1639,109 @@ mod tests {
         let bytes = shared.0.lock().unwrap_or_else(|e| e.into_inner()).clone();
         let report = hka_obs::verify_chain(&bytes[..]).expect("chain intact");
         assert_eq!(report.records.len(), 1);
+    }
+
+    /// A durable sink whose writes fail while `fail` is set.
+    #[derive(Clone, Default)]
+    struct Switch {
+        fail: std::sync::Arc<std::sync::atomic::AtomicBool>,
+        bytes: std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
+    }
+    impl std::io::Write for Switch {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.fail.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(std::io::Error::other("injected write failure"));
+            }
+            let mut bytes = self.bytes.lock().unwrap_or_else(|e| e.into_inner());
+            bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    impl hka_obs::DurableSink for Switch {}
+
+    fn group(sink: &Switch) -> DurableJournal {
+        hka_obs::Journal::new(Box::new(sink.clone()) as Box<dyn hka_obs::DurableSink>)
+    }
+
+    #[test]
+    fn group_commit_retains_a_failed_batch_and_retries_it_byte_identically() {
+        let sink = Switch::default();
+        let mut log = EventLog::new();
+        log.attach_group_journal(group(&sink));
+        log.push(forwarded(0));
+        log.push(forwarded(1));
+        assert_eq!(log.uncommitted(), 2);
+        assert_eq!(
+            log.journal_health(),
+            JournalHealth::Healthy,
+            "a push only queues"
+        );
+
+        sink.fail.store(true, std::sync::atomic::Ordering::Relaxed);
+        log.flush_journal().unwrap();
+        assert_eq!(
+            log.journal_health(),
+            JournalHealth::Retrying { failures: 1 }
+        );
+        assert_eq!(log.uncommitted(), 2, "the failed batch stays pending");
+        sink.fail.store(false, std::sync::atomic::Ordering::Relaxed);
+        log.push(forwarded(2));
+        // Backoff (`backoff_base << 1` commits) retains the batch too.
+        for _ in 0..2 {
+            log.flush_journal().unwrap();
+            assert_eq!(log.uncommitted(), 3);
+        }
+        log.flush_journal().unwrap();
+        assert_eq!(log.uncommitted(), 0);
+        assert_eq!(log.journal_health(), JournalHealth::Healthy);
+
+        // The same bytes a per-record journal writes for the three events.
+        let mut want = hka_obs::Journal::new(Vec::new());
+        for i in 0..3 {
+            let e = forwarded(i);
+            want.append(e.kind(), &e).unwrap();
+        }
+        let got = sink.bytes.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        assert_eq!(got, want.into_inner());
+    }
+
+    #[test]
+    fn a_down_group_sink_drops_its_batches() {
+        let sink = Switch::default();
+        sink.fail.store(true, std::sync::atomic::Ordering::Relaxed);
+        let mut log = EventLog::new();
+        log.attach_group_journal(group(&sink));
+        for i in 0..64 {
+            log.push(forwarded(i));
+            log.flush_journal().unwrap();
+        }
+        assert_eq!(log.journal_health(), JournalHealth::Down);
+        assert_eq!(
+            log.uncommitted(),
+            0,
+            "a down sink drops what it cannot commit"
+        );
+        assert!(log.append_direct("checkpoint", Json::Null).is_err());
+        // The ring and statistics never lost an event.
+        assert_eq!(log.stats().forwarded_exact, 64);
+        // A fresh journal restores health.
+        log.attach_group_journal(group(&Switch::default()));
+        assert_eq!(log.journal_health(), JournalHealth::Healthy);
+    }
+
+    #[test]
+    fn a_direct_append_waits_for_uncommitted_events() {
+        let sink = Switch::default();
+        let mut log = EventLog::new();
+        log.attach_group_journal(group(&sink));
+        log.push(forwarded(0));
+        assert!(log.append_direct("checkpoint", Json::Null).is_err());
+        log.flush_journal().unwrap();
+        assert_eq!(log.append_direct("checkpoint", Json::Null).unwrap(), 1);
+        assert_eq!(log.journal_position().map(|(seq, _)| seq), Some(2));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use crate::Tolerance;
 use hka_geo::{SpaceTimeScale, StBox, StPoint};
-use hka_trajectory::{brute, Phl, SpatialIndex, TrajectoryStore, UserId};
+use hka_trajectory::{brute, SpatialIndex, TrajectoryStore, UserId};
 
 /// The result of one generalization step.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,28 +105,12 @@ pub fn algorithm1_first_brute(
 /// request point. Because the kept set is always a subset of the stored
 /// one, the sets shrink monotonically along a trace and the survivors are
 /// covered by *every* box issued so far.
-pub fn algorithm1_subsequent(
-    store: &TrajectoryStore,
-    seed: &StPoint,
-    stored_users: &[UserId],
-    k: usize,
-    tolerance: &Tolerance,
-    scale: &SpaceTimeScale,
-) -> Generalization {
-    algorithm1_subsequent_from(|u| store.phl(u), seed, stored_users, k, tolerance, scale)
-}
-
-/// [`algorithm1_subsequent`] over any PHL lookup, so callers that hold
-/// per-user state in something other than one [`TrajectoryStore`] (a
-/// sharded server, a composite of partitions) can drive the identical
-/// selection. Behaviour and bookkeeping match the store-backed entry
-/// point exactly.
 ///
 /// Distances are ordered with [`f64::total_cmp`]: a degenerate PHL point
 /// (non-finite coordinates producing a NaN score) sorts after every real
 /// candidate instead of panicking the comparator.
-pub fn algorithm1_subsequent_from<'p>(
-    phl_of: impl Fn(UserId) -> Option<&'p Phl>,
+pub fn algorithm1_subsequent(
+    store: &TrajectoryStore,
     seed: &StPoint,
     stored_users: &[UserId],
     k: usize,
@@ -137,7 +121,8 @@ pub fn algorithm1_subsequent_from<'p>(
     let mut picks: Vec<(UserId, f64, StPoint)> = stored_users
         .iter()
         .filter_map(|u| {
-            phl_of(*u)
+            store
+                .phl(*u)
                 .and_then(|phl| phl.nearest_point(seed, scale))
                 .map(|p| (*u, scale.dist_sq(seed, &p), p))
         })
@@ -151,23 +136,6 @@ pub fn algorithm1_subsequent_from<'p>(
         k,
         tolerance,
     )
-}
-
-/// Lines 5–6 + 8–13 of the first-element branch, starting from an
-/// already-computed candidate list (each entry a user and its
-/// per-user-nearest PHL point, ordered by distance-then-id, at most `k`
-/// of them). This is the bounding + tolerance tail of
-/// [`algorithm1_first`] exposed so that callers which merge candidates
-/// from several index partitions can finish the algorithm identically.
-pub fn algorithm1_first_from(
-    seed: &StPoint,
-    picks: Vec<(UserId, StPoint)>,
-    k: usize,
-    tolerance: &Tolerance,
-) -> Generalization {
-    let _span = hka_obs::span!("algo1.generalize");
-    hka_obs::counter!("algo1.iterations").add(picks.len() as u64);
-    finish(seed, picks, k, tolerance)
 }
 
 /// Lines 3/5 (bounding) + 8–13 (tolerance check and uniform reduction).
@@ -345,32 +313,6 @@ mod tests {
         // sort must not panic and the finite users must come first.
         let g = algorithm1_subsequent(&store, &seed, &stored, 3, &loose(), &scale);
         assert_eq!(g.selected, vec![UserId(1), UserId(3), UserId(2)]);
-    }
-
-    #[test]
-    fn first_from_matches_first_branch() {
-        let (_, index) = setup();
-        let seed = sp(0.0, 0.0, 0);
-        for k in 0..=6 {
-            let whole = algorithm1_first(&index, &seed, UserId(0), k, &loose());
-            let picks = index.k_nearest_users(&seed, k, Some(UserId(0)));
-            let from = algorithm1_first_from(&seed, picks, k, &loose());
-            assert_eq!(whole, from, "k={k}");
-        }
-    }
-
-    #[test]
-    fn subsequent_from_matches_store_backed_entry_point() {
-        let (store, _) = setup();
-        let seed = sp(100.0, 0.0, 200);
-        let scale = SpaceTimeScale::new(1.0);
-        let stored = vec![UserId(1), UserId(2), UserId(3), UserId(99)];
-        for k in 0..=4 {
-            let a = algorithm1_subsequent(&store, &seed, &stored, k, &loose(), &scale);
-            let b =
-                algorithm1_subsequent_from(|u| store.phl(u), &seed, &stored, k, &loose(), &scale);
-            assert_eq!(a, b, "k={k}");
-        }
     }
 
     #[test]

@@ -55,15 +55,14 @@ pub use envelope::{
     parse_wire_msg, parse_wire_reply, EnvelopeBody, RequestEnvelope, ResponseEnvelope, WireError,
     WireMsg, WireOutcome, WireReply,
 };
-pub use service::RequestService;
+pub use service::{response_to, RequestService};
 
 pub use checkpoint::{
     CheckpointReceipt, Checkpointer, RecoveredCheckpoint, ServerMeta, SkippedCheckpoints, UserMeta,
 };
 pub use events::{EventLog, JournalHealth, RetryPolicy, SuppressReason, TsEvent, TsStats};
 pub use generalize::{
-    algorithm1_first, algorithm1_first_brute, algorithm1_first_from, algorithm1_subsequent,
-    algorithm1_subsequent_from, Generalization,
+    algorithm1_first, algorithm1_first_brute, algorithm1_subsequent, Generalization,
 };
 pub use mixzone::{MixZoneConfig, MixZoneManager, UnlinkDecision};
 pub use policy::{PrivacyLevel, PrivacyParams, RiskAction, Tolerance};

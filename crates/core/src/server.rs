@@ -276,17 +276,7 @@ impl TrustedServer {
             return Err(TsError::DuplicateUser(user));
         }
         let pseudonym = self.fresh_pseudonym();
-        self.users.insert(
-            user,
-            UserState {
-                pseudonym,
-                params,
-                overrides: BTreeMap::new(),
-                monitors: Vec::new(),
-                patterns: Vec::new(),
-                at_risk: false,
-            },
-        );
+        self.users.insert(user, UserState::new(pseudonym, params));
         self.store.ensure_user(user);
         Ok(pseudonym)
     }
@@ -394,43 +384,6 @@ impl TrustedServer {
         }
     }
 
-    /// Handles a batch of co-arriving requests in submission order
-    /// through one Algorithm-1 pass
-    /// ([`strategy::handle_request_batch_on`]). Outcomes, decision
-    /// events, and journal bytes are identical to calling
-    /// [`TrustedServer::try_handle_request`] once per element — order
-    /// equivalence is the helper's contract — but a host sharing
-    /// Algorithm-1 window state across the run may answer faster.
-    /// Per-request trace roots are not minted on this bulk path.
-    pub fn handle_requests(
-        &mut self,
-        requests: &[(UserId, StPoint, ServiceId)],
-    ) -> Vec<Result<RequestOutcome, TsError>> {
-        let tagged: Vec<(usize, UserId, StPoint, ServiceId)> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, (u, at, s))| (i, *u, *at, *s))
-            .collect();
-        let mut out: Vec<Result<RequestOutcome, TsError>> = Vec::with_capacity(requests.len());
-        strategy::handle_request_batch_on(
-            self,
-            &tagged,
-            |h, user| {
-                let _span = hka_obs::span!("ts.handle_request");
-                hka_obs::counter!("ts.requests").incr();
-                h.users.remove(&user)
-            },
-            |h, _i, user, settled| match settled {
-                Some((state, outcome)) => {
-                    h.users.insert(user, state);
-                    out.push(Ok(outcome));
-                }
-                None => out.push(Err(TsError::UnknownUser(user))),
-            },
-        );
-        out
-    }
-
     /// Fallible variant of [`TrustedServer::handle_request`].
     ///
     /// Fetch-once: the user's state is taken out of the map, the whole
@@ -486,36 +439,7 @@ impl TrustedServer {
     fn push_event(&mut self, e: TsEvent, at: TimeSec) {
         self.last_time = at;
         self.log.push(e);
-        self.sync_mode(at);
-    }
-
-    /// Aligns [`TrustedServer::mode`] with the journal's health,
-    /// emitting the transition (counter, gauge, `ts.mode_changed`
-    /// event) when it moves.
-    fn sync_mode(&mut self, at: TimeSec) {
-        let target = match self.log.journal_health() {
-            JournalHealth::Detached | JournalHealth::Healthy => ServerMode::Normal,
-            JournalHealth::Retrying { .. } => ServerMode::Degraded,
-            JournalHealth::Down => ServerMode::ReadOnly,
-        };
-        if target == self.mode {
-            return;
-        }
-        let from = self.mode;
-        self.mode = target;
-        hka_obs::counter!("ts.mode_changes").incr();
-        hka_obs::gauge!("ts.mode").set(match target {
-            ServerMode::Normal => 0,
-            ServerMode::Degraded => 1,
-            ServerMode::ReadOnly => 2,
-        });
-        // Direct push, no re-sync: this event's own journal write (which
-        // may itself fail) is observed by whichever event comes next.
-        self.log.push(TsEvent::ModeChanged {
-            at,
-            from,
-            to: target,
-        });
+        self.log.align_mode(&mut self.mode, at);
     }
 
     fn fresh_pseudonym(&mut self) -> Pseudonym {
@@ -620,7 +544,7 @@ impl TrustedServer {
         policy: RetryPolicy,
     ) -> Option<hka_obs::BoxedJournal> {
         let previous = self.log.attach_journal_with(journal, policy);
-        self.sync_mode(self.last_time);
+        self.log.align_mode(&mut self.mode, self.last_time);
         previous
     }
 
@@ -722,13 +646,7 @@ impl TrustedServer {
             users: self
                 .users
                 .iter()
-                .map(|(user, st)| crate::checkpoint::UserMeta {
-                    user: *user,
-                    pseudonym: st.pseudonym,
-                    params: st.params,
-                    overrides: st.overrides.iter().map(|(s, p)| (*s, *p)).collect(),
-                    at_risk: st.at_risk,
-                })
+                .map(|(user, st)| crate::checkpoint::UserMeta::of(*user, st))
                 .collect(),
         }
     }
@@ -746,46 +664,13 @@ impl TrustedServer {
     /// restored server has no journal attached; callers re-attach one
     /// (resuming the chain) before serving.
     pub fn restore(config: TsConfig, snapshot: &hka_obs::Snapshot) -> Result<Self, String> {
-        use crate::checkpoint::{self, ServerMeta};
-
-        let store = hka_trajectory::state::store_of_json(
-            snapshot
-                .section(checkpoint::STORE_SECTION)
-                .ok_or("snapshot has no 'store' section")?,
-        )?;
-        let meta = ServerMeta::of_json(
-            snapshot
-                .section(checkpoint::SERVER_SECTION)
-                .ok_or("snapshot has no 'server' section")?,
-        )?;
-        let stats = checkpoint::stats_of_json(
-            snapshot
-                .section(checkpoint::STATS_SECTION)
-                .ok_or("snapshot has no 'stats' section")?,
-        )?;
-
+        let (store, meta, stats) = crate::checkpoint::restore_sections(snapshot)?;
         let index = config.backend.build(&store, config.index);
         let mut mixzones = MixZoneManager::new(config.mixzone);
         for zone in &meta.static_zones {
             mixzones.add_static_zone(*zone);
         }
-        let users = meta
-            .users
-            .iter()
-            .map(|u| {
-                (
-                    u.user,
-                    UserState {
-                        pseudonym: u.pseudonym,
-                        params: u.params,
-                        overrides: u.overrides.iter().cloned().collect(),
-                        monitors: Vec::new(),
-                        patterns: Vec::new(),
-                        at_risk: u.at_risk,
-                    },
-                )
-            })
-            .collect();
+        let users = meta.users.iter().map(|u| (u.user, u.state())).collect();
         let mut log = EventLog::new();
         log.restore_stats(stats);
 
@@ -912,9 +797,9 @@ impl TrustedServer {
 
 /// The capability surface the extracted Section-6.1 strategy
 /// ([`crate::strategy`]) needs, answered by the server's own store,
-/// index, mix-zone manager, and bookkeeping. The sharded frontend
-/// implements the same trait over a partitioned layout; differential
-/// tests pin the two to identical behaviour.
+/// index, mix-zone manager, and bookkeeping. The group-commit server
+/// (`hka-shard`) implements the same trait over a lazily built index;
+/// differential tests pin the two to identical behaviour.
 impl RequestHost for TrustedServer {
     fn phl_last(&self, user: UserId) -> Option<StPoint> {
         self.store.phl(user).and_then(|p| p.last()).copied()

@@ -4,41 +4,33 @@
 //! `hka-sim simulate`, `serve-drill`, the benches, and the TCP
 //! gateway all hand [`RequestEnvelope`]s to a `&mut dyn
 //! RequestService` and read [`ResponseEnvelope`]s back from
-//! [`RequestService::drain`]. The sequential [`TrustedServer`]
-//! implements it here; the pipelined `ShardedTs` implements it in
-//! `hka-shard` (orphan rule). Both implementations preserve their
-//! pre-seam journal bytes exactly: `submit` on the sequential server
-//! is `location_update`/`try_handle_request` verbatim, and
-//! `submit_batch` takes the Algorithm-1 batch path
-//! ([`TrustedServer::handle_requests`]), which is order-equivalent by
-//! contract.
+//! [`RequestService::drain`]. [`TrustedServer`] implements it here; the
+//! group-commit `ShardedTs` implements it in `hka-shard` (orphan rule).
+//! On both, `submit` is `location_update`/`try_handle_request`
+//! verbatim, so the seam adds no journal byte.
 //!
 //! The seam is deliberately *pull-based*: `submit` never returns an
-//! outcome. Sequential backends answer immediately and buffer; the
-//! sharded backend answers at its next flush. Callers that
-//! need outcomes call `drain`, which yields every response settled
-//! since the previous drain, in submission order. Location reports
-//! are fire-and-forget and never produce a response.
+//! outcome. Both backends decide each submission at once and buffer the
+//! response; callers that need outcomes call `drain`, which yields every
+//! response settled since the previous drain, in submission order (the
+//! group-commit backend also commits its journal there). Location
+//! reports are fire-and-forget and never produce a response.
 
 use hka_anonymity::Pseudonym;
 use hka_trajectory::UserId;
 
 use crate::envelope::{EnvelopeBody, RequestEnvelope, ResponseEnvelope};
-use crate::events::TsEvent;
+use crate::events::{EventLog, TsEvent};
 use crate::server::{RequestOutcome, ServerMode, TrustedServer, TsError};
 
 /// Object-safe interface over a Trusted Server backend.
 pub trait RequestService {
     /// Ingests one envelope. Location reports are applied immediately
-    /// (fire-and-forget); requests are decided now or at the backend's
-    /// next flush, and their responses surface via
-    /// [`RequestService::drain`].
+    /// (fire-and-forget); requests are decided immediately, and their
+    /// responses surface via [`RequestService::drain`].
     fn submit(&mut self, env: &RequestEnvelope);
 
-    /// Ingests a batch. Backends that can share work across
-    /// co-arriving requests (one Algorithm-1 window pass) override
-    /// this; the default is sequential submission. Outcome order is
-    /// submission order either way.
+    /// Ingests a batch: each envelope in turn, as [`RequestService::submit`].
     fn submit_batch(&mut self, envs: &[RequestEnvelope]) {
         for env in envs {
             self.submit(env);
@@ -46,9 +38,7 @@ pub trait RequestService {
     }
 
     /// Takes every response settled since the last drain, in
-    /// submission order. Backends with internal queues flush first,
-    /// so after `drain` returns, every previously
-    /// submitted request has been answered.
+    /// submission order.
     fn drain(&mut self) -> Vec<ResponseEnvelope>;
 
     /// The backend's position on the Normal→Degraded→ReadOnly ladder.
@@ -70,35 +60,32 @@ pub trait RequestService {
     fn note_gateway_stats(&mut self, conns: u64, drains: u64, queue_depth: u64);
 }
 
-/// Best-effort `k_got` for the freshest forwarded decisions: walks the
-/// last `tail` ring events newest-first and returns the most recent
-/// `ts.forwarded` for `user`. The journal record is authoritative;
-/// this only enriches the wire response, so 0 ("unknown") is an
-/// acceptable answer when the ring has already evicted the event.
-fn k_got_of(server: &TrustedServer, user: UserId, tail: usize) -> u64 {
-    let events = server.log().events();
-    let skip = events.len().saturating_sub(tail);
-    let mut found = 0u64;
-    for ev in events.skip(skip) {
-        if let TsEvent::Forwarded { user: u, k_got, .. } = ev {
-            if *u == user {
-                found = *k_got as u64;
+/// The wire response to a decided request envelope, as a backend
+/// buffers it for [`RequestService::drain`].
+///
+/// `k_got` is best effort: the most recent `ts.forwarded` for the user
+/// among the last eight ring events. The journal record is
+/// authoritative; this only enriches the wire response, so 0
+/// ("unknown") is an acceptable answer when the ring has already
+/// evicted the event.
+pub fn response_to(
+    env: &RequestEnvelope,
+    result: &Result<RequestOutcome, TsError>,
+    mode: ServerMode,
+    log: &EventLog,
+) -> ResponseEnvelope {
+    let mut k_got = 0;
+    if let Ok(RequestOutcome::Forwarded(_)) = result {
+        let events = log.events();
+        for ev in events.clone().skip(events.len().saturating_sub(8)) {
+            if let TsEvent::Forwarded { user, k_got: k, .. } = ev {
+                if *user == env.user {
+                    k_got = *k as u64;
+                }
             }
         }
     }
-    found
-}
-
-impl TrustedServer {
-    fn respond(&mut self, env: &RequestEnvelope, result: Result<RequestOutcome, TsError>) {
-        let k_got = match &result {
-            Ok(RequestOutcome::Forwarded(_)) => k_got_of(self, env.user, 8),
-            _ => 0,
-        };
-        let resp =
-            ResponseEnvelope::from_result(env.req_id, env.trace, &result, self.mode(), k_got);
-        self.svc_outbox_mut().push(resp);
-    }
+    ResponseEnvelope::from_result(env.req_id, env.trace, result, mode, k_got)
 }
 
 impl RequestService for TrustedServer {
@@ -107,46 +94,10 @@ impl RequestService for TrustedServer {
             EnvelopeBody::Location => self.location_update(env.user, env.at),
             EnvelopeBody::Request { service } => {
                 let result = self.try_handle_request(env.user, env.at, service);
-                self.respond(env, result);
+                let resp = response_to(env, &result, self.mode(), self.log());
+                self.svc_outbox_mut().push(resp);
             }
         }
-    }
-
-    /// Runs of consecutive requests go through the Algorithm-1 batch
-    /// path ([`TrustedServer::handle_requests`]); location reports act
-    /// as batch boundaries because ingestion must happen between the
-    /// surrounding decisions.
-    fn submit_batch(&mut self, envs: &[RequestEnvelope]) {
-        let mut run: Vec<&RequestEnvelope> = Vec::new();
-        let flush_run = |server: &mut TrustedServer, run: &mut Vec<&RequestEnvelope>| {
-            if run.is_empty() {
-                return;
-            }
-            let batch: Vec<_> = run
-                .iter()
-                .map(|e| {
-                    let service = match e.body {
-                        EnvelopeBody::Request { service } => service,
-                        EnvelopeBody::Location => unreachable!("runs hold requests only"),
-                    };
-                    (e.user, e.at, service)
-                })
-                .collect();
-            let results = server.handle_requests(&batch);
-            for (env, result) in run.drain(..).zip(results) {
-                server.respond(env, result);
-            }
-        };
-        for env in envs {
-            match env.body {
-                EnvelopeBody::Location => {
-                    flush_run(self, &mut run);
-                    self.location_update(env.user, env.at);
-                }
-                EnvelopeBody::Request { .. } => run.push(env),
-            }
-        }
-        flush_run(self, &mut run);
     }
 
     fn drain(&mut self) -> Vec<ResponseEnvelope> {
@@ -240,45 +191,6 @@ mod tests {
         let d: Vec<_> = direct.log().events().collect();
         let s: Vec<_> = seam.log().events().collect();
         assert_eq!(d, s);
-    }
-
-    #[test]
-    fn batch_seam_matches_sequential_seam() {
-        let mut seq = served();
-        let mut bat = served();
-        let mut envs = Vec::new();
-        let mut req_id = 0u64;
-        for t in 0..30i64 {
-            for u in 0..6u64 {
-                let at = sp(80.0 * u as f64 + t as f64, 60.0 * u as f64, t * 10);
-                envs.push(RequestEnvelope::location(req_id, UserId(u), at));
-                req_id += 1;
-                if t % 3 == 0 {
-                    envs.push(RequestEnvelope::request(
-                        req_id,
-                        UserId(u),
-                        at,
-                        ServiceId(2),
-                    ));
-                    req_id += 1;
-                }
-            }
-        }
-        for env in &envs {
-            RequestService::submit(&mut seq, env);
-        }
-        bat.submit_batch(&envs);
-        let a = RequestService::drain(&mut seq);
-        let b = RequestService::drain(&mut bat);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.req_id, y.req_id);
-            assert_eq!(x.outcome, y.outcome);
-            assert_eq!(x.detail, y.detail);
-        }
-        let sl: Vec<_> = seq.log().events().collect();
-        let bl: Vec<_> = bat.log().events().collect();
-        assert_eq!(sl, bl, "batch path is order-equivalent (PR9 contract)");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The Section-6.1 per-request strategy, extracted from
-//! [`TrustedServer`](crate::TrustedServer) so that other frontends (the
-//! sharded server in `hka-shard`) can drive the *identical* decision
-//! procedure over their own storage layout.
+//! [`TrustedServer`](crate::TrustedServer) so that the group-commit
+//! server in `hka-shard` drives the *identical* decision procedure over
+//! its own storage (a lazily built index).
 //!
 //! The split is capability-shaped: [`RequestHost`] is everything the
 //! strategy needs from its surroundings — PHL reads and writes, fault
@@ -9,10 +9,9 @@
 //! allocation, event emission — while the generic functions
 //! ([`handle_request_on`], [`ingest_on`], [`location_update_on`],
 //! [`change_pseudonym_on`], [`fail_closed_on`], [`forward_on`]) are the
-//! strategy itself, byte-for-byte the logic that used to live inside
-//! `TrustedServer`. Every counter, span, event, and ordering decision
-//! is preserved: two hosts that answer the trait identically produce
-//! identical outcomes, which is the invariant the sharded pipeline's
+//! strategy itself. Every counter, span, event, and ordering decision
+//! lives here once: two hosts that answer the trait identically produce
+//! identical outcomes, which is the invariant the group-vs-record
 //! differential tests pin down.
 
 use crate::events::SuppressReason;
@@ -136,10 +135,11 @@ pub struct Ingest {
 /// Everything the per-request strategy needs from its surroundings.
 ///
 /// [`TrustedServer`](crate::TrustedServer) implements this over its own
-/// store/index/mix-zone fields; a sharded frontend implements it over a
-/// partitioned layout. Implementations must preserve the documented
-/// semantics exactly — the strategy's correctness (and the sharded
-/// pipeline's differential equivalence) depends on it.
+/// store/index/mix-zone fields; the group-commit server implements it
+/// over the same layout with an index built at its first protected
+/// request. Implementations must preserve the documented semantics
+/// exactly — the strategy's correctness (and the differential
+/// equivalence of the two servers) depends on it.
 pub trait RequestHost {
     /// The last recorded PHL point for `user`, if any.
     fn phl_last(&self, user: UserId) -> Option<StPoint>;
@@ -167,17 +167,6 @@ pub trait RequestHost {
     /// Algorithm 1, first-element branch: the k nearest users' PHL
     /// points around `at`, excluding `user`, bounded and
     /// tolerance-checked.
-    ///
-    /// **Batching contract.** Hosts may serve this query from shared
-    /// state (a union index reused across co-arriving requests, a memo
-    /// of window expansions) **only if** the served answer is equal to
-    /// a fresh query against the host's *current* store — i.e. the
-    /// shared state must be invalidated or versioned past every
-    /// intervening [`RequestHost::record`]. Since the strategy records
-    /// the request's own point before calling this, any memo keyed by
-    /// anything weaker than a mutation-counting generation stamp would
-    /// serve stale anonymity sets and silently break the order
-    /// equivalence that [`handle_request_batch_on`] relies on.
     fn algo1_first(
         &mut self,
         at: &StPoint,
@@ -395,34 +384,6 @@ pub fn forward_on<H: RequestHost>(
         at.t,
     );
     RequestOutcome::Forwarded(req)
-}
-
-/// Runs a batch of co-arriving service requests through **one**
-/// Algorithm-1 pass in submission order: each request executes the
-/// full [`handle_request_on`] decision procedure against the same host,
-/// so window queries and granule expansions the host chooses to share
-/// (see the batching contract on [`RequestHost::algo1_first`]) are
-/// reused across the run while results stay equal to processing the
-/// requests one by one — order equivalence holds by construction
-/// because nothing here reorders, coalesces, or short-circuits the
-/// per-request ladder. `fetch` checks a request's `UserState` out of
-/// the host's map (`None` rejects as unknown without touching state);
-/// `settle` returns it and receives the outcome in submission order.
-pub fn handle_request_batch_on<H: RequestHost, T>(
-    host: &mut H,
-    requests: &[(T, UserId, StPoint, ServiceId)],
-    mut fetch: impl FnMut(&mut H, UserId) -> Option<UserState>,
-    mut settle: impl FnMut(&mut H, &T, UserId, Option<(UserState, RequestOutcome)>),
-) {
-    for (tag, user, at, service) in requests {
-        match fetch(host, *user) {
-            Some(mut state) => {
-                let outcome = handle_request_on(host, *user, &mut state, *at, *service);
-                settle(host, tag, *user, Some((state, outcome)));
-            }
-            None => settle(host, tag, *user, None),
-        }
-    }
 }
 
 /// The Section-6.1 strategy over the owned per-user state — the full

@@ -74,8 +74,7 @@ impl std::fmt::Display for SpanId {
     }
 }
 
-/// The (trace, span) pair that work running later parents under, handed
-/// over through [`swap_current`].
+/// The (trace, span) pair that spans opened under it parent to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanContext {
     /// The request's trace.
@@ -105,7 +104,7 @@ pub struct SpanRecord {
     pub start_us: u64,
     /// Wall-clock micros since collector creation, at close.
     pub end_us: u64,
-    /// Key attributes (k_req, k_got, outcome, shard, ...).
+    /// Key attributes (k_req, k_got, outcome, ...).
     pub attrs: Vec<(&'static str, Json)>,
 }
 
@@ -183,21 +182,16 @@ struct Frame {
 }
 
 struct ThreadCtx {
-    /// Context adopted through [`swap_current`] (a deferred request root).
-    base: Option<SpanContext>,
     /// Open spans, innermost last. Dead frames are swept lazily.
     frames: Vec<Frame>,
 }
 
 thread_local! {
     static CTX: RefCell<ThreadCtx> = const {
-        RefCell::new(ThreadCtx {
-            base: None,
-            frames: Vec::new(),
-        })
+        RefCell::new(ThreadCtx { frames: Vec::new() })
     };
-    /// Cache of [`current`]'s answer — innermost live frame, else base.
-    /// Updated by every frame/base mutation; `const`-initialized so the
+    /// Cache of [`current`]'s answer — the innermost live frame.
+    /// Updated by every frame mutation; `const`-initialized so the
     /// read on the hot path (every `span!` guard while collection is
     /// enabled, live context or not) is a plain TLS load with no lazy
     /// registration and no `RefCell` borrow.
@@ -208,28 +202,8 @@ thread_local! {
 /// hold the `CTX` borrow, so this cannot race with `current()` on the
 /// same thread.
 fn refresh_current(ctx: &ThreadCtx) {
-    let cur = ctx
-        .frames
-        .iter()
-        .rev()
-        .find(|f| !f.dead)
-        .map(|f| f.ctx)
-        .or(ctx.base);
+    let cur = ctx.frames.iter().rev().find(|f| !f.dead).map(|f| f.ctx);
     CURRENT.with(|c| c.set(cur));
-}
-
-/// Swaps the thread's *base* context — the parent adopted by spans
-/// opened while no local guard is live. The sharded server swaps a
-/// request's deferred root in before running the request and restores
-/// the previous value after, so the request's spans parent under the
-/// root its submission opened. Returns the previous base.
-pub fn swap_current(ctx: Option<SpanContext>) -> Option<SpanContext> {
-    CTX.with(|c| {
-        let mut c = c.borrow_mut();
-        let prev = std::mem::replace(&mut c.base, ctx);
-        refresh_current(&c);
-        prev
-    })
 }
 
 /// The innermost live span context on this thread, if any.
@@ -302,10 +276,9 @@ pub fn root(name: &'static str) -> ActiveSpan {
     open_root(name, true)
 }
 
-/// Opens a root span *without* touching the thread's current context.
-/// The sharded frontend uses this for deferred roots that stay open
-/// from a request's submission until the flush that runs it, which
-/// adopts the root via [`swap_current`].
+/// Opens a root span *without* touching the thread's current context:
+/// nothing opened while it lives parents under it. A group commit,
+/// which covers many requests, is timed this way.
 pub fn root_detached(name: &'static str) -> ActiveSpan {
     open_root(name, false)
 }
@@ -345,8 +318,7 @@ impl ActiveSpan {
         self.open.is_some()
     }
 
-    /// The context for work adopted through [`swap_current`], if
-    /// recording.
+    /// The context spans opened under this one parent to, if recording.
     pub fn context(&self) -> Option<SpanContext> {
         self.open.as_ref().map(|o| o.ctx)
     }
@@ -690,34 +662,22 @@ mod tests {
     }
 
     #[test]
-    fn nesting_and_swap_current_handoff_link_correctly() {
+    fn nesting_links_a_child_to_its_root() {
         let _g = lock();
         enable(64);
-        let ctx = {
-            let root = root("req");
-            {
-                let _inner = child("stage");
-            }
-            root.context().unwrap()
-        };
-        // Adopt the root as the base context, as the sharded server does
-        // with a deferred root before running its request.
-        let prev = swap_current(Some(ctx));
         {
-            let _hop = child("adopted");
+            let _root = root("req");
+            let _inner = child("stage");
         }
-        swap_current(prev);
         assert_eq!(current(), None);
         disable();
         let records = drain();
-        assert_eq!(records.len(), 3);
+        assert_eq!(records.len(), 2);
         let root_rec = records.iter().find(|r| r.name == "req").unwrap();
         let stage = records.iter().find(|r| r.name == "stage").unwrap();
-        let hop = records.iter().find(|r| r.name == "adopted").unwrap();
         assert_eq!(root_rec.parent, None);
         assert_eq!(stage.parent, Some(root_rec.id));
-        assert_eq!(hop.parent, Some(root_rec.id));
-        assert_eq!(hop.trace, root_rec.trace);
+        assert_eq!(stage.trace, root_rec.trace);
         assert!(stage.start_tick > root_rec.start_tick);
         assert!(stage.end_tick < root_rec.end_tick);
     }

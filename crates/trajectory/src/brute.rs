@@ -41,16 +41,8 @@ impl BruteIndex {
 
     /// A brute index over a copy of `store`.
     pub fn build(store: &TrajectoryStore, scale: SpaceTimeScale) -> Self {
-        Self::build_all([store], scale)
-    }
-
-    /// A brute index over a copy of the user-disjoint `stores`, merged.
-    pub fn build_all<'a>(
-        stores: impl IntoIterator<Item = &'a TrajectoryStore>,
-        scale: SpaceTimeScale,
-    ) -> Self {
         BruteIndex {
-            store: TrajectoryStore::merged(stores),
+            store: store.clone(),
             scale,
         }
     }

@@ -122,26 +122,15 @@ impl GridIndex {
         }
     }
 
-    /// Builds an index over every point currently in the store.
+    /// Builds an index over every point currently in the store: every
+    /// slab but the newest [`LAG`] sealed, with an empty open tier. Those
+    /// are laid out sealed directly — one pass counts each cell's points,
+    /// a second places them — so a bulk build never holds the per-cell
+    /// vectors it would seal.
     pub fn build(store: &TrajectoryStore, config: GridIndexConfig) -> Self {
-        Self::build_all([store], config)
-    }
-
-    /// Builds an index over every point of the user-disjoint `stores` (a
-    /// sharded server's partitions): every slab but the newest [`LAG`]
-    /// sealed, with an empty open tier. Those are laid out sealed directly
-    /// — one pass counts each cell's points, a second places them — so a
-    /// bulk build never holds the per-cell vectors it would seal.
-    pub fn build_all<'a>(
-        stores: impl IntoIterator<Item = &'a TrajectoryStore>,
-        config: GridIndexConfig,
-    ) -> Self {
-        let stores: Vec<&TrajectoryStore> = stores.into_iter().collect();
         let points = || {
-            stores
+            store
                 .iter()
-                .copied()
-                .flat_map(TrajectoryStore::iter)
                 .flat_map(|(user, phl)| phl.points().iter().map(move |p| (user, p)))
         };
         let mut idx = GridIndex::new(config);

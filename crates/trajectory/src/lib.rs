@@ -32,16 +32,12 @@
 //!   to persist and restore the store.
 //! * [`SpatialIndex`] — the seam both implement and must answer
 //!   identically through; [`IndexBackend`] selects one at run time.
-//! * [`UnionIndex`] — the sharded server's one cross-shard reader: a
-//!   single index over every shard's users, kept current by each
-//!   recorded observation and rebuilt from the shard stores on demand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod brute;
 mod compact;
-pub mod delta;
 mod index;
 pub mod io;
 mod phl;
@@ -52,7 +48,6 @@ mod user;
 
 pub use brute::BruteIndex;
 pub use compact::{CompactionPolicy, CompactionStats};
-pub use delta::UnionIndex;
 pub use index::{GridIndex, GridIndexConfig};
 pub use phl::Phl;
 pub use spatial::{IndexBackend, SpatialIndex};

@@ -2,7 +2,7 @@
 //!
 //! Algorithm 1's anonymity-set search is the hottest path in the
 //! paper's preservation strategy, and the stack above this crate — the
-//! trusted server, the sharded frontend, the baselines, and the bench
+//! trusted server, the group-commit server, the baselines, and the bench
 //! binaries — should not care *which* moving-object index answers it.
 //! This module defines the contract all backends share:
 //!
@@ -241,19 +241,9 @@ impl IndexBackend {
 
     /// An index of this backend bulk-loaded from `store`.
     pub fn build(&self, store: &TrajectoryStore, config: GridIndexConfig) -> Box<dyn SpatialIndex> {
-        self.build_all([store], config)
-    }
-
-    /// An index of this backend bulk-loaded from the user-disjoint
-    /// `stores` — a sharded server's partitions.
-    pub fn build_all<'a>(
-        &self,
-        stores: impl IntoIterator<Item = &'a TrajectoryStore>,
-        config: GridIndexConfig,
-    ) -> Box<dyn SpatialIndex> {
         match self {
-            IndexBackend::Grid => Box::new(GridIndex::build_all(stores, config)),
-            IndexBackend::Brute => Box::new(BruteIndex::build_all(stores, config.scale)),
+            IndexBackend::Grid => Box::new(GridIndex::build(store, config)),
+            IndexBackend::Brute => Box::new(BruteIndex::build(store, config.scale)),
         }
     }
 }

@@ -84,24 +84,6 @@ impl TrajectoryStore {
             .sum()
     }
 
-    /// A store holding every PHL from the given user-disjoint
-    /// partitions — the global view behind a sharded server, used when
-    /// an audit or introspection query needs all users at once.
-    ///
-    /// # Panics
-    /// If two partitions claim the same user (they are not disjoint).
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a TrajectoryStore>) -> TrajectoryStore {
-        let mut out = TrajectoryStore::new();
-        for part in parts {
-            for (user, phl) in part.iter() {
-                let clash = out.phls.insert(user, phl.clone()).is_some();
-                assert!(!clash, "user {user:?} present in two partitions");
-                out.total_points += phl.len();
-            }
-        }
-        out
-    }
-
     /// Runs `f` over every PHL mutably, in user order (compaction's
     /// access path; point accounting is the caller's job).
     pub(crate) fn for_each_phl(&mut self, mut f: impl FnMut(&mut Phl)) {

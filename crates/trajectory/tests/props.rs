@@ -5,7 +5,7 @@ use hka_geo::{Rect, SpaceTimeScale, StBox, StPoint, TimeInterval, TimeSec};
 use hka_granules::Granularity;
 use hka_trajectory::{
     brute, BruteIndex, CompactionPolicy, GridIndex, GridIndexConfig, IndexBackend, Phl,
-    SpatialIndex, TrajectoryStore, UnionIndex, UserId,
+    SpatialIndex, TrajectoryStore, UserId,
 };
 use proptest::prelude::*;
 
@@ -64,47 +64,36 @@ fn sorted_observations(index: &dyn SpatialIndex, b: &StBox) -> Vec<(UserId, StPo
     out
 }
 
-/// The specification the union index is held to: an exhaustive scan
-/// over the merged (user-disjoint) shard stores.
-fn brute_over(stores: &[TrajectoryStore], cfg: &GridIndexConfig) -> BruteIndex {
-    let mut merged = TrajectoryStore::new();
-    for (u, phl) in stores.iter().flat_map(|s| s.iter()) {
-        for p in phl.points() {
-            merged.record(u, *p);
-        }
-    }
-    BruteIndex::build(&merged, cfg.scale)
-}
-
-/// One step of the sharded ingest lifecycle, as seen by the union index.
+/// One step of the group-commit server's ingest lifecycle, as seen by
+/// its lazily built index.
 #[derive(Debug, Clone)]
-enum UnionOp {
-    /// An in-order location update on the owning shard.
+enum LazyOp {
+    /// An in-order location update.
     Record { u: u64, x: f64, y: f64, dt: i64 },
     /// An out-of-order update whose timestamp the ingest path clamps
     /// forward onto the user's latest observation (`record_clamped`).
     Regress { u: u64, x: f64, y: f64, back: i64 },
-    /// A protected request reads the union (rebuilding it if dead).
+    /// A protected request reads the index (building it if absent).
     Query,
-    /// History compaction: per-shard compact and union invalidation —
-    /// exactly the sharded `compact_history` order.
+    /// History compaction: compact the store, drop the index — exactly
+    /// the group-commit server's `compact_history` order.
     Compact { keep: i64 },
 }
 
-fn arb_union_op() -> impl Strategy<Value = UnionOp> {
+fn arb_lazy_op() -> impl Strategy<Value = LazyOp> {
     // Weighted mix: mostly records, a sprinkle of clamped regressions
     // and reads, occasional compaction.
     (0u32..11, 0u64..8, 0.0f64..1000.0, 0.0f64..1000.0, 1i64..600).prop_map(|(kind, u, x, y, a)| {
         match kind {
-            0..=4 => UnionOp::Record {
+            0..=4 => LazyOp::Record {
                 u,
                 x,
                 y,
                 dt: a % 120,
             },
-            5 | 6 => UnionOp::Regress { u, x, y, back: a },
-            7..=9 => UnionOp::Query,
-            _ => UnionOp::Compact { keep: 60 + a % 540 },
+            5 | 6 => LazyOp::Regress { u, x, y, back: a },
+            7..=9 => LazyOp::Query,
+            _ => LazyOp::Compact { keep: 60 + a % 540 },
         }
     })
 }
@@ -328,7 +317,7 @@ proptest! {
     /// the canonical equal-distance tie rule (smallest `(t, x, y)`
     /// among a user's exactly equidistant observations) makes the
     /// representative point scan-order-independent, so byte equality
-    /// holds across backends, insertion orders, and partition layouts.
+    /// holds across backends and insertion orders.
     #[test]
     fn backends_agree_through_the_trait(
         store in arb_store(12, 15),
@@ -398,110 +387,86 @@ proptest! {
         }
     }
 
-    /// The incremental union survives any interleaving of in-order
-    /// inserts, clamped re-timestamps, reads, and history compaction:
-    /// at every read its answers are byte-identical to the brute
-    /// oracle's over the merged shard stores.
+    /// A lazily built index survives any interleaving of in-order
+    /// inserts, clamped re-timestamps, reads, and history compaction: at
+    /// every read its answers are byte-identical to the brute oracle's
+    /// over the store.
     #[test]
-    fn incremental_union_equals_fresh_union_under_interleaving(
-        ops in prop::collection::vec(arb_union_op(), 1..60),
+    fn lazy_index_equals_brute_under_interleaving(
+        ops in prop::collection::vec(arb_lazy_op(), 1..60),
         cfg in configs(),
-        shards in 1usize..5,
         seed in arb_stpoint(),
         k in 1usize..8,
     ) {
-        let mut stores: Vec<TrajectoryStore> =
-            (0..shards).map(|_| TrajectoryStore::new()).collect();
-        let mut union = UnionIndex::new(IndexBackend::Grid, cfg);
+        let mut store = TrajectoryStore::new();
+        let mut index: Option<Box<dyn SpatialIndex>> = None;
         let mut clock = 0i64;
         let mut last: std::collections::HashMap<u64, i64> = std::collections::HashMap::new();
-
-        // Re-derive per-user clamp floors from the stores (needed after
-        // compaction rewrites old observations into granule medoids).
-        fn reset_floors(
-            stores: &[TrajectoryStore],
-            last: &mut std::collections::HashMap<u64, i64>,
-        ) {
-            last.clear();
-            for s in stores {
-                for (u, phl) in s.iter() {
-                    if let Some(p) = phl.last() {
-                        last.insert(u.raw(), p.t.0);
-                    }
-                }
-            }
-        }
+        let agree = |index: &dyn SpatialIndex, store: &TrajectoryStore, at: &str| {
+            let oracle = BruteIndex::build(store, cfg.scale);
+            prop_assert_eq!(
+                index.k_nearest_users(&seed, k, None),
+                oracle.k_nearest_users(&seed, k, None),
+                "kNN at {}", at
+            );
+            prop_assert_eq!(
+                index.k_nearest_users(&seed, k, Some(UserId(0))),
+                oracle.k_nearest_users(&seed, k, Some(UserId(0))),
+                "excluding kNN at {}", at
+            );
+            prop_assert_eq!(index.len(), oracle.len());
+            Ok(())
+        };
 
         for op in &ops {
             match op {
-                UnionOp::Record { u, x, y, dt } => {
+                LazyOp::Record { u, x, y, dt } => {
                     clock += dt;
                     let t = clock.max(last.get(u).copied().unwrap_or(i64::MIN));
                     let p = StPoint::xyt(*x, *y, TimeSec(t));
-                    stores[(*u as usize) % shards].record(UserId(*u), p);
-                    union.insert(UserId(*u), p);
+                    store.record(UserId(*u), p);
+                    if let Some(index) = &mut index {
+                        index.insert(UserId(*u), p);
+                    }
                     last.insert(*u, t);
                 }
-                UnionOp::Regress { u, x, y, back } => {
+                LazyOp::Regress { u, x, y, back } => {
                     let raw = clock - back;
                     let floor = last.get(u).copied().unwrap_or(i64::MIN);
                     let eff = raw.max(floor);
-                    let clamped = stores[(*u as usize) % shards]
-                        .record_clamped(UserId(*u), StPoint::xyt(*x, *y, TimeSec(raw)));
+                    let clamped =
+                        store.record_clamped(UserId(*u), StPoint::xyt(*x, *y, TimeSec(raw)));
                     prop_assert_eq!(clamped, raw < floor, "clamp detection");
                     // The insert carries the post-clamp timestamp, just as
                     // the ingest path normalizes before recording.
-                    union.insert(UserId(*u), StPoint::xyt(*x, *y, TimeSec(eff)));
+                    if let Some(index) = &mut index {
+                        index.insert(UserId(*u), StPoint::xyt(*x, *y, TimeSec(eff)));
+                    }
                     last.insert(*u, eff);
                 }
-                UnionOp::Query => {
-                    if !union.is_live() {
-                        union.rebuild(stores.iter());
-                    }
-                    let oracle = brute_over(&stores, &cfg);
-                    prop_assert_eq!(
-                        union.k_nearest_users(&seed, k, None),
-                        oracle.k_nearest_users(&seed, k, None),
-                        "kNN at a read"
-                    );
-                    prop_assert_eq!(
-                        union.k_nearest_users(&seed, k, Some(UserId(0))),
-                        oracle.k_nearest_users(&seed, k, Some(UserId(0))),
-                        "excluding kNN at a read"
-                    );
-                    prop_assert_eq!(union.len(), oracle.len());
+                LazyOp::Query => {
+                    let index =
+                        index.get_or_insert_with(|| IndexBackend::Grid.build(&store, cfg));
+                    agree(index.as_ref(), &store, "a read")?;
                 }
-                UnionOp::Compact { keep } => {
-                    // Sharded compact_history order: compact every
-                    // shard, invalidate the union.
+                LazyOp::Compact { keep } => {
                     let policy = CompactionPolicy::new(*keep, Granularity::Minutes);
-                    for s in stores.iter_mut() {
-                        s.compact(TimeSec(clock), &policy);
-                    }
-                    union.invalidate();
-                    prop_assert!(!union.is_live());
-                    reset_floors(&stores, &mut last);
+                    store.compact(TimeSec(clock), &policy);
+                    index = None;
+                    // Re-derive per-user clamp floors: compaction rewrites
+                    // old observations into granule medoids.
+                    last = store
+                        .iter()
+                        .filter_map(|(u, phl)| Some((u.raw(), phl.last()?.t.0)))
+                        .collect();
                 }
             }
         }
 
         // A final read: whatever state the schedule left behind must
-        // still converge to the fresh union.
-        if !union.is_live() {
-            union.rebuild(stores.iter());
-        }
-        let oracle = brute_over(&stores, &cfg);
-        prop_assert_eq!(
-            union.k_nearest_users(&seed, k, None),
-            oracle.k_nearest_users(&seed, k, None),
-            "kNN at the final read"
-        );
-        prop_assert_eq!(
-            union.k_nearest_users(&seed, k, Some(UserId(0))),
-            oracle.k_nearest_users(&seed, k, Some(UserId(0))),
-            "excluding kNN at the final read"
-        );
-        prop_assert_eq!(union.len(), oracle.len());
+        // still converge to a fresh build.
+        let index = index.unwrap_or_else(|| IndexBackend::Grid.build(&store, cfg));
+        agree(index.as_ref(), &store, "the final read")?;
     }
 
     #[test]

@@ -68,26 +68,26 @@ cargo run --release -q --bin hka-sim -- watch "$tmp/ts.journal" \
     --idle-exit 2 --interval-ms 50 --report "$tmp/watch.json" > /dev/null
 cmp "$tmp/watch.json" "$tmp/audit.json"
 
-echo "== shard union (grid index vs its brute-force specification: bytes invariant) =="
-# Sequentially (one shard: the server's own index) and through the 4-shard
-# union; the sequential and the 4-shard journals must match too.
-for shards in 1 4; do
+echo "== group commit (record vs group journals, grid vs brute: bytes invariant) =="
+# Per-record and group-commit journals, each through the grid index and
+# its brute-force specification: all four must match byte for byte.
+for commit in record group; do
     for index in grid brute; do
         cargo run --release -q --bin hka-sim -- simulate --days 2 --commuters 4 \
-            --roamers 60 --shards "$shards" --index "$index" \
-            --trace-out "$tmp/union-$shards-$index.journal" > /dev/null
+            --roamers 60 --commit "$commit" --index "$index" \
+            --trace-out "$tmp/commit-$commit-$index.journal" > /dev/null
     done
     # The compare is only worth its name if the run searched for crowds
     # and both found and missed one: an unlink (pseudonym change) and an
     # at-risk.
     for kind in ts.pseudonym_changed ts.at_risk; do
-        n="$(grep -c "\"kind\":\"$kind\"" "$tmp/union-$shards-grid.journal" || true)"
-        echo "  $shards shard(s), $kind records: $n"
+        n="$(grep -c "\"kind\":\"$kind\"" "$tmp/commit-$commit-grid.journal" || true)"
+        echo "  $commit commit, $kind records: $n"
         [ "$n" -ge 1 ]
     done
-    cmp "$tmp/union-$shards-grid.journal" "$tmp/union-$shards-brute.journal"
+    cmp "$tmp/commit-$commit-grid.journal" "$tmp/commit-$commit-brute.journal"
 done
-cmp "$tmp/union-1-grid.journal" "$tmp/union-4-grid.journal"
+cmp "$tmp/commit-record-grid.journal" "$tmp/commit-group-grid.journal"
 
 echo "== gateway (TCP differential + chaos drill + open-loop smoke) =="
 cargo test --release -q --test gateway

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hka-sim simulate [--seed N] [--days N] [--commuters N] [--roamers N] [--k N]
-//!                  [--trace-out FILE] [--metrics] [--shards N]
+//!                  [--trace-out FILE] [--metrics] [--commit record|group]
 //!                  [--index grid|brute] [--trace-export FILE]
 //!                  [--trace-clock logical|wall] [--trace-capacity N] [--slo]
 //! hka-sim plan     [--seed N] [--population N] [--k N] [--samples N]
@@ -11,7 +11,7 @@
 //! hka-sim attack   [--seed N] [--level off|low|medium|high]
 //! hka-sim export   [--seed N] [--days N] --out FILE     # write a trace file
 //! hka-sim chaos    [--seeds N] [--seed N] [--days N] [--commuters N]
-//!                  [--roamers N] [--k N] [--shards N] [--index grid|brute]
+//!                  [--roamers N] [--k N] [--commit record|group] [--index grid|brute]
 //! hka-sim audit    --journal FILE [--snapshot FILE] [--json FILE] [--quiet]
 //!                  [--space-tol M2] [--time-tol SECS]
 //! hka-sim trace    --validate FILE
@@ -19,7 +19,7 @@
 //!                  [--idle-exit N] [--json] [--report FILE]
 //!                  [--space-tol M2] [--time-tol SECS] [--sample-cap N]
 //! hka-sim serve    [--addr HOST:PORT] [--seed N] [--days N] [--commuters N]
-//!                  [--roamers N] [--k N] [--shards N] [--index grid|brute]
+//!                  [--roamers N] [--k N] [--commit record|group] [--index grid|brute]
 //!                  [--journal FILE] [--inflight N] [--slo] [--gw-stats]
 //! hka-sim serve-drill [--journal FILE] [--audit-tail] [--chaos SEED]
 //!                  [--checkpoint-every N] [--truncate]
@@ -34,9 +34,13 @@
 //! errors and torn writes, unavailable index/mix-zone, perturbed request
 //! arrival) and checks the fail-closed invariant on every request: a
 //! faulted or degraded request is suppressed, never forwarded exact or
-//! under-generalized. Exits non-zero on any violation. `--shards N`
-//! (also accepted by `simulate`) runs the workload through the sharded
-//! frontend (`hka::shard::ShardedTs`) instead of the sequential server.
+//! under-generalized. Exits non-zero on any violation. `--commit group`
+//! (also accepted by `simulate` and `serve`) runs the workload through
+//! the group-commit server (`hka::shard::ShardedTs`: one fsync per
+//! commit, an index built at the first protected request) instead of
+//! the per-record `TrustedServer` (`--commit record`, the default);
+//! decisions and journal bytes are identical either way. The retired
+//! `--shards N` is a usage error.
 //! `--index grid|brute` (accepted by `simulate`, `plan`, `chaos`,
 //! `serve`, and `serve-drill`) selects what answers Algorithm 1's
 //! k-nearest-users query: the grid index (the default), or the
@@ -67,7 +71,7 @@
 //!
 //! `serve` exposes a protected world over TCP through the
 //! `hka-gateway` frontend (line-delimited JSON envelopes; see
-//! DESIGN.md §16 for the wire format). `--addr 127.0.0.1:0` (the
+//! DESIGN.md §15 for the wire format). `--addr 127.0.0.1:0` (the
 //! default) binds an ephemeral port and prints the bound address.
 //! The process serves until a client sends the wire `shutdown` op,
 //! then drains gracefully, flushes the journal, and exits 0; exit 1
@@ -174,6 +178,32 @@ fn get_backend(flags: &HashMap<String, String>) -> IndexBackend {
     }
 }
 
+/// The journal cadence `--commit` selects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Commit {
+    /// `TrustedServer`: every event appended as it happens.
+    Record,
+    /// `ShardedTs`: events committed in groups, one fsync each.
+    Group,
+}
+
+/// Parses `--commit record|group` (default `record`); the retired
+/// `--shards N` is a usage error.
+fn get_commit(flags: &HashMap<String, String>) -> Commit {
+    if flags.contains_key("shards") {
+        eprintln!("usage: --shards is gone; pick the journal cadence with --commit record|group");
+        std::process::exit(2);
+    }
+    match flags.get("commit").map(String::as_str) {
+        None | Some("record") => Commit::Record,
+        Some("group") => Commit::Group,
+        Some(v) => {
+            eprintln!("unknown commit cadence '{v}' for --commit (use record|group)");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
     match flags.get(key) {
         Some(v) => v.parse().unwrap_or_else(|_| {
@@ -200,69 +230,57 @@ fn build_world(seed: u64, days: i64, commuters: usize, roamers: usize) -> World 
     })
 }
 
+/// Registers the protected world on either server: both services,
+/// every agent (commuters protected at `k`, everyone else off), and the
+/// commuters' LBQIDs.
+macro_rules! protect {
+    ($ts:expr, $world:expr, $k:expr) => {{
+        let (ts, world, k) = ($ts, $world, $k);
+        ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
+        ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
+        let commuters: Vec<UserId> = world.commuters().collect();
+        for agent in &world.agents {
+            let level = if commuters.contains(&agent.user) {
+                PrivacyLevel::Custom(PrivacyParams {
+                    k,
+                    theta: 0.5,
+                    k_init: 2 * k,
+                    k_decrement: 1,
+                    on_risk: RiskAction::Forward,
+                })
+            } else {
+                PrivacyLevel::Off
+            };
+            ts.register_user(agent.user, level);
+        }
+        for &u in &commuters {
+            ts.add_lbqid(
+                u,
+                Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
+            );
+        }
+    }};
+}
+
 fn protected_server(world: &World, k: usize, backend: IndexBackend) -> TrustedServer {
     let mut ts = TrustedServer::new(TsConfig {
         backend,
         ..TsConfig::default()
     });
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    let commuters: Vec<UserId> = world.commuters().collect();
-    for agent in &world.agents {
-        let level = if commuters.contains(&agent.user) {
-            PrivacyLevel::Custom(PrivacyParams {
-                k,
-                theta: 0.5,
-                k_init: 2 * k,
-                k_decrement: 1,
-                on_risk: RiskAction::Forward,
-            })
-        } else {
-            PrivacyLevel::Off
-        };
-        ts.register_user(agent.user, level);
-    }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
-    }
+    protect!(&mut ts, world, k);
     ts
 }
 
-/// Mirrors [`protected_server`] on the sharded frontend.
-fn protected_sharded(world: &World, k: usize, shards: usize, backend: IndexBackend) -> ShardedTs {
+/// [`protected_server`] on the group-commit server.
+fn protected_group(world: &World, k: usize, backend: IndexBackend) -> ShardedTs {
     let mut ts = ShardedTs::new(
         TsConfig {
             backend,
             ..TsConfig::default()
         },
-        shards,
+        1,
     );
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    let commuters: Vec<UserId> = world.commuters().collect();
-    for agent in &world.agents {
-        let level = if commuters.contains(&agent.user) {
-            PrivacyLevel::Custom(PrivacyParams {
-                k,
-                theta: 0.5,
-                k_init: 2 * k,
-                k_decrement: 1,
-                on_risk: RiskAction::Forward,
-            })
-        } else {
-            PrivacyLevel::Off
-        };
-        ts.register_user(agent.user, level);
-    }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
-    }
+    protect!(&mut ts, world, k);
     ts
 }
 
@@ -285,11 +303,10 @@ fn world_envelopes(world: &World) -> Vec<RequestEnvelope> {
 /// Drives every workload event through the transport-agnostic
 /// [`RequestService`] seam — the same interface the TCP gateway
 /// serves, so an in-process run and a served run differ only in
-/// transport. The sequential server decides each submission
-/// immediately; the sharded frontend settles everything at the final
-/// drain barrier. Either way a rejected request (unknown user,
-/// read-only refusal) is reported and counted instead of aborting the
-/// whole simulation.
+/// transport. Either server decides each submission immediately; the
+/// group-commit server also commits its journal at the drain. Either
+/// way a rejected request (unknown user, read-only refusal) is reported
+/// and counted instead of aborting the whole simulation.
 fn run_events(svc: &mut dyn RequestService, world: &World) -> u64 {
     for env in &world_envelopes(world) {
         svc.submit(env);
@@ -326,7 +343,7 @@ fn cmd_simulate(flags: HashMap<String, String>) {
     let commuters = get(&flags, "commuters", 10usize);
     let roamers = get(&flags, "roamers", 60usize);
     let k = get(&flags, "k", 5usize);
-    let shards = get(&flags, "shards", 1usize);
+    let commit = get_commit(&flags);
     let backend = get_backend(&flags);
     let trace_export = flags
         .get("trace-export")
@@ -345,64 +362,47 @@ fn cmd_simulate(flags: HashMap<String, String>) {
     }
     let world = build_world(seed, days, commuters, roamers);
 
-    // Run through the sequential server or the sharded frontend; both
-    // produce identical decisions (see tests/shard.rs), so the summary
-    // below reads from either through the same shaped data.
-    let (st, audit_rows, journal_info, errors, log_len, log_dropped, slo_worst);
-    if shards > 1 {
-        let mut ts = protected_sharded(&world, k, shards, backend);
-        if slo {
-            ts.enable_slo(hka::obs::SloConfig::default());
-        }
-        if let Some(file) = open_trace_out(&flags) {
-            ts.attach_journal(hka::obs::Journal::new(
-                Box::new(std::io::BufWriter::new(file)) as Box<dyn hka::obs::DurableSink>,
-            ));
-        }
-        errors = run_events(&mut ts, &world);
-        ts.flush_journal().unwrap_or_else(|e| {
-            eprintln!("journal flush failed: {e}");
-            std::process::exit(1);
-        });
-        st = ts.stats();
-        audit_rows = collect_audit_rows(
-            &world,
-            k,
-            |u| ts.audit_patterns(u, k),
-            |u| ts.privacy_indicator(u),
-        );
-        log_len = ts.log().events().len() as u64;
-        log_dropped = ts.log().dropped();
-        journal_info = flags.get("trace-out").cloned();
-        slo_worst = ts.slo_worst();
-        println!("({} shards, {} epochs)", ts.shard_count(), ts.epoch());
-    } else {
-        let mut ts = protected_server(&world, k, backend);
-        if slo {
-            ts.enable_slo(hka::obs::SloConfig::default());
-        }
-        if let Some(file) = open_trace_out(&flags) {
-            ts.attach_journal(hka::obs::Journal::new(
-                Box::new(std::io::BufWriter::new(file)) as Box<dyn std::io::Write + Send + Sync>,
-            ));
-        }
-        errors = run_events(&mut ts, &world);
-        ts.flush_journal().unwrap_or_else(|e| {
-            eprintln!("journal flush failed: {e}");
-            std::process::exit(1);
-        });
-        st = ts.log().stats();
-        audit_rows = collect_audit_rows(
-            &world,
-            k,
-            |u| ts.audit_patterns(u, k),
-            |u| ts.privacy_indicator(u),
-        );
-        log_len = ts.log().events().len() as u64;
-        log_dropped = ts.log().dropped();
-        journal_info = flags.get("trace-out").cloned();
-        slo_worst = ts.slo_worst();
+    // Either server makes the same decisions and writes the same journal
+    // bytes (see tests/shard.rs), so the summary reads the same off both.
+    macro_rules! run {
+        ($ts:ident, $sink:ty) => {{
+            if slo {
+                $ts.enable_slo(hka::obs::SloConfig::default());
+            }
+            if let Some(file) = open_trace_out(&flags) {
+                $ts.attach_journal(hka::obs::Journal::new(
+                    Box::new(std::io::BufWriter::new(file)) as Box<$sink>,
+                ));
+            }
+            let errors = run_events(&mut $ts, &world);
+            $ts.flush_journal().unwrap_or_else(|e| {
+                eprintln!("journal flush failed: {e}");
+                std::process::exit(1);
+            });
+            let rows = collect_audit_rows(
+                &world,
+                k,
+                |u| $ts.audit_patterns(u, k),
+                |u| $ts.privacy_indicator(u),
+            );
+            let log = $ts.log();
+            let (len, dropped) = (log.events().len() as u64, log.dropped());
+            (errors, log.stats(), rows, len, dropped, $ts.slo_worst())
+        }};
     }
+    let (errors, st, audit_rows, log_len, log_dropped, slo_worst) = match commit {
+        Commit::Record => {
+            let mut ts = protected_server(&world, k, backend);
+            run!(ts, dyn std::io::Write + Send + Sync)
+        }
+        Commit::Group => {
+            let mut ts = protected_group(&world, k, backend);
+            let summary = run!(ts, dyn hka::obs::DurableSink);
+            println!("(group commit, {} epochs)", ts.epoch());
+            summary
+        }
+    };
+    let journal_info = flags.get("trace-out").cloned();
 
     println!(
         "simulated {days} days, {} users, k = {k}",
@@ -636,6 +636,51 @@ struct ChaosReport {
     final_mode: ServerMode,
 }
 
+/// What a chaos run drives, one event at a time: either server.
+trait ChaosTarget {
+    fn location_update(&mut self, user: UserId, at: StPoint);
+    fn try_handle_request(
+        &mut self,
+        user: UserId,
+        at: StPoint,
+        service: ServiceId,
+    ) -> Result<RequestOutcome, TsError>;
+    fn mode(&self) -> ServerMode;
+    /// Ends one event. The group-commit server commits here, as after a
+    /// client's barrier, so the mode read before the next request is
+    /// the one its fail-closed gate sees.
+    fn settle(&mut self);
+}
+
+macro_rules! chaos_target {
+    ($ty:ty, $settle:expr) => {
+        impl ChaosTarget for $ty {
+            fn location_update(&mut self, user: UserId, at: StPoint) {
+                <$ty>::location_update(self, user, at)
+            }
+            fn try_handle_request(
+                &mut self,
+                user: UserId,
+                at: StPoint,
+                service: ServiceId,
+            ) -> Result<RequestOutcome, TsError> {
+                <$ty>::try_handle_request(self, user, at, service)
+            }
+            fn mode(&self) -> ServerMode {
+                <$ty>::mode(self)
+            }
+            fn settle(&mut self) {
+                $settle(self)
+            }
+        }
+    };
+}
+chaos_target!(TrustedServer, |_: &mut TrustedServer| {});
+chaos_target!(ShardedTs, |ts: &mut ShardedTs| {
+    // Group commit reports failures through the mode ladder.
+    let _ = ts.flush_journal();
+});
+
 fn chaos_run(
     seed: u64,
     days: i64,
@@ -643,20 +688,39 @@ fn chaos_run(
     roamers: usize,
     k: usize,
     backend: IndexBackend,
+    commit: Commit,
 ) -> ChaosReport {
-    use hka::faults::sites;
     let world = build_world(seed, days, commuters, roamers);
-    let mut ts = protected_server(&world, k, backend);
     let injector = FaultInjector::new(randomized_plan(seed));
-    ts.attach_faults(injector.clone());
     // The journal shares the schedule: journal.io faults surface as real
     // sink errors (including torn writes) and drive the mode machine.
-    ts.attach_journal(hka::obs::Journal::new(Box::new(FaultyWriter::new(
-        std::io::sink(),
-        injector.clone(),
-    ))
-        as Box<dyn std::io::Write + Send + Sync>));
+    let faulty = || FaultyWriter::new(std::io::sink(), injector.clone());
+    match commit {
+        Commit::Record => {
+            let mut ts = protected_server(&world, k, backend);
+            ts.attach_faults(injector.clone());
+            ts.attach_journal(hka::obs::Journal::new(
+                Box::new(faulty()) as Box<dyn std::io::Write + Send + Sync>
+            ));
+            chaos_events(&mut ts, &world, &injector)
+        }
+        Commit::Group => {
+            // A fault plan makes every request commit first, so the
+            // group journal walks the mode ladder under the same schedule.
+            let mut ts = protected_group(&world, k, backend);
+            ts.attach_faults(injector.clone());
+            ts.attach_journal(hka::obs::Journal::new(
+                Box::new(hka::obs::Unsynced(faulty())) as Box<dyn hka::obs::DurableSink>,
+            ));
+            chaos_events(&mut ts, &world, &injector)
+        }
+    }
+}
 
+/// Drives the world through `ts` under arrival perturbation and checks
+/// the fail-closed invariant on every request.
+fn chaos_events(ts: &mut impl ChaosTarget, world: &World, injector: &FaultInjector) -> ChaosReport {
+    use hka::faults::sites;
     // Sites whose faults must fail the in-flight request closed.
     // journal.io is excluded: the sink is consulted when events are
     // *logged*, after the forwarding decision; its effect is the mode
@@ -675,7 +739,10 @@ fn chaos_run(
     };
     for e in &world.events {
         match e.kind {
-            EventKind::Location => ts.location_update(e.user, e.at),
+            EventKind::Location => {
+                ts.location_update(e.user, e.at);
+                ts.settle();
+            }
             EventKind::Request { service } => {
                 // Arrival perturbation: drop, duplicate, or deliver the
                 // request with a stale (reordered) timestamp.
@@ -695,8 +762,10 @@ fn chaos_run(
                 }
                 for at in deliveries {
                     let mode_before = ts.mode();
-                    let before = fired_now(&injector);
-                    let out = match ts.try_handle_request(e.user, at, ServiceId(service)) {
+                    let before = fired_now(injector);
+                    let result = ts.try_handle_request(e.user, at, ServiceId(service));
+                    ts.settle();
+                    let out = match result {
                         Ok(out) => out,
                         Err(err) => {
                             // A refused request (read-only ladder) is
@@ -710,107 +779,7 @@ fn chaos_run(
                             continue;
                         }
                     };
-                    let faulted = fired_now(&injector) > before;
-                    report.requests += 1;
-                    let fail_closed = match &out {
-                        RequestOutcome::Suppressed(_) => {
-                            report.suppressed += 1;
-                            true
-                        }
-                        RequestOutcome::Forwarded(req) => {
-                            report.forwarded += 1;
-                            !faulted
-                                && match mode_before {
-                                    ServerMode::Normal => true,
-                                    ServerMode::Degraded => req.context.area() > 0.0,
-                                    ServerMode::ReadOnly => false,
-                                }
-                        }
-                    };
-                    if !fail_closed {
-                        report.violations += 1;
-                    }
-                }
-            }
-        }
-    }
-    report.faults_fired = injector.total_fired();
-    report.final_mode = ts.mode();
-    report
-}
-
-/// [`chaos_run`] through the sharded frontend. A fault plan makes every
-/// request commit the journal first, so the run exercises the
-/// group-commit journal and the coordinator's mode ladder under the
-/// same schedule.
-/// Events go through one at a time (submit + flush) so `mode()` read
-/// before each request is the mode its fail-closed gate will see.
-fn chaos_run_sharded(
-    seed: u64,
-    days: i64,
-    commuters: usize,
-    roamers: usize,
-    k: usize,
-    shards: usize,
-    backend: IndexBackend,
-) -> ChaosReport {
-    use hka::faults::sites;
-    let world = build_world(seed, days, commuters, roamers);
-    let mut ts = protected_sharded(&world, k, shards, backend);
-    let injector = FaultInjector::new(randomized_plan(seed));
-    ts.attach_faults(injector.clone());
-    ts.attach_journal(hka::obs::Journal::new(
-        Box::new(hka::obs::Unsynced(FaultyWriter::new(
-            std::io::sink(),
-            injector.clone(),
-        ))) as Box<dyn hka::obs::DurableSink>,
-    ));
-
-    let request_sites = [sites::PHL_WRITE, sites::INDEX_QUERY, sites::MIXZONE];
-    let fired_now =
-        |inj: &FaultInjector| -> u64 { request_sites.iter().map(|s| inj.fired(s)).sum() };
-
-    let mut report = ChaosReport {
-        requests: 0,
-        forwarded: 0,
-        suppressed: 0,
-        faults_fired: 0,
-        violations: 0,
-        final_mode: ServerMode::Normal,
-    };
-    for e in &world.events {
-        match e.kind {
-            EventKind::Location => ts.location_update(e.user, e.at),
-            EventKind::Request { service } => {
-                let mut deliveries: Vec<StPoint> = Vec::with_capacity(2);
-                match injector.check(sites::ARRIVAL) {
-                    Some(FaultKind::Drop) => {}
-                    Some(FaultKind::Duplicate) => {
-                        deliveries.push(e.at);
-                        deliveries.push(e.at);
-                    }
-                    Some(FaultKind::Reorder) => {
-                        let mut late = e.at;
-                        late.t = TimeSec(late.t.0.saturating_sub(300));
-                        deliveries.push(late);
-                    }
-                    _ => deliveries.push(e.at),
-                }
-                for at in deliveries {
-                    let mode_before = ts.mode();
-                    let before = fired_now(&injector);
-                    let out = match ts.request_now(e.user, at, ServiceId(service)) {
-                        Ok(out) => out,
-                        Err(err) => {
-                            if !matches!(err, TsError::Degraded) {
-                                eprintln!("request rejected: {err}");
-                            }
-                            report.requests += 1;
-                            report.suppressed += 1;
-                            continue;
-                        }
-                    };
-                    let faulted = fired_now(&injector) > before;
+                    let faulted = fired_now(injector) > before;
                     report.requests += 1;
                     let fail_closed = match &out {
                         RequestOutcome::Suppressed(_) => {
@@ -846,17 +815,13 @@ fn cmd_chaos(flags: HashMap<String, String>) {
     let commuters = get(&flags, "commuters", 6usize);
     let roamers = get(&flags, "roamers", 30usize);
     let k = get(&flags, "k", 4usize);
-    let shards = get(&flags, "shards", 1usize);
+    let commit = get_commit(&flags);
     let backend = get_backend(&flags);
     let mut total_faults = 0u64;
     let mut total_violations = 0u64;
     for i in 0..seeds {
         let seed = base.wrapping_add(i);
-        let r = if shards > 1 {
-            chaos_run_sharded(seed, days, commuters, roamers, k, shards, backend)
-        } else {
-            chaos_run(seed, days, commuters, roamers, k, backend)
-        };
+        let r = chaos_run(seed, days, commuters, roamers, k, backend, commit);
         total_faults += r.faults_fired;
         total_violations += r.violations;
         println!(
@@ -1404,7 +1369,7 @@ fn cmd_serve(flags: HashMap<String, String>) {
     let commuters = get(&flags, "commuters", 6usize);
     let roamers = get(&flags, "roamers", 30usize);
     let k = get(&flags, "k", 4usize);
-    let shards = get(&flags, "shards", 1usize);
+    let commit = get_commit(&flags);
     let backend = get_backend(&flags);
     let inflight = get(&flags, "inflight", 256usize).max(1);
     let addr = flags
@@ -1422,8 +1387,8 @@ fn cmd_serve(flags: HashMap<String, String>) {
     };
 
     let world = build_world(seed, days, commuters, roamers);
-    let service: Box<dyn RequestService + Send> = if shards > 1 {
-        let mut ts = protected_sharded(&world, k, shards, backend);
+    let service: Box<dyn RequestService + Send> = if commit == Commit::Group {
+        let mut ts = protected_group(&world, k, backend);
         if let Some(path) = journal_path {
             ts.attach_journal(hka::obs::Journal::new(
                 Box::new(std::io::BufWriter::new(open_sink(path)))

@@ -134,6 +134,6 @@ pub mod prelude {
     pub use hka_trajectory::io::{read_store, write_store};
     pub use hka_trajectory::{
         brute, BruteIndex, CompactionPolicy, CompactionStats, GridIndex, GridIndexConfig,
-        IndexBackend, Phl, SpatialIndex, TrajectoryStore, UnionIndex, UserId,
+        IndexBackend, Phl, SpatialIndex, TrajectoryStore, UserId,
     };
 }

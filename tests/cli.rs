@@ -92,6 +92,30 @@ fn usage_errors_are_reported() {
     assert!(stderr.contains("--out"));
 }
 
+/// `--shards N` is retired: it exits 2 with a usage line naming its
+/// replacement, and so does an unknown `--commit` cadence.
+#[test]
+fn retired_shards_flag_and_unknown_commit_are_usage_errors() {
+    for cmd in ["simulate", "chaos", "serve"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hka-sim"))
+            .args([cmd, "--shards", "4"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("usage") && stderr.contains("--commit record|group"),
+            "{cmd}: {stderr}"
+        );
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hka-sim"))
+        .args(["simulate", "--commit", "batch"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown commit cadence"));
+}
+
 #[test]
 fn derive_runs_for_commuter_and_roamer() {
     let (ok, stdout, _) = hka_sim(&["derive", "--user", "0", "--days", "5"]);
@@ -109,9 +133,9 @@ fn index_backend_is_observationally_invariant() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    for shards in ["1", "4"] {
+    for commit in ["record", "group"] {
         let run = |index: &str| {
-            let journal = dir.join(format!("{index}-{shards}.journal"));
+            let journal = dir.join(format!("{index}-{commit}.journal"));
             let (ok, stdout, stderr) = hka_sim(&[
                 "simulate",
                 "--days",
@@ -120,8 +144,8 @@ fn index_backend_is_observationally_invariant() {
                 "4",
                 "--roamers",
                 "60",
-                "--shards",
-                shards,
+                "--commit",
+                commit,
                 "--index",
                 index,
                 "--trace-out",
@@ -142,7 +166,7 @@ fn index_backend_is_observationally_invariant() {
         assert_eq!(
             std::fs::read(&grid).unwrap(),
             std::fs::read(&brute).unwrap(),
-            "{shards} shard(s): grid and brute journals must be byte-identical"
+            "{commit} commit: grid and brute journals must be byte-identical"
         );
         assert_eq!(strip(&grid_stdout), strip(&brute_stdout));
 
@@ -153,7 +177,7 @@ fn index_backend_is_observationally_invariant() {
             let needle = format!("\"kind\":\"{kind}\"");
             assert!(
                 journal.lines().any(|l| l.contains(&needle)),
-                "{shards} shard(s): the scenario must produce a {kind} record"
+                "{commit} commit: the scenario must produce a {kind} record"
             );
         }
 
@@ -178,10 +202,10 @@ fn index_backend_is_observationally_invariant() {
     }
 }
 
-/// A sharded server that never sees a protected request builds no index
-/// at all (each `hka-sim` run is its own process, so the metrics
+/// A group-commit server that never sees a protected request builds no
+/// index at all (each `hka-sim` run is its own process, so the metrics
 /// registry it prints is that run's alone); the first protected request
-/// builds the one union index, once.
+/// builds it, once.
 #[test]
 fn sharded_server_builds_its_index_only_for_protected_requests() {
     let run = |commuters: &str| {
@@ -193,8 +217,8 @@ fn sharded_server_builds_its_index_only_for_protected_requests() {
             commuters,
             "--roamers",
             "12",
-            "--shards",
-            "4",
+            "--commit",
+            "group",
             "--metrics",
         ]);
         assert!(ok, "{stderr}");
@@ -208,16 +232,16 @@ fn sharded_server_builds_its_index_only_for_protected_requests() {
     // No commuters: every user has privacy off.
     let off = run("0");
     assert!(counter(&off, "ts.requests").unwrap() > 0, "{off}");
-    assert_eq!(counter(&off, "union.rebuilds"), None, "{off}");
-    assert_eq!(counter(&off, "union.deltas_applied"), None, "{off}");
+    assert_eq!(counter(&off, "ts.index_builds"), None, "{off}");
+    assert_eq!(counter(&off, "ts.index_inserts"), None, "{off}");
 
     let protected = run("3");
     assert_eq!(
-        counter(&protected, "union.rebuilds"),
+        counter(&protected, "ts.index_builds"),
         Some(1),
         "{protected}"
     );
-    assert!(counter(&protected, "union.deltas_applied").unwrap() > 0);
+    assert!(counter(&protected, "ts.index_inserts").unwrap() > 0);
 }
 
 #[test]

@@ -108,8 +108,8 @@ fn hka_sim(args: &[&str]) -> std::process::Output {
 
 /// The gateway adds zero journal records and perturbs zero decisions:
 /// a TCP-served run is byte-identical to an in-process seam run. The
-/// backend is the 4-shard `ShardedTs` with the randomizer attached,
-/// whose journal replays the sequential execution exactly — so
+/// backend is the group-commit `ShardedTs` with the randomizer
+/// attached, whose journal replays the per-record execution exactly — so
 /// drain-cycle timing, which depends on thread scheduling inside the
 /// gateway, provably cannot leak into the bytes.
 #[test]
@@ -128,7 +128,7 @@ fn gateway_journal_is_byte_identical_to_in_process() {
     assert!(n_requests > 0, "workload generated no requests");
 
     // --- In-process: the seam, no network. ---------------------------
-    let mut shd = ShardedTs::new(config, 4);
+    let mut shd = ShardedTs::new(config, 1);
     setup!(shd, &world);
     shd.attach_journal(obs::Journal::new(
         Box::new(std::fs::File::create(&inproc_path).unwrap()) as Box<dyn obs::DurableSink>,
@@ -143,7 +143,7 @@ fn gateway_journal_is_byte_identical_to_in_process() {
     assert_eq!(inproc.len(), n_requests);
 
     // --- The same backend behind TCP. --------------------------------
-    let mut shd = ShardedTs::new(config, 4);
+    let mut shd = ShardedTs::new(config, 1);
     setup!(shd, &world);
     shd.attach_journal(obs::Journal::new(
         Box::new(std::fs::File::create(&gw_path).unwrap()) as Box<dyn obs::DurableSink>,

@@ -1,11 +1,10 @@
-//! Differential equivalence: the sharded frontend ([`ShardedTs`]) vs
-//! the sequential [`TrustedServer`], on identical seeded workloads.
+//! Differential equivalence: the group-commit server ([`ShardedTs`]) vs
+//! the per-record [`TrustedServer`], on identical seeded workloads.
 //!
-//! The contract under test (see `crates/shard`): for every shard count,
-//! per-request outcomes match the sequential server exactly — outcome
-//! kind, forwarded context box, service, suppression reason, message id
-//! and pseudonym — the decision log and statistics agree, and a healthy
-//! journal holds the same bytes.
+//! The contract under test (see `crates/shard`): per-request outcomes
+//! match exactly — outcome kind, forwarded context box, service,
+//! suppression reason, message id and pseudonym — the decision log and
+//! statistics agree, and a healthy journal holds the same bytes.
 
 use hka::obs;
 use hka::prelude::*;
@@ -73,8 +72,8 @@ fn script(world: &World) -> Script {
             })
             .collect(),
         // Protected users still use the background service with privacy
-        // off — the exact-forward path, which commits no journal batch
-        // before it runs.
+        // off — the exact-forward path, which does not commit the group
+        // journal before it runs.
         overrides: commuters
             .iter()
             .map(|&u| (u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off))
@@ -100,9 +99,9 @@ fn setup_seq(world: &World, config: TsConfig) -> TrustedServer {
     ts
 }
 
-fn setup_sharded(world: &World, config: TsConfig, shards: usize) -> ShardedTs {
+fn setup_group(world: &World, config: TsConfig) -> ShardedTs {
     let s = script(world);
-    let mut ts = ShardedTs::new(config, shards);
+    let mut ts = ShardedTs::new(config, 1);
     for (svc, tol) in s.services {
         ts.register_service(svc, tol);
     }
@@ -120,9 +119,9 @@ fn setup_sharded(world: &World, config: TsConfig, shards: usize) -> ShardedTs {
 
 type Outcomes = Vec<(UserId, Result<RequestOutcome, TsError>)>;
 
-fn drive_seq(ts: &mut TrustedServer, world: &World) -> Outcomes {
+fn drive_seq(ts: &mut TrustedServer, events: &[Event]) -> Outcomes {
     let mut out = Vec::new();
-    for e in &world.events {
+    for e in events {
         match e.kind {
             EventKind::Location => ts.location_update(e.user, e.at),
             EventKind::Request { service } => {
@@ -136,75 +135,60 @@ fn drive_seq(ts: &mut TrustedServer, world: &World) -> Outcomes {
     out
 }
 
-fn drive_sharded(ts: &mut ShardedTs, world: &World) -> Outcomes {
-    for e in &world.events {
+/// Drives the group server event by event, draining (and so committing)
+/// every 50 events the way a served client's barriers would.
+fn drive_group(ts: &mut ShardedTs, events: &[Event]) -> Outcomes {
+    let mut out = Vec::new();
+    for (i, e) in events.iter().enumerate() {
         match e.kind {
-            EventKind::Location => {
-                ts.submit_location(e.user, e.at);
-            }
+            EventKind::Location => ts.location_update(e.user, e.at),
             EventKind::Request { service } => {
-                ts.submit_request(e.user, e.at, ServiceId(service));
+                out.push((
+                    e.user,
+                    ts.try_handle_request(e.user, e.at, ServiceId(service)),
+                ));
             }
         }
+        if i % 50 == 49 {
+            RequestService::drain(ts);
+        }
     }
-    ts.take_outcomes()
-        .into_iter()
-        .map(|(_, user, outcome)| (user, outcome))
-        .collect()
+    out
 }
 
-/// No id the provider sees may carry anything about its issuer — in
-/// particular not the issuer's shard in its high bits.
-fn assert_ids_below_2_48(shards: usize, view: &[SpRequest]) {
-    for r in view {
-        assert_eq!(
-            r.msg_id.0 >> 48,
-            0,
-            "{shards} shards: msg id {:?}",
-            r.msg_id
-        );
-        assert_eq!(
-            r.pseudonym.0 >> 48,
-            0,
-            "{shards} shards: pseudonym {:?}",
-            r.pseudonym
-        );
-    }
+fn record_journal(path: &std::path::Path) -> obs::BoxedJournal {
+    obs::Journal::new(
+        Box::new(std::fs::File::create(path).unwrap()) as Box<dyn std::io::Write + Send + Sync>
+    )
+}
+
+fn group_journal(path: &std::path::Path) -> obs::Journal<Box<dyn obs::DurableSink>> {
+    obs::Journal::new(Box::new(std::fs::File::create(path).unwrap()) as Box<dyn obs::DurableSink>)
+}
+
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("hka-shard-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 #[test]
-fn sharded_outcomes_match_sequential_for_every_shard_count() {
+fn sharded_outcomes_match_sequential() {
     let world = build_world(42, 5);
     let mut seq = setup_seq(&world, TsConfig::default());
-    let seq_out = drive_seq(&mut seq, &world);
+    let seq_out = drive_seq(&mut seq, &world.events);
+    let mut grp = setup_group(&world, TsConfig::default());
+    let grp_out = drive_group(&mut grp, &world.events);
+    assert_eq!(seq_out, grp_out, "outcomes, ids included");
+    assert_eq!(seq.provider_view(), grp.provider_view(), "provider view");
+    assert_eq!(seq.log().stats(), grp.log().stats(), "decision statistics");
     let seq_events: Vec<&TsEvent> = seq.log().events().collect();
-    for shards in [1usize, 2, 4, 8] {
-        let mut shd = setup_sharded(&world, TsConfig::default(), shards);
-        let shd_out = drive_sharded(&mut shd, &world);
-        assert_eq!(seq_out, shd_out, "{shards} shards: outcomes, ids included");
-        assert_eq!(
-            seq.provider_view(),
-            shd.provider_view(),
-            "{shards} shards: provider view"
-        );
-        assert_ids_below_2_48(shards, &shd.provider_view());
-        assert_eq!(
-            seq.log().stats(),
-            shd.stats(),
-            "{shards} shards: decision statistics"
-        );
-        let shd_events: Vec<&TsEvent> = shd.log().events().collect();
-        assert_eq!(seq_events, shd_events, "{shards} shards: decision log");
-        for agent in &world.agents {
-            let u = agent.user;
-            assert_eq!(seq.pseudonym_of(u), shd.pseudonym_of(u), "{shards}: {u}");
-            assert_eq!(seq.is_at_risk(u), shd.is_at_risk(u), "{shards}: {u}");
-            assert_eq!(
-                seq.privacy_indicator(u),
-                shd.privacy_indicator(u),
-                "{shards}: {u}"
-            );
-        }
+    let grp_events: Vec<&TsEvent> = grp.log().events().collect();
+    assert_eq!(seq_events, grp_events, "decision log");
+    for agent in &world.agents {
+        let u = agent.user;
+        assert_eq!(seq.pseudonym_of(u), grp.pseudonym_of(u), "{u}");
+        assert_eq!(seq.privacy_indicator(u), grp.privacy_indicator(u), "{u}");
     }
 }
 
@@ -212,56 +196,58 @@ fn sharded_outcomes_match_sequential_for_every_shard_count() {
 fn sharded_audits_match_sequential() {
     let world = build_world(7, 7);
     let mut seq = setup_seq(&world, TsConfig::default());
-    drive_seq(&mut seq, &world);
-    let mut shd = setup_sharded(&world, TsConfig::default(), 4);
-    drive_sharded(&mut shd, &world);
+    drive_seq(&mut seq, &world.events);
+    let mut grp = setup_group(&world, TsConfig::default());
+    drive_group(&mut grp, &world.events);
     for u in world.commuters() {
         let a = seq.audit_patterns(u, 4);
-        let b = shd.audit_patterns(u, 4);
+        let b = grp.audit_patterns(u, 4);
         assert_eq!(a.len(), b.len());
         for ((an, am, ah), (bn, bm, bh)) in a.iter().zip(&b) {
             assert_eq!(an, bn);
             assert_eq!(am, bm);
             assert_eq!(ah.satisfied, bh.satisfied, "user {u} pattern {an}");
         }
-        assert_eq!(seq.pattern_contexts(u), shd.pattern_contexts(u), "user {u}");
+        assert_eq!(seq.pattern_contexts(u), grp.pattern_contexts(u), "user {u}");
     }
-    // The merged store is the sequential store.
-    let merged = shd.merged_store();
     for (user, phl) in seq.store().iter() {
-        assert_eq!(Some(phl), merged.phl(user), "PHL of {user}");
+        assert_eq!(Some(phl), grp.store().phl(user), "PHL of {user}");
     }
 }
 
 #[test]
 fn unknown_user_requests_report_errors_without_aborting() {
     let world = build_world(3, 2);
-    let mut shd = setup_sharded(&world, TsConfig::default(), 2);
+    let mut grp = setup_group(&world, TsConfig::default());
     let ghost = UserId(9_999_999);
     let at = world.events[0].at;
     assert_eq!(
-        shd.request_now(ghost, at, ServiceId(BACKGROUND_SERVICE)),
+        grp.try_handle_request(ghost, at, ServiceId(BACKGROUND_SERVICE)),
         Err(TsError::UnknownUser(ghost))
     );
-    // And the same submitted mid-stream: it surfaces in the outcomes.
-    shd.submit_location(ghost, at); // unregistered ingest is fine
-    let pos = shd.submit_request(ghost, at, ServiceId(ANCHOR_SERVICE));
-    let outcomes = shd.take_outcomes();
-    let (_, user, res) = outcomes.iter().find(|(p, _, _)| *p == pos).unwrap();
-    assert_eq!(*user, ghost);
-    assert_eq!(*res, Err(TsError::UnknownUser(ghost)));
+    // And the same through the seam: it surfaces as a rejection.
+    let svc: &mut dyn RequestService = &mut grp;
+    svc.submit(&RequestEnvelope::location(1, ghost, at)); // unregistered ingest is fine
+    svc.submit(&RequestEnvelope::request(
+        2,
+        ghost,
+        at,
+        ServiceId(ANCHOR_SERVICE),
+    ));
+    let responses = svc.drain();
+    assert_eq!(responses.len(), 1);
+    assert_eq!(responses[0].req_id, 2);
+    assert_eq!(responses[0].outcome, WireOutcome::Rejected);
+    assert_eq!(responses[0].detail, "unknown_user");
 }
 
-/// With a randomizer configured the sharded server replays the
-/// sequential execution *exactly*: message ids, pseudonyms, randomized
-/// boxes — and the journal bytes.
+/// With a randomizer configured the group server replays the per-record
+/// execution *exactly*: message ids, pseudonyms, randomized boxes — and
+/// the journal bytes.
 #[test]
 fn serialized_mode_is_byte_identical_including_journals() {
-    let dir = std::env::temp_dir().join(format!("hka-shard-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let seq_path = dir.join("seq.jsonl");
-    let shd_path = dir.join("shd.jsonl");
-
+    let dir = scratch("bytes");
+    let (seq_path, grp_path) = (dir.join("seq.jsonl"), dir.join("grp.jsonl"));
     let config = TsConfig {
         randomize: Some(RandomizeConfig::default()),
         ..TsConfig::default()
@@ -269,36 +255,29 @@ fn serialized_mode_is_byte_identical_including_journals() {
     let world = build_world(11, 4);
 
     let mut seq = setup_seq(&world, config);
-    seq.attach_journal(obs::Journal::new(
-        Box::new(std::fs::File::create(&seq_path).unwrap())
-            as Box<dyn std::io::Write + Send + Sync>,
-    ));
-    let seq_out = drive_seq(&mut seq, &world);
+    seq.attach_journal(record_journal(&seq_path));
+    let seq_out = drive_seq(&mut seq, &world.events);
     seq.flush_journal().unwrap();
     drop(seq);
 
-    let mut shd = setup_sharded(&world, config, 4);
-    shd.attach_journal(obs::Journal::new(
-        Box::new(std::fs::File::create(&shd_path).unwrap()) as Box<dyn obs::DurableSink>,
-    ));
-    let shd_out = drive_sharded(&mut shd, &world);
-    shd.flush_journal().unwrap();
-    drop(shd);
+    let mut grp = setup_group(&world, config);
+    grp.attach_journal(group_journal(&grp_path));
+    let grp_out = drive_group(&mut grp, &world.events);
+    grp.flush_journal().unwrap();
+    drop(grp);
 
-    // Full equality: same Forwarded payloads (msg ids, pseudonyms,
-    // randomized contexts), same suppressions.
-    assert_eq!(seq_out, shd_out);
-
-    // The two journals are byte-identical: group commit batches the
-    // appends but chains the same bytes.
+    assert_eq!(seq_out, grp_out);
+    // Group commit batches the appends but chains the same bytes.
     let a = std::fs::read(&seq_path).unwrap();
-    let b = std::fs::read(&shd_path).unwrap();
     assert!(!a.is_empty());
-    assert_eq!(a, b, "journal bytes diverge");
+    assert!(
+        a == std::fs::read(&grp_path).unwrap(),
+        "journal bytes diverge"
+    );
 }
 
 /// The same fault plan drives identical outcomes through both servers —
-/// chaos testing can run through the sharded frontend.
+/// chaos testing can run through the group-commit server.
 #[test]
 fn fault_plans_replay_identically() {
     for seed in [1u64, 5, 9] {
@@ -306,56 +285,16 @@ fn fault_plans_replay_identically() {
 
         let mut seq = setup_seq(&world, TsConfig::default());
         seq.attach_faults(FaultInjector::new(randomized_plan(seed)));
-        let seq_out = drive_seq(&mut seq, &world);
+        let seq_out = drive_seq(&mut seq, &world.events);
 
-        let mut shd = setup_sharded(&world, TsConfig::default(), 4);
-        shd.attach_faults(FaultInjector::new(randomized_plan(seed)));
-        let shd_out = drive_sharded(&mut shd, &world);
+        let mut grp = setup_group(&world, TsConfig::default());
+        grp.attach_faults(FaultInjector::new(randomized_plan(seed)));
+        let grp_out = drive_group(&mut grp, &world.events);
 
         // Exact equality, ids included.
-        assert_eq!(seq_out, shd_out, "seed {seed}");
-        assert_eq!(seq.log().stats(), shd.stats(), "seed {seed}");
+        assert_eq!(seq_out, grp_out, "seed {seed}");
+        assert_eq!(seq.log().stats(), grp.log().stats(), "seed {seed}");
     }
-}
-
-/// The sharded read path's safety gate: the same 4-shard workload run
-/// over the grid index and over the brute-force specification produces
-/// identical outcomes and **byte-identical journals** — the
-/// incrementally maintained union is pinned to the exhaustive scan end
-/// to end, not just at the query seam.
-#[test]
-fn grid_union_matches_the_brute_union_byte_for_byte() {
-    let dir = std::env::temp_dir().join(format!("hka-shard-union-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let world = build_world(17, 5);
-
-    let mut journals = Vec::new();
-    for backend in IndexBackend::ALL {
-        let path = dir.join(format!("union-{backend}.jsonl"));
-        let config = TsConfig {
-            backend,
-            ..TsConfig::default()
-        };
-        let mut shd = setup_sharded(&world, config, 4);
-        shd.attach_journal(obs::Journal::new(
-            Box::new(std::fs::File::create(&path).unwrap()) as Box<dyn obs::DurableSink>,
-        ));
-        let out = drive_sharded(&mut shd, &world);
-        shd.flush_journal().unwrap();
-        assert!(
-            shd.union_generation() > 0,
-            "{backend}: the union actually ran (generation stamped)"
-        );
-        journals.push((std::fs::read(&path).unwrap(), out));
-    }
-    let (a_bytes, a_out) = &journals[0];
-    let (b_bytes, b_out) = &journals[1];
-    assert_eq!(a_out, b_out, "outcomes diverge between grid and brute");
-    assert!(!a_bytes.is_empty());
-    assert_eq!(
-        a_bytes, b_bytes,
-        "journal bytes diverge between grid and brute"
-    );
 }
 
 /// A city crowded enough that some unlink attempts find their k
@@ -376,10 +315,6 @@ fn build_crowded_world(seed: u64) -> World {
     })
 }
 
-fn journal_to(path: &std::path::Path) -> obs::Journal<Box<dyn obs::DurableSink>> {
-    obs::Journal::new(Box::new(std::fs::File::create(path).unwrap()) as Box<dyn obs::DurableSink>)
-}
-
 fn count_kind(journal: &[u8], kind: &str) -> usize {
     let needle = format!("\"kind\":\"{kind}\"");
     std::str::from_utf8(journal)
@@ -392,12 +327,12 @@ fn count_kind(journal: &[u8], kind: &str) -> usize {
 /// The unlink path end to end: a run in which on-demand mix-zones are
 /// both found (`ts.pseudonym_changed`) and not found (`ts.at_risk`)
 /// writes the same journal bytes whether the crowd is searched through
-/// the sequential server's index or through the union over 1, 2, 4 or 8
-/// shards — with the default config and with the randomizer on.
+/// the per-record server's index or the group server's lazy one, over
+/// the grid or its brute-force specification — with the default config
+/// and with the randomizer on.
 #[test]
-fn an_unlinking_run_is_byte_identical_at_every_shard_count() {
-    let dir = std::env::temp_dir().join(format!("hka-shard-unlink-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+fn an_unlinking_run_is_byte_identical_under_group_commit() {
+    let dir = scratch("unlink");
     let world = build_crowded_world(1);
     let randomized = TsConfig {
         randomize: Some(RandomizeConfig::default()),
@@ -407,11 +342,8 @@ fn an_unlinking_run_is_byte_identical_at_every_shard_count() {
     for (name, config) in [("default", TsConfig::default()), ("randomized", randomized)] {
         let seq_path = dir.join(format!("{name}-seq.jsonl"));
         let mut seq = setup_seq(&world, config);
-        seq.attach_journal(obs::Journal::new(
-            Box::new(std::fs::File::create(&seq_path).unwrap())
-                as Box<dyn std::io::Write + Send + Sync>,
-        ));
-        let seq_out = drive_seq(&mut seq, &world);
+        seq.attach_journal(record_journal(&seq_path));
+        let seq_out = drive_seq(&mut seq, &world.events);
         seq.flush_journal().unwrap();
         let want = std::fs::read(&seq_path).unwrap();
         let unlinked = count_kind(&want, "ts.pseudonym_changed");
@@ -421,67 +353,32 @@ fn an_unlinking_run_is_byte_identical_at_every_shard_count() {
             "{name}: the scenario must unlink and fail to: {unlinked} ts.pseudonym_changed, {at_risk} ts.at_risk"
         );
 
-        for shards in [1usize, 2, 4, 8] {
-            let path = dir.join(format!("{name}-{shards}.jsonl"));
-            let mut shd = setup_sharded(&world, config, shards);
-            shd.attach_journal(journal_to(&path));
-            let out = drive_sharded(&mut shd, &world);
-            shd.flush_journal().unwrap();
-            assert_eq!(out, seq_out, "{name}, {shards} shards: outcomes");
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                want,
-                "{name}, {shards} shards: journal bytes"
+        for backend in IndexBackend::ALL {
+            let path = dir.join(format!("{name}-{backend}.jsonl"));
+            let mut grp = setup_group(&world, TsConfig { backend, ..config });
+            grp.attach_journal(group_journal(&path));
+            let out = drive_group(&mut grp, &world.events);
+            grp.flush_journal().unwrap();
+            assert_eq!(out, seq_out, "{name}, {backend}: outcomes");
+            assert!(
+                std::fs::read(&path).unwrap() == want,
+                "{name}, {backend}: journal bytes"
             );
         }
     }
 }
 
-/// Sharded compaction: folds every shard's partition, **invalidates
-/// the union** (a removal is what an insert cannot express), journals
-/// one deterministic `ts.compaction` chain record — and afterwards the
-/// first protected request rebuilds the union from the folded stores
-/// and the server still answers exactly like a sequential server
-/// compacted the same way.
+/// Compaction writes no journal record on either server (DESIGN §13.4):
+/// a compacting group server journals exactly the bytes of an
+/// uncompacted per-record twin, and still answers like a per-record
+/// server compacted the same way. Compaction drops the lazy index; the
+/// first protected request after it rebuilds from the folded store.
 #[test]
-fn sharded_compaction_matches_sequential_and_rebuilds_the_union() {
-    let dir = std::env::temp_dir().join(format!("hka-shard-compact-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+fn group_compaction_journals_the_same_bytes_as_an_uncompacted_record_twin() {
+    let dir = scratch("compact");
     let world = build_world(29, 6);
     let split = world.events.len() / 2;
     let policy = CompactionPolicy::new(12 * HOUR, Granularity::Hours);
-
-    let drive_slice = |seq: &mut TrustedServer, events: &[Event]| {
-        let mut out = Vec::new();
-        for e in events {
-            match e.kind {
-                EventKind::Location => seq.location_update(e.user, e.at),
-                EventKind::Request { service } => {
-                    out.push((
-                        e.user,
-                        seq.try_handle_request(e.user, e.at, ServiceId(service)),
-                    ));
-                }
-            }
-        }
-        out
-    };
-    let drive_slice_shd = |shd: &mut ShardedTs, events: &[Event]| {
-        for e in events {
-            match e.kind {
-                EventKind::Location => {
-                    shd.submit_location(e.user, e.at);
-                }
-                EventKind::Request { service } => {
-                    shd.submit_request(e.user, e.at, ServiceId(service));
-                }
-            }
-        }
-        shd.take_outcomes()
-            .into_iter()
-            .map(|(_, user, outcome)| (user, outcome))
-            .collect::<Outcomes>()
-    };
 
     // Every pattern of the first half has its anonymity set by the time
     // of the compaction, and later elements reuse it without touching
@@ -503,149 +400,76 @@ fn sharded_compaction_matches_sequential_and_rebuilds_the_union() {
             std::iter::once(*e).chain(shadow)
         })
         .collect();
-
-    let mut seq = setup_seq(&world, TsConfig::default());
-    let mut seq_out = drive_slice(&mut seq, &world.events[..split]);
     let now = world.events[split].at.t;
+
+    // The uncompacted per-record twin.
+    let twin_path = dir.join("twin.jsonl");
+    let mut twin = setup_seq(&world, TsConfig::default());
+    twin.attach_journal(record_journal(&twin_path));
+    let mut twin_out = drive_seq(&mut twin, &world.events[..split]);
+    twin.register_user(late, PrivacyLevel::Custom(medium()));
+    twin.add_lbqid(late, late_lbqid());
+    twin_out.extend(drive_seq(&mut twin, &tail));
+    twin.flush_journal().unwrap();
+
+    // A per-record server compacted at `now`.
+    let mut seq = setup_seq(&world, TsConfig::default());
+    let mut seq_out = drive_seq(&mut seq, &world.events[..split]);
     let seq_stats = seq.compact_history(now, &policy);
     seq.register_user(late, PrivacyLevel::Custom(medium()));
     seq.add_lbqid(late, late_lbqid());
-    seq_out.extend(drive_slice(&mut seq, &tail));
+    seq_out.extend(drive_seq(&mut seq, &tail));
 
-    let mut chain_bytes = Vec::new();
-    for shards in [2usize, 4] {
-        let path = dir.join(format!("compact-{shards}.jsonl"));
-        let mut shd = setup_sharded(&world, TsConfig::default(), shards);
-        shd.attach_journal(obs::Journal::new(
-            Box::new(std::fs::File::create(&path).unwrap()) as Box<dyn obs::DurableSink>,
-        ));
-        let mut shd_out = drive_slice_shd(&mut shd, &world.events[..split]);
-
-        let gen_before = shd.union_generation();
-        let shd_stats = shd.compact_history(now, &policy);
-        assert_eq!(
-            shd_stats.points_dropped(),
-            seq_stats.points_dropped(),
-            "{shards} shards: same points folded as the sequential server"
-        );
-        let gen_compacted = shd.union_generation();
-        assert!(
-            gen_compacted > gen_before,
-            "{shards} shards: an index generation spanning the compaction is discarded"
-        );
-
-        shd.register_user(late, PrivacyLevel::Custom(medium()));
-        shd.add_lbqid(late, late_lbqid());
-        shd_out.extend(drive_slice_shd(&mut shd, &tail));
-        // An invalidated union ignores inserts, so only a rebuild moves
-        // its generation.
-        assert!(
-            shd.union_generation() > gen_compacted,
-            "{shards} shards: the union was rebuilt from the folded stores"
-        );
-        assert_eq!(seq_out, shd_out, "{shards} shards: outcomes");
-
-        // The folded global store is the sequential folded store.
-        let merged = shd.merged_store();
-        for (user, phl) in seq.store().iter() {
-            assert_eq!(
-                Some(phl),
-                merged.phl(user),
-                "{shards} shards: PHL of {user}"
-            );
-        }
-
-        shd.flush_journal().unwrap();
-        drop(shd);
-        let bytes = std::fs::read(&path).unwrap();
-        let text = String::from_utf8_lossy(&bytes).into_owned();
-        assert!(
-            text.contains("ts.compaction"),
-            "{shards} shards: compaction anchored in the chain"
-        );
-        chain_bytes.push(bytes);
-    }
+    let path = dir.join("group.jsonl");
+    let mut grp = setup_group(&world, TsConfig::default());
+    grp.attach_journal(group_journal(&path));
+    let mut grp_out = drive_group(&mut grp, &world.events[..split]);
+    assert!(format!("{grp:?}").contains("indexed: true"), "{grp:?}");
+    let grp_stats = grp.compact_history(now, &policy);
     assert_eq!(
-        chain_bytes[0], chain_bytes[1],
-        "compaction journals diverge across shard counts"
+        grp_stats.points_dropped(),
+        seq_stats.points_dropped(),
+        "same points folded as the per-record server"
     );
-}
-
-/// Co-arriving protected requests run as a batch; the batch counters
-/// move, and outcomes equal driving the same requests one flush at a
-/// time. The sequential bulk API rides the same
-/// seam: [`TrustedServer::handle_requests`] must equal one-by-one
-/// [`TrustedServer::try_handle_request`] calls.
-#[test]
-fn co_arriving_protected_requests_batch_without_changing_results() {
-    let world = build_world(33, 4);
-
-    // One flush for the whole world (maximal batching) ...
-    let mut batched = setup_sharded(&world, TsConfig::default(), 4);
-    let snap_before = hka::obs::global().snapshot();
-    let batched_out = drive_sharded(&mut batched, &world);
-    let snap_after = hka::obs::global().snapshot();
-    let batches =
-        |s: &hka::obs::MetricsSnapshot| s.counters.get("ts.request_batches").copied().unwrap_or(0);
     assert!(
-        batches(&snap_after) > batches(&snap_before),
-        "protected runs went through the batched path"
+        format!("{grp:?}").contains("indexed: false"),
+        "compaction drops the index: {grp:?}"
     );
-
-    // ... versus one flush per event (no co-arrival, no batching).
-    let mut single = setup_sharded(&world, TsConfig::default(), 4);
-    let mut single_out: Outcomes = Vec::new();
-    for e in &world.events {
-        match e.kind {
-            EventKind::Location => single.location_update(e.user, e.at),
-            EventKind::Request { service } => {
-                single_out.push((e.user, single.request_now(e.user, e.at, ServiceId(service))));
-            }
-        }
+    grp.register_user(late, PrivacyLevel::Custom(medium()));
+    grp.add_lbqid(late, late_lbqid());
+    grp_out.extend(drive_group(&mut grp, &tail));
+    assert!(
+        format!("{grp:?}").contains("indexed: true"),
+        "rebuilt from the folded store: {grp:?}"
+    );
+    assert_eq!(seq_out, grp_out, "outcomes");
+    assert_eq!(twin_out, grp_out, "compaction changes no decision");
+    for (user, phl) in seq.store().iter() {
+        assert_eq!(Some(phl), grp.store().phl(user), "PHL of {user}");
     }
-    assert_eq!(single_out, batched_out);
 
-    // Sequential bulk API: same contract at the strategy seam.
-    let mut seq_bulk = setup_seq(&world, TsConfig::default());
-    let mut seq_one = setup_seq(&world, TsConfig::default());
-    let mut requests = Vec::new();
-    for e in &world.events {
-        match e.kind {
-            EventKind::Location => {
-                // Keep both PHLs identical between request batches.
-                seq_bulk.location_update(e.user, e.at);
-                seq_one.location_update(e.user, e.at);
-            }
-            EventKind::Request { service } => requests.push((e.user, e.at, ServiceId(service))),
-        }
-    }
-    let bulk_out = seq_bulk.handle_requests(&requests);
-    let one_out: Vec<_> = requests
-        .iter()
-        .map(|(u, at, svc)| seq_one.try_handle_request(*u, *at, *svc))
-        .collect();
-    assert_eq!(bulk_out, one_out);
+    grp.flush_journal().unwrap();
+    drop(grp);
+    // `assert!`, not `assert_eq!`: a diff of two journals' bytes is
+    // megabytes of numbers.
+    assert!(
+        std::fs::read(&path).unwrap() == std::fs::read(&twin_path).unwrap(),
+        "a compacting group server journals its uncompacted twin's bytes"
+    );
 }
 
-/// The sharded journal is a well-formed hash chain and a clean audit:
+/// The group journal is a well-formed hash chain and a clean audit:
 /// `verify_chain` accepts it and `hka-audit` replays it with zero
-/// violations, exactly as for the sequential server.
+/// violations, exactly as for the per-record server.
 #[test]
 fn sharded_journal_verifies_and_audits_clean() {
-    let dir = std::env::temp_dir().join(format!("hka-shard-audit-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("journal.jsonl");
-
+    let path = scratch("audit").join("journal.jsonl");
     let world = build_world(21, 6);
-    let mut shd = setup_sharded(&world, TsConfig::default(), 4);
-    shd.attach_journal(obs::Journal::new(
-        Box::new(std::fs::File::create(&path).unwrap()) as Box<dyn obs::DurableSink>,
-    ));
-    drive_sharded(&mut shd, &world);
-    shd.flush_journal().unwrap();
-    let journal = shd.take_journal().expect("journal attached");
-    assert!(journal.next_seq() > 0, "journal recorded events");
-    drop(journal);
+    let mut grp = setup_group(&world, TsConfig::default());
+    grp.attach_journal(group_journal(&path));
+    drive_group(&mut grp, &world.events);
+    grp.flush_journal().unwrap();
+    drop(grp);
 
     let file = std::fs::File::open(&path).unwrap();
     let report = obs::verify_chain(std::io::BufReader::new(file)).expect("chain intact");

@@ -1,6 +1,6 @@
 //! Acceptance tests for end-to-end request tracing and the SLO
-//! watchdog: Perfetto-loadable export with every sharded request's span
-//! nested under its deferred root, byte-stable artifacts for a fixed
+//! watchdog: Perfetto-loadable export with every group-commit request's
+//! span nested under its root, byte-stable artifacts for a fixed
 //! seed, journals unchanged by collection state, and SLO breaches that
 //! land in the journal without disturbing the audit.
 
@@ -44,8 +44,8 @@ fn build_world(days: i64) -> World {
     })
 }
 
-fn setup_sharded(world: &World, shards: usize) -> ShardedTs {
-    let mut ts = ShardedTs::new(TsConfig::default(), shards);
+fn setup_group(world: &World) -> ShardedTs {
+    let mut ts = ShardedTs::new(TsConfig::default(), 1);
     ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
     ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 600));
     let commuters: Vec<UserId> = world.commuters().collect();
@@ -64,7 +64,7 @@ fn setup_sharded(world: &World, shards: usize) -> ShardedTs {
         );
     }
     // Explicit privacy-off overrides: the background traffic takes the
-    // exact-forward path, which commits no journal batch before it runs.
+    // exact-forward path, which does not commit the journal before it runs.
     for &u in &commuters {
         ts.set_service_privacy(u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off)
             .expect("registered");
@@ -75,27 +75,25 @@ fn setup_sharded(world: &World, shards: usize) -> ShardedTs {
 fn drive(ts: &mut ShardedTs, world: &World) {
     for e in &world.events {
         match e.kind {
-            EventKind::Location => {
-                ts.submit_location(e.user, e.at);
-            }
+            EventKind::Location => ts.location_update(e.user, e.at),
             EventKind::Request { service } => {
-                ts.submit_request(e.user, e.at, ServiceId(service));
+                let _ = ts.try_handle_request(e.user, e.at, ServiceId(service));
             }
         }
     }
     ts.flush_journal().expect("flush");
 }
 
-/// Every `ts.handle_request` span of a 4-shard run — protected and
-/// exact-forward alike — parents under the `ts.request` root its
-/// submission opened, within the same trace, and the whole document
+/// Every `ts.handle_request` span of a group-commit run — protected and
+/// exact-forward alike — parents under its request's `ts.request` root,
+/// within the same trace, and the whole document
 /// passes the Chrome-trace validator.
 #[test]
 fn export_parents_every_sharded_request_span_under_its_root() {
     let _g = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
     obs::trace::enable(1 << 16);
     let world = build_world(2);
-    let mut ts = setup_sharded(&world, 4);
+    let mut ts = setup_group(&world);
     drive(&mut ts, &world);
     obs::trace::disable();
     let records = obs::trace::drain();
@@ -146,8 +144,8 @@ fn trace_export_is_byte_stable_for_a_fixed_seed() {
             "12",
             "--seed",
             "5",
-            "--shards",
-            "2",
+            "--commit",
+            "group",
             "--trace-export",
             out.to_str().unwrap(),
         ]);
@@ -183,8 +181,8 @@ fn journals_are_byte_identical_with_tracing_on_and_off() {
             "12".into(),
             "--seed".into(),
             "5".into(),
-            "--shards".into(),
-            "2".into(),
+            "--commit".into(),
+            "group".into(),
             "--trace-out".into(),
             journal.to_str().unwrap().to_string(),
         ];
@@ -247,7 +245,7 @@ fn slo_breach_lands_in_the_journal_and_audit_stays_clean() {
     let dir = tmp_dir("slo");
     let path = dir.join("slo.jsonl");
     let world = build_world(1);
-    let mut ts = setup_sharded(&world, 2);
+    let mut ts = setup_group(&world);
     ts.attach_journal(obs::Journal::new(
         Box::new(std::fs::File::create(&path).unwrap()) as Box<dyn obs::DurableSink>,
     ));
