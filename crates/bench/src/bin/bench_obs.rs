@@ -1,7 +1,7 @@
 //! **Continuous benchmark: tracing overhead on the request path.**
 //!
-//! Drives one seeded protected-city workload through the group-commit
-//! server (`ShardedTs`, every request traced under its own root) under
+//! Drives one seeded protected-city workload through a `TrustedServer`
+//! on a group-commit journal (every request traced under its own root) under
 //! three observability configurations:
 //!
 //! 1. **off** — trace collection disabled (the default). Trace ids are
@@ -31,12 +31,11 @@
 use std::time::Instant;
 
 use hka_anonymity::ServiceId;
-use hka_core::{PrivacyLevel, PrivacyParams, RiskAction, Tolerance, TsConfig};
+use hka_core::{PrivacyLevel, PrivacyParams, RiskAction, Tolerance, TrustedServer, TsConfig};
 use hka_geo::MINUTE;
 use hka_lbqid::Lbqid;
 use hka_mobility::{CityConfig, EventKind, World, WorldConfig, ANCHOR_SERVICE, BACKGROUND_SERVICE};
 use hka_obs::{Json, TraceClock};
-use hka_shard::ShardedTs;
 use hka_trajectory::UserId;
 
 const SEED: u64 = 1;
@@ -67,9 +66,9 @@ fn build_world() -> World {
     })
 }
 
-fn setup(world: &World) -> ShardedTs {
+fn setup(world: &World) -> TrustedServer {
     let commuters: Vec<UserId> = world.commuters().collect();
-    let mut ts = ShardedTs::new(TsConfig::default(), 1);
+    let mut ts = TrustedServer::new(TsConfig::default());
     ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
     ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
     for a in &world.agents {
@@ -112,7 +111,7 @@ fn run_once(
 ) -> u64 {
     hka_obs::global().reset();
     let mut ts = setup(world);
-    ts.attach_journal(hka_obs::Journal::new(Box::new(
+    ts.attach_group_journal(hka_obs::Journal::new(Box::new(
         std::fs::File::create(path).expect("create journal"),
     )
         as Box<dyn hka_obs::DurableSink>));

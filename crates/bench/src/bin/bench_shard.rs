@@ -5,9 +5,8 @@
 //! 1. the **baseline**: the per-record `TrustedServer` with a *durable*
 //!    journal — every appended record is individually fsynced, the
 //!    durability contract a single-node deployment would run with;
-//! 2. the **group-commit server**: `ShardedTs`, journaling one batched
-//!    append + one fsync before each protected request and at each
-//!    drain.
+//! 2. the same server on a **group-commit journal**, one batched append
+//!    + one fsync before each protected request and at each drain.
 //!
 //! Writes `BENCH_shard.json` with the throughput of both runs and the
 //! headline `group_commit_speedup` (group commit vs the
@@ -39,7 +38,6 @@ use hka_geo::MINUTE;
 use hka_lbqid::Lbqid;
 use hka_mobility::{CityConfig, EventKind, World, WorldConfig, ANCHOR_SERVICE, BACKGROUND_SERVICE};
 use hka_obs::Json;
-use hka_shard::ShardedTs;
 use hka_trajectory::{IndexBackend, UserId};
 
 const SEED: u64 = 1;
@@ -90,31 +88,30 @@ fn params() -> PrivacyParams {
     }
 }
 
-/// Registers the workload on either server: both services, every agent
+/// A server with the workload registered: both services, every agent
 /// (commuters protected), the commuters' LBQIDs, and an explicit
 /// privacy-off override of the background service for each of them,
 /// which keeps those requests off the commit-first path.
-macro_rules! setup {
-    ($ts:expr, $world:expr) => {{
-        let (ts, world) = ($ts, $world);
-        ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-        ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-        let commuters: Vec<UserId> = world.commuters().collect();
-        for a in &world.agents {
-            let level = if commuters.contains(&a.user) {
-                PrivacyLevel::Custom(params())
-            } else {
-                PrivacyLevel::Off
-            };
-            ts.register_user(a.user, level);
-        }
-        for &u in &commuters {
-            let (home, office) = (world.home_of(u).unwrap(), world.office_of(u).unwrap());
-            ts.add_lbqid(u, Lbqid::example_commute(home, office));
-            ts.set_service_privacy(u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off)
-                .expect("registered");
-        }
-    }};
+fn setup(config: TsConfig, world: &World) -> TrustedServer {
+    let mut ts = TrustedServer::new(config);
+    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
+    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
+    let commuters: Vec<UserId> = world.commuters().collect();
+    for a in &world.agents {
+        let level = if commuters.contains(&a.user) {
+            PrivacyLevel::Custom(params())
+        } else {
+            PrivacyLevel::Off
+        };
+        ts.register_user(a.user, level);
+    }
+    for &u in &commuters {
+        let (home, office) = (world.home_of(u).unwrap(), world.office_of(u).unwrap());
+        ts.add_lbqid(u, Lbqid::example_commute(home, office));
+        ts.set_service_privacy(u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off)
+            .expect("registered");
+    }
+    ts
 }
 
 /// The workload as wire envelopes — what every backend is driven with
@@ -239,8 +236,7 @@ fn main() {
     let mut seq_outcomes: Vec<String> = Vec::new();
     for _ in 0..TRIALS {
         hka_obs::global().reset();
-        let mut seq = TrustedServer::new(config);
-        setup!(&mut seq, &world);
+        let mut seq = setup(config, &world);
         seq.attach_journal(hka_obs::Journal::new(Box::new(FsyncEachWrite(
             std::fs::File::create(&seq_path).expect("create baseline journal"),
         ))
@@ -254,16 +250,15 @@ fn main() {
     }
     let seq_records = check_journal(&seq_path, "baseline");
 
-    // --- Group commit: ShardedTs, one fsync per commit. ----------------
+    // --- Group commit: one fsync per commit. ---------------------------
     let path = scratch.join("group.jsonl");
     let mut ns = u64::MAX;
     let mut outcomes = Vec::new();
     let mut commits = 0;
     for _ in 0..TRIALS {
         hka_obs::global().reset();
-        let mut ts = ShardedTs::new(config, 1);
-        setup!(&mut ts, &world);
-        ts.attach_journal(hka_obs::Journal::new(Box::new(
+        let mut ts = setup(config, &world);
+        ts.attach_group_journal(hka_obs::Journal::new(Box::new(
             std::fs::File::create(&path).expect("create group journal"),
         )
             as Box<dyn hka_obs::DurableSink>));

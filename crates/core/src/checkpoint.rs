@@ -35,7 +35,9 @@
 //!
 //! ## Write protocol (fault sites in order)
 //!
-//! 1. flush the live sink, read its chain position `(records, head)`;
+//! 1. flush the live sink (a group journal commits; events it could not
+//!    land refuse the checkpoint), read its chain position
+//!    `(records, head)`;
 //! 2. build the audit section by replaying the on-disk journal (resuming
 //!    from the previous checkpoint when possible) and **cross-check** its
 //!    position against the sink's — any divergence aborts, fail-closed;
@@ -45,6 +47,9 @@
 //! 5. optionally truncate the journal prefix (`journal.truncate`) — done
 //!    with the sink detached, because the truncation swaps a new inode into
 //!    place and a still-open append handle would keep writing the dead one.
+//!    Re-attaching is per record, so a group journal refuses truncation
+//!    before step 1: truncate it offline with [`truncate_to_anchor`] and
+//!    attach a fresh journal.
 //!
 //! A failure at any stage leaves the previous checkpoint (or genesis)
 //! authoritative; recovery ([`Checkpointer::latest_valid`]) walks anchors
@@ -77,14 +82,11 @@ pub const STORE_SECTION: &str = "store";
 pub const SERVER_SECTION: &str = "server";
 /// Snapshot section holding the event log's [`TsStats`].
 pub const STATS_SECTION: &str = "stats";
-/// Snapshot section holding the offline auditor's replay state
-/// (re-exported so servers driving the write protocol themselves — the
-/// group-commit server — need no direct dependency on the audit crate).
+/// Snapshot section holding the offline auditor's replay state.
 pub use hka_audit::AUDIT_SECTION;
 
 // ---------------------------------------------------------------------------
-// Codecs. Shared free functions so the group-commit server serializes the
-// same canonical bytes as the per-record one.
+// Codecs.
 // ---------------------------------------------------------------------------
 
 /// Decodes the snapshot sections a restore starts from: the trajectory
@@ -556,9 +558,15 @@ impl Checkpointer {
         Some(kind)
     }
 
-    /// Runs the full write protocol against a live server: snapshot,
-    /// anchor, metrics, and (optionally) journal-prefix truncation.
+    /// Runs the full write protocol against a live server on either
+    /// journal cadence: snapshot, anchor, metrics, and (optionally)
+    /// journal-prefix truncation.
     ///
+    /// Fail-closed refusals: no journal attached, events a group commit
+    /// could not land (the snapshot would claim events the chain does not
+    /// have), an audit position diverging from the journal's, or
+    /// truncation asked of a group journal (re-attaching after the swap
+    /// is per record, and would silently drop the fsync per commit).
     /// On error the journal and the previous checkpoint are untouched
     /// and remain authoritative — the caller just carries on serving and
     /// may retry at the next interval. `ts.checkpoint_failures` counts
@@ -571,7 +579,7 @@ impl Checkpointer {
         let started = Instant::now();
         let result = self.try_checkpoint(ts, truncate, started);
         if result.is_err() {
-            self.note_failed();
+            hka_obs::counter!("ts.checkpoint_failures").incr();
         }
         result
     }
@@ -582,7 +590,19 @@ impl Checkpointer {
         truncate: bool,
         started: Instant,
     ) -> io::Result<CheckpointReceipt> {
+        if truncate && ts.log().group_commit() {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "journal-prefix truncation needs a per-record journal: truncate a group \
+                 journal offline and attach a fresh one",
+            ));
+        }
         ts.flush_journal()?;
+        if ts.log().uncommitted() > 0 {
+            return Err(invalid(
+                "pending events not durably committed: refusing to snapshot ahead of the chain",
+            ));
+        }
         let (records, head) = ts
             .journal_position()
             .ok_or_else(|| invalid("no journal attached: nothing to anchor a checkpoint into"))?;
@@ -597,7 +617,9 @@ impl Checkpointer {
         snapshot.set_section(STATS_SECTION, stats_to_json(&ts.log().stats()));
         snapshot.set_section(hka_audit::AUDIT_SECTION, audit_state);
 
-        let (path, hash, bytes) = self.publish_snapshot(&snapshot)?;
+        let path = self.snapshot_path(records);
+        let hash = self.write_staged(&snapshot, &path)?;
+        let bytes = std::fs::metadata(&path)?.len();
 
         // Anchor the snapshot into the chain. Until this append lands the
         // snapshot file is an unanchored orphan: recovery ignores it.
@@ -613,11 +635,15 @@ impl Checkpointer {
             anchor_payload(&file_name, records, &head, &hash),
         )?;
         debug_assert_eq!(seq, records, "anchor seq equals the records it covers");
+        // The next audit section resumes from this snapshot, not genesis.
         self.last_snapshot = Some(path.clone());
 
         let truncated_bytes = if truncate { self.truncate_live(ts)? } else { 0 };
 
-        self.note_committed(&path, bytes, records, started);
+        hka_obs::counter!("ts.checkpoints").incr();
+        hka_obs::counter!("ts.checkpoint_bytes").add(bytes);
+        hka_obs::histogram!("ts.checkpoint_write_ns").record(started.elapsed().as_nanos() as u64);
+        hka_obs::gauge!("ts.checkpoint_last_offset").set(records as i64);
         Ok(CheckpointReceipt {
             seq,
             path,
@@ -627,21 +653,13 @@ impl Checkpointer {
         })
     }
 
-    // ------------------------------------------------------------------
-    // Write-protocol building blocks. `checkpoint` composes these for
-    // `TrustedServer`; the group-commit server drives the same protocol
-    // through its group journal (`ShardedTs::write_checkpoint` in
-    // `hka-shard`), so the sites, codecs, metrics, and the recovery
-    // ladder stay byte-identical across both.
-    // ------------------------------------------------------------------
-
     /// Builds a snapshot's `audit` section at chain position
     /// `(records, head)` by replaying the on-disk journal — resuming
     /// from the previous snapshot when one is still valid, falling back
     /// to a genesis replay when it is not (more work, never wrong
     /// state) — and **cross-checks** the file's end position against
     /// the caller's live position: any divergence aborts, fail-closed.
-    pub fn audit_state_at(&self, records: u64, head: &str) -> io::Result<Json> {
+    fn audit_state_at(&self, records: u64, head: &str) -> io::Result<Json> {
         let (audit_state, file_records, file_head) = match &self.last_snapshot {
             Some(prev) => match hka_audit::state_at(&self.journal, Some(prev), self.audit_cfg) {
                 Ok(v) => v,
@@ -656,42 +674,6 @@ impl Checkpointer {
             )));
         }
         Ok(audit_state)
-    }
-
-    /// Publishes a fully-built snapshot atomically under the checkpoint
-    /// directory (temp file + fsync + rename, `snapshot.write` /
-    /// `snapshot.rename` fault sites); returns `(path, content hash,
-    /// bytes)`. The journal is untouched — the caller appends the
-    /// anchor, and until it does the file is an orphan recovery ignores.
-    pub fn publish_snapshot(&self, snapshot: &Snapshot) -> io::Result<(PathBuf, String, u64)> {
-        let path = self.snapshot_path(snapshot.records);
-        let hash = self.write_staged(snapshot, &path)?;
-        let bytes = std::fs::metadata(&path)?.len();
-        Ok((path, hash, bytes))
-    }
-
-    /// Consults the fault plan at `site`, counting any injection in the
-    /// `faults.injected` / `faults.<site>` metrics — for callers driving
-    /// the write protocol themselves.
-    pub fn check_site(&self, site: &str) -> Option<FaultKind> {
-        self.check(site)
-    }
-
-    /// Records a committed checkpoint: exports the `ts.checkpoint_*`
-    /// metrics and memoizes the snapshot so the next
-    /// [`Checkpointer::audit_state_at`] resumes from it instead of
-    /// genesis.
-    pub fn note_committed(&mut self, path: &Path, bytes: u64, records: u64, started: Instant) {
-        self.last_snapshot = Some(path.to_path_buf());
-        hka_obs::counter!("ts.checkpoints").incr();
-        hka_obs::counter!("ts.checkpoint_bytes").add(bytes);
-        hka_obs::histogram!("ts.checkpoint_write_ns").record(started.elapsed().as_nanos() as u64);
-        hka_obs::gauge!("ts.checkpoint_last_offset").set(records as i64);
-    }
-
-    /// Counts a failed checkpoint attempt (`ts.checkpoint_failures`).
-    pub fn note_failed(&self) {
-        hka_obs::counter!("ts.checkpoint_failures").incr();
     }
 
     /// Stages the snapshot atomically: temp file + fsync + rename, with
@@ -829,8 +811,12 @@ impl Checkpointer {
 mod tests {
     use super::*;
     use crate::PrivacyLevel;
+    use hka_faults::{FaultPlan, Trigger};
     use hka_geo::StPoint;
-    use hka_obs::Journal;
+    use hka_lbqid::Lbqid;
+    use hka_obs::{DurableSink, Journal};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     struct TempDir(PathBuf);
 
@@ -854,13 +840,35 @@ mod tests {
         StPoint::xyt(x, y, hka_geo::TimeSec(t))
     }
 
-    fn file_journal(path: &Path) -> hka_obs::BoxedJournal {
-        let file = std::fs::OpenOptions::new()
+    fn append_to(path: &Path) -> std::fs::File {
+        std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
-            .unwrap();
-        Journal::new(Box::new(std::io::BufWriter::new(file)))
+            .unwrap()
+    }
+
+    fn file_journal(path: &Path) -> hka_obs::BoxedJournal {
+        Journal::new(Box::new(std::io::BufWriter::new(append_to(path))))
+    }
+
+    /// A durable file sink that counts its fsyncs.
+    struct CountedSyncs(std::fs::File, Arc<AtomicUsize>);
+
+    impl std::io::Write for CountedSyncs {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.0.flush()
+        }
+    }
+
+    impl DurableSink for CountedSyncs {
+        fn sync(&mut self) -> io::Result<()> {
+            self.1.fetch_add(1, Ordering::SeqCst);
+            self.0.sync_data()
+        }
     }
 
     /// Serializes the tests that checkpoint: one of them counts its
@@ -872,9 +880,20 @@ mod tests {
 
     /// A server journaling to `dir/journal.jsonl` with a little traffic.
     fn busy_server(dir: &Path) -> (TrustedServer, PathBuf) {
+        busy_server_on(dir, false)
+    }
+
+    /// [`busy_server`] on a per-record or a group-commit journal.
+    fn busy_server_on(dir: &Path, group: bool) -> (TrustedServer, PathBuf) {
         let journal = dir.join("journal.jsonl");
         let mut ts = TrustedServer::new(TsConfig::default());
-        ts.attach_journal(file_journal(&journal));
+        if group {
+            ts.attach_group_journal(Journal::new(
+                Box::new(append_to(&journal)) as Box<dyn DurableSink>
+            ));
+        } else {
+            ts.attach_journal(file_journal(&journal));
+        }
         ts.register_service(ServiceId(1), Tolerance::new(1e8, 7_200));
         ts.add_static_mixzone(Rect::new(
             Point::new(500.0, 500.0),
@@ -944,22 +963,170 @@ mod tests {
     #[test]
     fn audit_resume_from_checkpoint_is_byte_identical_to_genesis() {
         let _g = checkpoint_lock();
-        let dir = TempDir::new("audit-equiv");
-        let (mut ts, journal) = busy_server(&dir.0);
-        let mut cp = Checkpointer::new(&journal, dir.0.join("snapshots"));
-        let receipt = cp.checkpoint(&mut ts, false).unwrap();
+        for group in [false, true] {
+            let dir = TempDir::new(&format!("audit-equiv-{group}"));
+            let (mut ts, journal) = busy_server_on(&dir.0, group);
+            let mut cp = Checkpointer::new(&journal, dir.0.join("snapshots"));
+            let receipt = cp.checkpoint(&mut ts, false).unwrap();
 
-        // More traffic after the checkpoint: the suffix.
-        for u in 0..6u64 {
-            ts.handle_request(UserId(u), sp(10.0 * u as f64, 25.0, 700), ServiceId(1));
+            // More traffic after the checkpoint: the suffix.
+            for u in 0..6u64 {
+                ts.handle_request(UserId(u), sp(10.0 * u as f64, 25.0, 700), ServiceId(1));
+            }
+            ts.flush_journal().unwrap();
+
+            let genesis = hka_audit::replay_file(&journal, AuditConfig::default()).unwrap();
+            let resumed = hka_audit::resume_from_snapshot(&journal, &receipt.path).unwrap();
+            assert!(genesis.chain.verified(), "{:?}", genesis.chain.error);
+            assert_eq!(genesis.totals.checkpoints, 1);
+            assert_eq!(resumed.to_json().to_string(), genesis.to_json().to_string());
         }
-        ts.flush_journal().unwrap();
+    }
 
-        let genesis = hka_audit::replay_file(&journal, AuditConfig::default()).unwrap();
-        let resumed = hka_audit::resume_from_snapshot(&journal, &receipt.path).unwrap();
-        assert!(genesis.chain.verified());
-        assert_eq!(genesis.totals.checkpoints, 1);
-        assert_eq!(resumed.to_json().to_string(), genesis.to_json().to_string());
+    #[test]
+    fn group_checkpoint_matches_the_per_record_snapshot_byte_for_byte() {
+        let _g = checkpoint_lock();
+        let (rec_dir, grp_dir) = (TempDir::new("bytes-record"), TempDir::new("bytes-group"));
+        let (mut rec, rec_journal) = busy_server_on(&rec_dir.0, false);
+        let (mut grp, grp_journal) = busy_server_on(&grp_dir.0, true);
+        let a = Checkpointer::new(&rec_journal, rec_dir.0.join("snapshots"))
+            .checkpoint(&mut rec, false)
+            .unwrap();
+        let b = Checkpointer::new(&grp_journal, grp_dir.0.join("snapshots"))
+            .checkpoint(&mut grp, false)
+            .unwrap();
+
+        // Same chain position, same snapshot bytes (the hash covers the
+        // whole file), and — because the anchor payload only names the
+        // file, not the directory — the same journal bytes end to end.
+        assert_eq!(a.seq, b.seq);
+        assert_eq!(a.snapshot_hash, b.snapshot_hash);
+        assert!(std::fs::read(&rec_journal).unwrap() == std::fs::read(&grp_journal).unwrap());
+    }
+
+    #[test]
+    fn a_group_snapshot_restores_into_trusted_server_and_back() {
+        let _g = checkpoint_lock();
+        let dir = TempDir::new("cadences");
+        let (mut grp, journal) = busy_server_on(&dir.0, true);
+        let mut cp = Checkpointer::new(&journal, dir.0.join("snapshots"));
+        cp.checkpoint(&mut grp, false).unwrap();
+        let (found, skipped) = cp.latest_valid().unwrap();
+        assert!(skipped.is_empty());
+        let rec = found.expect("checkpoint recovered");
+        let store_json = |ts: &TrustedServer| hka_trajectory::state::store_to_json(ts.store());
+
+        // Into a server with no journal, which serves per record ...
+        let mut seq = TrustedServer::restore(TsConfig::default(), &rec.snapshot).unwrap();
+        assert_eq!(seq.server_meta(), grp.server_meta());
+        assert_eq!(seq.log().stats(), grp.log().stats());
+        assert_eq!(store_json(&seq), store_json(&grp));
+
+        // ... and back onto a group journal, from that server's own
+        // sections.
+        let mut again = Snapshot::new(rec.snapshot.records, rec.snapshot.head.clone());
+        again.set_section(STORE_SECTION, store_json(&seq));
+        again.set_section(SERVER_SECTION, seq.server_meta().to_json());
+        again.set_section(STATS_SECTION, stats_to_json(&seq.log().stats()));
+        let mut back = TrustedServer::restore(TsConfig::default(), &again).unwrap();
+        back.attach_group_journal(crate::server::tests::discarding_group_journal());
+        assert_eq!(back.server_meta(), grp.server_meta());
+        assert_eq!(back.log().stats(), grp.log().stats());
+        assert_eq!(store_json(&back), store_json(&grp));
+
+        // And all three keep serving alike. Restore builds no index; the
+        // first request Algorithm 1 generalizes builds it, and from then
+        // on every outcome agrees, ids included. Monitors restart empty
+        // on restore: (re-)attach a pattern whose first element the
+        // morning requests below match.
+        let home = Rect::new(Point::new(-5.0, 0.0), Point::new(100.0, 100.0));
+        let office = Rect::new(Point::new(900.0, 900.0), Point::new(950.0, 950.0));
+        for ts in [&mut seq, &mut grp, &mut back] {
+            for u in (0..6u64).step_by(2) {
+                ts.add_lbqid(UserId(u), Lbqid::example_commute(home, office));
+            }
+        }
+        assert!(format!("{back:?}").contains("indexed: false"), "{back:?}");
+        for round in 0..3i64 {
+            let t = 7 * 3_600 + 100 * round;
+            for u in 0..6u64 {
+                let loc = sp(10.0 * u as f64 + round as f64, 22.0, t);
+                let at = sp(10.0 * u as f64, 26.0, t + 50);
+                let mut outcomes = [&mut seq, &mut grp, &mut back].map(|ts| {
+                    ts.location_update(UserId(u), loc);
+                    format!("{:?}", ts.try_handle_request(UserId(u), at, ServiceId(1)))
+                });
+                let want = std::mem::take(&mut outcomes[0]);
+                assert_eq!(
+                    outcomes,
+                    [String::new(), want.clone(), want.clone()],
+                    "round {round} user {u}"
+                );
+                if u == 0 {
+                    assert!(
+                        want.contains("Forwarded"),
+                        "generalized, not suppressed: {want}"
+                    );
+                    assert!(format!("{back:?}").contains("indexed: true"), "{back:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_without_a_journal_is_refused() {
+        let dir = TempDir::new("nojournal");
+        let mut ts = TrustedServer::new(TsConfig::default());
+        let mut cp = Checkpointer::new(dir.0.join("none.jsonl"), dir.0.join("snapshots"));
+        let err = cp.checkpoint(&mut ts, false).unwrap_err();
+        assert!(err.to_string().contains("no journal attached"), "{err}");
+    }
+
+    /// Truncation re-attaches a per-record sink after the inode swap, so
+    /// on a group journal it would silently trade the fsync per commit
+    /// for none: refused before the journal is touched.
+    #[test]
+    fn a_truncating_checkpoint_on_a_group_journal_is_refused() {
+        let _g = checkpoint_lock();
+        let dir = TempDir::new("group-truncate");
+        let (mut ts, path) = busy_server_on(&dir.0, true);
+        // Resume the chain on a sink that counts its fsyncs.
+        ts.flush_journal().unwrap();
+        let (next_seq, head) = ts.journal_position().unwrap();
+        let syncs = Arc::new(AtomicUsize::new(0));
+        let sink = CountedSyncs(append_to(&path), syncs.clone());
+        ts.attach_group_journal(Journal::resume(
+            Box::new(sink) as Box<dyn DurableSink>,
+            next_seq,
+            head,
+        ));
+        // An event left pending: a refusal that committed it would show.
+        ts.handle_request(UserId(1), sp(10.0, 30.0, 850), ServiceId(1));
+        assert_eq!(ts.log().uncommitted(), 1);
+        let before = std::fs::read(&path).unwrap();
+        let fsyncs = syncs.load(Ordering::SeqCst);
+        let failures = || {
+            hka_obs::global()
+                .snapshot()
+                .counter("ts.checkpoint_failures")
+        };
+        let failed = failures();
+
+        let mut cp = Checkpointer::new(&path, dir.0.join("snapshots"));
+        let err = cp.checkpoint(&mut ts, true).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");
+        assert_eq!(failures(), failed + 1);
+        assert!(std::fs::read(&path).unwrap() == before, "journal untouched");
+        assert_eq!(syncs.load(Ordering::SeqCst), fsyncs);
+
+        // The group journal is still attached: the next commit lands
+        // the pending event with one fsync, and a plain checkpoint works.
+        assert!(ts.log().group_commit());
+        ts.flush_journal().unwrap();
+        assert_eq!(ts.log().uncommitted(), 0);
+        assert_eq!(syncs.load(Ordering::SeqCst), fsyncs + 1);
+        assert!(std::fs::read(&path).unwrap().len() > before.len());
+        assert_eq!(cp.checkpoint(&mut ts, false).unwrap().truncated_bytes, 0);
     }
 
     #[test]
@@ -1025,18 +1192,22 @@ mod tests {
 
     #[test]
     fn faults_on_the_checkpoint_path_leave_the_previous_state_authoritative() {
-        use hka_faults::{FaultPlan, Trigger};
         let _g = checkpoint_lock();
-        for (site, kind) in [
-            (sites::SNAPSHOT_WRITE, FaultKind::Torn),
-            (sites::SNAPSHOT_WRITE, FaultKind::Io),
-            (sites::SNAPSHOT_RENAME, FaultKind::Io),
-            (sites::CHECKPOINT_APPEND, FaultKind::Io),
-            (sites::JOURNAL_TRUNCATE, FaultKind::Torn),
-            (sites::JOURNAL_TRUNCATE, FaultKind::Io),
+        for (site, kind, group) in [
+            (sites::SNAPSHOT_WRITE, FaultKind::Torn, false),
+            (sites::SNAPSHOT_WRITE, FaultKind::Io, false),
+            (sites::SNAPSHOT_RENAME, FaultKind::Io, false),
+            (sites::CHECKPOINT_APPEND, FaultKind::Io, false),
+            (sites::JOURNAL_TRUNCATE, FaultKind::Torn, false),
+            (sites::JOURNAL_TRUNCATE, FaultKind::Io, false),
+            // A group journal takes no truncation.
+            (sites::SNAPSHOT_WRITE, FaultKind::Torn, true),
+            (sites::SNAPSHOT_RENAME, FaultKind::Io, true),
+            (sites::CHECKPOINT_APPEND, FaultKind::Io, true),
         ] {
-            let dir = TempDir::new(&format!("fault-{}", site.replace('.', "-")));
-            let (mut ts, journal) = busy_server(&dir.0);
+            let tag = format!("fault-{}-{kind:?}-{group}", site.replace('.', "-"));
+            let dir = TempDir::new(&tag);
+            let (mut ts, journal) = busy_server_on(&dir.0, group);
             let mut cp = Checkpointer::new(&journal, dir.0.join("snapshots"));
             let good = cp.checkpoint(&mut ts, false).unwrap();
             ts.handle_request(UserId(1), sp(10.0, 30.0, 800), ServiceId(1));
@@ -1044,7 +1215,7 @@ mod tests {
             let mut plan = FaultPlan::new(7);
             plan.push_rule(site, Trigger::Always, kind);
             cp.attach_faults(FaultInjector::new(plan));
-            let err = cp.checkpoint(&mut ts, true).unwrap_err();
+            let err = cp.checkpoint(&mut ts, !group).unwrap_err();
             assert!(err.to_string().contains(site), "{site}: {err}");
 
             // Fail-closed: the ladder lands on a fully verified

@@ -424,13 +424,15 @@ fn mode_of(obj: &Json) -> Result<ServerMode, WireError> {
 }
 
 /// Splits a leading unsigned-decimal run off `s` (JSON integer
-/// grammar: no sign, no leading `+`, overflow rejected).
+/// grammar: no sign, no leading `+`). Like the general parser, whose
+/// integers are `i64`, it rejects a value above `i64::MAX`.
 fn scan_u64(s: &str) -> Option<(u64, &str)> {
     let end = s.bytes().take_while(u8::is_ascii_digit).count();
     if end == 0 {
         return None;
     }
-    Some((s[..end].parse().ok()?, &s[end..]))
+    let v: i64 = s[..end].parse().ok()?;
+    Some((u64::try_from(v).ok()?, &s[end..]))
 }
 
 /// Splits a leading signed-decimal run off `s`.
@@ -445,7 +447,8 @@ fn scan_i64(s: &str) -> Option<(i64, &str)> {
 
 /// Splits a leading JSON number off `s`, accepting exactly the JSON
 /// grammar (`-?digits(.digits)?([eE][+-]?digits)?`) so the fast path
-/// below never admits a token the general parser would refuse.
+/// below never admits a token the general parser would refuse: like
+/// it, a literal with neither fraction nor exponent must fit an `i64`.
 fn scan_f64(s: &str) -> Option<(f64, &str)> {
     let b = s.as_bytes();
     let mut i = 0;
@@ -459,6 +462,7 @@ fn scan_f64(s: &str) -> Option<(f64, &str)> {
     if i == int_start {
         return None;
     }
+    let int_end = i;
     if b.get(i) == Some(&b'.') {
         i += 1;
         let frac_start = i;
@@ -481,6 +485,10 @@ fn scan_f64(s: &str) -> Option<(f64, &str)> {
         if i == exp_start {
             return None;
         }
+    }
+    if i == int_end {
+        let v: i64 = s[..i].parse().ok()?;
+        return Some((v as f64, &s[i..]));
     }
     let v: f64 = s[..i].parse().ok()?;
     v.is_finite().then_some((v, &s[i..]))

@@ -752,11 +752,15 @@ impl EventLog {
     }
 
     /// Like [`EventLog::attach_journal`] with an explicit retry policy.
+    /// An outgoing group sink gets a last commit first.
     pub fn attach_journal_with(
         &mut self,
         journal: BoxedJournal,
         policy: RetryPolicy,
     ) -> Option<BoxedJournal> {
+        if let Some(old) = &mut self.journal {
+            old.commit();
+        }
         let sink = JournalSink {
             cadence: Cadence::Record(journal),
             ladder: RetryLadder::new(policy),
@@ -820,6 +824,18 @@ impl EventLog {
             }
             None => Ok(()),
         }
+    }
+
+    /// Whether the attached journal commits in groups
+    /// ([`EventLog::attach_group_journal`]).
+    pub fn group_commit(&self) -> bool {
+        matches!(
+            &self.journal,
+            Some(JournalSink {
+                cadence: Cadence::Group { .. },
+                ..
+            })
+        )
     }
 
     /// Events a group journal holds that no commit has landed yet (0 for
@@ -1730,6 +1746,20 @@ mod tests {
         // A fresh journal restores health.
         log.attach_group_journal(group(&Switch::default()));
         assert_eq!(log.journal_health(), JournalHealth::Healthy);
+    }
+
+    #[test]
+    fn a_group_sink_commits_before_a_per_record_journal_replaces_it() {
+        let sink = Switch::default();
+        let mut log = EventLog::new();
+        log.attach_group_journal(group(&sink));
+        log.push(forwarded(0));
+        log.attach_journal(hka_obs::Journal::new(
+            Box::new(std::io::sink()) as Box<dyn std::io::Write + Send + Sync>
+        ));
+        let bytes = sink.bytes.lock().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(bytes.iter().filter(|b| **b == b'\n').count(), 1);
+        assert!(!log.group_commit());
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use envelope::{
     parse_wire_msg, parse_wire_reply, EnvelopeBody, RequestEnvelope, ResponseEnvelope, WireError,
     WireMsg, WireOutcome, WireReply,
 };
-pub use service::{response_to, RequestService};
+pub use service::RequestService;
 
 pub use checkpoint::{
     CheckpointReceipt, Checkpointer, RecoveredCheckpoint, ServerMeta, SkippedCheckpoints, UserMeta,

@@ -678,21 +678,22 @@ mod tests {
                 for (u, p) in &feed {
                     ts.location_update(UserId(*u), *p);
                 }
-                let mut check = |ts: &TrustedServer| {
+                let mut check = |ts: &mut TrustedServer| {
+                    let store = ts.store().clone();
                     for (at, requester) in &probes {
-                        unlink_via(&mut mz, ts.index(), ts.store(), UserId(*requester), at, k);
+                        unlink_via(&mut mz, ts.index(), &store, UserId(*requester), at, k);
                     }
                 };
-                check(&ts);
+                check(&mut ts);
                 let policy = hka_trajectory::CompactionPolicy::new(
                     horizon,
                     hka_granules::Granularity::Minutes,
                 );
                 ts.compact_history(TimeSec(200), &policy);
-                check(&ts);
-                let restored = TrustedServer::restore(config, &snapshot_of(&ts)).unwrap();
+                check(&mut ts);
+                let mut restored = TrustedServer::restore(config, &snapshot_of(&ts)).unwrap();
                 prop_assert_eq!(restored.store().total_points(), ts.store().total_points());
-                check(&restored);
+                check(&mut restored);
             }
         }
     }

@@ -1,5 +1,24 @@
 //! The Trusted Server: the Section-6.1 strategy end to end.
+//!
+//! One server, two journal cadences, read off its [`EventLog`]:
+//!
+//! * **Per record** ([`TrustedServer::attach_journal`]): every event is
+//!   appended as it happens, and the spatial index is built from the
+//!   start, so every report is inserted as it arrives.
+//! * **Group commit** ([`TrustedServer::attach_group_journal`]): events
+//!   queue and one append + fsync commits them — before each protected
+//!   request (its fail-closed gate reads the mode ladder, so it must see
+//!   a freshly committed health), before every request while a fault
+//!   plan is attached, and at a [`drain`](crate::RequestService::drain)
+//!   that follows submissions. Attaching one drops the index until the
+//!   first read bulk-builds it from the store.
+//!
+//! Either way a read builds a missing index (`ts.index_builds`) and a
+//! report inserts into a built one (`ts.index_inserts`); restore and
+//! compaction leave it unbuilt. Decisions and journal bytes are the
+//! same on both cadences.
 
+use crate::envelope::ResponseEnvelope;
 use crate::events::{JournalHealth, RetryPolicy};
 use crate::strategy::{self, PatternState, RequestHost, UserState};
 use crate::{
@@ -173,7 +192,9 @@ pub enum SuppressReasonPub {
 pub struct TrustedServer {
     config: TsConfig,
     store: TrajectoryStore,
-    index: Box<dyn SpatialIndex>,
+    /// `None` until a read builds it: after restore, compaction, or
+    /// attaching a group journal (see the module docs).
+    index: Option<Box<dyn SpatialIndex>>,
     users: BTreeMap<UserId, UserState>,
     services: BTreeMap<ServiceId, Tolerance>,
     mixzones: MixZoneManager,
@@ -198,7 +219,12 @@ pub struct TrustedServer {
     slo: Option<hka_obs::SloMonitor>,
     /// Responses buffered for the [`crate::RequestService`] seam,
     /// taken by `drain`. Transient — never checkpointed.
-    svc_outbox: Vec<crate::envelope::ResponseEnvelope>,
+    svc_outbox: Vec<ResponseEnvelope>,
+    /// Whether anything was submitted through the seam since the last
+    /// drain.
+    submitted: bool,
+    /// Drains on a group journal that followed submissions.
+    epoch: u64,
 }
 
 impl TrustedServer {
@@ -207,7 +233,7 @@ impl TrustedServer {
         TrustedServer {
             config,
             store: TrajectoryStore::new(),
-            index: config.backend.make(config.index),
+            index: Some(config.backend.make(config.index)),
             users: BTreeMap::new(),
             services: BTreeMap::new(),
             mixzones: MixZoneManager::new(config.mixzone),
@@ -222,6 +248,8 @@ impl TrustedServer {
             last_time: TimeSec(0),
             slo: None,
             svc_outbox: Vec::new(),
+            submitted: false,
+            epoch: 0,
         }
     }
 
@@ -395,6 +423,18 @@ impl TrustedServer {
         at: StPoint,
         service: ServiceId,
     ) -> Result<RequestOutcome, TsError> {
+        // On a group journal a protected request — every request while a
+        // fault plan is attached — commits first, so its fail-closed gate
+        // reads a freshly committed health.
+        if self.log.group_commit()
+            && self
+                .users
+                .get(&user)
+                .is_some_and(|st| self.injector.is_enabled() || st.params_for(service).is_some())
+        {
+            hka_obs::counter!("ts.batched_requests").incr();
+            self.commit();
+        }
         // The root span for this request's trace: minted before any
         // stage span so every `hka_obs::span` site below becomes a
         // child. The trace id exists even with collection disabled, so
@@ -434,8 +474,9 @@ impl TrustedServer {
     }
 
     /// Pushes an event and re-synchronizes the mode state machine with
-    /// the journal's health (every event is a journal write attempt, so
-    /// every event can move the health).
+    /// the journal's health (on a per-record journal every event is a
+    /// write attempt, so every event can move the health; a group
+    /// journal only queues, and its health moves at commits).
     fn push_event(&mut self, e: TsEvent, at: TimeSec) {
         self.last_time = at;
         self.log.push(e);
@@ -490,9 +531,15 @@ impl TrustedServer {
 
     /// The spatio-temporal index, behind the backend-agnostic
     /// [`SpatialIndex`] seam (pick the backend via
-    /// [`TsConfig::backend`]).
-    pub fn index(&self) -> &dyn SpatialIndex {
-        self.index.as_ref()
+    /// [`TsConfig::backend`]). A read: builds the index from the store
+    /// if it is unbuilt.
+    pub fn index(&mut self) -> &dyn SpatialIndex {
+        built(&mut self.index, &self.store, &self.config)
+    }
+
+    /// Drains on a group journal that followed submissions.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// The decision log.
@@ -501,20 +548,22 @@ impl TrustedServer {
     }
 
     /// Folds PHL points older than the policy cutoff (granularity-aware
-    /// compaction, [`hka_trajectory::CompactionPolicy`]) and rebuilds
-    /// the spatial index over the folded store, so index queries never
-    /// see points the store no longer holds. Algorithm 1's anonymity
-    /// queries look only at the recent window the cutoff leaves
-    /// untouched, and folding preserves per-granule occupancy and
-    /// extremes, so request outcomes and the auditor's k-timelines are
-    /// unchanged — the differential tests pin exactly that.
+    /// compaction, [`hka_trajectory::CompactionPolicy`]) and drops the
+    /// spatial index — a removal is what an insert cannot express — so
+    /// the next read rebuilds it from the folded store and index queries
+    /// never see points the store no longer holds. Compaction writes no
+    /// journal record. Algorithm 1's anonymity queries look only at the
+    /// recent window the cutoff leaves untouched, and folding preserves
+    /// per-granule occupancy and extremes, so request outcomes and the
+    /// auditor's k-timelines are unchanged — the differential tests pin
+    /// exactly that.
     pub fn compact_history(
         &mut self,
         now: TimeSec,
         policy: &hka_trajectory::CompactionPolicy,
     ) -> hka_trajectory::CompactionStats {
         let stats = self.store.compact(now, policy);
-        self.index = self.config.backend.build(&self.store, self.config.index);
+        self.index = None;
         hka_obs::counter!("ts.compactions").incr();
         hka_obs::counter!("ts.compacted_points").add(stats.points_dropped());
         stats
@@ -546,6 +595,17 @@ impl TrustedServer {
         let previous = self.log.attach_journal_with(journal, policy);
         self.log.align_mode(&mut self.mode, self.last_time);
         previous
+    }
+
+    /// Routes every subsequent logged event into a durable hash-chained
+    /// journal by **group commit** (see the module docs for when it
+    /// commits) and drops the index until the first read. A fresh
+    /// journal is healthy, so a degraded server returns to
+    /// [`ServerMode::Normal`].
+    pub fn attach_group_journal(&mut self, journal: hka_obs::DurableJournal) {
+        self.log.attach_group_journal(journal);
+        self.index = None;
+        self.log.align_mode(&mut self.mode, self.last_time);
     }
 
     /// Detaches and returns the journal sink, if one was attached. The
@@ -581,9 +641,23 @@ impl TrustedServer {
         &self.injector
     }
 
-    /// Flushes the attached journal, if any.
+    /// Flushes the attached journal, if any. A group journal commits its
+    /// pending batch; its failures surface through the mode ladder
+    /// rather than this result.
     pub fn flush_journal(&mut self) -> std::io::Result<()> {
+        if self.log.group_commit() {
+            self.commit();
+            return Ok(());
+        }
         self.log.flush_journal()
+    }
+
+    /// Commits a group journal's pending batch and re-aligns the mode
+    /// ladder with the journal's health.
+    fn commit(&mut self) {
+        // Group commit reports no error: its failures move the health.
+        let _ = self.log.flush_journal();
+        self.log.align_mode(&mut self.mode, self.last_time);
     }
 
     /// Journals SLO transitions observed outside the server's own
@@ -611,9 +685,26 @@ impl TrustedServer {
         );
     }
 
-    /// The [`crate::RequestService`] response buffer (seam internals).
-    pub(crate) fn svc_outbox_mut(&mut self) -> &mut Vec<crate::envelope::ResponseEnvelope> {
-        &mut self.svc_outbox
+    /// The seam's `submit` bookkeeping: the next drain follows a
+    /// submission, and a decided request's response waits for it.
+    pub(crate) fn settle(&mut self, response: Option<ResponseEnvelope>) {
+        self.submitted = true;
+        self.svc_outbox.extend(response);
+    }
+
+    /// The seam's `drain`: takes the buffered responses. On a group
+    /// journal a drain that follows submissions also counts an epoch,
+    /// judges the SLO watchdog's flush lag, and commits.
+    pub(crate) fn drain_responses(&mut self) -> Vec<ResponseEnvelope> {
+        if std::mem::take(&mut self.submitted) && self.log.group_commit() {
+            self.epoch += 1;
+            if let Some(monitor) = self.slo.as_mut() {
+                let transitions = monitor.observe_flush_lag(self.log.uncommitted());
+                self.note_slo_events(&transitions);
+            }
+            self.commit();
+        }
+        std::mem::take(&mut self.svc_outbox)
     }
 
     /// The attached journal sink's chain position `(next_seq, head)`, or
@@ -652,10 +743,10 @@ impl TrustedServer {
     }
 
     /// Rebuilds a server from a checkpoint snapshot's `store`, `server`,
-    /// and `stats` sections: the trajectory store (index bulk-built
-    /// from it), pseudonym bindings, privacy parameters and
-    /// overrides, at-risk flags, service tolerances, static mix-zones,
-    /// mode, and counters.
+    /// and `stats` sections: the trajectory store (the index is built
+    /// from it by the first read), pseudonym bindings, privacy
+    /// parameters and overrides, at-risk flags, service tolerances,
+    /// static mix-zones, mode, and counters.
     ///
     /// LBQID monitors and pattern traversals restart conservatively
     /// (exactly like after an unlink) — the operator re-attaches LBQIDs
@@ -665,7 +756,6 @@ impl TrustedServer {
     /// (resuming the chain) before serving.
     pub fn restore(config: TsConfig, snapshot: &hka_obs::Snapshot) -> Result<Self, String> {
         let (store, meta, stats) = crate::checkpoint::restore_sections(snapshot)?;
-        let index = config.backend.build(&store, config.index);
         let mut mixzones = MixZoneManager::new(config.mixzone);
         for zone in &meta.static_zones {
             mixzones.add_static_zone(*zone);
@@ -677,7 +767,7 @@ impl TrustedServer {
         Ok(TrustedServer {
             config,
             store,
-            index,
+            index: None,
             users,
             services: meta.services.iter().copied().collect(),
             mixzones,
@@ -694,6 +784,8 @@ impl TrustedServer {
             // state: a restored server starts with a fresh (off) one.
             slo: None,
             svc_outbox: Vec::new(),
+            submitted: false,
+            epoch: 0,
         })
     }
 
@@ -795,11 +887,34 @@ impl TrustedServer {
     }
 }
 
+impl std::fmt::Debug for TrustedServer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TrustedServer")
+            .field("users", &self.users.len())
+            .field("indexed", &self.index.is_some())
+            .field("group_commit", &self.log.group_commit())
+            .field("epoch", &self.epoch)
+            .field("mode", &self.mode)
+            .finish()
+    }
+}
+
+/// The index, bulk-built from `store` on first use (`ts.index_builds`).
+fn built<'a>(
+    index: &'a mut Option<Box<dyn SpatialIndex>>,
+    store: &TrajectoryStore,
+    config: &TsConfig,
+) -> &'a dyn SpatialIndex {
+    let index = index.get_or_insert_with(|| {
+        hka_obs::counter!("ts.index_builds").incr();
+        config.backend.build(store, config.index)
+    });
+    &**index
+}
+
 /// The capability surface the extracted Section-6.1 strategy
 /// ([`crate::strategy`]) needs, answered by the server's own store,
-/// index, mix-zone manager, and bookkeeping. The group-commit server
-/// (`hka-shard`) implements the same trait over a lazily built index;
-/// differential tests pin the two to identical behaviour.
+/// index, mix-zone manager, and bookkeeping.
 impl RequestHost for TrustedServer {
     fn phl_last(&self, user: UserId) -> Option<StPoint> {
         self.store.phl(user).and_then(|p| p.last()).copied()
@@ -807,7 +922,10 @@ impl RequestHost for TrustedServer {
 
     fn record(&mut self, user: UserId, at: StPoint) -> (StPoint, Option<StPoint>) {
         let (stored, prev) = self.store.record_with_prev(user, at);
-        self.index.insert(user, stored);
+        if let Some(index) = &mut self.index {
+            index.insert(user, stored);
+            hka_obs::counter!("ts.index_inserts").incr();
+        }
         (stored, prev)
     }
 
@@ -847,7 +965,8 @@ impl RequestHost for TrustedServer {
         k: usize,
         tolerance: &Tolerance,
     ) -> Generalization {
-        algorithm1_first(self.index.as_ref(), at, user, k, tolerance)
+        let index = built(&mut self.index, &self.store, &self.config);
+        algorithm1_first(index, at, user, k, tolerance)
     }
 
     fn algo1_subsequent(
@@ -868,7 +987,8 @@ impl RequestHost for TrustedServer {
     }
 
     fn try_unlink(&mut self, user: UserId, at: &StPoint, k: usize) -> UnlinkDecision {
-        let (index, store) = (&self.index, &self.store);
+        let index = built(&mut self.index, &self.store, &self.config);
+        let store = &self.store;
         self.mixzones
             .try_unlink(|b, f| index.scan_in(b, f), |u| store.phl(u), user, at, k)
     }
@@ -1330,39 +1450,53 @@ pub(crate) mod tests {
         hka_obs::Journal::new(Box::new(w) as Box<dyn std::io::Write + Send + Sync>)
     }
 
+    /// A group journal over a sink that discards every byte.
+    pub(crate) fn discarding_group_journal() -> hka_obs::DurableJournal {
+        hka_obs::Journal::new(Box::new(std::io::sink()) as Box<dyn hka_obs::DurableSink>)
+    }
+
     #[test]
     fn reordered_timestamps_are_clamped_not_fatal() {
         let _g = reorder_lock();
-        let mut s = ts();
-        s.register_user(UserId(1), PrivacyLevel::Off);
-        s.location_update(UserId(1), sp(0.0, 0.0, 100));
-        let reordered = || hka_obs::global().snapshot().counter("ts.reordered");
-        let before = reordered();
-        s.location_update(UserId(1), sp(5.0, 0.0, 40)); // arrives late
-        assert_eq!(reordered(), before + 1, "one clamp, counted once");
-        let phl = s.store().phl(UserId(1)).unwrap();
-        assert_eq!(phl.len(), 2);
-        assert_eq!(phl.last(), Some(&sp(5.0, 0.0, 100)), "clamped forward");
-        // The index holds the point the store holds.
-        assert_eq!(s.index().len(), 2);
-        let indexed = |at| s.index().users_crossing(&StBox::point(at));
-        assert!(indexed(sp(5.0, 0.0, 100)).contains(&UserId(1)));
-        assert!(indexed(sp(5.0, 0.0, 40)).is_empty());
-        // A PHL-write fault on a regressed report drops it before both.
-        s.attach_faults(FaultInjector::new(FaultPlan::new(7).with_rule(
-            sites::PHL_WRITE,
-            Trigger::Once(0),
-            FaultKind::Drop,
-        )));
-        s.location_update(UserId(1), sp(9.0, 0.0, 50));
-        assert_eq!(s.fault_injector().fired(sites::PHL_WRITE), 1);
-        assert_eq!((s.store().total_points(), s.index().len()), (2, 2));
-        // A regressed *request* timestamp is clamped and still served.
-        match s.handle_request(UserId(1), sp(6.0, 0.0, 70), SVC) {
-            RequestOutcome::Forwarded(req) => {
-                assert_eq!(req.context.span.start(), TimeSec(100));
+        for group in [false, true] {
+            let mut s = ts();
+            if group {
+                s.attach_group_journal(discarding_group_journal());
             }
-            other => panic!("{other:?}"),
+            s.register_user(UserId(1), PrivacyLevel::Off);
+            s.location_update(UserId(1), sp(0.0, 0.0, 100));
+            // A read builds the index a group journal left unbuilt, so
+            // the late report below is inserted on both cadences.
+            assert_eq!(s.index().len(), 1, "group {group}");
+            let reordered = || hka_obs::global().snapshot().counter("ts.reordered");
+            let before = reordered();
+            s.location_update(UserId(1), sp(5.0, 0.0, 40)); // arrives late
+            assert_eq!(reordered(), before + 1, "one clamp, counted once");
+            let phl = s.store().phl(UserId(1)).unwrap();
+            assert_eq!(phl.len(), 2);
+            assert_eq!(phl.last(), Some(&sp(5.0, 0.0, 100)), "clamped forward");
+            // The index holds the point the store holds.
+            let at = sp(5.0, 0.0, 100);
+            let mut indexed = |at| s.index().observations_in(&StBox::point(at));
+            assert_eq!(indexed(at), vec![(UserId(1), at)], "group {group}");
+            assert!(indexed(sp(5.0, 0.0, 40)).is_empty());
+            assert_eq!(s.index().len(), 2);
+            // A PHL-write fault on a regressed report drops it before both.
+            s.attach_faults(FaultInjector::new(FaultPlan::new(7).with_rule(
+                sites::PHL_WRITE,
+                Trigger::Once(0),
+                FaultKind::Drop,
+            )));
+            s.location_update(UserId(1), sp(9.0, 0.0, 50));
+            assert_eq!(s.fault_injector().fired(sites::PHL_WRITE), 1);
+            assert_eq!((s.store().total_points(), s.index().len()), (2, 2));
+            // A regressed *request* timestamp is clamped and still served.
+            match s.handle_request(UserId(1), sp(6.0, 0.0, 70), SVC) {
+                RequestOutcome::Forwarded(req) => {
+                    assert_eq!(req.context.span.start(), TimeSec(100));
+                }
+                other => panic!("{other:?}"),
+            }
         }
     }
 

@@ -4,17 +4,17 @@
 //! `hka-sim simulate`, `serve-drill`, the benches, and the TCP
 //! gateway all hand [`RequestEnvelope`]s to a `&mut dyn
 //! RequestService` and read [`ResponseEnvelope`]s back from
-//! [`RequestService::drain`]. [`TrustedServer`] implements it here; the
-//! group-commit `ShardedTs` implements it in `hka-shard` (orphan rule).
-//! On both, `submit` is `location_update`/`try_handle_request`
-//! verbatim, so the seam adds no journal byte.
+//! [`RequestService::drain`]. [`TrustedServer`] implements it here, on
+//! either journal cadence; `submit` is
+//! `location_update`/`try_handle_request` verbatim, so the seam adds no
+//! journal byte.
 //!
 //! The seam is deliberately *pull-based*: `submit` never returns an
-//! outcome. Both backends decide each submission at once and buffer the
+//! outcome. The server decides each submission at once and buffers the
 //! response; callers that need outcomes call `drain`, which yields every
-//! response settled since the previous drain, in submission order (the
-//! group-commit backend also commits its journal there). Location
-//! reports are fire-and-forget and never produce a response.
+//! response settled since the previous drain, in submission order (on a
+//! group journal it also commits there). Location reports are
+//! fire-and-forget and never produce a response.
 
 use hka_anonymity::Pseudonym;
 use hka_trajectory::UserId;
@@ -60,7 +60,7 @@ pub trait RequestService {
     fn note_gateway_stats(&mut self, conns: u64, drains: u64, queue_depth: u64);
 }
 
-/// The wire response to a decided request envelope, as a backend
+/// The wire response to a decided request envelope, as the server
 /// buffers it for [`RequestService::drain`].
 ///
 /// `k_got` is best effort: the most recent `ts.forwarded` for the user
@@ -68,7 +68,7 @@ pub trait RequestService {
 /// authoritative; this only enriches the wire response, so 0
 /// ("unknown") is an acceptable answer when the ring has already
 /// evicted the event.
-pub fn response_to(
+fn response_to(
     env: &RequestEnvelope,
     result: &Result<RequestOutcome, TsError>,
     mode: ServerMode,
@@ -90,18 +90,24 @@ pub fn response_to(
 
 impl RequestService for TrustedServer {
     fn submit(&mut self, env: &RequestEnvelope) {
-        match env.body {
-            EnvelopeBody::Location => self.location_update(env.user, env.at),
+        let response = match env.body {
+            EnvelopeBody::Location => {
+                self.location_update(env.user, env.at);
+                None
+            }
             EnvelopeBody::Request { service } => {
                 let result = self.try_handle_request(env.user, env.at, service);
-                let resp = response_to(env, &result, self.mode(), self.log());
-                self.svc_outbox_mut().push(resp);
+                Some(response_to(env, &result, self.mode(), self.log()))
             }
-        }
+        };
+        self.settle(response);
     }
 
+    /// Takes the buffered responses. On a group journal a drain that
+    /// follows submissions also counts an epoch, judges the SLO
+    /// watchdog's flush lag and commits.
     fn drain(&mut self) -> Vec<ResponseEnvelope> {
-        std::mem::take(self.svc_outbox_mut())
+        self.drain_responses()
     }
 
     fn mode(&self) -> ServerMode {

@@ -1,7 +1,5 @@
-//! The Section-6.1 per-request strategy, extracted from
-//! [`TrustedServer`](crate::TrustedServer) so that the group-commit
-//! server in `hka-shard` drives the *identical* decision procedure over
-//! its own storage (a lazily built index).
+//! The Section-6.1 per-request strategy, separate from the
+//! [`TrustedServer`](crate::TrustedServer) state it runs against.
 //!
 //! The split is capability-shaped: [`RequestHost`] is everything the
 //! strategy needs from its surroundings — PHL reads and writes, fault
@@ -10,9 +8,8 @@
 //! ([`handle_request_on`], [`ingest_on`], [`location_update_on`],
 //! [`change_pseudonym_on`], [`fail_closed_on`], [`forward_on`]) are the
 //! strategy itself. Every counter, span, event, and ordering decision
-//! lives here once: two hosts that answer the trait identically produce
-//! identical outcomes, which is the invariant the group-vs-record
-//! differential tests pin down.
+//! lives here once, on either journal cadence; the group-vs-record
+//! differential tests pin the two cadences to identical outcomes.
 
 use crate::events::SuppressReason;
 use crate::{
@@ -135,11 +132,9 @@ pub struct Ingest {
 /// Everything the per-request strategy needs from its surroundings.
 ///
 /// [`TrustedServer`](crate::TrustedServer) implements this over its own
-/// store/index/mix-zone fields; the group-commit server implements it
-/// over the same layout with an index built at its first protected
-/// request. Implementations must preserve the documented semantics
-/// exactly — the strategy's correctness (and the differential
-/// equivalence of the two servers) depends on it.
+/// store/index/mix-zone fields, building a missing index at the first
+/// read. The implementation must preserve the documented semantics
+/// exactly — the strategy's correctness depends on it.
 pub trait RequestHost {
     /// The last recorded PHL point for `user`, if any.
     fn phl_last(&self, user: UserId) -> Option<StPoint>;

@@ -3,8 +3,8 @@
 //! A TCP frontend for the Trusted Server — the network leg of the
 //! paper's Fig. 1 service model (users → TS → providers), which every
 //! in-process driver skips. The gateway fronts **any**
-//! [`RequestService`] (the per-record `TrustedServer` or the
-//! group-commit `ShardedTs`) without knowing which one it holds:
+//! [`RequestService`] (a `TrustedServer` on either journal cadence)
+//! without knowing what it holds:
 //!
 //! * **Framing** — one canonical JSON object per line
 //!   ([`hka_core::parse_wire_msg`]); oversized and unparseable frames

@@ -212,8 +212,15 @@ impl Canonical for f64 {
             out.push_str(".0");
         } else {
             use fmt::Write as _;
-            // Writing to a String cannot fail.
-            let _ = write!(out, "{n}");
+            // Writing to a String cannot fail. `{n}` never uses an
+            // exponent, so a larger integral float would print as an
+            // integer literal: it would read back as an `Int`, or past
+            // `i64` not at all. The exponent form keeps it a float.
+            let _ = if n.fract() == 0.0 {
+                write!(out, "{n:e}")
+            } else {
+                write!(out, "{n}")
+            };
         }
     }
 }
@@ -618,6 +625,7 @@ pub(crate) mod oracle {
             Json::Bool(b) => write!(f, "{b}"),
             Json::Int(i) => write!(f, "{i}"),
             Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => write!(f, "{n:.1}"),
+            Json::Num(n) if n.fract() == 0.0 => write!(f, "{n:e}"),
             Json::Num(n) => write!(f, "{n}"),
             Json::Str(s) => escaped(f, s),
             Json::Arr(items) => {

@@ -2,7 +2,7 @@
 //!
 //! Algorithm 1's anonymity-set search is the hottest path in the
 //! paper's preservation strategy, and the stack above this crate — the
-//! trusted server, the group-commit server, the baselines, and the bench
+//! trusted server (on either journal cadence), the baselines, and the bench
 //! binaries — should not care *which* moving-object index answers it.
 //! This module defines the contract all backends share:
 //!

@@ -64,8 +64,8 @@ fn sorted_observations(index: &dyn SpatialIndex, b: &StBox) -> Vec<(UserId, StPo
     out
 }
 
-/// One step of the group-commit server's ingest lifecycle, as seen by
-/// its lazily built index.
+/// One step of the trusted server's ingest lifecycle, as seen by its
+/// lazily built index.
 #[derive(Debug, Clone)]
 enum LazyOp {
     /// An in-order location update.
@@ -76,7 +76,7 @@ enum LazyOp {
     /// A protected request reads the index (building it if absent).
     Query,
     /// History compaction: compact the store, drop the index — exactly
-    /// the group-commit server's `compact_history` order.
+    /// the trusted server's `compact_history` order.
     Compact { keep: i64 },
 }
 

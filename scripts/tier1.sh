@@ -36,6 +36,18 @@ if [ -n "$lookups" ]; then
     exit 1
 fi
 
+echo "== benchmark shim (hka_shard only under benchmark/ and crates/shard/) =="
+# `hka_shard::ShardedTs` is a shim that only the benchmark harness uses,
+# kept until the next change to the harness deletes it; nothing else may
+# start calling it.
+shim="$(grep -rln --include='*.rs' -e 'hka_shard' -e 'ShardedTs' src crates examples tests |
+    grep -v '^crates/shard/' || true)"
+if [ -n "$shim" ]; then
+    echo "mentions of the benchmark shim outside benchmark/ and crates/shard/:"
+    echo "$shim"
+    exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 

@@ -35,12 +35,12 @@
 //! arrival) and checks the fail-closed invariant on every request: a
 //! faulted or degraded request is suppressed, never forwarded exact or
 //! under-generalized. Exits non-zero on any violation. `--commit group`
-//! (also accepted by `simulate` and `serve`) runs the workload through
-//! the group-commit server (`hka::shard::ShardedTs`: one fsync per
-//! commit, an index built at the first protected request) instead of
-//! the per-record `TrustedServer` (`--commit record`, the default);
-//! decisions and journal bytes are identical either way. The retired
-//! `--shards N` is a usage error.
+//! (also accepted by `simulate` and `serve`) attaches the server's
+//! journal by group commit (one fsync per commit, an index built at the
+//! first read; with no journal file it commits to a sink that discards)
+//! instead of per record (`--commit record`, the default); decisions
+//! and journal bytes are identical either way. The retired `--shards N`
+//! is a usage error.
 //! `--index grid|brute` (accepted by `simulate`, `plan`, `chaos`,
 //! `serve`, and `serve-drill`) selects what answers Algorithm 1's
 //! k-nearest-users query: the grid index (the default), or the
@@ -181,10 +181,35 @@ fn get_backend(flags: &HashMap<String, String>) -> IndexBackend {
 /// The journal cadence `--commit` selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Commit {
-    /// `TrustedServer`: every event appended as it happens.
+    /// Every event appended as it happens.
     Record,
-    /// `ShardedTs`: events committed in groups, one fsync each.
+    /// Events committed in groups, one fsync each.
     Group,
+}
+
+/// Attaches `sink` as the journal `commit` selects. A group-commit
+/// server with no journal file still keeps its cadence: it commits to a
+/// sink that discards.
+fn attach_journal(
+    ts: &mut TrustedServer,
+    commit: Commit,
+    sink: Option<impl hka::obs::DurableSink + 'static>,
+) {
+    match (commit, sink) {
+        (Commit::Record, Some(sink)) => {
+            ts.attach_journal(hka::obs::Journal::new(
+                Box::new(sink) as Box<dyn std::io::Write + Send + Sync>
+            ));
+        }
+        (Commit::Record, None) => {}
+        (Commit::Group, sink) => {
+            let sink: Box<dyn hka::obs::DurableSink> = match sink {
+                Some(sink) => Box::new(sink),
+                None => Box::new(std::io::sink()),
+            };
+            ts.attach_group_journal(hka::obs::Journal::new(sink));
+        }
+    }
 }
 
 /// Parses `--commit record|group` (default `record`); the retired
@@ -230,57 +255,37 @@ fn build_world(seed: u64, days: i64, commuters: usize, roamers: usize) -> World 
     })
 }
 
-/// Registers the protected world on either server: both services,
-/// every agent (commuters protected at `k`, everyone else off), and the
+/// A server with the protected world registered: both services, every
+/// agent (commuters protected at `k`, everyone else off), and the
 /// commuters' LBQIDs.
-macro_rules! protect {
-    ($ts:expr, $world:expr, $k:expr) => {{
-        let (ts, world, k) = ($ts, $world, $k);
-        ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-        ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-        let commuters: Vec<UserId> = world.commuters().collect();
-        for agent in &world.agents {
-            let level = if commuters.contains(&agent.user) {
-                PrivacyLevel::Custom(PrivacyParams {
-                    k,
-                    theta: 0.5,
-                    k_init: 2 * k,
-                    k_decrement: 1,
-                    on_risk: RiskAction::Forward,
-                })
-            } else {
-                PrivacyLevel::Off
-            };
-            ts.register_user(agent.user, level);
-        }
-        for &u in &commuters {
-            ts.add_lbqid(
-                u,
-                Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-            );
-        }
-    }};
-}
-
 fn protected_server(world: &World, k: usize, backend: IndexBackend) -> TrustedServer {
     let mut ts = TrustedServer::new(TsConfig {
         backend,
         ..TsConfig::default()
     });
-    protect!(&mut ts, world, k);
-    ts
-}
-
-/// [`protected_server`] on the group-commit server.
-fn protected_group(world: &World, k: usize, backend: IndexBackend) -> ShardedTs {
-    let mut ts = ShardedTs::new(
-        TsConfig {
-            backend,
-            ..TsConfig::default()
-        },
-        1,
-    );
-    protect!(&mut ts, world, k);
+    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
+    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
+    let commuters: Vec<UserId> = world.commuters().collect();
+    for agent in &world.agents {
+        let level = if commuters.contains(&agent.user) {
+            PrivacyLevel::Custom(PrivacyParams {
+                k,
+                theta: 0.5,
+                k_init: 2 * k,
+                k_decrement: 1,
+                on_risk: RiskAction::Forward,
+            })
+        } else {
+            PrivacyLevel::Off
+        };
+        ts.register_user(agent.user, level);
+    }
+    for &u in &commuters {
+        ts.add_lbqid(
+            u,
+            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
+        );
+    }
     ts
 }
 
@@ -303,10 +308,10 @@ fn world_envelopes(world: &World) -> Vec<RequestEnvelope> {
 /// Drives every workload event through the transport-agnostic
 /// [`RequestService`] seam — the same interface the TCP gateway
 /// serves, so an in-process run and a served run differ only in
-/// transport. Either server decides each submission immediately; the
-/// group-commit server also commits its journal at the drain. Either
-/// way a rejected request (unknown user, read-only refusal) is reported
-/// and counted instead of aborting the whole simulation.
+/// transport. The server decides each submission immediately; on a
+/// group journal it also commits at the drain. Either way a rejected
+/// request (unknown user, read-only refusal) is reported and counted
+/// instead of aborting the whole simulation.
 fn run_events(svc: &mut dyn RequestService, world: &World) -> u64 {
     for env in &world_envelopes(world) {
         svc.submit(env);
@@ -362,46 +367,32 @@ fn cmd_simulate(flags: HashMap<String, String>) {
     }
     let world = build_world(seed, days, commuters, roamers);
 
-    // Either server makes the same decisions and writes the same journal
-    // bytes (see tests/shard.rs), so the summary reads the same off both.
-    macro_rules! run {
-        ($ts:ident, $sink:ty) => {{
-            if slo {
-                $ts.enable_slo(hka::obs::SloConfig::default());
-            }
-            if let Some(file) = open_trace_out(&flags) {
-                $ts.attach_journal(hka::obs::Journal::new(
-                    Box::new(std::io::BufWriter::new(file)) as Box<$sink>,
-                ));
-            }
-            let errors = run_events(&mut $ts, &world);
-            $ts.flush_journal().unwrap_or_else(|e| {
-                eprintln!("journal flush failed: {e}");
-                std::process::exit(1);
-            });
-            let rows = collect_audit_rows(
-                &world,
-                k,
-                |u| $ts.audit_patterns(u, k),
-                |u| $ts.privacy_indicator(u),
-            );
-            let log = $ts.log();
-            let (len, dropped) = (log.events().len() as u64, log.dropped());
-            (errors, log.stats(), rows, len, dropped, $ts.slo_worst())
-        }};
+    let mut ts = protected_server(&world, k, backend);
+    if slo {
+        ts.enable_slo(hka::obs::SloConfig::default());
     }
-    let (errors, st, audit_rows, log_len, log_dropped, slo_worst) = match commit {
-        Commit::Record => {
-            let mut ts = protected_server(&world, k, backend);
-            run!(ts, dyn std::io::Write + Send + Sync)
-        }
-        Commit::Group => {
-            let mut ts = protected_group(&world, k, backend);
-            let summary = run!(ts, dyn hka::obs::DurableSink);
-            println!("(group commit, {} epochs)", ts.epoch());
-            summary
-        }
-    };
+    attach_journal(
+        &mut ts,
+        commit,
+        open_trace_out(&flags).map(std::io::BufWriter::new),
+    );
+    let errors = run_events(&mut ts, &world);
+    ts.flush_journal().unwrap_or_else(|e| {
+        eprintln!("journal flush failed: {e}");
+        std::process::exit(1);
+    });
+    if commit == Commit::Group {
+        println!("(group commit, {} epochs)", ts.epoch());
+    }
+    let audit_rows = collect_audit_rows(
+        &world,
+        k,
+        |u| ts.audit_patterns(u, k),
+        |u| ts.privacy_indicator(u),
+    );
+    let log = ts.log();
+    let (st, log_len, log_dropped) = (log.stats(), log.events().len() as u64, log.dropped());
+    let slo_worst = ts.slo_worst();
     let journal_info = flags.get("trace-out").cloned();
 
     println!(
@@ -636,51 +627,6 @@ struct ChaosReport {
     final_mode: ServerMode,
 }
 
-/// What a chaos run drives, one event at a time: either server.
-trait ChaosTarget {
-    fn location_update(&mut self, user: UserId, at: StPoint);
-    fn try_handle_request(
-        &mut self,
-        user: UserId,
-        at: StPoint,
-        service: ServiceId,
-    ) -> Result<RequestOutcome, TsError>;
-    fn mode(&self) -> ServerMode;
-    /// Ends one event. The group-commit server commits here, as after a
-    /// client's barrier, so the mode read before the next request is
-    /// the one its fail-closed gate sees.
-    fn settle(&mut self);
-}
-
-macro_rules! chaos_target {
-    ($ty:ty, $settle:expr) => {
-        impl ChaosTarget for $ty {
-            fn location_update(&mut self, user: UserId, at: StPoint) {
-                <$ty>::location_update(self, user, at)
-            }
-            fn try_handle_request(
-                &mut self,
-                user: UserId,
-                at: StPoint,
-                service: ServiceId,
-            ) -> Result<RequestOutcome, TsError> {
-                <$ty>::try_handle_request(self, user, at, service)
-            }
-            fn mode(&self) -> ServerMode {
-                <$ty>::mode(self)
-            }
-            fn settle(&mut self) {
-                $settle(self)
-            }
-        }
-    };
-}
-chaos_target!(TrustedServer, |_: &mut TrustedServer| {});
-chaos_target!(ShardedTs, |ts: &mut ShardedTs| {
-    // Group commit reports failures through the mode ladder.
-    let _ = ts.flush_journal();
-});
-
 fn chaos_run(
     seed: u64,
     days: i64,
@@ -694,32 +640,20 @@ fn chaos_run(
     let injector = FaultInjector::new(randomized_plan(seed));
     // The journal shares the schedule: journal.io faults surface as real
     // sink errors (including torn writes) and drive the mode machine.
-    let faulty = || FaultyWriter::new(std::io::sink(), injector.clone());
-    match commit {
-        Commit::Record => {
-            let mut ts = protected_server(&world, k, backend);
-            ts.attach_faults(injector.clone());
-            ts.attach_journal(hka::obs::Journal::new(
-                Box::new(faulty()) as Box<dyn std::io::Write + Send + Sync>
-            ));
-            chaos_events(&mut ts, &world, &injector)
-        }
-        Commit::Group => {
-            // A fault plan makes every request commit first, so the
-            // group journal walks the mode ladder under the same schedule.
-            let mut ts = protected_group(&world, k, backend);
-            ts.attach_faults(injector.clone());
-            ts.attach_journal(hka::obs::Journal::new(
-                Box::new(hka::obs::Unsynced(faulty())) as Box<dyn hka::obs::DurableSink>,
-            ));
-            chaos_events(&mut ts, &world, &injector)
-        }
-    }
+    // A fault plan makes every request commit first, so a group journal
+    // walks the mode ladder under the same schedule.
+    let faulty = FaultyWriter::new(std::io::sink(), injector.clone());
+    let mut ts = protected_server(&world, k, backend);
+    ts.attach_faults(injector.clone());
+    attach_journal(&mut ts, commit, Some(hka::obs::Unsynced(faulty)));
+    chaos_events(&mut ts, &world, &injector)
 }
 
 /// Drives the world through `ts` under arrival perturbation and checks
-/// the fail-closed invariant on every request.
-fn chaos_events(ts: &mut impl ChaosTarget, world: &World, injector: &FaultInjector) -> ChaosReport {
+/// the fail-closed invariant on every request. On a group journal each
+/// event ends with a commit, as after a client's barrier, so the mode
+/// read before the next request is the one its fail-closed gate sees.
+fn chaos_events(ts: &mut TrustedServer, world: &World, injector: &FaultInjector) -> ChaosReport {
     use hka::faults::sites;
     // Sites whose faults must fail the in-flight request closed.
     // journal.io is excluded: the sink is consulted when events are
@@ -728,6 +662,13 @@ fn chaos_events(ts: &mut impl ChaosTarget, world: &World, injector: &FaultInject
     let request_sites = [sites::PHL_WRITE, sites::INDEX_QUERY, sites::MIXZONE];
     let fired_now =
         |inj: &FaultInjector| -> u64 { request_sites.iter().map(|s| inj.fired(s)).sum() };
+    let group = ts.log().group_commit();
+    let settle = |ts: &mut TrustedServer| {
+        if group {
+            // Group commit reports failures through the mode ladder.
+            let _ = ts.flush_journal();
+        }
+    };
 
     let mut report = ChaosReport {
         requests: 0,
@@ -741,7 +682,7 @@ fn chaos_events(ts: &mut impl ChaosTarget, world: &World, injector: &FaultInject
         match e.kind {
             EventKind::Location => {
                 ts.location_update(e.user, e.at);
-                ts.settle();
+                settle(ts);
             }
             EventKind::Request { service } => {
                 // Arrival perturbation: drop, duplicate, or deliver the
@@ -764,7 +705,7 @@ fn chaos_events(ts: &mut impl ChaosTarget, world: &World, injector: &FaultInject
                     let mode_before = ts.mode();
                     let before = fired_now(injector);
                     let result = ts.try_handle_request(e.user, at, ServiceId(service));
-                    ts.settle();
+                    settle(ts);
                     let out = match result {
                         Ok(out) => out,
                         Err(err) => {
@@ -1387,25 +1328,13 @@ fn cmd_serve(flags: HashMap<String, String>) {
     };
 
     let world = build_world(seed, days, commuters, roamers);
-    let service: Box<dyn RequestService + Send> = if commit == Commit::Group {
-        let mut ts = protected_group(&world, k, backend);
-        if let Some(path) = journal_path {
-            ts.attach_journal(hka::obs::Journal::new(
-                Box::new(std::io::BufWriter::new(open_sink(path)))
-                    as Box<dyn hka::obs::DurableSink>,
-            ));
-        }
-        Box::new(ts)
-    } else {
-        let mut ts = protected_server(&world, k, backend);
-        if let Some(path) = journal_path {
-            ts.attach_journal(hka::obs::Journal::new(
-                Box::new(std::io::BufWriter::new(open_sink(path)))
-                    as Box<dyn std::io::Write + Send + Sync>,
-            ));
-        }
-        Box::new(ts)
-    };
+    let mut ts = protected_server(&world, k, backend);
+    attach_journal(
+        &mut ts,
+        commit,
+        journal_path.map(|path| std::io::BufWriter::new(open_sink(path))),
+    );
+    let service: Box<dyn RequestService + Send> = Box::new(ts);
 
     let config = hka::gateway::GatewayConfig {
         inflight,

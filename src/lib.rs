@@ -91,7 +91,6 @@ pub use hka_granules as granules;
 pub use hka_lbqid as lbqid;
 pub use hka_mobility as mobility;
 pub use hka_obs as obs;
-pub use hka_shard as shard;
 pub use hka_trajectory as trajectory;
 
 /// The most commonly used types, re-exported flat.
@@ -130,7 +129,6 @@ pub mod prelude {
         Agent, City, CityConfig, Event, EventKind, Role, World, WorldConfig, ANCHOR_SERVICE,
         BACKGROUND_SERVICE,
     };
-    pub use hka_shard::ShardedTs;
     pub use hka_trajectory::io::{read_store, write_store};
     pub use hka_trajectory::{
         brute, BruteIndex, CompactionPolicy, CompactionStats, GridIndex, GridIndexConfig,

@@ -377,8 +377,8 @@ fn a_compacting_server_journals_the_same_bytes_as_an_uncompacted_twin() {
     assert_eq!(ra.to_json().to_string(), rb.to_json().to_string());
 }
 
-/// After [`TrustedServer::compact_history`], the server's rebuilt index
-/// must be indistinguishable from an index built from scratch over the
+/// After [`TrustedServer::compact_history`], the index the server's next
+/// read rebuilds must be indistinguishable from an index built from scratch over the
 /// compacted store — same scale, same size, and the same answers to
 /// every query class — for the grid and its brute-force specification
 /// alike. A rebuild that leaked stale cells or forgot by-time
@@ -411,15 +411,12 @@ fn compact_history_rebuild_matches_a_from_scratch_build() {
         assert!(stats.points_dropped() > 0, "{backend:?}: compaction folded");
 
         let fresh = backend.build(ts.store(), config.index);
+        let points = ts.store().total_points();
         let rebuilt = ts.index();
         assert_eq!(rebuilt.backend(), backend);
         assert_eq!(rebuilt.scale(), fresh.scale(), "{backend:?}: scale");
         assert_eq!(rebuilt.len(), fresh.len(), "{backend:?}: indexed points");
-        assert_eq!(
-            rebuilt.len(),
-            ts.store().total_points(),
-            "{backend:?}: store"
-        );
+        assert_eq!(rebuilt.len(), points, "{backend:?}: store");
 
         let probes = [
             sp(0.0, 0.0, 0),

@@ -61,28 +61,27 @@ fn params() -> PrivacyParams {
     }
 }
 
-/// Registers services, users, and LBQIDs identically on either server
-/// type (both only expose the same setup surface).
-macro_rules! setup {
-    ($ts:expr, $world:expr) => {{
-        let commuters: Vec<UserId> = $world.commuters().collect();
-        $ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-        $ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-        for agent in &$world.agents {
-            let level = if commuters.contains(&agent.user) {
-                PrivacyLevel::Custom(params())
-            } else {
-                PrivacyLevel::Off
-            };
-            $ts.register_user(agent.user, level);
-        }
-        for &u in &commuters {
-            $ts.add_lbqid(
-                u,
-                Lbqid::example_commute($world.home_of(u).unwrap(), $world.office_of(u).unwrap()),
-            );
-        }
-    }};
+/// A server with services, users, and LBQIDs registered.
+fn setup(config: TsConfig, world: &World) -> TrustedServer {
+    let mut ts = TrustedServer::new(config);
+    let commuters: Vec<UserId> = world.commuters().collect();
+    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
+    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
+    for agent in &world.agents {
+        let level = if commuters.contains(&agent.user) {
+            PrivacyLevel::Custom(params())
+        } else {
+            PrivacyLevel::Off
+        };
+        ts.register_user(agent.user, level);
+    }
+    for &u in &commuters {
+        ts.add_lbqid(
+            u,
+            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
+        );
+    }
+    ts
 }
 
 fn envelopes(world: &World) -> Vec<RequestEnvelope> {
@@ -108,10 +107,10 @@ fn hka_sim(args: &[&str]) -> std::process::Output {
 
 /// The gateway adds zero journal records and perturbs zero decisions:
 /// a TCP-served run is byte-identical to an in-process seam run. The
-/// backend is the group-commit `ShardedTs` with the randomizer
-/// attached, whose journal replays the per-record execution exactly — so
-/// drain-cycle timing, which depends on thread scheduling inside the
-/// gateway, provably cannot leak into the bytes.
+/// backend is a `TrustedServer` on a group-commit journal with the
+/// randomizer attached, whose journal replays the per-record execution
+/// exactly — so drain-cycle timing, which depends on thread scheduling
+/// inside the gateway, provably cannot leak into the bytes.
 #[test]
 fn gateway_journal_is_byte_identical_to_in_process() {
     let dir = TempDir::new("diff");
@@ -128,27 +127,25 @@ fn gateway_journal_is_byte_identical_to_in_process() {
     assert!(n_requests > 0, "workload generated no requests");
 
     // --- In-process: the seam, no network. ---------------------------
-    let mut shd = ShardedTs::new(config, 1);
-    setup!(shd, &world);
-    shd.attach_journal(obs::Journal::new(
-        Box::new(std::fs::File::create(&inproc_path).unwrap()) as Box<dyn obs::DurableSink>,
-    ));
-    let svc: &mut dyn RequestService = &mut shd;
+    let mut grp = setup(config, &world);
+    grp.attach_group_journal(obs::Journal::new(Box::new(
+        std::fs::File::create(&inproc_path).unwrap(),
+    ) as Box<dyn obs::DurableSink>));
+    let svc: &mut dyn RequestService = &mut grp;
     for env in &envs {
         svc.submit(env);
     }
     let inproc = svc.drain();
     svc.flush_journal().unwrap();
-    drop(shd);
+    drop(grp);
     assert_eq!(inproc.len(), n_requests);
 
     // --- The same backend behind TCP. --------------------------------
-    let mut shd = ShardedTs::new(config, 1);
-    setup!(shd, &world);
-    shd.attach_journal(obs::Journal::new(
+    let mut grp = setup(config, &world);
+    grp.attach_group_journal(obs::Journal::new(
         Box::new(std::fs::File::create(&gw_path).unwrap()) as Box<dyn obs::DurableSink>,
     ));
-    let gw = Gateway::spawn("127.0.0.1:0", Box::new(shd), GatewayConfig::default()).unwrap();
+    let gw = Gateway::spawn("127.0.0.1:0", Box::new(grp), GatewayConfig::default()).unwrap();
     let mut client = GatewayClient::connect(gw.addr()).unwrap();
     let alice = world.commuters().next().unwrap();
     assert!(
@@ -236,8 +233,7 @@ fn gateway_chaos_drill_never_fails_open() {
 
     for seed in [1u64, 7, 19, 42] {
         let path = dir.0.join(format!("chaos-{seed}.jsonl"));
-        let mut ts = TrustedServer::new(TsConfig::default());
-        setup!(ts, &world);
+        let mut ts = setup(TsConfig::default(), &world);
         ts.attach_journal(obs::Journal::new(
             Box::new(std::fs::File::create(&path).unwrap())
                 as Box<dyn std::io::Write + Send + Sync>,

@@ -1,9 +1,11 @@
-//! Differential equivalence: the group-commit server ([`ShardedTs`]) vs
-//! the per-record [`TrustedServer`], on identical seeded workloads.
+//! Differential equivalence: a [`TrustedServer`] on a group-commit
+//! journal vs one on a per-record journal, on identical seeded
+//! workloads.
 //!
-//! The contract under test (see `crates/shard`): per-request outcomes
-//! match exactly — outcome kind, forwarded context box, service,
-//! suppression reason, message id and pseudonym — the decision log and
+//! The contract under test (see the `hka_core::server` module docs):
+//! per-request outcomes match exactly — outcome kind, forwarded context
+//! box, service, suppression reason, message id and pseudonym — every
+//! forwarded request routes back to its issuer, the decision log and
 //! statistics agree, and a healthy journal holds the same bytes.
 
 use hka::obs;
@@ -35,7 +37,7 @@ fn medium() -> PrivacyParams {
     }
 }
 
-/// The identical setup script, applied to either server type.
+/// The identical setup script, applied to either cadence.
 struct Script {
     services: Vec<(ServiceId, Tolerance)>,
     users: Vec<(UserId, PrivacyLevel)>,
@@ -99,21 +101,16 @@ fn setup_seq(world: &World, config: TsConfig) -> TrustedServer {
     ts
 }
 
-fn setup_group(world: &World, config: TsConfig) -> ShardedTs {
-    let s = script(world);
-    let mut ts = ShardedTs::new(config, 1);
-    for (svc, tol) in s.services {
-        ts.register_service(svc, tol);
-    }
-    for (u, level) in s.users {
-        ts.register_user(u, level);
-    }
-    for (u, q) in s.lbqids {
-        ts.add_lbqid(u, q);
-    }
-    for (u, svc, level) in s.overrides {
-        ts.set_service_privacy(u, svc, level).unwrap();
-    }
+/// [`setup_seq`] on a group journal over `sink`.
+fn setup_group(
+    world: &World,
+    config: TsConfig,
+    sink: impl obs::DurableSink + 'static,
+) -> TrustedServer {
+    let mut ts = setup_seq(world, config);
+    ts.attach_group_journal(obs::Journal::new(
+        Box::new(sink) as Box<dyn obs::DurableSink>
+    ));
     ts
 }
 
@@ -137,7 +134,7 @@ fn drive_seq(ts: &mut TrustedServer, events: &[Event]) -> Outcomes {
 
 /// Drives the group server event by event, draining (and so committing)
 /// every 50 events the way a served client's barriers would.
-fn drive_group(ts: &mut ShardedTs, events: &[Event]) -> Outcomes {
+fn drive_group(ts: &mut TrustedServer, events: &[Event]) -> Outcomes {
     let mut out = Vec::new();
     for (i, e) in events.iter().enumerate() {
         match e.kind {
@@ -162,8 +159,24 @@ fn record_journal(path: &std::path::Path) -> obs::BoxedJournal {
     )
 }
 
-fn group_journal(path: &std::path::Path) -> obs::Journal<Box<dyn obs::DurableSink>> {
-    obs::Journal::new(Box::new(std::fs::File::create(path).unwrap()) as Box<dyn obs::DurableSink>)
+fn group_file(path: &std::path::Path) -> std::fs::File {
+    std::fs::File::create(path).unwrap()
+}
+
+/// Every forwarded request routes back to its issuer through the
+/// server's msgid table, and both servers show providers the same
+/// stream.
+fn assert_same_routes(seq: &TrustedServer, grp: &TrustedServer, outcomes: &Outcomes) {
+    assert_eq!(seq.provider_view(), grp.provider_view(), "provider view");
+    let mut forwarded = 0;
+    for (user, outcome) in outcomes {
+        if let Ok(RequestOutcome::Forwarded(req)) = outcome {
+            assert_eq!(seq.route_response(req.msg_id), Some(*user));
+            assert_eq!(grp.route_response(req.msg_id), Some(*user));
+            forwarded += 1;
+        }
+    }
+    assert!(forwarded > 0, "nothing forwarded");
 }
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -177,10 +190,10 @@ fn sharded_outcomes_match_sequential() {
     let world = build_world(42, 5);
     let mut seq = setup_seq(&world, TsConfig::default());
     let seq_out = drive_seq(&mut seq, &world.events);
-    let mut grp = setup_group(&world, TsConfig::default());
+    let mut grp = setup_group(&world, TsConfig::default(), std::io::sink());
     let grp_out = drive_group(&mut grp, &world.events);
     assert_eq!(seq_out, grp_out, "outcomes, ids included");
-    assert_eq!(seq.provider_view(), grp.provider_view(), "provider view");
+    assert_same_routes(&seq, &grp, &grp_out);
     assert_eq!(seq.log().stats(), grp.log().stats(), "decision statistics");
     let seq_events: Vec<&TsEvent> = seq.log().events().collect();
     let grp_events: Vec<&TsEvent> = grp.log().events().collect();
@@ -197,7 +210,7 @@ fn sharded_audits_match_sequential() {
     let world = build_world(7, 7);
     let mut seq = setup_seq(&world, TsConfig::default());
     drive_seq(&mut seq, &world.events);
-    let mut grp = setup_group(&world, TsConfig::default());
+    let mut grp = setup_group(&world, TsConfig::default(), std::io::sink());
     drive_group(&mut grp, &world.events);
     for u in world.commuters() {
         let a = seq.audit_patterns(u, 4);
@@ -218,7 +231,7 @@ fn sharded_audits_match_sequential() {
 #[test]
 fn unknown_user_requests_report_errors_without_aborting() {
     let world = build_world(3, 2);
-    let mut grp = setup_group(&world, TsConfig::default());
+    let mut grp = setup_group(&world, TsConfig::default(), std::io::sink());
     let ghost = UserId(9_999_999);
     let at = world.events[0].at;
     assert_eq!(
@@ -258,15 +271,14 @@ fn serialized_mode_is_byte_identical_including_journals() {
     seq.attach_journal(record_journal(&seq_path));
     let seq_out = drive_seq(&mut seq, &world.events);
     seq.flush_journal().unwrap();
-    drop(seq);
 
-    let mut grp = setup_group(&world, config);
-    grp.attach_journal(group_journal(&grp_path));
+    let mut grp = setup_group(&world, config, group_file(&grp_path));
     let grp_out = drive_group(&mut grp, &world.events);
     grp.flush_journal().unwrap();
-    drop(grp);
 
     assert_eq!(seq_out, grp_out);
+    assert_same_routes(&seq, &grp, &grp_out);
+    drop((seq, grp));
     // Group commit batches the appends but chains the same bytes.
     let a = std::fs::read(&seq_path).unwrap();
     assert!(!a.is_empty());
@@ -287,12 +299,13 @@ fn fault_plans_replay_identically() {
         seq.attach_faults(FaultInjector::new(randomized_plan(seed)));
         let seq_out = drive_seq(&mut seq, &world.events);
 
-        let mut grp = setup_group(&world, TsConfig::default());
+        let mut grp = setup_group(&world, TsConfig::default(), std::io::sink());
         grp.attach_faults(FaultInjector::new(randomized_plan(seed)));
         let grp_out = drive_group(&mut grp, &world.events);
 
         // Exact equality, ids included.
         assert_eq!(seq_out, grp_out, "seed {seed}");
+        assert_same_routes(&seq, &grp, &grp_out);
         assert_eq!(seq.log().stats(), grp.log().stats(), "seed {seed}");
     }
 }
@@ -327,7 +340,7 @@ fn count_kind(journal: &[u8], kind: &str) -> usize {
 /// The unlink path end to end: a run in which on-demand mix-zones are
 /// both found (`ts.pseudonym_changed`) and not found (`ts.at_risk`)
 /// writes the same journal bytes whether the crowd is searched through
-/// the per-record server's index or the group server's lazy one, over
+/// the per-record server's eager index or the group server's lazy one, over
 /// the grid or its brute-force specification — with the default config
 /// and with the randomizer on.
 #[test]
@@ -355,11 +368,11 @@ fn an_unlinking_run_is_byte_identical_under_group_commit() {
 
         for backend in IndexBackend::ALL {
             let path = dir.join(format!("{name}-{backend}.jsonl"));
-            let mut grp = setup_group(&world, TsConfig { backend, ..config });
-            grp.attach_journal(group_journal(&path));
+            let mut grp = setup_group(&world, TsConfig { backend, ..config }, group_file(&path));
             let out = drive_group(&mut grp, &world.events);
             grp.flush_journal().unwrap();
             assert_eq!(out, seq_out, "{name}, {backend}: outcomes");
+            assert_same_routes(&seq, &grp, &out);
             assert!(
                 std::fs::read(&path).unwrap() == want,
                 "{name}, {backend}: journal bytes"
@@ -421,8 +434,7 @@ fn group_compaction_journals_the_same_bytes_as_an_uncompacted_record_twin() {
     seq_out.extend(drive_seq(&mut seq, &tail));
 
     let path = dir.join("group.jsonl");
-    let mut grp = setup_group(&world, TsConfig::default());
-    grp.attach_journal(group_journal(&path));
+    let mut grp = setup_group(&world, TsConfig::default(), group_file(&path));
     let mut grp_out = drive_group(&mut grp, &world.events[..split]);
     assert!(format!("{grp:?}").contains("indexed: true"), "{grp:?}");
     let grp_stats = grp.compact_history(now, &policy);
@@ -443,6 +455,7 @@ fn group_compaction_journals_the_same_bytes_as_an_uncompacted_record_twin() {
         "rebuilt from the folded store: {grp:?}"
     );
     assert_eq!(seq_out, grp_out, "outcomes");
+    assert_same_routes(&seq, &grp, &grp_out);
     assert_eq!(twin_out, grp_out, "compaction changes no decision");
     for (user, phl) in seq.store().iter() {
         assert_eq!(Some(phl), grp.store().phl(user), "PHL of {user}");
@@ -465,8 +478,7 @@ fn group_compaction_journals_the_same_bytes_as_an_uncompacted_record_twin() {
 fn sharded_journal_verifies_and_audits_clean() {
     let path = scratch("audit").join("journal.jsonl");
     let world = build_world(21, 6);
-    let mut grp = setup_group(&world, TsConfig::default());
-    grp.attach_journal(group_journal(&path));
+    let mut grp = setup_group(&world, TsConfig::default(), group_file(&path));
     drive_group(&mut grp, &world.events);
     grp.flush_journal().unwrap();
     drop(grp);

@@ -44,8 +44,12 @@ fn build_world(days: i64) -> World {
     })
 }
 
-fn setup_group(world: &World) -> ShardedTs {
-    let mut ts = ShardedTs::new(TsConfig::default(), 1);
+/// A server on a group journal over `sink`.
+fn setup_group(world: &World, sink: impl obs::DurableSink + 'static) -> TrustedServer {
+    let mut ts = TrustedServer::new(TsConfig::default());
+    ts.attach_group_journal(obs::Journal::new(
+        Box::new(sink) as Box<dyn obs::DurableSink>
+    ));
     ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
     ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 600));
     let commuters: Vec<UserId> = world.commuters().collect();
@@ -72,7 +76,7 @@ fn setup_group(world: &World) -> ShardedTs {
     ts
 }
 
-fn drive(ts: &mut ShardedTs, world: &World) {
+fn drive(ts: &mut TrustedServer, world: &World) {
     for e in &world.events {
         match e.kind {
             EventKind::Location => ts.location_update(e.user, e.at),
@@ -93,7 +97,7 @@ fn export_parents_every_sharded_request_span_under_its_root() {
     let _g = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
     obs::trace::enable(1 << 16);
     let world = build_world(2);
-    let mut ts = setup_group(&world);
+    let mut ts = setup_group(&world, std::io::sink());
     drive(&mut ts, &world);
     obs::trace::disable();
     let records = obs::trace::drain();
@@ -245,10 +249,7 @@ fn slo_breach_lands_in_the_journal_and_audit_stays_clean() {
     let dir = tmp_dir("slo");
     let path = dir.join("slo.jsonl");
     let world = build_world(1);
-    let mut ts = setup_group(&world);
-    ts.attach_journal(obs::Journal::new(
-        Box::new(std::fs::File::create(&path).unwrap()) as Box<dyn obs::DurableSink>,
-    ));
+    let mut ts = setup_group(&world, std::fs::File::create(&path).unwrap());
     ts.enable_slo(obs::SloConfig {
         window: 16,
         min_samples: 1,
