@@ -9,7 +9,9 @@
 //! compatibility within a journal version: fields and kinds may be
 //! added, never changed or removed).
 
-use hka_obs::{JournalRecord, Json};
+use std::borrow::Cow;
+
+use hka_obs::{JournalRecord, Json, Payload, RecordRef, Scalar};
 
 /// Server operating mode as journaled in `ts.mode_changed` records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -134,39 +136,67 @@ pub enum AuditEvent {
     Unknown,
 }
 
-fn req_int(p: &Json, kind: &str, name: &str) -> Result<i64, String> {
-    p.get(name)
-        .and_then(Json::as_int)
-        .ok_or_else(|| format!("{kind}: missing or mistyped '{name}'"))
+/// A payload's fields, read one at a time: the decoder's one accessor,
+/// so the same code decodes a parsed tree and a verified line.
+trait Fields {
+    /// The member `name`, if present.
+    fn field(&self, name: &str) -> Option<Scalar<'_>>;
 }
 
-fn req_u64(p: &Json, kind: &str, name: &str) -> Result<u64, String> {
+impl Fields for Json {
+    fn field(&self, name: &str) -> Option<Scalar<'_>> {
+        self.get(name).map(Scalar::of)
+    }
+}
+
+/// A verified line's canonical payload: its top-level members, read off
+/// the line's bytes, numbers as the verifier parsed them.
+impl Fields for Payload<'_> {
+    fn field(&self, name: &str) -> Option<Scalar<'_>> {
+        self.get(name)
+    }
+}
+
+fn mistyped(kind: &str, name: &str) -> String {
+    format!("{kind}: missing or mistyped '{name}'")
+}
+
+fn req_int(p: &impl Fields, kind: &str, name: &str) -> Result<i64, String> {
+    p.field(name)
+        .and_then(|v| v.as_int())
+        .ok_or_else(|| mistyped(kind, name))
+}
+
+fn req_u64(p: &impl Fields, kind: &str, name: &str) -> Result<u64, String> {
     let v = req_int(p, kind, name)?;
     u64::try_from(v).map_err(|_| format!("{kind}: '{name}' is negative"))
 }
 
-fn req_f64(p: &Json, kind: &str, name: &str) -> Result<f64, String> {
-    p.get(name)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{kind}: missing or mistyped '{name}'"))
+fn req_f64(p: &impl Fields, kind: &str, name: &str) -> Result<f64, String> {
+    p.field(name)
+        .and_then(|v| v.as_f64())
+        .ok_or_else(|| mistyped(kind, name))
 }
 
-fn req_bool(p: &Json, kind: &str, name: &str) -> Result<bool, String> {
-    p.get(name)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{kind}: missing or mistyped '{name}'"))
+fn req_bool(p: &impl Fields, kind: &str, name: &str) -> Result<bool, String> {
+    p.field(name)
+        .and_then(|v| v.as_bool())
+        .ok_or_else(|| mistyped(kind, name))
 }
 
-fn req_str(p: &Json, kind: &str, name: &str) -> Result<String, String> {
-    p.get(name)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{kind}: missing or mistyped '{name}'"))
+fn opt_str(p: &impl Fields, name: &str) -> Option<String> {
+    p.field(name)
+        .and_then(Scalar::into_str)
+        .map(Cow::into_owned)
 }
 
-fn opt_u64(p: &Json, name: &str) -> Option<u64> {
-    p.get(name)
-        .and_then(Json::as_int)
+fn req_str(p: &impl Fields, kind: &str, name: &str) -> Result<String, String> {
+    opt_str(p, name).ok_or_else(|| mistyped(kind, name))
+}
+
+fn opt_u64(p: &impl Fields, name: &str) -> Option<u64> {
+    p.field(name)
+        .and_then(|v| v.as_int())
         .and_then(|v| u64::try_from(v).ok())
 }
 
@@ -174,8 +204,19 @@ fn opt_u64(p: &Json, name: &str) -> Option<u64> {
 /// not carry its required v1 fields — schema drift the audit must
 /// surface, not paper over.
 pub fn decode(record: &JournalRecord) -> Result<AuditEvent, String> {
-    let p = &record.payload;
-    let kind = record.kind.as_str();
+    decode_fields(&record.kind, record.seq, &record.prev, &record.payload)
+}
+
+/// [`decode`] for a record the lending reader verified
+/// ([`hka_obs::JournalReader::next_ref`]): the same decoder, reading
+/// fields off the line.
+pub fn decode_ref(record: &RecordRef<'_>) -> Result<AuditEvent, String> {
+    decode_fields(&record.kind, record.seq, &record.prev, &record.payload)
+}
+
+/// The one decoder: a record's kind, chain position and payload fields
+/// into an audit event.
+fn decode_fields(kind: &str, seq: u64, prev: &str, p: &impl Fields) -> Result<AuditEvent, String> {
     match kind {
         "ts.forwarded" => {
             let x_min = req_f64(p, kind, "x_min")?;
@@ -184,17 +225,27 @@ pub fn decode(record: &JournalRecord) -> Result<AuditEvent, String> {
             let y_max = req_f64(p, kind, "y_max")?;
             let t_start = req_int(p, kind, "t_start")?;
             let t_end = req_int(p, kind, "t_end")?;
+            // The chain proves who wrote a record, not that its values
+            // are sane: the hash is unkeyed, so anyone can chain a
+            // context whose duration or area does not fit its type.
+            let duration = t_end
+                .checked_sub(t_start)
+                .ok_or_else(|| format!("{kind}: 't_end' - 't_start' overflows"))?;
+            let area = (x_max - x_min) * (y_max - y_min);
+            if !area.is_finite() {
+                return Err(format!("{kind}: the context's area is not finite"));
+            }
             Ok(AuditEvent::Forwarded {
                 user: req_u64(p, kind, "user")?,
                 at: req_int(p, kind, "at")?,
-                area: (x_max - x_min) * (y_max - y_min),
-                duration: t_end - t_start,
+                area,
+                duration,
                 generalized: req_bool(p, kind, "generalized")?,
                 hk_ok: req_bool(p, kind, "hk_ok")?,
                 service: opt_u64(p, "service"),
                 k_req: opt_u64(p, "k_req"),
                 k_got: opt_u64(p, "k_got"),
-                lbqid: p.get("lbqid").and_then(Json::as_str).map(str::to_string),
+                lbqid: opt_str(p, "lbqid"),
             })
         }
         "ts.suppressed" => Ok(AuditEvent::Suppressed {
@@ -237,13 +288,12 @@ pub fn decode(record: &JournalRecord) -> Result<AuditEvent, String> {
             // agree with the record's own chain position. A checkpoint
             // record that lies about where it sits is drift the audit
             // surfaces, exactly like a missing field.
-            if records != record.seq {
+            if records != seq {
                 return Err(format!(
-                    "{kind}: anchor covers {records} records but record sits at seq {}",
-                    record.seq
+                    "{kind}: anchor covers {records} records but record sits at seq {seq}"
                 ));
             }
-            if head != record.prev {
+            if head != prev {
                 return Err(format!("{kind}: anchor head does not match record prev"));
             }
             Ok(AuditEvent::Checkpoint {
@@ -259,6 +309,7 @@ pub fn decode(record: &JournalRecord) -> Result<AuditEvent, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hka_obs::{Journal, JournalReader};
 
     fn record(kind: &str, payload: Json) -> JournalRecord {
         JournalRecord {
@@ -394,6 +445,145 @@ mod tests {
         lies.prev = "feedbeef".to_string();
         let err = decode(&lies).unwrap_err();
         assert!(err.contains("prev"), "error names the mismatch: {err}");
+    }
+
+    /// A complete payload of every kind the decoder knows, and one it
+    /// does not. `checkpoint` anchors at `(seq, prev)`.
+    fn complete_payloads(seq: u64, prev: &str) -> Vec<(&'static str, Json)> {
+        let user_at =
+            |extra: (&str, Json)| Json::obj([("user", Json::Int(3)), ("at", Json::Int(90)), extra]);
+        vec![
+            (
+                "ts.forwarded",
+                Json::obj([
+                    ("user", Json::Int(7)),
+                    ("at", Json::Int(100)),
+                    ("x_min", Json::Num(252.392_294_842_517_34)),
+                    ("y_min", Json::Int(-3)),
+                    ("x_max", Json::Num(1e15)),
+                    ("y_max", Json::Num(20.0)),
+                    ("t_start", Json::Int(90)),
+                    ("t_end", Json::Int(110)),
+                    ("generalized", Json::Bool(true)),
+                    ("hk_ok", Json::Bool(false)),
+                    ("service", Json::Int(2)),
+                    ("k_req", Json::Int(5)),
+                    ("k_got", Json::Int(2)),
+                    ("lbqid", Json::from("caf\u{e9} \"commute\"\n")),
+                ]),
+            ),
+            (
+                "ts.suppressed",
+                Json::obj([
+                    ("user", Json::Int(3)),
+                    ("at", Json::Int(90)),
+                    ("reason", Json::from("mix_zone")),
+                    ("service", Json::Int(0)),
+                ]),
+            ),
+            ("ts.pseudonym_changed", user_at(("extra", Json::Null))),
+            ("ts.at_risk", user_at(("lbqid", Json::from("commute")))),
+            ("ts.lbqid_matched", user_at(("lbqid", Json::from("\u{1}")))),
+            (
+                "ts.mode_changed",
+                Json::obj([
+                    ("at", Json::Int(5)),
+                    ("from", Json::from("normal")),
+                    ("to", Json::from("read_only")),
+                ]),
+            ),
+            (
+                "journal.recovered",
+                Json::obj([
+                    ("truncated_bytes", Json::Int(57)),
+                    ("valid_records", Json::Int(12)),
+                ]),
+            ),
+            (
+                "checkpoint",
+                Json::obj([
+                    ("records", Json::from(seq)),
+                    ("head", Json::from(prev)),
+                    ("file", Json::from("checkpoint-000005.snap")),
+                    ("snapshot", Json::from("abc123")),
+                ]),
+            ),
+            ("ts.some_future_thing", Json::obj([("x", Json::Int(1))])),
+        ]
+    }
+
+    #[test]
+    fn the_line_decoder_equals_the_tree_decoder() {
+        // Every kind: complete, each field missing, each field of every
+        // other type, an extra field, and payloads that are no object.
+        let wrong = [
+            Json::Null,
+            Json::Bool(true),
+            Json::Int(-3),
+            Json::Int(i64::MAX),
+            Json::Num(2.5),
+            Json::Num(-0.0),
+            Json::from("read_only"),
+            Json::from("x\\y"),
+            Json::Arr(vec![Json::Int(1)]),
+            Json::obj([("user", Json::Int(1))]),
+        ];
+        let mut journal = Journal::new(Vec::new());
+        let mut appended = 0;
+        for variant in 0.. {
+            let mut any = false;
+            for (kind, payload) in complete_payloads(journal.next_seq(), journal.head()) {
+                let Json::Obj(members) = payload else {
+                    unreachable!("complete payloads are objects")
+                };
+                let names: Vec<String> = members.keys().cloned().collect();
+                let mut variants = vec![Json::Obj(members.clone())];
+                for name in &names {
+                    let mut missing = members.clone();
+                    missing.remove(name);
+                    variants.push(Json::Obj(missing));
+                    for value in &wrong {
+                        let mut mistyped = members.clone();
+                        mistyped.insert(name.clone(), value.clone());
+                        variants.push(Json::Obj(mistyped));
+                    }
+                }
+                let mut extra = members.clone();
+                extra.insert("zz_added".to_string(), Json::from("later"));
+                variants.extend([Json::Obj(extra), Json::Null, Json::Arr(Vec::new())]);
+                if let Some(payload) = variants.get(variant) {
+                    journal.append(kind, payload).unwrap();
+                    appended += 1;
+                    any = true;
+                }
+            }
+            if !any {
+                break;
+            }
+        }
+        let bytes = journal.into_inner();
+        let owned: Vec<JournalRecord> = JournalReader::new(&bytes[..])
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(owned.len(), appended);
+        let mut reader = JournalReader::new(&bytes[..]);
+        let (mut decoded, mut issues) = (0, 0);
+        for record in &owned {
+            let lent = reader.next_ref().unwrap().unwrap();
+            let (tree, line) = (decode(record), decode_ref(&lent));
+            assert_eq!(tree, line, "{} {}", record.kind, record.payload);
+            if tree.is_ok() {
+                decoded += 1;
+            } else {
+                issues += 1;
+            }
+        }
+        assert!(reader.next_ref().is_none());
+        // Both outcomes were exercised, on every kind.
+        assert!(
+            decoded > 100 && issues > 100,
+            "{decoded} decoded, {issues} issues"
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! `hka-obs` gives the pipeline a tamper-evident record of every
 //! decision; this crate is the consumer that turns the record into
 //! analysis. [`replay`] streams a journal through
-//! [`hka_obs::JournalReader`] — verifying the SHA-256 chain as it goes —
+//! [`hka_obs::JournalReader`]'s lending read — verifying the SHA-256
+//! chain as it goes, and decoding each record off its verified line —
 //! and reconstructs:
 //!
 //! * **per-user anonymity timelines** ([`UserTimeline`]): k over time,
@@ -57,12 +58,17 @@ pub const AUDIT_SECTION: &str = "audit";
 /// returned as an error, so a tampered journal still yields the
 /// analysis of its valid prefix.
 pub fn replay(input: impl BufRead, cfg: AuditConfig) -> AuditOutcome {
-    let mut reader = JournalReader::new(input);
-    let mut auditor = Auditor::new(cfg);
+    fold(Auditor::new(cfg), JournalReader::new(input))
+}
+
+/// Folds every record `reader` verifies into `auditor`, through the
+/// lending read: each record is checked and decoded off its line, never
+/// built as a tree. Stops at the first chain error and reports it.
+fn fold<R: BufRead>(mut auditor: Auditor, mut reader: JournalReader<R>) -> AuditOutcome {
     let mut error = None;
-    for record in reader.by_ref() {
+    while let Some(record) = reader.next_ref() {
         match record {
-            Ok(r) => auditor.ingest(&r),
+            Ok(r) => auditor.ingest_ref(&r),
             Err(e) => {
                 error = Some(e.to_string());
                 break;
@@ -186,27 +192,12 @@ pub fn resume_from_snapshot(journal: &Path, snapshot_path: &Path) -> std::io::Re
     // both replay paths ingest it — byte-identical outcomes.
     let mut file = std::fs::File::open(journal)?;
     file.seek(SeekFrom::Start(anchor_offset))?;
-    let mut reader = JournalReader::resume(
+    let reader = JournalReader::resume(
         std::io::BufReader::new(file),
         snapshot.records,
         snapshot.head.clone(),
     );
-    let mut auditor = auditor;
-    let mut error = None;
-    for record in reader.by_ref() {
-        match record {
-            Ok(r) => auditor.ingest(&r),
-            Err(e) => {
-                error = Some(e.to_string());
-                break;
-            }
-        }
-    }
-    Ok(auditor.finish(ChainSummary {
-        records: reader.records_read(),
-        head: reader.head().to_string(),
-        error,
-    }))
+    Ok(fold(auditor, reader))
 }
 
 /// Replays `journal` to its end and returns the auditor's serialized
@@ -253,8 +244,8 @@ fn finish_state<R: BufRead>(
     mut auditor: Auditor,
     mut reader: JournalReader<R>,
 ) -> std::io::Result<(hka_obs::Json, u64, String)> {
-    for record in reader.by_ref() {
-        auditor.ingest(&record.map_err(|e| invalid(e.to_string()))?);
+    while let Some(record) = reader.next_ref() {
+        auditor.ingest_ref(&record.map_err(|e| invalid(e.to_string()))?);
     }
     Ok((
         auditor.to_state(),
@@ -502,6 +493,57 @@ mod tests {
         let out = replay(&bytes[..], AuditConfig::default());
         assert!(out.ok());
         assert_eq!(out.totals.unknown_kinds, 1);
+    }
+
+    /// `fwd` with some members replaced.
+    fn fwd_with(fields: &[(&str, Json)]) -> Json {
+        let Json::Obj(mut members) = fwd(1, 100, true, true, 5, 5) else {
+            unreachable!("fwd builds an object")
+        };
+        for (name, value) in fields {
+            members.insert(name.to_string(), value.clone());
+        }
+        Json::Obj(members)
+    }
+
+    #[test]
+    fn a_chained_context_whose_duration_overflows_is_a_schema_issue() {
+        // Journal hashes are unkeyed: anyone can chain this record, and
+        // it verifies. Its duration does not fit in an i64.
+        let bytes = journal_of(&[(
+            "ts.forwarded",
+            fwd_with(&[("t_start", Json::Int(i64::MIN)), ("t_end", Json::Int(1))]),
+        )]);
+        assert!(hka_obs::verify_chain(&bytes[..]).is_ok());
+        let out = replay(&bytes[..], AuditConfig::default());
+        assert!(out.chain.verified());
+        assert_eq!(
+            out.schema_issues,
+            vec![(0, "ts.forwarded: 't_end' - 't_start' overflows".to_string())]
+        );
+        assert_eq!(out.totals.forwarded(), 0);
+    }
+
+    #[test]
+    fn sums_of_hostile_but_valid_records_saturate() {
+        // Each record is in range; their sums are not.
+        let huge = fwd_with(&[
+            ("t_start", Json::Int(0)),
+            ("t_end", Json::Int(i64::MAX)),
+            ("k_req", Json::Int(i64::MAX)),
+            ("k_got", Json::Int(i64::MAX)),
+        ]);
+        let bytes = journal_of(&[
+            ("ts.forwarded", huge.clone()),
+            ("ts.forwarded", huge.clone()),
+            ("ts.forwarded", huge),
+        ]);
+        let out = replay(&bytes[..], AuditConfig::default());
+        assert!(out.schema_issues.is_empty());
+        assert_eq!(out.users[0].duration_sum, i64::MAX);
+        let service = &out.services[0];
+        assert_eq!((service.k_req_sum, service.k_got_sum), (u64::MAX, u64::MAX));
+        assert_eq!(out.lbqids[0].duration_sum, i64::MAX);
     }
 
     #[test]

@@ -416,7 +416,7 @@ impl AuditOutcome {
             t.lbqid_matches,
         );
         if !self.recoveries.is_empty() {
-            let bytes: u64 = self.recoveries.iter().map(|(b, _)| *b).sum();
+            let bytes = (self.recoveries.iter()).fold(0u64, |sum, (b, _)| sum.saturating_add(*b));
             let _ = writeln!(
                 out,
                 "  recoveries: {} (total {} bytes truncated)",

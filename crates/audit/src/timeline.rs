@@ -23,9 +23,9 @@
 
 use std::collections::BTreeMap;
 
-use hka_obs::JournalRecord;
+use hka_obs::{JournalRecord, RecordRef};
 
-use crate::event::{decode, AuditEvent, Mode};
+use crate::event::{decode, decode_ref, AuditEvent, Mode};
 
 /// Reference tolerances for QoS-inflation ratios in the report. `None`
 /// disables the corresponding ratio (tolerances are per-service in the
@@ -397,6 +397,22 @@ impl Totals {
     }
 }
 
+/// `sum + area`, held finite: finite areas can still sum past
+/// `f64::MAX`, and the report has no form for an infinity.
+fn add_area(sum: f64, area: f64) -> f64 {
+    (sum + area).clamp(-f64::MAX, f64::MAX)
+}
+
+/// Counts one more `key` in `map`, allocating the key only when new.
+fn bump(map: &mut BTreeMap<String, u64>, key: &str) {
+    match map.get_mut(key) {
+        Some(n) => *n += 1,
+        None => {
+            map.insert(key.to_string(), 1);
+        }
+    }
+}
+
 /// Drops the oldest entries beyond `cap`; no-op when `cap` is `None`.
 /// Front-draining keeps the *most recent* entries, which is also what
 /// the violation checks look at (the last at-risk window).
@@ -465,11 +481,22 @@ impl Auditor {
     /// the first N records, and memory is bounded when
     /// [`AuditConfig::sample_cap`] is set.
     pub fn ingest(&mut self, record: &JournalRecord) {
+        self.fold(record.seq, decode(record));
+    }
+
+    /// [`ingest`](Auditor::ingest) for a record the lending reader
+    /// verified ([`hka_obs::JournalReader::next_ref`]) — the replay path:
+    /// the fields are read off the line, with no tree in between.
+    pub fn ingest_ref(&mut self, record: &RecordRef<'_>) {
+        self.fold(record.seq, decode_ref(record));
+    }
+
+    fn fold(&mut self, seq: u64, event: Result<AuditEvent, String>) {
         self.totals.events += 1;
-        let event = match decode(record) {
+        let event = match event {
             Ok(e) => e,
             Err(issue) => {
-                self.schema_issues.push((record.seq, issue));
+                self.schema_issues.push((seq, issue));
                 return;
             }
         };
@@ -486,7 +513,7 @@ impl Auditor {
                 k_got,
                 lbqid,
             } => self.observe_forwarded(
-                record.seq,
+                seq,
                 user,
                 at,
                 area,
@@ -504,8 +531,8 @@ impl Auditor {
                 reason,
                 service,
             } => {
-                *self.totals.suppressed.entry(reason.clone()).or_default() += 1;
-                *self.user(user).suppressed.entry(reason).or_default() += 1;
+                bump(&mut self.totals.suppressed, &reason);
+                bump(&mut self.user(user).suppressed, &reason);
                 if let Some(s) = service {
                     self.service(s).suppressed += 1;
                 }
@@ -544,7 +571,7 @@ impl Auditor {
                 if let Some(current) = self.mode {
                     if from != current {
                         self.violations.push(Violation {
-                            seq: record.seq,
+                            seq,
                             at,
                             user: None,
                             kind: ViolationKind::ModeLadderGap,
@@ -557,12 +584,8 @@ impl Auditor {
                     }
                 }
                 self.mode = Some(to);
-                self.mode_transitions.push(ModeTransition {
-                    seq: record.seq,
-                    at,
-                    from,
-                    to,
-                });
+                self.mode_transitions
+                    .push(ModeTransition { seq, at, from, to });
             }
             AuditEvent::JournalRecovered {
                 truncated_bytes,
@@ -570,7 +593,7 @@ impl Auditor {
             } => self.recoveries.push((truncated_bytes, valid_records)),
             AuditEvent::Checkpoint { snapshot, .. } => {
                 self.totals.checkpoints += 1;
-                self.checkpoints.push((record.seq, snapshot));
+                self.checkpoints.push((seq, snapshot));
                 trim_front(self.cfg.sample_cap, &mut self.checkpoints);
             }
             AuditEvent::Unknown => self.totals.unknown_kinds += 1,
@@ -659,13 +682,13 @@ impl Auditor {
             self.totals.forwarded_clamped += 1;
             self.user(user).forwarded_clamped += 1;
         }
-        self.overall_area_sum += area;
-        self.overall_duration_sum += duration;
+        self.overall_area_sum = add_area(self.overall_area_sum, area);
+        self.overall_duration_sum = self.overall_duration_sum.saturating_add(duration);
         {
             let cap = self.cfg.sample_cap;
             let u = self.user(user);
-            u.area_sum += area;
-            u.duration_sum += duration;
+            u.area_sum = add_area(u.area_sum, area);
+            u.duration_sum = u.duration_sum.saturating_add(duration);
             if let (Some(req), Some(got)) = (k_req, k_got) {
                 u.k_samples.push(KSample {
                     at,
@@ -683,11 +706,11 @@ impl Auditor {
             } else {
                 row.forwarded_clamped += 1;
             }
-            row.area_sum += area;
-            row.duration_sum += duration;
+            row.area_sum = add_area(row.area_sum, area);
+            row.duration_sum = row.duration_sum.saturating_add(duration);
             if let (Some(req), Some(got)) = (k_req, k_got) {
-                row.k_req_sum += req;
-                row.k_got_sum += got;
+                row.k_req_sum = row.k_req_sum.saturating_add(req);
+                row.k_got_sum = row.k_got_sum.saturating_add(got);
                 row.k_samples += 1;
             }
         }
@@ -698,16 +721,16 @@ impl Auditor {
             } else {
                 row.forwarded_clamped += 1;
             }
-            row.area_sum += area;
-            row.duration_sum += duration;
+            row.area_sum = add_area(row.area_sum, area);
+            row.duration_sum = row.duration_sum.saturating_add(duration);
             if let Some(got) = k_got {
-                row.k_got_sum += got;
+                row.k_got_sum = row.k_got_sum.saturating_add(got);
                 row.k_samples += 1;
             }
         }
         if let (Some(req), Some(got)) = (k_req, k_got) {
-            self.overall_k_req_sum += req;
-            self.overall_k_got_sum += got;
+            self.overall_k_req_sum = self.overall_k_req_sum.saturating_add(req);
+            self.overall_k_got_sum = self.overall_k_got_sum.saturating_add(got);
             self.overall_k_samples += 1;
         }
     }

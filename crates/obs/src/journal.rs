@@ -14,15 +14,18 @@
 //! * `hash` — `sha256("v1:{seq}:{kind}:{payload}:{prev}")` in hex.
 //!
 //! Chaining `prev` through every record makes truncation, reordering,
-//! and in-place edits detectable by [`verify_chain`], which re-derives
-//! every hash from the parsed payload's canonical serialization.
+//! and in-place edits detectable by [`verify_chain`]. Its verifier,
+//! [`ChainCursor::admit`], accepts a line only as the one encoder writes
+//! it — that layout, a payload in canonical form — and re-derives the
+//! hash from the payload bytes it checked.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
-use crate::json::{self, Canonical, Digits, Json};
+use crate::json::{self, Canonical, CanonicalScan, Digits, FormError, Json, Payload};
 use crate::sha256::{HexDigest, Sha256};
 
 /// Journal schema version written into every record.
@@ -155,6 +158,96 @@ impl JournalRecord {
             hash,
         })
     }
+}
+
+/// One record as it stands on a line [`ChainCursor::admit`] verified:
+/// borrowed from the line, nothing parsed into a tree. Its version is
+/// [`JOURNAL_VERSION`]; the verifier refuses any other.
+#[derive(Debug, Clone)]
+pub struct RecordRef<'a> {
+    /// Sequence number.
+    pub seq: u64,
+    /// Event type tag (owned only when the line escapes a character).
+    pub kind: Cow<'a, str>,
+    /// The canonical payload bytes the hash covers.
+    pub payload: Payload<'a>,
+    /// Hash of the previous record.
+    pub prev: Cow<'a, str>,
+    /// This record's hash.
+    pub hash: &'a str,
+}
+
+impl RecordRef<'_> {
+    /// The owned record, its payload parsed into a tree.
+    pub fn to_record(&self) -> Result<JournalRecord, json::ParseError> {
+        Ok(JournalRecord {
+            version: JOURNAL_VERSION,
+            seq: self.seq,
+            kind: self.kind.to_string(),
+            payload: json::parse(self.payload.as_str())?,
+            prev: self.prev.to_string(),
+            hash: self.hash.to_string(),
+        })
+    }
+}
+
+/// The bytes `lit` at `at`; returns the offset past them.
+fn expect(text: &str, at: usize, lit: &str) -> Result<usize, FormError> {
+    if text.as_bytes()[at..].starts_with(lit.as_bytes()) {
+        Ok(at + lit.len())
+    } else {
+        Err((at, "not the member the record layout has here"))
+    }
+}
+
+/// The canonical string at `at`: its raw bytes between the quotes, and
+/// the offset past it.
+fn string_at(text: &str, at: usize) -> Result<(&str, usize), FormError> {
+    let (end, _) = json::check_string(text, at)?;
+    Ok((&text[at + 1..end - 1], end))
+}
+
+/// The plain integer at `at`, and the offset past it.
+fn int_at(text: &str, at: usize) -> Result<(i64, usize), FormError> {
+    let end = json::number_end(text.as_bytes(), at);
+    json::canonical_int(&text[at..end])
+        .map(|n| (n, end))
+        .ok_or((at, "not an integer in plain form within i64"))
+}
+
+/// Reads a line (one trailing newline allowed) as [`encode_record`]
+/// writes it — `{"hash":…,"kind":…,"payload":P,"prev":…,"seq":N,"v":V}`
+/// with `P` in canonical form ([`CanonicalScan`]) — in one pass, and
+/// returns its version with the record. Anything else, even a line that
+/// parses to the same values, is refused.
+fn read_record<'a>(
+    scan: &'a mut CanonicalScan,
+    line: &'a str,
+) -> Result<(i64, RecordRef<'a>), FormError> {
+    let text = line.strip_suffix('\n').unwrap_or(line);
+    let (hash, at) = string_at(text, expect(text, 0, "{\"hash\":")?)?;
+    let (kind, at) = string_at(text, expect(text, at, ",\"kind\":")?)?;
+    let payload_at = expect(text, at, ",\"payload\":")?;
+    let payload_end = scan.check(text, payload_at)?;
+    let (prev, at) = string_at(text, expect(text, payload_end, ",\"prev\":")?)?;
+    let seq_at = expect(text, at, ",\"seq\":")?;
+    let (seq, at) = int_at(text, seq_at)?;
+    let seq = u64::try_from(seq).map_err(|_| (seq_at, "'seq' is negative"))?;
+    let (version, at) = int_at(text, expect(text, at, ",\"v\":")?)?;
+    if &text[at..] != "}" {
+        return Err((at, "expected '}' to end the line"));
+    }
+    let scan: &'a CanonicalScan = scan;
+    Ok((
+        version,
+        RecordRef {
+            seq,
+            kind: json::unescape(kind),
+            payload: scan.payload(&text[payload_at..payload_end]),
+            prev: json::unescape(prev),
+            hash,
+        },
+    ))
 }
 
 /// An append-only journal writer over any byte sink.
@@ -454,8 +547,8 @@ pub struct ChainReport {
 pub struct ChainCursor {
     records: u64,
     head: String,
-    /// The canonical payload of the record under verification; reused.
-    scratch: String,
+    /// The line check's buffers; reused.
+    scan: CanonicalScan,
 }
 
 /// Two cursors are equal when they stand at the same chain position.
@@ -489,7 +582,7 @@ impl ChainCursor {
         ChainCursor {
             records,
             head,
-            scratch: String::new(),
+            scan: CanonicalScan::default(),
         }
     }
 
@@ -503,48 +596,87 @@ impl ChainCursor {
         &self.head
     }
 
-    /// Parses one line and checks it against the chain so far: schema
-    /// version, sequence monotonicity, `prev` link, recomputed hash. On
-    /// success the cursor advances; on failure it is untouched, so the
+    /// Checks one line against the chain so far: the record layout and
+    /// canonical payload (else [`ChainError::Malformed`]), then schema
+    /// version, sequence number, `prev` link and recomputed hash, in that
+    /// order. On success the cursor advances and the record is returned
+    /// borrowed from `line`; on failure the cursor is untouched, so the
     /// same line (or a repaired one) can be offered again. `line_no` is
     /// the 1-based line number used in errors.
-    pub fn admit(&mut self, line_no: usize, line: &str) -> Result<JournalRecord, ChainError> {
-        let record = JournalRecord::parse_line(line).map_err(|e| match e {
-            ChainError::Malformed { message, .. } => ChainError::Malformed {
+    pub fn admit<'a>(
+        &'a mut self,
+        line_no: usize,
+        line: &'a str,
+    ) -> Result<RecordRef<'a>, ChainError> {
+        let record = check(&mut self.scan, self.records, &self.head, line_no, line)?;
+        self.head.clear();
+        self.head.push_str(record.hash);
+        self.records += 1;
+        Ok(record)
+    }
+
+    /// [`admit`](ChainCursor::admit), returning the record owned, its
+    /// payload parsed into a tree.
+    pub(crate) fn admit_record(
+        &mut self,
+        line_no: usize,
+        line: &str,
+    ) -> Result<JournalRecord, ChainError> {
+        let record = check(&mut self.scan, self.records, &self.head, line_no, line)?
+            .to_record()
+            .map_err(|e| ChainError::Malformed {
                 line: line_no,
-                message,
-            },
-            other => other,
-        })?;
-        if record.version != JOURNAL_VERSION {
-            return Err(ChainError::BadVersion {
-                line: line_no,
-                found: record.version,
-            });
-        }
-        if record.seq != self.records {
-            return Err(ChainError::BadSequence {
-                line: line_no,
-                expected: self.records,
-                found: record.seq,
-            });
-        }
-        if record.prev != self.head {
-            return Err(ChainError::BrokenLink { line: line_no });
-        }
-        // The one verifier: the hash is re-derived from the *parsed*
-        // payload's canonical form, never from the bytes on the line, so
-        // a record written by a non-canonical encoder cannot verify.
-        self.scratch.clear();
-        record.payload.write_canonical(&mut self.scratch);
-        let recomputed = record_digest(record.seq, &record.kind, &self.scratch, &record.prev);
-        if recomputed.as_str() != record.hash {
-            return Err(ChainError::BadHash { line: line_no });
-        }
+                message: e.to_string(),
+            })?;
         self.head.clone_from(&record.hash);
         self.records += 1;
         Ok(record)
     }
+}
+
+/// The one verifier behind [`ChainCursor`]: is `line` the record that
+/// follows `(records, head)`? The hash is re-derived from the payload
+/// bytes on the line — which [`read_record`] has checked are exactly
+/// the canonical form, so they are the bytes the encoder hashed, and a
+/// writer that emitted anything else cannot verify.
+fn check<'a>(
+    scan: &'a mut CanonicalScan,
+    records: u64,
+    head: &str,
+    line_no: usize,
+    line: &'a str,
+) -> Result<RecordRef<'a>, ChainError> {
+    let (version, record) =
+        read_record(scan, line).map_err(|(at, what)| ChainError::Malformed {
+            line: line_no,
+            message: format!("byte {at}: {what}"),
+        })?;
+    if version != JOURNAL_VERSION {
+        return Err(ChainError::BadVersion {
+            line: line_no,
+            found: version,
+        });
+    }
+    if record.seq != records {
+        return Err(ChainError::BadSequence {
+            line: line_no,
+            expected: records,
+            found: record.seq,
+        });
+    }
+    if record.prev != head {
+        return Err(ChainError::BrokenLink { line: line_no });
+    }
+    let recomputed = record_digest(
+        record.seq,
+        &record.kind,
+        record.payload.as_str(),
+        &record.prev,
+    );
+    if recomputed.as_str() != record.hash {
+        return Err(ChainError::BadHash { line: line_no });
+    }
+    Ok(record)
 }
 
 /// A streaming reader over a journal: yields each record after checking
@@ -554,9 +686,9 @@ impl ChainCursor {
 /// and [`head`](JournalReader::head) then describe the verified prefix.
 ///
 /// [`verify_chain`] is this reader run to completion. Replay consumers
-/// (`hka-audit`) drive the reader directly so an arbitrarily large
-/// journal is verified and analyzed in one pass without buffering every
-/// record in memory.
+/// (`hka-audit`) drive the lending read ([`next_ref`](JournalReader::next_ref))
+/// so an arbitrarily large journal is verified and analyzed in one pass
+/// without buffering a record, or building one.
 #[derive(Debug)]
 pub struct JournalReader<R: BufRead> {
     input: R,
@@ -609,12 +741,24 @@ impl<R: BufRead> JournalReader<R> {
     pub fn head(&self) -> &str {
         self.cursor.head()
     }
-}
 
-impl<R: BufRead> Iterator for JournalReader<R> {
-    type Item = Result<JournalRecord, ChainError>;
+    /// The lending read: the next record, verified, borrowed from the
+    /// reader's line buffer until the next call — no tree, no copy. The
+    /// first failure is returned as an `Err` and reading stops, exactly
+    /// as the [`Iterator`] does.
+    pub fn next_ref(&mut self) -> Option<Result<RecordRef<'_>, ChainError>> {
+        if let Err(e) = self.next_line()? {
+            return Some(Err(e));
+        }
+        let result = self.cursor.admit(self.line_no, &self.line);
+        self.done = result.is_err();
+        Some(result)
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Reads the next non-blank line into `line` (`None` at the end, or
+    /// after a failure). The first one may seed the cursor from a
+    /// checkpoint anchor.
+    fn next_line(&mut self) -> Option<Result<(), ChainError>> {
         if self.done {
             return None;
         }
@@ -641,12 +785,21 @@ impl<R: BufRead> Iterator for JournalReader<R> {
                     self.cursor = ChainCursor::resume(records, head);
                 }
             }
-            let result = self.cursor.admit(self.line_no, &self.line);
-            if result.is_err() {
-                self.done = true;
-            }
-            return Some(result);
+            return Some(Ok(()));
         }
+    }
+}
+
+impl<R: BufRead> Iterator for JournalReader<R> {
+    type Item = Result<JournalRecord, ChainError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Err(e) = self.next_line()? {
+            return Some(Err(e));
+        }
+        let result = self.cursor.admit_record(self.line_no, &self.line);
+        self.done = result.is_err();
+        Some(result)
     }
 }
 
@@ -803,6 +956,9 @@ pub fn recover(path: &std::path::Path) -> io::Result<(Journal<std::fs::File>, Re
     }
     Ok((journal, report))
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1073,6 +1229,147 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Rewrites that keep a line parseable but not the encoder's bytes
+    /// (refused as `Malformed`), or keep it canonical but break the
+    /// chain (refused as the tree refuses it).
+    const REWRITES: [(&str, &str); 18] = [
+        (":", ": "),
+        ("\"user\":", "\"user\":0"),
+        (":0,", ":-0,"),
+        (",", " ,"),
+        (".0,", ".00,"),
+        (".0]", "]"),
+        ("e15", "E15"),
+        ("e15", "e+15"),
+        ("\\u001f", "\\u001F"),
+        ("\\u0000", "\\u0000\\u0000"),
+        ("\\n", "\\u000a"),
+        ("caf\u{e9}", "caf\\u00e9"),
+        ("\"v\":1}", "\"v\":2}"),
+        ("\"v\":1}", "\"v\":1.0}"),
+        ("\"seq\":", "\"seq\":1"),
+        ("\"prev\":\"", "\"prev\":\"0"),
+        ("\"payload\":", "\"payload\":{\"a\":0,\"a\":1,\"b\":"),
+        ("9", "8"),
+    ];
+
+    /// Bytes the random mutants draw from (as `tests/wire_fuzz.rs`).
+    const ALPHABET: [&str; 22] = [
+        "0", "1", "7", "9", "-", "+", ".", "e", "E", "\"", "{", "}", "[", "]", ",", ":", " ", "\\",
+        "n", "x", "t", "é",
+    ];
+
+    /// Offers every line of `bytes`, and mutants of each at the same
+    /// chain position, to the verifier and the tree oracle. Returns the
+    /// lines admitted.
+    fn differential(bytes: &str, first: u64, prev: &str, mutants: usize) -> u64 {
+        let mut cursor = ChainCursor::resume(first, prev.to_string());
+        let mut rng = 0x5eed_0040_u64;
+        let mut next = move |n: usize| {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (rng >> 33) as usize % n
+        };
+        for (i, line) in bytes.split_inclusive('\n').enumerate() {
+            for (from, to) in REWRITES {
+                for (at, _) in line.match_indices(from).take(3) {
+                    let bad = format!("{}{to}{}", &line[..at], &line[at + from.len()..]);
+                    oracle::assert_agree(&mut cursor.clone(), i + 1, &bad);
+                }
+            }
+            for bad in [
+                format!(" {line}"),
+                line.replace('\n', "\r\n"),
+                line.trim_end().to_string(),
+            ] {
+                oracle::assert_agree(&mut cursor.clone(), i + 1, &bad);
+            }
+            for _ in 0..mutants {
+                let mut bad: Vec<char> = line.chars().collect();
+                for _ in 0..1 + next(2) {
+                    let at = next(bad.len());
+                    let with = ALPHABET[next(ALPHABET.len())].chars().next().unwrap_or(' ');
+                    match next(3) {
+                        0 => bad[at] = with,
+                        1 => bad.insert(at, with),
+                        _ => drop(bad.remove(at)),
+                    }
+                }
+                let bad: String = bad.into_iter().collect();
+                oracle::assert_agree(&mut cursor.clone(), i + 1, &bad);
+            }
+            assert!(oracle::assert_agree(&mut cursor, i + 1, line), "{line:?}");
+        }
+        cursor.records()
+    }
+
+    #[test]
+    fn the_line_verifier_agrees_with_the_tree_oracle() {
+        let fixture = include_str!("../../../tests/fixtures/journal_v1.jsonl");
+        assert_eq!(
+            differential(fixture, 0, GENESIS_HASH, 300),
+            fixture.lines().count() as u64
+        );
+        let events = awkward_events();
+        for (first, prev) in [(0, GENESIS_HASH), (41, HOSTILE[2]), (7, HOSTILE[6])] {
+            let mut journal = Journal::resume(Vec::new(), first, prev.to_string());
+            for (kind, payload) in &events {
+                journal.append(kind, payload).unwrap();
+            }
+            let bytes = String::from_utf8(journal.into_inner()).unwrap();
+            assert_eq!(
+                differential(&bytes, first, prev, 100),
+                first + events.len() as u64
+            );
+        }
+    }
+
+    #[test]
+    fn a_hand_respelled_line_with_a_good_hash_is_malformed() {
+        // The payload `{"user":1.50}` spells the same value as the
+        // encoder's `1.5`, and the stored hash is the hash of that
+        // canonical form: the tree verifier admitted the line, the line
+        // verifier refuses it, because it is not the encoder's bytes.
+        let mut journal = Journal::new(Vec::new());
+        journal
+            .append("test.event", Json::obj([("user", Json::Num(1.5))]))
+            .unwrap();
+        let line = String::from_utf8(journal.into_inner()).unwrap();
+        let respelled = line.replace("1.5}", "1.50}");
+        let mut tree = oracle::TreeCursor {
+            records: 0,
+            head: GENESIS_HASH.to_string(),
+        };
+        assert!(tree.admit(1, &respelled).is_ok());
+        assert!(matches!(
+            verify_chain(respelled.as_bytes()),
+            Err(ChainError::Malformed { line: 1, .. })
+        ));
+        assert!(verify_chain(line.as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn the_lending_read_yields_what_the_iterator_does() {
+        let bytes = build_journal(6);
+        let owned: Vec<JournalRecord> = JournalReader::new(&bytes[..])
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let mut reader = JournalReader::new(&bytes[..]);
+        let mut lent = Vec::new();
+        while let Some(record) = reader.next_ref() {
+            let record = record.unwrap();
+            assert_eq!(
+                record.payload.get("user"),
+                Some(json::Scalar::Int(lent.len() as i64))
+            );
+            lent.push(record.to_record().unwrap());
+        }
+        assert_eq!(lent, owned);
+        assert_eq!(reader.records_read(), 6);
+        assert_eq!(reader.head(), owned[5].hash);
     }
 
     #[test]

@@ -43,10 +43,10 @@ pub mod trace;
 pub use checkpoint::{CheckpointAnchor, Snapshot, CHECKPOINT_KIND, SNAPSHOT_VERSION};
 pub use journal::{
     event_hash, recover, verify_chain, BoxedJournal, ChainCursor, ChainError, ChainReport,
-    DurableJournal, DurableSink, Journal, JournalReader, JournalRecord, RecoveryReport, Unsynced,
-    GENESIS_HASH, JOURNAL_VERSION,
+    DurableJournal, DurableSink, Journal, JournalReader, JournalRecord, RecordRef, RecoveryReport,
+    Unsynced, GENESIS_HASH, JOURNAL_VERSION,
 };
-pub use json::{Canonical, Json, ObjectWriter};
+pub use json::{Canonical, Json, ObjectWriter, Payload, Scalar};
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };

@@ -213,7 +213,7 @@ impl JournalTailer {
                         self.cursor = ChainCursor::resume(records, head);
                     }
                 }
-                match self.cursor.admit(self.line_no, line) {
+                match self.cursor.admit_record(self.line_no, line) {
                     Ok(record) => batch.records.push(TailedRecord {
                         offset: record_offset,
                         record,

@@ -71,9 +71,8 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cargo run --release -q --bin hka-sim -- simulate --days 2 --commuters 4 \
     --roamers 20 --trace-out "$tmp/ts.journal" > /dev/null
-cargo run --release -q -p hka-audit --bin hka-audit -- --journal "$tmp/ts.journal" \
+cargo run --release -q --bin hka-sim -- audit --journal "$tmp/ts.journal" \
     --json "$tmp/audit.json" --quiet
-cargo run --release -q --bin hka-sim -- audit --journal "$tmp/ts.journal" --quiet
 
 echo "== watch (live-tail smoke: report byte-identical to offline audit) =="
 cargo run --release -q --bin hka-sim -- watch "$tmp/ts.journal" \

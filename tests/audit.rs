@@ -278,8 +278,9 @@ fn tampered_journal_is_detected_with_prefix_preserved() {
     let (_ts, sink) = run_pipeline();
     let text = String::from_utf8(sink.0.lock().unwrap_or_else(|e| e.into_inner()).clone()).unwrap();
     let total = text.lines().count() as u64;
-    // Flip one payload byte somewhere in the middle of the journal.
-    let tampered = text.replacen("\"generalized\":false", "\"generalized\":true ", 1);
+    // Flip one payload value somewhere in the middle of the journal. The
+    // line keeps the encoder's form, so what gives it away is its hash.
+    let tampered = text.replacen("\"generalized\":false", "\"generalized\":true", 1);
     assert_ne!(text, tampered, "tamper target not found");
 
     let out = audit::replay(tampered.as_bytes(), AuditConfig::default());
@@ -287,6 +288,17 @@ fn tampered_journal_is_detected_with_prefix_preserved() {
     assert!(!out.ok());
     assert!(out.chain.error.as_deref().unwrap().contains("hash"));
     assert!(out.chain.records < total, "audit must stop at the tamper");
+
+    // A respelling the encoder never writes (a space after the value) is
+    // refused before any hash: the line is not the encoder's bytes.
+    let respelled = text.replacen("\"generalized\":false", "\"generalized\":false ", 1);
+    let out = audit::replay(respelled.as_bytes(), AuditConfig::default());
+    assert!(!out.chain.verified());
+    assert!(out.chain.error.as_deref().unwrap().contains("malformed"));
+    assert!(
+        out.chain.records < total,
+        "audit must stop at the respelling"
+    );
 }
 
 /// A fail-open journal — one a buggy or compromised server would write —

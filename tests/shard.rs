@@ -10,6 +10,12 @@
 
 use hka::obs;
 use hka::prelude::*;
+// For the shared tree oracle (`super::` there).
+use hka::obs::{event_hash, ChainCursor, ChainError, JournalRecord, Json, JOURNAL_VERSION};
+
+#[allow(dead_code)]
+#[path = "../crates/obs/src/journal/oracle.rs"]
+mod oracle;
 
 fn build_world(seed: u64, days: i64) -> World {
     World::generate(&WorldConfig {
@@ -500,4 +506,39 @@ fn sharded_journal_verifies_and_audits_clean() {
         "{:?}",
         outcome.schema_issues
     );
+}
+
+/// Both cadences' journals, line by line, get the verdict of the tree
+/// verifier the line verifier replaced: every line admitted, each as
+/// the record the tree parses.
+#[test]
+fn both_cadences_journals_get_the_tree_verifiers_verdict() {
+    let dir = scratch("oracle");
+    let world = build_world(17, 3);
+    let record_path = dir.join("record.jsonl");
+    let mut seq = setup_seq(&world, TsConfig::default());
+    seq.attach_journal(record_journal(&record_path));
+    drive_seq(&mut seq, &world.events);
+    seq.flush_journal().unwrap();
+    drop(seq);
+    let group_path = dir.join("group.jsonl");
+    let mut grp = setup_group(&world, TsConfig::default(), group_file(&group_path));
+    drive_group(&mut grp, &world.events);
+    grp.flush_journal().unwrap();
+    drop(grp);
+
+    for path in [&record_path, &group_path] {
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut cursor = ChainCursor::new();
+        for (i, line) in text.split_inclusive('\n').enumerate() {
+            assert!(oracle::assert_agree(&mut cursor, i + 1, line), "{line:?}");
+        }
+        assert!(
+            cursor.records() > 100,
+            "{}: {} records",
+            path.display(),
+            cursor.records()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

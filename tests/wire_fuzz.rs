@@ -1,9 +1,11 @@
 //! Seeded grammar fuzz for the three line parsers that bytes from
 //! outside reach: `parse_wire_msg` (client frames), `parse_wire_reply`
-//! (server frames) and `JournalRecord::parse_line` (journal lines).
+//! (server frames) and `JournalRecord::parse_line` (journal lines) —
+//! and for the two consumers of a journal line: the chain verifier and
+//! the auditor.
 //!
 //! A fixed seed and a fixed case count over the in-tree `rand`, so every
-//! run checks the same inputs. Three properties:
+//! run checks the same inputs. Five properties:
 //!
 //! 1. The allocation-free fast path for the canonical location frame
 //!    agrees with the general JSON parser, on canonical frames and on
@@ -14,12 +16,24 @@
 //!    returns the original value.
 //! 3. A mutated frame or journal line parses to `Err`, or to a value
 //!    whose coordinates are finite. No parser panics.
+//! 4. The chain verifier gives a mutated journal line the verdict of
+//!    the tree verifier it replaced (`oracle::assert_agree`).
+//! 5. A journal whose payload values are hostile but whose chain is
+//!    valid — anyone can write one, the hash is unkeyed — replays and
+//!    reports without a panic, the same through the lending replay as
+//!    through owned records.
 
-use hka::obs::{Journal, JournalRecord, Json};
+use hka::obs::{ChainCursor, ChainError, Journal, JournalRecord, Json};
+// For the shared tree oracle (`super::` there).
+use hka::obs::{event_hash, JOURNAL_VERSION};
 use hka::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
+
+#[allow(dead_code)]
+#[path = "../crates/obs/src/journal/oracle.rs"]
+mod oracle;
 
 const SEED: u64 = 0x5eed_f022;
 const CASES: usize = 2_000;
@@ -292,4 +306,118 @@ fn journal_lines_round_trip_and_mutants_fail_closed() {
             }
         }
     }
+}
+
+#[test]
+fn journal_line_mutants_get_the_tree_verifiers_verdict() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 3);
+    let kinds = ["ts.forwarded", "checkpoint", "k\"ind", "caf\u{e9}\n"];
+    let mut journal = Journal::new(Vec::new());
+    for _ in 0..CASES {
+        let kind = one_of(&mut rng, &kinds);
+        journal.append(kind, payload(&mut rng, 3)).unwrap();
+    }
+    let text = String::from_utf8(journal.into_inner()).unwrap();
+    let mut cursor = ChainCursor::new();
+    for (i, line) in text.split_inclusive('\n').enumerate() {
+        for _ in 0..MUTANTS {
+            oracle::assert_agree(&mut cursor.clone(), i + 1, &mutant(&mut rng, line));
+        }
+        assert!(oracle::assert_agree(&mut cursor, i + 1, line), "{line:?}");
+    }
+    assert_eq!(cursor.records(), CASES as u64);
+}
+
+/// Complete, well-typed payloads of every kind the auditor decodes.
+const AUDITED: [(&str, &str); 8] = [
+    (
+        "ts.forwarded",
+        r#"{"at":100,"generalized":true,"hk_ok":false,"k_got":2,"k_req":5,"lbqid":"commute","service":1,"t_end":110,"t_start":90,"user":7,"x_max":10.0,"x_min":0.0,"y_max":20.0,"y_min":0.0}"#,
+    ),
+    (
+        "ts.suppressed",
+        r#"{"at":90,"reason":"mix_zone","service":0,"user":3}"#,
+    ),
+    ("ts.pseudonym_changed", r#"{"at":95,"user":7}"#),
+    ("ts.at_risk", r#"{"at":80,"lbqid":"commute","user":7}"#),
+    (
+        "ts.lbqid_matched",
+        r#"{"at":85,"lbqid":"commute","user":7}"#,
+    ),
+    (
+        "ts.mode_changed",
+        r#"{"at":5,"from":"normal","to":"degraded"}"#,
+    ),
+    (
+        "journal.recovered",
+        r#"{"truncated_bytes":57,"valid_records":12}"#,
+    ),
+    (
+        "checkpoint",
+        r#"{"file":"checkpoint-000005.snap","head":"","records":0,"snapshot":"abc"}"#,
+    ),
+];
+
+/// A value a hostile writer might put where the auditor expects another.
+fn hostile(rng: &mut StdRng) -> Json {
+    match rng.random_range(0..3u32) {
+        0 => payload(rng, 1),
+        1 => Json::Int(one_of(rng, &[i64::MIN, i64::MAX, -1, 0, 1])),
+        _ => match rng.random_range(0..4u32) {
+            0 => Json::Num(one_of(rng, &[f64::MAX, -f64::MAX, f64::MIN_POSITIVE, -0.0])),
+            1 => Json::from(one_of(rng, &["normal", "degraded", "read_only"])),
+            _ => Json::Null,
+        },
+    }
+}
+
+#[test]
+fn hostile_values_in_a_valid_chain_never_panic_the_auditor() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 4);
+    let mut journal = Journal::new(Vec::new());
+    for _ in 0..CASES {
+        let (kind, template) = one_of(&mut rng, &AUDITED);
+        let Ok(Json::Obj(mut members)) = hka::obs::json::parse(template) else {
+            unreachable!("templates are objects")
+        };
+        if kind == "checkpoint" && rng.random_bool(0.5) {
+            // An anchor that tells the truth about where it sits.
+            members.insert("records".into(), Json::from(journal.next_seq()));
+            members.insert("head".into(), Json::from(journal.head()));
+        }
+        let names: Vec<String> = members.keys().cloned().collect();
+        for _ in 0..rng.random_range(0..4u32) {
+            let name = names[rng.random_range(0..names.len())].clone();
+            if rng.random_bool(0.2) {
+                members.remove(&name);
+            } else {
+                members.insert(name, hostile(&mut rng));
+            }
+        }
+        journal.append(kind, Json::Obj(members)).unwrap();
+    }
+    let bytes = journal.into_inner();
+    let cfg = hka::audit::AuditConfig::default();
+    let lent = hka::audit::replay(&bytes[..], cfg);
+    assert!(lent.chain.verified(), "{:?}", lent.chain.error);
+    assert_eq!(lent.chain.records, CASES as u64);
+    assert!(!lent.schema_issues.is_empty() && lent.totals.forwarded() > 0);
+
+    // The owned path (tail and benchmark) decodes the same records the
+    // same way.
+    let chain = hka::obs::verify_chain(&bytes[..]).unwrap();
+    let mut auditor = hka::audit::Auditor::new(cfg);
+    for record in &chain.records {
+        auditor.ingest(record);
+    }
+    let owned = auditor.finish(hka::audit::ChainSummary {
+        records: chain.records.len() as u64,
+        head: chain.head,
+        error: None,
+    });
+    let report = lent.to_json().to_string();
+    assert_eq!(report, owned.to_json().to_string());
+    // The report is JSON the parser reads back: no infinity in it.
+    assert!(hka::obs::json::parse(&report).is_ok());
+    assert!(!lent.render().is_empty());
 }
