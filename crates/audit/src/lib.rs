@@ -44,8 +44,8 @@ pub use timeline::{
 use std::io::{BufRead, Seek, SeekFrom};
 use std::path::Path;
 
-use hka_obs::checkpoint::{CheckpointAnchor, Snapshot};
-use hka_obs::{JournalReader, JournalRecord};
+use hka_obs::checkpoint::{find_anchor, Snapshot};
+use hka_obs::JournalReader;
 
 /// Section name under which checkpoint snapshots carry serialized audit
 /// state (see [`Auditor::to_state`]).
@@ -92,77 +92,74 @@ fn invalid(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Restores the auditor held in a snapshot's `audit` section.
-pub(crate) fn restore_auditor(
-    snapshot: &Snapshot,
+/// Where a checkpoint snapshot lets a replay of `journal` resume: the
+/// auditor its `audit` section restores, the byte offset of the anchor
+/// record binding it into `journal` ([`find_anchor`]), and the snapshot.
+/// Every binding (chain position, head, snapshot content hash) is
+/// verified first. Fail-closed: any mismatch or a missing anchor is an
+/// `InvalidData` error.
+///
+/// The search reads only the lines that spell the checkpoint kind, and
+/// hashes none, so it stays far cheaper than a per-record hash replay.
+pub(crate) fn resume_point(
+    journal: &Path,
     snapshot_path: &Path,
-) -> std::io::Result<Auditor> {
+) -> std::io::Result<(Auditor, u64, Snapshot)> {
+    let (snapshot, file_hash) = Snapshot::read(snapshot_path)?;
     let state = snapshot.section(AUDIT_SECTION).ok_or_else(|| {
         invalid(format!(
             "{}: snapshot has no 'audit' section",
             snapshot_path.display()
         ))
     })?;
-    Auditor::from_state(state)
-        .map_err(|e| invalid(format!("{}: bad audit state: {e}", snapshot_path.display())))
+    let auditor = Auditor::from_state(state)
+        .map_err(|e| invalid(format!("{}: bad audit state: {e}", snapshot_path.display())))?;
+    let input = std::io::BufReader::new(std::fs::File::open(journal)?);
+    let found = find_anchor(input, |offset, anchor| {
+        (anchor.records == snapshot.records).then_some((offset, anchor))
+    })?;
+    let Some((offset, anchor)) = found else {
+        return Err(invalid(format!(
+            "{}: no checkpoint anchor at seq {} — cannot resume from {}",
+            journal.display(),
+            snapshot.records,
+            snapshot_path.display()
+        )));
+    };
+    if anchor.head != snapshot.head {
+        return Err(invalid(format!(
+            "{}: anchor head does not match snapshot head",
+            journal.display()
+        )));
+    }
+    if anchor.snapshot != file_hash {
+        return Err(invalid(format!(
+            "{}: snapshot content hash {file_hash} does not match anchor {}",
+            snapshot_path.display(),
+            anchor.snapshot
+        )));
+    }
+    Ok((auditor, offset, snapshot))
 }
 
-/// Finds the byte offset of the checkpoint anchor record binding
-/// `snapshot` into `journal`, verifying every binding (chain position,
-/// head, snapshot content hash) before returning. Fail-closed: any
-/// mismatch or a missing anchor is an `InvalidData` error.
-///
-/// The scan is a cheap line search — only complete lines that name the
-/// checkpoint kind are parsed at all — so it stays far cheaper than a
-/// per-record hash replay.
-pub(crate) fn locate_anchor(
+/// A verifying reader over `journal` from the anchor record at
+/// `offset`, which sits at `snapshot`'s chain position. The anchor's
+/// prev is the snapshot head, so it is the first record admitted, and a
+/// resumed replay ingests it as a genesis replay does — byte-identical
+/// outcomes.
+fn suffix_reader(
     journal: &Path,
-    snapshot: &Snapshot,
-    file_hash: &str,
-    snapshot_path: &Path,
-) -> std::io::Result<u64> {
-    let mut input = std::io::BufReader::new(std::fs::File::open(journal)?);
-    let mut offset: u64 = 0;
-    let mut line = Vec::new();
-    let needle = format!("\"kind\":\"{}\"", hka_obs::CHECKPOINT_KIND);
-    loop {
-        line.clear();
-        let n = input.read_until(b'\n', &mut line)?;
-        if n == 0 || !line.ends_with(b"\n") {
-            return Err(invalid(format!(
-                "{}: no checkpoint anchor at seq {} — cannot resume from {}",
-                journal.display(),
-                snapshot.records,
-                snapshot_path.display()
-            )));
-        }
-        if let Ok(text) = std::str::from_utf8(&line) {
-            if text.contains(&needle) {
-                if let Ok(record) = JournalRecord::parse_line(text.trim_end_matches(['\n', '\r'])) {
-                    if record.seq == snapshot.records {
-                        let anchor = CheckpointAnchor::of_record(&record)
-                            .map_err(|e| invalid(format!("{}: {e}", journal.display())))?
-                            .ok_or_else(|| invalid("checkpoint record lost its kind mid-parse"))?;
-                        if anchor.head != snapshot.head {
-                            return Err(invalid(format!(
-                                "{}: anchor head does not match snapshot head",
-                                journal.display()
-                            )));
-                        }
-                        if anchor.snapshot != file_hash {
-                            return Err(invalid(format!(
-                                "{}: snapshot content hash {file_hash} does not match anchor {}",
-                                snapshot_path.display(),
-                                anchor.snapshot
-                            )));
-                        }
-                        return Ok(offset);
-                    }
-                }
-            }
-        }
-        offset += n as u64;
-    }
+    offset: u64,
+    snapshot: Snapshot,
+) -> std::io::Result<JournalReader<std::io::BufReader<std::fs::File>>> {
+    let mut file = std::fs::File::open(journal)?;
+    file.seek(SeekFrom::Start(offset))?;
+    let input = std::io::BufReader::new(file);
+    Ok(JournalReader::resume(
+        input,
+        snapshot.records,
+        snapshot.head,
+    ))
 }
 
 /// Replays `snapshot + journal suffix` to the byte-identical outcome of
@@ -172,9 +169,9 @@ pub(crate) fn locate_anchor(
 /// records `0..snapshot.records`; the journal is then scanned for the
 /// checkpoint anchor at seq `snapshot.records` and verification resumes
 /// from there, ingesting the anchor record and everything after it. The
-/// scan is a cheap line search (no per-record hashing), which is where
-/// the speedup over a genesis replay comes from. Works on full journals
-/// and on journals whose prefix was truncated away at the anchor.
+/// search hashes nothing, which is where the speedup over a genesis
+/// replay comes from. Works on full journals and on journals whose
+/// prefix was truncated away at the anchor.
 ///
 /// Fail-closed: every binding is checked before any state is trusted —
 /// the snapshot file must hash to what the anchor recorded, and the
@@ -183,21 +180,8 @@ pub(crate) fn locate_anchor(
 /// error; callers fall back to the previous checkpoint or to a genesis
 /// replay, never to a partially-trusted resume.
 pub fn resume_from_snapshot(journal: &Path, snapshot_path: &Path) -> std::io::Result<AuditOutcome> {
-    let (snapshot, file_hash) = Snapshot::read(snapshot_path)?;
-    let auditor = restore_auditor(&snapshot, snapshot_path)?;
-    let anchor_offset = locate_anchor(journal, &snapshot, &file_hash, snapshot_path)?;
-
-    // Resume chain verification at the anchor: its prev is the snapshot
-    // head, so the anchor record itself is the first one admitted, and
-    // both replay paths ingest it — byte-identical outcomes.
-    let mut file = std::fs::File::open(journal)?;
-    file.seek(SeekFrom::Start(anchor_offset))?;
-    let reader = JournalReader::resume(
-        std::io::BufReader::new(file),
-        snapshot.records,
-        snapshot.head.clone(),
-    );
-    Ok(fold(auditor, reader))
+    let (auditor, offset, snapshot) = resume_point(journal, snapshot_path)?;
+    Ok(fold(auditor, suffix_reader(journal, offset, snapshot)?))
 }
 
 /// Replays `journal` to its end and returns the auditor's serialized
@@ -220,17 +204,8 @@ pub fn state_at(
 ) -> std::io::Result<(hka_obs::Json, u64, String)> {
     match resume {
         Some(snapshot_path) => {
-            let (snapshot, file_hash) = Snapshot::read(snapshot_path)?;
-            let auditor = restore_auditor(&snapshot, snapshot_path)?;
-            let offset = locate_anchor(journal, &snapshot, &file_hash, snapshot_path)?;
-            let mut file = std::fs::File::open(journal)?;
-            file.seek(SeekFrom::Start(offset))?;
-            let reader = JournalReader::resume(
-                std::io::BufReader::new(file),
-                snapshot.records,
-                snapshot.head.clone(),
-            );
-            finish_state(auditor, reader)
+            let (auditor, offset, snapshot) = resume_point(journal, snapshot_path)?;
+            finish_state(auditor, suffix_reader(journal, offset, snapshot)?)
         }
         None => {
             let file = std::fs::File::open(journal)?;

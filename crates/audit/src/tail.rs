@@ -17,16 +17,16 @@
 //! canonical JSON is byte-identical to offline
 //! [`replay_file`](crate::replay_file) on the same journal. The tail
 //! path and the batch path share every moving part ([`ChainCursor`]
-//! for verification, [`Auditor::ingest`] for state), so the guarantee
-//! is structural, and `tests/tail.rs` enforces it under chaos
-//! schedules too.
+//! for verification, [`Auditor::ingest_ref`] for decoding and state),
+//! so the guarantee is structural, and `tests/tail.rs` enforces it
+//! under chaos schedules too.
 //!
 //! [`ChainCursor`]: hka_obs::ChainCursor
 
 use std::path::Path;
 
 use hka_obs::journal::ChainError;
-use hka_obs::{JournalTailer, Json};
+use hka_obs::{JournalTailer, Json, Payload, Scalar};
 
 use crate::event::Mode;
 use crate::report::{AuditOutcome, ChainSummary};
@@ -212,15 +212,49 @@ pub struct TailAuditor {
     tailer: JournalTailer,
     auditor: Auditor,
     torn_bytes: u64,
+    banner: Banner,
+}
+
+/// Watch-surface state from journaled telemetry. It never feeds the
+/// audit outcome, so tail/offline byte-equality is untouched.
+#[derive(Debug, Default)]
+struct Banner {
     /// SLO objectives currently in breach, from journaled watchdog
-    /// transitions. Watch-surface state only — it never feeds the audit
-    /// outcome, so tail/offline byte-equality is untouched.
+    /// transitions.
     slo_active: std::collections::BTreeSet<String>,
     slo_breaches: u64,
     worst_trace: Option<(u64, u64)>,
     /// Latest journaled gateway stats `(conns, drains, queue_depth)`.
-    /// Watch-surface only, like the SLO banner state.
     gw_stats: Option<(u64, u64, u64)>,
+}
+
+impl Banner {
+    /// Folds one record into the banner: SLO transitions and gateway
+    /// stats; every other kind leaves it as it was.
+    fn note(&mut self, kind: &str, payload: &Payload<'_>) {
+        let int = |key: &str| payload.get(key).and_then(|v| v.as_int());
+        let slo = || {
+            let name = payload.get("slo").and_then(Scalar::into_str);
+            name.map_or_else(|| "?".to_string(), |name| name.into_owned())
+        };
+        match kind {
+            "ts.slo_breach" => {
+                self.slo_breaches += 1;
+                self.slo_active.insert(slo());
+                if let Some(t) = int("worst_trace") {
+                    self.worst_trace = Some((t as u64, int("worst_us").unwrap_or(0) as u64));
+                }
+            }
+            "ts.slo_recovered" => {
+                self.slo_active.remove(&slo());
+            }
+            "gw.stats" => {
+                let n = |key: &str| int(key).unwrap_or(0) as u64;
+                self.gw_stats = Some((n("conns"), n("drains"), n("queue_depth")));
+            }
+            _ => {}
+        }
+    }
 }
 
 impl TailAuditor {
@@ -231,10 +265,7 @@ impl TailAuditor {
             tailer: JournalTailer::open(path),
             auditor: Auditor::new(cfg),
             torn_bytes: 0,
-            slo_active: std::collections::BTreeSet::new(),
-            slo_breaches: 0,
-            worst_trace: None,
-            gw_stats: None,
+            banner: Banner::default(),
         }
     }
 
@@ -248,73 +279,34 @@ impl TailAuditor {
     /// [`crate::resume_from_snapshot`]: any anchor/hash mismatch is an
     /// error, never a silently different audit.
     pub fn resume_from_snapshot(path: &Path, snapshot_path: &Path) -> std::io::Result<Self> {
-        let (snapshot, file_hash) = hka_obs::Snapshot::read(snapshot_path)?;
-        let auditor = crate::restore_auditor(&snapshot, snapshot_path)?;
-        let offset = crate::locate_anchor(path, &snapshot, &file_hash, snapshot_path)?;
+        let (auditor, offset, snapshot) = crate::resume_point(path, snapshot_path)?;
         Ok(TailAuditor {
-            tailer: JournalTailer::resume(path, offset, snapshot.records, snapshot.head.clone()),
+            tailer: JournalTailer::resume(path, offset, snapshot.records, snapshot.head),
             auditor,
             torn_bytes: 0,
-            slo_active: std::collections::BTreeSet::new(),
-            slo_breaches: 0,
-            worst_trace: None,
-            gw_stats: None,
+            banner: Banner::default(),
         })
     }
 
-    /// Folds one journaled SLO transition into the watch-surface state.
-    fn note_slo(&mut self, kind: &str, payload: &Json) {
-        let name = payload
-            .get("slo")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string();
-        match kind {
-            "ts.slo_breach" => {
-                self.slo_breaches += 1;
-                self.slo_active.insert(name);
-                let trace = payload.get("worst_trace").and_then(Json::as_int);
-                let us = payload.get("worst_us").and_then(Json::as_int);
-                if let Some(t) = trace {
-                    self.worst_trace = Some((t as u64, us.unwrap_or(0) as u64));
-                }
-            }
-            "ts.slo_recovered" => {
-                self.slo_active.remove(&name);
-            }
-            _ => {}
-        }
-    }
-
-    /// Folds one journaled gateway stats record into the watch-surface
-    /// state. Like [`TailAuditor::note_slo`], this never feeds the
-    /// audit outcome.
-    fn note_gw(&mut self, payload: &Json) {
-        let n = |key: &str| payload.get(key).and_then(Json::as_int).unwrap_or(0) as u64;
-        self.gw_stats = Some((n("conns"), n("drains"), n("queue_depth")));
-    }
-
     /// Consumes and audits whatever the journal grew since the last
-    /// poll.
+    /// poll: each record the tailer verifies is folded in straight off
+    /// its line ([`Auditor::ingest_ref`]), as the offline replay does.
     pub fn poll(&mut self) -> TailPoll {
         let mut out = TailPoll::default();
-        match self.tailer.poll() {
+        let (auditor, banner) = (&mut self.auditor, &mut self.banner);
+        let polled = self.tailer.poll(|offset, record| {
+            banner.note(&record.kind, &record.payload);
+            let before = auditor.violations().len();
+            auditor.ingest_ref(record);
+            for v in &auditor.violations()[before..] {
+                out.new_violations.push((offset, v.clone()));
+            }
+        });
+        match polled {
             Ok(batch) => {
+                out.new_records = batch.records;
                 out.torn_bytes = batch.torn_bytes;
                 self.torn_bytes = batch.torn_bytes;
-                for tr in &batch.records {
-                    if tr.record.kind.starts_with("ts.slo_") {
-                        self.note_slo(&tr.record.kind, &tr.record.payload);
-                    } else if tr.record.kind == "gw.stats" {
-                        self.note_gw(&tr.record.payload);
-                    }
-                    let before = self.auditor.violations().len();
-                    self.auditor.ingest(&tr.record);
-                    for v in &self.auditor.violations()[before..] {
-                        out.new_violations.push((tr.offset, v.clone()));
-                    }
-                    out.new_records += 1;
-                }
                 // A mid-batch chain failure is latched on the tailer
                 // while the verified prefix above still gets delivered;
                 // report both in the same poll.
@@ -384,13 +376,13 @@ impl TailAuditor {
             schema_issues: self.auditor.schema_issues().len() as u64,
             checkpoints: totals.checkpoints,
             checkpoint_seq: self.auditor.checkpoints().last().map(|(seq, _)| *seq),
-            slo_active: self.slo_active.iter().cloned().collect(),
-            slo_breaches: self.slo_breaches,
-            worst_trace: self.worst_trace.map(|(t, _)| t),
-            worst_us: self.worst_trace.map(|(_, us)| us),
-            gw_conns: self.gw_stats.map(|(c, _, _)| c),
-            gw_drains: self.gw_stats.map(|(_, d, _)| d),
-            gw_queue: self.gw_stats.map(|(_, _, q)| q),
+            slo_active: self.banner.slo_active.iter().cloned().collect(),
+            slo_breaches: self.banner.slo_breaches,
+            worst_trace: self.banner.worst_trace.map(|(t, _)| t),
+            worst_us: self.banner.worst_trace.map(|(_, us)| us),
+            gw_conns: self.banner.gw_stats.map(|(c, _, _)| c),
+            gw_drains: self.banner.gw_stats.map(|(_, d, _)| d),
+            gw_queue: self.banner.gw_stats.map(|(_, _, q)| q),
             chain_error: self.tailer.error().map(|e| e.to_string()),
         }
     }

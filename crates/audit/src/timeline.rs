@@ -469,13 +469,6 @@ impl Auditor {
         })
     }
 
-    /// Folds one verified journal record into the replay state. Alias
-    /// for [`ingest`](Auditor::ingest), kept for the batch-replay
-    /// callers that predate the streaming API.
-    pub fn observe(&mut self, record: &JournalRecord) {
-        self.ingest(record);
-    }
-
     /// Folds one verified journal record into the replay state. This is
     /// the streaming entry point: state after N calls depends only on
     /// the first N records, and memory is bounded when

@@ -247,15 +247,6 @@ fn opt_params_of_json(j: &Json) -> Result<Option<PrivacyParams>, String> {
     }
 }
 
-fn mode_of_str(s: &str) -> Result<ServerMode, String> {
-    match s {
-        "normal" => Ok(ServerMode::Normal),
-        "degraded" => Ok(ServerMode::Degraded),
-        "read_only" => Ok(ServerMode::ReadOnly),
-        other => Err(format!("unknown server mode '{other}'")),
-    }
-}
-
 /// One user's durable bindings in a checkpoint snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserMeta {
@@ -394,11 +385,11 @@ impl ServerMeta {
     /// Strict inverse of [`ServerMeta::to_json`].
     pub fn of_json(j: &Json) -> Result<ServerMeta, String> {
         let what = "server meta";
-        let mode = mode_of_str(
-            req(j, what, "mode")?
-                .as_str()
-                .ok_or("server meta: mistyped 'mode'")?,
-        )?;
+        let mode = req(j, what, "mode")?
+            .as_str()
+            .ok_or("server meta: mistyped 'mode'")?;
+        let mode =
+            ServerMode::parse(mode).ok_or_else(|| format!("unknown server mode '{mode}'"))?;
         let mut services = Vec::new();
         for s in req_arr(j, what, "services")? {
             let max_area = req_f64(s, "service", "max_area")?;

@@ -17,6 +17,13 @@
 //! journal produced behind the TCP gateway be byte-identical to one
 //! produced in-process on the same traffic (`tests/gateway.rs`).
 //!
+//! A frame is read the way the journal's verifier reads a record: one
+//! [`CanonicalScan`] over the line, members read off it in place. It
+//! is accepted only if, less one trailing `\n`, it is exactly what
+//! `to_wire` writes for the message it decodes to; anything else —
+//! whitespace, reordered keys, `\r\n`, an extra or missing member, an
+//! integer where a float belongs — is a [`WireError`].
+//!
 //! Every client line carries an `"op"` tag:
 //!
 //! | op | direction | meaning |
@@ -36,8 +43,10 @@
 
 use hka_anonymity::{Pseudonym, ServiceId};
 use hka_geo::{StPoint, TimeSec};
-use hka_obs::{json, Json};
+use hka_obs::{CanonicalScan, ObjectWriter, Payload, Scalar};
 use hka_trajectory::UserId;
+use std::borrow::Cow;
+use std::cell::RefCell;
 
 use crate::server::{RequestOutcome, ServerMode, SuppressReasonPub, TsError};
 
@@ -112,30 +121,38 @@ impl RequestEnvelope {
 
     /// The wire line (no trailing newline).
     pub fn to_wire(&self) -> String {
-        match self.body {
-            EnvelopeBody::Location => Json::obj([
-                ("op", Json::from("loc")),
-                ("req", Json::from(self.req_id)),
-                ("user", Json::from(self.user.0)),
-                ("x", Json::Num(self.at.pos.x)),
-                ("y", Json::Num(self.at.pos.y)),
-                ("t", Json::Int(self.at.t.0)),
-            ])
-            .to_string(),
-            EnvelopeBody::Request { service } => Json::obj([
-                ("op", Json::from("req")),
-                ("req", Json::from(self.req_id)),
-                ("user", Json::from(self.user.0)),
-                ("service", Json::from(u64::from(service.0))),
-                ("x", Json::Num(self.at.pos.x)),
-                ("y", Json::Num(self.at.pos.y)),
-                ("t", Json::Int(self.at.t.0)),
-                ("k", Json::from(self.k_req)),
-                ("trace", Json::from(self.trace)),
-            ])
-            .to_string(),
-        }
+        object(|o| match self.body {
+            EnvelopeBody::Location => {
+                o.field("op", "loc");
+                o.field("req", self.req_id);
+                o.field("t", self.at.t.0);
+                o.field("user", self.user.0);
+                o.field("x", self.at.pos.x);
+                o.field("y", self.at.pos.y);
+            }
+            EnvelopeBody::Request { service } => {
+                o.field("k", self.k_req);
+                o.field("op", "req");
+                o.field("req", self.req_id);
+                o.field("service", u64::from(service.0));
+                o.field("t", self.at.t.0);
+                o.field("trace", self.trace);
+                o.field("user", self.user.0);
+                o.field("x", self.at.pos.x);
+                o.field("y", self.at.pos.y);
+            }
+        })
     }
+}
+
+/// One canonical object, its members written by `fields` in ascending
+/// key order.
+fn object(fields: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut line = String::new();
+    let mut object = ObjectWriter::new(&mut line);
+    fields(&mut object);
+    object.finish();
+    line
 }
 
 /// How the server classified the outcome, on the wire.
@@ -270,21 +287,17 @@ impl ResponseEnvelope {
 
     /// The wire line (no trailing newline).
     pub fn to_wire(&self) -> String {
-        Json::obj([
-            ("op", Json::from("resp")),
-            ("req", Json::from(self.req_id)),
-            ("outcome", Json::from(self.outcome.as_str())),
-            ("detail", Json::from(self.detail.as_str())),
-            (
-                "pseudonym",
-                self.pseudonym.map_or(Json::Null, |p| Json::from(p.0)),
-            ),
-            ("k", Json::from(self.k_got)),
-            ("area", Json::Num(self.area)),
-            ("mode", Json::from(self.mode.as_str())),
-            ("trace", Json::from(self.trace)),
-        ])
-        .to_string()
+        object(|o| {
+            o.field("area", self.area);
+            o.field("detail", self.detail.as_str());
+            o.field("k", self.k_got);
+            o.field("mode", self.mode.as_str());
+            o.field("op", "resp");
+            o.field("outcome", self.outcome.as_str());
+            o.field("pseudonym", self.pseudonym.map(|p| p.0));
+            o.field("req", self.req_id);
+            o.field("trace", self.trace);
+        })
     }
 }
 
@@ -337,6 +350,21 @@ pub enum WireReply {
     Bye,
 }
 
+impl WireMsg {
+    /// The wire line (no trailing newline).
+    pub fn to_wire(&self) -> String {
+        match self {
+            WireMsg::Bind { user } => object(|o| {
+                o.field("op", "bind");
+                o.field("user", user.0);
+            }),
+            WireMsg::Env(env) => env.to_wire(),
+            WireMsg::Drain => object(|o| o.field("op", "drain")),
+            WireMsg::Shutdown => object(|o| o.field("op", "shutdown")),
+        }
+    }
+}
+
 impl WireReply {
     /// The wire line (no trailing newline).
     pub fn to_wire(&self) -> String {
@@ -345,29 +373,23 @@ impl WireReply {
                 user,
                 pseudonym,
                 mode,
-            } => Json::obj([
-                ("op", Json::from("bound")),
-                ("user", Json::from(user.0)),
-                (
-                    "pseudonym",
-                    pseudonym.map_or(Json::Null, |p| Json::from(p.0)),
-                ),
-                ("mode", Json::from(mode.as_str())),
-            ])
-            .to_string(),
+            } => object(|o| {
+                o.field("mode", mode.as_str());
+                o.field("op", "bound");
+                o.field("pseudonym", pseudonym.map(|p| p.0));
+                o.field("user", user.0);
+            }),
             WireReply::Resp(resp) => resp.to_wire(),
-            WireReply::Drained { pending } => Json::obj([
-                ("op", Json::from("drained")),
-                ("pending", Json::from(*pending)),
-            ])
-            .to_string(),
-            WireReply::Err { code, msg } => Json::obj([
-                ("op", Json::from("err")),
-                ("code", Json::from(code.as_str())),
-                ("msg", Json::from(msg.as_str())),
-            ])
-            .to_string(),
-            WireReply::Bye => Json::obj([("op", Json::from("bye"))]).to_string(),
+            WireReply::Drained { pending } => object(|o| {
+                o.field("op", "drained");
+                o.field("pending", *pending);
+            }),
+            WireReply::Err { code, msg } => object(|o| {
+                o.field("code", code.as_str());
+                o.field("msg", msg.as_str());
+                o.field("op", "err");
+            }),
+            WireReply::Bye => object(|o| o.field("op", "bye")),
         }
     }
 }
@@ -390,243 +412,167 @@ fn bad(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
 }
 
-fn field_u64(obj: &Json, key: &str) -> Result<u64, WireError> {
-    obj.get(key)
-        .and_then(Json::as_int)
-        .and_then(|v| u64::try_from(v).ok())
-        .ok_or_else(|| bad(format!("missing or invalid '{key}'")))
+fn invalid(key: &str) -> WireError {
+    bad(format!("invalid '{key}'"))
 }
 
-fn field_f64(obj: &Json, key: &str) -> Result<f64, WireError> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .filter(|v| v.is_finite())
-        .ok_or_else(|| bad(format!("missing or invalid '{key}'")))
+thread_local! {
+    /// The frame reader's buffers, reused from frame to frame on each
+    /// thread that reads frames.
+    static SCAN: RefCell<CanonicalScan> = RefCell::default();
 }
 
-fn point_of(obj: &Json) -> Result<StPoint, WireError> {
-    let x = field_f64(obj, "x")?;
-    let y = field_f64(obj, "y")?;
-    let t = obj
-        .get("t")
-        .and_then(Json::as_int)
-        .ok_or_else(|| bad("missing or invalid 't'"))?;
-    Ok(StPoint::xyt(x, y, TimeSec(t)))
-}
+/// The members of a frame the canonical scan accepted, read in place.
+struct Members<'a>(Payload<'a>);
 
-fn mode_of(obj: &Json) -> Result<ServerMode, WireError> {
-    match obj.get("mode").and_then(Json::as_str) {
-        Some("normal") => Ok(ServerMode::Normal),
-        Some("degraded") => Ok(ServerMode::Degraded),
-        Some("read_only") => Ok(ServerMode::ReadOnly),
-        other => Err(bad(format!("unknown mode {other:?}"))),
+impl<'a> Members<'a> {
+    fn value(&self, key: &str) -> Result<Scalar<'a>, WireError> {
+        self.0
+            .get(key)
+            .ok_or_else(|| bad(format!("missing '{key}'")))
     }
-}
 
-/// Splits a leading unsigned-decimal run off `s` (JSON integer
-/// grammar: no sign, no leading `+`). Like the general parser, whose
-/// integers are `i64`, it rejects a value above `i64::MAX`.
-fn scan_u64(s: &str) -> Option<(u64, &str)> {
-    let end = s.bytes().take_while(u8::is_ascii_digit).count();
-    if end == 0 {
-        return None;
+    fn uint(&self, key: &str) -> Result<u64, WireError> {
+        self.value(key)?
+            .as_int()
+            .and_then(|v| u64::try_from(v).ok())
+            .ok_or_else(|| invalid(key))
     }
-    let v: i64 = s[..end].parse().ok()?;
-    Some((u64::try_from(v).ok()?, &s[end..]))
-}
 
-/// Splits a leading signed-decimal run off `s`.
-fn scan_i64(s: &str) -> Option<(i64, &str)> {
-    let digits = s.strip_prefix('-').unwrap_or(s);
-    let end = s.len() - digits.len() + digits.bytes().take_while(u8::is_ascii_digit).count();
-    if end == s.len() - digits.len() {
-        return None;
-    }
-    Some((s[..end].parse().ok()?, &s[end..]))
-}
-
-/// Splits a leading JSON number off `s`, accepting exactly the JSON
-/// grammar (`-?digits(.digits)?([eE][+-]?digits)?`) so the fast path
-/// below never admits a token the general parser would refuse: like
-/// it, a literal with neither fraction nor exponent must fit an `i64`.
-fn scan_f64(s: &str) -> Option<(f64, &str)> {
-    let b = s.as_bytes();
-    let mut i = 0;
-    if b.first() == Some(&b'-') {
-        i += 1;
-    }
-    let int_start = i;
-    while i < b.len() && b[i].is_ascii_digit() {
-        i += 1;
-    }
-    if i == int_start {
-        return None;
-    }
-    let int_end = i;
-    if b.get(i) == Some(&b'.') {
-        i += 1;
-        let frac_start = i;
-        while i < b.len() && b[i].is_ascii_digit() {
-            i += 1;
-        }
-        if i == frac_start {
-            return None;
+    /// A float member: the writer never spells one as an integer.
+    fn float(&self, key: &str) -> Result<f64, WireError> {
+        match self.value(key)? {
+            Scalar::Num(n) => Ok(n),
+            _ => Err(invalid(key)),
         }
     }
-    if matches!(b.get(i), Some(&b'e') | Some(&b'E')) {
-        i += 1;
-        if matches!(b.get(i), Some(&b'+') | Some(&b'-')) {
-            i += 1;
-        }
-        let exp_start = i;
-        while i < b.len() && b[i].is_ascii_digit() {
-            i += 1;
-        }
-        if i == exp_start {
-            return None;
+
+    fn text(&self, key: &str) -> Result<Cow<'a, str>, WireError> {
+        self.value(key)?.into_str().ok_or_else(|| invalid(key))
+    }
+
+    fn at(&self) -> Result<StPoint, WireError> {
+        let t = self.value("t")?.as_int().ok_or_else(|| invalid("t"))?;
+        Ok(StPoint::xyt(self.float("x")?, self.float("y")?, TimeSec(t)))
+    }
+
+    fn pseudonym(&self) -> Result<Option<Pseudonym>, WireError> {
+        match self.value("pseudonym")? {
+            Scalar::Null => Ok(None),
+            _ => self.uint("pseudonym").map(|p| Some(Pseudonym(p))),
         }
     }
-    if i == int_end {
-        let v: i64 = s[..i].parse().ok()?;
-        return Some((v as f64, &s[i..]));
+
+    fn mode(&self) -> Result<ServerMode, WireError> {
+        ServerMode::parse(&self.text("mode")?).ok_or_else(|| invalid("mode"))
     }
-    let v: f64 = s[..i].parse().ok()?;
-    v.is_finite().then_some((v, &s[i..]))
+
+    /// `msg`, if the frame has exactly the `n` members it was read
+    /// from: with every one of them read, the frame is then `to_wire`
+    /// of `msg`, byte for byte.
+    fn exactly<T>(&self, n: usize, msg: T) -> Result<T, WireError> {
+        match self.0.member_count() {
+            count if count == n => Ok(msg),
+            count => Err(bad(format!("{count} members, expected {n}"))),
+        }
+    }
 }
 
-/// Fast path for the canonical location frame [`RequestEnvelope::to_wire`]
-/// emits: `{"op":"loc","req":N,"t":I,"user":N,"x":F,"y":F}` — sorted
-/// keys (`Json::Obj` is a `BTreeMap`), no whitespace. Position reports
-/// outnumber requests roughly a hundred to one in the mobility
-/// workloads, and the generic JSON parser's per-frame allocations
-/// dominate the gateway's read path — this scanner decodes the hot
-/// shape without allocating. Anything that deviates (reordered keys,
-/// whitespace, extra fields) falls back to the general parser, so
-/// observable behavior is unchanged.
-fn parse_canonical_loc(line: &str) -> Option<WireMsg> {
-    let rest = line.strip_prefix(r#"{"op":"loc","req":"#)?;
-    let (req_id, rest) = scan_u64(rest)?;
-    let rest = rest.strip_prefix(r#","t":"#)?;
-    let (t, rest) = scan_i64(rest)?;
-    let rest = rest.strip_prefix(r#","user":"#)?;
-    let (user, rest) = scan_u64(rest)?;
-    let rest = rest.strip_prefix(r#","x":"#)?;
-    let (x, rest) = scan_f64(rest)?;
-    let rest = rest.strip_prefix(r#","y":"#)?;
-    let (y, rest) = scan_f64(rest)?;
-    if rest != "}" {
-        return None;
-    }
-    Some(WireMsg::Env(RequestEnvelope {
-        req_id,
-        user: UserId(user),
-        pseudonym: None,
-        body: EnvelopeBody::Location,
-        at: StPoint::xyt(x, y, TimeSec(t)),
-        k_req: 0,
-        trace: 0,
-    }))
+/// Reads one wire line, less one trailing `\n`: a canonical scan of
+/// the whole line, then `decode` over its members.
+fn read_frame<T>(
+    line: &str,
+    decode: impl FnOnce(&Members<'_>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let text = line.strip_suffix('\n').unwrap_or(line);
+    SCAN.with_borrow_mut(|scan| {
+        let payload = scan
+            .read(text)
+            .map_err(|(at, what)| bad(format!("byte {at}: {what}")))?;
+        decode(&Members(payload))
+    })
 }
 
 /// Parses one client wire line.
 pub fn parse_wire_msg(line: &str) -> Result<WireMsg, WireError> {
-    let trimmed = line.trim_end();
-    if let Some(msg) = parse_canonical_loc(trimmed) {
-        return Ok(msg);
-    }
-    let obj = json::parse(trimmed).map_err(|e| bad(e.to_string()))?;
-    match obj.get("op").and_then(Json::as_str) {
-        Some("bind") => Ok(WireMsg::Bind {
-            user: UserId(field_u64(&obj, "user")?),
-        }),
-        Some("loc") => Ok(WireMsg::Env(RequestEnvelope {
-            req_id: field_u64(&obj, "req")?,
-            user: UserId(field_u64(&obj, "user")?),
-            pseudonym: None,
-            body: EnvelopeBody::Location,
-            at: point_of(&obj)?,
-            k_req: 0,
-            trace: 0,
-        })),
-        Some("req") => Ok(WireMsg::Env(RequestEnvelope {
-            req_id: field_u64(&obj, "req")?,
-            user: UserId(field_u64(&obj, "user")?),
-            pseudonym: None,
-            body: EnvelopeBody::Request {
-                service: ServiceId(
-                    u32::try_from(field_u64(&obj, "service")?)
-                        .map_err(|_| bad("service id out of range"))?,
-                ),
+    read_frame(line, |m| match m.text("op")?.as_ref() {
+        "bind" => m.exactly(
+            2,
+            WireMsg::Bind {
+                user: UserId(m.uint("user")?),
             },
-            at: point_of(&obj)?,
-            k_req: field_u64(&obj, "k").unwrap_or(0),
-            trace: field_u64(&obj, "trace").unwrap_or(0),
-        })),
-        Some("drain") => Ok(WireMsg::Drain),
-        Some("shutdown") => Ok(WireMsg::Shutdown),
+        ),
+        "loc" => m.exactly(
+            6,
+            WireMsg::Env(RequestEnvelope::location(
+                m.uint("req")?,
+                UserId(m.uint("user")?),
+                m.at()?,
+            )),
+        ),
+        "req" => m.exactly(
+            9,
+            WireMsg::Env(RequestEnvelope {
+                k_req: m.uint("k")?,
+                trace: m.uint("trace")?,
+                ..RequestEnvelope::request(
+                    m.uint("req")?,
+                    UserId(m.uint("user")?),
+                    m.at()?,
+                    ServiceId(
+                        u32::try_from(m.uint("service")?)
+                            .map_err(|_| bad("service id out of range"))?,
+                    ),
+                )
+            }),
+        ),
+        "drain" => m.exactly(1, WireMsg::Drain),
+        "shutdown" => m.exactly(1, WireMsg::Shutdown),
         other => Err(bad(format!("unknown op {other:?}"))),
-    }
+    })
 }
 
 /// Parses one server wire line.
 pub fn parse_wire_reply(line: &str) -> Result<WireReply, WireError> {
-    let obj = json::parse(line.trim_end()).map_err(|e| bad(e.to_string()))?;
-    match obj.get("op").and_then(Json::as_str) {
-        Some("bound") => Ok(WireReply::Bound {
-            user: UserId(field_u64(&obj, "user")?),
-            pseudonym: match obj.get("pseudonym") {
-                Some(Json::Null) | None => None,
-                Some(v) => Some(Pseudonym(
-                    v.as_int()
-                        .and_then(|v| u64::try_from(v).ok())
-                        .ok_or_else(|| bad("invalid 'pseudonym'"))?,
-                )),
+    read_frame(line, |m| match m.text("op")?.as_ref() {
+        "bound" => m.exactly(
+            4,
+            WireReply::Bound {
+                user: UserId(m.uint("user")?),
+                pseudonym: m.pseudonym()?,
+                mode: m.mode()?,
             },
-            mode: mode_of(&obj)?,
-        }),
-        Some("resp") => Ok(WireReply::Resp(ResponseEnvelope {
-            req_id: field_u64(&obj, "req")?,
-            outcome: obj
-                .get("outcome")
-                .and_then(Json::as_str)
-                .and_then(WireOutcome::parse)
-                .ok_or_else(|| bad("missing or invalid 'outcome'"))?,
-            detail: obj
-                .get("detail")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            pseudonym: match obj.get("pseudonym") {
-                Some(Json::Null) | None => None,
-                Some(v) => Some(Pseudonym(
-                    v.as_int()
-                        .and_then(|v| u64::try_from(v).ok())
-                        .ok_or_else(|| bad("invalid 'pseudonym'"))?,
-                )),
+        ),
+        "resp" => m.exactly(
+            9,
+            WireReply::Resp(ResponseEnvelope {
+                req_id: m.uint("req")?,
+                outcome: WireOutcome::parse(&m.text("outcome")?)
+                    .ok_or_else(|| invalid("outcome"))?,
+                detail: m.text("detail")?.into_owned(),
+                pseudonym: m.pseudonym()?,
+                k_got: m.uint("k")?,
+                area: m.float("area")?,
+                mode: m.mode()?,
+                trace: m.uint("trace")?,
+            }),
+        ),
+        "drained" => m.exactly(
+            2,
+            WireReply::Drained {
+                pending: m.uint("pending")?,
             },
-            k_got: field_u64(&obj, "k").unwrap_or(0),
-            area: field_f64(&obj, "area").unwrap_or(0.0),
-            mode: mode_of(&obj)?,
-            trace: field_u64(&obj, "trace").unwrap_or(0),
-        })),
-        Some("drained") => Ok(WireReply::Drained {
-            pending: field_u64(&obj, "pending")?,
-        }),
-        Some("err") => Ok(WireReply::Err {
-            code: obj
-                .get("code")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            msg: obj
-                .get("msg")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-        }),
-        Some("bye") => Ok(WireReply::Bye),
+        ),
+        "err" => m.exactly(
+            3,
+            WireReply::Err {
+                code: m.text("code")?.into_owned(),
+                msg: m.text("msg")?.into_owned(),
+            },
+        ),
+        "bye" => m.exactly(1, WireReply::Bye),
         other => Err(bad(format!("unknown op {other:?}"))),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -662,55 +608,39 @@ mod tests {
         }
     }
 
-    /// The allocation-free scanner for canonical `loc` frames must
-    /// agree with the general JSON parser bit-for-bit, and must step
-    /// aside (not misparse) on anything non-canonical.
+    /// A frame is accepted only as `to_wire` writes it: each of these
+    /// near-canonical spellings, which a lenient JSON reader would take,
+    /// is refused.
     #[test]
-    fn canonical_loc_fast_path_matches_general_parser() {
-        let awkward = [
-            sp(0.1 + 0.2, -1234.567891011, 42),
-            sp(-1.5e-9, 2.0f64.powi(53), -7),
-            // Note 1e300 would NOT round-trip: integral floats >= 1e15
-            // render as bare digit runs, which the general parser reads
-            // as (possibly overflowing) integers. Coordinates are
-            // city-scale meters, so the wire format does not carry them.
-            sp(1e-300, -1e-300, i64::MAX),
-            sp(0.0, -0.0, 0),
-        ];
-        for (i, at) in awkward.into_iter().enumerate() {
-            // Ids above i64::MAX saturate in Json::Int, so stay below it
-            // (the round-trip test above makes the same choice).
-            let env = RequestEnvelope::location(i as u64, UserId((u64::MAX >> 1) - i as u64), at);
-            let line = env.to_wire();
-            let fast = parse_canonical_loc(&line).expect("canonical line takes the fast path");
-            // Force the general parser by inserting whitespace JSON
-            // permits but the canonical form never contains.
-            let spaced = line.replacen(':', ": ", 1);
-            assert!(parse_canonical_loc(&spaced).is_none(), "{spaced}");
-            let slow = parse_wire_msg(&spaced).unwrap();
-            match (fast, slow) {
-                (WireMsg::Env(a), WireMsg::Env(b)) => {
-                    assert_eq!(a, b, "{line}");
-                    assert_eq!(a, env, "{line}");
-                }
-                other => panic!("parsed {other:?}"),
-            }
-        }
-        // Near-canonical frames the fast path must decline: the
-        // general parser then accepts or rejects them on its own.
+    fn near_canonical_frames_are_refused() {
+        let loc = RequestEnvelope::location(1, UserId(2), sp(1.5, 2.5, 3)).to_wire();
+        let req = RequestEnvelope::request(1, UserId(2), sp(1.5, 2.5, 3), ServiceId(4)).to_wire();
+        let resp =
+            ResponseEnvelope::refusal(1, WireOutcome::Suppressed, "overload", ServerMode::Normal)
+                .to_wire();
         for line in [
-            r#"{"op":"loc","req":1,"t":3,"user":2,"x":1,"y":2,"zz":4}"#,
-            r#"{"op":"loc","t":3,"req":1,"user":2,"x":1,"y":2}"#,
-            r#"{"op":"loc","req":1,"t":3,"user":2,"x":+1,"y":2}"#,
-            r#"{"op":"loc","req":1,"t":3,"user":2,"x":1.,"y":2}"#,
-            r#"{"op":"loc","req":1,"t":3,"user":2,"x":.5,"y":2}"#,
-            r#"{"op":"loc","req":1,"t":3,"user":2,"x":1e,"y":2}"#,
-            r#"{"op":"loc","req":1,"t":3,"user":-2,"x":1,"y":2}"#,
-            r#"{"op":"loc","req":1,"t":3,"user":2,"x":1,"y":2} "#,
+            r#"{"op":"loc","req":1,"t":3,"user":2,"x":1.0,"y":2.0,"zz":4}"#,
+            r#"{"op":"loc","t":3,"req":1,"user":2,"x":1.0,"y":2.0}"#,
+            r#"{"op":"loc","req":1,"t":3,"user":2,"x":+1.0,"y":2.0}"#,
+            r#"{"op":"loc","req":1,"t":3,"user":2,"x":1.,"y":2.0}"#,
+            r#"{"op":"loc","req":1,"t":3,"user":2,"x":.5,"y":2.0}"#,
+            r#"{"op":"loc","req":1,"t":3,"user":2,"x":1e,"y":2.0}"#,
+            r#"{"op":"loc","req":1,"t":3,"user":-2,"x":1.0,"y":2.0}"#,
+            r#"{"op":"loc","req":1,"t":3,"user":2,"x":1.0,"y":2.0} "#,
+            r#"{"op":"loc","req":1,"t":3,"user":2,"x":1,"y":2.0}"#,
+            &format!(" {loc}"),
+            &format!("{loc}\r\n"),
+            &format!("{loc}\n\n"),
+            &req.replacen(r#""k":0,"#, "", 1),
+            &req.replacen(r#","trace":0"#, "", 1),
+            &loc.replacen(':', ": ", 1),
         ] {
-            assert!(parse_canonical_loc(line).is_none(), "{line}");
+            assert!(parse_wire_msg(line).is_err(), "{line:?} must be refused");
         }
-        // Trailing newline is trimmed before the fast path sees it.
+        assert!(parse_wire_reply(&resp).is_ok());
+        let no_detail = resp.replacen(r#""detail":"overload","#, "", 1);
+        assert!(parse_wire_reply(&no_detail).is_err(), "{no_detail}");
+        // One trailing newline is the frame delimiter, not part of it.
         let env = RequestEnvelope::location(5, UserId(6), sp(7.5, 8.25, 9));
         assert_eq!(
             parse_wire_msg(&format!("{}\n", env.to_wire())).unwrap(),
@@ -780,6 +710,13 @@ mod tests {
             parse_wire_msg(r#"{"op":"shutdown"}"#).unwrap(),
             WireMsg::Shutdown
         );
+        for msg in [
+            WireMsg::Bind { user: UserId(12) },
+            WireMsg::Drain,
+            WireMsg::Shutdown,
+        ] {
+            assert_eq!(parse_wire_msg(&msg.to_wire()).unwrap(), msg);
+        }
         for reply in [
             WireReply::Bound {
                 user: UserId(12),

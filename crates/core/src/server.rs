@@ -67,6 +67,17 @@ impl ServerMode {
             ServerMode::ReadOnly => "read_only",
         }
     }
+
+    /// Parses the [`as_str`](ServerMode::as_str) form.
+    pub fn parse(s: &str) -> Option<ServerMode> {
+        [
+            ServerMode::Normal,
+            ServerMode::Degraded,
+            ServerMode::ReadOnly,
+        ]
+        .into_iter()
+        .find(|mode| mode.as_str() == s)
+    }
 }
 
 impl std::fmt::Display for ServerMode {

@@ -2,10 +2,7 @@
 //! the chaos drill, the open-loop bench, and `hka-sim serve` smoke
 //! checks. One instance is one connection (one session).
 
-use hka_core::{
-    parse_wire_reply, RequestEnvelope, ResponseEnvelope, ServerMode, WireMsg, WireReply,
-};
-use hka_obs::Json;
+use hka_core::{parse_wire_reply, RequestEnvelope, ResponseEnvelope, WireMsg, WireReply};
 use hka_trajectory::UserId;
 
 use std::io::{self, BufRead, BufReader, Write};
@@ -51,8 +48,7 @@ impl GatewayClient {
     /// Binds the session to `user`; returns the pseudonym (`None` for
     /// unknown users) — the paper's TS never reveals more than that.
     pub fn bind(&mut self, user: UserId) -> io::Result<Option<u64>> {
-        let line = Json::obj([("op", Json::from("bind")), ("user", Json::from(user.0))]);
-        self.send_raw(&line.to_string())?;
+        self.send_raw(&WireMsg::Bind { user }.to_wire())?;
         match self.recv_reply()? {
             WireReply::Bound { pseudonym, .. } => Ok(pseudonym.map(|p| p.0)),
             other => Err(proto_err(format!("expected bound, got {other:?}"))),
@@ -78,7 +74,7 @@ impl GatewayClient {
     /// Returns them sorted by request id — submission order for the
     /// monotonically-numbered envelopes our drivers produce.
     pub fn drain_responses(&mut self, expected: usize) -> io::Result<Vec<ResponseEnvelope>> {
-        self.send_raw(r#"{"op":"drain"}"#)?;
+        self.send_raw(&WireMsg::Drain.to_wire())?;
         let mut responses = Vec::with_capacity(expected);
         let mut drained = false;
         while !drained || responses.len() < expected {
@@ -104,7 +100,7 @@ impl GatewayClient {
     /// Asks the whole gateway to drain and stop (wire `shutdown` op);
     /// waits for the closing `bye`.
     pub fn shutdown_gateway(&mut self) -> io::Result<()> {
-        self.send_raw(r#"{"op":"shutdown"}"#)?;
+        self.send_raw(&WireMsg::Shutdown.to_wire())?;
         loop {
             match self.recv_reply() {
                 Ok(WireReply::Bye) => return Ok(()),
@@ -115,27 +111,9 @@ impl GatewayClient {
         }
     }
 
-    /// The session's view of the server mode from the last `bound`
-    /// reply a caller chose to parse; provided as a free function on
-    /// replies instead of cached state — see [`WireReply::Bound`].
-    pub fn mode_of(reply: &WireReply) -> Option<ServerMode> {
-        match reply {
-            WireReply::Bound { mode, .. } => Some(*mode),
-            WireReply::Resp(r) => Some(r.mode),
-            _ => None,
-        }
-    }
-
-    /// Builds the wire line for `msg` (primarily for tests that need
-    /// to tamper with frames before sending).
+    /// Builds the wire line for `msg` ([`WireMsg::to_wire`]; primarily
+    /// for tests that need to tamper with frames before sending).
     pub fn wire_line(msg: &WireMsg) -> String {
-        match msg {
-            WireMsg::Bind { user } => {
-                Json::obj([("op", Json::from("bind")), ("user", Json::from(user.0))]).to_string()
-            }
-            WireMsg::Env(env) => env.to_wire(),
-            WireMsg::Drain => r#"{"op":"drain"}"#.to_string(),
-            WireMsg::Shutdown => r#"{"op":"shutdown"}"#.to_string(),
-        }
+        msg.to_wire()
     }
 }

@@ -845,6 +845,31 @@ mod tests {
         let reply = client.recv_reply().unwrap();
         assert!(matches!(reply, WireReply::Err { .. }), "{reply:?}");
         gw.shutdown();
+
+        // A request that is valid JSON but not the canonical frame is
+        // refused before the service sees it: nothing is journaled.
+        let path = std::env::temp_dir().join(format!("hka-gw-frame-{}.jsonl", std::process::id()));
+        let mut ts = TrustedServer::new(TsConfig::default());
+        ts.register_user(UserId(0), PrivacyLevel::Medium);
+        ts.attach_journal(hka_obs::Journal::new(
+            Box::new(std::fs::File::create(&path).unwrap()) as Box<dyn Write + Send + Sync>,
+        ));
+        let gw = Gateway::spawn("127.0.0.1:0", Box::new(ts), GatewayConfig::default()).unwrap();
+        let mut client = GatewayClient::connect(gw.addr()).unwrap();
+        let req =
+            RequestEnvelope::request(1, UserId(0), sp(1.0, 1.0, 1), hka_anonymity::ServiceId(1));
+        client
+            .send_raw(&req.to_wire().replacen(':', ": ", 1))
+            .unwrap();
+        match client.recv_reply().unwrap() {
+            WireReply::Err { code, .. } => assert_eq!(code, "bad_frame"),
+            other => panic!("expected err, got {other:?}"),
+        }
+        assert_eq!(gw.stats().snapshot().bad_frames, 1);
+        gw.shutdown().flush_journal().unwrap();
+        let journal = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(journal.is_empty(), "{}", String::from_utf8_lossy(&journal));
     }
 
     #[test]
@@ -899,7 +924,8 @@ mod tests {
             TcpStream::connect(addr).is_err() || {
                 // The OS may accept briefly after close; a write must fail.
                 let mut s = TcpStream::connect(addr).unwrap();
-                s.write_all(b"{\"op\":\"drain\"}\n").is_err() || {
+                let drain = WireMsg::Drain.to_wire() + "\n";
+                s.write_all(drain.as_bytes()).is_err() || {
                     let mut buf = [0u8; 1];
                     use std::io::Read;
                     let _ = s.set_read_timeout(Some(Duration::from_millis(200)));

@@ -28,11 +28,11 @@
 //! both ingest the anchor record, and land on byte-identical state.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, BufRead};
 use std::path::Path;
 
-use crate::journal::{JournalRecord, GENESIS_HASH};
-use crate::json::{self, Json, ObjectWriter};
+use crate::journal::{read_record, RecordRef, GENESIS_HASH, JOURNAL_VERSION};
+use crate::json::{self, CanonicalScan, Json, ObjectWriter};
 use crate::sha256::sha256_hex;
 
 /// The `kind` tag of a checkpoint anchor record.
@@ -195,39 +195,30 @@ pub fn anchor_payload(file: &str, records: u64, head: &str, snapshot_hash: &str)
 }
 
 impl CheckpointAnchor {
-    /// Parses and validates `record` as a checkpoint anchor.
-    ///
-    /// `Ok(None)` — not a checkpoint record. `Ok(Some(..))` — a
-    /// checkpoint record whose payload agrees with its own chain
-    /// position. `Err` — a checkpoint record with a missing/ill-typed
-    /// payload field or a payload that *disagrees* with the record's
-    /// position; such a record must never seed a verifier.
-    pub fn of_record(record: &JournalRecord) -> Result<Option<CheckpointAnchor>, String> {
-        if record.kind != CHECKPOINT_KIND {
-            return Ok(None);
-        }
+    /// Reads and validates a `checkpoint` record as an anchor: `Err`
+    /// when a payload field is missing or ill-typed, or the payload
+    /// *disagrees* with the record's own chain position — such a record
+    /// must never seed a verifier.
+    pub fn of_record(record: &RecordRef<'_>) -> Result<CheckpointAnchor, String> {
         let field = |name: &str| {
             record
                 .payload
                 .get(name)
                 .ok_or_else(|| format!("checkpoint payload missing '{name}'"))
         };
-        let file = field("file")?
-            .as_str()
-            .ok_or("checkpoint 'file' not a string")?
-            .to_string();
-        let head = field("head")?
-            .as_str()
-            .ok_or("checkpoint 'head' not a string")?
-            .to_string();
+        let string = |name: &str| {
+            field(name)?
+                .into_str()
+                .map(|s| s.into_owned())
+                .ok_or_else(|| format!("checkpoint '{name}' not a string"))
+        };
+        let file = string("file")?;
+        let head = string("head")?;
         let records = field("records")?
             .as_int()
             .and_then(|n| u64::try_from(n).ok())
             .ok_or("checkpoint 'records' not a non-negative integer")?;
-        let snapshot = field("snapshot")?
-            .as_str()
-            .ok_or("checkpoint 'snapshot' not a string")?
-            .to_string();
+        let snapshot = string("snapshot")?;
         if records != record.seq {
             return Err(format!(
                 "checkpoint anchor covers {records} records but sits at seq {}",
@@ -237,95 +228,114 @@ impl CheckpointAnchor {
         if head != record.prev {
             return Err("checkpoint anchor head does not match the record's prev hash".into());
         }
-        Ok(Some(CheckpointAnchor {
+        Ok(CheckpointAnchor {
             records,
             head,
             file,
             snapshot,
-        }))
+        })
+    }
+}
+
+/// `line` as a checkpoint anchor, read the way the verifier reads a
+/// record: `None` unless it is a v1 record in the encoder's exact form
+/// whose kind is `checkpoint`; then the anchor, or why its payload
+/// cannot be one.
+fn anchor_of_line(
+    scan: &mut CanonicalScan,
+    line: &str,
+) -> Option<Result<CheckpointAnchor, String>> {
+    // The kind is spelled one way in a record the reader accepts, so a
+    // line without these bytes is not a checkpoint record: skip it
+    // without checking its payload.
+    if !line.contains(r#","kind":"checkpoint","payload":"#) {
+        return None;
+    }
+    match read_record(scan, line) {
+        Ok((JOURNAL_VERSION, record)) if record.kind == CHECKPOINT_KIND => {
+            Some(CheckpointAnchor::of_record(&record))
+        }
+        _ => None,
     }
 }
 
 /// If `line` is a valid, self-consistent checkpoint anchor record *past
 /// genesis*, the `(records, head)` pair to seed a
-/// [`ChainCursor`](crate::journal::ChainCursor) with. Anything else —
-/// a non-checkpoint record, a malformed line, a seq-0 checkpoint (the
-/// genesis cursor already fits), an inconsistent anchor — is `None`.
-pub fn suffix_anchor(line: &str) -> Option<(u64, String)> {
-    leading_anchor(line).unwrap_or_default()
-}
-
-/// [`suffix_anchor`] with the failure modes kept apart: `Err` only when
-/// the line *is* a checkpoint record but its anchor is malformed or
-/// inconsistent. [`crate::recover`] turns that into a refusal instead
-/// of truncating a whole suffix journal down to nothing.
+/// [`ChainCursor`](crate::journal::ChainCursor) with; `Ok(None)` for
+/// anything else that is not a checkpoint record — a line the verifier
+/// would not read, another kind, a seq-0 checkpoint (the genesis cursor
+/// already fits). `Err` only when the line *is* a checkpoint record but
+/// its anchor is malformed or inconsistent: the readers then start at
+/// genesis (and fail on it), and [`crate::recover`] refuses instead of
+/// truncating a whole suffix journal down to nothing.
 pub(crate) fn leading_anchor(line: &str) -> Result<Option<(u64, String)>, String> {
-    let Ok(record) = JournalRecord::parse_line(line) else {
-        return Ok(None);
-    };
-    if record.kind != CHECKPOINT_KIND || record.seq == 0 {
-        return Ok(None);
-    }
-    match CheckpointAnchor::of_record(&record)? {
-        Some(anchor) => Ok(Some((anchor.records, anchor.head))),
-        None => Ok(None),
+    match anchor_of_line(&mut CanonicalScan::default(), line) {
+        Some(Ok(anchor)) if anchor.records > 0 => Ok(Some((anchor.records, anchor.head))),
+        Some(Err(reason)) => Err(reason),
+        _ => Ok(None),
     }
 }
 
-/// Scans a whole journal file for checkpoint anchors, newest first,
-/// without verifying the chain (recovery runs *before* verification and
-/// must find fallback candidates even in a file with a torn tail).
-/// Records that fail to parse or anchors that fail self-consistency are
-/// skipped, not errors.
+/// The one reader of checkpoint anchors in a journal: walks its
+/// complete (newline-terminated) lines in order and offers `visit` each
+/// self-consistent anchor with the byte offset of its line, until
+/// `visit` returns `Some`. It does not verify the chain — recovery runs
+/// *before* verification and must find candidates even in a file with a
+/// torn tail — but it reads each line as the verifier does, so a line
+/// the verifier would refuse is never an anchor here either.
+pub fn find_anchor<T>(
+    mut journal: impl BufRead,
+    mut visit: impl FnMut(u64, CheckpointAnchor) -> Option<T>,
+) -> io::Result<Option<T>> {
+    let mut scan = CanonicalScan::default();
+    let mut line = Vec::new();
+    let mut offset = 0u64;
+    loop {
+        line.clear();
+        let n = journal.read_until(b'\n', &mut line)?;
+        if !line.ends_with(b"\n") {
+            return Ok(None);
+        }
+        let anchor = std::str::from_utf8(&line)
+            .ok()
+            .and_then(|text| anchor_of_line(&mut scan, text));
+        if let Some(Ok(anchor)) = anchor {
+            if let Some(found) = visit(offset, anchor) {
+                return Ok(Some(found));
+            }
+        }
+        offset += n as u64;
+    }
+}
+
+/// Every checkpoint anchor in a journal file ([`find_anchor`]), newest
+/// first. A missing file has none.
 pub fn scan_anchors(path: &Path) -> io::Result<Vec<CheckpointAnchor>> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
+    let file = match std::fs::File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
     let mut anchors = Vec::new();
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-            break;
-        };
-        if let Ok(line) = std::str::from_utf8(&bytes[offset..offset + nl]) {
-            if let Ok(record) = JournalRecord::parse_line(line) {
-                if let Ok(Some(anchor)) = CheckpointAnchor::of_record(&record) {
-                    anchors.push(anchor);
-                }
-            }
-        }
-        offset += nl + 1;
-    }
+    find_anchor(io::BufReader::new(file), |_, anchor| {
+        anchors.push(anchor);
+        None::<()>
+    })?;
     anchors.reverse();
     Ok(anchors)
 }
 
 /// Truncates a journal down to the suffix that starts at the checkpoint
-/// record with sequence `anchor_records`, crash-safely: the suffix is
-/// written to a temp file, fsynced, and atomically renamed over the
-/// journal. The dropped prefix is returned so callers can archive it.
-/// Fails (journal untouched) if no checkpoint record with that sequence
-/// exists in the file.
+/// anchor with sequence `anchor_records` ([`find_anchor`]),
+/// crash-safely: the suffix is written to a temp file, fsynced, and
+/// atomically renamed over the journal. The dropped prefix is returned
+/// so callers can archive it. Fails (journal untouched) if no such
+/// anchor exists in the file.
 pub fn truncate_to_anchor(path: &Path, anchor_records: u64) -> io::Result<Vec<u8>> {
     let bytes = std::fs::read(path)?;
-    let mut offset = 0usize;
-    let mut cut = None;
-    while offset < bytes.len() {
-        let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-            break;
-        };
-        if let Ok(line) = std::str::from_utf8(&bytes[offset..offset + nl]) {
-            if let Ok(record) = JournalRecord::parse_line(line) {
-                if record.kind == CHECKPOINT_KIND && record.seq == anchor_records {
-                    cut = Some(offset);
-                    break;
-                }
-            }
-        }
-        offset += nl + 1;
-    }
+    let cut = find_anchor(&bytes[..], |offset, anchor| {
+        (anchor.records == anchor_records).then_some(offset as usize)
+    })?;
     let Some(cut) = cut else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -349,7 +359,7 @@ pub fn truncate_to_anchor(path: &Path, anchor_records: u64) -> io::Result<Vec<u8
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{recover, verify_chain, Journal, JournalReader};
+    use crate::journal::{recover, verify_chain, Journal, JournalReader, JournalRecord};
     use std::io::BufReader;
 
     struct TempPath(std::path::PathBuf);

@@ -219,8 +219,10 @@ fn int_at(text: &str, at: usize) -> Result<(i64, usize), FormError> {
 /// writes it — `{"hash":…,"kind":…,"payload":P,"prev":…,"seq":N,"v":V}`
 /// with `P` in canonical form ([`CanonicalScan`]) — in one pass, and
 /// returns its version with the record. Anything else, even a line that
-/// parses to the same values, is refused.
-fn read_record<'a>(
+/// parses to the same values, is refused. The verifier and the
+/// checkpoint-anchor reader ([`crate::checkpoint::find_anchor`]) both
+/// read a line through it.
+pub(crate) fn read_record<'a>(
     scan: &'a mut CanonicalScan,
     line: &'a str,
 ) -> Result<(i64, RecordRef<'a>), FormError> {
@@ -614,24 +616,6 @@ impl ChainCursor {
         self.records += 1;
         Ok(record)
     }
-
-    /// [`admit`](ChainCursor::admit), returning the record owned, its
-    /// payload parsed into a tree.
-    pub(crate) fn admit_record(
-        &mut self,
-        line_no: usize,
-        line: &str,
-    ) -> Result<JournalRecord, ChainError> {
-        let record = check(&mut self.scan, self.records, &self.head, line_no, line)?
-            .to_record()
-            .map_err(|e| ChainError::Malformed {
-                line: line_no,
-                message: e.to_string(),
-            })?;
-        self.head.clone_from(&record.hash);
-        self.records += 1;
-        Ok(record)
-    }
 }
 
 /// The one verifier behind [`ChainCursor`]: is `line` the record that
@@ -781,7 +765,7 @@ impl<R: BufRead> JournalReader<R> {
             }
             if self.at_start {
                 self.at_start = false;
-                if let Some((records, head)) = crate::checkpoint::suffix_anchor(&self.line) {
+                if let Ok(Some((records, head))) = crate::checkpoint::leading_anchor(&self.line) {
                     self.cursor = ChainCursor::resume(records, head);
                 }
             }
@@ -790,16 +774,23 @@ impl<R: BufRead> JournalReader<R> {
     }
 }
 
+/// The owned read: [`next_ref`](JournalReader::next_ref), its record
+/// then copied out with [`RecordRef::to_record`].
 impl<R: BufRead> Iterator for JournalReader<R> {
     type Item = Result<JournalRecord, ChainError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if let Err(e) = self.next_line()? {
-            return Some(Err(e));
-        }
-        let result = self.cursor.admit_record(self.line_no, &self.line);
-        self.done = result.is_err();
-        Some(result)
+        let record = match self.next_ref()? {
+            Ok(record) => record.to_record(),
+            Err(e) => return Some(Err(e)),
+        };
+        Some(record.map_err(|e| {
+            self.done = true;
+            ChainError::Malformed {
+                line: self.line_no,
+                message: e.to_string(),
+            }
+        }))
     }
 }
 
@@ -830,21 +821,6 @@ pub struct RecoveryReport {
     pub head: String,
 }
 
-/// The first complete (newline-terminated), non-blank, UTF-8 line of
-/// `bytes`, if any. A torn or non-UTF-8 first line yields `None`.
-fn first_complete_line(bytes: &[u8]) -> Option<&str> {
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let nl = bytes[offset..].iter().position(|&b| b == b'\n')?;
-        let line = std::str::from_utf8(&bytes[offset..offset + nl]).ok()?;
-        if !line.trim().is_empty() {
-            return Some(line);
-        }
-        offset += nl + 1;
-    }
-    None
-}
-
 /// Recovers a journal file after a crash mid-write.
 ///
 /// Scans the file line by line, verifying the chain incrementally
@@ -866,12 +842,16 @@ fn first_complete_line(bytes: &[u8]) -> Option<&str> {
 /// seeded with the anchor's `(records, head)` and `valid_records`
 /// counts the *chain* length, prefix included. A first record that
 /// claims to be a checkpoint anchor but whose payload disagrees with
-/// its own chain position is refused with
-/// [`io::ErrorKind::InvalidData`] — the file is left untouched rather
-/// than truncated to nothing, because every byte of a suffix journal
-/// hangs off its anchor and "recovering" past a bad one would silently
-/// discard the whole suffix (fail-open). Higher layers fall back to an
-/// earlier checkpoint or a genesis replay instead.
+/// its own chain position, or that does not verify at that position,
+/// is refused with [`io::ErrorKind::InvalidData`] — the file is left
+/// untouched rather than truncated to nothing, because every byte of a
+/// suffix journal hangs off its anchor and "recovering" past a bad one
+/// would silently discard the whole suffix (fail-open). Higher layers
+/// fall back to an earlier checkpoint or a genesis replay instead. A
+/// line is an anchor only as the verifier reads it: a respelled
+/// anchor line is no record at all, so recovery starts at genesis and
+/// truncates it. Either way, a journal `recover` returns is one
+/// [`verify_chain`] accepts.
 ///
 /// When bytes were actually truncated the recovery itself is made
 /// visible downstream: the returned journal has already appended a
@@ -893,22 +873,14 @@ pub fn recover(path: &std::path::Path) -> io::Result<(Journal<std::fs::File>, Re
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
 
+    let refuse = |reason: String| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("refusing to recover {}: {reason}", path.display()),
+        )
+    };
     let mut cursor = ChainCursor::new();
-    // A truncated journal begins at its checkpoint anchor, not genesis:
-    // seed the cursor from a consistent leading anchor, refuse an
-    // inconsistent one (fail-closed — see the function docs).
-    if let Some(first) = first_complete_line(&bytes) {
-        match crate::checkpoint::leading_anchor(first) {
-            Ok(Some((records, head))) => cursor = ChainCursor::resume(records, head),
-            Ok(None) => {}
-            Err(reason) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("refusing to recover {}: {reason}", path.display()),
-                ));
-            }
-        }
-    }
+    let mut at_start = true;
     let mut valid_end = 0usize; // byte offset one past the last valid record
     let mut offset = 0usize;
     while offset < bytes.len() {
@@ -919,13 +891,28 @@ pub fn recover(path: &std::path::Path) -> io::Result<(Journal<std::fs::File>, Re
         let Ok(line) = std::str::from_utf8(&bytes[offset..line_end]) else {
             break; // garbage bytes
         };
-        if line.trim().is_empty() {
-            offset = line_end + 1;
-            valid_end = offset;
-            continue;
-        }
-        if cursor.admit(0, line).is_err() {
-            break;
+        if !line.trim().is_empty() {
+            // A truncated journal begins at its checkpoint anchor, not
+            // genesis: a leading anchor seeds the cursor and must then
+            // verify where it says it sits. Any other checkpoint record
+            // there is refused (fail-closed — see the function docs).
+            let mut anchored = false;
+            if std::mem::take(&mut at_start) {
+                if let Some((records, head)) =
+                    crate::checkpoint::leading_anchor(line).map_err(refuse)?
+                {
+                    cursor = ChainCursor::resume(records, head);
+                    anchored = true;
+                }
+            }
+            if let Err(e) = cursor.admit(0, line) {
+                if anchored {
+                    return Err(refuse(format!(
+                        "its leading checkpoint anchor does not verify: {e}"
+                    )));
+                }
+                break;
+            }
         }
         offset = line_end + 1;
         valid_end = offset;

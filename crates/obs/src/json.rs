@@ -598,7 +598,7 @@ impl<'a> Parser<'a> {
 
 /// Where a canonical-form check failed (a byte offset into the text it
 /// was given) and why.
-pub(crate) type FormError = (usize, &'static str);
+pub type FormError = (usize, &'static str);
 
 /// Checks the canonical string whose opening quote is at `at` — escaped
 /// exactly as [`Canonical for str`](Canonical) escapes: `\"`, `\\`,
@@ -757,8 +757,12 @@ struct Frame {
 /// fields off the text afterwards. Containers are tracked on a reused
 /// stack, not by recursion, so nesting depth costs no call stack. All
 /// buffers are reused from check to check.
+///
+/// It is the one reader of every line the system takes in: the
+/// journal's verifier checks a record's payload with it, and the wire
+/// codec reads a whole frame with [`read`](CanonicalScan::read).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct CanonicalScan {
+pub struct CanonicalScan {
     members: Vec<Member>,
     stack: Vec<Frame>,
     /// The canonical form of `last_float`, the last float checked: a
@@ -904,6 +908,16 @@ impl CanonicalScan {
         Ok((end, Number::Num(self.last_float)))
     }
 
+    /// Checks that the whole of `text` is one value in canonical form
+    /// and returns it, to read its members with [`Payload::get`].
+    pub fn read<'a>(&'a mut self, text: &'a str) -> Result<Payload<'a>, FormError> {
+        let end = self.check(text, 0)?;
+        if end != text.len() {
+            return Err((end, "bytes after the value"));
+        }
+        Ok(self.payload(text))
+    }
+
     /// The value last checked, as `text` (exactly its bytes): read its
     /// top-level members with [`Payload::get`].
     pub(crate) fn payload<'a>(&'a self, text: &'a str) -> Payload<'a> {
@@ -925,8 +939,9 @@ fn literal(bytes: &[u8], pos: usize, lit: &[u8]) -> Result<usize, FormError> {
 /// A canonical value as it stands in its text — checked, never parsed
 /// into a tree. When it is an object, its top-level members can be read
 /// by key ([`get`](Payload::get)), numbers already parsed. Made only by
-/// the journal's verifier, so the bytes are always what [`Canonical`]
-/// writes for the value they spell.
+/// a [`CanonicalScan`] — for a journal record's payload or a whole wire
+/// frame — so the bytes are always what [`Canonical`] writes for the
+/// value they spell.
 #[derive(Debug, Clone, Copy)]
 pub struct Payload<'a> {
     text: &'a str,
@@ -937,6 +952,12 @@ impl<'a> Payload<'a> {
     /// The canonical bytes.
     pub fn as_str(&self) -> &'a str {
         self.text
+    }
+
+    /// How many top-level members this object has (0 for any other
+    /// value). Keys are strictly ascending, so no two are the same.
+    pub fn member_count(&self) -> usize {
+        self.members.len()
     }
 
     /// The member `key` of this object as a [`Scalar`] (`None` when it

@@ -46,13 +46,13 @@ pub use journal::{
     DurableJournal, DurableSink, Journal, JournalReader, JournalRecord, RecordRef, RecoveryReport,
     Unsynced, GENESIS_HASH, JOURNAL_VERSION,
 };
-pub use json::{Canonical, Json, ObjectWriter, Payload, Scalar};
+pub use json::{Canonical, CanonicalScan, Json, ObjectWriter, Payload, Scalar};
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use ring::RingBuffer;
 pub use slo::{SloConfig, SloEvent, SloMonitor};
-pub use tail::{JournalTailer, TailBatch, TailedRecord};
+pub use tail::{JournalTailer, TailBatch};
 pub use trace::{
     chrome_trace, validate_chrome_trace, ActiveSpan, SpanContext, SpanId, SpanRecord, TraceCheck,
     TraceClock, TraceId,

@@ -32,24 +32,13 @@
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use crate::journal::{ChainCursor, ChainError, JournalRecord};
-
-/// One record consumed by a poll, with the byte offset of its first
-/// byte in the journal file — the stable anchor a watch surface reports
-/// alongside violations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TailedRecord {
-    /// Byte offset of the record's first byte.
-    pub offset: u64,
-    /// The verified record.
-    pub record: JournalRecord,
-}
+use crate::journal::{ChainCursor, ChainError, RecordRef};
 
 /// What one [`JournalTailer::poll`] found.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TailBatch {
-    /// Newly verified records, in chain order.
-    pub records: Vec<TailedRecord>,
+    /// Records newly verified (and handed to the poll's visitor).
+    pub records: u64,
     /// Bytes after the last complete line: a torn or in-flight append.
     /// Not consumed — the next poll re-reads them.
     pub torn_bytes: u64,
@@ -107,11 +96,6 @@ impl JournalTailer {
         }
     }
 
-    /// The journal path being tailed.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Records verified so far.
     pub fn records_read(&self) -> u64 {
         self.cursor.records()
@@ -133,8 +117,11 @@ impl JournalTailer {
     }
 
     /// Reads and verifies whatever the journal grew since the last
-    /// poll. Returns the newly verified records plus the size of any
-    /// torn/in-flight tail.
+    /// poll, handing each newly verified record to `visit` — borrowed
+    /// from the line [`ChainCursor::admit`] checked, with the byte offset
+    /// of its first byte in the file (the stable anchor a watch surface
+    /// reports alongside violations). Returns how many records were
+    /// verified plus the size of any torn/in-flight tail.
     ///
     /// Failure delivery matches the offline reader's: a complete line
     /// that fails verification *mid-batch* does not discard the records
@@ -144,16 +131,22 @@ impl JournalTailer {
     /// anything is consumed ([`ChainError::TruncatedBehind`], I/O
     /// errors) return `Err` at once. Either way the error is sticky:
     /// nothing past a chain failure can be trusted.
-    pub fn poll(&mut self) -> Result<TailBatch, ChainError> {
+    pub fn poll(
+        &mut self,
+        visit: impl FnMut(u64, &RecordRef<'_>),
+    ) -> Result<TailBatch, ChainError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        self.read_new().inspect_err(|e| {
+        self.read_new(visit).inspect_err(|e| {
             self.failed = Some(e.clone());
         })
     }
 
-    fn read_new(&mut self) -> Result<TailBatch, ChainError> {
+    fn read_new(
+        &mut self,
+        mut visit: impl FnMut(u64, &RecordRef<'_>),
+    ) -> Result<TailBatch, ChainError> {
         let mut file = match std::fs::File::open(&self.path) {
             Ok(f) => f,
             // Not created yet: an empty journal, not an error — unless
@@ -209,15 +202,15 @@ impl JournalTailer {
             if !line.trim().is_empty() {
                 if self.at_start {
                     self.at_start = false;
-                    if let Some((records, head)) = crate::checkpoint::suffix_anchor(line) {
+                    if let Ok(Some((records, head))) = crate::checkpoint::leading_anchor(line) {
                         self.cursor = ChainCursor::resume(records, head);
                     }
                 }
-                match self.cursor.admit_record(self.line_no, line) {
-                    Ok(record) => batch.records.push(TailedRecord {
-                        offset: record_offset,
-                        record,
-                    }),
+                match self.cursor.admit(self.line_no, line) {
+                    Ok(record) => {
+                        visit(record_offset, &record);
+                        batch.records += 1;
+                    }
                     // Genuine corruption on a complete line: deliver
                     // the records verified before it — exactly what the
                     // offline reader reports — and latch the failure.
@@ -239,9 +232,28 @@ impl JournalTailer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{recover, verify_chain, Journal, GENESIS_HASH};
+    use crate::journal::{recover, verify_chain, Journal, JournalRecord, GENESIS_HASH};
     use crate::json::Json;
     use std::io::Write;
+
+    /// One poll's records, copied out with their offsets.
+    #[derive(Debug)]
+    struct Polled {
+        records: Vec<(u64, JournalRecord)>,
+        torn_bytes: u64,
+    }
+
+    fn poll(tailer: &mut JournalTailer) -> Result<Polled, ChainError> {
+        let mut records = Vec::new();
+        let batch = tailer.poll(|offset, record| {
+            records.push((offset, record.to_record().unwrap()));
+        })?;
+        assert_eq!(batch.records, records.len() as u64);
+        Ok(Polled {
+            records,
+            torn_bytes: batch.torn_bytes,
+        })
+    }
 
     /// A scratch file that cleans up after itself.
     struct TempPath(PathBuf);
@@ -277,7 +289,7 @@ mod tests {
     fn missing_then_empty_file_polls_clean() {
         let tmp = TempPath::new("missing");
         let mut tailer = JournalTailer::open(&tmp.0);
-        let batch = tailer.poll().unwrap();
+        let batch = poll(&mut tailer).unwrap();
         assert!(batch.records.is_empty());
         assert_eq!(batch.torn_bytes, 0);
         assert_eq!(tailer.records_read(), 0);
@@ -285,7 +297,7 @@ mod tests {
 
         // Zero-length file: identical clean-empty result.
         std::fs::write(&tmp.0, b"").unwrap();
-        let batch = tailer.poll().unwrap();
+        let batch = poll(&mut tailer).unwrap();
         assert!(batch.records.is_empty());
         assert_eq!(tailer.offset(), 0);
     }
@@ -303,7 +315,7 @@ mod tests {
         for (i, line) in lines.iter().enumerate() {
             writeln!(file, "{line}").unwrap();
             file.flush().unwrap();
-            let batch = tailer.poll().unwrap();
+            let batch = poll(&mut tailer).unwrap();
             seen += batch.records.len() as u64;
             assert_eq!(seen, i as u64 + 1);
             assert_eq!(batch.torn_bytes, 0);
@@ -312,7 +324,7 @@ mod tests {
         let report = verify_chain(text.as_bytes()).unwrap();
         assert_eq!(tailer.head(), report.head);
         // Idle poll: nothing new.
-        assert!(tailer.poll().unwrap().records.is_empty());
+        assert!(poll(&mut tailer).unwrap().records.is_empty());
     }
 
     #[test]
@@ -320,15 +332,15 @@ mod tests {
         let tmp = TempPath::new("offsets");
         std::fs::write(&tmp.0, journal_bytes(0..4)).unwrap();
         let mut tailer = JournalTailer::open(&tmp.0);
-        let batch = tailer.poll().unwrap();
+        let batch = poll(&mut tailer).unwrap();
         let bytes = std::fs::read(&tmp.0).unwrap();
-        for tr in &batch.records {
+        for (offset, record) in &batch.records {
             // The bytes at the reported offset start the record's line.
-            let at = tr.offset as usize;
+            let at = *offset as usize;
             assert_eq!(bytes[at], b'{');
             let line_end = at + bytes[at..].iter().position(|&b| b == b'\n').unwrap();
             let line = std::str::from_utf8(&bytes[at..line_end]).unwrap();
-            assert_eq!(JournalRecord::parse_line(line).unwrap(), tr.record);
+            assert_eq!(&JournalRecord::parse_line(line).unwrap(), record);
         }
         assert_eq!(tailer.offset(), bytes.len() as u64);
     }
@@ -343,18 +355,18 @@ mod tests {
         std::fs::write(&tmp.0, &text.as_bytes()[..cut]).unwrap();
 
         let mut tailer = JournalTailer::open(&tmp.0);
-        let batch = tailer.poll().unwrap();
+        let batch = poll(&mut tailer).unwrap();
         assert_eq!(batch.records.len(), 2, "complete records verify");
         assert!(batch.torn_bytes > 0, "partial line reported, not failed");
 
         // Re-poll with nothing new: same torn tail, still no failure.
-        let batch = tailer.poll().unwrap();
+        let batch = poll(&mut tailer).unwrap();
         assert!(batch.records.is_empty());
         assert!(batch.torn_bytes > 0);
 
         // The writer completes the append: the record is consumed.
         std::fs::write(&tmp.0, text.as_bytes()).unwrap();
-        let batch = tailer.poll().unwrap();
+        let batch = poll(&mut tailer).unwrap();
         assert_eq!(batch.records.len(), 1);
         assert_eq!(batch.torn_bytes, 0);
         assert_eq!(tailer.records_read(), 3);
@@ -370,7 +382,7 @@ mod tests {
         let mut tailer = JournalTailer::open(&tmp.0);
         // The prefix before the tamper is delivered (as the offline
         // reader would report it), with the failure latched alongside.
-        let batch = tailer.poll().unwrap();
+        let batch = poll(&mut tailer).unwrap();
         assert_eq!(batch.records.len(), 2, "prefix before the tamper verified");
         assert_eq!(batch.torn_bytes, 0);
         assert_eq!(tailer.records_read(), 2);
@@ -378,7 +390,7 @@ mod tests {
         assert!(matches!(err, ChainError::BadHash { line: 3 }));
         // Sticky: the same error comes back; the file growing is moot.
         std::fs::write(&tmp.0, format!("{text}extra", text = text)).unwrap();
-        assert_eq!(tailer.poll().unwrap_err(), err);
+        assert_eq!(poll(&mut tailer).unwrap_err(), err);
         assert_eq!(tailer.error(), Some(&err));
     }
 
@@ -387,22 +399,22 @@ mod tests {
         let tmp = TempPath::new("shrink");
         std::fs::write(&tmp.0, journal_bytes(0..5)).unwrap();
         let mut tailer = JournalTailer::open(&tmp.0);
-        tailer.poll().unwrap();
+        poll(&mut tailer).unwrap();
         assert_eq!(tailer.records_read(), 5);
 
         // The file is replaced with a shorter (even valid) journal:
         // the verified prefix is gone.
         std::fs::write(&tmp.0, journal_bytes(0..1)).unwrap();
-        let err = tailer.poll().unwrap_err();
+        let err = poll(&mut tailer).unwrap_err();
         assert!(matches!(err, ChainError::TruncatedBehind { .. }));
 
         // Removing the file entirely under a positioned tailer is the
         // same failure.
         let mut tailer2 = JournalTailer::open(&tmp.0);
-        tailer2.poll().unwrap();
+        poll(&mut tailer2).unwrap();
         std::fs::remove_file(&tmp.0).unwrap();
         assert!(matches!(
-            tailer2.poll().unwrap_err(),
+            poll(&mut tailer2).unwrap_err(),
             ChainError::TruncatedBehind { len: 0, .. }
         ));
     }
@@ -420,7 +432,7 @@ mod tests {
         std::fs::write(&tmp.0, text.as_bytes()).unwrap();
 
         let mut tailer = JournalTailer::open(&tmp.0);
-        assert_eq!(tailer.poll().unwrap().records.len(), 4);
+        assert_eq!(poll(&mut tailer).unwrap().records.len(), 4);
         let offset_before_crash = tailer.offset();
 
         // Crash mid-append: half a record lands, no newline.
@@ -433,7 +445,7 @@ mod tests {
                 .unwrap();
             f.write_all(half).unwrap();
         }
-        let batch = tailer.poll().unwrap();
+        let batch = poll(&mut tailer).unwrap();
         assert!(batch.records.is_empty());
         assert_eq!(batch.torn_bytes, half.len() as u64);
 
@@ -446,11 +458,11 @@ mod tests {
         journal.flush().unwrap();
         drop(journal);
 
-        let batch = tailer.poll().unwrap();
+        let batch = poll(&mut tailer).unwrap();
         let kinds: Vec<&str> = batch
             .records
             .iter()
-            .map(|r| r.record.kind.as_str())
+            .map(|(_, record)| record.kind.as_str())
             .collect();
         assert_eq!(kinds, vec!["journal.recovered", "post.recovery"]);
         assert_eq!(batch.torn_bytes, 0);
@@ -470,6 +482,6 @@ mod tests {
         lines.insert(1, "");
         std::fs::write(&tmp.0, lines.join("\n") + "\n").unwrap();
         let mut tailer = JournalTailer::open(&tmp.0);
-        assert_eq!(tailer.poll().unwrap().records.len(), 2);
+        assert_eq!(poll(&mut tailer).unwrap().records.len(), 2);
     }
 }

@@ -36,6 +36,24 @@ if [ -n "$lookups" ]; then
     exit 1
 fi
 
+echo "== one reader (no tree parse of a frame or journal line in core, gateway, audit) =="
+# Wire frames and journal lines are read the one way the journal's
+# verifier reads them: a canonical scan (`CanonicalScan` +
+# `Payload::get`). A second, lenient reader would accept lines the
+# verifier refuses. Any `json::parse(` or `JournalRecord::parse_line(`
+# in these crates fails; test modules are exempt.
+parses="$(find crates/core crates/gateway crates/audit -name '*.rs' -not -path '*/tests/*' -print0 |
+    xargs -0 perl -0777 -ne '
+        s/^#\[cfg\(test\)\]\s*(?:pub(?:\(crate\))?\s+)?mod\b.*//ms;
+        while (/\b(?:json::parse|JournalRecord::parse_line)\s*\(/g) {
+            print "$ARGV:", 1 + (substr($_, 0, pos) =~ tr/\n//), "\n";
+        }')"
+if [ -n "$parses" ]; then
+    echo "tree parses of a frame or journal line (read it with CanonicalScan):"
+    echo "$parses"
+    exit 1
+fi
+
 echo "== benchmark shim (hka_shard only under benchmark/ and crates/shard/) =="
 # `hka_shard::ShardedTs` is a shim that only the benchmark harness uses,
 # kept until the next change to the harness deletes it; nothing else may

@@ -1,27 +1,28 @@
 //! Seeded grammar fuzz for the three line parsers that bytes from
 //! outside reach: `parse_wire_msg` (client frames), `parse_wire_reply`
 //! (server frames) and `JournalRecord::parse_line` (journal lines) —
-//! and for the two consumers of a journal line: the chain verifier and
-//! the auditor.
+//! for the two consumers of a journal line, the chain verifier and the
+//! auditor — and for crash recovery of a checkpoint-anchored suffix.
 //!
 //! A fixed seed and a fixed case count over the in-tree `rand`, so every
-//! run checks the same inputs. Five properties:
+//! run checks the same inputs. Six properties:
 //!
-//! 1. The allocation-free fast path for the canonical location frame
-//!    agrees with the general JSON parser, on canonical frames and on
-//!    byte-level mutations of them. A leading space steers a frame off
-//!    the fast path (its prefix match fails) into the general parser,
-//!    which skips the whitespace.
+//! 1. A wire frame is accepted exactly when it is canonical: every
+//!    `to_wire` output parses back to the original, and every frame
+//!    that parses — a mutant included — is, less one trailing newline,
+//!    `to_wire` of what it decodes to.
 //! 2. `to_wire` (for the journal: an append) followed by a parse
 //!    returns the original value.
-//! 3. A mutated frame or journal line parses to `Err`, or to a value
-//!    whose coordinates are finite. No parser panics.
+//! 3. A mutated journal line parses to `Err`, or to a value whose
+//!    floats are finite. No parser panics.
 //! 4. The chain verifier gives a mutated journal line the verdict of
 //!    the tree verifier it replaced (`oracle::assert_agree`).
 //! 5. A journal whose payload values are hostile but whose chain is
 //!    valid — anyone can write one, the hash is unkeyed — replays and
 //!    reports without a panic, the same through the lending replay as
 //!    through owned records.
+//! 6. Whenever `recover` accepts a suffix journal whose leading anchor
+//!    line was respelled or mutated, the journal it leaves verifies.
 
 use hka::obs::{ChainCursor, ChainError, Journal, JournalRecord, Json};
 // For the shared tree oracle (`super::` there).
@@ -204,13 +205,6 @@ fn mutant(rng: &mut StdRng, line: &str) -> String {
     chars.concat()
 }
 
-fn finite_msg(msg: &WireMsg) -> bool {
-    match msg {
-        WireMsg::Env(env) => env.at.pos.x.is_finite() && env.at.pos.y.is_finite(),
-        _ => true,
-    }
-}
-
 fn finite_json(j: &Json) -> bool {
     match j {
         Json::Num(n) => n.is_finite(),
@@ -220,44 +214,34 @@ fn finite_json(j: &Json) -> bool {
     }
 }
 
-/// Property 1 on one frame: the fast path (taken when it matches) and
-/// the general parser (forced by a leading space) agree.
-fn fast_path_agrees(line: &str) {
-    let fast = parse_wire_msg(line);
-    let general = parse_wire_msg(&format!(" {line}"));
-    match (&fast, &general) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "{line}"),
-        (Err(_), Err(_)) => {}
-        _ => panic!("fast path and general parser disagree on {line:?}: {fast:?} vs {general:?}"),
+/// Property 1 on one client frame: if it is accepted, it is the
+/// canonical line of what it decodes to.
+fn accepted_only_if_canonical(line: &str) {
+    if let Ok(msg) = parse_wire_msg(line) {
+        let bare = line.strip_suffix('\n').unwrap_or(line);
+        assert_eq!(msg.to_wire(), bare, "{line:?} accepted as {msg:?}");
     }
 }
 
 #[test]
-fn client_frames_round_trip_and_the_fast_path_agrees() {
+fn client_frames_round_trip_and_only_canonical_frames_are_accepted() {
     let mut rng = StdRng::seed_from_u64(SEED);
     for _ in 0..CASES {
         let env = envelope(&mut rng);
         let line = env.to_wire();
         assert_eq!(parse_wire_msg(&line), Ok(WireMsg::Env(env)), "{line}");
-        fast_path_agrees(&line);
+        assert_eq!(parse_wire_msg(&format!("{line}\n")), Ok(WireMsg::Env(env)));
         for _ in 0..MUTANTS {
-            let bad = mutant(&mut rng, &line);
-            fast_path_agrees(&bad);
-            if let Ok(msg) = parse_wire_msg(&bad) {
-                assert!(finite_msg(&msg), "{bad:?} -> {msg:?}");
-            }
+            accepted_only_if_canonical(&mutant(&mut rng, &line));
         }
     }
-    for line in [
-        r#"{"op":"bind","user":3}"#,
-        r#"{"op":"drain"}"#,
-        r#"{"op":"shutdown"}"#,
-    ] {
-        assert!(parse_wire_msg(line).is_ok(), "{line}");
-        for _ in 0..MUTANTS * 10 {
-            let bad = mutant(&mut rng, line);
-            if let Ok(msg) = parse_wire_msg(&bad) {
-                assert!(finite_msg(&msg), "{bad:?} -> {msg:?}");
+    for _ in 0..CASES / 10 {
+        let user = UserId(id(&mut rng));
+        for msg in [WireMsg::Bind { user }, WireMsg::Drain, WireMsg::Shutdown] {
+            let line = msg.to_wire();
+            assert_eq!(parse_wire_msg(&line), Ok(msg), "{line}");
+            for _ in 0..MUTANTS {
+                accepted_only_if_canonical(&mutant(&mut rng, &line));
             }
         }
     }
@@ -272,8 +256,8 @@ fn server_frames_round_trip_and_mutants_fail_closed() {
         assert_eq!(parse_wire_reply(&line), Ok(reply), "{line}");
         for _ in 0..MUTANTS {
             let bad = mutant(&mut rng, &line);
-            if let Ok(WireReply::Resp(resp)) = parse_wire_reply(&bad) {
-                assert!(resp.area.is_finite(), "{bad:?} -> {resp:?}");
+            if let Ok(back) = parse_wire_reply(&bad) {
+                assert_eq!(back.to_wire(), bad, "{bad:?} accepted as {back:?}");
             }
         }
     }
@@ -420,4 +404,57 @@ fn hostile_values_in_a_valid_chain_never_panic_the_auditor() {
     // The report is JSON the parser reads back: no infinity in it.
     assert!(hka::obs::json::parse(&report).is_ok());
     assert!(!lent.render().is_empty());
+}
+
+/// The suffix of a journal of four events, a checkpoint anchor and two
+/// more events — the journal prefix truncation leaves — as lines.
+fn suffix_journal() -> Vec<String> {
+    let mut journal = Journal::new(Vec::new());
+    for i in 0..4 {
+        journal
+            .append("test.event", Json::obj([("n", Json::Int(i))]))
+            .unwrap();
+    }
+    let (records, head) = (journal.next_seq(), journal.head().to_string());
+    let anchor =
+        hka::obs::checkpoint::anchor_payload("snap.json", records, &head, &"ab".repeat(32));
+    journal.append(hka::obs::CHECKPOINT_KIND, anchor).unwrap();
+    for i in 0..2 {
+        journal
+            .append("test.event", Json::obj([("n", Json::Int(100 + i))]))
+            .unwrap();
+    }
+    let text = String::from_utf8(journal.into_inner()).unwrap();
+    text.lines().skip(4).map(|l| format!("{l}\n")).collect()
+}
+
+#[test]
+fn recover_never_leaves_a_journal_that_fails_verification() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 5);
+    let path = std::env::temp_dir().join(format!("hka-wire-fuzz-{}.jsonl", std::process::id()));
+    let lines = suffix_journal();
+    // The anchor line respelled with the same values: not the encoder's
+    // form, so not an anchor, whatever a lenient reader makes of it.
+    let respelled = lines[0].replacen(r#"{"hash":"#, r#"{"hash": "#, 1);
+    let firsts = std::iter::once(respelled)
+        .chain((0..CASES / 4).map(|_| mutant(&mut rng, lines[0].trim_end()) + "\n"));
+    let mut recovered = 0;
+    for first in firsts {
+        std::fs::write(&path, first.clone() + &lines[1..].concat()).unwrap();
+        let Ok((mut journal, _)) = hka::obs::recover(&path) else {
+            continue;
+        };
+        journal.flush().unwrap();
+        drop(journal);
+        let bytes = std::fs::read(&path).unwrap();
+        if let Err(e) = hka::obs::verify_chain(&bytes[..]) {
+            panic!(
+                "recover left {:?} from first line {first:?}: {e}",
+                String::from_utf8_lossy(&bytes)
+            );
+        }
+        recovered += 1;
+    }
+    let _ = std::fs::remove_file(&path);
+    assert!(recovered > 0);
 }
