@@ -42,7 +42,7 @@ fn main() {
                         e.user, e.at.pos.x, e.at.pos.y, e.at.t
                     );
                     match outcome {
-                        RequestOutcome::Forwarded(req) => {
+                        RequestOutcome::Forwarded(req, _) => {
                             println!(
                                 "        TS ──▶ {}   ({}, {}, {})",
                                 req.service, req.msg_id, req.pseudonym, req.context

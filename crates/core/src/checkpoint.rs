@@ -73,8 +73,7 @@ use hka_trajectory::UserId;
 
 use crate::events::TsStats;
 use crate::policy::{PrivacyParams, RiskAction, Tolerance};
-use crate::server::{ServerMode, TrustedServer, TsConfig};
-use crate::strategy::UserState;
+use crate::server::{ServerMode, TrustedServer, TsConfig, UserState};
 
 /// Snapshot section holding the trajectory store.
 pub const STORE_SECTION: &str = "store";

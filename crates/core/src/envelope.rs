@@ -48,7 +48,7 @@ use hka_trajectory::UserId;
 use std::borrow::Cow;
 use std::cell::RefCell;
 
-use crate::server::{RequestOutcome, ServerMode, SuppressReasonPub, TsError};
+use crate::server::{RequestOutcome, ServerMode, TsError};
 
 /// What a [`RequestEnvelope`] asks the server to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,23 +214,22 @@ pub struct ResponseEnvelope {
 }
 
 impl ResponseEnvelope {
-    /// Classifies a service-layer outcome. `k_got` comes from the
-    /// decision event when the caller has it (see
-    /// [`crate::RequestService::drain`]); pass 0 when unknown.
+    /// Classifies a service-layer outcome. A forward's `k_got` is the
+    /// one its disclosure carries — the value its `ts.forwarded` journal
+    /// record holds.
     pub fn from_result(
         req_id: u64,
         trace: u64,
         result: &Result<RequestOutcome, TsError>,
         mode: ServerMode,
-        k_got: u64,
     ) -> Self {
         match result {
-            Ok(RequestOutcome::Forwarded(sp)) => ResponseEnvelope {
+            Ok(RequestOutcome::Forwarded(sp, disclosure)) => ResponseEnvelope {
                 req_id,
                 outcome: WireOutcome::Forwarded,
                 detail: String::new(),
                 pseudonym: Some(sp.pseudonym),
-                k_got,
+                k_got: disclosure.k_got as u64,
                 area: sp.context.area(),
                 mode,
                 trace,
@@ -238,12 +237,7 @@ impl ResponseEnvelope {
             Ok(RequestOutcome::Suppressed(reason)) => ResponseEnvelope {
                 req_id,
                 outcome: WireOutcome::Suppressed,
-                detail: match reason {
-                    SuppressReasonPub::MixZone => "mix_zone",
-                    SuppressReasonPub::RiskPolicy => "risk_policy",
-                    SuppressReasonPub::Degraded => "degraded",
-                }
-                .to_string(),
+                detail: reason.as_str().to_string(),
                 pseudonym: None,
                 k_got: 0,
                 area: 0.0,
@@ -578,6 +572,7 @@ pub fn parse_wire_reply(line: &str) -> Result<WireReply, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Disclosure, SuppressReason};
     use hka_anonymity::{MsgId, SpRequest};
     use hka_geo::{Rect, StBox, TimeInterval};
 
@@ -653,17 +648,24 @@ mod tests {
         let forwarded = ResponseEnvelope::from_result(
             9,
             77,
-            &Ok(RequestOutcome::Forwarded(SpRequest::new(
-                MsgId(1),
-                Pseudonym(12),
-                StBox::new(
-                    Rect::from_bounds(0.0, 0.0, 100.0, 50.0),
-                    TimeInterval::new(TimeSec(0), TimeSec(60)),
+            &Ok(RequestOutcome::Forwarded(
+                SpRequest::new(
+                    MsgId(1),
+                    Pseudonym(12),
+                    StBox::new(
+                        Rect::from_bounds(0.0, 0.0, 100.0, 50.0),
+                        TimeInterval::new(TimeSec(0), TimeSec(60)),
+                    ),
+                    ServiceId(2),
                 ),
-                ServiceId(2),
-            ))),
+                Disclosure {
+                    generalized: true,
+                    hk_ok: true,
+                    k_req: 8,
+                    k_got: 6,
+                },
+            )),
             ServerMode::Normal,
-            6,
         );
         assert_eq!(forwarded.outcome, WireOutcome::Forwarded);
         assert_eq!(forwarded.area, 5000.0);
@@ -677,9 +679,8 @@ mod tests {
         let suppressed = ResponseEnvelope::from_result(
             10,
             0,
-            &Ok(RequestOutcome::Suppressed(SuppressReasonPub::MixZone)),
+            &Ok(RequestOutcome::Suppressed(SuppressReason::MixZone)),
             ServerMode::Degraded,
-            0,
         );
         assert_eq!(suppressed.detail, "mix_zone");
         let rejected = ResponseEnvelope::from_result(
@@ -687,7 +688,6 @@ mod tests {
             0,
             &Err(TsError::UnknownUser(UserId(5))),
             ServerMode::ReadOnly,
-            0,
         );
         assert_eq!(rejected.detail, "unknown_user");
         for r in [suppressed, rejected] {

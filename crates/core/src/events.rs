@@ -246,14 +246,7 @@ impl Canonical for TsEvent {
                 service,
             } => {
                 o.field("at", at.0);
-                o.field(
-                    "reason",
-                    match reason {
-                        SuppressReason::MixZone => "mix_zone",
-                        SuppressReason::RiskPolicy => "risk_policy",
-                        SuppressReason::Degraded => "degraded",
-                    },
-                );
+                o.field("reason", reason.as_str());
                 o.field("service", u64::from(service.0));
                 o.field("user", user.0);
             }
@@ -327,6 +320,17 @@ pub enum SuppressReason {
     /// it impossible to guarantee the request's protection, so it was
     /// suppressed rather than forwarded.
     Degraded,
+}
+
+impl SuppressReason {
+    /// Stable string form (journal payloads, the wire's `detail`).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            SuppressReason::MixZone => "mix_zone",
+            SuppressReason::RiskPolicy => "risk_policy",
+            SuppressReason::Degraded => "degraded",
+        }
+    }
 }
 
 /// Bounded event log with exact running statistics and an optional
@@ -454,13 +458,20 @@ impl RetryLadder {
         false
     }
 
-    /// One more fully-failed write: spend the retry budget or back off.
+    /// One more fully-failed write: spend the retry budget or back off
+    /// (`backoff_base << failures` writes, saturating: a budget of 64 or
+    /// more failures must not overflow the shift).
     fn escalate(&mut self) {
         self.failures += 1;
         if self.failures >= self.policy.max_failures {
             self.down = true;
         } else {
-            self.skip = self.policy.backoff_base << self.failures;
+            let base = self.policy.backoff_base;
+            self.skip = match base.checked_shl(self.failures) {
+                Some(skip) if skip >> self.failures == base => skip,
+                _ if base == 0 => 0,
+                _ => u64::MAX,
+            };
         }
     }
 }
@@ -1032,14 +1043,7 @@ mod tests {
             } => Json::obj([
                 ("user", Json::from(user.0)),
                 ("at", Json::Int(at.0)),
-                (
-                    "reason",
-                    Json::from(match reason {
-                        SuppressReason::MixZone => "mix_zone",
-                        SuppressReason::RiskPolicy => "risk_policy",
-                        SuppressReason::Degraded => "degraded",
-                    }),
-                ),
+                ("reason", Json::from(reason.as_str())),
                 ("service", Json::from(u64::from(service.0))),
             ]),
             TsEvent::PseudonymChanged { user, old, new, at } => Json::obj([

@@ -49,7 +49,6 @@ mod randomize;
 mod server;
 mod service;
 mod shared;
-pub mod strategy;
 
 pub use envelope::{
     parse_wire_msg, parse_wire_reply, EnvelopeBody, RequestEnvelope, ResponseEnvelope, WireError,
@@ -68,8 +67,7 @@ pub use mixzone::{MixZoneConfig, MixZoneManager, UnlinkDecision};
 pub use policy::{PrivacyLevel, PrivacyParams, RiskAction, Tolerance};
 pub use randomize::{RandomizeConfig, Randomizer};
 pub use server::{
-    PrivacyIndicator, RequestOutcome, ServerMode, SuppressReasonPub, TrustedServer, TsConfig,
-    TsError,
+    Disclosure, PatternState, PrivacyIndicator, RequestOutcome, ServerMode, TrustedServer,
+    TsConfig, TsError, UserState,
 };
 pub use shared::SharedTrustedServer;
-pub use strategy::{Disclosure, Ingest, PatternState, RequestHost, UserState};

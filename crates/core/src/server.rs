@@ -19,11 +19,10 @@
 //! same on both cadences.
 
 use crate::envelope::ResponseEnvelope;
-use crate::events::{JournalHealth, RetryPolicy};
-use crate::strategy::{self, PatternState, RequestHost, UserState};
+use crate::events::{JournalHealth, RetryPolicy, SuppressReason};
 use crate::{
-    algorithm1_first, algorithm1_subsequent, EventLog, Generalization, MixZoneConfig,
-    MixZoneManager, PrivacyLevel, RandomizeConfig, Randomizer, Tolerance, TsEvent, UnlinkDecision,
+    EventLog, MixZoneConfig, MixZoneManager, PrivacyLevel, RandomizeConfig, Randomizer, Tolerance,
+    TsEvent,
 };
 use hka_anonymity::{historical_k_anonymity, HkOutcome, MsgId, Pseudonym, ServiceId, SpRequest};
 use hka_faults::FaultInjector;
@@ -31,6 +30,9 @@ use hka_geo::{Rect, StBox, StPoint, TimeSec};
 use hka_lbqid::{Lbqid, Monitor};
 use hka_trajectory::{GridIndexConfig, IndexBackend, SpatialIndex, TrajectoryStore, UserId};
 use std::collections::BTreeMap;
+
+mod strategy;
+pub use strategy::{Disclosure, PatternState, UserState};
 
 /// The server's operating mode, driven by the health of the durable
 /// event journal (the audit trail every privacy guarantee is
@@ -120,10 +122,11 @@ impl Default for TsConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestOutcome {
     /// The request went out to the provider in this (possibly generalized)
-    /// form.
-    Forwarded(SpRequest),
+    /// form, with what it disclosed — the disclosure the fail-closed gate
+    /// cleared, as journaled with its `ts.forwarded` event.
+    Forwarded(SpRequest, Disclosure),
     /// The request was withheld.
-    Suppressed(SuppressReasonPub),
+    Suppressed(SuppressReason),
 }
 
 /// Errors from the fallible server API (`try_*` methods). The
@@ -175,21 +178,6 @@ pub enum PrivacyIndicator {
     /// sending sensitive information, disrupt the service, or take other
     /// actions" (open lock).
     AtRisk,
-}
-
-/// Public mirror of the suppression reason.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SuppressReasonPub {
-    /// Inside a mix-zone (static, or an on-demand zone cooling down —
-    /// including the one just activated to unlink this very user).
-    MixZone,
-    /// Risk policy: generalization and unlinking both failed and the user
-    /// profile says suppress.
-    RiskPolicy,
-    /// Fail-closed: an injected fault or a degraded server mode made it
-    /// impossible to guarantee this request's protection, so it was
-    /// suppressed rather than forwarded under-generalized or exact.
-    Degraded,
 }
 
 /// The Trusted Server of the paper's service model (Fig. 1).
@@ -393,12 +381,12 @@ impl TrustedServer {
     /// entering the area)". Only protected users participate; users with
     /// privacy off keep their pseudonym.
     pub fn location_update(&mut self, user: UserId, at: StPoint) {
-        let ing = strategy::ingest_on(self, user, at);
+        let ing = self.ingest(user, at);
         if ing.entering {
             // Fetch-once: operate on the owned state, then put it back.
             if let Some(mut state) = self.users.remove(&user) {
                 if state.params.is_some() {
-                    strategy::change_pseudonym_on(self, user, &mut state, ing.at);
+                    self.change_pseudonym(user, &mut state, ing.at);
                 }
                 self.users.insert(user, state);
             }
@@ -456,12 +444,12 @@ impl TrustedServer {
         hka_obs::counter!("ts.requests").incr();
         let mut state = self.users.remove(&user).ok_or(TsError::UnknownUser(user))?;
         root.attr("uid", hka_obs::Json::from(state.pseudonym.0));
-        let outcome = strategy::handle_request_on(self, user, &mut state, at, service);
+        let outcome = self.decide(user, &mut state, at, service);
         self.users.insert(user, state);
         root.attr(
             "outcome",
             hka_obs::Json::from(match &outcome {
-                RequestOutcome::Forwarded(_) => "forwarded",
+                RequestOutcome::Forwarded(..) => "forwarded",
                 RequestOutcome::Suppressed(_) => "suppressed",
             }),
         );
@@ -923,126 +911,6 @@ fn built<'a>(
     &**index
 }
 
-/// The capability surface the extracted Section-6.1 strategy
-/// ([`crate::strategy`]) needs, answered by the server's own store,
-/// index, mix-zone manager, and bookkeeping.
-impl RequestHost for TrustedServer {
-    fn phl_last(&self, user: UserId) -> Option<StPoint> {
-        self.store.phl(user).and_then(|p| p.last()).copied()
-    }
-
-    fn record(&mut self, user: UserId, at: StPoint) -> (StPoint, Option<StPoint>) {
-        let (stored, prev) = self.store.record_with_prev(user, at);
-        if let Some(index) = &mut self.index {
-            index.insert(user, stored);
-            hka_obs::counter!("ts.index_inserts").incr();
-        }
-        (stored, prev)
-    }
-
-    fn check_fault(&mut self, site: &str) -> bool {
-        if self.injector.check(site).is_some() {
-            hka_obs::counter!("faults.injected").incr();
-            hka_obs::global().counter(&format!("faults.{site}")).incr();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn in_static_zone(&self, pos: &hka_geo::Point) -> bool {
-        self.mixzones.in_static_zone(pos)
-    }
-
-    fn suppressed_at(&mut self, at: &StPoint) -> bool {
-        self.mixzones.suppressed_at(at)
-    }
-
-    fn tolerance_for(&self, service: ServiceId) -> Tolerance {
-        *self
-            .services
-            .get(&service)
-            .unwrap_or(&self.config.default_tolerance)
-    }
-
-    fn mode(&self) -> ServerMode {
-        self.mode
-    }
-
-    fn algo1_first(
-        &mut self,
-        at: &StPoint,
-        user: UserId,
-        k: usize,
-        tolerance: &Tolerance,
-    ) -> Generalization {
-        let index = built(&mut self.index, &self.store, &self.config);
-        algorithm1_first(index, at, user, k, tolerance)
-    }
-
-    fn algo1_subsequent(
-        &mut self,
-        at: &StPoint,
-        stored: &[UserId],
-        k: usize,
-        tolerance: &Tolerance,
-    ) -> Generalization {
-        algorithm1_subsequent(
-            &self.store,
-            at,
-            stored,
-            k,
-            tolerance,
-            &self.config.index.scale,
-        )
-    }
-
-    fn try_unlink(&mut self, user: UserId, at: &StPoint, k: usize) -> UnlinkDecision {
-        let index = built(&mut self.index, &self.store, &self.config);
-        let store = &self.store;
-        self.mixzones
-            .try_unlink(|b, f| index.scan_in(b, f), |u| store.phl(u), user, at, k)
-    }
-
-    fn fresh_pseudonym(&mut self) -> Pseudonym {
-        TrustedServer::fresh_pseudonym(self)
-    }
-
-    fn next_msg_id(&mut self) -> MsgId {
-        let m = MsgId(self.next_msg);
-        self.next_msg += 1;
-        m
-    }
-
-    fn randomize(
-        &mut self,
-        context: StBox,
-        at: &StPoint,
-        msg_id: u64,
-        service: ServiceId,
-    ) -> StBox {
-        match &self.randomizer {
-            Some(rz) => {
-                let tolerance = *self
-                    .services
-                    .get(&service)
-                    .unwrap_or(&self.config.default_tolerance);
-                rz.randomize(&context, at, msg_id, &tolerance)
-            }
-            None => context,
-        }
-    }
-
-    fn emit(&mut self, e: TsEvent, at: TimeSec) {
-        self.push_event(e, at);
-    }
-
-    fn deliver(&mut self, user: UserId, req: SpRequest) {
-        self.routes.insert(req.msg_id, user);
-        self.outbox.push((user, req));
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1083,7 +951,7 @@ pub(crate) mod tests {
         s.register_user(UserId(1), PrivacyLevel::Off);
         let at = sp(10.0, 10.0, 100);
         match s.handle_request(UserId(1), at, SVC) {
-            RequestOutcome::Forwarded(req) => {
+            RequestOutcome::Forwarded(req, _) => {
                 assert_eq!(req.context, StBox::point(at));
                 assert!(req.covers(&at));
             }
@@ -1111,7 +979,7 @@ pub(crate) mod tests {
         // No LBQIDs registered: nothing to protect.
         let at = sp(10.0, 10.0, 100);
         match s.handle_request(UserId(1), at, SVC) {
-            RequestOutcome::Forwarded(req) => assert_eq!(req.context, StBox::point(at)),
+            RequestOutcome::Forwarded(req, _) => assert_eq!(req.context, StBox::point(at)),
             other => panic!("{other:?}"),
         }
     }
@@ -1146,7 +1014,7 @@ pub(crate) mod tests {
         s.add_lbqid(UserId(1), one_shot_pattern());
         let at = sp(0.0, 0.0, 100);
         match s.handle_request(UserId(1), at, SVC) {
-            RequestOutcome::Forwarded(req) => {
+            RequestOutcome::Forwarded(req, _) => {
                 assert!(req.context.area() > 0.0, "context must be generalized");
                 assert!(req.covers(&at));
             }
@@ -1173,7 +1041,7 @@ pub(crate) mod tests {
         );
         s.add_lbqid(UserId(1), one_shot_pattern());
         let at = sp(0.0, 0.0, 100);
-        let RequestOutcome::Forwarded(req) = s.handle_request(UserId(1), at, SVC) else {
+        let RequestOutcome::Forwarded(req, _) = s.handle_request(UserId(1), at, SVC) else {
             panic!("expected forward");
         };
         // At least 4 other users' PHLs cross the forwarded context.
@@ -1202,7 +1070,7 @@ pub(crate) mod tests {
         );
         s.add_lbqid(UserId(1), one_shot_pattern());
         match s.handle_request(UserId(1), sp(0.0, 0.0, 100), SVC) {
-            RequestOutcome::Suppressed(SuppressReasonPub::RiskPolicy) => {}
+            RequestOutcome::Suppressed(SuppressReason::RiskPolicy) => {}
             other => panic!("{other:?}"),
         }
         assert!(s.is_at_risk(UserId(1)));
@@ -1227,7 +1095,7 @@ pub(crate) mod tests {
         s.add_lbqid(UserId(1), one_shot_pattern());
         let at = sp(0.0, 0.0, 100);
         match s.handle_request(UserId(1), at, SVC) {
-            RequestOutcome::Forwarded(req) => assert!(req.covers(&at)),
+            RequestOutcome::Forwarded(req, _) => assert!(req.covers(&at)),
             other => panic!("{other:?}"),
         }
         assert_eq!(s.log().stats().forwarded_hk_failed, 1);
@@ -1261,7 +1129,7 @@ pub(crate) mod tests {
         s.add_lbqid(UserId(1), one_shot_pattern());
         let before = s.pseudonym_of(UserId(1)).unwrap();
         match s.handle_request(UserId(1), sp(0.0, 0.0, 100), SVC) {
-            RequestOutcome::Suppressed(SuppressReasonPub::MixZone) => {}
+            RequestOutcome::Suppressed(SuppressReason::MixZone) => {}
             other => panic!("{other:?}"),
         }
         let after = s.pseudonym_of(UserId(1)).unwrap();
@@ -1273,7 +1141,7 @@ pub(crate) mod tests {
         assert!(s.pattern_contexts(UserId(1))[0].1.is_empty());
         // Requests inside the active zone are suppressed for a while.
         match s.handle_request(UserId(1), sp(5.0, 5.0, 200), SVC) {
-            RequestOutcome::Suppressed(SuppressReasonPub::MixZone) => {}
+            RequestOutcome::Suppressed(SuppressReason::MixZone) => {}
             other => panic!("{other:?}"),
         }
     }
@@ -1316,12 +1184,12 @@ pub(crate) mod tests {
         s.register_user(UserId(1), PrivacyLevel::Low);
         s.add_static_mixzone(Rect::from_bounds(0.0, 0.0, 100.0, 100.0));
         match s.handle_request(UserId(1), sp(50.0, 50.0, 10), SVC) {
-            RequestOutcome::Suppressed(SuppressReasonPub::MixZone) => {}
+            RequestOutcome::Suppressed(SuppressReason::MixZone) => {}
             other => panic!("{other:?}"),
         }
         // Off-zone requests pass.
         match s.handle_request(UserId(1), sp(500.0, 50.0, 20), SVC) {
-            RequestOutcome::Forwarded(_) => {}
+            RequestOutcome::Forwarded(_, _) => {}
             other => panic!("{other:?}"),
         }
     }
@@ -1355,7 +1223,7 @@ pub(crate) mod tests {
             // Generalization fails (area > 0 needed for 5 users), and in
             // this crowd unlinking may or may not find diverging headings;
             // either way no HK-ok forward can happen.
-            RequestOutcome::Forwarded(req) => {
+            RequestOutcome::Forwarded(req, _) => {
                 assert_eq!(req.context, StBox::point(at));
                 assert_eq!(s.log().stats().forwarded_hk_failed, 1);
             }
@@ -1419,7 +1287,7 @@ pub(crate) mod tests {
         s.register_user(UserId(1), PrivacyLevel::Low);
         s.add_lbqid(UserId(1), one_shot_pattern());
         let at = sp(0.0, 0.0, 100);
-        let RequestOutcome::Forwarded(req) = s.handle_request(UserId(1), at, SVC) else {
+        let RequestOutcome::Forwarded(req, _) = s.handle_request(UserId(1), at, SVC) else {
             panic!("expected forward");
         };
         assert!(req.covers(&at), "randomized context must cover the point");
@@ -1438,7 +1306,7 @@ pub(crate) mod tests {
         }
         s2.register_user(UserId(1), PrivacyLevel::Low);
         s2.add_lbqid(UserId(1), one_shot_pattern());
-        let RequestOutcome::Forwarded(req2) = s2.handle_request(UserId(1), at, SVC) else {
+        let RequestOutcome::Forwarded(req2, _) = s2.handle_request(UserId(1), at, SVC) else {
             panic!("expected forward");
         };
         assert_eq!(req.context, req2.context);
@@ -1503,7 +1371,7 @@ pub(crate) mod tests {
             assert_eq!((s.store().total_points(), s.index().len()), (2, 2));
             // A regressed *request* timestamp is clamped and still served.
             match s.handle_request(UserId(1), sp(6.0, 0.0, 70), SVC) {
-                RequestOutcome::Forwarded(req) => {
+                RequestOutcome::Forwarded(req, _) => {
                     assert_eq!(req.context.span.start(), TimeSec(100));
                 }
                 other => panic!("{other:?}"),
@@ -1521,7 +1389,7 @@ pub(crate) mod tests {
             FaultKind::Drop,
         )));
         match s.handle_request(UserId(1), sp(0.0, 0.0, 10), SVC) {
-            RequestOutcome::Suppressed(SuppressReasonPub::Degraded) => {}
+            RequestOutcome::Suppressed(SuppressReason::Degraded) => {}
             other => panic!("{other:?}"),
         }
         // The dropped observation never reached the store, and nothing
@@ -1544,11 +1412,11 @@ pub(crate) mod tests {
                 FaultKind::Unavailable,
             )));
             match s.handle_request(UserId(1), sp(0.0, 0.0, 100), SVC) {
-                RequestOutcome::Suppressed(SuppressReasonPub::Degraded) => {}
+                RequestOutcome::Suppressed(SuppressReason::Degraded) => {}
                 // The mix-zone site is only consulted when generalization
                 // already failed; with this crowd it succeeds, so the
                 // forward must be a fully protected one.
-                RequestOutcome::Forwarded(req) if site == sites::MIXZONE => {
+                RequestOutcome::Forwarded(req, _) if site == sites::MIXZONE => {
                     assert!(req.context.area() > 0.0);
                 }
                 other => panic!("{site}: {other:?}"),
@@ -1580,18 +1448,21 @@ pub(crate) mod tests {
         // First request forwards (the gate saw Normal), but its journal
         // write fails and the server degrades.
         let out = s.handle_request(UserId(100), sp(1.0, 1.0, 500), SVC);
-        assert!(matches!(out, RequestOutcome::Forwarded(_)));
+        assert!(matches!(out, RequestOutcome::Forwarded(_, _)));
         assert_eq!(s.mode(), ServerMode::Degraded);
 
         // Degraded: exact forwards are refused fail-closed…
         match s.handle_request(UserId(101), sp(6.0, 1.0, 510), SVC) {
-            RequestOutcome::Suppressed(SuppressReasonPub::Degraded) => {}
+            RequestOutcome::Suppressed(SuppressReason::Degraded) => {}
             other => panic!("{other:?}"),
         }
         // …but a demonstrably protected (generalized, HK-ok) request
         // still flows.
         match s.handle_request(UserId(1), sp(0.0, 0.0, 520), SVC) {
-            RequestOutcome::Forwarded(req) => assert!(req.context.area() > 0.0),
+            RequestOutcome::Forwarded(req, disclosure) => {
+                assert!(req.context.area() > 0.0);
+                assert!(disclosure.generalized && disclosure.hk_ok);
+            }
             other => panic!("{other:?}"),
         }
         assert_eq!(s.mode(), ServerMode::Degraded);
@@ -1615,14 +1486,14 @@ pub(crate) mod tests {
             },
         );
         let out = s.handle_request(UserId(1), sp(1.0, 1.0, 10), SVC);
-        assert!(matches!(out, RequestOutcome::Forwarded(_)));
+        assert!(matches!(out, RequestOutcome::Forwarded(_, _)));
         assert_eq!(s.mode(), ServerMode::ReadOnly);
         assert_eq!(s.journal_health(), JournalHealth::Down);
 
         // Read-only: nothing is forwarded, mutations are refused, yet
         // location updates still land (the PHL must not go stale).
         match s.handle_request(UserId(1), sp(2.0, 1.0, 20), SVC) {
-            RequestOutcome::Suppressed(SuppressReasonPub::Degraded) => {}
+            RequestOutcome::Suppressed(SuppressReason::Degraded) => {}
             other => panic!("{other:?}"),
         }
         assert_eq!(
@@ -1641,7 +1512,7 @@ pub(crate) mod tests {
         s.attach_journal(boxed(std::io::sink()));
         assert_eq!(s.mode(), ServerMode::Normal);
         let out = s.handle_request(UserId(1), sp(3.0, 1.0, 40), SVC);
-        assert!(matches!(out, RequestOutcome::Forwarded(_)));
+        assert!(matches!(out, RequestOutcome::Forwarded(_, _)));
         let stats = s.log().stats();
         assert!(stats.mode_changes >= 2, "N→RO and RO→N at least");
         assert!(stats.suppressed_degraded >= 1);
@@ -1692,13 +1563,13 @@ pub(crate) mod tests {
         let at = sp(0.0, 0.0, 100);
         // Pattern-matching request to the opted-out service: exact.
         match s.handle_request(UserId(1), at, ServiceId(7)) {
-            RequestOutcome::Forwarded(req) => assert_eq!(req.context, StBox::point(at)),
+            RequestOutcome::Forwarded(req, _) => assert_eq!(req.context, StBox::point(at)),
             other => panic!("{other:?}"),
         }
         // The same request shape to the default service: generalized.
         let at2 = sp(0.0, 0.0, 200);
         match s.handle_request(UserId(1), at2, SVC) {
-            RequestOutcome::Forwarded(req) => assert!(req.context.area() > 0.0),
+            RequestOutcome::Forwarded(req, _) => assert!(req.context.area() > 0.0),
             other => panic!("{other:?}"),
         }
         // Unknown users are rejected.
@@ -1712,7 +1583,7 @@ pub(crate) mod tests {
     fn responses_route_by_msgid_without_identity_leak() {
         let mut s = ts();
         s.register_user(UserId(5), PrivacyLevel::Off);
-        let RequestOutcome::Forwarded(req) = s.handle_request(UserId(5), sp(1.0, 1.0, 1), SVC)
+        let RequestOutcome::Forwarded(req, _) = s.handle_request(UserId(5), sp(1.0, 1.0, 1), SVC)
         else {
             panic!("expected forward");
         };

@@ -20,8 +20,7 @@ use hka_anonymity::Pseudonym;
 use hka_trajectory::UserId;
 
 use crate::envelope::{EnvelopeBody, RequestEnvelope, ResponseEnvelope};
-use crate::events::{EventLog, TsEvent};
-use crate::server::{RequestOutcome, ServerMode, TrustedServer, TsError};
+use crate::server::{ServerMode, TrustedServer};
 
 /// Object-safe interface over a Trusted Server backend.
 pub trait RequestService {
@@ -60,34 +59,6 @@ pub trait RequestService {
     fn note_gateway_stats(&mut self, conns: u64, drains: u64, queue_depth: u64);
 }
 
-/// The wire response to a decided request envelope, as the server
-/// buffers it for [`RequestService::drain`].
-///
-/// `k_got` is best effort: the most recent `ts.forwarded` for the user
-/// among the last eight ring events. The journal record is
-/// authoritative; this only enriches the wire response, so 0
-/// ("unknown") is an acceptable answer when the ring has already
-/// evicted the event.
-fn response_to(
-    env: &RequestEnvelope,
-    result: &Result<RequestOutcome, TsError>,
-    mode: ServerMode,
-    log: &EventLog,
-) -> ResponseEnvelope {
-    let mut k_got = 0;
-    if let Ok(RequestOutcome::Forwarded(_)) = result {
-        let events = log.events();
-        for ev in events.clone().skip(events.len().saturating_sub(8)) {
-            if let TsEvent::Forwarded { user, k_got: k, .. } = ev {
-                if *user == env.user {
-                    k_got = *k as u64;
-                }
-            }
-        }
-    }
-    ResponseEnvelope::from_result(env.req_id, env.trace, result, mode, k_got)
-}
-
 impl RequestService for TrustedServer {
     fn submit(&mut self, env: &RequestEnvelope) {
         let response = match env.body {
@@ -97,7 +68,12 @@ impl RequestService for TrustedServer {
             }
             EnvelopeBody::Request { service } => {
                 let result = self.try_handle_request(env.user, env.at, service);
-                Some(response_to(env, &result, self.mode(), self.log()))
+                Some(ResponseEnvelope::from_result(
+                    env.req_id,
+                    env.trace,
+                    &result,
+                    self.mode(),
+                ))
             }
         };
         self.settle(response);
@@ -135,7 +111,8 @@ impl RequestService for TrustedServer {
 mod tests {
     use super::*;
     use crate::envelope::WireOutcome;
-    use crate::server::TsConfig;
+    use crate::events::TsEvent;
+    use crate::server::{RequestOutcome, TsConfig};
     use crate::PrivacyLevel;
     use hka_anonymity::ServiceId;
     use hka_geo::{StPoint, TimeSec};
@@ -185,7 +162,7 @@ mod tests {
         assert_eq!(got.len(), want.len());
         for (resp, want) in got.iter().zip(&want) {
             let expect = match want {
-                Ok(RequestOutcome::Forwarded(_)) => WireOutcome::Forwarded,
+                Ok(RequestOutcome::Forwarded(..)) => WireOutcome::Forwarded,
                 Ok(RequestOutcome::Suppressed(_)) => WireOutcome::Suppressed,
                 Err(_) => WireOutcome::Rejected,
             };

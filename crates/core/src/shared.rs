@@ -134,7 +134,7 @@ mod tests {
                         let at = sp(u as f64 * 10.0, i as f64, i * 30);
                         handle.location_update(UserId(u), at);
                         let out = handle.handle_request(UserId(u), at, ServiceId(0));
-                        assert!(matches!(out, RequestOutcome::Forwarded(_)));
+                        assert!(matches!(out, RequestOutcome::Forwarded(..)));
                     }
                 });
             }

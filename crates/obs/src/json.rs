@@ -369,11 +369,21 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting either reader takes: [`parse`] and
+/// [`CanonicalScan`] refuse a document with more containers (arrays and
+/// objects, empty ones included) open at once. The parser recurses once
+/// per level, so without a bound a hostile line could overflow the call
+/// stack; the bound is shared so that a line one reader admits the
+/// other reads too. Far above anything the system writes: a checkpoint
+/// snapshot, the deepest, nests 7 levels (`tests/checkpoint.rs` pins it).
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -387,6 +397,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -431,8 +443,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nested deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -755,8 +778,8 @@ struct Frame {
 /// own round trip through `f64::write_canonical`. The members of a
 /// top-level object are kept, so [`CanonicalScan::payload`] can read
 /// fields off the text afterwards. Containers are tracked on a reused
-/// stack, not by recursion, so nesting depth costs no call stack. All
-/// buffers are reused from check to check.
+/// stack, not by recursion, and nest at most [`MAX_DEPTH`] deep, as in
+/// [`parse`]. All buffers are reused from check to check.
 ///
 /// It is the one reader of every line the system takes in: the
 /// journal's verifier checks a record's payload with it, and the wire
@@ -782,6 +805,9 @@ impl CanonicalScan {
         let mut pos = at;
         'value: loop {
             match bytes.get(pos) {
+                Some(b'{' | b'[') if self.stack.len() == MAX_DEPTH => {
+                    return Err((pos, "nested deeper than json::MAX_DEPTH"));
+                }
                 Some(b'{') if bytes.get(pos + 1) == Some(&b'}') => pos += 2,
                 Some(b'[') if bytes.get(pos + 1) == Some(&b']') => pos += 2,
                 Some(b'{') => {

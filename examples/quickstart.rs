@@ -85,7 +85,7 @@ fn main() {
             EventKind::Request { service } => {
                 let outcome = ts.handle_request(e.user, e.at, ServiceId(service));
                 if e.user == alice {
-                    if let RequestOutcome::Forwarded(req) = &outcome {
+                    if let RequestOutcome::Forwarded(req, _) = &outcome {
                         alice_forwards += 1;
                         if req.context.area() > 0.0 {
                             println!(

@@ -81,8 +81,9 @@ cargo test -q --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== chaos (fixed seeds, fail-closed invariant) =="
+echo "== chaos (fixed seeds, fail-closed invariant, both journal cadences) =="
 cargo run --release -q --bin hka-sim -- chaos --seeds 8 --seed 1 --days 1
+cargo run --release -q --bin hka-sim -- chaos --seeds 8 --seed 1 --days 1 --commit group
 
 echo "== audit (journal replay smoke: simulate, then verify + audit) =="
 tmp="$(mktemp -d)"

@@ -386,7 +386,6 @@ fn cmd_simulate(flags: HashMap<String, String>) {
     }
     let audit_rows = collect_audit_rows(
         &world,
-        k,
         |u| ts.audit_patterns(u, k),
         |u| ts.privacy_indicator(u),
     );
@@ -463,7 +462,6 @@ type AuditRow = (UserId, String, bool, bool, usize, PrivacyIndicator);
 
 fn collect_audit_rows(
     world: &World,
-    _k: usize,
     mut audit: impl FnMut(UserId) -> Vec<(String, bool, HkOutcome)>,
     mut indicator: impl FnMut(UserId) -> Option<PrivacyIndicator>,
 ) -> Vec<AuditRow> {
@@ -649,6 +647,22 @@ fn chaos_run(
     chaos_events(&mut ts, &world, &injector)
 }
 
+/// Arrival perturbation under a fault plan: a request is dropped,
+/// duplicated, or re-delivered with a stale (reordered) timestamp. With
+/// no plan, or no fault fired, it arrives once as sent.
+fn arrivals(injector: Option<&FaultInjector>, at: StPoint) -> Vec<StPoint> {
+    match injector.and_then(|inj| inj.check(hka::faults::sites::ARRIVAL)) {
+        Some(FaultKind::Drop) => Vec::new(),
+        Some(FaultKind::Duplicate) => vec![at, at],
+        Some(FaultKind::Reorder) => {
+            let mut late = at;
+            late.t = TimeSec(late.t.0.saturating_sub(300));
+            vec![late]
+        }
+        _ => vec![at],
+    }
+}
+
 /// Drives the world through `ts` under arrival perturbation and checks
 /// the fail-closed invariant on every request. On a group journal each
 /// event ends with a commit, as after a client's barrier, so the mode
@@ -685,23 +699,7 @@ fn chaos_events(ts: &mut TrustedServer, world: &World, injector: &FaultInjector)
                 settle(ts);
             }
             EventKind::Request { service } => {
-                // Arrival perturbation: drop, duplicate, or deliver the
-                // request with a stale (reordered) timestamp.
-                let mut deliveries: Vec<StPoint> = Vec::with_capacity(2);
-                match injector.check(sites::ARRIVAL) {
-                    Some(FaultKind::Drop) => {}
-                    Some(FaultKind::Duplicate) => {
-                        deliveries.push(e.at);
-                        deliveries.push(e.at);
-                    }
-                    Some(FaultKind::Reorder) => {
-                        let mut late = e.at;
-                        late.t = TimeSec(late.t.0.saturating_sub(300));
-                        deliveries.push(late);
-                    }
-                    _ => deliveries.push(e.at),
-                }
-                for at in deliveries {
+                for at in arrivals(Some(injector), e.at) {
                     let mode_before = ts.mode();
                     let before = fired_now(injector);
                     let result = ts.try_handle_request(e.user, at, ServiceId(service));
@@ -727,12 +725,16 @@ fn chaos_events(ts: &mut TrustedServer, world: &World, injector: &FaultInjector)
                             report.suppressed += 1;
                             true
                         }
-                        RequestOutcome::Forwarded(req) => {
+                        RequestOutcome::Forwarded(_, disclosure) => {
                             report.forwarded += 1;
+                            // The gate's own rule (DESIGN.md §8.2), read
+                            // off what the forward disclosed.
                             !faulted
                                 && match mode_before {
                                     ServerMode::Normal => true,
-                                    ServerMode::Degraded => req.context.area() > 0.0,
+                                    ServerMode::Degraded => {
+                                        disclosure.generalized && disclosure.hk_ok
+                                    }
                                     ServerMode::ReadOnly => false,
                                 }
                         }
@@ -955,7 +957,6 @@ fn cmd_watch(args: &[String]) {
 }
 
 fn cmd_serve_drill(flags: HashMap<String, String>) {
-    use hka::faults::sites;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -1124,23 +1125,7 @@ fn cmd_serve_drill(flags: HashMap<String, String>) {
                     req_id += 1;
                 }
                 EventKind::Request { service } => {
-                    // Arrival perturbation mirrors `chaos`: drop,
-                    // duplicate, or re-deliver with a stale timestamp.
-                    let mut deliveries: Vec<StPoint> = Vec::with_capacity(2);
-                    match injector.as_ref().and_then(|inj| inj.check(sites::ARRIVAL)) {
-                        Some(FaultKind::Drop) => {}
-                        Some(FaultKind::Duplicate) => {
-                            deliveries.push(e.at);
-                            deliveries.push(e.at);
-                        }
-                        Some(FaultKind::Reorder) => {
-                            let mut late = e.at;
-                            late.t = TimeSec(late.t.0.saturating_sub(300));
-                            deliveries.push(late);
-                        }
-                        _ => deliveries.push(e.at),
-                    }
-                    for at in deliveries {
+                    for at in arrivals(injector.as_ref(), e.at) {
                         RequestService::submit(
                             &mut ts,
                             &RequestEnvelope::request(req_id, e.user, at, ServiceId(service)),

@@ -77,6 +77,9 @@ struct ChaosOutcome {
     requests: u64,
     faults_fired: u64,
     violations: u64,
+    /// Requests decided in Degraded mode that put their user at risk:
+    /// each one a clamped, sub-k forward the gate must deny.
+    degraded_at_risk: u64,
 }
 
 /// Drives one seeded world under one randomized fault schedule and
@@ -90,7 +93,12 @@ fn chaos_run(seed: u64) -> ChaosOutcome {
         std::io::sink(),
         injector.clone(),
     )) as Box<dyn Write + Send + Sync>));
+    drive(&mut ts, &world, &injector)
+}
 
+/// Delivers the world's events to `ts` under arrival perturbation and
+/// judges every request's outcome by the gate's rule.
+fn drive(ts: &mut TrustedServer, world: &World, injector: &FaultInjector) -> ChaosOutcome {
     // journal.io is excluded: the sink is consulted when the decision is
     // *logged*, after forwarding; its effect (the mode ladder) gates the
     // next request, which the mode_before check below covers.
@@ -102,6 +110,7 @@ fn chaos_run(seed: u64) -> ChaosOutcome {
         requests: 0,
         faults_fired: 0,
         violations: 0,
+        degraded_at_risk: 0,
     };
     for e in &world.events {
         match e.kind {
@@ -123,17 +132,28 @@ fn chaos_run(seed: u64) -> ChaosOutcome {
                 }
                 for at in deliveries {
                     let mode_before = ts.mode();
-                    let before = fired_now(&injector);
+                    let before = fired_now(injector);
+                    let at_risk_before = ts.log().stats().at_risk;
                     let outcome = ts.handle_request(e.user, at, ServiceId(service));
-                    let faulted = fired_now(&injector) > before;
+                    let faulted = fired_now(injector) > before;
                     out.requests += 1;
+                    if mode_before == ServerMode::Degraded
+                        && ts.log().stats().at_risk > at_risk_before
+                    {
+                        out.degraded_at_risk += 1;
+                    }
                     let fail_closed = match &outcome {
                         RequestOutcome::Suppressed(_) => true,
-                        RequestOutcome::Forwarded(req) => {
+                        // Degraded mode lets through only what is
+                        // generalized and fully HK-anonymous (DESIGN.md
+                        // §8.2): judged on what the forward disclosed.
+                        RequestOutcome::Forwarded(_, disclosure) => {
                             !faulted
                                 && match mode_before {
                                     ServerMode::Normal => true,
-                                    ServerMode::Degraded => req.context.area() > 0.0,
+                                    ServerMode::Degraded => {
+                                        disclosure.generalized && disclosure.hk_ok
+                                    }
                                     ServerMode::ReadOnly => false,
                                 }
                         }
@@ -167,6 +187,42 @@ fn thirty_two_seeded_schedules_never_fail_open() {
         "schedules injected too few faults ({total_faults}) to exercise anything"
     );
     assert!(total_requests > 1_000, "worlds produced too few requests");
+}
+
+/// The randomized schedules rarely hold the server in Degraded mode
+/// while a user goes at risk. This one does: every journal write fails,
+/// but the retry budget never runs out, so the server stays Degraded
+/// for the whole seeded day, and every at-risk request ends in a
+/// clamped, sub-k forward attempt (`RiskAction::Forward`) that the gate
+/// must deny.
+#[test]
+fn a_degraded_server_never_forwards_an_at_risk_clamp() {
+    let seed = 3;
+    let world = small_world(seed);
+    let mut ts = protected_server(&world, 4);
+    let injector = FaultInjector::new(FaultPlan::new(seed).with_rule(
+        sites::JOURNAL_IO,
+        Trigger::Always,
+        FaultKind::Io,
+    ));
+    ts.attach_journal_with(
+        obs::Journal::new(
+            Box::new(FaultyWriter::new(std::io::sink(), injector.clone()))
+                as Box<dyn Write + Send + Sync>,
+        ),
+        RetryPolicy {
+            attempts: 1,
+            max_failures: u32::MAX,
+            backoff_base: 0,
+        },
+    );
+    let r = drive(&mut ts, &world, &injector);
+    assert_eq!(ts.mode(), ServerMode::Degraded);
+    assert!(
+        r.degraded_at_risk > 0,
+        "the schedule put no user at risk in Degraded mode"
+    );
+    assert_eq!(r.violations, 0, "a Degraded at-risk clamp was forwarded");
 }
 
 #[test]
@@ -221,7 +277,7 @@ fn journal_outage_walks_the_mode_ladder_and_recovers() {
     let at = StPoint::xyt(100.0, 100.0, TimeSec(4_800));
     assert!(matches!(
         ts.handle_request(UserId(1), at, ServiceId(1)),
-        RequestOutcome::Forwarded(_)
+        RequestOutcome::Forwarded(..)
     ));
 
     // The ladder was journaled in order: Normal → Degraded → ReadOnly →

@@ -455,6 +455,33 @@ fn compact_history_rebuild_matches_a_from_scratch_build() {
 
 // --- CLI surface ------------------------------------------------------
 
+/// The most containers (arrays and objects) open at once in a JSON text.
+fn nesting(text: &str) -> usize {
+    let (mut depth, mut deepest) = (0usize, 0usize);
+    let (mut in_string, mut escaped) = (false, false);
+    for b in text.bytes() {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+        } else {
+            match b {
+                b'"' => in_string = true,
+                b'[' | b'{' => {
+                    depth += 1;
+                    deepest = deepest.max(depth);
+                }
+                b']' | b'}' => depth -= 1,
+                _ => {}
+            }
+        }
+    }
+    deepest
+}
+
 #[test]
 fn serve_drill_checkpoints_verify_restore_and_resume() {
     let dir = TempDir::new("cli-drill");
@@ -487,6 +514,13 @@ fn serve_drill_checkpoints_verify_restore_and_resume() {
     snaps.sort();
     let last = snaps.last().expect("the drill wrote a snapshot");
     let last_s = last.to_str().unwrap();
+
+    // A snapshot is the deepest document the system writes:
+    // `sections.audit.users[].at_risk_windows[][]` holds 7 containers
+    // open at once. The readers' shared nesting limit stays far above.
+    let depth = nesting(&std::fs::read_to_string(last).unwrap());
+    assert_eq!(depth, 7);
+    assert!(depth * 16 <= hka::obs::json::MAX_DEPTH);
 
     let resume_json = dir.0.join("resume.json");
     let genesis_json = dir.0.join("genesis.json");

@@ -207,6 +207,27 @@ fn gateway_journal_is_byte_identical_to_in_process() {
         );
     }
 
+    // The wire's k_got is the journal's: the forwarded responses, in
+    // order, carry the k_got of the journal's `ts.forwarded` records.
+    let file = std::fs::File::open(&inproc_path).unwrap();
+    let journaled: Vec<u64> = obs::verify_chain(std::io::BufReader::new(file))
+        .unwrap()
+        .records
+        .iter()
+        .filter(|r| r.kind == "ts.forwarded")
+        .map(|r| r.payload.get("k_got").and_then(obs::Json::as_int).unwrap() as u64)
+        .collect();
+    let wire: Vec<u64> = inproc
+        .iter()
+        .filter(|r| r.outcome == WireOutcome::Forwarded)
+        .map(|r| r.k_got)
+        .collect();
+    assert_eq!(wire, journaled);
+    assert!(
+        wire.iter().any(|&k| k > 0),
+        "no forward reported an anonymity set"
+    );
+
     // And the auditor still *fails* when the gateway journal is
     // tampered with — exit 1 is the chain-broken code.
     let mut tampered = gw_bytes.clone();

@@ -176,7 +176,7 @@ fn assert_same_routes(seq: &TrustedServer, grp: &TrustedServer, outcomes: &Outco
     assert_eq!(seq.provider_view(), grp.provider_view(), "provider view");
     let mut forwarded = 0;
     for (user, outcome) in outcomes {
-        if let Ok(RequestOutcome::Forwarded(req)) = outcome {
+        if let Ok(RequestOutcome::Forwarded(req, _)) = outcome {
             assert_eq!(seq.route_response(req.msg_id), Some(*user));
             assert_eq!(grp.route_response(req.msg_id), Some(*user));
             forwarded += 1;

@@ -23,6 +23,9 @@
 //!    through owned records.
 //! 6. Whenever `recover` accepts a suffix journal whose leading anchor
 //!    line was respelled or mutated, the journal it leaves verifies.
+//! 7. Nesting past `json::MAX_DEPTH` is refused as a chain failure by
+//!    both consumers — never a stack overflow — and nesting at the
+//!    limit verifies through both.
 
 use hka::obs::{ChainCursor, ChainError, Journal, JournalRecord, Json};
 // For the shared tree oracle (`super::` there).
@@ -457,4 +460,41 @@ fn recover_never_leaves_a_journal_that_fails_verification() {
     }
     let _ = std::fs::remove_file(&path);
     assert!(recovered > 0);
+}
+
+/// A one-record journal, chained and hashed as the encoder would,
+/// whose payload is `depth` nested arrays.
+fn nested_journal(depth: usize) -> Vec<u8> {
+    use hka::obs::GENESIS_HASH;
+    let payload = "[".repeat(depth) + &"]".repeat(depth);
+    let hash = event_hash(0, "test.deep", &payload, GENESIS_HASH);
+    let line = format!(
+        r#"{{"hash":"{hash}","kind":"test.deep","payload":{payload},"prev":"{GENESIS_HASH}","seq":0,"v":{JOURNAL_VERSION}}}"#
+    );
+    (line + "\n").into_bytes()
+}
+
+#[test]
+fn nesting_past_the_depth_limit_is_a_chain_failure_not_an_abort() {
+    use hka::obs::json::MAX_DEPTH;
+    let cfg = hka::audit::AuditConfig::default();
+    for depth in [MAX_DEPTH + 1, 200_000] {
+        let bytes = nested_journal(depth);
+        match hka::obs::verify_chain(&bytes[..]) {
+            Err(ChainError::Malformed { line: 1, .. }) => {}
+            other => panic!("depth {depth}: {other:?}"),
+        }
+        let replayed = hka::audit::replay(&bytes[..], cfg);
+        assert!(!replayed.chain.verified(), "depth {depth} replayed clean");
+        assert_eq!(replayed.chain.records, 0);
+        // The tree readers refuse it too.
+        assert!(JournalRecord::parse_line(std::str::from_utf8(&bytes).unwrap()).is_err());
+        assert!(hka::obs::json::parse(&("[".repeat(depth) + &"]".repeat(depth))).is_err());
+    }
+    let bytes = nested_journal(MAX_DEPTH);
+    let chain = hka::obs::verify_chain(&bytes[..]).unwrap();
+    assert_eq!(chain.records.len(), 1);
+    let replayed = hka::audit::replay(&bytes[..], cfg);
+    assert!(replayed.chain.verified(), "{:?}", replayed.chain.error);
+    assert_eq!(replayed.chain.records, 1);
 }
