@@ -8,6 +8,11 @@
 //! to an error; an unknown kind is tolerated and counted (forward
 //! compatibility within a journal version: fields and kinds may be
 //! added, never changed or removed).
+//!
+//! Journal v2 adds one payload form: an exact forward journaled as the
+//! point `{"at","service","user","x","y"}`, its omitted members restored
+//! to the defaults the writer left out (DESIGN.md §9.3). It is a schema
+//! issue on a v1 line.
 
 use std::borrow::Cow;
 
@@ -141,11 +146,19 @@ pub enum AuditEvent {
 trait Fields {
     /// The member `name`, if present.
     fn field(&self, name: &str) -> Option<Scalar<'_>>;
+    /// How many members the payload has (0 when it is no object).
+    fn members(&self) -> usize;
 }
 
 impl Fields for Json {
     fn field(&self, name: &str) -> Option<Scalar<'_>> {
         self.get(name).map(Scalar::of)
+    }
+    fn members(&self) -> usize {
+        match self {
+            Json::Obj(members) => members.len(),
+            _ => 0,
+        }
     }
 }
 
@@ -154,6 +167,9 @@ impl Fields for Json {
 impl Fields for Payload<'_> {
     fn field(&self, name: &str) -> Option<Scalar<'_>> {
         self.get(name)
+    }
+    fn members(&self) -> usize {
+        self.member_count()
     }
 }
 
@@ -201,23 +217,55 @@ fn opt_u64(p: &impl Fields, name: &str) -> Option<u64> {
 }
 
 /// Decodes one verified journal record. `Err` means a *known* kind did
-/// not carry its required v1 fields — schema drift the audit must
-/// surface, not paper over.
+/// not carry the fields its record's version requires — schema drift
+/// the audit must surface, not paper over.
 pub fn decode(record: &JournalRecord) -> Result<AuditEvent, String> {
-    decode_fields(&record.kind, record.seq, &record.prev, &record.payload)
+    let position = (record.version, record.seq, record.prev.as_str());
+    decode_fields(&record.kind, position, &record.payload)
 }
 
 /// [`decode`] for a record the lending reader verified
 /// ([`hka_obs::JournalReader::next_ref`]): the same decoder, reading
 /// fields off the line.
 pub fn decode_ref(record: &RecordRef<'_>) -> Result<AuditEvent, String> {
-    decode_fields(&record.kind, record.seq, &record.prev, &record.payload)
+    let position = (record.version, record.seq, record.prev.as_ref());
+    decode_fields(&record.kind, position, &record.payload)
 }
 
-/// The one decoder: a record's kind, chain position and payload fields
-/// into an audit event.
-fn decode_fields(kind: &str, seq: u64, prev: &str, p: &impl Fields) -> Result<AuditEvent, String> {
+/// The one decoder: a record's kind, `(version, seq, prev)` and payload
+/// fields into an audit event.
+fn decode_fields(
+    kind: &str,
+    (version, seq, prev): (i64, u64, &str),
+    p: &impl Fields,
+) -> Result<AuditEvent, String> {
     match kind {
+        // The point form: an exact forward, every omitted member at the
+        // default the writer left out, the context the point at `at`.
+        "ts.forwarded" if p.field("x").is_some() => {
+            if version < 2 {
+                return Err(format!("{kind}: the point form on a v{version} line"));
+            }
+            if p.members() != 5 {
+                return Err(format!(
+                    "{kind}: the point form has exactly 'at', 'service', 'user', 'x', 'y'"
+                ));
+            }
+            req_f64(p, kind, "x")?;
+            req_f64(p, kind, "y")?;
+            Ok(AuditEvent::Forwarded {
+                user: req_u64(p, kind, "user")?,
+                at: req_int(p, kind, "at")?,
+                area: 0.0,
+                duration: 0,
+                generalized: false,
+                hk_ok: true,
+                service: Some(req_u64(p, kind, "service")?),
+                k_req: Some(0),
+                k_got: Some(0),
+                lbqid: None,
+            })
+        }
         "ts.forwarded" => {
             let x_min = req_f64(p, kind, "x_min")?;
             let y_min = req_f64(p, kind, "y_min")?;
@@ -392,6 +440,45 @@ mod tests {
     }
 
     #[test]
+    fn the_point_form_restores_the_defaults_on_v2_only() {
+        let point = Json::obj([
+            ("at", Json::Int(100)),
+            ("service", Json::Int(2)),
+            ("user", Json::Int(7)),
+            ("x", Json::Num(1.5)),
+            ("y", Json::Num(-2.0)),
+        ]);
+        let mut rec = record("ts.forwarded", point.clone());
+        rec.version = 2;
+        assert_eq!(
+            decode(&rec).unwrap(),
+            AuditEvent::Forwarded {
+                user: 7,
+                at: 100,
+                area: 0.0,
+                duration: 0,
+                generalized: false,
+                hk_ok: true,
+                service: Some(2),
+                k_req: Some(0),
+                k_got: Some(0),
+                lbqid: None,
+            }
+        );
+        rec.version = 1;
+        let err = decode(&rec).unwrap_err();
+        assert!(err.contains("point form on a v1 line"), "{err}");
+        // Only the five members: anything more is no point form.
+        let Json::Obj(mut members) = point else {
+            unreachable!()
+        };
+        members.insert("generalized".to_string(), Json::Bool(true));
+        let mut rec = record("ts.forwarded", Json::Obj(members));
+        rec.version = 2;
+        assert!(decode(&rec).unwrap_err().contains("exactly"));
+    }
+
+    #[test]
     fn missing_required_field_is_a_schema_issue() {
         let payload = Json::obj([("at", Json::Int(0))]);
         let err = decode(&record("ts.suppressed", payload)).unwrap_err();
@@ -470,6 +557,16 @@ mod tests {
                     ("k_req", Json::Int(5)),
                     ("k_got", Json::Int(2)),
                     ("lbqid", Json::from("caf\u{e9} \"commute\"\n")),
+                ]),
+            ),
+            (
+                "ts.forwarded",
+                Json::obj([
+                    ("at", Json::Int(100)),
+                    ("service", Json::Int(2)),
+                    ("user", Json::Int(7)),
+                    ("x", Json::Num(-0.0)),
+                    ("y", Json::Num(1e15)),
                 ]),
             ),
             (

@@ -204,15 +204,48 @@ impl TsEvent {
     }
 }
 
-/// The journal payload for this event (schema v1; field names are part
+/// Whether `context` is the degenerate box at `at`: one point, bit for
+/// bit, at the instant `at` — what the point form may stand for.
+fn is_point_at(context: &StBox, at: TimeSec) -> bool {
+    let (min, max) = (context.rect.min(), context.rect.max());
+    min.x.to_bits() == max.x.to_bits()
+        && min.y.to_bits() == max.y.to_bits()
+        && context.span.start() == at
+        && context.span.end() == at
+}
+
+/// The journal payload for this event (schema v2; field names are part
 /// of the on-disk format — change only with a version bump). This is
 /// the event's only field list: the fields go straight into the
 /// journal's buffer, in the ascending key order canonical JSON has, and
 /// no `Json` tree is built on the way.
+///
+/// A forward is written in one of two forms. The **point form**
+/// `{"at","service","user","x","y"}` (new in v2) is an exact forward
+/// whose omitted members all hold their defaults: not generalized,
+/// `hk_ok`, both k values 0, no LBQID, and the context the point
+/// `(x, y)` at `at`. Every other forward keeps v1's box form.
 impl Canonical for TsEvent {
     fn write_canonical(&self, out: &mut String) {
         let mut o = ObjectWriter::new(out);
         match self {
+            TsEvent::Forwarded {
+                user,
+                at,
+                context,
+                generalized: false,
+                hk_ok: true,
+                service,
+                k_req: 0,
+                k_got: 0,
+                lbqid: None,
+            } if is_point_at(context, *at) => {
+                o.field("at", at.0);
+                o.field("service", u64::from(service.0));
+                o.field("user", user.0);
+                o.field("x", context.rect.min().x);
+                o.field("y", context.rect.min().y);
+            }
             TsEvent::Forwarded {
                 user,
                 at,
@@ -999,8 +1032,39 @@ mod tests {
         )
     }
 
-    /// The tree construction the encoder replaced, kept as the reference
-    /// the byte-identity tests compare it against.
+    /// The v2 payload as a tree: the point form for an exact forward
+    /// whose omitted members all hold their defaults, else the v1 tree.
+    /// The reference the byte-identity tests compare the encoder with.
+    fn oracle_payload_v2(e: &TsEvent) -> Json {
+        match e {
+            TsEvent::Forwarded {
+                user,
+                at,
+                context,
+                generalized: false,
+                hk_ok: true,
+                service,
+                k_req: 0,
+                k_got: 0,
+                lbqid: None,
+            } if context.span == TimeInterval::instant(*at)
+                && context.rect.min().x.to_bits() == context.rect.max().x.to_bits()
+                && context.rect.min().y.to_bits() == context.rect.max().y.to_bits() =>
+            {
+                Json::obj([
+                    ("user", Json::from(user.0)),
+                    ("at", Json::Int(at.0)),
+                    ("x", Json::Num(context.rect.min().x)),
+                    ("y", Json::Num(context.rect.min().y)),
+                    ("service", Json::from(u64::from(service.0))),
+                ])
+            }
+            _ => oracle_payload(e),
+        }
+    }
+
+    /// The tree construction the encoder replaced, kept as the reference:
+    /// every payload as journal v1 wrote it.
     fn oracle_payload(e: &TsEvent) -> Json {
         match e {
             TsEvent::Forwarded {
@@ -1151,6 +1215,38 @@ mod tests {
                 k_got: usize::MAX,
                 lbqid: (i > 0).then(|| name.to_string()),
             });
+            // An exact forward, in the point form, then near misses that
+            // each differ from it in one member and keep the box form.
+            let point = StBox::point(StPoint::xyt(lo, hi, at));
+            let wide = StBox::new(
+                Rect::new(Point::new(lo, hi), Point::new(lo + 1.0, hi)),
+                point.span,
+            );
+            let long = StBox::new(point.rect, TimeInterval::new(at, TimeSec(at.0 + 1)));
+            let later = TimeSec(at.0 + 1);
+            for (at, context, generalized, hk_ok, k_req, k_got, lbqid) in [
+                (at, point, false, true, 0, 0, None),
+                (at, point, true, true, 0, 0, None),
+                (at, point, false, false, 0, 0, None),
+                (at, point, false, true, 1, 0, None),
+                (at, point, false, true, 0, 1, None),
+                (at, point, false, true, 0, 0, Some(name)),
+                (later, point, false, true, 0, 0, None),
+                (at, wide, false, true, 0, 0, None),
+                (at, long, false, true, 0, 0, None),
+            ] {
+                events.push(TsEvent::Forwarded {
+                    user,
+                    at,
+                    context,
+                    generalized,
+                    hk_ok,
+                    service: ServiceId(i as u32),
+                    k_req,
+                    k_got,
+                    lbqid: lbqid.map(str::to_string),
+                });
+            }
             events.push(TsEvent::AtRisk {
                 user,
                 at,
@@ -1219,13 +1315,17 @@ mod tests {
         let events = every_variant();
         let mut direct = hka_obs::Journal::new(Vec::new());
         let mut tree = hka_obs::Journal::new(Vec::new());
+        let mut points = 0;
         for e in &events {
             let mut out = String::new();
             e.write_canonical(&mut out);
-            assert_eq!(out, oracle_payload(e).to_string(), "{e:?}");
+            assert_eq!(out, oracle_payload_v2(e).to_string(), "{e:?}");
+            points += usize::from(out.contains("\"x\":"));
             direct.append(e.kind(), e).unwrap();
-            tree.append(e.kind(), oracle_payload(e)).unwrap();
+            tree.append(e.kind(), oracle_payload_v2(e)).unwrap();
         }
+        // One exact forward per float pair; every near miss kept its box.
+        assert_eq!(points, 5);
         let direct = direct.into_inner();
         assert_eq!(direct, tree.into_inner());
 
@@ -1244,8 +1344,103 @@ mod tests {
         let report = hka_obs::verify_chain(&direct[..]).expect("chain verifies");
         for (record, e) in report.records.iter().zip(&events) {
             assert_eq!(record.kind, e.kind());
-            assert_eq!(record.payload.to_string(), oracle_payload(e).to_string());
+            assert_eq!(record.payload.to_string(), oracle_payload_v2(e).to_string());
         }
+    }
+
+    /// Every event as a record of `version`, its payload `tree`, in order
+    /// — hand-chained under that version's hash.
+    fn chain_as(version: i64, events: &[TsEvent], tree: fn(&TsEvent) -> Json) -> Vec<u8> {
+        let mut out = String::new();
+        let mut prev = hka_obs::GENESIS_HASH.to_string();
+        for (seq, e) in events.iter().enumerate() {
+            let (kind, payload) = (e.kind(), tree(e).to_string());
+            let preimage = format!("v{version}:{seq}:{kind}:{payload}:{prev}");
+            let hash = hka_obs::sha256::sha256_hex(preimage.as_bytes());
+            out.push_str(&format!(
+                r#"{{"hash":"{hash}","kind":"{kind}","payload":{payload},"prev":"{prev}","seq":{seq},"v":{version}}}"#
+            ));
+            out.push('\n');
+            prev = hash;
+        }
+        out.into_bytes()
+    }
+
+    /// Journals every decision a seeded run makes — a protected city
+    /// with commuters whose crowds can unlink them — and returns them.
+    fn simulated_events() -> Vec<TsEvent> {
+        use crate::server::{TrustedServer, TsConfig};
+        use crate::{PrivacyLevel, Tolerance};
+        use hka_mobility::{EventKind, World, WorldConfig};
+        let world = World::generate(&WorldConfig {
+            seed: 1,
+            days: 2,
+            n_commuters: 4,
+            n_roamers: 60,
+            n_poi_regulars: 2,
+            ..WorldConfig::default()
+        });
+        let mut ts = TrustedServer::new(TsConfig::default());
+        for service in 0..4 {
+            ts.register_service(ServiceId(service), Tolerance::new(9e6, 600));
+        }
+        let commuters: Vec<UserId> = world.commuters().collect();
+        for agent in &world.agents {
+            let protected = commuters.contains(&agent.user);
+            let level = if protected {
+                PrivacyLevel::Medium
+            } else {
+                PrivacyLevel::Off
+            };
+            ts.register_user(agent.user, level);
+        }
+        for &u in &commuters {
+            let (home, office) = (world.home_of(u).unwrap(), world.office_of(u).unwrap());
+            ts.add_lbqid(u, hka_lbqid::Lbqid::example_commute(home, office));
+        }
+        for e in &world.events {
+            match e.kind {
+                EventKind::Location => ts.location_update(e.user, e.at),
+                EventKind::Request { service } => {
+                    let _ = ts.handle_request(e.user, e.at, ServiceId(service));
+                }
+            }
+        }
+        assert_eq!(ts.log().dropped(), 0, "the ring kept every event");
+        ts.log().events().cloned().collect()
+    }
+
+    #[test]
+    fn v1_and_v2_encodings_of_a_simulated_run_decode_to_equal_audit_events() {
+        let mut events = simulated_events();
+        let count =
+            |events: &[TsEvent], kind: &str| events.iter().filter(|e| e.kind() == kind).count();
+        assert!(
+            count(&events, "ts.pseudonym_changed") > 0,
+            "the run must unlink"
+        );
+        assert!(count(&events, "ts.at_risk") > 0);
+        let forwards = count(&events, "ts.forwarded");
+        events.extend(every_variant());
+        let v1 = chain_as(1, &events, oracle_payload);
+        let v2 = chain_as(2, &events, oracle_payload_v2);
+        let mut encoded = hka_obs::Journal::new(Vec::new());
+        for e in &events {
+            encoded.append(e.kind(), e).unwrap();
+        }
+        assert_eq!(encoded.into_inner(), v2, "the encoder writes the v2 trees");
+        let (v1, v2) = (
+            hka_obs::verify_chain(&v1[..]).unwrap(),
+            hka_obs::verify_chain(&v2[..]).unwrap(),
+        );
+        let mut points = 0;
+        for ((old, new), e) in v1.records.iter().zip(&v2.records).zip(&events) {
+            let decoded = hka_audit::event::decode(new);
+            assert!(decoded.is_ok(), "{e:?}: {decoded:?}");
+            assert_eq!(hka_audit::event::decode(old), decoded, "{e:?}");
+            points += usize::from(new.payload.get("x").is_some());
+        }
+        assert!(points > forwards / 2, "{points} point forms of {forwards}");
     }
 
     #[test]
@@ -1820,12 +2015,34 @@ mod tests {
             // Every payload is an object naming the user.
             assert!(payload(e).get("user").is_some());
         }
-        // Forwarded payloads carry the audit fields, with a null lbqid
-        // for non-pattern forwards.
+        // An exact forward is the point: its service and position, the
+        // defaults left out.
         let fwd = payload(&forwarded(0));
+        let keys: Vec<&str> = match &fwd {
+            Json::Obj(members) => members.keys().map(String::as_str).collect(),
+            _ => Vec::new(),
+        };
+        assert_eq!(keys, ["at", "service", "user", "x", "y"]);
         assert_eq!(fwd.get("service").and_then(|j| j.as_int()), Some(1));
-        assert_eq!(fwd.get("k_req").and_then(|j| j.as_int()), Some(0));
-        assert_eq!(fwd.get("k_got").and_then(|j| j.as_int()), Some(0));
+        // Any other forward carries the audit fields, with a null lbqid
+        // for non-pattern forwards.
+        let TsEvent::Forwarded { context, .. } = forwarded(0) else {
+            unreachable!()
+        };
+        let clamped = TsEvent::Forwarded {
+            user: UserId(1),
+            at: TimeSec(0),
+            context,
+            generalized: false,
+            hk_ok: false,
+            service: ServiceId(1),
+            k_req: 3,
+            k_got: 1,
+            lbqid: None,
+        };
+        let fwd = payload(&clamped);
+        assert_eq!(fwd.get("k_req").and_then(|j| j.as_int()), Some(3));
+        assert_eq!(fwd.get("k_got").and_then(|j| j.as_int()), Some(1));
         assert_eq!(fwd.get("lbqid"), Some(&Json::Null));
         assert_eq!(
             payload(&events[1]).get("service").and_then(|j| j.as_int()),

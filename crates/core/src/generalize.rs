@@ -149,7 +149,9 @@ fn finish(
     for (_, p) in &picks {
         context = context.expand_to(p);
     }
-    let selected: Vec<UserId> = picks.into_iter().map(|(u, _)| u).collect();
+    // Collected from a borrow, not in place: the buffer is exactly the
+    // set's length, so the caller can keep it as pattern state.
+    let selected: Vec<UserId> = picks.iter().map(|(u, _)| *u).collect();
     // HK-anonymity requires both: k distinct co-located users were found,
     // and the bounding box fits the service's tolerance.
     let enough = selected.len() >= k;
@@ -213,6 +215,23 @@ mod tests {
         assert!(g.context.contains(&seed));
         assert!(g.context.contains(&sp(30.0, 5.0, 30)));
         assert!(!g.context.contains(&sp(5_000.0, 5_000.0, 9_000)));
+    }
+
+    #[test]
+    fn the_selected_set_holds_no_spare_capacity() {
+        let (store, index) = setup();
+        let seed = sp(12.0, 3.0, 17);
+        let scale = SpaceTimeScale::new(1.0);
+        let stored = [UserId(1), UserId(2), UserId(3), UserId(99)];
+        for k in 0..=6 {
+            for g in [
+                algorithm1_first(&index, &seed, UserId(0), k, &loose()),
+                algorithm1_first_brute(&store, &seed, UserId(0), k, &loose(), &scale),
+                algorithm1_subsequent(&store, &seed, &stored, k, &loose(), &scale),
+            ] {
+                assert_eq!(g.selected.capacity(), g.selected.len(), "k={k}");
+            }
+        }
     }
 
     #[test]

@@ -548,13 +548,60 @@ impl TrustedServer {
             Err(denied) => return denied,
         };
         let pattern = &mut state.patterns[mi];
-        // A clone, not a move: `gen.selected` is collected in place from
-        // Algorithm 1's wider picks, so its buffer is several times its
-        // length, and pattern state lives as long as the pseudonym.
-        pattern.selected = gen.selected.clone();
+        pattern.selected = gen.selected;
         pattern.step = step + 1;
         pattern.contexts.push(gen.context);
         let lbqid = state.monitors[mi].lbqid().name();
         self.forward(p, state.pseudonym, gen.context, Some(lbqid), cleared)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gate::Cleared;
+    use super::{Disclosure, ServerMode};
+
+    /// DESIGN.md §8.2's rule as data: every (mode, generalized,
+    /// hk_ok, faulted) and whether a forward may pass.
+    #[rustfmt::skip]
+    const RULE: [(ServerMode, bool, bool, bool, bool); 24] = {
+        use ServerMode::{Degraded as D, Normal as N, ReadOnly as R};
+        [
+            // mode, generalized, hk_ok, faulted => cleared
+            (N, false, false, false, true),  (N, false, false, true, false),
+            (N, false, true,  false, true),  (N, false, true,  true, false),
+            (N, true,  false, false, true),  (N, true,  false, true, false),
+            (N, true,  true,  false, true),  (N, true,  true,  true, false),
+            (D, false, false, false, false), (D, false, false, true, false),
+            (D, false, true,  false, false), (D, false, true,  true, false),
+            (D, true,  false, false, false), (D, true,  false, true, false),
+            (D, true,  true,  false, true),  (D, true,  true,  true, false),
+            (R, false, false, false, false), (R, false, false, true, false),
+            (R, false, true,  false, false), (R, false, true,  true, false),
+            (R, true,  false, false, false), (R, true,  false, true, false),
+            (R, true,  true,  false, false), (R, true,  true,  true, false),
+        ]
+    };
+
+    #[test]
+    fn judge_is_the_fail_closed_table() {
+        for (mode, generalized, hk_ok, faulted, cleared) in RULE {
+            let disclosure = Disclosure {
+                generalized,
+                hk_ok,
+                k_req: 5,
+                k_got: 3,
+            };
+            let got = Cleared::judge(mode, disclosure, faulted);
+            assert_eq!(
+                got.is_some(),
+                cleared,
+                "{mode:?} generalized={generalized} hk_ok={hk_ok} faulted={faulted}"
+            );
+            // What passes is the disclosure judged, unchanged.
+            if let Some(got) = got {
+                assert_eq!(got.disclosure(), disclosure);
+            }
+        }
     }
 }

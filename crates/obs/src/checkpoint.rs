@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::io::{self, BufRead};
 use std::path::Path;
 
-use crate::journal::{read_record, RecordRef, GENESIS_HASH, JOURNAL_VERSION};
+use crate::journal::{read_record, RecordRef, GENESIS_HASH, JOURNAL_VERSION, OLDEST_VERSION};
 use crate::json::{self, CanonicalScan, Json, ObjectWriter};
 use crate::sha256::sha256_hex;
 
@@ -238,9 +238,9 @@ impl CheckpointAnchor {
 }
 
 /// `line` as a checkpoint anchor, read the way the verifier reads a
-/// record: `None` unless it is a v1 record in the encoder's exact form
-/// whose kind is `checkpoint`; then the anchor, or why its payload
-/// cannot be one.
+/// record: `None` unless it is a record of a version the verifier reads
+/// (1 or 2), in the encoder's exact form, whose kind is `checkpoint`;
+/// then the anchor, or why its payload cannot be one.
 fn anchor_of_line(
     scan: &mut CanonicalScan,
     line: &str,
@@ -252,7 +252,10 @@ fn anchor_of_line(
         return None;
     }
     match read_record(scan, line) {
-        Ok((JOURNAL_VERSION, record)) if record.kind == CHECKPOINT_KIND => {
+        Ok(record)
+            if (OLDEST_VERSION..=JOURNAL_VERSION).contains(&record.version)
+                && record.kind == CHECKPOINT_KIND =>
+        {
             Some(CheckpointAnchor::of_record(&record))
         }
         _ => None,

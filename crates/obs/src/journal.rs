@@ -3,21 +3,27 @@
 //! Each line is one JSON object:
 //!
 //! ```json
-//! {"hash":"…","kind":"forwarded","payload":{…},"prev":"…","seq":0,"v":1}
+//! {"hash":"…","kind":"forwarded","payload":{…},"prev":"…","seq":0,"v":2}
 //! ```
 //!
-//! * `v` — schema version (currently 1);
+//! * `v` — schema version: the writer writes [`JOURNAL_VERSION`] (2);
+//!   the verifier also reads 1;
 //! * `seq` — monotonic sequence number starting at 0;
 //! * `kind` — event type tag;
 //! * `payload` — event body, canonically serialized (sorted keys);
 //! * `prev` — hash of the previous event, or 64 zeros for the first;
-//! * `hash` — `sha256("v1:{seq}:{kind}:{payload}:{prev}")` in hex.
+//! * `hash` — `sha256("v{v}:{seq}:{kind}:{payload}:{prev}")` in hex: each
+//!   line's own version heads its preimage.
 //!
 //! Chaining `prev` through every record makes truncation, reordering,
 //! and in-place edits detectable by [`verify_chain`]. Its verifier,
 //! [`ChainCursor::admit`], accepts a line only as the one encoder writes
 //! it — that layout, a payload in canonical form — and re-derives the
-//! hash from the payload bytes it checked.
+//! hash from the payload bytes it checked. Along one chain the version
+//! never decreases: a v1 prefix continued by the v2 writer verifies, a
+//! v1 line after a v2 line does not. The envelope is the same in both
+//! versions; what v2 changes is a payload (`hka-core`'s exact forward,
+//! DESIGN.md §9.3), which the journal does not look inside.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -28,23 +34,34 @@ use std::io::{self, BufRead, Write};
 use crate::json::{self, Canonical, CanonicalScan, Digits, FormError, Json, Payload};
 use crate::sha256::{HexDigest, Sha256};
 
-/// Journal schema version written into every record.
-pub const JOURNAL_VERSION: i64 = 1;
+/// Journal schema version the writer stamps on every record, and the
+/// newest the verifier reads.
+pub const JOURNAL_VERSION: i64 = 2;
+
+/// The oldest schema version the verifier reads.
+pub(crate) const OLDEST_VERSION: i64 = 1;
 
 /// `prev` of the first record: 64 hex zeros.
 pub const GENESIS_HASH: &str = "0000000000000000000000000000000000000000000000000000000000000000";
 
-// The two places the schema version is spelled into a record's bytes:
-// the head of the hash preimage and the tail of the line.
-const PREIMAGE_HEAD: &[u8] = b"v1:";
-const LINE_TAIL: &str = ",\"v\":1}\n";
-const _: () = assert!(JOURNAL_VERSION == 1, "PREIMAGE_HEAD and LINE_TAIL spell v1");
+// The writer's version as it is spelled into the tail of its lines.
+const LINE_TAIL: &str = ",\"v\":2}\n";
+const _: () = assert!(JOURNAL_VERSION == 2, "LINE_TAIL spells v2");
 
-/// The hash of one record — `sha256("v1:{seq}:{kind}:{payload}:{prev}")`
-/// — streamed piece by piece, so no preimage is ever assembled.
-fn record_digest(seq: u64, kind: &str, payload_canonical: &str, prev: &str) -> HexDigest {
+/// The hash of one record —
+/// `sha256("v{version}:{seq}:{kind}:{payload}:{prev}")` — streamed piece
+/// by piece, so no preimage is ever assembled.
+fn record_digest(
+    version: i64,
+    seq: u64,
+    kind: &str,
+    payload_canonical: &str,
+    prev: &str,
+) -> HexDigest {
     let mut hasher = Sha256::new();
-    hasher.update(PREIMAGE_HEAD);
+    hasher.update(b"v");
+    hasher.update(Digits::of(version.unsigned_abs()).as_str().as_bytes());
+    hasher.update(b":");
     hasher.update(Digits::of(seq).as_str().as_bytes());
     hasher.update(b":");
     hasher.update(kind.as_bytes());
@@ -55,10 +72,11 @@ fn record_digest(seq: u64, kind: &str, payload_canonical: &str, prev: &str) -> H
     HexDigest::of(&hasher.finalize())
 }
 
-/// The hash of one record: covers version, sequence number, kind,
-/// canonical payload, and the previous record's hash.
+/// The hash of one record as the writer writes it: covers version
+/// ([`JOURNAL_VERSION`]), sequence number, kind, canonical payload, and
+/// the previous record's hash.
 pub fn event_hash(seq: u64, kind: &str, payload_canonical: &str, prev: &str) -> String {
-    record_digest(seq, kind, payload_canonical, prev)
+    record_digest(JOURNAL_VERSION, seq, kind, payload_canonical, prev)
         .as_str()
         .to_string()
 }
@@ -68,7 +86,7 @@ pub fn event_hash(seq: u64, kind: &str, payload_canonical: &str, prev: &str) -> 
 /// the record's line, appended to `line` with its newline:
 ///
 /// ```text
-/// {"hash":"…","kind":…,"payload":<scratch>,"prev":…,"seq":N,"v":1}\n
+/// {"hash":"…","kind":…,"payload":<scratch>,"prev":…,"seq":N,"v":2}\n
 /// ```
 ///
 /// — the member order a sorted-key object has. `kind` and `prev` go
@@ -84,7 +102,7 @@ fn encode_record(
 ) -> HexDigest {
     scratch.clear();
     payload.write_canonical(scratch);
-    let hash = record_digest(seq, kind, scratch, prev);
+    let hash = record_digest(JOURNAL_VERSION, seq, kind, scratch, prev);
     line.push_str("{\"hash\":\"");
     line.push_str(hash.as_str());
     line.push_str("\",\"kind\":");
@@ -161,10 +179,11 @@ impl JournalRecord {
 }
 
 /// One record as it stands on a line [`ChainCursor::admit`] verified:
-/// borrowed from the line, nothing parsed into a tree. Its version is
-/// [`JOURNAL_VERSION`]; the verifier refuses any other.
+/// borrowed from the line, nothing parsed into a tree.
 #[derive(Debug, Clone)]
 pub struct RecordRef<'a> {
+    /// Schema version (1 or 2; the writer writes [`JOURNAL_VERSION`]).
+    pub version: i64,
     /// Sequence number.
     pub seq: u64,
     /// Event type tag (owned only when the line escapes a character).
@@ -181,7 +200,7 @@ impl RecordRef<'_> {
     /// The owned record, its payload parsed into a tree.
     pub fn to_record(&self) -> Result<JournalRecord, json::ParseError> {
         Ok(JournalRecord {
-            version: JOURNAL_VERSION,
+            version: self.version,
             seq: self.seq,
             kind: self.kind.to_string(),
             payload: json::parse(self.payload.as_str())?,
@@ -217,15 +236,15 @@ fn int_at(text: &str, at: usize) -> Result<(i64, usize), FormError> {
 
 /// Reads a line (one trailing newline allowed) as [`encode_record`]
 /// writes it — `{"hash":…,"kind":…,"payload":P,"prev":…,"seq":N,"v":V}`
-/// with `P` in canonical form ([`CanonicalScan`]) — in one pass, and
-/// returns its version with the record. Anything else, even a line that
-/// parses to the same values, is refused. The verifier and the
-/// checkpoint-anchor reader ([`crate::checkpoint::find_anchor`]) both
-/// read a line through it.
+/// with `P` in canonical form ([`CanonicalScan`]) — in one pass, for any
+/// integer `V`. Anything else, even a line that parses to the same
+/// values, is refused. The verifier and the checkpoint-anchor reader
+/// ([`crate::checkpoint::find_anchor`]) both read a line through it, and
+/// each judges `V` itself.
 pub(crate) fn read_record<'a>(
     scan: &'a mut CanonicalScan,
     line: &'a str,
-) -> Result<(i64, RecordRef<'a>), FormError> {
+) -> Result<RecordRef<'a>, FormError> {
     let text = line.strip_suffix('\n').unwrap_or(line);
     let (hash, at) = string_at(text, expect(text, 0, "{\"hash\":")?)?;
     let (kind, at) = string_at(text, expect(text, at, ",\"kind\":")?)?;
@@ -240,16 +259,14 @@ pub(crate) fn read_record<'a>(
         return Err((at, "expected '}' to end the line"));
     }
     let scan: &'a CanonicalScan = scan;
-    Ok((
+    Ok(RecordRef {
         version,
-        RecordRef {
-            seq,
-            kind: json::unescape(kind),
-            payload: scan.payload(&text[payload_at..payload_end]),
-            prev: json::unescape(prev),
-            hash,
-        },
-    ))
+        seq,
+        kind: json::unescape(kind),
+        payload: scan.payload(&text[payload_at..payload_end]),
+        prev: json::unescape(prev),
+        hash,
+    })
 }
 
 /// An append-only journal writer over any byte sink.
@@ -455,7 +472,9 @@ pub enum ChainError {
         /// What was wrong with it.
         message: String,
     },
-    /// A record's schema version is not [`JOURNAL_VERSION`].
+    /// A record's schema version is not one the verifier reads (1 to
+    /// [`JOURNAL_VERSION`]), or is older than an earlier record's: along
+    /// one chain the version never decreases.
     BadVersion {
         /// 1-based line number.
         line: usize,
@@ -549,6 +568,9 @@ pub struct ChainReport {
 pub struct ChainCursor {
     records: u64,
     head: String,
+    /// The last admitted record's schema version: the oldest the next
+    /// may have.
+    version: i64,
     /// The line check's buffers; reused.
     scan: CanonicalScan,
 }
@@ -579,11 +601,14 @@ impl ChainCursor {
     /// how a verifier starts from a checkpoint anchor instead of
     /// genesis — a truncated journal's leading `checkpoint` record
     /// carries exactly this pair in its payload
-    /// ([`crate::checkpoint::CheckpointAnchor`]).
+    /// ([`crate::checkpoint::CheckpointAnchor`]). The position does not
+    /// say which version the record before it had, so the next record
+    /// may have any version the verifier reads.
     pub fn resume(records: u64, head: String) -> Self {
         ChainCursor {
             records,
             head,
+            version: OLDEST_VERSION,
             scan: CanonicalScan::default(),
         }
     }
@@ -598,47 +623,59 @@ impl ChainCursor {
         &self.head
     }
 
+    /// The oldest schema version the next record may have: the last
+    /// admitted record's (1 at genesis or after a resume).
+    pub fn version(&self) -> i64 {
+        self.version
+    }
+
     /// Checks one line against the chain so far: the record layout and
     /// canonical payload (else [`ChainError::Malformed`]), then schema
-    /// version, sequence number, `prev` link and recomputed hash, in that
-    /// order. On success the cursor advances and the record is returned
-    /// borrowed from `line`; on failure the cursor is untouched, so the
-    /// same line (or a repaired one) can be offered again. `line_no` is
-    /// the 1-based line number used in errors.
+    /// version (one the verifier reads, and not older than the last
+    /// record's), sequence number, `prev` link and recomputed hash, in
+    /// that order. On success the cursor advances and the record is
+    /// returned borrowed from `line`; on failure the cursor is untouched,
+    /// so the same line (or a repaired one) can be offered again.
+    /// `line_no` is the 1-based line number used in errors.
     pub fn admit<'a>(
         &'a mut self,
         line_no: usize,
         line: &'a str,
     ) -> Result<RecordRef<'a>, ChainError> {
-        let record = check(&mut self.scan, self.records, &self.head, line_no, line)?;
+        let record = check(
+            &mut self.scan,
+            (self.records, &self.head, self.version),
+            line_no,
+            line,
+        )?;
         self.head.clear();
         self.head.push_str(record.hash);
         self.records += 1;
+        self.version = record.version;
         Ok(record)
     }
 }
 
 /// The one verifier behind [`ChainCursor`]: is `line` the record that
-/// follows `(records, head)`? The hash is re-derived from the payload
+/// follows `(records, head)` on a chain whose last version is `version`?
+/// The hash is re-derived from the payload
 /// bytes on the line — which [`read_record`] has checked are exactly
 /// the canonical form, so they are the bytes the encoder hashed, and a
 /// writer that emitted anything else cannot verify.
 fn check<'a>(
     scan: &'a mut CanonicalScan,
-    records: u64,
-    head: &str,
+    (records, head, version): (u64, &str, i64),
     line_no: usize,
     line: &'a str,
 ) -> Result<RecordRef<'a>, ChainError> {
-    let (version, record) =
-        read_record(scan, line).map_err(|(at, what)| ChainError::Malformed {
-            line: line_no,
-            message: format!("byte {at}: {what}"),
-        })?;
-    if version != JOURNAL_VERSION {
+    let record = read_record(scan, line).map_err(|(at, what)| ChainError::Malformed {
+        line: line_no,
+        message: format!("byte {at}: {what}"),
+    })?;
+    if !(version..=JOURNAL_VERSION).contains(&record.version) {
         return Err(ChainError::BadVersion {
             line: line_no,
-            found: version,
+            found: record.version,
         });
     }
     if record.seq != records {
@@ -652,6 +689,7 @@ fn check<'a>(
         return Err(ChainError::BrokenLink { line: line_no });
     }
     let recomputed = record_digest(
+        record.version,
         record.seq,
         &record.kind,
         record.payload.as_str(),
@@ -945,6 +983,8 @@ pub fn recover(path: &std::path::Path) -> io::Result<(Journal<std::fs::File>, Re
 }
 
 #[cfg(test)]
+use crate::sha256::sha256_hex;
+#[cfg(test)]
 mod oracle;
 
 #[cfg(test)]
@@ -1076,25 +1116,100 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let bytes = build_journal(2);
-        let text = String::from_utf8(bytes)
-            .unwrap()
-            .replace("\"v\":1", "\"v\":2");
-        assert!(matches!(
-            verify_chain(text.as_bytes()),
-            Err(ChainError::BadVersion { line: 1, found: 2 })
-        ));
+        // A version the verifier does not read, with the hash it would
+        // have under it, is refused by its version, not its hash.
+        for version in [0, 3, -1] {
+            let (line, _) = oracle_line_v(version, 0, "a", &Json::Int(1), GENESIS_HASH);
+            assert!(matches!(
+                verify_chain(line.as_bytes()),
+                Err(ChainError::BadVersion { line: 1, found }) if found == version
+            ));
+        }
+    }
+
+    /// Chains `(version, payload)` records of kind `e` from genesis
+    /// through the tree oracle: any mix of versions, each hashed under
+    /// its own.
+    fn mixed_chain(versions: &[i64]) -> String {
+        let mut prev = GENESIS_HASH.to_string();
+        let mut out = String::new();
+        for (seq, &version) in (0..).zip(versions) {
+            let (line, hash) = oracle_line_v(version, seq, "e", &sample_payload(seq as i64), &prev);
+            out.push_str(&line);
+            prev = hash;
+        }
+        out
+    }
+
+    #[test]
+    fn versions_never_decrease_along_a_chain() {
+        for versions in [&[1, 1, 2, 2][..], &[2, 2], &[1, 2], &[1]] {
+            let report = verify_chain(mixed_chain(versions).as_bytes()).unwrap();
+            let read: Vec<i64> = report.records.iter().map(|r| r.version).collect();
+            assert_eq!(read, versions);
+        }
+        for (versions, line) in [(&[2, 1][..], 2), (&[1, 2, 1], 3), (&[2, 2, 1, 2], 3)] {
+            assert_eq!(
+                verify_chain(mixed_chain(versions).as_bytes()),
+                Err(ChainError::BadVersion { line, found: 1 }),
+                "{versions:?}"
+            );
+        }
+        // Each line's version is inside its own hash: a v1 line
+        // relabelled v2 (or the reverse) keeps its bytes but not its hash.
+        let v1 = mixed_chain(&[1]);
+        let relabelled = v1.replace("\"v\":1}", "\"v\":2}");
+        assert_eq!(
+            verify_chain(relabelled.as_bytes()),
+            Err(ChainError::BadHash { line: 1 })
+        );
+        let v2 = mixed_chain(&[2]);
+        let relabelled = v2.replace("\"v\":2}", "\"v\":1}");
+        assert_eq!(
+            verify_chain(relabelled.as_bytes()),
+            Err(ChainError::BadHash { line: 1 })
+        );
+    }
+
+    #[test]
+    fn a_recovered_v1_prefix_is_continued_in_v2_and_verifies() {
+        let tmp = TempPath::new("v1-prefix");
+        std::fs::write(&tmp.0, mixed_chain(&[1, 1, 1])).unwrap();
+        let report = recover_append_verify(&tmp.0, 2);
+        assert_eq!((report.valid_records, report.truncated_bytes), (3, 0));
+        let chain = verify_chain(&std::fs::read(&tmp.0).unwrap()[..]).unwrap();
+        let read: Vec<i64> = chain.records.iter().map(|r| r.version).collect();
+        assert_eq!(read, [1, 1, 1, 2, 2]);
+        // The lending read carries each line's version too.
+        let bytes = std::fs::read(&tmp.0).unwrap();
+        let mut reader = JournalReader::new(&bytes[..]);
+        let mut lent = Vec::new();
+        while let Some(record) = reader.next_ref() {
+            lent.push(record.unwrap().version);
+        }
+        assert_eq!(lent, read);
     }
 
     /// The construction the encoder replaced, kept as the reference:
     /// build the record as a `Json` tree, print it with the old
     /// per-`char` serializer, `format!` the preimage, hash it one-shot.
     fn oracle_line(seq: u64, kind: &str, payload: &Json, prev: &str) -> (String, String) {
+        oracle_line_v(JOURNAL_VERSION, seq, kind, payload, prev)
+    }
+
+    /// [`oracle_line`] for a record of schema version `version`.
+    fn oracle_line_v(
+        version: i64,
+        seq: u64,
+        kind: &str,
+        payload: &Json,
+        prev: &str,
+    ) -> (String, String) {
         let canonical = json::oracle::to_string(payload);
-        let preimage = format!("v{JOURNAL_VERSION}:{seq}:{kind}:{canonical}:{prev}");
+        let preimage = format!("v{version}:{seq}:{kind}:{canonical}:{prev}");
         let hash = crate::sha256::sha256_hex(preimage.as_bytes());
         let record = Json::obj([
-            ("v", Json::Int(JOURNAL_VERSION)),
+            ("v", Json::Int(version)),
             ("seq", Json::from(seq)),
             ("kind", Json::from(kind)),
             ("payload", payload.clone()),
@@ -1221,7 +1336,7 @@ mod tests {
     /// Rewrites that keep a line parseable but not the encoder's bytes
     /// (refused as `Malformed`), or keep it canonical but break the
     /// chain (refused as the tree refuses it).
-    const REWRITES: [(&str, &str); 18] = [
+    const REWRITES: [(&str, &str); 22] = [
         (":", ": "),
         ("\"user\":", "\"user\":0"),
         (":0,", ":-0,"),
@@ -1236,6 +1351,10 @@ mod tests {
         ("caf\u{e9}", "caf\\u00e9"),
         ("\"v\":1}", "\"v\":2}"),
         ("\"v\":1}", "\"v\":1.0}"),
+        ("\"v\":2}", "\"v\":1}"),
+        ("\"v\":2}", "\"v\":3}"),
+        ("\"v\":2}", "\"v\":2.0}"),
+        ("\"v\":2}", "\"v\":02}"),
         ("\"seq\":", "\"seq\":1"),
         ("\"prev\":\"", "\"prev\":\"0"),
         ("\"payload\":", "\"payload\":{\"a\":0,\"a\":1,\"b\":"),
@@ -1295,11 +1414,16 @@ mod tests {
 
     #[test]
     fn the_line_verifier_agrees_with_the_tree_oracle() {
-        let fixture = include_str!("../../../tests/fixtures/journal_v1.jsonl");
-        assert_eq!(
-            differential(fixture, 0, GENESIS_HASH, 300),
-            fixture.lines().count() as u64
-        );
+        for fixture in [
+            include_str!("../../../tests/fixtures/journal_v1.jsonl"),
+            include_str!("../../../tests/fixtures/journal_v2.jsonl"),
+            &mixed_chain(&[1, 1, 2, 2]),
+        ] {
+            assert_eq!(
+                differential(fixture, 0, GENESIS_HASH, 300),
+                fixture.lines().count() as u64
+            );
+        }
         let events = awkward_events();
         for (first, prev) in [(0, GENESIS_HASH), (41, HOSTILE[2]), (7, HOSTILE[6])] {
             let mut journal = Journal::resume(Vec::new(), first, prev.to_string());
@@ -1329,6 +1453,7 @@ mod tests {
         let mut tree = oracle::TreeCursor {
             records: 0,
             head: GENESIS_HASH.to_string(),
+            version: 1,
         };
         assert!(tree.admit(1, &respelled).is_ok());
         assert!(matches!(

@@ -2,11 +2,11 @@
 //! differential tests hold it to: parse the whole line into a `Json`
 //! tree (`JournalRecord::parse_line`, which tolerates any JSON spelling
 //! of the record), re-serialize the parsed payload canonically, and hash
-//! that. It names only the crate's public API, so the root package's
-//! tests include this file too (`#[path]`); the includer brings the
-//! names into scope for `super::`.
+//! that, its preimage `format!`ted whole. It names only the crate's
+//! public API, so the root package's tests include this file too
+//! (`#[path]`); the includer brings the names into scope for `super::`.
 
-use super::{event_hash, ChainCursor, ChainError, JournalRecord, Json, JOURNAL_VERSION};
+use super::{sha256_hex, ChainCursor, ChainError, JournalRecord, Json, JOURNAL_VERSION};
 
 /// The tree verifier's chain position.
 pub struct TreeCursor {
@@ -14,11 +14,15 @@ pub struct TreeCursor {
     pub records: u64,
     /// Hash of the last admitted record.
     pub head: String,
+    /// The last admitted record's version (1 at genesis).
+    pub version: i64,
 }
 
 impl TreeCursor {
-    /// Parses `line`, then checks version, sequence, `prev` link and the
-    /// hash of the parsed payload's canonical re-serialization.
+    /// Parses `line`, then checks version (1 to [`JOURNAL_VERSION`], never
+    /// below the last record's), sequence, `prev` link and the hash of
+    /// the parsed payload's canonical re-serialization under the line's
+    /// own version.
     pub fn admit(&mut self, line_no: usize, line: &str) -> Result<JournalRecord, ChainError> {
         let record = JournalRecord::parse_line(line).map_err(|e| match e {
             ChainError::Malformed { message, .. } => ChainError::Malformed {
@@ -27,7 +31,7 @@ impl TreeCursor {
             },
             other => other,
         })?;
-        if record.version != JOURNAL_VERSION {
+        if record.version < self.version || record.version > JOURNAL_VERSION {
             return Err(ChainError::BadVersion {
                 line: line_no,
                 found: record.version,
@@ -43,17 +47,17 @@ impl TreeCursor {
         if record.prev != self.head {
             return Err(ChainError::BrokenLink { line: line_no });
         }
-        let recomputed = event_hash(
-            record.seq,
-            &record.kind,
-            &record.payload.to_string(),
-            &record.prev,
+        let preimage = format!(
+            "v{}:{}:{}:{}:{}",
+            record.version, record.seq, record.kind, record.payload, record.prev
         );
+        let recomputed = sha256_hex(preimage.as_bytes());
         if recomputed != record.hash {
             return Err(ChainError::BadHash { line: line_no });
         }
         self.head.clone_from(&record.hash);
         self.records += 1;
+        self.version = record.version;
         Ok(record)
     }
 }
@@ -88,6 +92,7 @@ pub fn assert_agree(cursor: &mut ChainCursor, line_no: usize, line: &str) -> boo
     let mut tree = TreeCursor {
         records: cursor.records(),
         head: cursor.head().to_string(),
+        version: cursor.version(),
     };
     let old = tree.admit(line_no, line);
     let bare = line.strip_suffix('\n').unwrap_or(line);
@@ -105,8 +110,8 @@ pub fn assert_agree(cursor: &mut ChainCursor, line_no: usize, line: &str) -> boo
             assert_eq!(record, want, "{line:?}");
             assert_eq!(Ok(record), JournalRecord::parse_line(line).as_ref());
             assert_eq!(
-                (cursor.records(), cursor.head()),
-                (tree.records, tree.head.as_str())
+                (cursor.records(), cursor.head(), cursor.version()),
+                (tree.records, tree.head.as_str(), tree.version)
             );
         }
         (Err(e), _) if !canonical => {

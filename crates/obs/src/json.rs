@@ -788,11 +788,8 @@ struct Frame {
 pub struct CanonicalScan {
     members: Vec<Member>,
     stack: Vec<Frame>,
-    /// The canonical form of `last_float`, the last float checked: a
-    /// token equal to it is canonical without another round trip (the
-    /// members `x_max`/`x_min` of a point context repeat one value).
+    /// The canonical form of the float being checked.
     float: String,
-    last_float: f64,
 }
 
 impl CanonicalScan {
@@ -918,20 +915,17 @@ impl CanonicalScan {
                 None => Err((pos, "an integer not in plain form within i64")),
             };
         }
-        if token != self.float {
-            match token.parse::<f64>() {
-                Ok(n) if n.is_finite() => {
-                    self.last_float = n;
-                    self.float.clear();
-                    n.write_canonical(&mut self.float);
-                    if token != self.float {
-                        return Err((pos, "a float not in its canonical form"));
-                    }
+        match token.parse::<f64>() {
+            Ok(n) if n.is_finite() => {
+                self.float.clear();
+                n.write_canonical(&mut self.float);
+                if token != self.float {
+                    return Err((pos, "a float not in its canonical form"));
                 }
-                _ => return Err((pos, "bad float literal")),
+                Ok((end, Number::Num(n)))
             }
+            _ => Err((pos, "bad float literal")),
         }
-        Ok((end, Number::Num(self.last_float)))
     }
 
     /// Checks that the whole of `text` is one value in canonical form

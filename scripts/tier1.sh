@@ -92,6 +92,12 @@ cargo run --release -q --bin hka-sim -- simulate --days 2 --commuters 4 \
     --roamers 20 --trace-out "$tmp/ts.journal" > /dev/null
 cargo run --release -q --bin hka-sim -- audit --journal "$tmp/ts.journal" \
     --json "$tmp/audit.json" --quiet
+# The writer writes journal v2 only, and the CLI still reads a v1 one.
+if grep -v '"v":2}$' "$tmp/ts.journal" | grep -q .; then
+    echo "the simulated journal has a line that is not v2"
+    exit 1
+fi
+cargo run --release -q --bin hka-sim -- audit --journal tests/fixtures/journal_v1.jsonl --quiet
 
 echo "== watch (live-tail smoke: report byte-identical to offline audit) =="
 cargo run --release -q --bin hka-sim -- watch "$tmp/ts.journal" \

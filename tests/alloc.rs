@@ -1,0 +1,192 @@
+//! Heap allocations on the request path, counted: a `System`-wrapping
+//! global allocator counts every allocation (and reallocation) the
+//! calling thread makes, so the tests of this binary, which the harness
+//! runs in parallel, never see each other's.
+//!
+//! A seeded city runs for a day to warm the server (stores, index,
+//! monitors, journal buffers all grown), then every later call is
+//! counted on its own and filed by what the server did with it: a
+//! location report, an exact forward, a generalized forward or a
+//! suppression (on the last day a static mix-zone covers the city, so
+//! every protected request is suppressed). The means per call are pinned from above at what they
+//! measured, so a change that adds an allocation to one of these paths
+//! fails here first. Run with `--nocapture` to see the measured table.
+
+use hka::obs;
+use hka::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: an allocation made while the thread is torn down
+    // goes uncounted instead of panicking.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+/// (allocations, bytes requested) by this thread so far.
+fn counted() -> (u64, u64) {
+    (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters
+// are `const`-initialized thread-locals of plain `Cell`s, which never
+// allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// What the server did with one call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Path {
+    Location,
+    ExactForward,
+    GeneralizedForward,
+    Suppression,
+}
+
+/// Calls, allocations and bytes on one path.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    calls: u64,
+    allocs: u64,
+    bytes: u64,
+}
+
+impl Tally {
+    fn allocs_per_call(&self) -> f64 {
+        self.allocs as f64 / self.calls as f64
+    }
+    fn bytes_per_call(&self) -> f64 {
+        self.bytes as f64 / self.calls as f64
+    }
+}
+
+/// Runs the seeded city — one warm-up day, then the counted days — on
+/// a server journaling every record to an in-memory `Vec`, and tallies
+/// the counted calls by path.
+fn measure() -> std::collections::BTreeMap<Path, Tally> {
+    let world = World::generate(&WorldConfig {
+        seed: 5,
+        days: 3,
+        n_commuters: 8,
+        n_roamers: 60,
+        n_poi_regulars: 2,
+        ..WorldConfig::default()
+    });
+    let mut ts = TrustedServer::new(TsConfig::default());
+    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
+    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 600));
+    let commuters: Vec<UserId> = world.commuters().collect();
+    for agent in &world.agents {
+        let level = if commuters.contains(&agent.user) {
+            PrivacyLevel::Medium
+        } else {
+            PrivacyLevel::Off
+        };
+        ts.register_user(agent.user, level);
+    }
+    for &u in &commuters {
+        ts.add_lbqid(
+            u,
+            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
+        );
+    }
+    ts.attach_journal(obs::Journal::new(Box::new(Vec::<u8>::new())));
+    let warm_until = TimeSec(DAY);
+    let mut tallies = std::collections::BTreeMap::<Path, Tally>::new();
+    let mut zoned = false;
+    for e in &world.events {
+        // On the last day the whole city is a static mix-zone: every
+        // protected request is suppressed, the others still forwarded.
+        if !zoned && e.at.t >= TimeSec(2 * DAY) {
+            ts.add_static_mixzone(Rect::new(Point::new(-1e9, -1e9), Point::new(1e9, 1e9)));
+            zoned = true;
+        }
+        let before = counted();
+        let path = match e.kind {
+            EventKind::Location => {
+                ts.location_update(e.user, e.at);
+                Path::Location
+            }
+            EventKind::Request { service } => {
+                match ts.handle_request(e.user, e.at, ServiceId(service)) {
+                    RequestOutcome::Forwarded(_, d) if d.generalized => Path::GeneralizedForward,
+                    RequestOutcome::Forwarded(..) => Path::ExactForward,
+                    RequestOutcome::Suppressed(_) => Path::Suppression,
+                }
+            }
+        };
+        let after = counted();
+        if e.at.t < warm_until {
+            continue;
+        }
+        let tally = tallies.entry(path).or_default();
+        tally.calls += 1;
+        tally.allocs += after.0 - before.0;
+        tally.bytes += after.1 - before.1;
+    }
+    tallies
+}
+
+#[test]
+fn the_request_paths_allocate_no_more_than_they_measured() {
+    let tallies = measure();
+    for (path, t) in &tallies {
+        println!(
+            "{path:?}: {} calls, {:.3} allocations and {:.1} bytes per call",
+            t.calls,
+            t.allocs_per_call(),
+            t.bytes_per_call()
+        );
+    }
+    // (path, at least this many calls, allocations per call ≤, bytes
+    // per call ≤): the means measured on this seed, rounded up.
+    let pins = [
+        (Path::Location, 100_000, 0.40, 222.0),
+        (Path::ExactForward, 1_000, 1.21, 1_061.0),
+        (Path::GeneralizedForward, 30, 7.63, 785.0),
+        (Path::Suppression, 100, 1.27, 85.0),
+    ];
+    for (path, calls, allocs, bytes) in pins {
+        let t = tallies.get(&path).copied().unwrap_or_default();
+        assert!(t.calls >= calls, "{path:?}: only {} calls", t.calls);
+        assert!(
+            t.allocs_per_call() <= allocs,
+            "{path:?}: {:.3} allocations per call, pinned at {allocs}",
+            t.allocs_per_call()
+        );
+        assert!(
+            t.bytes_per_call() <= bytes,
+            "{path:?}: {:.1} bytes per call, pinned at {bytes}",
+            t.bytes_per_call()
+        );
+    }
+}

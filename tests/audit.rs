@@ -1,6 +1,7 @@
-//! Acceptance tests for the audit subsystem: a checked-in v1 journal
-//! fixture that must keep parsing byte-for-byte (schema-drift guard), a
-//! clean end-to-end replay (simulate → journal → audit) with verified
+//! Acceptance tests for the audit subsystem: two checked-in journal
+//! fixtures of the same events — v1, which every later reader must
+//! still verify and replay, and v2, which the encoder must keep writing
+//! byte for byte (schema-drift guard) — a clean end-to-end replay (simulate → journal → audit) with verified
 //! chain and zero Theorem-1 violations, and tampered / fail-open
 //! journals on which the audit must detect what went wrong.
 
@@ -29,10 +30,11 @@ impl Write for SharedBuf {
 }
 
 /// Builds the fixture journal through the server's own encoder
-/// (`TsEvent::kind`/`payload`): one record of every v1 kind, with fixed
-/// payloads. If the encoder's field names, ordering, or hashing change,
-/// these bytes change — and the byte-for-byte comparison against the
-/// checked-in fixture fails, which is exactly the point.
+/// (`TsEvent::kind`/`payload`): one record of every kind, both forms of
+/// a forward, with fixed payloads. If the encoder's field names,
+/// ordering, or hashing change, these bytes change — and the
+/// byte-for-byte comparison against the checked-in v2 fixture fails,
+/// which is exactly the point.
 fn fixture_bytes() -> Vec<u8> {
     let context = StBox::new(
         Rect::new(Point { x: 100.0, y: 200.0 }, Point { x: 400.0, y: 600.0 }),
@@ -129,14 +131,55 @@ fn fixture_bytes() -> Vec<u8> {
     journal.into_inner()
 }
 
-/// The v1 on-disk format is frozen: the journal the server's encoder
-/// writes today must be byte-identical to the checked-in fixture.
-/// Regenerate deliberately with `HKA_BLESS=1 cargo test -p hka
-/// --test audit` after a *versioned* schema change.
+fn fixture(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    std::fs::read(path.join(name)).expect("fixture missing")
+}
+
+/// The v1 fixture is what the writer wrote before journal v2, kept as
+/// it was: a static file, no longer regenerated. Every reader must still
+/// take it — the chain verifies at v1 on every line, and it replays to
+/// the same audit as the v2 fixture of the same events (the chain head
+/// aside: other bytes, another hash).
 #[test]
 fn journal_v1_fixture_is_byte_stable() {
+    let v1 = fixture("journal_v1.jsonl");
+    let chain = obs::verify_chain(&v1[..]).expect("the v1 fixture verifies");
+    assert_eq!(chain.records.len(), 11);
+    assert!(chain.records.iter().all(|r| r.version == 1));
+
+    let v2 = obs::verify_chain(&fixture_bytes()[..]).unwrap();
+    assert!(v2.records.iter().all(|r| r.version == 2));
+    // The same events, record by record: each kind, and each decoded
+    // event, is the same under both versions.
+    for (old, new) in chain.records.iter().zip(&v2.records) {
+        assert_eq!(old.kind, new.kind);
+        assert_eq!(audit::event::decode(old), audit::event::decode(new));
+    }
+    // The exact forward is the one record whose payload v2 shrank.
+    let shrank: Vec<u64> = (chain.records.iter().zip(&v2.records))
+        .filter(|(old, new)| old.payload != new.payload)
+        .map(|(old, _)| old.seq)
+        .collect();
+    assert_eq!(shrank, [0]);
+
+    let mut old = audit::replay(&v1[..], AuditConfig::default());
+    let new = audit::replay(&fixture_bytes()[..], AuditConfig::default());
+    assert!(old.ok() && old.chain.verified() && old.schema_issues.is_empty());
+    assert_ne!(old.chain.head, new.chain.head);
+    old.chain.head.clone_from(&new.chain.head);
+    assert_eq!(old, new);
+}
+
+/// The v2 on-disk format is frozen: the journal the server's encoder
+/// writes today must be byte-identical to the checked-in fixture.
+/// Regenerate deliberately with `HKA_BLESS=1 cargo test -p hka
+/// --test audit` after an additive schema change; anything else needs
+/// a journal version bump (and keeps this file as a static fixture).
+#[test]
+fn journal_v2_fixture_is_byte_stable() {
     let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/journal_v1.jsonl");
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/journal_v2.jsonl");
     let generated = fixture_bytes();
     if std::env::var_os("HKA_BLESS").is_some() {
         std::fs::write(&path, &generated).unwrap();
@@ -144,7 +187,7 @@ fn journal_v1_fixture_is_byte_stable() {
     let on_disk = std::fs::read(&path).expect("fixture missing: run with HKA_BLESS=1 once");
     assert_eq!(
         on_disk, generated,
-        "journal v1 encoding drifted from tests/fixtures/journal_v1.jsonl; \
+        "journal v2 encoding drifted from tests/fixtures/journal_v2.jsonl; \
          additive payload fields are fine but require blessing the fixture \
          (HKA_BLESS=1), anything else needs a journal version bump"
     );
@@ -178,6 +221,88 @@ fn auditor_reads_the_fixture_without_drift() {
     let u2 = out.users.iter().find(|u| u.user == 2).unwrap();
     assert_eq!(u2.at_risk_windows, vec![(7_400, Some(7_600))]);
     assert_eq!(u2.unlinks, vec![7_600]);
+}
+
+/// One hand-chained line of schema version `version`, hashed under it.
+fn line_v(version: i64, seq: u64, kind: &str, payload: &str, prev: &str) -> (String, String) {
+    let hash =
+        obs::sha256::sha256_hex(format!("v{version}:{seq}:{kind}:{payload}:{prev}").as_bytes());
+    let line = format!(
+        r#"{{"hash":"{hash}","kind":"{kind}","payload":{payload},"prev":"{prev}","seq":{seq},"v":{version}}}"#
+    );
+    (line + "\n", hash)
+}
+
+/// Mixed chains, as the auditor sees them: a v1 journal continued by
+/// the v2 writer replays clean; a v1 line after a v2 line stops the
+/// chain; the point form on a v1 line is a schema issue, on a v2 line an
+/// exact forward.
+#[test]
+fn mixed_version_chains_replay_by_the_version_rule() {
+    let tmp = std::env::temp_dir().join(format!("hka-audit-mixed-{}.jsonl", std::process::id()));
+    std::fs::write(&tmp, fixture("journal_v1.jsonl")).unwrap();
+    let (mut journal, report) = obs::recover(&tmp).unwrap();
+    assert_eq!((report.valid_records, report.truncated_bytes), (11, 0));
+    let exact = TsEvent::Forwarded {
+        user: UserId(4),
+        at: TimeSec(8_000),
+        context: StBox::point(StPoint::xyt(1.5, -2.0, TimeSec(8_000))),
+        generalized: false,
+        hk_ok: true,
+        service: ServiceId(3),
+        k_req: 0,
+        k_got: 0,
+        lbqid: None,
+    };
+    journal.append(exact.kind(), &exact).unwrap();
+    drop(journal);
+    let bytes = std::fs::read(&tmp).unwrap();
+    let _ = std::fs::remove_file(&tmp);
+    let text = String::from_utf8(bytes.clone()).unwrap();
+    assert!(text
+        .lines()
+        .last()
+        .unwrap()
+        .ends_with(r#","seq":11,"v":2}"#));
+    assert!(text.contains(r#""payload":{"at":8000,"service":3,"user":4,"x":1.5,"y":-2.0}"#));
+    let out = audit::replay(&bytes[..], AuditConfig::default());
+    assert!(out.chain.verified(), "{:?}", out.chain.error);
+    assert_eq!(out.chain.records, 12);
+    assert!(
+        out.ok() && out.schema_issues.is_empty(),
+        "{:?}",
+        out.schema_issues
+    );
+    assert_eq!(out.totals.forwarded_exact, 2);
+
+    // A v1 line after the v2 line: the chain ends before it.
+    let (tail, _) = line_v(1, 12, "ts.vendor_extension", "{}", &out.chain.head);
+    let out = audit::replay(format!("{text}{tail}").as_bytes(), AuditConfig::default());
+    assert_eq!(out.chain.records, 12);
+    assert!(
+        out.chain
+            .error
+            .as_deref()
+            .unwrap()
+            .contains("schema version 1"),
+        "{:?}",
+        out.chain.error
+    );
+
+    // The point form is a v2 payload: valid at v2, drift at v1.
+    let point = r#"{"at":5,"service":0,"user":1,"x":1.0,"y":2.0}"#;
+    for (version, issues) in [(2, 0), (1, 1)] {
+        let (line, _) = line_v(version, 0, "ts.forwarded", point, obs::GENESIS_HASH);
+        let out = audit::replay(line.as_bytes(), AuditConfig::default());
+        assert!(out.chain.verified());
+        assert_eq!(
+            out.schema_issues.len(),
+            issues,
+            "v{version}: {:?}",
+            out.schema_issues
+        );
+        assert_eq!(out.totals.forwarded_exact, 1 - issues as u64);
+    }
 }
 
 fn run_pipeline() -> (TrustedServer, SharedBuf) {
@@ -280,7 +405,7 @@ fn tampered_journal_is_detected_with_prefix_preserved() {
     let total = text.lines().count() as u64;
     // Flip one payload value somewhere in the middle of the journal. The
     // line keeps the encoder's form, so what gives it away is its hash.
-    let tampered = text.replacen("\"generalized\":false", "\"generalized\":true", 1);
+    let tampered = text.replacen("\"generalized\":true", "\"generalized\":false", 1);
     assert_ne!(text, tampered, "tamper target not found");
 
     let out = audit::replay(tampered.as_bytes(), AuditConfig::default());
@@ -291,7 +416,7 @@ fn tampered_journal_is_detected_with_prefix_preserved() {
 
     // A respelling the encoder never writes (a space after the value) is
     // refused before any hash: the line is not the encoder's bytes.
-    let respelled = text.replacen("\"generalized\":false", "\"generalized\":false ", 1);
+    let respelled = text.replacen("\"generalized\":true", "\"generalized\":true ", 1);
     let out = audit::replay(respelled.as_bytes(), AuditConfig::default());
     assert!(!out.chain.verified());
     assert!(out.chain.error.as_deref().unwrap().contains("malformed"));

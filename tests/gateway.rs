@@ -208,14 +208,19 @@ fn gateway_journal_is_byte_identical_to_in_process() {
     }
 
     // The wire's k_got is the journal's: the forwarded responses, in
-    // order, carry the k_got of the journal's `ts.forwarded` records.
+    // order, carry the k_got of the journal's `ts.forwarded` records, as
+    // the auditor decodes them (an exact forward's point form omits its
+    // k_got of 0).
     let file = std::fs::File::open(&inproc_path).unwrap();
     let journaled: Vec<u64> = obs::verify_chain(std::io::BufReader::new(file))
         .unwrap()
         .records
         .iter()
         .filter(|r| r.kind == "ts.forwarded")
-        .map(|r| r.payload.get("k_got").and_then(obs::Json::as_int).unwrap() as u64)
+        .map(|r| match hka::audit::event::decode(r) {
+            Ok(hka::audit::AuditEvent::Forwarded { k_got, .. }) => k_got.unwrap(),
+            other => panic!("{other:?}"),
+        })
         .collect();
     let wire: Vec<u64> = inproc
         .iter()

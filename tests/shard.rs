@@ -11,7 +11,8 @@
 use hka::obs;
 use hka::prelude::*;
 // For the shared tree oracle (`super::` there).
-use hka::obs::{event_hash, ChainCursor, ChainError, JournalRecord, Json, JOURNAL_VERSION};
+use hka::obs::sha256::sha256_hex;
+use hka::obs::{ChainCursor, ChainError, JournalRecord, Json, JOURNAL_VERSION};
 
 #[allow(dead_code)]
 #[path = "../crates/obs/src/journal/oracle.rs"]

@@ -16,7 +16,8 @@
 //! 3. A mutated journal line parses to `Err`, or to a value whose
 //!    floats are finite. No parser panics.
 //! 4. The chain verifier gives a mutated journal line the verdict of
-//!    the tree verifier it replaced (`oracle::assert_agree`).
+//!    the tree verifier it replaced (`oracle::assert_agree`), along a
+//!    chain of v1 lines continued by v2 ones.
 //! 5. A journal whose payload values are hostile but whose chain is
 //!    valid — anyone can write one, the hash is unkeyed — replays and
 //!    reports without a panic, the same through the lending replay as
@@ -29,6 +30,7 @@
 
 use hka::obs::{ChainCursor, ChainError, Journal, JournalRecord, Json};
 // For the shared tree oracle (`super::` there).
+use hka::obs::sha256::sha256_hex;
 use hka::obs::{event_hash, JOURNAL_VERSION};
 use hka::prelude::*;
 use rand::rngs::StdRng;
@@ -295,31 +297,63 @@ fn journal_lines_round_trip_and_mutants_fail_closed() {
     }
 }
 
+/// An exact forward — the v2 point form — at a random place and time.
+fn exact_forward(rng: &mut StdRng) -> TsEvent {
+    let at = TimeSec(time(rng));
+    TsEvent::Forwarded {
+        user: UserId(id(rng)),
+        at,
+        context: StBox::point(StPoint::xyt(coord(rng), coord(rng), at)),
+        generalized: false,
+        hk_ok: true,
+        service: ServiceId(rng.random_range(0..4u32)),
+        k_req: 0,
+        k_got: 0,
+        lbqid: None,
+    }
+}
+
 #[test]
 fn journal_line_mutants_get_the_tree_verifiers_verdict() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 3);
     let kinds = ["ts.forwarded", "checkpoint", "k\"ind", "caf\u{e9}\n"];
-    let mut journal = Journal::new(Vec::new());
-    for _ in 0..CASES {
-        let kind = one_of(&mut rng, &kinds);
-        journal.append(kind, payload(&mut rng, 3)).unwrap();
+    // Both versions on one chain: the v1 fixture, continued by the v2
+    // writer with random payloads and exact forwards in the point form.
+    let v1 = include_str!("fixtures/journal_v1.jsonl");
+    let prefix = v1.lines().count() as u64;
+    let head = hka::obs::verify_chain(v1.as_bytes()).unwrap().head;
+    let mut journal = Journal::resume(Vec::new(), prefix, head);
+    for i in 0..CASES {
+        if i % 4 == 0 {
+            let forward = exact_forward(&mut rng);
+            journal.append(forward.kind(), &forward).unwrap();
+        } else {
+            let kind = one_of(&mut rng, &kinds);
+            journal.append(kind, payload(&mut rng, 3)).unwrap();
+        }
     }
-    let text = String::from_utf8(journal.into_inner()).unwrap();
+    let text = v1.to_string() + &String::from_utf8(journal.into_inner()).unwrap();
     let mut cursor = ChainCursor::new();
     for (i, line) in text.split_inclusive('\n').enumerate() {
         for _ in 0..MUTANTS {
             oracle::assert_agree(&mut cursor.clone(), i + 1, &mutant(&mut rng, line));
         }
         assert!(oracle::assert_agree(&mut cursor, i + 1, line), "{line:?}");
+        assert_eq!(cursor.version(), if (i as u64) < prefix { 1 } else { 2 });
     }
-    assert_eq!(cursor.records(), CASES as u64);
+    assert_eq!(cursor.records(), prefix + CASES as u64);
 }
 
-/// Complete, well-typed payloads of every kind the auditor decodes.
-const AUDITED: [(&str, &str); 8] = [
+/// Complete, well-typed payloads of every kind the auditor decodes,
+/// both forms of a forward among them.
+const AUDITED: [(&str, &str); 9] = [
     (
         "ts.forwarded",
         r#"{"at":100,"generalized":true,"hk_ok":false,"k_got":2,"k_req":5,"lbqid":"commute","service":1,"t_end":110,"t_start":90,"user":7,"x_max":10.0,"x_min":0.0,"y_max":20.0,"y_min":0.0}"#,
+    ),
+    (
+        "ts.forwarded",
+        r#"{"at":100,"service":1,"user":7,"x":10.0,"y":-20.5}"#,
     ),
     (
         "ts.suppressed",
