@@ -22,7 +22,8 @@ use hka_anonymity::{CompositeLinker, PseudonymLinker, ServiceId, SpRequest};
 use hka_bench::{Cell, Report};
 use hka_core::adversary::{pair_attack, Adversary, HomeRegistry, PairRegistry};
 use hka_core::{
-    MixZoneConfig, PrivacyLevel, PrivacyParams, RiskAction, Tolerance, TrustedServer, TsConfig,
+    MixZoneConfig, PrivacyLevel, PrivacyParams, RequestOutcome, RiskAction, Tolerance,
+    TrustedServer, TsConfig,
 };
 use hka_geo::MINUTE;
 use hka_lbqid::{parse_lbqid, Lbqid};
@@ -82,15 +83,20 @@ fn run(world: &World, level: Option<PrivacyParams>, mixzones: bool) -> RunOutput
             }
         }
     }
+    let (mut truth, mut requests) = (Vec::new(), Vec::new());
     for e in &world.events {
         match e.kind {
             EventKind::Location => ts.location_update(e.user, e.at),
             EventKind::Request { service } => {
-                let _ = ts.handle_request(e.user, e.at, ServiceId(service));
+                if let RequestOutcome::Forwarded(req, _) =
+                    ts.handle_request(e.user, e.at, ServiceId(service))
+                {
+                    truth.push(e.user);
+                    requests.push(req);
+                }
             }
         }
     }
-    let (truth, requests) = ts.outbox().iter().cloned().unzip();
     RunOutput {
         requests,
         truth,

@@ -5,19 +5,17 @@
 //! sizes, clamps), degree of anonymity (HK-anonymity successes/failures)
 //! and frequency of unlinking (pseudonym changes, service interruptions).
 //!
-//! The log is bounded: events live in a fixed-capacity ring buffer
-//! (default [`EventLog::DEFAULT_CAPACITY`]) and statistics are folded in
-//! incrementally at push time, so a server handling millions of requests
-//! keeps exact totals while holding only the recent tail in memory. For
-//! a complete, durable record, attach a hash-chained JSONL journal —
-//! [`EventLog::attach_journal`] appends every event before it enters the
-//! ring; [`EventLog::attach_group_journal`] queues events and commits
-//! them in batches, one fsync each, through the same retry ladder.
+//! The log keeps no events: statistics are folded in at push time, so a
+//! server handling millions of requests keeps exact totals in constant
+//! memory. The record of the events is the hash-chained JSONL journal —
+//! [`EventLog::attach_journal`] appends every event as it is pushed;
+//! [`EventLog::attach_group_journal`] queues events and commits them in
+//! batches, one fsync each, through the same retry ladder.
 
 use crate::server::ServerMode;
 use hka_anonymity::{Pseudonym, ServiceId};
 use hka_geo::{StBox, TimeSec};
-use hka_obs::{BoxedJournal, Canonical, DurableJournal, Json, ObjectWriter, RingBuffer};
+use hka_obs::{BoxedJournal, Canonical, DurableJournal, Json, ObjectWriter};
 use hka_trajectory::UserId;
 
 /// One logged TS decision.
@@ -366,11 +364,10 @@ impl SuppressReason {
     }
 }
 
-/// Bounded event log with exact running statistics and an optional
-/// journal sink.
-#[derive(Debug)]
+/// Exact running statistics over the pushed events, and the journal
+/// sink that records them.
+#[derive(Debug, Default)]
 pub struct EventLog {
-    ring: RingBuffer<TsEvent>,
     stats: TsStats,
     journal: Option<JournalSink>,
 }
@@ -548,11 +545,11 @@ impl JournalSink {
     /// Takes one pushed event: a per-record sink writes it now, a group
     /// sink queues it for the next commit (even while down, so the
     /// commit counts what it drops).
-    fn push(&mut self, event: &TsEvent) {
+    fn push(&mut self, event: TsEvent) {
         let journal = match &mut self.cadence {
             Cadence::Record(journal) => journal,
             Cadence::Group { pending, .. } => {
-                pending.push((event.kind(), event.clone()));
+                pending.push((event.kind(), event));
                 return;
             }
         };
@@ -560,7 +557,7 @@ impl JournalSink {
             hka_obs::counter!("ts.journal_skipped").incr();
             return;
         }
-        if !self.ladder.attempt(|| journal.append(event.kind(), event)) {
+        if !self.ladder.attempt(|| journal.append(event.kind(), &event)) {
             return;
         }
         if event.sync_flush() {
@@ -630,25 +627,6 @@ impl std::fmt::Debug for JournalSink {
             .field("group", &matches!(self.cadence, Cadence::Group { .. }))
             .field("health", &self.ladder.health())
             .finish()
-    }
-}
-
-impl Default for EventLog {
-    fn default() -> Self {
-        EventLog::new()
-    }
-}
-
-impl Clone for EventLog {
-    /// Clones events and statistics. The journal sink — an exclusive
-    /// handle on an output stream — stays with the original; the clone
-    /// starts un-journaled.
-    fn clone(&self) -> Self {
-        EventLog {
-            ring: self.ring.clone(),
-            stats: self.stats,
-            journal: None,
-        }
     }
 }
 
@@ -766,29 +744,13 @@ impl TsStats {
 }
 
 impl EventLog {
-    /// Default in-memory capacity: enough for any single experiment day
-    /// while bounding a long-lived server's footprint.
-    pub const DEFAULT_CAPACITY: usize = 65_536;
-
-    /// An empty log with the default capacity.
+    /// An empty log with no journal.
     pub fn new() -> Self {
-        EventLog::with_capacity(Self::DEFAULT_CAPACITY)
+        EventLog::default()
     }
 
-    /// An empty log retaining at most `capacity` events in memory.
-    /// Statistics stay exact past the capacity; only the event bodies of
-    /// the oldest entries are evicted (to the journal, if attached).
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventLog {
-            ring: RingBuffer::new(capacity),
-            stats: TsStats::default(),
-            journal: None,
-        }
-    }
-
-    /// Routes every subsequent event into `journal` (before it enters
-    /// the ring), one append per event, giving a complete hash-chained
-    /// record on disk even after in-memory eviction. Returns the previous
+    /// Routes every subsequent event into `journal`, one append per
+    /// event, giving a complete hash-chained record. Returns the previous
     /// per-record journal, if any. Retry bookkeeping starts fresh
     /// (default [`RetryPolicy`]).
     pub fn attach_journal(&mut self, journal: BoxedJournal) -> Option<BoxedJournal> {
@@ -894,8 +856,8 @@ impl EventLog {
         }
     }
 
-    /// Appends an event: folds it into the running statistics, hands it
-    /// to the journal (if attached), then stores it in the ring.
+    /// Appends an event: folds it into the running statistics and hands
+    /// it to the journal (if attached), which writes or queues it.
     ///
     /// Journal write failures never panic the server. Each write gets up
     /// to [`RetryPolicy::attempts`] immediate attempts
@@ -904,8 +866,7 @@ impl EventLog {
     /// counts (`ts.journal_skipped` counts the events a per-record sink
     /// skips), and after [`RetryPolicy::max_failures`] consecutive failed
     /// writes it is declared [`JournalHealth::Down`] until a new journal
-    /// is attached. The in-memory ring and statistics always stay
-    /// current.
+    /// is attached. The statistics always stay current.
     ///
     /// A per-record sink flushes sync-class events
     /// ([`TsEvent::sync_flush`]) through the write buffer as part of the
@@ -915,9 +876,8 @@ impl EventLog {
     pub fn push(&mut self, e: TsEvent) {
         self.stats.absorb(&e);
         if let Some(sink) = &mut self.journal {
-            sink.push(&e);
+            sink.push(e);
         }
-        self.ring.push(e);
     }
 
     /// Moves `mode` to where the journal's health puts it (detached or
@@ -949,27 +909,13 @@ impl EventLog {
         });
     }
 
-    /// The retained events, oldest first. When more than the capacity
-    /// have been pushed this is the most recent tail (see
-    /// [`EventLog::dropped`]); `stats()` still covers everything.
-    pub fn events(&self) -> impl ExactSizeIterator<Item = &TsEvent> + Clone {
-        self.ring.iter()
-    }
-
-    /// Events evicted from memory so far.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
     /// The exact aggregate counters over every event ever pushed.
     pub fn stats(&self) -> TsStats {
         self.stats
     }
 
     /// Replaces the aggregate counters wholesale. Checkpoint restore
-    /// only: the counters come from the snapshot's `stats` section; the
-    /// in-memory ring is deliberately not restored (it is a debugging
-    /// tail, not durable state).
+    /// only: the counters come from the snapshot's `stats` section.
     pub fn restore_stats(&mut self, stats: TsStats) {
         self.stats = stats;
     }
@@ -984,7 +930,7 @@ impl EventLog {
 
     /// Appends a record directly to the attached journal and makes it
     /// durable (a per-record journal flushes, a group journal commits),
-    /// bypassing the ring, the statistics, and the retry bookkeeping.
+    /// bypassing the statistics and the retry bookkeeping.
     ///
     /// Checkpoint anchors use this: they are chain metadata, not server
     /// events, so a failed append is surfaced to the caller (which
@@ -1348,13 +1294,12 @@ mod tests {
         }
     }
 
-    /// Every event as a record of `version`, its payload `tree`, in order
-    /// — hand-chained under that version's hash.
-    fn chain_as(version: i64, events: &[TsEvent], tree: fn(&TsEvent) -> Json) -> Vec<u8> {
+    /// `(kind, payload)` records, in order, hand-chained under
+    /// `version`'s hash.
+    fn chain_as(version: i64, records: &[(&str, Json)]) -> Vec<u8> {
         let mut out = String::new();
         let mut prev = hka_obs::GENESIS_HASH.to_string();
-        for (seq, e) in events.iter().enumerate() {
-            let (kind, payload) = (e.kind(), tree(e).to_string());
+        for (seq, (kind, payload)) in records.iter().enumerate() {
             let preimage = format!("v{version}:{seq}:{kind}:{payload}:{prev}");
             let hash = hka_obs::sha256::sha256_hex(preimage.as_bytes());
             out.push_str(&format!(
@@ -1366,10 +1311,38 @@ mod tests {
         out.into_bytes()
     }
 
-    /// Journals every decision a seeded run makes — a protected city
-    /// with commuters whose crowds can unlink them — and returns them.
-    fn simulated_events() -> Vec<TsEvent> {
-        use crate::server::{TrustedServer, TsConfig};
+    /// A v2 payload as v1 wrote it: a point-form forward spelled out as
+    /// its degenerate box with every default; any other payload as it is.
+    fn as_v1(kind: &str, payload: &Json) -> Json {
+        let member = |name| payload.get(name).cloned().expect(name);
+        if kind != "ts.forwarded" || payload.get("x").is_none() {
+            return payload.clone();
+        }
+        Json::obj([
+            ("user", member("user")),
+            ("at", member("at")),
+            ("x_min", member("x")),
+            ("y_min", member("y")),
+            ("x_max", member("x")),
+            ("y_max", member("y")),
+            ("t_start", member("at")),
+            ("t_end", member("at")),
+            ("generalized", Json::Bool(false)),
+            ("hk_ok", Json::Bool(true)),
+            ("service", member("service")),
+            ("k_req", Json::Int(0)),
+            ("k_got", Json::Int(0)),
+            ("lbqid", Json::Null),
+        ])
+    }
+
+    /// The journal of a seeded run — a protected city with commuters
+    /// whose crowds can unlink them — as the server wrote it, with each
+    /// request's decision rebuilt from the outcome the server handed
+    /// back, in order. A forward's `lbqid` is the one member the outcome
+    /// does not carry; it is taken from `lbqids`, the journal's own.
+    fn simulated_journal() -> (Vec<u8>, Vec<TsEvent>) {
+        use crate::server::{RequestOutcome, TrustedServer, TsConfig};
         use crate::{PrivacyLevel, Tolerance};
         use hka_mobility::{EventKind, World, WorldConfig};
         let world = World::generate(&WorldConfig {
@@ -1398,46 +1371,88 @@ mod tests {
             let (home, office) = (world.home_of(u).unwrap(), world.office_of(u).unwrap());
             ts.add_lbqid(u, hka_lbqid::Lbqid::example_commute(home, office));
         }
+        let (journal, bytes) = crate::server::tests::memory_journal();
+        ts.attach_journal(journal);
+        let mut decisions = Vec::new();
         for e in &world.events {
             match e.kind {
                 EventKind::Location => ts.location_update(e.user, e.at),
                 EventKind::Request { service } => {
-                    let _ = ts.handle_request(e.user, e.at, ServiceId(service));
+                    let service = ServiceId(service);
+                    decisions.push(match ts.handle_request(e.user, e.at, service) {
+                        RequestOutcome::Forwarded(req, d) => TsEvent::Forwarded {
+                            user: e.user,
+                            at: e.at.t,
+                            context: req.context,
+                            generalized: d.generalized,
+                            hk_ok: d.hk_ok,
+                            service: req.service,
+                            k_req: d.k_req,
+                            k_got: d.k_got,
+                            lbqid: None,
+                        },
+                        RequestOutcome::Suppressed(reason) => TsEvent::Suppressed {
+                            user: e.user,
+                            at: e.at.t,
+                            reason,
+                            service,
+                        },
+                    });
                 }
             }
         }
-        assert_eq!(ts.log().dropped(), 0, "the ring kept every event");
-        ts.log().events().cloned().collect()
+        ts.flush_journal().unwrap();
+        (bytes.bytes(), decisions)
     }
 
     #[test]
     fn v1_and_v2_encodings_of_a_simulated_run_decode_to_equal_audit_events() {
-        let mut events = simulated_events();
-        let count =
-            |events: &[TsEvent], kind: &str| events.iter().filter(|e| e.kind() == kind).count();
-        assert!(
-            count(&events, "ts.pseudonym_changed") > 0,
-            "the run must unlink"
-        );
-        assert!(count(&events, "ts.at_risk") > 0);
-        let forwards = count(&events, "ts.forwarded");
-        events.extend(every_variant());
-        let v1 = chain_as(1, &events, oracle_payload);
-        let v2 = chain_as(2, &events, oracle_payload_v2);
-        let mut encoded = hka_obs::Journal::new(Vec::new());
-        for e in &events {
-            encoded.append(e.kind(), e).unwrap();
+        let (journal, mut decisions) = simulated_journal();
+        let run = hka_obs::verify_chain(&journal[..]).unwrap().records;
+        let count = |kind: &str| run.iter().filter(|r| r.kind == kind).count();
+        assert!(count("ts.pseudonym_changed") > 0, "the run must unlink");
+        assert!(count("ts.at_risk") > 0);
+        let forwards = count("ts.forwarded");
+        // Every request's record is the tree oracle's payload of the
+        // decision the server returned: the encoder picked the point form
+        // exactly where the values allow it.
+        let requests = run
+            .iter()
+            .filter(|r| r.kind == "ts.forwarded" || r.kind == "ts.suppressed");
+        assert_eq!(requests.clone().count(), decisions.len());
+        for (record, decision) in requests.zip(&mut decisions) {
+            if let TsEvent::Forwarded { lbqid, .. } = decision {
+                *lbqid = record
+                    .payload
+                    .get("lbqid")
+                    .and_then(|n| n.as_str().map(str::to_owned));
+            }
+            assert_eq!(record.kind, decision.kind(), "record {}", record.seq);
+            let tree = oracle_payload_v2(decision).to_string();
+            assert_eq!(record.payload.to_string(), tree, "record {}", record.seq);
         }
-        assert_eq!(encoded.into_inner(), v2, "the encoder writes the v2 trees");
+        let mut v2: Vec<(&str, Json)> = run
+            .iter()
+            .map(|r| (r.kind.as_str(), r.payload.clone()))
+            .collect();
+        let variants = every_variant();
+        for e in &variants {
+            let tree = oracle_payload_v2(e);
+            assert_eq!(as_v1(e.kind(), &tree), oracle_payload(e), "{e:?}");
+            v2.push((e.kind(), tree));
+        }
+        let v1: Vec<(&str, Json)> = v2.iter().map(|(k, p)| (*k, as_v1(k, p))).collect();
+        let (v1, v2) = (chain_as(1, &v1), chain_as(2, &v2));
+        assert!(v2.starts_with(&journal), "the server writes the v2 trees");
         let (v1, v2) = (
             hka_obs::verify_chain(&v1[..]).unwrap(),
             hka_obs::verify_chain(&v2[..]).unwrap(),
         );
         let mut points = 0;
-        for ((old, new), e) in v1.records.iter().zip(&v2.records).zip(&events) {
+        for (old, new) in v1.records.iter().zip(&v2.records) {
             let decoded = hka_audit::event::decode(new);
-            assert!(decoded.is_ok(), "{e:?}: {decoded:?}");
-            assert_eq!(hka_audit::event::decode(old), decoded, "{e:?}");
+            assert!(decoded.is_ok(), "record {}: {decoded:?}", new.seq);
+            assert_eq!(hka_audit::event::decode(old), decoded, "record {}", new.seq);
             points += usize::from(new.payload.get("x").is_some());
         }
         assert!(points > forwards / 2, "{points} point forms of {forwards}");
@@ -1566,7 +1581,6 @@ mod tests {
         assert_eq!(s.suppressed_mixzone, 1);
         assert_eq!(s.pseudonym_changes, 1);
         assert_eq!(s.at_risk, 1);
-        assert_eq!(log.events().len(), 6);
     }
 
     #[test]
@@ -1601,78 +1615,18 @@ mod tests {
     }
 
     #[test]
-    fn ring_eviction_keeps_stats_exact() {
-        let mut log = EventLog::with_capacity(4);
-        for i in 0..10 {
-            log.push(forwarded(i));
-        }
-        assert_eq!(log.events().len(), 4);
-        assert_eq!(log.dropped(), 6);
-        // Stats cover all ten events, not just the retained tail.
-        assert_eq!(log.stats().forwarded_exact, 10);
-        // The tail is the most recent four, oldest first.
-        let ats: Vec<i64> = log
-            .events()
-            .map(|e| match e {
-                TsEvent::Forwarded { at, .. } => at.0,
-                _ => unreachable!("only Forwarded events were pushed"),
-            })
-            .collect();
-        assert_eq!(ats, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn journal_sink_receives_all_events_including_evicted() {
-        use std::sync::{Arc, Mutex};
-
-        /// A Write that appends into a shared buffer we can inspect.
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                // Recover the guard even if another writer panicked
-                // mid-append: a poisoned buffer must not cascade into
-                // every later flush.
-                self.0
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buffer = Shared(Arc::new(Mutex::new(Vec::new())));
-        let mut log = EventLog::with_capacity(2);
-        log.attach_journal(hka_obs::Journal::new(
-            Box::new(buffer.clone()) as Box<dyn std::io::Write + Send + Sync>
-        ));
+    fn journal_sink_receives_every_event() {
+        let (journal, sink) = crate::server::tests::memory_journal();
+        let mut log = EventLog::new();
+        log.attach_journal(journal);
         for i in 0..5 {
             log.push(forwarded(i));
         }
         log.flush_journal().unwrap();
 
-        let bytes = buffer.0.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        let report = hka_obs::verify_chain(&bytes[..]).expect("chain verifies");
-        // All five events journaled even though only two stayed in memory.
+        let report = hka_obs::verify_chain(&sink.bytes()[..]).expect("chain verifies");
         assert_eq!(report.records.len(), 5);
-        assert_eq!(log.events().len(), 2);
         assert!(report.records.iter().all(|r| r.kind == "ts.forwarded"));
-    }
-
-    #[test]
-    fn clone_drops_journal_but_keeps_stats() {
-        let mut log = EventLog::new();
-        log.attach_journal(hka_obs::Journal::new(
-            Box::new(std::io::sink()) as Box<dyn std::io::Write + Send + Sync>
-        ));
-        log.push(forwarded(0));
-        let copy = log.clone();
-        assert_eq!(copy.stats(), log.stats());
-        assert_eq!(copy.events().len(), 1);
-        assert!(log.take_journal().is_some());
     }
 
     /// A sink whose first `fail` writes error, then all succeed.
@@ -1719,7 +1673,7 @@ mod tests {
             log.push(forwarded(i));
         }
         assert_eq!(log.journal_health(), JournalHealth::Down);
-        // The ring and statistics never lost an event.
+        // The statistics never lost an event.
         assert_eq!(log.stats().forwarded_exact, 64);
         // A fresh sink restores health.
         log.attach_journal(boxed(std::io::sink()));
@@ -1772,24 +1726,7 @@ mod tests {
 
     #[test]
     fn sync_class_events_flush_through_the_write_buffer() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let shared = Shared(Arc::new(Mutex::new(Vec::new())));
+        let shared = crate::server::tests::MemorySink::default();
         let mut log = EventLog::new();
         log.attach_journal(boxed(std::io::BufWriter::with_capacity(
             1 << 20,
@@ -1803,20 +1740,12 @@ mod tests {
             reason: SuppressReason::MixZone,
             service: ServiceId(1),
         });
-        assert!(
-            shared
-                .0
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty(),
-            "async-class events may buffer"
-        );
+        assert!(shared.bytes().is_empty(), "async-class events may buffer");
 
         // Sync-class: the flush pushes *everything buffered so far*
         // through — the tail sees both records, in order.
         log.push(forwarded(1));
-        let bytes = shared.0.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        let report = hka_obs::verify_chain(&bytes[..]).expect("chain verifies");
+        let report = hka_obs::verify_chain(&shared.bytes()[..]).expect("chain verifies");
         let kinds: Vec<&str> = report.records.iter().map(|r| r.kind.as_str()).collect();
         assert_eq!(kinds, vec!["ts.suppressed", "ts.forwarded"]);
     }
@@ -1940,7 +1869,7 @@ mod tests {
             "a down sink drops what it cannot commit"
         );
         assert!(log.append_direct("checkpoint", Json::Null).is_err());
-        // The ring and statistics never lost an event.
+        // The statistics never lost an event.
         assert_eq!(log.stats().forwarded_exact, 64);
         // A fresh journal restores health.
         log.attach_group_journal(group(&Switch::default()));

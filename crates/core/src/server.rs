@@ -24,7 +24,7 @@ use crate::{
     EventLog, MixZoneConfig, MixZoneManager, PrivacyLevel, RandomizeConfig, Randomizer, Tolerance,
     TsEvent,
 };
-use hka_anonymity::{historical_k_anonymity, HkOutcome, MsgId, Pseudonym, ServiceId, SpRequest};
+use hka_anonymity::{historical_k_anonymity, HkOutcome, Pseudonym, ServiceId, SpRequest};
 use hka_faults::FaultInjector;
 use hka_geo::{Rect, StBox, StPoint, TimeSec};
 use hka_lbqid::{Lbqid, Monitor};
@@ -199,10 +199,6 @@ pub struct TrustedServer {
     mixzones: MixZoneManager,
     randomizer: Option<Randomizer>,
     log: EventLog,
-    outbox: Vec<(UserId, SpRequest)>,
-    /// msgid → issuer: the routing table that lets the TS forward service
-    /// answers without the provider ever learning a network address.
-    routes: BTreeMap<MsgId, UserId>,
     next_msg: u64,
     next_pseudonym: u64,
     /// Fault-injection hook (inert unless a plan is attached).
@@ -218,7 +214,7 @@ pub struct TrustedServer {
     slo: Option<hka_obs::SloMonitor>,
     /// Responses buffered for the [`crate::RequestService`] seam,
     /// taken by `drain`. Transient — never checkpointed.
-    svc_outbox: Vec<ResponseEnvelope>,
+    responses: Vec<ResponseEnvelope>,
     /// Whether anything was submitted through the seam since the last
     /// drain.
     submitted: bool,
@@ -238,15 +234,13 @@ impl TrustedServer {
             mixzones: MixZoneManager::new(config.mixzone),
             randomizer: config.randomize.map(Randomizer::new),
             log: EventLog::new(),
-            outbox: Vec::new(),
-            routes: BTreeMap::new(),
             next_msg: 0,
             next_pseudonym: 0,
             injector: FaultInjector::none(),
             mode: ServerMode::Normal,
             last_time: TimeSec(0),
             slo: None,
-            svc_outbox: Vec::new(),
+            responses: Vec::new(),
             submitted: false,
             epoch: 0,
         }
@@ -492,14 +486,6 @@ impl TrustedServer {
     // Introspection for audits and experiments.
     // ------------------------------------------------------------------
 
-    /// Routes a provider's answer back to the issuing user — "the msgid
-    /// is used to hide the user network address and will be used by the
-    /// TS to forward the answer to the user's device" (Section 3).
-    /// Returns the recipient, or `None` for unknown message ids.
-    pub fn route_response(&self, msg_id: MsgId) -> Option<UserId> {
-        self.routes.get(&msg_id).copied()
-    }
-
     /// The user's current pseudonym.
     pub fn pseudonym_of(&self, user: UserId) -> Option<Pseudonym> {
         self.users.get(&user).map(|s| s.pseudonym)
@@ -688,7 +674,7 @@ impl TrustedServer {
     /// submission, and a decided request's response waits for it.
     pub(crate) fn settle(&mut self, response: Option<ResponseEnvelope>) {
         self.submitted = true;
-        self.svc_outbox.extend(response);
+        self.responses.extend(response);
     }
 
     /// The seam's `drain`: takes the buffered responses. On a group
@@ -703,7 +689,7 @@ impl TrustedServer {
             }
             self.commit();
         }
-        std::mem::take(&mut self.svc_outbox)
+        std::mem::take(&mut self.responses)
     }
 
     /// The attached journal sink's chain position `(next_seq, head)`, or
@@ -749,10 +735,10 @@ impl TrustedServer {
     ///
     /// LBQID monitors and pattern traversals restart conservatively
     /// (exactly like after an unlink) — the operator re-attaches LBQIDs
-    /// with [`TrustedServer::add_lbqid`]; active mix-zone cool-downs and
-    /// the outbox/routing tables are transient and start empty. The
-    /// restored server has no journal attached; callers re-attach one
-    /// (resuming the chain) before serving.
+    /// with [`TrustedServer::add_lbqid`]; active mix-zone cool-downs are
+    /// transient and start empty. The restored server has no journal
+    /// attached; callers re-attach one (resuming the chain) before
+    /// serving.
     pub fn restore(config: TsConfig, snapshot: &hka_obs::Snapshot) -> Result<Self, String> {
         let (store, meta, stats) = crate::checkpoint::restore_sections(snapshot)?;
         let mut mixzones = MixZoneManager::new(config.mixzone);
@@ -772,8 +758,6 @@ impl TrustedServer {
             mixzones,
             randomizer: config.randomize.map(Randomizer::new),
             log,
-            outbox: Vec::new(),
-            routes: BTreeMap::new(),
             next_msg: meta.next_msg,
             next_pseudonym: meta.next_pseudonym,
             injector: FaultInjector::none(),
@@ -782,7 +766,7 @@ impl TrustedServer {
             // The watchdog's rolling window is telemetry, not durable
             // state: a restored server starts with a fresh (off) one.
             slo: None,
-            svc_outbox: Vec::new(),
+            responses: Vec::new(),
             submitted: false,
             epoch: 0,
         })
@@ -801,17 +785,6 @@ impl TrustedServer {
     /// call `hka_obs::global().reset()` between runs for per-run numbers.
     pub fn metrics_snapshot(&self) -> hka_obs::MetricsSnapshot {
         hka_obs::global().snapshot()
-    }
-
-    /// Everything forwarded to providers, with ground-truth issuers (for
-    /// experiment evaluation only — a real SP sees just the requests).
-    pub fn outbox(&self) -> &[(UserId, SpRequest)] {
-        &self.outbox
-    }
-
-    /// Provider view: the bare request stream.
-    pub fn provider_view(&self) -> Vec<SpRequest> {
-        self.outbox.iter().map(|(_, r)| r.clone()).collect()
     }
 
     /// For each of the user's LBQIDs: the pattern name, whether it has
@@ -833,42 +806,6 @@ impl TrustedServer {
                 )
             })
             .collect()
-    }
-
-    /// Replays an attacker's linking technique over everything forwarded
-    /// so far (Section 5.2: "we assume the TS can replicate the
-    /// techniques used by a possible attacker") and reports, per user
-    /// that has held more than one pseudonym, the **maximum linkability
-    /// between requests issued under different pseudonyms**. Values below
-    /// the user's Θ mean past unlinkings hold against this attacker;
-    /// values at or above Θ identify pseudonym changes an SP could chain
-    /// back together.
-    pub fn unlink_audit<L: hka_anonymity::Linker + ?Sized>(
-        &self,
-        linker: &L,
-    ) -> Vec<(UserId, f64)> {
-        let mut by_user: BTreeMap<UserId, Vec<&SpRequest>> = BTreeMap::new();
-        for (u, r) in &self.outbox {
-            by_user.entry(*u).or_default().push(r);
-        }
-        let mut out = Vec::new();
-        for (user, reqs) in by_user {
-            let pseudonyms: std::collections::BTreeSet<Pseudonym> =
-                reqs.iter().map(|r| r.pseudonym).collect();
-            if pseudonyms.len() < 2 {
-                continue;
-            }
-            let mut worst = 0.0f64;
-            for i in 0..reqs.len() {
-                for j in (i + 1)..reqs.len() {
-                    if reqs[i].pseudonym != reqs[j].pseudonym {
-                        worst = worst.max(linker.link(reqs[i], reqs[j]));
-                    }
-                }
-            }
-            out.push((user, worst));
-        }
-        out
     }
 
     /// The generalized contexts forwarded for each of the user's patterns
@@ -1195,16 +1132,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn outbox_hides_identity_but_keeps_ground_truth() {
+    fn a_forward_carries_the_pseudonym_not_the_user() {
         let mut s = ts();
         let pseudo = s.register_user(UserId(7), PrivacyLevel::Off);
-        s.handle_request(UserId(7), sp(1.0, 2.0, 3), SVC);
-        let (truth, req) = &s.outbox()[0];
-        assert_eq!(*truth, UserId(7));
+        let RequestOutcome::Forwarded(req, _) = s.handle_request(UserId(7), sp(1.0, 2.0, 3), SVC)
+        else {
+            panic!("expected forward");
+        };
+        // The provider's tuple has no user field: the pseudonym is all
+        // it learns of who asked.
         assert_eq!(req.pseudonym, pseudo);
-        let view = s.provider_view();
-        assert_eq!(view.len(), 1);
-        assert_eq!(view[0].pseudonym, pseudo);
     }
 
     #[test]
@@ -1329,6 +1266,39 @@ pub(crate) mod tests {
         hka_obs::Journal::new(Box::new(w) as Box<dyn std::io::Write + Send + Sync>)
     }
 
+    /// An in-memory sink whose clones share one buffer.
+    #[derive(Clone, Default)]
+    pub(crate) struct MemorySink(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl MemorySink {
+        /// What has been written so far.
+        pub(crate) fn bytes(&self) -> Vec<u8> {
+            self.0.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        }
+    }
+
+    impl std::io::Write for MemorySink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            // Recover the guard even if another writer panicked mid-append:
+            // a poisoned buffer must not cascade into every later flush.
+            self.0
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A per-record journal into memory, and the sink that reads its
+    /// bytes back.
+    pub(crate) fn memory_journal() -> (hka_obs::BoxedJournal, MemorySink) {
+        let sink = MemorySink::default();
+        (boxed(sink.clone()), sink)
+    }
+
     /// A group journal over a sink that discards every byte.
     pub(crate) fn discarding_group_journal() -> hka_obs::DurableJournal {
         hka_obs::Journal::new(Box::new(std::io::sink()) as Box<dyn hka_obs::DurableSink>)
@@ -1415,15 +1385,12 @@ pub(crate) mod tests {
                 RequestOutcome::Suppressed(SuppressReason::Degraded) => {}
                 // The mix-zone site is only consulted when generalization
                 // already failed; with this crowd it succeeds, so the
-                // forward must be a fully protected one.
+                // forward must be a fully protected one: no exact
+                // location escaped.
                 RequestOutcome::Forwarded(req, _) if site == sites::MIXZONE => {
                     assert!(req.context.area() > 0.0);
                 }
                 other => panic!("{site}: {other:?}"),
-            }
-            // No exact location escaped either way.
-            for req in s.provider_view() {
-                assert!(req.context.area() > 0.0);
             }
         }
     }
@@ -1456,8 +1423,20 @@ pub(crate) mod tests {
             RequestOutcome::Suppressed(SuppressReason::Degraded) => {}
             other => panic!("{other:?}"),
         }
-        // …but a demonstrably protected (generalized, HK-ok) request
-        // still flows.
+        // …and so is a protected one whose request point was lost to a
+        // PHL-write fault…
+        s.attach_faults(FaultInjector::new(FaultPlan::new(3).with_rule(
+            sites::PHL_WRITE,
+            Trigger::Once(0),
+            FaultKind::Drop,
+        )));
+        match s.handle_request(UserId(1), sp(0.0, 0.0, 515), SVC) {
+            RequestOutcome::Suppressed(SuppressReason::Degraded) => {}
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(s.fault_injector().fired(sites::PHL_WRITE), 1);
+        // …but the same request, demonstrably protected (generalized,
+        // HK-ok) and unfaulted, still flows.
         match s.handle_request(UserId(1), sp(0.0, 0.0, 520), SVC) {
             RequestOutcome::Forwarded(req, disclosure) => {
                 assert!(req.context.area() > 0.0);
@@ -1467,7 +1446,7 @@ pub(crate) mod tests {
         }
         assert_eq!(s.mode(), ServerMode::Degraded);
         let stats = s.log().stats();
-        assert_eq!(stats.suppressed_degraded, 1);
+        assert_eq!(stats.suppressed_degraded, 2);
         assert!(stats.mode_changes >= 1);
     }
 
@@ -1580,50 +1559,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn responses_route_by_msgid_without_identity_leak() {
-        let mut s = ts();
-        s.register_user(UserId(5), PrivacyLevel::Off);
-        let RequestOutcome::Forwarded(req, _) = s.handle_request(UserId(5), sp(1.0, 1.0, 1), SVC)
-        else {
-            panic!("expected forward");
-        };
-        assert_eq!(s.route_response(req.msg_id), Some(UserId(5)));
-        assert_eq!(s.route_response(MsgId(9_999)), None);
-    }
-
-    #[test]
-    fn unlink_audit_reports_cross_pseudonym_linkability() {
-        let mut s = ts();
-        s.register_user(UserId(1), PrivacyLevel::Medium);
-        s.register_user(UserId(2), PrivacyLevel::Off);
-        s.add_static_mixzone(Rect::from_bounds(100.0, 0.0, 200.0, 100.0));
-        // User 1 requests, crosses the zone (pseudonym change), requests
-        // again far away and much later.
-        s.handle_request(UserId(1), sp(50.0, 50.0, 10), SVC);
-        s.location_update(UserId(1), sp(150.0, 50.0, 600));
-        s.location_update(UserId(1), sp(250.0, 50.0, 1_200));
-        s.handle_request(UserId(1), sp(1_800.0, 50.0, 9_000), SVC);
-        // User 2 never changes pseudonym.
-        s.handle_request(UserId(2), sp(10.0, 10.0, 5), SVC);
-
-        let tracker = hka_anonymity::TrackerLinker::default();
-        let audit = s.unlink_audit(&tracker);
-        assert_eq!(audit.len(), 1, "only multi-pseudonym users are audited");
-        let (user, worst) = audit[0];
-        assert_eq!(user, UserId(1));
-        assert!((0.0..=1.0).contains(&worst));
-        // 1.5 km apart and 2+ hours later: the tracker cannot chain this.
-        assert!(worst < 0.5, "unlinking should hold, got {worst}");
-    }
-
-    #[test]
     fn msg_ids_are_unique_and_increasing() {
         let mut s = ts();
         s.register_user(UserId(1), PrivacyLevel::Off);
+        let mut ids = Vec::new();
         for t in 0..5 {
-            s.handle_request(UserId(1), sp(1.0, 1.0, t * 10), SVC);
+            match s.handle_request(UserId(1), sp(1.0, 1.0, t * 10), SVC) {
+                RequestOutcome::Forwarded(req, _) => ids.push(req.msg_id.0),
+                other => panic!("{other:?}"),
+            }
         }
-        let ids: Vec<u64> = s.provider_view().iter().map(|r| r.msg_id.0).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
 }

@@ -319,9 +319,9 @@ impl TrustedServer {
     }
 
     /// The forwarding tail: message-id allocation, anti-inference
-    /// randomization of generalized contexts, delivery to the outbox and
-    /// the msgid→user routing table, counters, and the `ts.forwarded`
-    /// event (naming the matched LBQID, if any).
+    /// randomization of generalized contexts, counters, and the
+    /// `ts.forwarded` event (naming the matched LBQID, if any). The
+    /// request goes out in the outcome and nothing of it is kept.
     fn forward(
         &mut self,
         p: Pending,
@@ -348,8 +348,6 @@ impl TrustedServer {
             _ => context,
         };
         let req = SpRequest::new(msg_id, pseudonym, context, service);
-        self.routes.insert(msg_id, user);
-        self.outbox.push((user, req.clone()));
         hka_obs::counter!("ts.forwarded").incr();
         if disclosure.generalized {
             hka_obs::counter!("ts.forwarded_generalized").incr();

@@ -111,7 +111,7 @@ impl RequestService for TrustedServer {
 mod tests {
     use super::*;
     use crate::envelope::WireOutcome;
-    use crate::events::TsEvent;
+    use crate::server::tests::memory_journal;
     use crate::server::{RequestOutcome, TsConfig};
     use crate::PrivacyLevel;
     use hka_anonymity::ServiceId;
@@ -135,6 +135,10 @@ mod tests {
         // must produce identical decisions and identical event logs.
         let mut direct = served();
         let mut seam = served();
+        let (journal, direct_bytes) = memory_journal();
+        direct.attach_journal(journal);
+        let (journal, seam_bytes) = memory_journal();
+        seam.attach_journal(journal);
         let svc: &mut dyn RequestService = &mut seam;
 
         let mut want = Vec::new();
@@ -170,15 +174,18 @@ mod tests {
         }
         assert!(svc.drain().is_empty(), "drain is take-once");
 
-        // Event-for-event identical logs.
-        let d: Vec<_> = direct.log().events().collect();
-        let s: Vec<_> = seam.log().events().collect();
-        assert_eq!(d, s);
+        // Byte-for-byte identical journals.
+        direct.flush_journal().unwrap();
+        svc.flush_journal().unwrap();
+        assert!(!direct_bytes.bytes().is_empty());
+        assert_eq!(direct_bytes.bytes(), seam_bytes.bytes());
     }
 
     #[test]
     fn rejections_and_telemetry_flow_through_the_seam() {
         let mut ts = served();
+        let (journal, bytes) = memory_journal();
+        ts.attach_journal(journal);
         let svc: &mut dyn RequestService = &mut ts;
         svc.submit(&RequestEnvelope::request(
             7,
@@ -198,17 +205,14 @@ mod tests {
         svc.flush_journal().unwrap();
 
         svc.note_gateway_stats(3, 2, 11);
-        let last = ts.log().events().last().unwrap();
-        match last {
-            TsEvent::GwStats {
-                conns,
-                drains,
-                queue_depth,
-                ..
-            } => {
-                assert_eq!((*conns, *drains, *queue_depth), (3, 2, 11));
-            }
-            other => panic!("expected gw.stats, got {other:?}"),
-        }
+        svc.flush_journal().unwrap();
+        let report = hka_obs::verify_chain(&bytes.bytes()[..]).unwrap();
+        let last = report.records.last().unwrap();
+        assert_eq!(last.kind, "gw.stats");
+        let member = |name| last.payload.get(name).and_then(|v| v.as_int());
+        assert_eq!(
+            (member("conns"), member("drains"), member("queue_depth")),
+            (Some(3), Some(2), Some(11))
+        );
     }
 }

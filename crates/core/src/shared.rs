@@ -14,7 +14,7 @@
 use crate::{
     PrivacyLevel, RequestOutcome, ServerMode, Tolerance, TrustedServer, TsConfig, TsStats,
 };
-use hka_anonymity::{HkOutcome, Pseudonym, ServiceId, SpRequest};
+use hka_anonymity::{HkOutcome, Pseudonym, ServiceId};
 use hka_geo::{Rect, StPoint};
 use hka_lbqid::Lbqid;
 use hka_trajectory::UserId;
@@ -101,11 +101,6 @@ impl SharedTrustedServer {
     pub fn stats(&self) -> TsStats {
         self.read(|ts| ts.log().stats())
     }
-
-    /// Provider-view snapshot of everything forwarded so far.
-    pub fn provider_view(&self) -> Vec<SpRequest> {
-        self.read(|ts| ts.provider_view())
-    }
 }
 
 #[cfg(test)]
@@ -126,29 +121,37 @@ mod tests {
         for u in 0..USERS {
             ts.register_user(UserId(u), PrivacyLevel::Off);
         }
-        thread::scope(|scope| {
-            for u in 0..USERS {
-                let handle = ts.clone();
-                scope.spawn(move || {
-                    for i in 0..REQS {
-                        let at = sp(u as f64 * 10.0, i as f64, i * 30);
-                        handle.location_update(UserId(u), at);
-                        let out = handle.handle_request(UserId(u), at, ServiceId(0));
-                        assert!(matches!(out, RequestOutcome::Forwarded(..)));
-                    }
-                });
-            }
+        let forwards: Vec<(u64, Pseudonym)> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..USERS)
+                .map(|u| {
+                    let handle = ts.clone();
+                    scope.spawn(move || {
+                        (0..REQS)
+                            .map(|i| {
+                                let at = sp(u as f64 * 10.0, i as f64, i * 30);
+                                handle.location_update(UserId(u), at);
+                                match handle.handle_request(UserId(u), at, ServiceId(0)) {
+                                    RequestOutcome::Forwarded(req, _) => (u, req.pseudonym),
+                                    other => panic!("{other:?}"),
+                                }
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
         });
         let stats = ts.stats();
         assert_eq!(stats.forwarded(), (USERS as usize) * (REQS as usize));
         // Every pseudonym is still single-user (no cross-thread mixing).
         let mut owners = std::collections::HashMap::new();
-        ts.read(|ts| {
-            for (user, req) in ts.outbox() {
-                let prev = owners.insert(req.pseudonym, *user);
-                assert!(prev.is_none_or(|p| p == *user));
-            }
-        });
+        for (user, pseudonym) in forwards {
+            let prev = owners.insert(pseudonym, user);
+            assert!(prev.is_none_or(|p| p == user));
+        }
     }
 
     #[test]
@@ -156,8 +159,7 @@ mod tests {
         let ts = SharedTrustedServer::new(TsConfig::default());
         ts.register_user(UserId(1), PrivacyLevel::Medium);
         ts.location_update(UserId(1), sp(0.0, 0.0, 0));
-        let view = ts.provider_view();
-        assert!(view.is_empty());
+        assert_eq!(ts.stats().forwarded(), 0);
         assert_eq!(ts.pseudonym_of(UserId(1)), Some(Pseudonym(0)));
         assert!(ts.audit_patterns(UserId(1), 2).is_empty());
     }

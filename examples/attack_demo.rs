@@ -65,17 +65,13 @@ fn run(level: PrivacyLevel, label: &str) {
         }
     }
 
-    for e in &world.events {
-        match e.kind {
-            EventKind::Location => ts.location_update(e.user, e.at),
-            EventKind::Request { service } => {
-                let _ = ts.handle_request(e.user, e.at, ServiceId(service));
-            }
-        }
-    }
+    // The provider's view, with each request's true issuer beside it —
+    // the ground truth only this experiment holds.
+    let (truth, requests): (Vec<UserId>, Vec<SpRequest>) = hka::collect_forwards(&mut ts, &world)
+        .into_iter()
+        .map(|(user, req, _)| (user, req))
+        .unzip();
 
-    // The provider's view, attacked with the standard composite linker.
-    let (truth, requests): (Vec<UserId>, Vec<SpRequest>) = ts.outbox().iter().cloned().unzip();
     // Pseudonyms are the reliable link: every request carries one, and
     // the paper assumes "pseudonyms are not shared by different
     // individuals". (Tracker-based chaining across pseudonym changes is

@@ -89,9 +89,16 @@ echo "== audit (journal replay smoke: simulate, then verify + audit) =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cargo run --release -q --bin hka-sim -- simulate --days 2 --commuters 4 \
-    --roamers 20 --trace-out "$tmp/ts.journal" > /dev/null
+    --roamers 20 --trace-out "$tmp/ts.journal" > "$tmp/simulate.txt"
 cargo run --release -q --bin hka-sim -- audit --journal "$tmp/ts.journal" \
     --json "$tmp/audit.json" --quiet
+# The summary's record count is the journal's: one line per record.
+records="$(sed -n 's/^journal:.*(\([0-9]*\) records)$/\1/p' "$tmp/simulate.txt")"
+lines="$(wc -l < "$tmp/ts.journal")"
+echo "  journal: summary says ${records:-no} records, the file has $lines lines"
+if [ -z "$records" ] || [ "$records" -ne "$lines" ]; then
+    exit 1
+fi
 # The writer writes journal v2 only, and the CLI still reads a v1 one.
 if grep -v '"v":2}$' "$tmp/ts.journal" | grep -q .; then
     echo "the simulated journal has a line that is not v2"

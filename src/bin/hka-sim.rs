@@ -389,8 +389,8 @@ fn cmd_simulate(flags: HashMap<String, String>) {
         |u| ts.audit_patterns(u, k),
         |u| ts.privacy_indicator(u),
     );
-    let log = ts.log();
-    let (st, log_len, log_dropped) = (log.stats(), log.events().len() as u64, log.dropped());
+    let st = ts.log().stats();
+    let records = ts.journal_position().map_or(0, |(next_seq, _)| next_seq);
     let slo_worst = ts.slo_worst();
     let journal_info = flags.get("trace-out").cloned();
 
@@ -420,11 +420,7 @@ fn cmd_simulate(flags: HashMap<String, String>) {
         println!("  {u} {name}: matched={matched} hk={hk_sat} (eff. k {eff_k}) lock={lock:?}");
     }
     if let Some(path) = journal_info {
-        println!(
-            "journal:          {path} ({} events, {} dropped from ring)",
-            log_len + log_dropped,
-            log_dropped
-        );
+        println!("journal:          {path} ({records} records)");
     }
     if slo {
         match slo_worst {
@@ -579,8 +575,12 @@ fn cmd_attack(flags: HashMap<String, String>) {
             ts.add_lbqid(agent.user, parse_lbqid(&dsl).expect("valid"));
         }
     }
-    run_events(&mut ts, &world);
-    let (truth, requests): (Vec<UserId>, Vec<SpRequest>) = ts.outbox().iter().cloned().unzip();
+    // The provider's view, with each request's true issuer beside it:
+    // the ground truth only this evaluation holds.
+    let (truth, requests): (Vec<UserId>, Vec<SpRequest>) = hka::collect_forwards(&mut ts, &world)
+        .into_iter()
+        .map(|(user, req, _)| (user, req))
+        .unzip();
     let linker = PseudonymLinker;
     let report = Adversary::new(&linker, 0.9, &registry).attack(&requests, &truth);
     println!(

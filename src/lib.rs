@@ -93,6 +93,31 @@ pub use hka_mobility as mobility;
 pub use hka_obs as obs;
 pub use hka_trajectory as trajectory;
 
+/// Delivers a world's events to `ts` in order and returns every forward,
+/// in forwarding order: the request the provider received, beside its
+/// true issuer and what it disclosed. The server keeps no copy of what
+/// it forwarded; this is where an evaluation collects the provider's
+/// view with the ground truth only the evaluation holds.
+pub fn collect_forwards(
+    ts: &mut core::TrustedServer,
+    world: &mobility::World,
+) -> Vec<(trajectory::UserId, anonymity::SpRequest, core::Disclosure)> {
+    let mut forwards = Vec::new();
+    for e in &world.events {
+        match e.kind {
+            mobility::EventKind::Location => ts.location_update(e.user, e.at),
+            mobility::EventKind::Request { service } => {
+                if let core::RequestOutcome::Forwarded(req, disclosure) =
+                    ts.handle_request(e.user, e.at, anonymity::ServiceId(service))
+                {
+                    forwards.push((e.user, req, disclosure));
+                }
+            }
+        }
+    }
+    forwards
+}
+
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use hka_anonymity::{
@@ -101,7 +126,7 @@ pub mod prelude {
         SpRequest, TrackerLinker,
     };
     pub use hka_core::adversary::{
-        pair_attack, Adversary, AttackReport, HomeRegistry, PairRegistry,
+        pair_attack, unlink_audit, Adversary, AttackReport, HomeRegistry, PairRegistry,
     };
     pub use hka_core::derivation::{derive_lbqids, DerivationConfig, DerivedPattern};
     pub use hka_core::planning::{evaluate_deployment, DeploymentReport, PlanningConfig};

@@ -11,6 +11,10 @@
 //! every protected request is suppressed). The means per call are pinned from above at what they
 //! measured, so a change that adds an allocation to one of these paths
 //! fails here first. Run with `--nocapture` to see the measured table.
+//!
+//! The same allocator keeps the thread's live heap bytes (allocations
+//! minus frees), so a soak can show that serving holds no state that
+//! grows with the request count.
 
 use hka::obs;
 use hka::prelude::*;
@@ -22,13 +26,17 @@ struct Counting;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count(bytes: usize) {
+/// Counts one allocation of `bytes` that changes this thread's live
+/// heap by `live`.
+fn count(bytes: usize, live: i64) {
     // `try_with`: an allocation made while the thread is torn down
     // goes uncounted instead of panicking.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+    let _ = LIVE.try_with(|n| n.set(n.get() + live));
 }
 
 /// (allocations, bytes requested) by this thread so far.
@@ -36,26 +44,32 @@ fn counted() -> (u64, u64) {
     (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
 }
 
+/// Heap bytes this thread allocated and has not freed.
+fn live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
 // SAFETY: every call is forwarded unchanged to `System`; the counters
 // are `const`-initialized thread-locals of plain `Cell`s, which never
 // allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count(new_size, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -171,9 +185,9 @@ fn the_request_paths_allocate_no_more_than_they_measured() {
     // per call ≤): the means measured on this seed, rounded up.
     let pins = [
         (Path::Location, 100_000, 0.40, 222.0),
-        (Path::ExactForward, 1_000, 1.21, 1_061.0),
-        (Path::GeneralizedForward, 30, 7.63, 785.0),
-        (Path::Suppression, 100, 1.27, 85.0),
+        (Path::ExactForward, 1_000, 1.04, 604.0),
+        (Path::GeneralizedForward, 30, 7.58, 774.0),
+        (Path::Suppression, 100, 1.25, 77.0),
     ];
     for (path, calls, allocs, bytes) in pins {
         let t = tallies.get(&path).copied().unwrap_or_default();
@@ -189,4 +203,50 @@ fn the_request_paths_allocate_no_more_than_they_measured() {
             t.bytes_per_call()
         );
     }
+}
+
+/// A long-running server holds no per-request state: 64 privacy-off
+/// users issue exact requests (one per user per second, along a fixed
+/// walk), the history is compacted every 10,000 requests, and the live
+/// heap after 2N requests is within 1 byte per request of the live heap
+/// after N. Both readings are taken right after a compaction, so the
+/// trajectory store is in the same shape at each.
+#[test]
+fn serving_memory_does_not_grow_with_the_request_count() {
+    const USERS: u64 = 64;
+    const N: u64 = 100_000;
+    const CADENCE: u64 = 10_000;
+    const _: () = assert!(2 * N / USERS < DAY as u64, "one day of requests");
+    let mut ts = TrustedServer::new(TsConfig::default());
+    for u in 0..USERS {
+        ts.register_user(UserId(u), PrivacyLevel::Off);
+    }
+    // Everything older than a minute folds into one granule a day; the
+    // run stays inside its first day.
+    let policy = CompactionPolicy::new(MINUTE, Granularity::Days);
+    let mut readings = Vec::new();
+    for i in 0..2 * N {
+        let (u, t) = (i % USERS, (i / USERS) as i64);
+        let step = (t % 500) as f64;
+        let at = StPoint::xyt(20.0 * u as f64 + step, 10.0 * u as f64, TimeSec(t));
+        let outcome = ts.handle_request(UserId(u), at, ServiceId(BACKGROUND_SERVICE));
+        assert!(matches!(outcome, RequestOutcome::Forwarded(..)));
+        if (i + 1) % CADENCE == 0 {
+            ts.compact_history(TimeSec(t), &policy);
+            if i + 1 == N || i + 1 == 2 * N {
+                readings.push(live());
+            }
+        }
+    }
+    let per_request = (readings[1] - readings[0]) as f64 / N as f64;
+    println!(
+        "live heap {} B after {N} requests, {} B after {}: {per_request:.3} B per request",
+        readings[0],
+        readings[1],
+        2 * N
+    );
+    assert!(
+        per_request < 1.0,
+        "serving retains {per_request:.1} B per request"
+    );
 }

@@ -10,24 +10,9 @@ use hka::core::SuppressReason;
 use hka::obs;
 use hka::prelude::*;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 
-/// An in-memory journal sink readable after the run.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+mod common;
+use common::SharedBuf;
 
 /// Builds the fixture journal through the server's own encoder
 /// (`TsEvent::kind`/`payload`): one record of every kind, both forms of
@@ -354,7 +339,7 @@ fn run_pipeline() -> (TrustedServer, SharedBuf) {
 #[test]
 fn clean_pipeline_replay_is_verified_and_violation_free() {
     let (ts, sink) = run_pipeline();
-    let bytes = sink.0.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    let bytes = sink.bytes();
     let out = audit::replay(&bytes[..], AuditConfig::default());
 
     assert!(out.chain.verified(), "{:?}", out.chain.error);
@@ -401,7 +386,7 @@ fn clean_pipeline_replay_is_verified_and_violation_free() {
 #[test]
 fn tampered_journal_is_detected_with_prefix_preserved() {
     let (_ts, sink) = run_pipeline();
-    let text = String::from_utf8(sink.0.lock().unwrap_or_else(|e| e.into_inner()).clone()).unwrap();
+    let text = String::from_utf8(sink.bytes()).unwrap();
     let total = text.lines().count() as u64;
     // Flip one payload value somewhere in the middle of the journal. The
     // line keeps the encoder's form, so what gives it away is its hash.
@@ -492,7 +477,7 @@ fn fail_open_journal_yields_violations() {
 #[test]
 fn tolerance_config_yields_inflation_ratios() {
     let (_ts, sink) = run_pipeline();
-    let bytes = sink.0.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    let bytes = sink.bytes();
     let tol = Tolerance::navigation();
     let out = audit::replay(
         &bytes[..],

@@ -10,24 +10,9 @@ use hka::faults::sites;
 use hka::obs;
 use hka::prelude::*;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 
-/// An in-memory journal sink readable after the run.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+mod common;
+use common::SharedBuf;
 
 fn small_world(seed: u64) -> World {
     World::generate(&WorldConfig {
@@ -250,10 +235,15 @@ fn journal_outage_walks_the_mode_ladder_and_recovers() {
     );
     assert_eq!(ts.mode(), ServerMode::Normal);
 
+    // The modes the server passed through, as each request left it.
+    let mut ladder = vec![ts.mode()];
     for t in 1..=6i64 {
         let at = StPoint::xyt(100.0, 100.0, TimeSec(600 * t));
         ts.location_update(UserId(1), at);
         let _ = ts.handle_request(UserId(1), at, ServiceId(1));
+        if ladder.last() != Some(&ts.mode()) {
+            ladder.push(ts.mode());
+        }
     }
     assert_eq!(ts.mode(), ServerMode::ReadOnly);
     assert_eq!(ts.journal_health(), JournalHealth::Down);
@@ -270,35 +260,44 @@ fn journal_outage_walks_the_mode_ladder_and_recovers() {
     ));
 
     // A fresh healthy journal restores normal operation immediately.
+    let sink = SharedBuf::default();
     ts.attach_journal(obs::Journal::new(
-        Box::new(Vec::new()) as Box<dyn Write + Send + Sync>
+        Box::new(sink.clone()) as Box<dyn Write + Send + Sync>
     ));
     assert_eq!(ts.mode(), ServerMode::Normal);
+    ladder.push(ts.mode());
     let at = StPoint::xyt(100.0, 100.0, TimeSec(4_800));
     assert!(matches!(
         ts.handle_request(UserId(1), at, ServiceId(1)),
         RequestOutcome::Forwarded(..)
     ));
 
-    // The ladder was journaled in order: Normal → Degraded → ReadOnly →
-    // Normal again.
-    let ladder: Vec<(ServerMode, ServerMode)> = ts
-        .log()
-        .events()
-        .filter_map(|e| match e {
-            TsEvent::ModeChanged { from, to, .. } => Some((*from, *to)),
-            _ => None,
-        })
-        .collect();
+    // The ladder was walked in order: Normal → Degraded → ReadOnly →
+    // Normal again, one counted transition per step. The broken sink
+    // took none of its records; the fresh journal opens with the last.
     assert_eq!(
         ladder,
         vec![
-            (ServerMode::Normal, ServerMode::Degraded),
-            (ServerMode::Degraded, ServerMode::ReadOnly),
-            (ServerMode::ReadOnly, ServerMode::Normal),
+            ServerMode::Normal,
+            ServerMode::Degraded,
+            ServerMode::ReadOnly,
+            ServerMode::Normal,
         ]
     );
     assert_eq!(ts.log().stats().mode_changes, 3);
+    ts.flush_journal().unwrap();
+    let bytes = sink.bytes();
+    let out = audit::replay(&bytes[..], AuditConfig::default());
+    assert!(out.chain.verified(), "{:?}", out.chain.error);
+    let journaled: Vec<(audit::Mode, audit::Mode)> = out
+        .mode_transitions
+        .iter()
+        .map(|m| (m.from, m.to))
+        .collect();
+    assert_eq!(
+        journaled,
+        vec![(audit::Mode::ReadOnly, audit::Mode::Normal)]
+    );
 }
 
 #[test]
@@ -400,7 +399,7 @@ fn audited_chaos_journal_replays_clean() {
     ts.flush_journal().unwrap();
     assert!(injector.total_fired() > 0, "the plan never fired");
 
-    let bytes = sink.0.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    let bytes = sink.bytes();
     let out = audit::replay(&bytes[..], AuditConfig::default());
     assert!(out.chain.verified(), "{:?}", out.chain.error);
     assert!(out.ok(), "violations: {:?}", out.violations);
@@ -463,7 +462,7 @@ fn audited_recovery_journal_opens_with_the_ladder_transition() {
     }
     ts.flush_journal().unwrap();
 
-    let bytes = sink.0.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    let bytes = sink.bytes();
     let out = audit::replay(&bytes[..], AuditConfig::default());
     assert!(out.chain.verified(), "{:?}", out.chain.error);
     assert!(out.ok(), "violations: {:?}", out.violations);

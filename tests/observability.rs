@@ -8,26 +8,13 @@ use hka::obs;
 use hka::prelude::*;
 use std::io::Write;
 use std::process::Command;
-use std::sync::{Arc, Mutex};
 
-/// An in-memory journal sink the test can read back after the run.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+mod common;
+use common::SharedBuf;
 
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-fn run_pipeline() -> (TrustedServer, SharedBuf) {
+/// A seeded protected city on a journal into memory: the server, the
+/// journal's bytes, and how many requests it handled.
+fn run_pipeline() -> (TrustedServer, SharedBuf, u64) {
     let world = World::generate(&WorldConfig {
         seed: 7,
         days: 3,
@@ -58,33 +45,40 @@ fn run_pipeline() -> (TrustedServer, SharedBuf) {
     ts.attach_journal(obs::Journal::new(
         Box::new(sink.clone()) as Box<dyn Write + Send + Sync>
     ));
-    for e in &world.events {
-        match e.kind {
-            EventKind::Location => ts.location_update(e.user, e.at),
-            EventKind::Request { service } => {
-                let _ = ts.handle_request(e.user, e.at, ServiceId(service));
-            }
-        }
-    }
+    let forwards: Vec<(UserId, SpRequest)> = hka::collect_forwards(&mut ts, &world)
+        .into_iter()
+        .map(|(user, req, _)| (user, req))
+        .collect();
+    let requests = world
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Request { .. }))
+        .count() as u64;
     ts.flush_journal().expect("in-memory sink cannot fail");
     // Drive the linker stage the way a provider-side analysis would.
-    let requests: Vec<SpRequest> = ts.provider_view().into_iter().take(40).collect();
-    let _ = link_components(&requests, &PseudonymLinker, 0.5);
-    let _ = ts.unlink_audit(&TrackerLinker::default());
-    (ts, sink)
+    let view: Vec<SpRequest> = forwards.iter().take(40).map(|(_, r)| r.clone()).collect();
+    let _ = link_components(&view, &PseudonymLinker, 0.5);
+    let _ = unlink_audit(&forwards, &TrackerLinker::default());
+    (ts, sink, requests)
 }
 
 #[test]
 fn pipeline_journal_verifies_and_covers_every_event() {
-    let (ts, sink) = run_pipeline();
-    let bytes = sink.0.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    let (ts, sink, requests) = run_pipeline();
+    let bytes = sink.bytes();
     let report = obs::verify_chain(&bytes[..]).expect("chain intact");
-    let journaled = ts.log().events().len() as u64 + ts.log().dropped();
+    // One record per request, one per unlink, at-risk notice and full
+    // match: every event the run made (its journal never failed, and
+    // it ran no SLO watchdog).
+    let st = ts.log().stats();
+    let events = requests + (st.pseudonym_changes + st.at_risk + st.lbqid_matches) as u64;
+    assert_eq!(st.mode_changes, 0);
     assert_eq!(
         report.records.len() as u64,
-        journaled,
+        events,
         "journal covers every event"
     );
+    assert_eq!(ts.journal_position().map(|(seq, _)| seq), Some(events));
     assert!(!report.records.is_empty(), "simulation produced events");
     // Tampering with any byte of a payload must break verification.
     let mut tampered = bytes.clone();
@@ -98,7 +92,7 @@ fn pipeline_journal_verifies_and_covers_every_event() {
 
 #[test]
 fn pipeline_metrics_cover_all_hot_paths() {
-    let (ts, _) = run_pipeline();
+    let (ts, _, _) = run_pipeline();
     let snap = ts.metrics_snapshot();
     for counter in [
         "ts.requests",

@@ -3,9 +3,13 @@
 
 use hka::prelude::*;
 
+/// One forwarded request: its true issuer (the ground truth only the
+/// evaluation holds), what the provider received, and what it disclosed.
+type Forward = (UserId, SpRequest, hka::core::Disclosure);
+
 /// Runs a standard protected-city scenario: every commuter protected with
 /// a commute LBQID at the given parameters.
-fn run_city(seed: u64, days: i64, params: PrivacyParams) -> (World, TrustedServer) {
+fn run_city(seed: u64, days: i64, params: PrivacyParams) -> (World, TrustedServer, Vec<Forward>) {
     let world = World::generate(&WorldConfig {
         seed,
         days,
@@ -36,15 +40,8 @@ fn run_city(seed: u64, days: i64, params: PrivacyParams) -> (World, TrustedServe
             Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
         );
     }
-    for e in &world.events {
-        match e.kind {
-            EventKind::Location => ts.location_update(e.user, e.at),
-            EventKind::Request { service } => {
-                let _ = ts.handle_request(e.user, e.at, ServiceId(service));
-            }
-        }
-    }
-    (world, ts)
+    let forwards = hka::collect_forwards(&mut ts, &world);
+    (world, ts, forwards)
 }
 
 fn medium() -> PrivacyParams {
@@ -59,17 +56,17 @@ fn medium() -> PrivacyParams {
 
 #[test]
 fn pipeline_is_deterministic() {
-    let (_, a) = run_city(5, 7, medium());
-    let (_, b) = run_city(5, 7, medium());
-    assert_eq!(a.outbox(), b.outbox());
+    let (_, a, a_out) = run_city(5, 7, medium());
+    let (_, b, b_out) = run_city(5, 7, medium());
+    assert_eq!(a_out, b_out);
     assert_eq!(a.log().stats(), b.log().stats());
 }
 
 #[test]
 fn different_seeds_give_different_traffic() {
-    let (_, a) = run_city(5, 3, medium());
-    let (_, b) = run_city(6, 3, medium());
-    assert_ne!(a.outbox(), b.outbox());
+    let (_, _, a) = run_city(5, 3, medium());
+    let (_, _, b) = run_city(6, 3, medium());
+    assert_ne!(a, b);
 }
 
 /// Theorem 1, empirically: for every protected user, either the audited
@@ -79,7 +76,7 @@ fn different_seeds_give_different_traffic() {
 #[test]
 fn theorem1_violations_only_after_at_risk() {
     for seed in [1u64, 2, 3, 4, 5] {
-        let (world, ts) = run_city(seed, 14, medium());
+        let (world, ts, _) = run_city(seed, 14, medium());
         for u in world.commuters() {
             for (name, _matched, hk) in ts.audit_patterns(u, 4) {
                 if !hk.satisfied {
@@ -97,13 +94,10 @@ fn theorem1_violations_only_after_at_risk() {
 /// cloaking correctness invariant, checked across the whole stream.
 #[test]
 fn forwarded_contexts_cover_true_points() {
-    let (world, ts) = run_city(9, 7, medium());
-    // Reconstruct the request events in order; the outbox preserves
-    // forwarding order but suppressed requests are missing, so check by
-    // matching (user, time) against the PHL instead: every context must
-    // cover some exact PHL point of its issuer.
+    let (world, _, forwards) = run_city(9, 7, medium());
+    // Every context must cover some exact PHL point of its issuer.
     let store = world.store();
-    for (user, req) in ts.outbox() {
+    for (user, req, _) in &forwards {
         let phl = store.phl(*user).expect("issuer has a PHL");
         assert!(
             phl.crosses(&req.context),
@@ -116,20 +110,13 @@ fn forwarded_contexts_cover_true_points() {
 /// of each individual request: at least k other users cross the context.
 #[test]
 fn hk_ok_contexts_hold_k_witnesses() {
-    let (_, ts) = run_city(10, 7, medium());
+    let (_, ts, forwards) = run_city(10, 7, medium());
     let store = ts.store();
     let mut checked = 0;
-    for e in ts.log().events() {
-        if let TsEvent::Forwarded {
-            user,
-            context,
-            generalized: true,
-            hk_ok: true,
-            ..
-        } = e
-        {
+    for (user, req, disclosure) in &forwards {
+        if disclosure.generalized && disclosure.hk_ok {
             let others = store
-                .users_crossing(context)
+                .users_crossing(&req.context)
                 .into_iter()
                 .filter(|u| u != user)
                 .count();
@@ -146,9 +133,9 @@ fn hk_ok_contexts_hold_k_witnesses() {
 /// Tolerance constraints are honored by every generalized context.
 #[test]
 fn tolerances_are_hard_caps() {
-    let (_, ts) = run_city(11, 7, medium());
+    let (_, _, forwards) = run_city(11, 7, medium());
     let anchor_tol = Tolerance::new(9e6, 10 * MINUTE);
-    for (_, req) in ts.outbox() {
+    for (_, req, _) in &forwards {
         if req.service == ServiceId(ANCHOR_SERVICE) {
             assert!(
                 anchor_tol.accepts(&req.context),
@@ -163,9 +150,9 @@ fn tolerances_are_hard_caps() {
 /// retirement, and each pseudonym maps to exactly one true user.
 #[test]
 fn pseudonyms_are_unique_and_single_user() {
-    let (_, ts) = run_city(12, 14, medium());
+    let (_, ts, forwards) = run_city(12, 14, medium());
     let mut owner: std::collections::HashMap<Pseudonym, UserId> = Default::default();
-    for (user, req) in ts.outbox() {
+    for (user, req, _) in &forwards {
         let prev = owner.insert(req.pseudonym, *user);
         if let Some(prev) = prev {
             assert_eq!(prev, *user, "pseudonym {} shared", req.pseudonym);
@@ -183,7 +170,7 @@ fn pseudonyms_are_unique_and_single_user() {
 /// the *exact* (pre-generalization) request streams of protected users.
 #[test]
 fn full_matches_are_sound_wrt_definition3() {
-    let (world, ts) = run_city(13, 14, medium());
+    let (world, ts, _) = run_city(13, 14, medium());
     for u in world.commuters() {
         let lbqid = Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap());
         // Exact anchor request points of this user, from the workload.
@@ -248,17 +235,10 @@ fn randomization_preserves_guarantees() {
             Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
         );
     }
-    for e in &world.events {
-        match e.kind {
-            EventKind::Location => ts.location_update(e.user, e.at),
-            EventKind::Request { service } => {
-                let _ = ts.handle_request(e.user, e.at, ServiceId(service));
-            }
-        }
-    }
+    let forwards = hka::collect_forwards(&mut ts, &world);
     let store = world.store();
     let mut randomized = 0;
-    for (user, req) in ts.outbox() {
+    for (user, req, _) in &forwards {
         assert!(store.phl(*user).unwrap().crosses(&req.context));
         if req.service == ServiceId(ANCHOR_SERVICE) && req.context.area() > 0.0 {
             assert!(anchor_tol.accepts(&req.context));
@@ -281,23 +261,21 @@ fn randomization_preserves_guarantees() {
 /// collapsed them (at-risk case).
 #[test]
 fn protection_changes_what_the_provider_sees() {
-    let (world, ts) = run_city(14, 7, medium());
+    let (world, _, forwards) = run_city(14, 7, medium());
     let commuters: Vec<UserId> = world.commuters().collect();
     let mut exact_by_unprotected = 0usize;
     let mut generalized_by_protected = 0usize;
-    for e in ts.log().events() {
-        if let TsEvent::Forwarded {
-            user, generalized, ..
-        } = e
-        {
-            if commuters.contains(user) {
-                if *generalized {
-                    generalized_by_protected += 1;
-                }
-            } else {
-                assert!(!generalized, "unprotected users are never generalized");
-                exact_by_unprotected += 1;
+    for (user, _, disclosure) in &forwards {
+        if commuters.contains(user) {
+            if disclosure.generalized {
+                generalized_by_protected += 1;
             }
+        } else {
+            assert!(
+                !disclosure.generalized,
+                "unprotected users are never generalized"
+            );
+            exact_by_unprotected += 1;
         }
     }
     assert!(exact_by_unprotected > 100);
