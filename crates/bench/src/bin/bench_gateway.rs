@@ -56,9 +56,8 @@ fn envelopes(world: &World) -> Vec<RequestEnvelope> {
         .collect()
 }
 
-/// A file sink that fsyncs every write — the same "durable after every
-/// event" contract as `bench_shard`'s sequential baseline, so the two
-/// artifacts' throughput numbers are directly comparable.
+/// A file sink that fsyncs every write: "durable after every event",
+/// the contract both sides of every comparison here run with.
 struct FsyncEachWrite(std::fs::File);
 
 impl Write for FsyncEachWrite {

@@ -9,10 +9,10 @@
 //! and the tailer having verified and ingested it.
 //!
 //! The offered-rate ladder brackets the journal rates the group-commit
-//! server actually produces (`BENCH_shard.json` reports the drill
-//! workload at roughly 13k requests/s), so the gate below is the
-//! acceptance criterion from the live-tailing design: at production
-//! journal rates, a watcher stays under one second behind the writer.
+//! server actually produces (a seeded protected-city drill journaled
+//! at roughly 13k requests/s), so the gate below is the acceptance
+//! criterion from the live-tailing design: at production journal
+//! rates, a watcher stays under one second behind the writer.
 //!
 //! Writes `BENCH_tail.json` and exits non-zero if any rung breaks the
 //! chain, reports a violation, or shows steady-state lag p99 ≥ 1 s.
@@ -32,7 +32,7 @@ use hka_obs::{Journal, Json};
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Offered journal rates, records/s. The top rung sits above the
-/// ~13k records/s the bench_shard drill workload journals at.
+/// ~13k records/s a group-commit drill journals at.
 const RATES: [u64; 3] = [2_000, 8_000, 16_000];
 
 /// Seconds of paced writing per rung.

@@ -10,11 +10,17 @@
 //! We grow n (total location points) by lengthening the simulation and
 //! population, and time the first-element branch under the grid index
 //! and under the brute-force scan over the same query sample — both run
-//! the *same* `algorithm1_first` code through the [`SpatialIndex`]
-//! trait, so the timing difference is purely the index structure. The
+//! the *same* `algorithm1_first` code through the
+//! [`SpatialIndex`](hka_trajectory::SpatialIndex) trait, so the timing
+//! difference is purely the index structure. The
 //! scaling exponent is estimated from successive size doublings. Each
 //! row also reports what each index holds resident, in heap bytes per
 //! point (`SpatialIndex::heap_bytes`, from capacities).
+//!
+//! Two gates make the table a regression check as well: before timing,
+//! every sampled query's grid result is checked against the brute
+//! oracle's, and at the largest rung (~4M points) the grid's median may
+//! not be slower than brute's. Either failure exits 1.
 //!
 //! ```text
 //! cargo run --release -p hka-bench --bin table3_index_scaling
@@ -24,7 +30,7 @@ use hka_bench::{median, time_ns, Cell, Report};
 use hka_core::{algorithm1_first, Tolerance};
 use hka_geo::StPoint;
 use hka_mobility::{CityConfig, EventKind, World, WorldConfig};
-use hka_trajectory::{GridIndexConfig, IndexBackend, SpatialIndex, UserId};
+use hka_trajectory::{GridIndexConfig, IndexBackend, UserId};
 
 fn main() {
     let backends = IndexBackend::ALL;
@@ -47,8 +53,8 @@ fn main() {
     )
     .columns(&column_refs);
 
-    let sizes = [(20usize, 1i64), (40, 2), (80, 4), (160, 8)];
-    let mut prev: Option<Vec<f64>> = None;
+    let sizes = [(20usize, 1i64), (40, 2), (80, 4), (160, 8), (540, 8)];
+    let mut prev: Option<[f64; 2]> = None;
     for (users, days) in sizes {
         let world = World::generate(&WorldConfig {
             seed: 77,
@@ -66,10 +72,7 @@ fn main() {
             ..WorldConfig::default()
         });
         let store = world.store();
-        let indices: Vec<Box<dyn SpatialIndex>> = backends
-            .iter()
-            .map(|b| b.build(&store, GridIndexConfig::default()))
-            .collect();
+        let indices = backends.map(|b| b.build(&store, GridIndexConfig::default()));
         let n = store.total_points();
 
         // A fixed sample of query situations.
@@ -82,30 +85,37 @@ fn main() {
             .take(40)
             .collect();
 
-        let micros: Vec<f64> = indices
-            .iter()
-            .map(|index| {
-                let samples: Vec<f64> = queries
-                    .iter()
-                    .map(|(u, q)| {
-                        time_ns(3, || {
-                            std::hint::black_box(algorithm1_first(
-                                index.as_ref(),
-                                q,
-                                *u,
-                                k,
-                                &tolerance,
-                            ));
-                        })
-                    })
-                    .collect();
-                median(&samples) / 1_000.0
-            })
-            .collect();
+        // A wrong-but-fast index fails the table, not the chart.
+        let [grid, oracle] = &indices;
+        for (u, q) in &queries {
+            let got = algorithm1_first(grid.as_ref(), q, *u, k, &tolerance);
+            if got != algorithm1_first(oracle.as_ref(), q, *u, k, &tolerance) {
+                eprintln!("FAIL: grid diverged from brute oracle at n={n} user={u:?} query={q:?}");
+                std::process::exit(1);
+            }
+        }
 
-        let growth: Vec<f64> = match &prev {
-            Some(p) => micros.iter().zip(p).map(|(m, pm)| m / pm).collect(),
-            None => vec![1.0; micros.len()],
+        let micros = indices.each_ref().map(|index| {
+            let samples: Vec<f64> = queries
+                .iter()
+                .map(|(u, q)| {
+                    time_ns(3, || {
+                        std::hint::black_box(algorithm1_first(
+                            index.as_ref(),
+                            q,
+                            *u,
+                            k,
+                            &tolerance,
+                        ));
+                    })
+                })
+                .collect();
+            median(&samples) / 1_000.0
+        });
+
+        let growth = match prev {
+            Some(p) => [micros[0] / p[0], micros[1] / p[1]],
+            None => [1.0; 2],
         };
         let mut row = vec![Cell::int(n as i64), Cell::int(store.user_count() as i64)];
         row.extend(micros.iter().map(|m| Cell::num(*m, 1)));
@@ -129,7 +139,18 @@ fn main() {
     report.note("20 B per occupied cell; only the newest two slabs keep per-cell vectors.");
     report.note("The brute scan holds its own exact-size copy of the PHLs, 24 B per point.");
     report.note("Correctness note: both run the identical algorithm1_first code through");
-    report.note("the SpatialIndex trait and are differentially tested for equal results");
-    report.note("in crates/trajectory/tests/props.rs and crates/core/tests/props.rs.");
+    report.note("the SpatialIndex trait; every sampled query is checked against the brute");
+    report.note("oracle before timing, and crates/trajectory/tests/props.rs and");
+    report.note("crates/core/tests/props.rs test them for equal results.");
     report.emit();
+
+    // Structural gate: at ~4M points an index slower than the O(k·n)
+    // scan has regressed. "Slower", not "less than 2x faster", so that
+    // shared-host noise cannot flake it (the grid measures ~100x faster
+    // there); the table keeps the real ratio.
+    let [grid_us, brute_us] = prev.expect("at least one rung");
+    if grid_us > brute_us {
+        eprintln!("FAIL: the grid ({grid_us:.1} µs) is slower than the brute scan ({brute_us:.1} µs) at the largest rung");
+        std::process::exit(1);
+    }
 }

@@ -145,15 +145,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation (0 for < 2 samples).
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Median (0 for empty); sorts a copy.
 pub fn median(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -191,7 +182,7 @@ pub fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 }
 
 /// Prints a rule line of the given width.
-pub fn rule(width: usize) {
+fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
@@ -395,8 +386,6 @@ mod tests {
         assert_eq!(median(&[]), 0.0);
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert_eq!(stddev(&[5.0]), 0.0);
-        assert!((stddev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

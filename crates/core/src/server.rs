@@ -437,16 +437,18 @@ impl TrustedServer {
         let _span = hka_obs::span!("ts.handle_request");
         hka_obs::counter!("ts.requests").incr();
         let mut state = self.users.remove(&user).ok_or(TsError::UnknownUser(user))?;
-        root.attr("uid", hka_obs::Json::from(state.pseudonym.0));
         let outcome = self.decide(user, &mut state, at, service);
         self.users.insert(user, state);
-        root.attr(
-            "outcome",
-            hka_obs::Json::from(match &outcome {
-                RequestOutcome::Forwarded(..) => "forwarded",
-                RequestOutcome::Suppressed(_) => "suppressed",
-            }),
-        );
+        // Built only when recorded: `Json::from(&str)` owns a copy.
+        if root.is_recording() {
+            root.attr(
+                "outcome",
+                hka_obs::Json::from(match &outcome {
+                    RequestOutcome::Forwarded(..) => "forwarded",
+                    RequestOutcome::Suppressed(_) => "suppressed",
+                }),
+            );
+        }
         let trace = root.trace_id();
         drop(_span);
         drop(root);

@@ -2,10 +2,10 @@
 //!
 //! The trusted server times each stage of request handling with a
 //! [`span!`](crate::span!) named by one of these constants, so the
-//! per-stage latency histograms produced by the pipeline, consumed by
-//! the bench harness, and exported into `BENCH_pipeline.json` all agree
-//! on naming. Keep these in sync with the stage list documented in
-//! DESIGN.md §9.
+//! per-stage latency histograms produced by the pipeline, printed by
+//! `hka-sim simulate --metrics`, and read by the `benchmark/` harness
+//! all agree on naming. Keep these in sync with the stage list
+//! documented in DESIGN.md §9.
 
 /// A request's own ingest step: its location into the PHL and the index,
 /// unless a location report already wrote that point. Location reports

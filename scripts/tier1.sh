@@ -66,6 +66,17 @@ if [ -n "$shim" ]; then
     exit 1
 fi
 
+echo "== orphan baselines (every BENCH_<name>.json is written by a bench binary) =="
+# A bin writes its baseline as `format!("{out_dir}/BENCH_<name>.json")`;
+# a baseline no bin writes any more is a number nothing can regenerate.
+for f in BENCH_*.json; do
+    [ -e "$f" ] || continue
+    if ! grep -qF "/$f\"" crates/bench/src/bin/*.rs; then
+        echo "$f: no crates/bench/src/bin/*.rs writes it"
+        exit 1
+    fi
+done
+
 echo "== build (release) =="
 cargo build --release
 

@@ -185,9 +185,9 @@ fn the_request_paths_allocate_no_more_than_they_measured() {
     // per call ≤): the means measured on this seed, rounded up.
     let pins = [
         (Path::Location, 100_000, 0.40, 222.0),
-        (Path::ExactForward, 1_000, 1.04, 604.0),
-        (Path::GeneralizedForward, 30, 7.58, 774.0),
-        (Path::Suppression, 100, 1.25, 77.0),
+        (Path::ExactForward, 1_000, 0.04, 595.0),
+        (Path::GeneralizedForward, 30, 6.58, 765.0),
+        (Path::Suppression, 100, 0.27, 75.0),
     ];
     for (path, calls, allocs, bytes) in pins {
         let t = tallies.get(&path).copied().unwrap_or_default();

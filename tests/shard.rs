@@ -12,6 +12,8 @@ use hka::prelude::*;
 // For the shared tree oracle (`super::` there).
 use hka::obs::sha256::sha256_hex;
 use hka::obs::{ChainCursor, ChainError, JournalRecord, Json, JOURNAL_VERSION};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 mod common;
 use common::SharedBuf;
@@ -54,7 +56,7 @@ struct Script {
     overrides: Vec<(UserId, ServiceId, PrivacyLevel)>,
 }
 
-fn script(world: &World) -> Script {
+fn script(world: &World, params: PrivacyParams) -> Script {
     let commuters: Vec<UserId> = world.commuters().collect();
     Script {
         services: vec![
@@ -66,7 +68,7 @@ fn script(world: &World) -> Script {
             .iter()
             .map(|a| {
                 let level = if commuters.contains(&a.user) {
-                    PrivacyLevel::Custom(medium())
+                    PrivacyLevel::Custom(params)
                 } else {
                     PrivacyLevel::Off
                 };
@@ -93,7 +95,12 @@ fn script(world: &World) -> Script {
 }
 
 fn setup_seq(world: &World, config: TsConfig) -> TrustedServer {
-    let s = script(world);
+    setup_with(world, config, medium())
+}
+
+/// [`setup_seq`] with `params` for the protected users.
+fn setup_with(world: &World, config: TsConfig, params: PrivacyParams) -> TrustedServer {
+    let s = script(world, params);
     let mut ts = TrustedServer::new(config);
     for (svc, tol) in s.services {
         ts.register_service(svc, tol);
@@ -544,4 +551,86 @@ fn both_cadences_journals_get_the_tree_verifiers_verdict() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Counts the records a journal writes (one line each) and the syncs it
+/// asks its sink for.
+#[derive(Clone, Default)]
+struct CountingSink {
+    records: Arc<AtomicU64>,
+    syncs: Arc<AtomicU64>,
+}
+
+impl std::io::Write for CountingSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let lines = buf.iter().filter(|&&b| b == b'\n').count() as u64;
+        self.records.fetch_add(lines, Ordering::Relaxed);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl obs::DurableSink for CountingSink {
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// Group commit's win over a journal that syncs every record is fsync
+/// batching, so it is pinned as a count, not a wall clock: on a seeded
+/// protected city (8 commuters behind LBQIDs at k = 5, their background
+/// service privacy-off, 40 roamers, 3 days), driven through the seam
+/// and drained once, the group journal writes at least `PIN` records
+/// per sync (it measured 1,332 records in 97 syncs, 13.7 each). A
+/// per-record journal on a durable sink writes one.
+#[test]
+fn group_commit_journals_many_records_per_sync() {
+    const PIN: u64 = 13;
+    let world = World::generate(&WorldConfig {
+        seed: 1,
+        days: 3,
+        n_commuters: 8,
+        n_roamers: 40,
+        n_poi_regulars: 4,
+        city: CityConfig {
+            width: 2_000.0,
+            height: 2_000.0,
+            ..CityConfig::default()
+        },
+        ..WorldConfig::default()
+    });
+    let params = PrivacyParams {
+        k: 5,
+        theta: 0.5,
+        k_init: 10,
+        k_decrement: 1,
+        on_risk: RiskAction::Forward,
+    };
+    let sink = CountingSink::default();
+    let mut ts = setup_with(&world, TsConfig::default(), params);
+    ts.attach_group_journal(obs::Journal::new(
+        Box::new(sink.clone()) as Box<dyn obs::DurableSink>
+    ));
+    let svc: &mut dyn RequestService = &mut ts;
+    for (i, e) in world.events.iter().enumerate() {
+        svc.submit(&match e.kind {
+            EventKind::Location => RequestEnvelope::location(i as u64, e.user, e.at),
+            EventKind::Request { service } => {
+                RequestEnvelope::request(i as u64, e.user, e.at, ServiceId(service))
+            }
+        });
+    }
+    svc.drain();
+    ts.flush_journal().unwrap();
+    let records = sink.records.load(Ordering::Relaxed);
+    let syncs = sink.syncs.load(Ordering::Relaxed);
+    println!("{records} records in {syncs} syncs");
+    assert!(syncs > 0, "the group journal never synced");
+    assert!(
+        records >= PIN * syncs,
+        "{records} records in {syncs} syncs: fewer than {PIN} per sync"
+    );
 }

@@ -129,6 +129,50 @@ fn export_parents_every_sharded_request_span_under_its_root() {
             .expect("request span parents under a request root");
         assert_eq!(root.trace, span.trace, "parent and child share the trace");
     }
+
+    // The export leaves the box: besides the ids the exporter adds, a
+    // span carries only these attributes, and never a pseudonym (`uid`).
+    const ATTRS: [&str; 13] = [
+        "outcome",
+        "generalized",
+        "service",
+        "k_req",
+        "k_got",
+        "hk_ok",
+        "step",
+        "unlinked",
+        "batch",
+        "k",
+        "observations",
+        "candidates",
+        "crowd",
+    ];
+    let Some(obs::Json::Arr(events)) = doc.get("traceEvents") else {
+        panic!("no traceEvents array");
+    };
+    let mut seen = std::collections::BTreeSet::new();
+    let spans = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"));
+    for event in spans {
+        let Some(obs::Json::Obj(args)) = event.get("args") else {
+            panic!("span without args: {event}");
+        };
+        for key in args.keys().map(String::as_str) {
+            assert_ne!(key, "uid", "an exported span carries a pseudonym: {event}");
+            if !["trace", "span", "parent"].contains(&key) {
+                assert!(
+                    ATTRS.contains(&key),
+                    "unexpected span attribute {key:?}: {event}"
+                );
+                seen.insert(key);
+            }
+        }
+    }
+    assert!(
+        seen.contains("outcome"),
+        "request roots record their outcome"
+    );
 }
 
 /// Same seed, two fresh processes: the exported artifact (logical
