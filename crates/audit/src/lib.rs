@@ -93,8 +93,9 @@ fn invalid(msg: impl Into<String>) -> std::io::Error {
 }
 
 /// Where a checkpoint snapshot lets a replay of `journal` resume: the
-/// auditor its `audit` section restores, the byte offset of the anchor
-/// record binding it into `journal` ([`find_anchor`]), and the snapshot.
+/// auditor its `audit` section restores, the byte offset and version
+/// floor of the anchor record binding it into `journal`
+/// ([`find_anchor`]), and the snapshot.
 /// Every binding (chain position, head, snapshot content hash) is
 /// verified first. Fail-closed: any mismatch or a missing anchor is an
 /// `InvalidData` error.
@@ -104,7 +105,7 @@ fn invalid(msg: impl Into<String>) -> std::io::Error {
 pub(crate) fn resume_point(
     journal: &Path,
     snapshot_path: &Path,
-) -> std::io::Result<(Auditor, u64, Snapshot)> {
+) -> std::io::Result<(Auditor, u64, i64, Snapshot)> {
     let (snapshot, file_hash) = Snapshot::read(snapshot_path)?;
     let state = snapshot.section(AUDIT_SECTION).ok_or_else(|| {
         invalid(format!(
@@ -115,10 +116,10 @@ pub(crate) fn resume_point(
     let auditor = Auditor::from_state(state)
         .map_err(|e| invalid(format!("{}: bad audit state: {e}", snapshot_path.display())))?;
     let input = std::io::BufReader::new(std::fs::File::open(journal)?);
-    let found = find_anchor(input, |offset, anchor| {
-        (anchor.records == snapshot.records).then_some((offset, anchor))
+    let found = find_anchor(input, |offset, floor, anchor| {
+        (anchor.records == snapshot.records).then_some((offset, floor, anchor))
     })?;
-    let Some((offset, anchor)) = found else {
+    let Some((offset, floor, anchor)) = found else {
         return Err(invalid(format!(
             "{}: no checkpoint anchor at seq {} — cannot resume from {}",
             journal.display(),
@@ -139,17 +140,18 @@ pub(crate) fn resume_point(
             anchor.snapshot
         )));
     }
-    Ok((auditor, offset, snapshot))
+    Ok((auditor, offset, floor, snapshot))
 }
 
 /// A verifying reader over `journal` from the anchor record at
-/// `offset`, which sits at `snapshot`'s chain position. The anchor's
-/// prev is the snapshot head, so it is the first record admitted, and a
-/// resumed replay ingests it as a genesis replay does — byte-identical
-/// outcomes.
+/// `offset`, which sits at `snapshot`'s chain position with version
+/// floor `floor`. The anchor's prev is the snapshot head, so it is the
+/// first record admitted, and a resumed replay ingests it as a genesis
+/// replay does — byte-identical outcomes.
 fn suffix_reader(
     journal: &Path,
     offset: u64,
+    floor: i64,
     snapshot: Snapshot,
 ) -> std::io::Result<JournalReader<std::io::BufReader<std::fs::File>>> {
     let mut file = std::fs::File::open(journal)?;
@@ -159,6 +161,7 @@ fn suffix_reader(
         input,
         snapshot.records,
         snapshot.head,
+        floor,
     ))
 }
 
@@ -180,8 +183,11 @@ fn suffix_reader(
 /// error; callers fall back to the previous checkpoint or to a genesis
 /// replay, never to a partially-trusted resume.
 pub fn resume_from_snapshot(journal: &Path, snapshot_path: &Path) -> std::io::Result<AuditOutcome> {
-    let (auditor, offset, snapshot) = resume_point(journal, snapshot_path)?;
-    Ok(fold(auditor, suffix_reader(journal, offset, snapshot)?))
+    let (auditor, offset, floor, snapshot) = resume_point(journal, snapshot_path)?;
+    Ok(fold(
+        auditor,
+        suffix_reader(journal, offset, floor, snapshot)?,
+    ))
 }
 
 /// Replays `journal` to its end and returns the auditor's serialized
@@ -204,8 +210,8 @@ pub fn state_at(
 ) -> std::io::Result<(hka_obs::Json, u64, String)> {
     match resume {
         Some(snapshot_path) => {
-            let (auditor, offset, snapshot) = resume_point(journal, snapshot_path)?;
-            finish_state(auditor, suffix_reader(journal, offset, snapshot)?)
+            let (auditor, offset, floor, snapshot) = resume_point(journal, snapshot_path)?;
+            finish_state(auditor, suffix_reader(journal, offset, floor, snapshot)?)
         }
         None => {
             let file = std::fs::File::open(journal)?;

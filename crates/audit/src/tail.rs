@@ -279,9 +279,9 @@ impl TailAuditor {
     /// [`crate::resume_from_snapshot`]: any anchor/hash mismatch is an
     /// error, never a silently different audit.
     pub fn resume_from_snapshot(path: &Path, snapshot_path: &Path) -> std::io::Result<Self> {
-        let (auditor, offset, snapshot) = crate::resume_point(path, snapshot_path)?;
+        let (auditor, offset, floor, snapshot) = crate::resume_point(path, snapshot_path)?;
         Ok(TailAuditor {
-            tailer: JournalTailer::resume(path, offset, snapshot.records, snapshot.head),
+            tailer: JournalTailer::resume(path, offset, snapshot.records, snapshot.head, floor),
             auditor,
             torn_bytes: 0,
             banner: Banner::default(),

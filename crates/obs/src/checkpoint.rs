@@ -281,17 +281,23 @@ pub(crate) fn leading_anchor(line: &str) -> Result<Option<(u64, String)>, String
 
 /// The one reader of checkpoint anchors in a journal: walks its
 /// complete (newline-terminated) lines in order and offers `visit` each
-/// self-consistent anchor with the byte offset of its line, until
-/// `visit` returns `Some`. It does not verify the chain — recovery runs
-/// *before* verification and must find candidates even in a file with a
-/// torn tail — but it reads each line as the verifier does, so a line
-/// the verifier would refuse is never an anchor here either.
+/// self-consistent anchor with the byte offset of its line and its
+/// version floor, until `visit` returns `Some`. It does not verify the
+/// chain — recovery runs *before* verification and must find candidates
+/// even in a file with a torn tail — but it reads each line as the
+/// verifier does, so a line the verifier would refuse is never an
+/// anchor here either.
+///
+/// The floor is the schema version of the last non-blank line before
+/// the anchor (1 when there is none, or the verifier cannot read it): a
+/// cursor resumed at the anchor starts there, so it refuses a v1 anchor
+/// after a v2 line exactly as a genesis replay does.
 pub fn find_anchor<T>(
     mut journal: impl BufRead,
-    mut visit: impl FnMut(u64, CheckpointAnchor) -> Option<T>,
+    mut visit: impl FnMut(u64, i64, CheckpointAnchor) -> Option<T>,
 ) -> io::Result<Option<T>> {
     let mut scan = CanonicalScan::default();
-    let mut line = Vec::new();
+    let (mut line, mut before) = (Vec::new(), Vec::new());
     let mut offset = 0u64;
     loop {
         line.clear();
@@ -299,13 +305,18 @@ pub fn find_anchor<T>(
         if !line.ends_with(b"\n") {
             return Ok(None);
         }
-        let anchor = std::str::from_utf8(&line)
-            .ok()
-            .and_then(|text| anchor_of_line(&mut scan, text));
-        if let Some(Ok(anchor)) = anchor {
-            if let Some(found) = visit(offset, anchor) {
+        let text = std::str::from_utf8(&line).ok();
+        if let Some(Ok(anchor)) = text.and_then(|text| anchor_of_line(&mut scan, text)) {
+            let floor = std::str::from_utf8(&before)
+                .ok()
+                .and_then(|text| read_record(&mut scan, text).ok())
+                .map_or(OLDEST_VERSION, |record| record.version);
+            if let Some(found) = visit(offset, floor, anchor) {
                 return Ok(Some(found));
             }
+        }
+        if !text.is_some_and(|text| text.trim().is_empty()) {
+            std::mem::swap(&mut line, &mut before);
         }
         offset += n as u64;
     }
@@ -320,7 +331,7 @@ pub fn scan_anchors(path: &Path) -> io::Result<Vec<CheckpointAnchor>> {
         Err(e) => return Err(e),
     };
     let mut anchors = Vec::new();
-    find_anchor(io::BufReader::new(file), |_, anchor| {
+    find_anchor(io::BufReader::new(file), |_, _, anchor| {
         anchors.push(anchor);
         None::<()>
     })?;
@@ -336,7 +347,7 @@ pub fn scan_anchors(path: &Path) -> io::Result<Vec<CheckpointAnchor>> {
 /// anchor exists in the file.
 pub fn truncate_to_anchor(path: &Path, anchor_records: u64) -> io::Result<Vec<u8>> {
     let bytes = std::fs::read(path)?;
-    let cut = find_anchor(&bytes[..], |offset, anchor| {
+    let cut = find_anchor(&bytes[..], |offset, _, anchor| {
         (anchor.records == anchor_records).then_some(offset as usize)
     })?;
     let Some(cut) = cut else {

@@ -593,7 +593,7 @@ impl Default for ChainCursor {
 impl ChainCursor {
     /// A cursor positioned before the first record (genesis).
     pub fn new() -> Self {
-        ChainCursor::resume(0, GENESIS_HASH.to_string())
+        ChainCursor::resume(0, GENESIS_HASH.to_string(), OLDEST_VERSION)
     }
 
     /// A cursor positioned mid-chain: the next admitted record must
@@ -602,13 +602,14 @@ impl ChainCursor {
     /// genesis — a truncated journal's leading `checkpoint` record
     /// carries exactly this pair in its payload
     /// ([`crate::checkpoint::CheckpointAnchor`]). The position does not
-    /// say which version the record before it had, so the next record
-    /// may have any version the verifier reads.
-    pub fn resume(records: u64, head: String) -> Self {
+    /// say which version the record before it had, so `floor` does: the
+    /// oldest version the next record may have (1 when nothing is
+    /// known, as at a journal's leading anchor).
+    pub fn resume(records: u64, head: String, floor: i64) -> Self {
         ChainCursor {
             records,
             head,
-            version: OLDEST_VERSION,
+            version: floor,
             scan: CanonicalScan::default(),
         }
     }
@@ -624,7 +625,7 @@ impl ChainCursor {
     }
 
     /// The oldest schema version the next record may have: the last
-    /// admitted record's (1 at genesis or after a resume).
+    /// admitted record's (1 at genesis, the floor after a resume).
     pub fn version(&self) -> i64 {
         self.version
     }
@@ -741,13 +742,14 @@ impl<R: BufRead> JournalReader<R> {
     }
 
     /// A reader resuming mid-chain: the first record must carry
-    /// sequence `records` and chain from `head`. No anchor
+    /// sequence `records`, chain from `head` and have a version no
+    /// older than `floor` ([`ChainCursor::resume`]). No anchor
     /// auto-detection — the caller already knows the position.
-    pub fn resume(input: R, records: u64, head: String) -> Self {
+    pub fn resume(input: R, records: u64, head: String, floor: i64) -> Self {
         JournalReader {
             input,
             line_no: 0,
-            cursor: ChainCursor::resume(records, head),
+            cursor: ChainCursor::resume(records, head, floor),
             done: false,
             at_start: false,
             line: String::new(),
@@ -804,7 +806,7 @@ impl<R: BufRead> JournalReader<R> {
             if self.at_start {
                 self.at_start = false;
                 if let Ok(Some((records, head))) = crate::checkpoint::leading_anchor(&self.line) {
-                    self.cursor = ChainCursor::resume(records, head);
+                    self.cursor = ChainCursor::resume(records, head, OLDEST_VERSION);
                 }
             }
             return Some(Ok(()));
@@ -939,7 +941,7 @@ pub fn recover(path: &std::path::Path) -> io::Result<(Journal<std::fs::File>, Re
                 if let Some((records, head)) =
                     crate::checkpoint::leading_anchor(line).map_err(refuse)?
                 {
-                    cursor = ChainCursor::resume(records, head);
+                    cursor = ChainCursor::resume(records, head, OLDEST_VERSION);
                     anchored = true;
                 }
             }
@@ -1371,7 +1373,7 @@ mod tests {
     /// chain position, to the verifier and the tree oracle. Returns the
     /// lines admitted.
     fn differential(bytes: &str, first: u64, prev: &str, mutants: usize) -> u64 {
-        let mut cursor = ChainCursor::resume(first, prev.to_string());
+        let mut cursor = ChainCursor::resume(first, prev.to_string(), OLDEST_VERSION);
         let mut rng = 0x5eed_0040_u64;
         let mut next = move |n: usize| {
             rng = rng

@@ -32,7 +32,7 @@
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use crate::journal::{ChainCursor, ChainError, RecordRef};
+use crate::journal::{ChainCursor, ChainError, RecordRef, OLDEST_VERSION};
 
 /// What one [`JournalTailer::poll`] found.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -82,15 +82,16 @@ impl JournalTailer {
     }
 
     /// A tailer resuming mid-file: the next record starts at byte
-    /// `offset` and must carry sequence `records` chained from `head`.
+    /// `offset`, must carry sequence `records` chained from `head`, and
+    /// have a version no older than `floor` ([`ChainCursor::resume`]).
     /// This is how a watcher restarts from a checkpoint instead of
     /// re-verifying from the start of the file.
-    pub fn resume(path: &Path, offset: u64, records: u64, head: String) -> Self {
+    pub fn resume(path: &Path, offset: u64, records: u64, head: String, floor: i64) -> Self {
         JournalTailer {
             path: path.to_path_buf(),
             offset,
             line_no: 0,
-            cursor: ChainCursor::resume(records, head),
+            cursor: ChainCursor::resume(records, head, floor),
             failed: None,
             at_start: false,
         }
@@ -203,7 +204,7 @@ impl JournalTailer {
                 if self.at_start {
                     self.at_start = false;
                     if let Ok(Some((records, head))) = crate::checkpoint::leading_anchor(line) {
-                        self.cursor = ChainCursor::resume(records, head);
+                        self.cursor = ChainCursor::resume(records, head, OLDEST_VERSION);
                     }
                 }
                 match self.cursor.admit(self.line_no, line) {

@@ -77,6 +77,17 @@ for f in BENCH_*.json; do
     fi
 done
 
+echo "== orphan bin references (each binary run by name has a source file) =="
+# A CI-only step that runs a deleted binary would otherwise fail only on
+# the runner.
+for name in $(grep -ohE -- '--bin [A-Za-z0-9_-]+' .github/workflows/ci.yml scripts/tier1.sh |
+    cut -d' ' -f2 | sort -u); do
+    if [ ! -e "src/bin/$name.rs" ] && ! compgen -G "crates/*/src/bin/$name.rs" > /dev/null; then
+        echo "--bin $name: no src/bin/$name.rs or crates/*/src/bin/$name.rs"
+        exit 1
+    fi
+done
+
 echo "== build (release) =="
 cargo build --release
 

@@ -12,6 +12,11 @@
 //! measured, so a change that adds an allocation to one of these paths
 //! fails here first. Run with `--nocapture` to see the measured table.
 //!
+//! The paths are measured twice, with trace collection off and with
+//! the span ring on (at `hka-sim`'s default capacity), and each
+//! measurement has its own pins: span recording that starts to allocate
+//! more (an attribute key copied to the heap, say) fails here.
+//!
 //! The same allocator keeps the thread's live heap bytes (allocations
 //! minus frees), so a soak can show that serving holds no state that
 //! grows with the request count.
@@ -20,6 +25,12 @@ use hka::obs;
 use hka::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
+
+/// Trace collection is process-global: while it is on, every thread's
+/// requests record spans into the one ring. The tests of this binary
+/// serialize here, so none measures while another has collection on.
+static COLLECTOR: Mutex<()> = Mutex::new(());
 
 struct Counting;
 
@@ -172,36 +183,56 @@ fn measure() -> std::collections::BTreeMap<Path, Tally> {
 
 #[test]
 fn the_request_paths_allocate_no_more_than_they_measured() {
-    let tallies = measure();
-    for (path, t) in &tallies {
-        println!(
-            "{path:?}: {} calls, {:.3} allocations and {:.1} bytes per call",
-            t.calls,
-            t.allocs_per_call(),
-            t.bytes_per_call()
-        );
-    }
+    let _g = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
+    let untraced = measure();
+    obs::trace::enable(1 << 16);
+    let traced = measure();
+    obs::trace::disable();
+    obs::trace::drain();
     // (path, at least this many calls, allocations per call ≤, bytes
     // per call ≤): the means measured on this seed, rounded up.
-    let pins = [
+    let untraced_pins = [
         (Path::Location, 100_000, 0.40, 222.0),
         (Path::ExactForward, 1_000, 0.04, 595.0),
         (Path::GeneralizedForward, 30, 6.58, 765.0),
         (Path::Suppression, 100, 0.27, 75.0),
     ];
-    for (path, calls, allocs, bytes) in pins {
-        let t = tallies.get(&path).copied().unwrap_or_default();
-        assert!(t.calls >= calls, "{path:?}: only {} calls", t.calls);
-        assert!(
-            t.allocs_per_call() <= allocs,
-            "{path:?}: {:.3} allocations per call, pinned at {allocs}",
-            t.allocs_per_call()
-        );
-        assert!(
-            t.bytes_per_call() <= bytes,
-            "{path:?}: {:.1} bytes per call, pinned at {bytes}",
-            t.bytes_per_call()
-        );
+    let traced_pins = [
+        (Path::Location, 100_000, 0.40, 222.0),
+        (Path::ExactForward, 1_000, 3.04, 1801.0),
+        (Path::GeneralizedForward, 30, 12.0, 1624.0),
+        (Path::Suppression, 100, 2.25, 279.0),
+    ];
+    for (collection, tallies, pins) in [
+        ("off", untraced, untraced_pins),
+        ("ring", traced, traced_pins),
+    ] {
+        for (path, t) in &tallies {
+            println!(
+                "collection {collection}, {path:?}: {} calls, {:.3} allocations and {:.1} bytes per call",
+                t.calls,
+                t.allocs_per_call(),
+                t.bytes_per_call()
+            );
+        }
+        for (path, calls, allocs, bytes) in pins {
+            let t = tallies.get(&path).copied().unwrap_or_default();
+            assert!(
+                t.calls >= calls,
+                "{collection}, {path:?}: only {} calls",
+                t.calls
+            );
+            assert!(
+                t.allocs_per_call() <= allocs,
+                "{collection}, {path:?}: {:.3} allocations per call, pinned at {allocs}",
+                t.allocs_per_call()
+            );
+            assert!(
+                t.bytes_per_call() <= bytes,
+                "{collection}, {path:?}: {:.1} bytes per call, pinned at {bytes}",
+                t.bytes_per_call()
+            );
+        }
     }
 }
 
@@ -213,6 +244,7 @@ fn the_request_paths_allocate_no_more_than_they_measured() {
 /// trajectory store is in the same shape at each.
 #[test]
 fn serving_memory_does_not_grow_with_the_request_count() {
+    let _g = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
     const USERS: u64 = 64;
     const N: u64 = 100_000;
     const CADENCE: u64 = 10_000;

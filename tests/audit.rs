@@ -290,6 +290,89 @@ fn mixed_version_chains_replay_by_the_version_rule() {
     }
 }
 
+/// The version rule holds across a checkpoint: a v1 anchor right after
+/// a v2 line is refused by `verify_chain` and by all three resume paths
+/// (`resume_from_snapshot`, `state_at` from a snapshot and the resumed
+/// tail), as a genesis replay refuses it. The same chain with a v2
+/// anchor is admitted by all four, so the refusal is the version's.
+#[test]
+fn a_v1_anchor_after_a_v2_line_is_refused_on_every_resume_path() {
+    let dir = std::env::temp_dir().join(format!("hka-audit-floor-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (path, snap) = (dir.join("journal.jsonl"), dir.join("prefix.snap"));
+    let mut journal = obs::Journal::new(Vec::new());
+    for user in 0..3 {
+        let exact = TsEvent::Forwarded {
+            user: UserId(user),
+            at: TimeSec(60 * user as i64),
+            context: StBox::point(StPoint::xyt(1.0, 2.0, TimeSec(60 * user as i64))),
+            generalized: false,
+            hk_ok: true,
+            service: ServiceId(0),
+            k_req: 0,
+            k_got: 0,
+            lbqid: None,
+        };
+        journal.append(exact.kind(), &exact).unwrap();
+    }
+    let prefix = String::from_utf8(journal.into_inner()).unwrap();
+    std::fs::write(&path, &prefix).unwrap();
+    let (state, records, head) = audit::state_at(&path, None, AuditConfig::default()).unwrap();
+    let mut snapshot = obs::Snapshot::new(records, head.clone());
+    snapshot.set_section(audit::AUDIT_SECTION, state);
+    let snapshot_hash = obs::checkpoint::write_atomic(&snapshot, &snap).unwrap();
+    let payload = obs::checkpoint::anchor_payload("prefix.snap", records, &head, &snapshot_hash);
+
+    for anchor_version in [2, 1] {
+        let (anchor, anchor_hash) = line_v(
+            anchor_version,
+            records,
+            obs::CHECKPOINT_KIND,
+            &payload.to_string(),
+            &head,
+        );
+        let (suffix, _) = line_v(2, records + 1, "ts.vendor_extension", "{}", &anchor_hash);
+        let chain = format!("{prefix}{anchor}{suffix}");
+        std::fs::write(&path, &chain).unwrap();
+        let admitted = anchor_version == 2;
+
+        let genesis = obs::verify_chain(chain.as_bytes());
+        assert_eq!(genesis.is_ok(), admitted, "v{anchor_version}: {genesis:?}");
+        let resumed = audit::resume_from_snapshot(&path, &snap).unwrap();
+        assert_eq!(
+            resumed.chain.verified(),
+            admitted,
+            "v{anchor_version}: {:?}",
+            resumed.chain.error
+        );
+        let state = audit::state_at(&path, Some(&snap), AuditConfig::default());
+        assert_eq!(
+            state.is_ok(),
+            admitted,
+            "v{anchor_version}: {:?}",
+            state.err()
+        );
+        let mut tail = audit::TailAuditor::resume_from_snapshot(&path, &snap).unwrap();
+        tail.poll();
+        assert_eq!(
+            tail.chain_error().is_none(),
+            admitted,
+            "v{anchor_version}: {:?}",
+            tail.chain_error()
+        );
+        if !admitted {
+            for error in [
+                genesis.unwrap_err().to_string(),
+                resumed.chain.error.unwrap(),
+                tail.chain_error().unwrap().to_string(),
+            ] {
+                assert!(error.contains("schema version 1"), "{error}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn run_pipeline() -> (TrustedServer, SharedBuf) {
     let world = World::generate(&WorldConfig {
         seed: 5,

@@ -311,6 +311,128 @@ fn a_truncated_journal_still_verifies_and_resumes_the_full_history() {
     );
 }
 
+// --- resume cost ------------------------------------------------------
+
+/// A schema-valid exact forward; `i` spreads users and time.
+fn exact_forward(i: u64) -> obs::Json {
+    use obs::Json;
+    let (x, y) = ((i % 97) as f64, (i % 89) as f64);
+    Json::obj([
+        ("user", Json::Int((i % 64) as i64)),
+        ("at", Json::Int(i as i64)),
+        ("x_min", Json::Num(x)),
+        ("y_min", Json::Num(y)),
+        ("x_max", Json::Num(x)),
+        ("y_max", Json::Num(y)),
+        ("t_start", Json::Int(i as i64)),
+        ("t_end", Json::Int(i as i64)),
+        ("generalized", Json::Bool(false)),
+        ("hk_ok", Json::Bool(true)),
+    ])
+}
+
+/// A resume verifies only what follows its checkpoint. A journal of
+/// 2,000 forwards is checkpointed and 40 more follow the anchor. The
+/// resumed tail ingests exactly the anchor and the suffix. Then a
+/// prefix record is changed in the encoder's own form: a genesis replay
+/// now fails at it, and the resume still equals the genesis report of
+/// the unchanged chain.
+#[test]
+fn a_resume_verifies_only_the_suffix() {
+    const PREFIX: u64 = 2_000;
+    const SUFFIX: u64 = 40;
+    let cfg = AuditConfig::default();
+    let dir = TempDir::new("suffix-only");
+    let (path, snap) = (dir.0.join("journal.jsonl"), dir.0.join("prefix.snap"));
+    let mut journal = obs::Journal::new(std::fs::File::create(&path).unwrap());
+    for i in 0..PREFIX {
+        journal.append("ts.forwarded", exact_forward(i)).unwrap();
+    }
+    journal.flush().unwrap();
+    let (state, records, head) = audit::state_at(&path, None, cfg).unwrap();
+    let mut snapshot = obs::Snapshot::new(records, head.clone());
+    snapshot.set_section(audit::AUDIT_SECTION, state);
+    let hash = obs::checkpoint::write_atomic(&snapshot, &snap).unwrap();
+    let anchor = obs::checkpoint::anchor_payload("prefix.snap", records, &head, &hash);
+    journal.append(obs::CHECKPOINT_KIND, anchor).unwrap();
+    for i in PREFIX..PREFIX + SUFFIX {
+        journal.append("ts.forwarded", exact_forward(i)).unwrap();
+    }
+    journal.flush().unwrap();
+    drop(journal);
+
+    let report = |outcome: &audit::AuditOutcome| outcome.to_json().to_string();
+    let genesis = audit::replay_file(&path, cfg).unwrap();
+    assert!(genesis.ok() && genesis.chain.verified());
+    assert_eq!(genesis.chain.records, PREFIX + 1 + SUFFIX);
+    let mut tail = TailAuditor::resume_from_snapshot(&path, &snap).unwrap();
+    assert_eq!(
+        tail.poll().new_records,
+        1 + SUFFIX,
+        "the anchor and the suffix"
+    );
+    assert_eq!(report(&tail.snapshot()), report(&genesis));
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    let changed = text.replacen(r#""user":3,"#, r#""user":4,"#, 1);
+    assert_ne!(changed, text);
+    std::fs::write(&path, changed).unwrap();
+    let broken = audit::replay_file(&path, cfg).unwrap();
+    assert_eq!(broken.chain.records, 3, "{:?}", broken.chain.error);
+    let resumed = audit::resume_from_snapshot(&path, &snap).unwrap();
+    assert_eq!(report(&resumed), report(&genesis));
+}
+
+/// Nightly compaction bounds resident history. 2,000 users report 24
+/// fixes a day for 5 days; each night everything older than a day folds
+/// at `Days` granularity. Every user-day of this workload has six
+/// distinct representatives (entry, exit and four spatial extremes are
+/// different fixes), so the fold bound — six points per folded granule
+/// plus the untouched last day — is tight. Resident bytes stay under
+/// half of what the appended fixes occupy.
+#[test]
+fn nightly_compaction_keeps_six_points_per_granule_plus_the_recent_day() {
+    const USERS: u64 = 2_000;
+    const DAYS: i64 = 5;
+    const FIXES: i64 = 24;
+    let policy = CompactionPolicy::new(DAY, Granularity::Days);
+    let mut store = TrajectoryStore::default();
+    for day in 0..DAYS {
+        for u in 0..USERS {
+            for f in 0..FIXES {
+                // Fixes 5 and 11 are the x extremes, 17 and 20 the y
+                // extremes, 0 and 23 the entry and exit.
+                let x = match f {
+                    5 => 0.0,
+                    11 => 100.0,
+                    _ => 50.0 + (f % 7) as f64,
+                };
+                let y = match f {
+                    17 => 0.0,
+                    20 => 100.0,
+                    _ => 50.0 + (f % 5) as f64,
+                };
+                let at = TimeSec(day * DAY + f * DAY / FIXES);
+                store.record(UserId(u), StPoint::xyt(x + u as f64, y, at));
+            }
+        }
+        store.compact(TimeSec((day + 1) * DAY), &policy);
+    }
+    let appended = USERS * (DAYS * FIXES) as u64;
+    let bound = USERS * (6 * (DAYS - 1) + FIXES) as u64;
+    let retained = store.total_points() as u64;
+    let uncompacted = appended as usize * std::mem::size_of::<StPoint>();
+    let ratio = store.approx_bytes() as f64 / uncompacted as f64;
+    println!(
+        "{appended} fixes appended, {retained} retained (bound {bound}), resident ratio {ratio:.3}"
+    );
+    assert!(
+        retained <= bound,
+        "{retained} points retained, bound {bound}"
+    );
+    assert!(ratio < 0.5, "resident ratio {ratio:.3}");
+}
+
 // --- compaction differential ------------------------------------------
 
 #[test]

@@ -18,7 +18,14 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
+use std::time::{Duration, Instant};
+
+/// The lag test times a tailer against a paced writer, so it takes this
+/// lock to write and runs alone; every other test here, each driving a
+/// server or a subprocess that would compete for the same cores, reads
+/// it.
+static CORES: RwLock<()> = RwLock::new(());
 
 fn hka_sim(args: &[&str]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_hka-sim"))
@@ -54,10 +61,75 @@ fn forwarded(user: i64, at: i64, generalized: bool, hk_ok: bool) -> obs::Json {
     ])
 }
 
+// --- Lag ---------------------------------------------------------------
+
+/// A watcher keeps up with production journal rates: one thread appends
+/// schema-valid forwards to a journal file at 16,000 records/s for 2 s
+/// (above the ~13k records/s a group-commit drill journals at) while a
+/// `TailAuditor` polls the same file every 5 ms. A record's lag runs
+/// from the writer starting its append to the tailer having verified
+/// and ingested it; the p99 must stay under 1 s, with the chain intact
+/// and no violation. Run with `--nocapture` to see the lag.
+#[test]
+fn a_paced_writer_is_tailed_within_a_second() {
+    let _alone = CORES.write().unwrap_or_else(|e| e.into_inner());
+    const RATE: u64 = 16_000;
+    const SECONDS: u64 = 2;
+    const TOTAL: u64 = RATE * SECONDS;
+    const POLL: Duration = Duration::from_millis(5);
+    let path = tmp("lag.jsonl");
+    let mut journal = obs::Journal::new(std::fs::File::create(&path).unwrap());
+    // Append-start instants in record order, stamped before the append
+    // so that no lag comes out negative.
+    let stamps = Arc::new(Mutex::new(Vec::with_capacity(TOTAL as usize)));
+    let writer = {
+        let stamps = Arc::clone(&stamps);
+        std::thread::spawn(move || {
+            let t0 = Instant::now();
+            for i in 0..TOTAL {
+                // Paced against the ideal schedule: a slow append is
+                // absorbed, not compounded.
+                let due = t0 + Duration::from_nanos(i * 1_000_000_000 / RATE);
+                if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                    std::thread::sleep(wait);
+                }
+                stamps.lock().unwrap().push(Instant::now());
+                let payload = forwarded((i % 64) as i64, i as i64, false, true);
+                journal.append("ts.forwarded", payload).unwrap();
+            }
+            journal.flush().unwrap();
+        })
+    };
+
+    let mut tail = TailAuditor::open(&path, AuditConfig::default());
+    let mut lags = Vec::with_capacity(TOTAL as usize);
+    let deadline = Instant::now() + Duration::from_secs(SECONDS + 10);
+    while tail.records() < TOTAL && tail.chain_error().is_none() && Instant::now() < deadline {
+        let before = tail.records() as usize;
+        tail.poll();
+        let now = Instant::now();
+        let tailed = before..tail.records() as usize;
+        lags.extend(stamps.lock().unwrap()[tailed].iter().map(|&s| now - s));
+        std::thread::sleep(POLL);
+    }
+    writer.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+
+    assert!(tail.chain_error().is_none(), "{:?}", tail.chain_error());
+    assert_eq!(tail.records(), TOTAL, "the tailer fell behind the writer");
+    assert!(tail.snapshot().violations.is_empty());
+    lags.sort_unstable();
+    let at = |q: usize| lags[(lags.len() - 1) * q / 100];
+    let (p50, p99, max) = (at(50), at(99), at(100));
+    println!("{TOTAL} records tailed: lag p50 {p50:?}, p99 {p99:?}, max {max:?}");
+    assert!(p99 < Duration::from_secs(1), "lag p99 {p99:?}");
+}
+
 // --- CLI surface ------------------------------------------------------
 
 #[test]
 fn serve_drill_with_live_tail_is_clean_and_watchable() {
+    let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
     let path = tmp("drill.journal");
     let path_s = path.to_str().unwrap();
     let (code, stdout, stderr) = hka_sim(&[
@@ -116,6 +188,7 @@ fn serve_drill_with_live_tail_is_clean_and_watchable() {
 
 #[test]
 fn chaos_under_tail_never_reports_a_false_violation() {
+    let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
     // Request-path chaos (tail_chaos_plan: journal I/O excluded) plus
     // crash/recover cycles at every segment boundary: the tailing
     // auditor must ride through all of it with zero violations and a
@@ -150,6 +223,7 @@ fn chaos_under_tail_never_reports_a_false_violation() {
 
 #[test]
 fn watch_flags_a_violation_with_its_journal_offset() {
+    let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
     let path = tmp("violation.journal");
     let mut journal = obs::Journal::new(std::fs::File::create(&path).unwrap());
     journal
@@ -187,6 +261,7 @@ fn watch_flags_a_violation_with_its_journal_offset() {
 
 #[test]
 fn watch_and_audit_agree_on_an_empty_journal() {
+    let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
     // Regression: a zero-length journal is a clean (empty) audit, not
     // an error — for the offline reader and the watcher alike.
     let path = tmp("empty.journal");
@@ -224,6 +299,7 @@ fn watch_and_audit_agree_on_an_empty_journal() {
 
 #[test]
 fn tail_survives_recovery_truncation_and_rechain() {
+    let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
     // A tailer positioned exactly past a torn tail must be oblivious to
     // `Journal::recover` truncating it, and must pick up the recovery
     // marker and every re-chained record that follows.
@@ -340,6 +416,7 @@ fn protected_server(world: &World, k: usize) -> TrustedServer {
 
 #[test]
 fn journal_fault_chaos_tail_matches_offline_audit_byte_for_byte() {
+    let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
     // The strongest equivalence claim: full randomized fault schedules
     // — journal I/O faults *included*, so torn writes, clean I/O errors
     // and the whole mode ladder fire — with a live tailer following the

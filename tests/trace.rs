@@ -213,7 +213,7 @@ fn trace_export_is_byte_stable_for_a_fixed_seed() {
 
 /// Collection state must never leak into the decision record: the
 /// journal written with `--trace-export` is byte-identical to the one
-/// written without.
+/// written without, and the export dropped no span.
 #[test]
 fn journals_are_byte_identical_with_tracing_on_and_off() {
     let dir = tmp_dir("onoff");
@@ -246,6 +246,10 @@ fn journals_are_byte_identical_with_tracing_on_and_off() {
         let argv: Vec<&str> = args.iter().map(String::as_str).collect();
         let (ok, stdout, stderr) = hka_sim(&argv);
         assert!(ok, "{stdout}{stderr}");
+        if traced {
+            // The default ring capacity holds the whole run.
+            assert!(stdout.contains(", 0 dropped)"), "{stdout}");
+        }
         std::fs::read(&journal).unwrap()
     };
     let with = run("traced", true);
@@ -255,6 +259,48 @@ fn journals_are_byte_identical_with_tracing_on_and_off() {
         with, without,
         "journal bytes must not depend on trace collection"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The ring-only configuration — collection on, nothing exported — and
+/// the exporting one journal the same bytes as collection off, in
+/// process on a group journal. At `hka-sim`'s default capacity (2¹⁶
+/// spans) the ring drops nothing, and the export validates.
+#[test]
+fn journals_are_byte_identical_with_the_ring_on_exported_or_not() {
+    let _g = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir("ring");
+    let world = build_world(2);
+    let dropped = || obs::global().snapshot().counter("obs.trace_dropped");
+    let run = |tag: &str| {
+        let path = dir.join(format!("{tag}.jsonl"));
+        let mut ts = setup_group(&world, std::fs::File::create(&path).unwrap());
+        drive(&mut ts, &world);
+        drop(ts);
+        std::fs::read(&path).unwrap()
+    };
+    let off = run("off");
+
+    for export in [false, true] {
+        let before = dropped();
+        obs::trace::enable(1 << 16);
+        let ring = run(if export { "export" } else { "ring" });
+        obs::trace::disable();
+        let records = obs::trace::drain();
+        assert_eq!(dropped(), before, "the ring dropped spans");
+        // Far more spans than a ring of a few hundred slots would hold,
+        // so the drop check bites.
+        assert!(records.len() > 1 << 8, "{} spans", records.len());
+        if export {
+            let doc = obs::chrome_trace(&records, obs::TraceClock::Logical);
+            let check = obs::validate_chrome_trace(&doc).expect("the export validates");
+            assert_eq!(check.spans, records.len());
+        }
+        assert_eq!(
+            ring, off,
+            "export {export}: journal bytes depend on collection"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
