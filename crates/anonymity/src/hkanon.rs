@@ -1,6 +1,5 @@
 //! LT-consistency and historical k-anonymity (Definitions 7 and 8).
 
-use crate::SpRequest;
 use hka_geo::StBox;
 use hka_trajectory::{Phl, TrajectoryStore, UserId};
 
@@ -85,18 +84,6 @@ pub fn historical_k_anonymity(
 /// contrast to the k-*actual*-senders semantics of Gedik–Liu \[9\].
 pub fn anonymity_set(store: &TrajectoryStore, context: &StBox) -> Vec<UserId> {
     store.users_crossing(context)
-}
-
-/// Convenience: evaluates Definition 8 directly from provider-visible
-/// requests (extracting their contexts).
-pub fn historical_k_anonymity_of_requests(
-    store: &TrajectoryStore,
-    issuer: UserId,
-    requests: &[SpRequest],
-    k: usize,
-) -> HkOutcome {
-    let contexts: Vec<StBox> = requests.iter().map(|r| r.context).collect();
-    historical_k_anonymity(store, issuer, &contexts, k)
 }
 
 #[cfg(test)]
@@ -192,20 +179,5 @@ mod tests {
         let morning = ctx(0.0, 0.0, 100.0, 100.0, 0, 200);
         let set = anonymity_set(&s, &morning);
         assert_eq!(set, vec![UserId(1), UserId(2), UserId(3)]);
-    }
-
-    #[test]
-    fn request_based_wrapper_extracts_contexts() {
-        use crate::{MsgId, Pseudonym, ServiceId};
-        let s = commuting_store();
-        let reqs = vec![SpRequest::new(
-            MsgId(0),
-            Pseudonym(1),
-            ctx(0.0, 0.0, 100.0, 100.0, 0, 200),
-            ServiceId(0),
-        )];
-        let out = historical_k_anonymity_of_requests(&s, UserId(1), &reqs, 3);
-        assert!(out.satisfied);
-        assert_eq!(out.witnesses, vec![UserId(2), UserId(3)]);
     }
 }

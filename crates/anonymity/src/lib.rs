@@ -31,10 +31,7 @@ mod linker;
 mod request;
 
 pub use dsu::DisjointSets;
-pub use hkanon::{
-    anonymity_set, historical_k_anonymity, historical_k_anonymity_of_requests, lt_consistent,
-    HkOutcome,
-};
+pub use hkanon::{anonymity_set, historical_k_anonymity, lt_consistent, HkOutcome};
 pub use linker::{CompositeLinker, Linker, PseudonymLinker, TrackerLinker, TrackerParams};
 pub use request::{MsgId, Pseudonym, ServiceId, SpRequest};
 

@@ -19,15 +19,14 @@
 //! ```
 
 use hka_anonymity::{CompositeLinker, PseudonymLinker, ServiceId, SpRequest};
-use hka_bench::{Cell, Report};
+use hka_bench::{collect_forwards, Cell, Report};
 use hka_core::adversary::{pair_attack, Adversary, HomeRegistry, PairRegistry};
 use hka_core::{
-    MixZoneConfig, PrivacyLevel, PrivacyParams, RequestOutcome, RiskAction, Tolerance,
-    TrustedServer, TsConfig,
+    MixZoneConfig, PrivacyLevel, PrivacyParams, RiskAction, Tolerance, TrustedServer, TsConfig,
 };
 use hka_geo::MINUTE;
 use hka_lbqid::{parse_lbqid, Lbqid};
-use hka_mobility::{CityConfig, EventKind, World, WorldConfig, ANCHOR_SERVICE, BACKGROUND_SERVICE};
+use hka_mobility::{CityConfig, World, WorldConfig, ANCHOR_SERVICE, BACKGROUND_SERVICE};
 use hka_trajectory::UserId;
 
 struct RunOutput {
@@ -83,20 +82,10 @@ fn run(world: &World, level: Option<PrivacyParams>, mixzones: bool) -> RunOutput
             }
         }
     }
-    let (mut truth, mut requests) = (Vec::new(), Vec::new());
-    for e in &world.events {
-        match e.kind {
-            EventKind::Location => ts.location_update(e.user, e.at),
-            EventKind::Request { service } => {
-                if let RequestOutcome::Forwarded(req, _) =
-                    ts.handle_request(e.user, e.at, ServiceId(service))
-                {
-                    truth.push(e.user);
-                    requests.push(req);
-                }
-            }
-        }
-    }
+    let (truth, requests) = collect_forwards(&mut ts, &world.events)
+        .into_iter()
+        .map(|(user, req, _)| (user, req))
+        .unzip();
     RunOutput {
         requests,
         truth,

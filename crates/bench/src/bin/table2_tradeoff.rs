@@ -13,7 +13,7 @@
 //! cargo run --release -p hka-bench --bin table2_tradeoff
 //! ```
 
-use hka_bench::{build, mean, run_events, Cell, Report, ScenarioConfig};
+use hka_bench::{build, collect_forwards, mean, Cell, Report, ScenarioConfig};
 use hka_core::{PrivacyParams, RiskAction, Tolerance};
 use hka_geo::MINUTE;
 
@@ -64,8 +64,9 @@ fn main() {
                     },
                     anchor_tolerance: tolerance,
                     background_tolerance: tolerance,
+                    ..ScenarioConfig::default()
                 });
-                run_events(&mut s);
+                collect_forwards(&mut s.ts, &s.world.events);
                 let st = s.ts.log().stats();
                 let pattern_reqs =
                     (st.generalized() + st.suppressed_mixzone + st.suppressed_risk).max(1) as f64;

@@ -16,8 +16,9 @@
 //! cargo run --release -p hka-bench --bin table6_mixzones
 //! ```
 
-use hka_bench::{build, mean, run_events, Cell, Report, ScenarioConfig};
-use hka_core::{MixZoneConfig, PrivacyParams, RiskAction};
+use hka_bench::{build, collect_forwards, mean, Cell, Report, ScenarioConfig};
+use hka_core::adversary::hk_audit;
+use hka_core::TsConfig;
 use hka_geo::Rect;
 
 fn main() {
@@ -43,49 +44,35 @@ fn main() {
         let mut matches = vec![];
         let mut max_contexts = vec![];
         for seed in 1u64..=4 {
+            // The default scenario is the table's: k = 5, k' = 10
+            // decreasing, 10 commuters among 60 roamers, 14 days.
+            let mut ts = TsConfig::default();
+            if !on_demand {
+                // Unlinking disabled: a divergence over π is never met.
+                ts.mixzone.min_divergence = 7.0;
+            }
             let mut s = build(&ScenarioConfig {
                 seed,
-                days: 14,
-                n_commuters: 10,
-                n_roamers: 60,
-                params: PrivacyParams {
-                    k: 5,
-                    theta: 0.5,
-                    k_init: 10,
-                    k_decrement: 1,
-                    on_risk: RiskAction::Forward,
-                },
+                ts,
                 ..ScenarioConfig::default()
             });
-            if !on_demand {
-                // Rebuild the server with unlinking disabled.
-                let cfg = hka_core::TsConfig {
-                    mixzone: MixZoneConfig {
-                        min_divergence: 7.0, // > π: never satisfiable
-                        ..MixZoneConfig::default()
-                    },
-                    ..hka_core::TsConfig::default()
-                };
-                s = rebuild_with(s, cfg);
-            }
             if with_static {
                 // A corridor between the residential west and the
                 // commercial east: every commute crosses it.
                 s.ts.add_static_mixzone(Rect::from_bounds(950.0, 0.0, 1_050.0, 2_000.0));
             }
-            run_events(&mut s);
+            let forwards = collect_forwards(&mut s.ts, &s.world.events);
             let st = s.ts.log().stats();
             hk.push(st.hk_success_rate());
             unlinks.push(st.pseudonym_changes as f64);
             suppressed.push((st.suppressed_mixzone + st.suppressed_risk) as f64);
             risk.push(st.at_risk as f64);
             matches.push(st.lbqid_matches as f64);
-            // Longest pattern-context trail released under one pseudonym.
-            let longest = s
-                .protected
+            // Longest pattern-context trail released under one pseudonym,
+            // retired pseudonyms included.
+            let longest = hk_audit(&forwards, &s.world.store(), 5)
                 .iter()
-                .flat_map(|&u| s.ts.pattern_contexts(u))
-                .map(|(_, ctxs)| ctxs.len())
+                .map(|set| set.requests)
                 .max()
                 .unwrap_or(0);
             max_contexts.push(longest as f64);
@@ -107,40 +94,4 @@ fn main() {
     report.note("crossing for free — full matches under a single pseudonym collapse —");
     report.note("at the price of a permanent service blackout strip.");
     report.emit();
-}
-
-/// Rebuilds the scenario's server from scratch under a different TS
-/// config (registrations and LBQIDs are re-applied).
-fn rebuild_with(mut s: hka_bench::Scenario, cfg: hka_core::TsConfig) -> hka_bench::Scenario {
-    use hka_anonymity::ServiceId;
-    use hka_core::{PrivacyLevel, PrivacyParams, RiskAction, Tolerance};
-    use hka_geo::MINUTE;
-    use hka_lbqid::Lbqid;
-    use hka_mobility::{ANCHOR_SERVICE, BACKGROUND_SERVICE};
-
-    let mut ts = hka_core::TrustedServer::new(cfg);
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    let params = PrivacyParams {
-        k: 5,
-        theta: 0.5,
-        k_init: 10,
-        k_decrement: 1,
-        on_risk: RiskAction::Forward,
-    };
-    for agent in &s.world.agents {
-        if s.protected.contains(&agent.user) {
-            ts.register_user(agent.user, PrivacyLevel::Custom(params));
-        } else {
-            ts.register_user(agent.user, PrivacyLevel::Off);
-        }
-    }
-    for &u in &s.protected {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(s.world.home_of(u).unwrap(), s.world.office_of(u).unwrap()),
-        );
-    }
-    s.ts = ts;
-    s
 }

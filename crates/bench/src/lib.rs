@@ -12,14 +12,16 @@
 #![warn(missing_docs)]
 
 use hka_anonymity::ServiceId;
-use hka_core::{
-    PrivacyLevel, PrivacyParams, RequestEnvelope, RequestService, Tolerance, TrustedServer,
-    TsConfig, WireOutcome,
-};
+use hka_core::{PrivacyLevel, PrivacyParams, Tolerance, TrustedServer, TsConfig};
 use hka_geo::MINUTE;
 use hka_lbqid::Lbqid;
-use hka_mobility::{CityConfig, EventKind, World, WorldConfig, ANCHOR_SERVICE, BACKGROUND_SERVICE};
+use hka_mobility::{CityConfig, World, WorldConfig, ANCHOR_SERVICE, BACKGROUND_SERVICE};
 use hka_trajectory::UserId;
+
+/// The one loop that drives a scenario: every event to the server in
+/// order, every forward kept beside its true issuer (a day at a time,
+/// compacting at each midnight, in the `_daily` form).
+pub use hka::{collect_forwards, collect_forwards_daily};
 
 /// A ready-to-run protected city: the workload, the trusted server wired
 /// with services and LBQIDs, and the list of protected users.
@@ -49,6 +51,8 @@ pub struct ScenarioConfig {
     pub anchor_tolerance: Tolerance,
     /// Tolerance for the background (navigation-like) service.
     pub background_tolerance: Tolerance,
+    /// The trusted server's configuration.
+    pub ts: TsConfig,
 }
 
 impl Default for ScenarioConfig {
@@ -67,6 +71,7 @@ impl Default for ScenarioConfig {
             },
             anchor_tolerance: Tolerance::new(9e6, 10 * MINUTE),
             background_tolerance: Tolerance::navigation(),
+            ts: TsConfig::default(),
         }
     }
 }
@@ -86,7 +91,7 @@ pub fn build(cfg: &ScenarioConfig) -> Scenario {
         },
         ..WorldConfig::default()
     });
-    let mut ts = TrustedServer::new(TsConfig::default());
+    let mut ts = TrustedServer::new(cfg.ts);
     ts.register_service(ServiceId(BACKGROUND_SERVICE), cfg.background_tolerance);
     ts.register_service(ServiceId(ANCHOR_SERVICE), cfg.anchor_tolerance);
     let protected: Vec<UserId> = world.commuters().collect();
@@ -108,32 +113,6 @@ pub fn build(cfg: &ScenarioConfig) -> Scenario {
         ts,
         protected,
     }
-}
-
-/// Drives every workload event through the server via the
-/// [`RequestService`] seam — the same path `hka-sim` and the TCP
-/// gateway use, so a bench run exercises exactly the production
-/// envelope handling (submit is `location_update` /
-/// `try_handle_request` verbatim on the sequential server, so journal
-/// bytes are unchanged). Request-level errors (unknown user,
-/// read-only refusals) are counted and returned instead of aborting
-/// the experiment — a generated workload should produce none, so
-/// callers typically assert the count is zero.
-pub fn run_events(scenario: &mut Scenario) -> u64 {
-    let svc: &mut dyn RequestService = &mut scenario.ts;
-    for (i, e) in scenario.world.events.iter().enumerate() {
-        let env = match e.kind {
-            EventKind::Location => RequestEnvelope::location(i as u64, e.user, e.at),
-            EventKind::Request { service } => {
-                RequestEnvelope::request(i as u64, e.user, e.at, ServiceId(service))
-            }
-        };
-        svc.submit(&env);
-    }
-    svc.drain()
-        .iter()
-        .filter(|r| r.outcome == WireOutcome::Rejected)
-        .count() as u64
 }
 
 /// Mean of a sample (0 for empty).
@@ -396,8 +375,9 @@ mod tests {
             n_roamers: 5,
             ..ScenarioConfig::default()
         });
-        run_events(&mut s);
-        assert!(s.ts.log().stats().forwarded() > 0);
+        let forwards = collect_forwards(&mut s.ts, &s.world.events);
+        assert!(!forwards.is_empty());
+        assert_eq!(s.ts.log().stats().forwarded(), forwards.len());
         assert_eq!(s.protected.len(), 2);
     }
 

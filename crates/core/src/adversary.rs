@@ -19,11 +19,16 @@
 //!    the home's registered owner.
 //!
 //! [`AttackReport`] scores the attack against ground truth (which only
-//! the experiment harness has).
+//! the experiment harness has). [`unlink_audit`] and [`hk_audit`] grade
+//! the server the same way: from the forwards the provider received,
+//! beside the true issuers and trajectories only an evaluation holds.
 
-use hka_anonymity::{link_components, Linker, Pseudonym, SpRequest};
-use hka_geo::{Rect, DAY, HOUR};
-use hka_trajectory::UserId;
+use crate::Disclosure;
+use hka_anonymity::{
+    historical_k_anonymity, link_components, HkOutcome, Linker, Pseudonym, SpRequest,
+};
+use hka_geo::{Rect, StBox, DAY, HOUR};
+use hka_trajectory::{TrajectoryStore, UserId};
 use std::collections::BTreeMap;
 
 /// The public "phone book": home footprint → registered resident.
@@ -294,6 +299,82 @@ pub fn unlink_audit<L: Linker + ?Sized>(
     out
 }
 
+/// One request set Theorem 1 speaks of, graded by [`hk_audit`]: the
+/// generalized forwards of one user under one pseudonym.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GradedSet {
+    /// The true issuer.
+    pub user: UserId,
+    /// The pseudonym the provider saw on every request of the set.
+    pub pseudonym: Pseudonym,
+    /// How many generalized forwards the set holds.
+    pub requests: usize,
+    /// Definition 8 over the set's contexts, against the ground truth.
+    pub outcome: HkOutcome,
+    /// Whether a forward of the set went out with `hk_ok == false`: the
+    /// server could neither generalize nor unlink, and notified the user
+    /// at risk (outside Theorem 1's hypotheses).
+    pub risk: bool,
+    /// Definition 8 over the forwards before the set's first at-risk one
+    /// (all of them, and so equal to `outcome`, when `risk` is false):
+    /// the part of the set Theorem 1 speaks of. Definition 8 is monotone,
+    /// so this prefix must hold k on its own, whatever follows it. `None`
+    /// when the first forward was already at risk: no request to grade.
+    pub clean_prefix: Option<HkOutcome>,
+}
+
+impl GradedSet {
+    /// Theorem 1's verdict: the set's clean prefix, if any, holds k.
+    pub fn theorem1_holds(&self) -> bool {
+        self.clean_prefix.as_ref().is_none_or(|o| o.satisfied)
+    }
+}
+
+/// Grades Theorem 1 from the provider's view: groups the generalized
+/// forwards by (true issuer, pseudonym) — each group is link-connected
+/// at any Θ, since its requests share a pseudonym — and checks each
+/// group, and its prefix before the first at-risk forward, against
+/// Definition 8 over `truth`, the users' trajectories as the evaluation
+/// knows them. Services are pooled, as the server pools them; by
+/// Definition 8's monotonicity a set that passes pooled passes per
+/// service. Theorem 1 holds iff [`GradedSet::theorem1_holds`] for every set.
+/// Sets come in (user, pseudonym) order.
+pub fn hk_audit(
+    forwards: &[(UserId, SpRequest, Disclosure)],
+    truth: &TrajectoryStore,
+    k: usize,
+) -> Vec<GradedSet> {
+    // Per set: its contexts, and how many precede its first at-risk one.
+    let mut sets: BTreeMap<(UserId, Pseudonym), (Vec<StBox>, Option<usize>)> = BTreeMap::new();
+    for (user, req, disclosure) in forwards {
+        if disclosure.generalized {
+            let (contexts, clean) = sets.entry((*user, req.pseudonym)).or_default();
+            if !disclosure.hk_ok && clean.is_none() {
+                *clean = Some(contexts.len());
+            }
+            contexts.push(req.context);
+        }
+    }
+    sets.into_iter()
+        .map(|((user, pseudonym), (contexts, clean))| {
+            let outcome = historical_k_anonymity(truth, user, &contexts, k);
+            let clean_prefix = match clean {
+                Some(0) => None,
+                Some(n) => Some(historical_k_anonymity(truth, user, &contexts[..n], k)),
+                None => Some(outcome.clone()),
+            };
+            GradedSet {
+                user,
+                pseudonym,
+                requests: contexts.len(),
+                outcome,
+                risk: clean.is_some(),
+                clean_prefix,
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,6 +545,69 @@ mod tests {
         let linker = PseudonymLinker;
         let adv = Adversary::new(&linker, 0.9, &reg);
         adv.attack(&[exact_req(1, 0.0, 0.0, 0)], &[]);
+    }
+
+    #[test]
+    fn hk_audit_grades_each_pseudonyms_generalized_set() {
+        let a = Rect::from_bounds(0.0, 0.0, 100.0, 100.0);
+        let b = Rect::from_bounds(500.0, 0.0, 600.0, 100.0);
+        // Users 1 and 2 pass through both boxes in time; user 3 only
+        // through the first.
+        let mut truth = TrajectoryStore::new();
+        for u in [1, 2, 3] {
+            truth.record(UserId(u), StPoint::xyt(50.0, 50.0, TimeSec(10)));
+        }
+        for u in [1, 2] {
+            truth.record(UserId(u), StPoint::xyt(550.0, 50.0, TimeSec(1_000)));
+        }
+        let generalized = |hk_ok| Disclosure {
+            generalized: true,
+            hk_ok,
+            k_req: 3,
+            k_got: 3,
+        };
+        let forwards = vec![
+            (UserId(1), cloaked_req(10, a, 0), generalized(true)),
+            (
+                UserId(1),
+                exact_req(10, 50.0, 50.0, 500),
+                Disclosure::exact(),
+            ),
+            (UserId(1), cloaked_req(10, b, 990), generalized(true)),
+            (UserId(1), cloaked_req(11, a, 0), generalized(false)),
+            (UserId(1), cloaked_req(12, b, 990), generalized(true)),
+            (UserId(1), cloaked_req(12, a, 0), generalized(false)),
+        ];
+        let graded = hk_audit(&forwards, &truth, 3);
+        assert_eq!(
+            graded.len(),
+            3,
+            "one set per pseudonym, exact forwards aside"
+        );
+        // Both boxes together leave one other history: 2 < k.
+        let first = &graded[0];
+        assert_eq!((first.user, first.pseudonym), (UserId(1), Pseudonym(10)));
+        assert_eq!(first.requests, 2);
+        assert_eq!(first.outcome.witnesses, vec![UserId(2)]);
+        assert!(!first.outcome.satisfied && !first.risk);
+        assert_eq!(first.clean_prefix.as_ref(), Some(&first.outcome));
+        assert!(!first.theorem1_holds());
+        // The first box alone has two: k holds, and the set is at risk;
+        // nothing precedes its at-risk forward.
+        let second = &graded[1];
+        assert_eq!(second.pseudonym, Pseudonym(11));
+        assert_eq!(second.outcome.witnesses, vec![UserId(2), UserId(3)]);
+        assert!(second.outcome.satisfied && second.risk);
+        assert!(second.clean_prefix.is_none() && second.theorem1_holds());
+        // The second box, forwarded before the at-risk one, already
+        // breaks k: a violation within Theorem 1's hypotheses, though the
+        // set is at risk.
+        let third = &graded[2];
+        assert_eq!((third.pseudonym, third.requests), (Pseudonym(12), 2));
+        assert!(third.risk);
+        let prefix = third.clean_prefix.as_ref().unwrap();
+        assert_eq!(prefix.witnesses, vec![UserId(2)]);
+        assert!(!prefix.satisfied && !third.theorem1_holds());
     }
 
     #[test]

@@ -48,7 +48,6 @@ mod policy;
 mod randomize;
 mod server;
 mod service;
-mod shared;
 
 pub use envelope::{
     parse_wire_msg, parse_wire_reply, EnvelopeBody, RequestEnvelope, ResponseEnvelope, WireError,
@@ -70,4 +69,3 @@ pub use server::{
     Disclosure, PatternState, PrivacyIndicator, RequestOutcome, ServerMode, TrustedServer,
     TsConfig, TsError, UserState,
 };
-pub use shared::SharedTrustedServer;

@@ -13,17 +13,20 @@
 //!
 //! * **expansion** — each face moves outward by an independent random
 //!   fraction of the box extent, so faces no longer touch data points;
-//! * **translation jitter** — the expanded box slides by a random offset
-//!   (bounded so the true point always remains covered).
+//! * **translation jitter** — the expanded box slides by a random offset,
+//!   bounded by each face's expansion so the box never slides off any
+//!   point of the input: every witness Algorithm 1 counted, and the true
+//!   point, stay covered.
 //!
 //! Randomness is derived from a server secret and the request's message
 //! number, so replaying the log reproduces the same boxes (important for
 //! audits) while an adversary without the secret cannot predict offsets.
-//! Tolerance constraints are re-applied after randomization; the true
-//! request point is always still inside the emitted box.
+//! Tolerance constraints are re-applied after randomization by moving
+//! the faces back toward the input box, so a box within tolerance still
+//! comes out covering its input.
 
 use crate::Tolerance;
-use hka_geo::{Duration, Rect, StBox, StPoint, TimeInterval};
+use hka_geo::{Duration, Rect, StBox, StPoint, TimeInterval, TimeSec};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -35,8 +38,9 @@ pub struct RandomizeConfig {
     /// Maximum per-face outward expansion, as a fraction of the box's
     /// extent along that axis (e.g. `0.3` grows each face by up to 30 %).
     pub max_expand: f64,
-    /// Maximum translation, as a fraction of the (expanded) slack — `1.0`
-    /// allows sliding until the true point touches a face.
+    /// Maximum translation, as a fraction of the expansion of the face
+    /// the box slides toward: below `1.0` no face comes back to the input
+    /// box's face, and at `1.0` a face may just reach it.
     pub max_shift: f64,
     /// Minimum extents granted to degenerate boxes before expansion, so
     /// exact single-point contexts also get cover (meters, seconds).
@@ -81,11 +85,10 @@ impl Randomizer {
 
     /// Randomizes a generalized context around the true request point.
     ///
-    /// Guarantees: the result contains `exact`; if `context` contained
-    /// any witness point it still does (the box only ever *grows* before
-    /// the tolerance clamp); the result satisfies `tolerance` whenever
-    /// the input did (re-clamped otherwise); identical inputs with the
-    /// same `nonce` produce identical outputs.
+    /// Guarantees: the result contains `exact` and satisfies `tolerance`;
+    /// when `context` satisfies `tolerance` the result contains all of
+    /// it, so every witness point it covered is still covered; identical
+    /// inputs with the same `nonce` produce identical outputs.
     pub fn randomize(
         &self,
         context: &StBox,
@@ -114,48 +117,73 @@ impl Randomizer {
         let h = rect.height().max(1.0);
         let d = span.duration().max(1) as f64;
         let grow = |rng: &mut StdRng, extent: f64| rng.random_range(0.0..=e) * extent;
-        let rect = Rect::from_bounds(
-            rect.min().x - grow(&mut rng, w),
-            rect.min().y - grow(&mut rng, h),
-            rect.max().x + grow(&mut rng, w),
-            rect.max().y + grow(&mut rng, h),
-        );
-        let span = TimeInterval::new(
-            span.start() - grow(&mut rng, d) as Duration,
-            span.end() + grow(&mut rng, d) as Duration,
-        );
+        let (left, down) = (grow(&mut rng, w), grow(&mut rng, h));
+        let (right, up) = (grow(&mut rng, w), grow(&mut rng, h));
+        let (before, after) = (grow(&mut rng, d) as Duration, grow(&mut rng, d) as Duration);
 
-        // Translation jitter, bounded by the slack between the exact
-        // point and the faces so containment is preserved.
+        // Translation jitter: the box slides by at most a fraction `s` of
+        // the expansion of the face it slides toward, so no face crosses
+        // back over the input's face (every witness the input covered, and
+        // the exact point, stay covered) and, with `s < 1`, none lands on
+        // it either. A face moves out by `expansion ± shift`, floored at 0
+        // for the ulp by which a draw may overshoot its bound.
         let s = self.config.max_shift;
-        let slack_left = exact.pos.x - rect.min().x;
-        let slack_right = rect.max().x - exact.pos.x;
-        let dx = rng.random_range(-s * slack_left..=s * slack_right.max(f64::MIN_POSITIVE));
-        let slack_down = exact.pos.y - rect.min().y;
-        let slack_up = rect.max().y - exact.pos.y;
-        let dy = rng.random_range(-s * slack_down..=s * slack_up.max(f64::MIN_POSITIVE));
-        // Shift the box opposite to the allowed direction of the point:
-        // moving the box by (-dx) keeps `exact` inside by construction.
+        let moved = |expansion: f64, shift: f64| (expansion + shift).max(0.0);
+        let dx = rng.random_range(-s * left..=s * right);
+        let dy = rng.random_range(-s * down..=s * up);
         let rect = Rect::from_bounds(
-            rect.min().x - dx,
-            rect.min().y - dy,
-            rect.max().x - dx,
-            rect.max().y - dy,
+            rect.min().x - moved(left, dx),
+            rect.min().y - moved(down, dy),
+            rect.max().x + moved(right, -dx),
+            rect.max().y + moved(up, -dy),
         );
-        let slack_before = (exact.t - span.start()) as f64;
-        let slack_after = (span.end() - exact.t) as f64;
-        let dt = rng.random_range(-s * slack_before..=s * slack_after.max(f64::MIN_POSITIVE))
-            as Duration;
-        let span = TimeInterval::new(span.start() - dt, span.end() - dt);
+        let dt = rng.random_range(-s * before as f64..=s * after as f64) as Duration;
+        let span = TimeInterval::new(span.start() - (before + dt), span.end() + (after - dt));
 
         let out = StBox::new(rect, span);
-        debug_assert!(out.contains(exact), "randomization lost the true point");
+        debug_assert!(out.contains_box(context), "randomization lost a witness");
         if tolerance.accepts(&out) {
             out
+        } else if tolerance.accepts(context) {
+            grow_within(context, &out, tolerance)
         } else {
             out.shrink_around(exact, tolerance.max_area, tolerance.max_duration)
         }
     }
+}
+
+/// `inner` grown toward `outer` (which contains it) by the largest
+/// common fraction of every face's distance that `tolerance` accepts;
+/// `inner` itself must be accepted. Growth is monotone in the fraction,
+/// so a bisection finds it.
+fn grow_within(inner: &StBox, outer: &StBox, tolerance: &Tolerance) -> StBox {
+    let at = |f: f64| {
+        let x = |a: f64, b: f64| a + f * (b - a);
+        let t = |a: TimeSec, b: TimeSec| a + (f * (b - a) as f64) as Duration;
+        let (i, o) = (&inner.rect, &outer.rect);
+        StBox::new(
+            Rect::from_bounds(
+                x(i.min().x, o.min().x),
+                x(i.min().y, o.min().y),
+                x(i.max().x, o.max().x),
+                x(i.max().y, o.max().y),
+            ),
+            TimeInterval::new(
+                t(inner.span.start(), outer.span.start()),
+                t(inner.span.end(), outer.span.end()),
+            ),
+        )
+    };
+    let (mut lo, mut hi) = (0.0, 1.0);
+    for _ in 0..32 {
+        let mid = (lo + hi) / 2.0;
+        if tolerance.accepts(&at(mid)) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    at(lo)
 }
 
 /// Minimum height paired with the configured minimum width (square cover).
@@ -188,6 +216,7 @@ mod tests {
         for nonce in 0..200 {
             let out = r.randomize(&b, &exact, nonce, &loose());
             assert!(out.contains(&exact), "nonce {nonce}");
+            assert!(out.contains_box(&b), "nonce {nonce}: a witness fell out");
         }
     }
 
@@ -256,6 +285,32 @@ mod tests {
     }
 
     #[test]
+    fn faces_lie_strictly_outside_an_input_within_tolerance() {
+        // At the default shift the jitter never brings a face back onto
+        // the minimal box, which touches a witness on every face; neither
+        // does a tolerance re-clamp while the input is strictly within it.
+        let r = Randomizer::new(RandomizeConfig::default());
+        let (b, exact) = ctx();
+        for tolerance in [loose(), Tolerance::new(12_000.0, 1_500)] {
+            for nonce in 0..200 {
+                let out = r.randomize(&b, &exact, nonce, &tolerance);
+                let (o, i) = (&out.rect, &b.rect);
+                assert!(
+                    o.min().x < i.min().x
+                        && o.min().y < i.min().y
+                        && o.max().x > i.max().x
+                        && o.max().y > i.max().y,
+                    "nonce {nonce}: a face touches the input box: {out:?}"
+                );
+                assert!(
+                    out.span.start() < b.span.start() && out.span.end() > b.span.end(),
+                    "nonce {nonce}: a time face touches the input box: {out:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn degenerate_contexts_get_minimum_cover() {
         let r = Randomizer::new(RandomizeConfig::default());
         let exact = StPoint::xyt(10.0, 10.0, TimeSec(100));
@@ -273,7 +328,8 @@ mod tests {
         for nonce in 0..50 {
             let out = r.randomize(&b, &exact, nonce, &tight);
             assert!(tight.accepts(&out), "nonce {nonce}");
-            assert!(out.contains(&exact));
+            // The input was within tolerance: the clamp keeps it covered.
+            assert!(out.contains_box(&b), "nonce {nonce}");
         }
     }
 

@@ -24,9 +24,9 @@ use crate::{
     EventLog, MixZoneConfig, MixZoneManager, PrivacyLevel, RandomizeConfig, Randomizer, Tolerance,
     TsEvent,
 };
-use hka_anonymity::{historical_k_anonymity, HkOutcome, Pseudonym, ServiceId, SpRequest};
+use hka_anonymity::{Pseudonym, ServiceId, SpRequest};
 use hka_faults::FaultInjector;
-use hka_geo::{Rect, StBox, StPoint, TimeSec};
+use hka_geo::{Rect, StPoint, TimeSec};
 use hka_lbqid::{Lbqid, Monitor};
 use hka_trajectory::{GridIndexConfig, IndexBackend, SpatialIndex, TrajectoryStore, UserId};
 use std::collections::BTreeMap;
@@ -788,41 +788,6 @@ impl TrustedServer {
     pub fn metrics_snapshot(&self) -> hka_obs::MetricsSnapshot {
         hka_obs::global().snapshot()
     }
-
-    /// For each of the user's LBQIDs: the pattern name, whether it has
-    /// been fully matched under the current pseudonym, and the audited
-    /// historical k-anonymity of the generalized contexts forwarded for it.
-    pub fn audit_patterns(&self, user: UserId, k: usize) -> Vec<(String, bool, HkOutcome)> {
-        let Some(state) = self.users.get(&user) else {
-            return Vec::new();
-        };
-        state
-            .monitors
-            .iter()
-            .zip(&state.patterns)
-            .map(|(m, p)| {
-                (
-                    m.lbqid().name().to_owned(),
-                    m.is_fully_matched(),
-                    historical_k_anonymity(&self.store, user, &p.contexts, k),
-                )
-            })
-            .collect()
-    }
-
-    /// The generalized contexts forwarded for each of the user's patterns
-    /// under the current pseudonym.
-    pub fn pattern_contexts(&self, user: UserId) -> Vec<(String, Vec<StBox>)> {
-        let Some(state) = self.users.get(&user) else {
-            return Vec::new();
-        };
-        state
-            .monitors
-            .iter()
-            .zip(&state.patterns)
-            .map(|(m, p)| (m.lbqid().name().to_owned(), p.contexts.clone()))
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for TrustedServer {
@@ -855,7 +820,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::{PrivacyParams, RiskAction};
     use hka_faults::sites;
-    use hka_geo::{SpaceTimeScale, TimeSec};
+    use hka_geo::{SpaceTimeScale, StBox, TimeSec};
 
     /// Serializes the tests that clamp reordered timestamps: one of them
     /// counts its clamps in the process-global `ts.reordered`.
@@ -952,22 +917,24 @@ pub(crate) mod tests {
         s.register_user(UserId(1), PrivacyLevel::Low);
         s.add_lbqid(UserId(1), one_shot_pattern());
         let at = sp(0.0, 0.0, 100);
-        match s.handle_request(UserId(1), at, SVC) {
+        let req = match s.handle_request(UserId(1), at, SVC) {
             RequestOutcome::Forwarded(req, _) => {
                 assert!(req.context.area() > 0.0, "context must be generalized");
                 assert!(req.covers(&at));
+                req
             }
             other => panic!("{other:?}"),
-        }
+        };
         let stats = s.log().stats();
         assert_eq!(stats.generalized(), 1);
         assert_eq!(stats.forwarded_hk_ok, 1);
-        // The pattern is a one-element, once-anywhere LBQID: matched.
-        let audits = s.audit_patterns(UserId(1), 2);
-        assert_eq!(audits.len(), 1);
-        let (name, matched, hk) = &audits[0];
-        assert_eq!(name, "clinic");
-        assert!(matched);
+        // The pattern is a one-element, once-anywhere LBQID: matched,
+        // and its traversal took its first step.
+        let state = &s.users[&UserId(1)];
+        assert_eq!(state.monitors[0].lbqid().name(), "clinic");
+        assert!(state.monitors[0].is_fully_matched());
+        assert_eq!(state.patterns[0].step, 1);
+        let hk = hka_anonymity::historical_k_anonymity(s.store(), UserId(1), &[req.context], 2);
         assert!(hk.satisfied, "witnesses: {:?}", hk.witnesses);
     }
 
@@ -1076,8 +1043,11 @@ pub(crate) mod tests {
         let stats = s.log().stats();
         assert_eq!(stats.pseudonym_changes, 1);
         assert_eq!(stats.suppressed_mixzone, 1);
-        // Pattern state is reset.
-        assert!(s.pattern_contexts(UserId(1))[0].1.is_empty());
+        // Pattern state is reset: no stored crowd, the k′ schedule
+        // restarts.
+        let pattern = &s.users[&UserId(1)].patterns[0];
+        assert!(pattern.selected.is_empty());
+        assert_eq!(pattern.step, 0);
         // Requests inside the active zone are suppressed for a while.
         match s.handle_request(UserId(1), sp(5.0, 5.0, 200), SVC) {
             RequestOutcome::Suppressed(SuppressReason::MixZone) => {}

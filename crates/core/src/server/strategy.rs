@@ -48,8 +48,6 @@ pub struct PatternState {
     /// How many generalized requests this pattern has produced so far
     /// (drives the k′ schedule).
     pub step: usize,
-    /// The generalized contexts forwarded for this pattern, for audits.
-    pub contexts: Vec<StBox>,
 }
 
 /// Per-user TS state: the pseudonym, privacy profile, LBQID monitors,
@@ -534,7 +532,7 @@ impl TrustedServer {
 
         // The gate runs *before* the pattern state is committed: a
         // suppressed request must leave no trace in the anonymity-set
-        // bookkeeping or the audit contexts.
+        // bookkeeping.
         let disclosure = Disclosure {
             generalized: true,
             hk_ok: gen.hk_anonymity,
@@ -548,7 +546,6 @@ impl TrustedServer {
         let pattern = &mut state.patterns[mi];
         pattern.selected = gen.selected;
         pattern.step = step + 1;
-        pattern.contexts.push(gen.context);
         let lbqid = state.monitors[mi].lbqid().name();
         self.forward(p, state.pseudonym, gen.context, Some(lbqid), cleared)
     }

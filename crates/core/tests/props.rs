@@ -204,9 +204,8 @@ proptest! {
         prop_assert!(out.contains(&seed));
         prop_assert!(tolerance.accepts(&out));
         prop_assert_eq!(out, rz.randomize(&b, &seed, nonce, &tolerance));
-        // Growth-only when shifting is disabled.
-        let rz0 = Randomizer::new(RandomizeConfig { secret, max_shift: 0.0, ..RandomizeConfig::default() });
-        let grown = rz0.randomize(&b, &seed, nonce, &tolerance);
-        prop_assert!(grown.contains_box(&b));
+        // Growth only: the jitter never slides the box off a witness
+        // (`b` is always within this tolerance).
+        prop_assert!(out.contains_box(&b));
     }
 }

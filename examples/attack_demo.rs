@@ -67,10 +67,11 @@ fn run(level: PrivacyLevel, label: &str) {
 
     // The provider's view, with each request's true issuer beside it —
     // the ground truth only this experiment holds.
-    let (truth, requests): (Vec<UserId>, Vec<SpRequest>) = hka::collect_forwards(&mut ts, &world)
-        .into_iter()
-        .map(|(user, req, _)| (user, req))
-        .unzip();
+    let (truth, requests): (Vec<UserId>, Vec<SpRequest>) =
+        hka::collect_forwards(&mut ts, &world.events)
+            .into_iter()
+            .map(|(user, req, _)| (user, req))
+            .unzip();
 
     // Pseudonyms are the reliable link: every request carries one, and
     // the paper assumes "pseudonyms are not shared by different

@@ -77,26 +77,19 @@ fn main() {
     }
     ts.add_lbqid(alice, commute);
 
-    // 4. Run the event stream.
+    // 4. Run the event stream, keeping what the provider received.
+    let forwards = hka::collect_forwards(&mut ts, &world.events);
     let mut alice_forwards = 0u32;
-    for e in &world.events {
-        match e.kind {
-            EventKind::Location => ts.location_update(e.user, e.at),
-            EventKind::Request { service } => {
-                let outcome = ts.handle_request(e.user, e.at, ServiceId(service));
-                if e.user == alice {
-                    if let RequestOutcome::Forwarded(req, _) = &outcome {
-                        alice_forwards += 1;
-                        if req.context.area() > 0.0 {
-                            println!(
-                                "generalized: {} → area {:>10.0} m², interval {:>5} s",
-                                e.at.t,
-                                req.context.area(),
-                                req.context.duration()
-                            );
-                        }
-                    }
-                }
+    for (user, req, disclosure) in &forwards {
+        if *user == alice {
+            alice_forwards += 1;
+            if disclosure.generalized {
+                println!(
+                    "generalized: {} → area {:>10.0} m², interval {:>5} s",
+                    req.context.span.start(),
+                    req.context.area(),
+                    req.context.duration()
+                );
             }
         }
     }
@@ -112,9 +105,17 @@ fn main() {
     println!("pseudonym changes:         {}", stats.pseudonym_changes);
     println!("at-risk notifications:     {}", stats.at_risk);
 
-    // 6. Audit Alice's pattern against Definition 8.
-    for (name, matched, hk) in ts.audit_patterns(alice, 5) {
-        println!("\naudit '{name}': fully matched under current pseudonym = {matched}");
+    // 6. Audit Alice's generalized requests against Definition 8, one
+    //    set per pseudonym, over the true trajectories.
+    for set in hk_audit(&forwards, &world.store(), 5) {
+        if set.user != alice {
+            continue;
+        }
+        let hk = &set.outcome;
+        println!(
+            "\naudit {}: {} generalized requests",
+            set.pseudonym, set.requests
+        );
         println!(
             "historical {}-anonymity: {} (effective k = {}, witnesses: {:?})",
             hk.k,
@@ -128,7 +129,7 @@ fn main() {
         );
         if !hk.satisfied {
             assert!(
-                ts.is_at_risk(alice),
+                set.theorem1_holds(),
                 "per Theorem 1, a violation can only follow at-risk requests"
             );
             println!(

@@ -107,6 +107,11 @@ echo "== chaos (fixed seeds, fail-closed invariant, both journal cadences) =="
 cargo run --release -q --bin hka-sim -- chaos --seeds 8 --seed 1 --days 1
 cargo run --release -q --bin hka-sim -- chaos --seeds 8 --seed 1 --days 1 --commit group
 
+echo "== Theorem 1 (T1: every pseudonym's set graded from the provider's view, plain and compacted) =="
+# Exits 1 on any violation outside an at-risk notification, in either
+# block, or on a cell whose outcomes daily compaction moved.
+cargo run --release -q -p hka-bench --bin table1_theorem1
+
 echo "== audit (journal replay smoke: simulate, then verify + audit) =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

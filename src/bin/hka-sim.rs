@@ -120,7 +120,8 @@
 //! `--trace-clock logical` (the default) stamps the ring's deterministic
 //! ticks — the artifact is byte-stable for a fixed seed — while `wall`
 //! stamps real microseconds. `--trace-capacity N` bounds the ring (span
-//! records, drop-oldest; counted in `obs.trace_dropped`). `--slo`
+//! records, drop-oldest; counted in `obs.trace_dropped`): a run whose
+//! ring dropped spans still writes the file, then exits 1. `--slo`
 //! arms the continuous SLO watchdog: rolling-window latency
 //! p99 / suppression-rate / mode-residency / flush-lag objectives whose
 //! breach/recovery transitions land in the journal as `ts.slo_breach` /
@@ -384,11 +385,6 @@ fn cmd_simulate(flags: HashMap<String, String>) {
     if commit == Commit::Group {
         println!("(group commit, {} epochs)", ts.epoch());
     }
-    let audit_rows = collect_audit_rows(
-        &world,
-        |u| ts.audit_patterns(u, k),
-        |u| ts.privacy_indicator(u),
-    );
     let st = ts.log().stats();
     let records = ts.journal_position().map_or(0, |(next_seq, _)| next_seq);
     let slo_worst = ts.slo_worst();
@@ -416,8 +412,9 @@ fn cmd_simulate(flags: HashMap<String, String>) {
     if errors > 0 {
         println!("request errors:   {errors}");
     }
-    for (u, name, matched, hk_sat, eff_k, lock) in audit_rows {
-        println!("  {u} {name}: matched={matched} hk={hk_sat} (eff. k {eff_k}) lock={lock:?}");
+    for u in world.commuters() {
+        let lock = ts.privacy_indicator(u).expect("registered");
+        println!("  {u}: lock={lock:?}");
     }
     if let Some(path) = journal_info {
         println!("journal:          {path} ({records} records)");
@@ -428,6 +425,7 @@ fn cmd_simulate(flags: HashMap<String, String>) {
             None => println!("slo worst:        - (window empty)"),
         }
     }
+    let mut dropped = 0;
     if let Some(path) = trace_export {
         hka::obs::trace::disable();
         let records = hka::obs::trace::drain();
@@ -440,35 +438,25 @@ fn cmd_simulate(flags: HashMap<String, String>) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });
+        dropped = hka::obs::global().snapshot().counter("obs.trace_dropped");
         println!(
-            "trace:            {path} ({} spans, {} roots, {} tracks, {} dropped)",
-            check.spans,
-            check.roots,
-            check.tracks,
-            hka::obs::global().snapshot().counter("obs.trace_dropped")
+            "trace:            {path} ({} spans, {} roots, {} tracks, {dropped} dropped)",
+            check.spans, check.roots, check.tracks
         );
     }
     if flags.contains_key("metrics") {
         println!();
         print!("{}", hka::obs::global().snapshot().render());
     }
-}
-
-type AuditRow = (UserId, String, bool, bool, usize, PrivacyIndicator);
-
-fn collect_audit_rows(
-    world: &World,
-    mut audit: impl FnMut(UserId) -> Vec<(String, bool, HkOutcome)>,
-    mut indicator: impl FnMut(UserId) -> Option<PrivacyIndicator>,
-) -> Vec<AuditRow> {
-    let mut rows = Vec::new();
-    for u in world.commuters() {
-        let lock = indicator(u).expect("registered");
-        for (name, matched, hk) in audit(u) {
-            rows.push((u, name, matched, hk.satisfied, hk.effective_k(), lock));
-        }
+    // Drop-oldest evicts whole early traces, so a truncated export still
+    // validates: the drop count is the only sign the file is partial.
+    if dropped > 0 {
+        eprintln!(
+            "the trace ring dropped {dropped} spans: the export is incomplete \
+             (raise --trace-capacity)"
+        );
+        std::process::exit(1);
     }
-    rows
 }
 
 fn cmd_plan(flags: HashMap<String, String>) {
@@ -577,10 +565,11 @@ fn cmd_attack(flags: HashMap<String, String>) {
     }
     // The provider's view, with each request's true issuer beside it:
     // the ground truth only this evaluation holds.
-    let (truth, requests): (Vec<UserId>, Vec<SpRequest>) = hka::collect_forwards(&mut ts, &world)
-        .into_iter()
-        .map(|(user, req, _)| (user, req))
-        .unzip();
+    let (truth, requests): (Vec<UserId>, Vec<SpRequest>) =
+        hka::collect_forwards(&mut ts, &world.events)
+            .into_iter()
+            .map(|(user, req, _)| (user, req))
+            .unzip();
     let linker = PseudonymLinker;
     let report = Adversary::new(&linker, 0.9, &registry).attack(&requests, &truth);
     println!(

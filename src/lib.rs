@@ -43,20 +43,16 @@
 //!     ),
 //! );
 //!
-//! // Drive the event stream through the server.
-//! for e in &world.events {
-//!     match e.kind {
-//!         EventKind::Location => ts.location_update(e.user, e.at),
-//!         EventKind::Request { service } => {
-//!             let _ = ts.handle_request(e.user, e.at, ServiceId(service));
-//!         }
-//!     }
-//! }
+//! // Drive the event stream through the server, keeping what the
+//! // provider received beside each request's true issuer.
+//! let forwards = hka::collect_forwards(&mut ts, &world.events);
 //!
-//! // Audit: the generalized pattern requests satisfy historical
-//! // k-anonymity unless the server flagged the user at risk.
-//! for (name, _matched, hk) in ts.audit_patterns(alice, 5) {
-//!     assert!(hk.satisfied || ts.is_at_risk(alice), "{name} violated");
+//! // Audit Theorem 1 from the provider's view: under each of Alice's
+//! // pseudonyms, her generalized requests satisfy historical
+//! // k-anonymity against the true trajectories, at least until the
+//! // server could not protect one of them and notified her at risk.
+//! for set in hk_audit(&forwards, &world.store(), 5) {
+//!     assert!(set.theorem1_holds(), "{set:?}");
 //! }
 //! ```
 //!
@@ -93,17 +89,19 @@ pub use hka_mobility as mobility;
 pub use hka_obs as obs;
 pub use hka_trajectory as trajectory;
 
-/// Delivers a world's events to `ts` in order and returns every forward,
-/// in forwarding order: the request the provider received, beside its
-/// true issuer and what it disclosed. The server keeps no copy of what
-/// it forwarded; this is where an evaluation collects the provider's
-/// view with the ground truth only the evaluation holds.
+/// Delivers `events` to `ts` in order and returns every forward, in
+/// forwarding order: the request the provider received, beside its true
+/// issuer and what it disclosed. The server keeps no copy of what it
+/// forwarded; this is where an evaluation collects the provider's view
+/// with the ground truth only the evaluation holds. Pass a world's
+/// `events` whole, or a slice at a time to act between slices (as
+/// [`collect_forwards_daily`] does).
 pub fn collect_forwards(
     ts: &mut core::TrustedServer,
-    world: &mobility::World,
+    events: &[mobility::Event],
 ) -> Vec<(trajectory::UserId, anonymity::SpRequest, core::Disclosure)> {
     let mut forwards = Vec::new();
-    for e in &world.events {
+    for e in events {
         match e.kind {
             mobility::EventKind::Location => ts.location_update(e.user, e.at),
             mobility::EventKind::Request { service } => {
@@ -118,6 +116,27 @@ pub fn collect_forwards(
     forwards
 }
 
+/// [`collect_forwards`] a day at a time: with a policy, the server
+/// compacts its history at the end of every day (each midnight after the
+/// day's last event), the one place an evaluation sets that boundary.
+/// Without one, it is [`collect_forwards`].
+pub fn collect_forwards_daily(
+    ts: &mut core::TrustedServer,
+    events: &[mobility::Event],
+    compact: Option<&trajectory::CompactionPolicy>,
+) -> Vec<(trajectory::UserId, anonymity::SpRequest, core::Disclosure)> {
+    let Some(policy) = compact else {
+        return collect_forwards(ts, events);
+    };
+    let day_of = |e: &mobility::Event| e.at.t.0.div_euclid(geo::DAY);
+    let mut forwards = Vec::new();
+    for day in events.chunk_by(|a, b| day_of(a) == day_of(b)) {
+        forwards.extend(collect_forwards(ts, day));
+        ts.compact_history(geo::TimeSec((day_of(&day[0]) + 1) * geo::DAY), policy);
+    }
+    forwards
+}
+
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use hka_anonymity::{
@@ -126,7 +145,8 @@ pub mod prelude {
         SpRequest, TrackerLinker,
     };
     pub use hka_core::adversary::{
-        pair_attack, unlink_audit, Adversary, AttackReport, HomeRegistry, PairRegistry,
+        hk_audit, pair_attack, unlink_audit, Adversary, AttackReport, GradedSet, HomeRegistry,
+        PairRegistry,
     };
     pub use hka_core::derivation::{derive_lbqids, DerivationConfig, DerivedPattern};
     pub use hka_core::planning::{evaluate_deployment, DeploymentReport, PlanningConfig};
@@ -136,8 +156,8 @@ pub mod prelude {
         JournalHealth, MixZoneConfig, MixZoneManager, PrivacyIndicator, PrivacyLevel,
         PrivacyParams, RandomizeConfig, Randomizer, RecoveredCheckpoint, RequestEnvelope,
         RequestOutcome, RequestService, ResponseEnvelope, RetryPolicy, RiskAction, ServerMeta,
-        ServerMode, SharedTrustedServer, Tolerance, TrustedServer, TsConfig, TsError, TsEvent,
-        TsStats, UnlinkDecision, WireError, WireMsg, WireOutcome, WireReply,
+        ServerMode, Tolerance, TrustedServer, TsConfig, TsError, TsEvent, TsStats, UnlinkDecision,
+        WireError, WireMsg, WireOutcome, WireReply,
     };
     pub use hka_faults::{
         checkpoint_chaos_plan, gateway_chaos_plan, randomized_plan, tail_chaos_plan, FaultInjector,

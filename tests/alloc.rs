@@ -236,33 +236,45 @@ fn the_request_paths_allocate_no_more_than_they_measured() {
     }
 }
 
-/// A long-running server holds no per-request state: 64 privacy-off
-/// users issue exact requests (one per user per second, along a fixed
-/// walk), the history is compacted every 10,000 requests, and the live
-/// heap after 2N requests is within 1 byte per request of the live heap
-/// after N. Both readings are taken right after a compaction, so the
-/// trajectory store is in the same shape at each.
-#[test]
-fn serving_memory_does_not_grow_with_the_request_count() {
-    let _g = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
+/// Serves `2 * N` requests from 64 users, one per user per second along
+/// a fixed walk, compacting the history every 10,000 requests, and
+/// returns the live-heap growth per request between request N and
+/// request 2N. Both readings are taken right after a compaction, so the
+/// trajectory store is in the same shape at each. `protect` runs user 0
+/// at `Medium` with a one-element LBQID covering the city all day, so
+/// every one of its requests is a generalized forward; the others have
+/// privacy off.
+fn live_heap_growth_per_request(protect: bool) -> f64 {
     const USERS: u64 = 64;
     const N: u64 = 100_000;
     const CADENCE: u64 = 10_000;
     const _: () = assert!(2 * N / USERS < DAY as u64, "one day of requests");
     let mut ts = TrustedServer::new(TsConfig::default());
     for u in 0..USERS {
-        ts.register_user(UserId(u), PrivacyLevel::Off);
+        let level = if protect && u == 0 {
+            PrivacyLevel::Medium
+        } else {
+            PrivacyLevel::Off
+        };
+        ts.register_user(UserId(u), level);
+    }
+    if protect {
+        let city = "lbqid city { element area(-1000000, -1000000, 1000000, 1000000) window(00:00, 23:59); }";
+        ts.add_lbqid(UserId(0), parse_lbqid(city).unwrap());
     }
     // Everything older than a minute folds into one granule a day; the
     // run stays inside its first day.
     let policy = CompactionPolicy::new(MINUTE, Granularity::Days);
     let mut readings = Vec::new();
+    let mut generalized = 0u64;
     for i in 0..2 * N {
         let (u, t) = (i % USERS, (i / USERS) as i64);
         let step = (t % 500) as f64;
         let at = StPoint::xyt(20.0 * u as f64 + step, 10.0 * u as f64, TimeSec(t));
-        let outcome = ts.handle_request(UserId(u), at, ServiceId(BACKGROUND_SERVICE));
-        assert!(matches!(outcome, RequestOutcome::Forwarded(..)));
+        match ts.handle_request(UserId(u), at, ServiceId(BACKGROUND_SERVICE)) {
+            RequestOutcome::Forwarded(_, d) => generalized += u64::from(d.generalized),
+            other => panic!("request {i}: {other:?}"),
+        }
         if (i + 1) % CADENCE == 0 {
             ts.compact_history(TimeSec(t), &policy);
             if i + 1 == N || i + 1 == 2 * N {
@@ -270,15 +282,40 @@ fn serving_memory_does_not_grow_with_the_request_count() {
             }
         }
     }
+    let expected = if protect { 2 * N / USERS } else { 0 };
+    assert_eq!(generalized, expected, "generalized forwards");
     let per_request = (readings[1] - readings[0]) as f64 / N as f64;
     println!(
-        "live heap {} B after {N} requests, {} B after {}: {per_request:.3} B per request",
+        "protect {protect}: live heap {} B after {N} requests, {} B after {}: {per_request:.3} B per request",
         readings[0],
         readings[1],
         2 * N
     );
+    per_request
+}
+
+/// A long-running server holds no per-request state: the live heap
+/// after 2N requests of privacy-off users is within 1 byte per request
+/// of the live heap after N.
+#[test]
+fn serving_memory_does_not_grow_with_the_request_count() {
+    let _g = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
+    let per_request = live_heap_growth_per_request(false);
     assert!(
         per_request < 1.0,
         "serving retains {per_request:.1} B per request"
+    );
+}
+
+/// The same soak with one protected user whose LBQID every request
+/// matches: the server keeps no per-forward record of what it released
+/// for the user either.
+#[test]
+fn a_protected_users_state_does_not_grow_with_the_request_count() {
+    let _g = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
+    let per_request = live_heap_growth_per_request(true);
+    assert!(
+        per_request < 1.0,
+        "serving a protected user retains {per_request:.1} B per request"
     );
 }

@@ -39,7 +39,9 @@ fn simulate_prints_summary_and_audits() {
     assert!(ok);
     assert!(stdout.contains("simulated 3 days"));
     assert!(stdout.contains("HK success rate"));
-    assert!(stdout.contains("commute: matched="));
+    // One privacy-indicator line per commuter.
+    let locks = stdout.lines().filter(|l| l.contains(": lock=")).count();
+    assert_eq!(locks, 3, "{stdout}");
 }
 
 #[test]

@@ -45,7 +45,7 @@ fn run_pipeline() -> (TrustedServer, SharedBuf, u64) {
     ts.attach_journal(obs::Journal::new(
         Box::new(sink.clone()) as Box<dyn Write + Send + Sync>
     ));
-    let forwards: Vec<(UserId, SpRequest)> = hka::collect_forwards(&mut ts, &world)
+    let forwards: Vec<(UserId, SpRequest)> = hka::collect_forwards(&mut ts, &world.events)
         .into_iter()
         .map(|(user, req, _)| (user, req))
         .collect();

@@ -1,15 +1,20 @@
 //! Cross-crate integration tests: the full workload → trusted server →
 //! provider pipeline, including the Theorem-1 guarantee.
 
+mod common;
+
+use common::SharedBuf;
+use hka::obs::{Journal, JournalRecord};
 use hka::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One forwarded request: its true issuer (the ground truth only the
 /// evaluation holds), what the provider received, and what it disclosed.
 type Forward = (UserId, SpRequest, hka::core::Disclosure);
 
-/// Runs a standard protected-city scenario: every commuter protected with
-/// a commute LBQID at the given parameters.
-fn run_city(seed: u64, days: i64, params: PrivacyParams) -> (World, TrustedServer, Vec<Forward>) {
+/// A standard protected-city scenario, before any event: every commuter
+/// protected with a commute LBQID at the given parameters.
+fn city(seed: u64, days: i64, params: PrivacyParams) -> (World, TrustedServer) {
     let world = World::generate(&WorldConfig {
         seed,
         days,
@@ -40,8 +45,70 @@ fn run_city(seed: u64, days: i64, params: PrivacyParams) -> (World, TrustedServe
             Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
         );
     }
-    let forwards = hka::collect_forwards(&mut ts, &world);
+    (world, ts)
+}
+
+/// Runs the standard scenario.
+fn run_city(seed: u64, days: i64, params: PrivacyParams) -> (World, TrustedServer, Vec<Forward>) {
+    let (world, mut ts) = city(seed, days, params);
+    let forwards = hka::collect_forwards(&mut ts, &world.events);
     (world, ts, forwards)
+}
+
+/// The standard scenario, run on a server journaling to memory.
+struct Journaled {
+    world: World,
+    forwards: Vec<Forward>,
+    /// The journal, parsed.
+    records: Vec<JournalRecord>,
+    /// Each (user, pseudonym) under which the server turned the user's
+    /// at-risk flag on.
+    flagged: BTreeSet<(UserId, Pseudonym)>,
+}
+
+/// Runs the standard scenario journaled; with a policy, the server
+/// compacts its history at the end of every day.
+fn run_journaled(
+    seed: u64,
+    days: i64,
+    params: PrivacyParams,
+    compact: Option<&CompactionPolicy>,
+) -> Journaled {
+    let (world, mut ts) = city(seed, days, params);
+    let journal = SharedBuf::default();
+    ts.attach_journal(Journal::new(Box::new(journal.clone())));
+    let mut current: BTreeMap<UserId, Pseudonym> = world
+        .agents
+        .iter()
+        .map(|a| (a.user, ts.pseudonym_of(a.user).unwrap()))
+        .collect();
+    let forwards = hka::collect_forwards_daily(&mut ts, &world.events, compact);
+    ts.flush_journal().unwrap();
+    let records: Vec<JournalRecord> = String::from_utf8(journal.bytes())
+        .unwrap()
+        .lines()
+        .map(|line| JournalRecord::parse_line(line).unwrap())
+        .collect();
+    let field = |r: &JournalRecord, name| r.payload.get(name).and_then(|j| j.as_int()).unwrap();
+    let mut flagged = BTreeSet::new();
+    for r in &records {
+        let user = || UserId(field(r, "user") as u64);
+        match r.kind.as_str() {
+            "ts.pseudonym_changed" => {
+                current.insert(user(), Pseudonym(field(r, "new") as u64));
+            }
+            "ts.at_risk" => {
+                flagged.insert((user(), current[&user()]));
+            }
+            _ => {}
+        }
+    }
+    Journaled {
+        world,
+        forwards,
+        records,
+        flagged,
+    }
 }
 
 fn medium() -> PrivacyParams {
@@ -69,25 +136,42 @@ fn different_seeds_give_different_traffic() {
     assert_ne!(a, b);
 }
 
-/// Theorem 1, empirically: for every protected user, either the audited
-/// request set of each pattern satisfies historical k-anonymity, or the
-/// server notified the user of the risk (the theorem's "we can always
-/// perform Unlinking" hypothesis failed).
+/// Theorem 1, empirically, from the provider's view: every pseudonym's
+/// set of generalized requests, up to its first at-risk request (the
+/// theorem's "we can always perform Unlinking" hypothesis failed there),
+/// satisfies historical k-anonymity against the true trajectories,
+/// and the sets holding an at-risk forward are exactly those under which
+/// the server turned the user's at-risk flag on. A server compacting its
+/// history every midnight decides the same.
 #[test]
 fn theorem1_violations_only_after_at_risk() {
+    let daily = CompactionPolicy::new(DAY, Granularity::Days);
+    let (mut sets, mut risky) = (0, 0);
     for seed in [1u64, 2, 3, 4, 5] {
-        let (world, ts, _) = run_city(seed, 14, medium());
-        for u in world.commuters() {
-            for (name, _matched, hk) in ts.audit_patterns(u, 4) {
-                if !hk.satisfied {
-                    assert!(
-                        ts.is_at_risk(u),
-                        "seed {seed}: user {u} pattern {name} violated HK without at-risk"
-                    );
-                }
-            }
+        let run = run_journaled(seed, 14, medium(), None);
+        let compacted = run_journaled(seed, 14, medium(), Some(&daily));
+        assert!(
+            run.forwards == compacted.forwards && run.records == compacted.records,
+            "seed {seed}: compaction moved an outcome"
+        );
+        let graded = hk_audit(&run.forwards, &run.world.store(), 4);
+        for set in &graded {
+            assert!(
+                set.theorem1_holds(),
+                "seed {seed}: {set:?} violated HK before any at-risk forward"
+            );
         }
+        let at_risk: BTreeSet<(UserId, Pseudonym)> = graded
+            .iter()
+            .filter(|set| set.risk)
+            .map(|set| (set.user, set.pseudonym))
+            .collect();
+        assert_eq!(at_risk, run.flagged, "seed {seed}");
+        sets += graded.len();
+        risky += at_risk.len();
     }
+    // The population exercises both sides of the theorem's hypothesis.
+    assert!(risky > 0 && sets > risky, "{risky} of {sets} sets at risk");
 }
 
 /// Every forwarded context must contain the true request point — the
@@ -166,33 +250,54 @@ fn pseudonyms_are_unique_and_single_user() {
     }
 }
 
-/// The online monitors agree with the exhaustive Definition-3 checker on
-/// the *exact* (pre-generalization) request streams of protected users.
+/// The online monitors agree with the exhaustive Definition-3 checker:
+/// for each full match the journal records, the user's exact
+/// (pre-generalization) requests since their last pseudonym change (a
+/// change resets the monitors) match the LBQID offline.
 #[test]
 fn full_matches_are_sound_wrt_definition3() {
-    let (world, ts, _) = run_city(13, 14, medium());
-    for u in world.commuters() {
-        let lbqid = Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap());
-        // Exact anchor request points of this user, from the workload.
-        let points: Vec<StPoint> = world
-            .events
-            .iter()
-            .filter(|e| {
-                e.user == u
-                    && matches!(e.kind, EventKind::Request { service } if service == ANCHOR_SERVICE)
-            })
-            .map(|e| e.at)
-            .collect();
-        let audits = ts.audit_patterns(u, 4);
-        let (_, matched_online, _) = &audits[0];
-        if *matched_online && ts.log().stats().pseudonym_changes == 0 {
-            // Only when no reset interfered is the full stream comparable.
-            assert!(
-                offline::matches(&lbqid, &points),
-                "user {u}: online matched but offline says no"
-            );
+    // At k = 10 this crowd rarely unlinks, so patterns run to completion.
+    let high = PrivacyParams {
+        k: 10,
+        k_init: 20,
+        ..medium()
+    };
+    let run = run_journaled(13, 14, high, None);
+    let world = &run.world;
+    let field = |r: &JournalRecord, name| r.payload.get(name).and_then(|j| j.as_int()).unwrap();
+    let mut since: BTreeMap<UserId, i64> = BTreeMap::new();
+    let mut checked = 0;
+    for r in &run.records {
+        // Only these two kinds carry a user and an instant.
+        let user = || UserId(field(r, "user") as u64);
+        match r.kind.as_str() {
+            "ts.pseudonym_changed" => {
+                since.insert(user(), field(r, "at"));
+            }
+            "ts.lbqid_matched" => {
+                let (user, at) = (user(), field(r, "at"));
+                let from = since.get(&user).copied().unwrap_or(i64::MIN);
+                let points: Vec<StPoint> = world
+                    .events
+                    .iter()
+                    .filter(|e| e.user == user && matches!(e.kind, EventKind::Request { .. }))
+                    .map(|e| e.at)
+                    .filter(|p| (from..=at).contains(&p.t.0))
+                    .collect();
+                let lbqid = Lbqid::example_commute(
+                    world.home_of(user).unwrap(),
+                    world.office_of(user).unwrap(),
+                );
+                assert!(
+                    offline::matches(&lbqid, &points),
+                    "user {user}: online matched at {at} but offline says no"
+                );
+                checked += 1;
+            }
+            _ => {}
         }
     }
+    assert!(checked > 0, "no full match to check");
 }
 
 /// With cloak randomization enabled, the pipeline keeps all its
@@ -235,7 +340,7 @@ fn randomization_preserves_guarantees() {
             Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
         );
     }
-    let forwards = hka::collect_forwards(&mut ts, &world);
+    let forwards = hka::collect_forwards(&mut ts, &world.events);
     let store = world.store();
     let mut randomized = 0;
     for (user, req, _) in &forwards {
@@ -246,13 +351,8 @@ fn randomization_preserves_guarantees() {
         }
     }
     assert!(randomized > 20, "expected randomized pattern requests");
-    for u in world.commuters() {
-        for (name, _m, hk) in ts.audit_patterns(u, 4) {
-            assert!(
-                hk.satisfied || ts.is_at_risk(u),
-                "{name} violated under randomization"
-            );
-        }
+    for set in hk_audit(&forwards, &store, 4) {
+        assert!(set.theorem1_holds(), "{set:?} violated under randomization");
     }
 }
 

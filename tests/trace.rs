@@ -262,6 +262,45 @@ fn journals_are_byte_identical_with_tracing_on_and_off() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A ring too small for the run evicts whole early traces, so what
+/// survives still validates; the drop count is the only sign the export
+/// is partial, and `simulate` fails on it: the file is written, the
+/// exit is non-zero, and the message names the count and the flag.
+#[test]
+fn an_export_that_dropped_spans_fails() {
+    let dir = tmp_dir("dropped");
+    let out = dir.join("t.json");
+    let (ok, stdout, stderr) = hka_sim(&[
+        "simulate",
+        "--days",
+        "1",
+        "--commuters",
+        "3",
+        "--roamers",
+        "12",
+        "--seed",
+        "5",
+        "--commit",
+        "group",
+        "--trace-capacity",
+        "256",
+        "--trace-export",
+        out.to_str().unwrap(),
+    ]);
+    assert!(!ok, "a dropping ring must fail the run: {stdout}");
+    assert!(stdout.contains("(256 spans,"), "{stdout}");
+    assert!(
+        stderr.contains("dropped") && stderr.contains("--trace-capacity"),
+        "{stderr}"
+    );
+    let (ok, stdout, stderr) = hka_sim(&["trace", "--validate", out.to_str().unwrap()]);
+    assert!(
+        ok,
+        "the partial file is written and validates: {stdout}{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The ring-only configuration — collection on, nothing exported — and
 /// the exporting one journal the same bytes as collection off, in
 /// process on a group journal. At `hka-sim`'s default capacity (2¹⁶
