@@ -23,6 +23,9 @@ impl Stream {
     }
 }
 
+/// Bursts in a flapping journal's train (see [`randomized_plan`]).
+const FLAP_BURSTS: u64 = 64;
+
 /// Generates a randomized — but fully seed-determined — fault plan
 /// over the standard injection sites ([`sites::ALL`]).
 ///
@@ -33,6 +36,17 @@ impl Stream {
 /// mix-zone from unavailability). Calling this for seeds `0..n` yields
 /// `n` diverse schedules whose firing patterns replay identically on
 /// every run.
+///
+/// About half the plans also give the journal a **flapping** sink: a
+/// train of [`FLAP_BURSTS`] failure windows of 2–7 hits, 1–4 hits
+/// apart. A burst that short fails at most three writes in a row under
+/// the default retry policy (two attempts each, read-only at the
+/// fourth), so the server climbs into Degraded, backs off, and recovers
+/// again and again instead of going read-only: the Degraded gate then
+/// judges the at-risk clamps and exact forwards that a single window
+/// or probability never holds it there long enough to meet. The train
+/// is drawn from a stream of its own, so every other rule is the one
+/// older releases drew for the seed.
 pub fn randomized_plan(seed: u64) -> FaultPlan {
     let mut s = Stream(splitmix64(seed ^ 0xC0FF_EE00_DEAD_BEEF));
     let mut plan = FaultPlan::new(seed);
@@ -70,7 +84,30 @@ pub fn randomized_plan(seed: u64) -> FaultPlan {
         };
         plan.push_rule(site, trigger, kind);
     }
+    for (trigger, kind) in flapping_journal(seed) {
+        plan.push_rule(sites::JOURNAL_IO, trigger, kind);
+    }
     plan
+}
+
+/// The journal-I/O bursts [`randomized_plan`] appends for `seed`: none
+/// for about half the seeds, else [`FLAP_BURSTS`] windows of 2–7 hits
+/// with 1–4 clean hits between them.
+fn flapping_journal(seed: u64) -> Vec<(Trigger, FaultKind)> {
+    let mut s = Stream(splitmix64(seed ^ 0x0F1A_9B0A_7D15_C0DE));
+    if s.unit() >= 0.5 {
+        return Vec::new();
+    }
+    let mut from = s.below(50);
+    (0..FLAP_BURSTS)
+        .map(|_| {
+            let to = from + 2 + s.below(6);
+            let kind = [FaultKind::Io, FaultKind::Torn][s.below(2) as usize];
+            let burst = (Trigger::Window { from, to }, kind);
+            from = to + 1 + s.below(4);
+            burst
+        })
+        .collect()
 }
 
 /// Like [`randomized_plan`], but restricted to **request-path** sites —
@@ -180,13 +217,21 @@ mod tests {
         assert_ne!(randomized_plan(1).rules(), randomized_plan(2).rules());
     }
 
+    /// The rules `randomized_plan` drew per site, without the flapping
+    /// journal's bursts that follow them.
+    fn drawn_rules(seed: u64) -> Vec<crate::plan::FaultRule> {
+        let mut rules = randomized_plan(seed).rules().to_vec();
+        rules.truncate(rules.len() - flapping_journal(seed).len());
+        rules
+    }
+
     #[test]
     fn seed_sweep_covers_every_site_and_stays_bounded() {
         let mut sites_seen = std::collections::BTreeSet::new();
         for seed in 0..64 {
-            let plan = randomized_plan(seed);
-            assert!(plan.rules().len() <= sites::ALL.len());
-            for rule in plan.rules() {
+            let drawn = drawn_rules(seed);
+            assert!(drawn.len() <= sites::ALL.len());
+            for rule in &drawn {
                 assert!(sites::ALL.contains(&rule.site.as_str()));
                 sites_seen.insert(rule.site.clone());
                 if let Trigger::Prob(p) = rule.trigger {
@@ -199,6 +244,34 @@ mod tests {
             sites::ALL.len(),
             "64 seeds must exercise every site"
         );
+    }
+
+    /// A flapping journal's bursts follow the drawn rules and are 2–7
+    /// hits each, in order, with at least one clean hit between two of
+    /// them, so no burst fails a fourth write in a row. About half the
+    /// seeds flap.
+    #[test]
+    fn a_flapping_journal_recovers_between_bursts() {
+        let mut flapping = 0;
+        for seed in 0..64 {
+            let rules = randomized_plan(seed).rules().to_vec();
+            let drawn = drawn_rules(seed);
+            assert_eq!(rules[..drawn.len()], drawn[..]);
+            let train = &rules[drawn.len()..];
+            assert!(train.is_empty() || train.len() == FLAP_BURSTS as usize);
+            flapping += usize::from(!train.is_empty());
+            let mut clean_from = 0;
+            for rule in train {
+                assert_eq!(rule.site, sites::JOURNAL_IO);
+                let Trigger::Window { from, to } = rule.trigger else {
+                    panic!("seed {seed}: a burst is a window, not {:?}", rule.trigger);
+                };
+                assert!((2..=7).contains(&(to - from)), "seed {seed}: {from}..{to}");
+                assert!(from >= clean_from, "seed {seed}: bursts overlap at {from}");
+                clean_from = to + 1;
+            }
+        }
+        assert!((16..=48).contains(&flapping), "{flapping} of 64 seeds flap");
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   suppression rate, flush lag, mode residency) with latched
 //!   breach/recovery transitions.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

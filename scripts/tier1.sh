@@ -54,6 +54,33 @@ if [ -n "$parses" ]; then
     exit 1
 fi
 
+echo "== one unsafe (the SHA-NI dispatch in crates/obs/src/sha256.rs, nowhere else) =="
+# The workspace's one `unsafe` is the call into the hardware SHA-256
+# kernel, made after run-time feature detection. Any other `unsafe`
+# token in code (comments aside) under src/ or crates/ fails; test
+# modules and test directories are exempt. Every library root but
+# hka-obs keeps `#![forbid(unsafe_code)]`, and hka-obs keeps
+# `#![deny(unsafe_code)]`, so the one site needs its own `allow`.
+sites="$(find src crates -name '*.rs' -not -path '*/tests/*' -print0 |
+    xargs -0 perl -0777 -ne '
+        s/^#\[cfg\(test\)\]\s*(?:pub(?:\(crate\))?\s+)?mod\b.*//ms;
+        s{/\*.*?\*/}{$& =~ tr/\n//cdr}gse;
+        s{//[^\n]*}{}g;
+        while (/\bunsafe\b/g) {
+            print "$ARGV:", 1 + (substr($_, 0, pos) =~ tr/\n//), "\n";
+        }')"
+if [ -n "$sites" ] && { [ "$(grep -c . <<< "$sites")" -ne 1 ] ||
+    ! grep -q '^crates/obs/src/sha256\.rs:' <<< "$sites"; }; then
+    echo "unsafe outside the one dispatch site in crates/obs/src/sha256.rs:"
+    echo "$sites"
+    exit 1
+fi
+for root in src/lib.rs crates/*/src/lib.rs; do
+    want='#![forbid(unsafe_code)]'
+    [ "$root" = crates/obs/src/lib.rs ] && want='#![deny(unsafe_code)]'
+    grep -qxF "$want" "$root" || { echo "$root: no $want line"; exit 1; }
+done
+
 echo "== benchmark shim (hka_shard only under benchmark/ and crates/shard/) =="
 # `hka_shard::ShardedTs` is a shim that only the benchmark harness uses,
 # kept until the next change to the harness deletes it; nothing else may

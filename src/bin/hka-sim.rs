@@ -659,9 +659,10 @@ fn arrivals(injector: Option<&FaultInjector>, at: StPoint) -> Vec<StPoint> {
 fn chaos_events(ts: &mut TrustedServer, world: &World, injector: &FaultInjector) -> ChaosReport {
     use hka::faults::sites;
     // Sites whose faults must fail the in-flight request closed.
-    // journal.io is excluded: the sink is consulted when events are
-    // *logged*, after the forwarding decision; its effect is the mode
-    // machine, which the next request's gate sees.
+    // journal.io is excluded: its effect is the mode machine. A record
+    // journaled before the gate (an LBQID match, an at-risk notice) can
+    // move the mode the gate reads, so a request during which the mode
+    // moved is judged only by the rule every mode shares.
     let request_sites = [sites::PHL_WRITE, sites::INDEX_QUERY, sites::MIXZONE];
     let fired_now =
         |inj: &FaultInjector| -> u64 { request_sites.iter().map(|s| inj.fired(s)).sum() };
@@ -690,8 +691,13 @@ fn chaos_events(ts: &mut TrustedServer, world: &World, injector: &FaultInjector)
             EventKind::Request { service } => {
                 for at in arrivals(Some(injector), e.at) {
                     let mode_before = ts.mode();
+                    let changes_before = ts.log().stats().mode_changes;
                     let before = fired_now(injector);
                     let result = ts.try_handle_request(e.user, at, ServiceId(service));
+                    // The gate's mode, if no transition happened while the
+                    // request was handled; after one it is unknown.
+                    let gate_mode =
+                        (ts.log().stats().mode_changes == changes_before).then_some(mode_before);
                     settle(ts);
                     let out = match result {
                         Ok(out) => out,
@@ -719,12 +725,12 @@ fn chaos_events(ts: &mut TrustedServer, world: &World, injector: &FaultInjector)
                             // The gate's own rule (DESIGN.md §8.2), read
                             // off what the forward disclosed.
                             !faulted
-                                && match mode_before {
-                                    ServerMode::Normal => true,
-                                    ServerMode::Degraded => {
+                                && match gate_mode {
+                                    None | Some(ServerMode::Normal) => true,
+                                    Some(ServerMode::Degraded) => {
                                         disclosure.generalized && disclosure.hk_ok
                                     }
-                                    ServerMode::ReadOnly => false,
+                                    Some(ServerMode::ReadOnly) => false,
                                 }
                         }
                     };

@@ -17,6 +17,10 @@
 //! measurement has its own pins: span recording that starts to allocate
 //! more (an attribute key copied to the heap, say) fails here.
 //!
+//! Each path's SHA-256 blocks (`sha256.blocks`) are pinned exactly: the
+//! hashing work per request is a count, not a clock, so a faster block
+//! kernel shows up as the same blocks in less time.
+//!
 //! The same allocator keeps the thread's live heap bytes (allocations
 //! minus frees), so a soak can show that serving holds no state that
 //! grows with the request count.
@@ -53,6 +57,12 @@ fn count(bytes: usize, live: i64) {
 /// (allocations, bytes requested) by this thread so far.
 fn counted() -> (u64, u64) {
     (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// SHA-256 blocks compressed so far, by every thread: the tests of this
+/// binary serialize on [`COLLECTOR`], so only the measuring one hashes.
+fn blocks() -> u64 {
+    obs::counter!("sha256.blocks").get()
 }
 
 /// Heap bytes this thread allocated and has not freed.
@@ -97,12 +107,13 @@ enum Path {
     Suppression,
 }
 
-/// Calls, allocations and bytes on one path.
+/// Calls, allocations, bytes and SHA-256 blocks on one path.
 #[derive(Debug, Default, Clone, Copy)]
 struct Tally {
     calls: u64,
     allocs: u64,
     bytes: u64,
+    blocks: u64,
 }
 
 impl Tally {
@@ -156,6 +167,7 @@ fn measure() -> std::collections::BTreeMap<Path, Tally> {
             zoned = true;
         }
         let before = counted();
+        let blocks_before = blocks();
         let path = match e.kind {
             EventKind::Location => {
                 ts.location_update(e.user, e.at);
@@ -170,6 +182,7 @@ fn measure() -> std::collections::BTreeMap<Path, Tally> {
             }
         };
         let after = counted();
+        let blocks_after = blocks();
         if e.at.t < warm_until {
             continue;
         }
@@ -177,6 +190,7 @@ fn measure() -> std::collections::BTreeMap<Path, Tally> {
         tally.calls += 1;
         tally.allocs += after.0 - before.0;
         tally.bytes += after.1 - before.1;
+        tally.blocks += blocks_after - blocks_before;
     }
     tallies
 }
@@ -203,16 +217,27 @@ fn the_request_paths_allocate_no_more_than_they_measured() {
         (Path::GeneralizedForward, 30, 12.0, 1624.0),
         (Path::Suppression, 100, 2.25, 279.0),
     ];
+    // (path, calls, SHA-256 blocks over those calls), exactly: a
+    // record is hashed once as it is written, so a change here is a
+    // journal record gained, lost or grown across a 64-byte boundary.
+    // Span recording hashes nothing, so both collections share them.
+    let block_pins = [
+        (Path::Location, 134_540, 0),
+        (Path::ExactForward, 1_048, 3_144),
+        (Path::GeneralizedForward, 35, 285),
+        (Path::Suppression, 101, 309),
+    ];
     for (collection, tallies, pins) in [
         ("off", untraced, untraced_pins),
         ("ring", traced, traced_pins),
     ] {
         for (path, t) in &tallies {
             println!(
-                "collection {collection}, {path:?}: {} calls, {:.3} allocations and {:.1} bytes per call",
+                "collection {collection}, {path:?}: {} calls, {:.3} allocations and {:.1} bytes per call, {} SHA-256 blocks",
                 t.calls,
                 t.allocs_per_call(),
-                t.bytes_per_call()
+                t.bytes_per_call(),
+                t.blocks
             );
         }
         for (path, calls, allocs, bytes) in pins {
@@ -231,6 +256,14 @@ fn the_request_paths_allocate_no_more_than_they_measured() {
                 t.bytes_per_call() <= bytes,
                 "{collection}, {path:?}: {:.1} bytes per call, pinned at {bytes}",
                 t.bytes_per_call()
+            );
+        }
+        for (path, calls, blocks) in block_pins {
+            let t = tallies.get(&path).copied().unwrap_or_default();
+            assert_eq!(
+                (t.calls, t.blocks),
+                (calls, blocks),
+                "{collection}, {path:?}: (calls, SHA-256 blocks)"
             );
         }
     }
