@@ -57,13 +57,13 @@ fi
 echo "== one unsafe (the SHA-NI dispatch in crates/obs/src/sha256.rs, nowhere else) =="
 # The workspace's one `unsafe` is the call into the hardware SHA-256
 # kernel, made after run-time feature detection. Any other `unsafe`
-# token in code (comments aside) under src/ or crates/ fails; test
-# modules and test directories are exempt. Every library root but
+# token in code (comments aside) under src/ or crates/ fails, inline
+# `#[cfg(test)]` modules included; only the crates' tests/ directories
+# are exempt. Every library root but
 # hka-obs keeps `#![forbid(unsafe_code)]`, and hka-obs keeps
 # `#![deny(unsafe_code)]`, so the one site needs its own `allow`.
 sites="$(find src crates -name '*.rs' -not -path '*/tests/*' -print0 |
     xargs -0 perl -0777 -ne '
-        s/^#\[cfg\(test\)\]\s*(?:pub(?:\(crate\))?\s+)?mod\b.*//ms;
         s{/\*.*?\*/}{$& =~ tr/\n//cdr}gse;
         s{//[^\n]*}{}g;
         while (/\bunsafe\b/g) {

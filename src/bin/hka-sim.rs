@@ -654,15 +654,12 @@ fn arrivals(injector: Option<&FaultInjector>, at: StPoint) -> Vec<StPoint> {
 
 /// Drives the world through `ts` under arrival perturbation and checks
 /// the fail-closed invariant on every request. On a group journal each
-/// event ends with a commit, as after a client's barrier, so the mode
-/// read before the next request is the one its fail-closed gate sees.
+/// event ends with a commit, as after a client's barrier.
 fn chaos_events(ts: &mut TrustedServer, world: &World, injector: &FaultInjector) -> ChaosReport {
     use hka::faults::sites;
     // Sites whose faults must fail the in-flight request closed.
-    // journal.io is excluded: its effect is the mode machine. A record
-    // journaled before the gate (an LBQID match, an at-risk notice) can
-    // move the mode the gate reads, so a request during which the mode
-    // moved is judged only by the rule every mode shares.
+    // journal.io is excluded: its effect is the mode machine, which
+    // `hka::gate_mode` reads.
     let request_sites = [sites::PHL_WRITE, sites::INDEX_QUERY, sites::MIXZONE];
     let fired_now =
         |inj: &FaultInjector| -> u64 { request_sites.iter().map(|s| inj.fired(s)).sum() };
@@ -691,13 +688,10 @@ fn chaos_events(ts: &mut TrustedServer, world: &World, injector: &FaultInjector)
             EventKind::Request { service } => {
                 for at in arrivals(Some(injector), e.at) {
                     let mode_before = ts.mode();
-                    let changes_before = ts.log().stats().mode_changes;
+                    let stats_before = ts.log().stats();
                     let before = fired_now(injector);
                     let result = ts.try_handle_request(e.user, at, ServiceId(service));
-                    // The gate's mode, if no transition happened while the
-                    // request was handled; after one it is unknown.
-                    let gate_mode =
-                        (ts.log().stats().mode_changes == changes_before).then_some(mode_before);
+                    let gate_mode = hka::gate_mode(ts, mode_before, &stats_before);
                     settle(ts);
                     let out = match result {
                         Ok(out) => out,
@@ -722,16 +716,7 @@ fn chaos_events(ts: &mut TrustedServer, world: &World, injector: &FaultInjector)
                         }
                         RequestOutcome::Forwarded(_, disclosure) => {
                             report.forwarded += 1;
-                            // The gate's own rule (DESIGN.md §8.2), read
-                            // off what the forward disclosed.
-                            !faulted
-                                && match gate_mode {
-                                    None | Some(ServerMode::Normal) => true,
-                                    Some(ServerMode::Degraded) => {
-                                        disclosure.generalized && disclosure.hk_ok
-                                    }
-                                    Some(ServerMode::ReadOnly) => false,
-                                }
+                            hka::forward_fails_closed(gate_mode, faulted, disclosure)
                         }
                     };
                     if !fail_closed {

@@ -137,6 +137,58 @@ pub fn collect_forwards_daily(
     forwards
 }
 
+/// The mode a request's fail-closed gate judged it in, as far as a
+/// chaos judge outside the server can tell: `before` and `stats` are
+/// the server's mode and statistics read just before the request, `ts`
+/// the server just after it (before anything else commits its
+/// journal). `None` when it cannot tell.
+///
+/// The gate reads the mode that the last journal write or commit before
+/// it left. A group journal's health moves only at commits, and a
+/// request commits only before its gate, so there the mode after the
+/// request is the gate's. On a per-record journal every record is a
+/// write. A record journaled before the gate (a pseudonym change, an
+/// LBQID match, an at-risk notice) can move the mode the gate reads,
+/// and the request's `ts.forwarded`/`ts.suppressed` record can move it
+/// again after the gate. So if the mode moved and such a record was
+/// journaled, the gate's mode is unknown; if none was, every move came
+/// after the gate, which read `before`.
+pub fn gate_mode(
+    ts: &core::TrustedServer,
+    before: core::ServerMode,
+    stats: &core::TsStats,
+) -> Option<core::ServerMode> {
+    let now = ts.log().stats();
+    if now.mode_changes == stats.mode_changes {
+        return Some(before);
+    }
+    if ts.log().group_commit() {
+        return Some(ts.mode());
+    }
+    let journaled_before_gate = now.pseudonym_changes != stats.pseudonym_changes
+        || now.lbqid_matches != stats.lbqid_matches
+        || now.at_risk != stats.at_risk;
+    (!journaled_before_gate).then_some(before)
+}
+
+/// Whether a forward kept the fail-closed invariant (DESIGN.md §8.2),
+/// judged on what it disclosed: a request an injected fault touched is
+/// never forwarded; Degraded mode forwards only what is generalized and
+/// fully HK-anonymous; ReadOnly forwards nothing. Where the gate's mode
+/// is unknown (see [`gate_mode`]) only the first rule applies.
+pub fn forward_fails_closed(
+    gate_mode: Option<core::ServerMode>,
+    faulted: bool,
+    disclosure: &core::Disclosure,
+) -> bool {
+    !faulted
+        && match gate_mode {
+            None | Some(core::ServerMode::Normal) => true,
+            Some(core::ServerMode::Degraded) => disclosure.generalized && disclosure.hk_ok,
+            Some(core::ServerMode::ReadOnly) => false,
+        }
+}
+
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use hka_anonymity::{

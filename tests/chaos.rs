@@ -64,7 +64,7 @@ struct ChaosOutcome {
     violations: u64,
     /// Requests decided in Degraded mode that put their user at risk:
     /// each one a clamped, sub-k forward the gate must deny. Counted only
-    /// where the gate's mode is known (see [`gate_mode`]).
+    /// where the gate's mode is known (see [`hka::gate_mode`]).
     degraded_at_risk: u64,
 }
 
@@ -82,24 +82,11 @@ fn chaos_run(seed: u64) -> ChaosOutcome {
     drive(&mut ts, &world, &injector)
 }
 
-/// The mode the gate judged a request in, as far as the harness can
-/// tell: the mode before the request when no transition happened while
-/// it was handled. A record the request journals before its gate (an
-/// LBQID match, an at-risk notice) can land on a retrying sink and move
-/// the server back to Normal, or fail and move it down the ladder, so
-/// after a transition the gate's mode is unknown (`None`) and only the
-/// rule every mode shares applies: a faulted request is never
-/// forwarded.
-fn gate_mode(ts: &TrustedServer, before: ServerMode, changes_before: usize) -> Option<ServerMode> {
-    (ts.log().stats().mode_changes == changes_before).then_some(before)
-}
-
 /// Delivers the world's events to `ts` under arrival perturbation and
 /// judges every request's outcome by the gate's rule.
 fn drive(ts: &mut TrustedServer, world: &World, injector: &FaultInjector) -> ChaosOutcome {
-    // journal.io is excluded: the sink is consulted when the decision is
-    // *logged*, after forwarding; its effect (the mode ladder) gates the
-    // next request, which the mode_before check below covers.
+    // journal.io is excluded: its effect is the mode ladder, which
+    // `hka::gate_mode` reads.
     let request_sites = [sites::PHL_WRITE, sites::INDEX_QUERY, sites::MIXZONE];
     let fired_now =
         |inj: &FaultInjector| -> u64 { request_sites.iter().map(|s| inj.fired(s)).sum() };
@@ -130,32 +117,21 @@ fn drive(ts: &mut TrustedServer, world: &World, injector: &FaultInjector) -> Cha
                 }
                 for at in deliveries {
                     let mode_before = ts.mode();
-                    let changes_before = ts.log().stats().mode_changes;
+                    let stats_before = ts.log().stats();
                     let before = fired_now(injector);
-                    let at_risk_before = ts.log().stats().at_risk;
                     let outcome = ts.handle_request(e.user, at, ServiceId(service));
                     let faulted = fired_now(injector) > before;
-                    let gate_mode = gate_mode(ts, mode_before, changes_before);
+                    let gate_mode = hka::gate_mode(ts, mode_before, &stats_before);
                     out.requests += 1;
                     if gate_mode == Some(ServerMode::Degraded)
-                        && ts.log().stats().at_risk > at_risk_before
+                        && ts.log().stats().at_risk > stats_before.at_risk
                     {
                         out.degraded_at_risk += 1;
                     }
                     let fail_closed = match &outcome {
                         RequestOutcome::Suppressed(_) => true,
-                        // Degraded mode lets through only what is
-                        // generalized and fully HK-anonymous (DESIGN.md
-                        // §8.2): judged on what the forward disclosed.
                         RequestOutcome::Forwarded(_, disclosure) => {
-                            !faulted
-                                && match gate_mode {
-                                    None | Some(ServerMode::Normal) => true,
-                                    Some(ServerMode::Degraded) => {
-                                        disclosure.generalized && disclosure.hk_ok
-                                    }
-                                    Some(ServerMode::ReadOnly) => false,
-                                }
+                            hka::forward_fails_closed(gate_mode, faulted, disclosure)
                         }
                     };
                     if !fail_closed {
