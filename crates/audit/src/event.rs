@@ -224,9 +224,10 @@ pub fn decode(record: &JournalRecord) -> Result<AuditEvent, String> {
     decode_fields(&record.kind, position, &record.payload)
 }
 
-/// [`decode`] for a record the lending reader verified
-/// ([`hka_obs::JournalReader::next_ref`]): the same decoder, reading
-/// fields off the line.
+/// [`decode`] for a record the journal's verifier admitted
+/// ([`hka_obs::JournalReader::next_ref`], or the block driver
+/// [`hka_obs::JournalReader::for_each_parallel`]): the same decoder,
+/// reading fields off the line.
 pub fn decode_ref(record: &RecordRef<'_>) -> Result<AuditEvent, String> {
     let position = (record.version, record.seq, record.prev.as_ref());
     decode_fields(&record.kind, position, &record.payload)

@@ -2,10 +2,11 @@
 //!
 //! `hka-obs` gives the pipeline a tamper-evident record of every
 //! decision; this crate is the consumer that turns the record into
-//! analysis. [`replay`] streams a journal through
-//! [`hka_obs::JournalReader`]'s lending read — verifying the SHA-256
-//! chain as it goes, and decoding each record off its verified line —
-//! and reconstructs:
+//! analysis. [`replay`] reads a journal through
+//! [`hka_obs::JournalReader`]'s block driver — worker threads verify
+//! the SHA-256 chain block by block and decode each record off its
+//! verified line, and the calling thread folds the records in journal
+//! order — and reconstructs:
 //!
 //! * **per-user anonymity timelines** ([`UserTimeline`]): k over time,
 //!   generalization area/duration, suppressions, unlink and at-risk
@@ -58,34 +59,37 @@ pub const AUDIT_SECTION: &str = "audit";
 /// returned as an error, so a tampered journal still yields the
 /// analysis of its valid prefix.
 pub fn replay(input: impl BufRead, cfg: AuditConfig) -> AuditOutcome {
-    fold(Auditor::new(cfg), JournalReader::new(input))
+    let mut auditor = Auditor::new(cfg);
+    let chain = fold(&mut auditor, JournalReader::new(input));
+    auditor.finish(chain)
 }
 
-/// Folds every record `reader` verifies into `auditor`, through the
-/// lending read: each record is checked and decoded off its line, never
-/// built as a tree. Stops at the first chain error and reports it.
-fn fold<R: BufRead>(mut auditor: Auditor, mut reader: JournalReader<R>) -> AuditOutcome {
-    let mut error = None;
-    while let Some(record) = reader.next_ref() {
-        match record {
-            Ok(r) => auditor.ingest_ref(&r),
-            Err(e) => {
-                error = Some(e.to_string());
-                break;
-            }
-        }
-    }
-    auditor.finish(ChainSummary {
+/// Folds every record `reader` verifies into `auditor`, in journal
+/// order, through the reader's block driver
+/// ([`JournalReader::for_each_parallel`]): each record is checked and
+/// decoded off its line on a worker thread, never built as a tree.
+/// Stops at the first chain error and reports it.
+fn fold<R: BufRead>(auditor: &mut Auditor, mut reader: JournalReader<R>) -> ChainSummary {
+    let verified = reader.for_each_parallel(
+        |record| (record.seq, event::decode_ref(&record)),
+        |(seq, event)| auditor.fold(seq, event),
+    );
+    ChainSummary {
         records: reader.records_read(),
         head: reader.head().to_string(),
-        error,
-    })
+        error: verified.err().map(|e| e.to_string()),
+    }
 }
 
 /// [`replay`] over a journal file on disk.
 pub fn replay_file(path: &Path, cfg: AuditConfig) -> std::io::Result<AuditOutcome> {
-    let file = std::fs::File::open(path)?;
-    Ok(replay(std::io::BufReader::new(file), cfg))
+    Ok(replay(buffered(std::fs::File::open(path)?), cfg))
+}
+
+/// A journal file read in the block driver's 64 KiB blocks: about one
+/// read call a block.
+fn buffered(file: std::fs::File) -> std::io::BufReader<std::fs::File> {
+    std::io::BufReader::with_capacity(1 << 16, file)
 }
 
 fn invalid(msg: impl Into<String>) -> std::io::Error {
@@ -156,9 +160,8 @@ fn suffix_reader(
 ) -> std::io::Result<JournalReader<std::io::BufReader<std::fs::File>>> {
     let mut file = std::fs::File::open(journal)?;
     file.seek(SeekFrom::Start(offset))?;
-    let input = std::io::BufReader::new(file);
     Ok(JournalReader::resume(
-        input,
+        buffered(file),
         snapshot.records,
         snapshot.head,
         floor,
@@ -183,11 +186,12 @@ fn suffix_reader(
 /// error; callers fall back to the previous checkpoint or to a genesis
 /// replay, never to a partially-trusted resume.
 pub fn resume_from_snapshot(journal: &Path, snapshot_path: &Path) -> std::io::Result<AuditOutcome> {
-    let (auditor, offset, floor, snapshot) = resume_point(journal, snapshot_path)?;
-    Ok(fold(
-        auditor,
+    let (mut auditor, offset, floor, snapshot) = resume_point(journal, snapshot_path)?;
+    let chain = fold(
+        &mut auditor,
         suffix_reader(journal, offset, floor, snapshot)?,
-    ))
+    );
+    Ok(auditor.finish(chain))
 }
 
 /// Replays `journal` to its end and returns the auditor's serialized
@@ -208,31 +212,21 @@ pub fn state_at(
     resume: Option<&Path>,
     cfg: AuditConfig,
 ) -> std::io::Result<(hka_obs::Json, u64, String)> {
-    match resume {
+    let (mut auditor, reader) = match resume {
         Some(snapshot_path) => {
             let (auditor, offset, floor, snapshot) = resume_point(journal, snapshot_path)?;
-            finish_state(auditor, suffix_reader(journal, offset, floor, snapshot)?)
+            (auditor, suffix_reader(journal, offset, floor, snapshot)?)
         }
         None => {
             let file = std::fs::File::open(journal)?;
-            let reader = JournalReader::new(std::io::BufReader::new(file));
-            finish_state(Auditor::new(cfg), reader)
+            (Auditor::new(cfg), JournalReader::new(buffered(file)))
         }
+    };
+    let chain = fold(&mut auditor, reader);
+    match chain.error {
+        Some(e) => Err(invalid(e)),
+        None => Ok((auditor.to_state(), chain.records, chain.head)),
     }
-}
-
-fn finish_state<R: BufRead>(
-    mut auditor: Auditor,
-    mut reader: JournalReader<R>,
-) -> std::io::Result<(hka_obs::Json, u64, String)> {
-    while let Some(record) = reader.next_ref() {
-        auditor.ingest_ref(&record.map_err(|e| invalid(e.to_string()))?);
-    }
-    Ok((
-        auditor.to_state(),
-        reader.records_read(),
-        reader.head().to_string(),
-    ))
 }
 
 #[cfg(test)]

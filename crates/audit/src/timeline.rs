@@ -413,6 +413,14 @@ fn bump(map: &mut BTreeMap<String, u64>, key: &str) {
     }
 }
 
+/// `user`'s timeline in `users`, begun when new.
+fn timeline(users: &mut BTreeMap<u64, UserTimeline>, user: u64) -> &mut UserTimeline {
+    users.entry(user).or_insert_with(|| UserTimeline {
+        user,
+        ..UserTimeline::default()
+    })
+}
+
 /// Drops the oldest entries beyond `cap`; no-op when `cap` is `None`.
 /// Front-draining keeps the *most recent* entries, which is also what
 /// the violation checks look at (the last at-risk window).
@@ -463,10 +471,7 @@ impl Auditor {
     }
 
     fn user(&mut self, user: u64) -> &mut UserTimeline {
-        self.users.entry(user).or_insert_with(|| UserTimeline {
-            user,
-            ..UserTimeline::default()
-        })
+        timeline(&mut self.users, user)
     }
 
     /// Folds one verified journal record into the replay state. This is
@@ -478,13 +483,15 @@ impl Auditor {
     }
 
     /// [`ingest`](Auditor::ingest) for a record the lending reader
-    /// verified ([`hka_obs::JournalReader::next_ref`]) — the replay path:
-    /// the fields are read off the line, with no tree in between.
+    /// verified ([`hka_obs::JournalReader::next_ref`]) — the live tail's
+    /// path: the fields are read off the line, with no tree in between.
     pub fn ingest_ref(&mut self, record: &RecordRef<'_>) {
         self.fold(record.seq, decode_ref(record));
     }
 
-    fn fold(&mut self, seq: u64, event: Result<AuditEvent, String>) {
+    /// Folds record `seq`, decoded ([`decode_ref`]) — the replay's path,
+    /// where a worker thread decoded it.
+    pub(crate) fn fold(&mut self, seq: u64, event: Result<AuditEvent, String>) {
         self.totals.events += 1;
         let event = match event {
             Ok(e) => e,
@@ -544,7 +551,7 @@ impl Auditor {
             }
             AuditEvent::AtRisk { user, at, lbqid } => {
                 self.totals.at_risk += 1;
-                self.lbqid(&lbqid).at_risk += 1;
+                self.lbqid(lbqid).at_risk += 1;
                 let cap = self.cfg.sample_cap;
                 let u = self.user(user);
                 if !u.at_risk_open() {
@@ -558,7 +565,7 @@ impl Auditor {
                 lbqid,
             } => {
                 self.totals.lbqid_matches += 1;
-                self.lbqid(&lbqid).matches += 1;
+                self.lbqid(lbqid).matches += 1;
             }
             AuditEvent::ModeChanged { at, from, to } => {
                 if let Some(current) = self.mode {
@@ -600,13 +607,13 @@ impl Auditor {
         })
     }
 
-    fn lbqid(&mut self, name: &str) -> &mut LbqidRow {
-        self.lbqids
-            .entry(name.to_string())
-            .or_insert_with(|| LbqidRow {
-                lbqid: name.to_string(),
-                ..LbqidRow::default()
-            })
+    /// The row of LBQID `name`, which the decoder already owns: it
+    /// becomes the key, and is copied only when the row is new.
+    fn lbqid(&mut self, name: String) -> &mut LbqidRow {
+        self.lbqids.entry(name).or_insert_with_key(|name| LbqidRow {
+            lbqid: name.clone(),
+            ..LbqidRow::default()
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -648,8 +655,8 @@ impl Auditor {
             _ => {}
         }
 
-        let at_risk_open = self.user(user).at_risk_open();
-        if generalized && !hk_ok && !at_risk_open {
+        let u = timeline(&mut self.users, user);
+        if generalized && !hk_ok && !u.at_risk_open() {
             self.violations.push(Violation {
                 seq,
                 at,
@@ -661,7 +668,7 @@ impl Auditor {
 
         if !generalized {
             self.totals.forwarded_exact += 1;
-            self.user(user).forwarded_exact += 1;
+            u.forwarded_exact += 1;
             if let Some(s) = service {
                 self.service(s).forwarded_exact += 1;
             }
@@ -670,28 +677,24 @@ impl Auditor {
 
         if hk_ok {
             self.totals.forwarded_ok += 1;
-            self.user(user).forwarded_ok += 1;
+            u.forwarded_ok += 1;
         } else {
             self.totals.forwarded_clamped += 1;
-            self.user(user).forwarded_clamped += 1;
+            u.forwarded_clamped += 1;
+        }
+        u.area_sum = add_area(u.area_sum, area);
+        u.duration_sum = u.duration_sum.saturating_add(duration);
+        if let (Some(req), Some(got)) = (k_req, k_got) {
+            u.k_samples.push(KSample {
+                at,
+                k_req: req,
+                k_got: got,
+            });
+            trim_front(self.cfg.sample_cap, &mut u.k_samples);
+            u.min_k = Some(u.min_k.map_or(got, |m| m.min(got)));
         }
         self.overall_area_sum = add_area(self.overall_area_sum, area);
         self.overall_duration_sum = self.overall_duration_sum.saturating_add(duration);
-        {
-            let cap = self.cfg.sample_cap;
-            let u = self.user(user);
-            u.area_sum = add_area(u.area_sum, area);
-            u.duration_sum = u.duration_sum.saturating_add(duration);
-            if let (Some(req), Some(got)) = (k_req, k_got) {
-                u.k_samples.push(KSample {
-                    at,
-                    k_req: req,
-                    k_got: got,
-                });
-                trim_front(cap, &mut u.k_samples);
-                u.min_k = Some(u.min_k.map_or(got, |m| m.min(got)));
-            }
-        }
         if let Some(s) = service {
             let row = self.service(s);
             if hk_ok {
@@ -708,7 +711,7 @@ impl Auditor {
             }
         }
         if let Some(name) = lbqid {
-            let row = self.lbqid(&name);
+            let row = self.lbqid(name);
             if hk_ok {
                 row.forwarded_ok += 1;
             } else {

@@ -34,6 +34,8 @@ use std::io::{self, BufRead, Write};
 use crate::json::{self, Canonical, CanonicalScan, Digits, FormError, Json, Payload};
 use crate::sha256::{HexDigest, Sha256};
 
+mod blocks;
+
 /// Journal schema version the writer stamps on every record, and the
 /// newest the verifier reads.
 pub const JOURNAL_VERSION: i64 = 2;
@@ -665,30 +667,56 @@ impl ChainCursor {
 /// writer that emitted anything else cannot verify.
 fn check<'a>(
     scan: &'a mut CanonicalScan,
-    (records, head, version): (u64, &str, i64),
+    chain: (u64, &str, i64),
     line_no: usize,
     line: &'a str,
 ) -> Result<RecordRef<'a>, ChainError> {
-    let record = read_record(scan, line).map_err(|(at, what)| ChainError::Malformed {
+    let record = read_checked(scan, line_no, line)?;
+    link(line_no, (record.version, record.seq, &record.prev), chain)?;
+    hashed(line_no, record)
+}
+
+/// [`check`]'s first step: the record layout and canonical payload.
+fn read_checked<'a>(
+    scan: &'a mut CanonicalScan,
+    line_no: usize,
+    line: &'a str,
+) -> Result<RecordRef<'a>, ChainError> {
+    read_record(scan, line).map_err(|(at, what)| ChainError::Malformed {
         line: line_no,
         message: format!("byte {at}: {what}"),
-    })?;
-    if !(version..=JOURNAL_VERSION).contains(&record.version) {
+    })
+}
+
+/// [`check`]'s links, on a record's `(version, seq, prev)`: a version
+/// the verifier reads and not older than `version`, then the sequence
+/// number `records`, then `prev` equal to `head`.
+fn link(
+    line_no: usize,
+    (found, seq, prev): (i64, u64, &str),
+    (records, head, version): (u64, &str, i64),
+) -> Result<(), ChainError> {
+    if !(version..=JOURNAL_VERSION).contains(&found) {
         return Err(ChainError::BadVersion {
             line: line_no,
-            found: record.version,
+            found,
         });
     }
-    if record.seq != records {
+    if seq != records {
         return Err(ChainError::BadSequence {
             line: line_no,
             expected: records,
-            found: record.seq,
+            found: seq,
         });
     }
-    if record.prev != head {
+    if prev != head {
         return Err(ChainError::BrokenLink { line: line_no });
     }
+    Ok(())
+}
+
+/// [`check`]'s last step: the stored hash equals the recomputed one.
+fn hashed(line_no: usize, record: RecordRef<'_>) -> Result<RecordRef<'_>, ChainError> {
     let recomputed = record_digest(
         record.version,
         record.seq,
@@ -708,10 +736,12 @@ fn check<'a>(
 /// `Err` and iteration stops; [`records_read`](JournalReader::records_read)
 /// and [`head`](JournalReader::head) then describe the verified prefix.
 ///
-/// [`verify_chain`] is this reader run to completion. Replay consumers
-/// (`hka-audit`) drive the lending read ([`next_ref`](JournalReader::next_ref))
-/// so an arbitrarily large journal is verified and analyzed in one pass
-/// without buffering a record, or building one.
+/// [`verify_chain`] is this reader run to completion. The lending read
+/// ([`next_ref`](JournalReader::next_ref)) verifies one record at a time
+/// without building one; the block driver
+/// ([`for_each_parallel`](JournalReader::for_each_parallel)), which
+/// replay consumers (`hka-audit`) use, verifies the same lines with the
+/// same verdicts on every core.
 #[derive(Debug)]
 pub struct JournalReader<R: BufRead> {
     input: R,
@@ -803,14 +833,19 @@ impl<R: BufRead> JournalReader<R> {
             if self.line.trim().is_empty() {
                 continue;
             }
-            if self.at_start {
-                self.at_start = false;
-                if let Ok(Some((records, head))) = crate::checkpoint::leading_anchor(&self.line) {
-                    self.cursor = ChainCursor::resume(records, head, OLDEST_VERSION);
-                }
+            if std::mem::take(&mut self.at_start) {
+                seed(&mut self.cursor, &self.line);
             }
             return Some(Ok(()));
         }
+    }
+}
+
+/// Seeds `cursor` from a journal's first non-blank line when that line
+/// is a leading checkpoint anchor ([`crate::checkpoint`]).
+fn seed(cursor: &mut ChainCursor, line: &str) {
+    if let Ok(Some((records, head))) = crate::checkpoint::leading_anchor(line) {
+        *cursor = ChainCursor::resume(records, head, OLDEST_VERSION);
     }
 }
 

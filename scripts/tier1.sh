@@ -18,11 +18,13 @@ echo "== metric lookups (no literal-name registry lookup outside crates/obs) =="
 # and a map walk on every call. Any `.counter("…")`, `.gauge("…")` or
 # `.histogram("…")` fails unless its receiver is a snapshot: a
 # `snapshot()` call, or a variable bound from one or typed as one.
-# Test modules are exempt.
+# Inline test modules (`#[cfg(test)] mod name { … }`, up to the first
+# `}` in column 0 — rustfmt's end of the module) are exempt; code after
+# a one-line `#[cfg(test)] mod name;` is not.
 lookups="$(find src crates examples -name '*.rs' -not -path 'crates/obs/*' \
     -not -path '*/tests/*' -print0 |
     xargs -0 perl -0777 -ne '
-        s/^#\[cfg\(test\)\]\s*(?:pub(?:\(crate\))?\s+)?mod\b.*//ms;
+        s/^#\[cfg\(test\)\]\s*(?:pub(?:\(crate\))?\s+)?mod\s+\w+\s*\{.*?^\}$//gms;
         my %snap;
         $snap{$1} = 1 while /let\s+(?:mut\s+)?(\w+)[^;=]*=[^;]*snapshot\(\)\s*;/g;
         $snap{$1} = 1 while /(\w+)\s*:\s*&?(?:\w+::)*MetricsSnapshot\b/g;
@@ -41,10 +43,10 @@ echo "== one reader (no tree parse of a frame or journal line in core, gateway, 
 # verifier reads them: a canonical scan (`CanonicalScan` +
 # `Payload::get`). A second, lenient reader would accept lines the
 # verifier refuses. Any `json::parse(` or `JournalRecord::parse_line(`
-# in these crates fails; test modules are exempt.
+# in these crates fails; inline test modules are exempt, as above.
 parses="$(find crates/core crates/gateway crates/audit -name '*.rs' -not -path '*/tests/*' -print0 |
     xargs -0 perl -0777 -ne '
-        s/^#\[cfg\(test\)\]\s*(?:pub(?:\(crate\))?\s+)?mod\b.*//ms;
+        s/^#\[cfg\(test\)\]\s*(?:pub(?:\(crate\))?\s+)?mod\s+\w+\s*\{.*?^\}$//gms;
         while (/\b(?:json::parse|JournalRecord::parse_line)\s*\(/g) {
             print "$ARGV:", 1 + (substr($_, 0, pos) =~ tr/\n//), "\n";
         }')"

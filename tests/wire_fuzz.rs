@@ -5,7 +5,7 @@
 //! auditor — and for crash recovery of a checkpoint-anchored suffix.
 //!
 //! A fixed seed and a fixed case count over the in-tree `rand`, so every
-//! run checks the same inputs. Six properties:
+//! run checks the same inputs. Eight properties:
 //!
 //! 1. A wire frame is accepted exactly when it is canonical: every
 //!    `to_wire` output parses back to the original, and every frame
@@ -27,8 +27,13 @@
 //! 7. Nesting past `json::MAX_DEPTH` is refused as a chain failure by
 //!    both consumers — never a stack overflow — and nesting at the
 //!    limit verifies through both.
+//! 8. The block-parallel replay (`hka_audit::replay`) returns the
+//!    outcome of the sequential lending read on every journal here:
+//!    clean ones, and ones with a fault, a mutant, a blank line or a
+//!    line that is not UTF-8 both where a block opens and inside one.
 
-use hka::obs::{ChainCursor, ChainError, Journal, JournalRecord, Json};
+use hka::audit::{AuditConfig, AuditOutcome, Auditor, ChainSummary};
+use hka::obs::{ChainCursor, ChainError, Journal, JournalReader, JournalRecord, Json};
 // For the shared tree oracle (`super::` there).
 use hka::obs::sha256::sha256_hex;
 use hka::obs::{event_hash, JOURNAL_VERSION};
@@ -40,6 +45,8 @@ use std::collections::BTreeMap;
 #[allow(dead_code)]
 #[path = "../crates/obs/src/journal/oracle.rs"]
 mod oracle;
+
+mod common;
 
 const SEED: u64 = 0x5eed_f022;
 const CASES: usize = 2_000;
@@ -313,26 +320,32 @@ fn exact_forward(rng: &mut StdRng) -> TsEvent {
     }
 }
 
-#[test]
-fn journal_line_mutants_get_the_tree_verifiers_verdict() {
-    let mut rng = StdRng::seed_from_u64(SEED ^ 3);
+/// Both versions on one chain: the v1 fixture, continued by the v2
+/// writer with `CASES` random payloads and exact forwards in the point
+/// form. Returns the text and the v1 prefix's length.
+fn mixed_journal(rng: &mut StdRng) -> (String, u64) {
     let kinds = ["ts.forwarded", "checkpoint", "k\"ind", "caf\u{e9}\n"];
-    // Both versions on one chain: the v1 fixture, continued by the v2
-    // writer with random payloads and exact forwards in the point form.
     let v1 = include_str!("fixtures/journal_v1.jsonl");
     let prefix = v1.lines().count() as u64;
     let head = hka::obs::verify_chain(v1.as_bytes()).unwrap().head;
     let mut journal = Journal::resume(Vec::new(), prefix, head);
     for i in 0..CASES {
         if i % 4 == 0 {
-            let forward = exact_forward(&mut rng);
+            let forward = exact_forward(rng);
             journal.append(forward.kind(), &forward).unwrap();
         } else {
-            let kind = one_of(&mut rng, &kinds);
-            journal.append(kind, payload(&mut rng, 3)).unwrap();
+            let kind = one_of(rng, &kinds);
+            journal.append(kind, payload(rng, 3)).unwrap();
         }
     }
     let text = v1.to_string() + &String::from_utf8(journal.into_inner()).unwrap();
+    (text, prefix)
+}
+
+#[test]
+fn journal_line_mutants_get_the_tree_verifiers_verdict() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 3);
+    let (text, prefix) = mixed_journal(&mut rng);
     let mut cursor = ChainCursor::new();
     for (i, line) in text.split_inclusive('\n').enumerate() {
         for _ in 0..MUTANTS {
@@ -392,12 +405,12 @@ fn hostile(rng: &mut StdRng) -> Json {
     }
 }
 
-#[test]
-fn hostile_values_in_a_valid_chain_never_panic_the_auditor() {
-    let mut rng = StdRng::seed_from_u64(SEED ^ 4);
+/// `CASES` records of every kind the auditor decodes, chained validly,
+/// with hostile values in their fields.
+fn hostile_journal(rng: &mut StdRng) -> Vec<u8> {
     let mut journal = Journal::new(Vec::new());
     for _ in 0..CASES {
-        let (kind, template) = one_of(&mut rng, &AUDITED);
+        let (kind, template) = one_of(rng, &AUDITED);
         let Ok(Json::Obj(mut members)) = hka::obs::json::parse(template) else {
             unreachable!("templates are objects")
         };
@@ -412,12 +425,17 @@ fn hostile_values_in_a_valid_chain_never_panic_the_auditor() {
             if rng.random_bool(0.2) {
                 members.remove(&name);
             } else {
-                members.insert(name, hostile(&mut rng));
+                members.insert(name, hostile(rng));
             }
         }
         journal.append(kind, Json::Obj(members)).unwrap();
     }
-    let bytes = journal.into_inner();
+    journal.into_inner()
+}
+
+#[test]
+fn hostile_values_in_a_valid_chain_never_panic_the_auditor() {
+    let bytes = hostile_journal(&mut StdRng::seed_from_u64(SEED ^ 4));
     let cfg = hka::audit::AuditConfig::default();
     let lent = hka::audit::replay(&bytes[..], cfg);
     assert!(lent.chain.verified(), "{:?}", lent.chain.error);
@@ -531,4 +549,195 @@ fn nesting_past_the_depth_limit_is_a_chain_failure_not_an_abort() {
     let replayed = hka::audit::replay(&bytes[..], cfg);
     assert!(replayed.chain.verified(), "{:?}", replayed.chain.error);
     assert_eq!(replayed.chain.records, 1);
+}
+
+/// The block-parallel replay's oracle: the sequential lending read,
+/// one record at a time into the auditor.
+fn lending_replay(bytes: &[u8]) -> AuditOutcome {
+    let mut reader = JournalReader::new(bytes);
+    let mut auditor = Auditor::new(AuditConfig::default());
+    let mut error = None;
+    while let Some(record) = reader.next_ref() {
+        match record {
+            Ok(record) => auditor.ingest_ref(&record),
+            Err(e) => {
+                error = Some(e.to_string());
+                break;
+            }
+        }
+    }
+    auditor.finish(ChainSummary {
+        records: reader.records_read(),
+        head: reader.head().to_string(),
+        error,
+    })
+}
+
+/// `replay` (block-parallel) gives `bytes` the oracle's outcome, read
+/// whole or a few bytes at a time.
+fn replays_agree(bytes: &[u8]) -> AuditOutcome {
+    let want = lending_replay(bytes);
+    let cfg = AuditConfig::default();
+    assert_eq!(hka::audit::replay(bytes, cfg), want);
+    let trickle = std::io::BufReader::with_capacity(7, bytes);
+    assert_eq!(hka::audit::replay(trickle, cfg), want);
+    want
+}
+
+/// A simulated server's journal: protected commuters with LBQIDs among
+/// privacy-off roamers, two days.
+fn pipeline_journal() -> Vec<u8> {
+    let world = World::generate(&WorldConfig {
+        seed: 9,
+        days: 2,
+        n_commuters: 4,
+        n_roamers: 20,
+        ..WorldConfig::default()
+    });
+    let mut ts = TrustedServer::new(TsConfig::default());
+    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
+    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 600));
+    let commuters: Vec<UserId> = world.commuters().collect();
+    for agent in &world.agents {
+        let protected = commuters.contains(&agent.user);
+        let level = [PrivacyLevel::Off, PrivacyLevel::Medium][protected as usize];
+        ts.register_user(agent.user, level);
+    }
+    for &u in &commuters {
+        let (home, office) = (world.home_of(u).unwrap(), world.office_of(u).unwrap());
+        ts.add_lbqid(u, Lbqid::example_commute(home, office));
+    }
+    let sink = common::SharedBuf::default();
+    ts.attach_journal(Journal::new(Box::new(sink.clone()) as _));
+    hka::collect_forwards(&mut ts, &world.events);
+    ts.flush_journal().unwrap();
+    sink.bytes()
+}
+
+#[test]
+fn the_block_parallel_replay_matches_the_lending_read_on_every_corpus_journal() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 6);
+    let pipeline = pipeline_journal();
+    let corpus = [
+        include_bytes!("fixtures/journal_v1.jsonl").to_vec(),
+        include_bytes!("fixtures/journal_v2.jsonl").to_vec(),
+        mixed_journal(&mut rng).0.into_bytes(),
+        hostile_journal(&mut rng),
+        suffix_journal().concat().into_bytes(),
+        nested_journal(hka::obs::json::MAX_DEPTH),
+        nested_journal(hka::obs::json::MAX_DEPTH + 1),
+    ];
+    for bytes in &corpus {
+        replays_agree(bytes);
+    }
+    let outcome = replays_agree(&pipeline);
+    assert!(outcome.chain.verified() && outcome.totals.forwarded() > 0);
+    assert!(
+        pipeline.len() > 2 * 65_536,
+        "{} bytes: a few blocks",
+        pipeline.len()
+    );
+}
+
+/// A line longer than any block: the reader cuts a block right after
+/// it, so the line that follows opens a block (a seam).
+const LONG: usize = 80_000;
+
+/// One record's line, hashed as `version` hashes (kinds here need no
+/// escaping).
+fn line_v(version: i64, seq: u64, kind: &str, payload: &str, prev: &str) -> String {
+    let hash = sha256_hex(format!("v{version}:{seq}:{kind}:{payload}:{prev}").as_bytes());
+    format!(
+        r#"{{"hash":"{hash}","kind":"{kind}","payload":{payload},"prev":"{prev}","seq":{seq},"v":{version}}}"#
+    ) + "\n"
+}
+
+/// A chain of audited records in which every fourth is a line longer
+/// than a block: `(kind, payload)` per record, v2.
+fn padded_records() -> Vec<(String, String)> {
+    (0..24)
+        .map(|i| {
+            if i % 4 == 0 {
+                let pad = Json::from("p".repeat(LONG)).to_string();
+                ("test.pad".to_string(), pad)
+            } else {
+                let (kind, payload) = AUDITED[i % AUDITED.len()];
+                (kind.to_string(), payload.to_string())
+            }
+        })
+        .collect()
+}
+
+/// The journal of `records`, with `fault` applied to record `at`'s
+/// `(version, seq, payload, prev)` before it is hashed, as lines.
+fn faulted(
+    records: &[(String, String)],
+    at: usize,
+    fault: impl Fn(&mut (i64, u64, String, String)),
+) -> Vec<String> {
+    let mut prev = hka::obs::GENESIS_HASH.to_string();
+    let mut lines = Vec::new();
+    for (i, (kind, payload)) in records.iter().enumerate() {
+        let mut fields = (JOURNAL_VERSION, i as u64, payload.clone(), prev.clone());
+        if i == at {
+            fault(&mut fields);
+        }
+        let (version, seq, payload, prev_field) = fields;
+        let line = line_v(version, seq, kind, &payload, &prev_field);
+        prev = line[9..73].to_string();
+        lines.push(line);
+    }
+    lines
+}
+
+#[test]
+fn hostile_lines_at_a_seam_and_inside_a_block_replay_as_the_lending_read() {
+    use hka::obs::json::MAX_DEPTH;
+    let records = padded_records();
+    let mut rng = StdRng::seed_from_u64(SEED ^ 7);
+    // Record 5 opens a block (it follows a long line); record 6 is
+    // inside one.
+    for at in [5, 6] {
+        type Fault = fn(&mut (i64, u64, String, String));
+        let faults: [(&str, Fault); 6] = [
+            ("none", |_| {}),
+            ("seq", |f| f.1 += 1),
+            ("prev", |f| f.3 = "ab".repeat(32)),
+            ("v1 after v2", |f| f.0 = 1),
+            ("v3", |f| f.0 = 3),
+            ("deep", |f| {
+                f.2 = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1)
+            }),
+        ];
+        for (name, fault) in faults {
+            let lines = faulted(&records, at, fault);
+            let outcome = replays_agree(lines.concat().as_bytes());
+            assert_eq!(outcome.chain.verified(), name == "none", "{name} at {at}");
+            // Blank lines around it, and no final newline.
+            let spaced = lines.join("\n \n");
+            replays_agree(spaced.trim_end().as_bytes());
+        }
+        let mut lines = faulted(&records, at, |_| {});
+        let good = lines[at].clone();
+        lines[at] = good.replacen(r#""hash":""#, r#""hash":"0"#, 1);
+        let outcome = replays_agree(lines.concat().as_bytes());
+        assert_eq!(
+            outcome.chain.error.unwrap(),
+            format!(
+                "line {}: stored hash does not match recomputed hash",
+                at + 1
+            )
+        );
+        // A line that is not UTF-8.
+        let mut bytes = lines[..at].concat().into_bytes();
+        bytes.push(0xff);
+        bytes.extend_from_slice(good.as_bytes());
+        bytes.extend_from_slice(lines[at + 1..].concat().as_bytes());
+        let outcome = replays_agree(&bytes);
+        assert_eq!(outcome.chain.records, at as u64);
+        for _ in 0..MUTANTS * 2 {
+            lines[at] = mutant(&mut rng, &good);
+            replays_agree(lines.concat().as_bytes());
+        }
+    }
 }
