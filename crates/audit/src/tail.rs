@@ -2,12 +2,12 @@
 //! [`Auditor`] state machine, polled while the serving process is still
 //! appending.
 //!
-//! [`TailAuditor`] is what `hka-sim watch` and `serve-drill
-//! --audit-tail` run: each [`poll`](TailAuditor::poll) consumes
-//! whatever fully hash-chained records the journal grew, folds them
-//! into the audit state, and reports any *new* violations anchored to
-//! the byte offset of the offending record — the stable address an
-//! operator can seek to in the journal file. Torn tails are tolerated
+//! [`TailAuditor`] is what `hka-sim watch` runs: each
+//! [`poll`](TailAuditor::poll) consumes whatever fully hash-chained
+//! records the journal grew, folds them into the audit state, and
+//! reports any *new* violations anchored to the byte offset of the
+//! offending record — the stable address an operator can seek to in
+//! the journal file. Torn tails are tolerated
 //! exactly as the tailer tolerates them: reported as in-flight bytes,
 //! never as a chain failure.
 //!

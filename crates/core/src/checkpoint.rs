@@ -29,9 +29,8 @@
 //! traversal state. A restored server starts those conservatively — exactly
 //! like after a pseudonym unlink — and the operator re-attaches LBQIDs; the
 //! paper's guarantees only get *stronger* from forgetting partial matches
-//! (a fresh traversal re-generalizes from `k_init`). The in-memory event
-//! ring is a debugging tail and is likewise not restored; the journal holds
-//! the complete record.
+//! (a fresh traversal re-generalizes from `k_init`). The server keeps no
+//! record of its decisions in memory: the journal holds them all.
 //!
 //! ## Write protocol (fault sites in order)
 //!

@@ -1,13 +1,13 @@
 //! The transport-agnostic service seam.
 //!
 //! [`RequestService`] is the one interface every driver talks to —
-//! `hka-sim simulate`, `serve-drill`, the benches, and the TCP
-//! gateway all hand [`RequestEnvelope`]s to a `&mut dyn
-//! RequestService` and read [`ResponseEnvelope`]s back from
-//! [`RequestService::drain`]. [`TrustedServer`] implements it here, on
-//! either journal cadence; `submit` is
-//! `location_update`/`try_handle_request` verbatim, so the seam adds no
-//! journal byte.
+//! `hka-sim simulate`, the live-tail and checkpoint drills in the
+//! tests, the benches, and the TCP gateway all hand
+//! [`RequestEnvelope`]s to a `&mut dyn RequestService` and read
+//! [`ResponseEnvelope`]s back from [`RequestService::drain`].
+//! [`TrustedServer`] implements it here, on either journal cadence;
+//! `submit` is `location_update`/`try_handle_request` verbatim, so the
+//! seam adds no journal byte.
 //!
 //! The seam is deliberately *pull-based*: `submit` never returns an
 //! outcome. The server decides each submission at once and buffers the

@@ -133,7 +133,7 @@ pub fn tail_chaos_plan(seed: u64) -> FaultPlan {
 /// ([`sites::CHECKPOINT_PATH`]): snapshot write, snapshot rename,
 /// anchor append, and prefix truncation.
 ///
-/// Checkpoint attempts are rare (one per `--checkpoint-every` batch),
+/// Checkpoint attempts are rare (one per cadence of journal growth),
 /// so unlike [`randomized_plan`] the triggers here are aggressive —
 /// every hit or every other hit, or a coin-flip probability — and the
 /// plan always contains at least one rule. Crash/recover drills sweep

@@ -827,7 +827,11 @@ impl<R: BufRead> JournalReader<R> {
                 Ok(_) => {}
                 Err(e) => {
                     self.done = true;
-                    return Some(Err(ChainError::Io(e.to_string())));
+                    return Some(Err(if e.kind() == io::ErrorKind::InvalidData {
+                        not_utf8(self.line_no)
+                    } else {
+                        ChainError::Io(e.to_string())
+                    }));
                 }
             }
             if self.line.trim().is_empty() {
@@ -838,6 +842,15 @@ impl<R: BufRead> JournalReader<R> {
             }
             return Some(Ok(()));
         }
+    }
+}
+
+/// The verdict on a line that is not UTF-8, the tailer's and every
+/// reader's alike.
+pub(crate) fn not_utf8(line: usize) -> ChainError {
+    ChainError::Malformed {
+        line,
+        message: "record is not valid UTF-8".to_string(),
     }
 }
 

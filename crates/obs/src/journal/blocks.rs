@@ -20,15 +20,13 @@ use std::sync::{mpsc, Mutex, PoisonError};
 use std::thread;
 
 use super::{
-    check, hashed, link, read_checked, seed, ChainError, JournalReader, RecordRef, OLDEST_VERSION,
+    check, hashed, link, not_utf8, read_checked, seed, ChainError, JournalReader, RecordRef,
+    OLDEST_VERSION,
 };
 use crate::json::CanonicalScan;
 
 /// A block's size: the caller cuts at the first line end at or after it.
 const BLOCK_BYTES: usize = 64 * 1024;
-
-/// What `BufRead::read_line` reports for a line that is not UTF-8.
-const NOT_UTF8: &str = "stream did not contain valid UTF-8";
 
 /// How the input is cut, and onto how many workers it is spread.
 #[derive(Debug, Clone, Copy)]
@@ -109,7 +107,7 @@ impl<T> Block<T> {
         for line in bytes.split_inclusive(|&b| b == b'\n') {
             *lines += 1;
             let Ok(text) = std::str::from_utf8(line) else {
-                *error = Some(ChainError::Io(NOT_UTF8.to_string()));
+                *error = Some(not_utf8(*lines));
                 return;
             };
             if text.trim().is_empty() {
@@ -741,7 +739,7 @@ mod tests {
             agree(&bytes);
         }
         let seen = agree(&[lines[0].as_bytes(), b"\xff\n", lines[1].as_bytes()].concat());
-        assert_eq!(seen.end, Err(ChainError::Io(NOT_UTF8.to_string())));
+        assert_eq!(seen.end, Err(not_utf8(2)));
         assert_eq!(seen.records.len(), 1);
         agree(b"\xfe\n");
         let deep = |depth: usize| {

@@ -32,7 +32,7 @@
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use crate::journal::{ChainCursor, ChainError, RecordRef, OLDEST_VERSION};
+use crate::journal::{not_utf8, ChainCursor, ChainError, RecordRef, OLDEST_VERSION};
 
 /// What one [`JournalTailer::poll`] found.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -192,10 +192,7 @@ impl JournalTailer {
             let line_end = pos + nl;
             let record_offset = base + pos as u64;
             let Ok(line) = std::str::from_utf8(&bytes[pos..line_end]) else {
-                self.failed = Some(ChainError::Malformed {
-                    line: self.line_no + 1,
-                    message: "record is not valid UTF-8".to_string(),
-                });
+                self.failed = Some(not_utf8(self.line_no + 1));
                 batch.torn_bytes = 0;
                 return Ok(batch);
             };

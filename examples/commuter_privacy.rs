@@ -29,34 +29,15 @@ fn main() {
         ..WorldConfig::default()
     });
 
-    let mut ts = TrustedServer::new(TsConfig::default());
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-
+    let level = PrivacyLevel::Custom(PrivacyParams {
+        k,
+        theta: 0.5,
+        k_init: 2 * k,
+        k_decrement: 1,
+        on_risk: RiskAction::Forward,
+    });
+    let mut ts = hka::commuter_server(TsConfig::default(), &world, level);
     let commuters: Vec<UserId> = world.commuters().collect();
-    for agent in &world.agents {
-        let protected = commuters.contains(&agent.user);
-        ts.register_user(
-            agent.user,
-            if protected {
-                PrivacyLevel::Custom(PrivacyParams {
-                    k,
-                    theta: 0.5,
-                    k_init: 2 * k,
-                    k_decrement: 1,
-                    on_risk: RiskAction::Forward,
-                })
-            } else {
-                PrivacyLevel::Off
-            },
-        );
-    }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
-    }
 
     println!(
         "{} commuters protected (k = {k}, k' = {} decreasing), {} users total\n",

@@ -21,12 +21,6 @@
 //! hka-sim serve    [--addr HOST:PORT] [--seed N] [--days N] [--commuters N]
 //!                  [--roamers N] [--k N] [--commit record|group] [--index grid|brute]
 //!                  [--journal FILE] [--inflight N] [--slo] [--gw-stats]
-//! hka-sim serve-drill [--journal FILE] [--audit-tail] [--chaos SEED]
-//!                  [--checkpoint-every N] [--truncate]
-//!                  [--checkpoint-chaos SEED]
-//!                  [--segments N] [--seed N] [--days N] [--commuters N]
-//!                  [--roamers N] [--k N] [--interval-ms N] [--pace-us N]
-//!                  [--report FILE] [--index grid|brute]
 //! ```
 //!
 //! `chaos` drives the simulation under `--seeds` randomized fault
@@ -41,8 +35,8 @@
 //! instead of per record (`--commit record`, the default); decisions
 //! and journal bytes are identical either way. The retired `--shards N`
 //! is a usage error.
-//! `--index grid|brute` (accepted by `simulate`, `plan`, `chaos`,
-//! `serve`, and `serve-drill`) selects what answers Algorithm 1's
+//! `--index grid|brute` (accepted by `simulate`, `plan`, `chaos` and
+//! `serve`) selects what answers Algorithm 1's
 //! k-nearest-users query: the grid index (the default), or the
 //! exhaustive scan it is specified against — decisions and journal
 //! bytes are identical either way (differentially tested), which is the
@@ -81,32 +75,6 @@
 //! written by `--journal FILE` is *byte-identical* to an in-process
 //! `simulate --trace-out` run of the same traffic — the differential
 //! suite pins this.
-//!
-//! `serve-drill` runs a simulation and a tailing auditor *at the same
-//! time* (`--audit-tail`), in separate threads over one journal file —
-//! the always-on verification drill. `--segments N` splits the workload
-//! into N segments with a simulated crash between them (a torn
-//! half-record is left behind, `Journal::recover` truncates it, and the
-//! writer re-chains) and `--chaos SEED` injects a request-path fault
-//! schedule (`tail_chaos_plan`; journal I/O faults are excluded so a
-//! live tail must report zero violations). On exit the tail's final
-//! report is compared byte-for-byte against the offline audit of the
-//! same journal; any mismatch, chain error, or violation is a non-zero
-//! exit.
-//!
-//! `--checkpoint-every N` additionally writes a crash-safe checkpoint
-//! whenever the journal has grown by at least N records since the last
-//! one (snapshots under `JOURNAL.ckpt/`), verifying after
-//! each one that a server restored from the snapshot is identical to
-//! the live one, and on exit that the audit resumed from the last
-//! snapshot is byte-identical to the genesis replay. `--truncate`
-//! archives the journal prefix behind each checkpoint (incompatible
-//! with `--audit-tail`: truncation swaps the journal inode, which a
-//! live byte-offset tail cannot follow). `--checkpoint-chaos SEED`
-//! faults the checkpoint path itself (`checkpoint_chaos_plan`:
-//! snapshot write/rename tears, anchor-append and truncation failures)
-//! — failed checkpoints are counted and recovery falls back to the
-//! previous valid one, never a half-written snapshot.
 //!
 //! `simulate` is the default subcommand: `hka-sim --trace-out t.jsonl
 //! --metrics` simulates with defaults. `--trace-out FILE` streams every
@@ -256,38 +224,24 @@ fn build_world(seed: u64, days: i64, commuters: usize, roamers: usize) -> World 
     })
 }
 
-/// A server with the protected world registered: both services, every
-/// agent (commuters protected at `k`, everyone else off), and the
-/// commuters' LBQIDs.
+/// [`hka::commuter_server`] with the commuters protected at `k`
+/// (starting from k' = 2k, one lower per request).
 fn protected_server(world: &World, k: usize, backend: IndexBackend) -> TrustedServer {
-    let mut ts = TrustedServer::new(TsConfig {
-        backend,
-        ..TsConfig::default()
+    let level = PrivacyLevel::Custom(PrivacyParams {
+        k,
+        theta: 0.5,
+        k_init: 2 * k,
+        k_decrement: 1,
+        on_risk: RiskAction::Forward,
     });
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    let commuters: Vec<UserId> = world.commuters().collect();
-    for agent in &world.agents {
-        let level = if commuters.contains(&agent.user) {
-            PrivacyLevel::Custom(PrivacyParams {
-                k,
-                theta: 0.5,
-                k_init: 2 * k,
-                k_decrement: 1,
-                on_risk: RiskAction::Forward,
-            })
-        } else {
-            PrivacyLevel::Off
-        };
-        ts.register_user(agent.user, level);
-    }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
-    }
-    ts
+    hka::commuter_server(
+        TsConfig {
+            backend,
+            ..TsConfig::default()
+        },
+        world,
+        level,
+    )
 }
 
 /// The workload event stream as wire envelopes, in submission order —
@@ -329,14 +283,20 @@ fn run_events(svc: &mut dyn RequestService, world: &World) -> u64 {
     errors
 }
 
-fn open_trace_out(flags: &HashMap<String, String>) -> Option<std::fs::File> {
-    let path = flags.get("trace-out")?;
-    // parse_flags maps a valueless flag to "true"; a journal named
-    // `true` is never what anyone meant (use `./true` to insist).
+/// The file path `--KEY` names, if given. `parse_flags` maps a bare
+/// `--KEY` to "true", and a file named `true` is never what anyone
+/// meant (use `./true` to insist): that is a usage error.
+fn path_flag<'a>(flags: &'a HashMap<String, String>, key: &str) -> Option<&'a str> {
+    let path = flags.get(key)?;
     if path == "true" {
-        eprintln!("--trace-out requires a file path");
+        eprintln!("--{key} requires a file path");
         std::process::exit(2);
     }
+    Some(path)
+}
+
+fn open_trace_out(flags: &HashMap<String, String>) -> Option<std::fs::File> {
+    let path = path_flag(flags, "trace-out")?;
     Some(std::fs::File::create(path).unwrap_or_else(|e| {
         eprintln!("cannot create {path}: {e}");
         std::process::exit(1);
@@ -351,10 +311,7 @@ fn cmd_simulate(flags: HashMap<String, String>) {
     let k = get(&flags, "k", 5usize);
     let commit = get_commit(&flags);
     let backend = get_backend(&flags);
-    let trace_export = flags
-        .get("trace-export")
-        .filter(|p| p.as_str() != "true")
-        .cloned();
+    let trace_export = path_flag(&flags, "trace-export");
     let trace_clock = match flags.get("trace-clock") {
         None => hka::obs::TraceClock::Logical,
         Some(v) => hka::obs::TraceClock::parse(v).unwrap_or_else(|| {
@@ -434,7 +391,7 @@ fn cmd_simulate(flags: HashMap<String, String>) {
             eprintln!("exported trace failed validation: {e}");
             std::process::exit(1);
         });
-        std::fs::write(&path, doc.to_string() + "\n").unwrap_or_else(|e| {
+        std::fs::write(path, doc.to_string() + "\n").unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });
@@ -464,7 +421,7 @@ fn cmd_plan(flags: HashMap<String, String>) {
     let population = get(&flags, "population", 80usize);
     let k = get(&flags, "k", 5usize);
     let samples = get(&flags, "samples", 300usize);
-    let store = match flags.get("trace") {
+    let store = match path_flag(&flags, "trace") {
         Some(path) => {
             let file = std::fs::File::open(path).unwrap_or_else(|e| {
                 eprintln!("cannot open {path}: {e}");
@@ -585,7 +542,7 @@ fn cmd_attack(flags: HashMap<String, String>) {
 fn cmd_export(flags: HashMap<String, String>) {
     let seed = get(&flags, "seed", 1u64);
     let days = get(&flags, "days", 3i64);
-    let Some(out) = flags.get("out") else {
+    let Some(out) = path_flag(&flags, "out") else {
         eprintln!("export requires --out FILE");
         std::process::exit(2);
     };
@@ -603,134 +560,6 @@ fn cmd_export(flags: HashMap<String, String>) {
     );
 }
 
-/// One chaos run: drive a seeded world through a server with a
-/// randomized fault schedule and count fail-open violations.
-struct ChaosReport {
-    requests: u64,
-    forwarded: u64,
-    suppressed: u64,
-    faults_fired: u64,
-    violations: u64,
-    final_mode: ServerMode,
-}
-
-fn chaos_run(
-    seed: u64,
-    days: i64,
-    commuters: usize,
-    roamers: usize,
-    k: usize,
-    backend: IndexBackend,
-    commit: Commit,
-) -> ChaosReport {
-    let world = build_world(seed, days, commuters, roamers);
-    let injector = FaultInjector::new(randomized_plan(seed));
-    // The journal shares the schedule: journal.io faults surface as real
-    // sink errors (including torn writes) and drive the mode machine.
-    // A fault plan makes every request commit first, so a group journal
-    // walks the mode ladder under the same schedule.
-    let faulty = FaultyWriter::new(std::io::sink(), injector.clone());
-    let mut ts = protected_server(&world, k, backend);
-    ts.attach_faults(injector.clone());
-    attach_journal(&mut ts, commit, Some(hka::obs::Unsynced(faulty)));
-    chaos_events(&mut ts, &world, &injector)
-}
-
-/// Arrival perturbation under a fault plan: a request is dropped,
-/// duplicated, or re-delivered with a stale (reordered) timestamp. With
-/// no plan, or no fault fired, it arrives once as sent.
-fn arrivals(injector: Option<&FaultInjector>, at: StPoint) -> Vec<StPoint> {
-    match injector.and_then(|inj| inj.check(hka::faults::sites::ARRIVAL)) {
-        Some(FaultKind::Drop) => Vec::new(),
-        Some(FaultKind::Duplicate) => vec![at, at],
-        Some(FaultKind::Reorder) => {
-            let mut late = at;
-            late.t = TimeSec(late.t.0.saturating_sub(300));
-            vec![late]
-        }
-        _ => vec![at],
-    }
-}
-
-/// Drives the world through `ts` under arrival perturbation and checks
-/// the fail-closed invariant on every request. On a group journal each
-/// event ends with a commit, as after a client's barrier.
-fn chaos_events(ts: &mut TrustedServer, world: &World, injector: &FaultInjector) -> ChaosReport {
-    use hka::faults::sites;
-    // Sites whose faults must fail the in-flight request closed.
-    // journal.io is excluded: its effect is the mode machine, which
-    // `hka::gate_mode` reads.
-    let request_sites = [sites::PHL_WRITE, sites::INDEX_QUERY, sites::MIXZONE];
-    let fired_now =
-        |inj: &FaultInjector| -> u64 { request_sites.iter().map(|s| inj.fired(s)).sum() };
-    let group = ts.log().group_commit();
-    let settle = |ts: &mut TrustedServer| {
-        if group {
-            // Group commit reports failures through the mode ladder.
-            let _ = ts.flush_journal();
-        }
-    };
-
-    let mut report = ChaosReport {
-        requests: 0,
-        forwarded: 0,
-        suppressed: 0,
-        faults_fired: 0,
-        violations: 0,
-        final_mode: ServerMode::Normal,
-    };
-    for e in &world.events {
-        match e.kind {
-            EventKind::Location => {
-                ts.location_update(e.user, e.at);
-                settle(ts);
-            }
-            EventKind::Request { service } => {
-                for at in arrivals(Some(injector), e.at) {
-                    let mode_before = ts.mode();
-                    let stats_before = ts.log().stats();
-                    let before = fired_now(injector);
-                    let result = ts.try_handle_request(e.user, at, ServiceId(service));
-                    let gate_mode = hka::gate_mode(ts, mode_before, &stats_before);
-                    settle(ts);
-                    let out = match result {
-                        Ok(out) => out,
-                        Err(err) => {
-                            // A refused request (read-only ladder) is
-                            // fail-closed by definition; anything else
-                            // would be a workload bug worth surfacing.
-                            if !matches!(err, TsError::Degraded) {
-                                eprintln!("request rejected: {err}");
-                            }
-                            report.requests += 1;
-                            report.suppressed += 1;
-                            continue;
-                        }
-                    };
-                    let faulted = fired_now(injector) > before;
-                    report.requests += 1;
-                    let fail_closed = match &out {
-                        RequestOutcome::Suppressed(_) => {
-                            report.suppressed += 1;
-                            true
-                        }
-                        RequestOutcome::Forwarded(_, disclosure) => {
-                            report.forwarded += 1;
-                            hka::forward_fails_closed(gate_mode, faulted, disclosure)
-                        }
-                    };
-                    if !fail_closed {
-                        report.violations += 1;
-                    }
-                }
-            }
-        }
-    }
-    report.faults_fired = injector.total_fired();
-    report.final_mode = ts.mode();
-    report
-}
-
 fn cmd_chaos(flags: HashMap<String, String>) {
     let seeds = get(&flags, "seeds", 16u64);
     let base = get(&flags, "seed", 1u64);
@@ -744,7 +573,17 @@ fn cmd_chaos(flags: HashMap<String, String>) {
     let mut total_violations = 0u64;
     for i in 0..seeds {
         let seed = base.wrapping_add(i);
-        let r = chaos_run(seed, days, commuters, roamers, k, backend, commit);
+        let world = build_world(seed, days, commuters, roamers);
+        let injector = FaultInjector::new(randomized_plan(seed));
+        // The journal shares the schedule: journal.io faults surface as
+        // real sink errors (including torn writes) and drive the mode
+        // ladder. A fault plan makes every request commit first, so a
+        // group journal walks the ladder under the same schedule.
+        let faulty = FaultyWriter::new(std::io::sink(), injector.clone());
+        let mut ts = protected_server(&world, k, backend);
+        ts.attach_faults(injector.clone());
+        attach_journal(&mut ts, commit, Some(hka::obs::Unsynced(faulty)));
+        let r = hka::drive_chaos(&mut ts, &world.events, &injector);
         total_faults += r.faults_fired;
         total_violations += r.violations;
         println!(
@@ -760,15 +599,16 @@ fn cmd_chaos(flags: HashMap<String, String>) {
 }
 
 fn cmd_audit(flags: HashMap<String, String>) {
-    let Some(journal) = flags.get("journal").filter(|p| p.as_str() != "true") else {
+    let Some(journal) = path_flag(&flags, "journal") else {
         eprintln!("audit requires --journal FILE");
         std::process::exit(2);
     };
     let cfg = audit_config(&flags);
+    let json = path_flag(&flags, "json");
     // With --snapshot the replay resumes from the checkpoint anchor
     // (the snapshot's embedded audit config wins over the flags); the
     // outcome is byte-identical to the genesis replay, just cheaper.
-    let outcome = match flags.get("snapshot").filter(|p| p.as_str() != "true") {
+    let outcome = match path_flag(&flags, "snapshot") {
         Some(snap) => hka::audit::resume_from_snapshot(
             std::path::Path::new(journal),
             std::path::Path::new(snap),
@@ -782,7 +622,7 @@ fn cmd_audit(flags: HashMap<String, String>) {
             std::process::exit(2);
         }),
     };
-    if let Some(path) = flags.get("json").filter(|p| p.as_str() != "true") {
+    if let Some(path) = json {
         std::fs::write(path, outcome.to_json().to_string() + "\n").unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
@@ -855,12 +695,7 @@ fn cmd_watch(args: &[String]) {
     };
     let flags = parse_flags(rest);
     let journal = positional
-        .or_else(|| {
-            flags
-                .get("journal")
-                .filter(|p| p.as_str() != "true")
-                .cloned()
-        })
+        .or_else(|| path_flag(&flags, "journal").map(str::to_string))
         .unwrap_or_else(|| {
             eprintln!("watch requires a journal path: hka-sim watch FILE [--flags]");
             std::process::exit(2);
@@ -869,10 +704,7 @@ fn cmd_watch(args: &[String]) {
     let idle_exit = get(&flags, "idle-exit", 0u64);
     let json = flags.contains_key("json");
     let cfg = audit_config(&flags);
-    let report_path = flags
-        .get("report")
-        .filter(|p| p.as_str() != "true")
-        .cloned();
+    let report_path = path_flag(&flags, "report");
 
     let emit = |frame: &hka::audit::WatchFrame| {
         if json {
@@ -885,7 +717,7 @@ fn cmd_watch(args: &[String]) {
     // --snapshot starts the tail at the checkpoint anchor instead of
     // genesis; once caught up, frames and the final report are
     // byte-identical to a genesis tail of the same journal.
-    let mut tail = match flags.get("snapshot").filter(|p| p.as_str() != "true") {
+    let mut tail = match path_flag(&flags, "snapshot") {
         Some(snap) => hka::audit::TailAuditor::resume_from_snapshot(
             std::path::Path::new(&journal),
             std::path::Path::new(snap),
@@ -928,338 +760,11 @@ fn cmd_watch(args: &[String]) {
         std::thread::sleep(std::time::Duration::from_millis(interval));
     };
     if let Some(path) = report_path {
-        std::fs::write(&path, tail.snapshot().to_json().to_string() + "\n").unwrap_or_else(|e| {
+        std::fs::write(path, tail.snapshot().to_json().to_string() + "\n").unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         });
     }
-    std::process::exit(code);
-}
-
-fn cmd_serve_drill(flags: HashMap<String, String>) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let seed = get(&flags, "seed", 1u64);
-    let days = get(&flags, "days", 2i64);
-    let commuters = get(&flags, "commuters", 6usize);
-    let roamers = get(&flags, "roamers", 30usize);
-    let k = get(&flags, "k", 4usize);
-    let segments = get(&flags, "segments", 1usize).max(1);
-    let interval = get(&flags, "interval-ms", 10u64);
-    let pace_us = get(&flags, "pace-us", 0u64);
-    let backend = get_backend(&flags);
-    let audit_tail = flags.contains_key("audit-tail");
-    let cfg = audit_config(&flags);
-    let checkpoint_every = get(&flags, "checkpoint-every", 0u64);
-    let truncate = flags.contains_key("truncate");
-    if truncate && checkpoint_every == 0 {
-        eprintln!("--truncate requires --checkpoint-every N");
-        std::process::exit(2);
-    }
-    if truncate && audit_tail {
-        eprintln!(
-            "--truncate archives the journal prefix by swapping a new inode into place, \
-             which a live byte-offset tail cannot follow; drop --audit-tail or --truncate"
-        );
-        std::process::exit(2);
-    }
-    if flags.contains_key("checkpoint-chaos") && checkpoint_every == 0 {
-        eprintln!("--checkpoint-chaos requires --checkpoint-every N");
-        std::process::exit(2);
-    }
-    let journal_path = flags
-        .get("journal")
-        .filter(|p| p.as_str() != "true")
-        .cloned()
-        .unwrap_or_else(|| {
-            std::env::temp_dir()
-                .join(format!("hka-serve-drill-{}.journal", std::process::id()))
-                .to_string_lossy()
-                .into_owned()
-        });
-    let path = std::path::PathBuf::from(&journal_path);
-    let _ = std::fs::remove_file(&path);
-
-    let world = build_world(seed, days, commuters, roamers);
-    let mut ts = protected_server(&world, k, backend);
-    // Chaos is restricted to request-path sites (`tail_chaos_plan`):
-    // with the journal write path fault-free, a live tail must report
-    // zero violations — anything else is a false positive.
-    let injector = flags.contains_key("chaos").then(|| {
-        let inj = FaultInjector::new(tail_chaos_plan(get(&flags, "chaos", seed)));
-        ts.attach_faults(inj.clone());
-        inj
-    });
-
-    let file = std::fs::File::create(&path).unwrap_or_else(|e| {
-        eprintln!("cannot create {journal_path}: {e}");
-        std::process::exit(1);
-    });
-    ts.attach_journal(hka::obs::Journal::new(
-        Box::new(std::io::BufWriter::new(file)) as Box<dyn std::io::Write + Send + Sync>,
-    ));
-
-    // The checkpointer for the drill: snapshots live next to the
-    // journal, and --checkpoint-chaos faults the checkpoint path itself
-    // (a failed checkpoint leaves the previous one authoritative — the
-    // exit-time equivalence check proves it).
-    let mut cp = (checkpoint_every > 0).then(|| {
-        let dir = format!("{journal_path}.ckpt");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cp = Checkpointer::new(&path, &dir).with_audit_config(cfg);
-        if flags.contains_key("checkpoint-chaos") {
-            cp.attach_faults(FaultInjector::new(checkpoint_chaos_plan(get(
-                &flags,
-                "checkpoint-chaos",
-                seed,
-            ))));
-        }
-        cp
-    });
-    let mut last_ckpt_seq: Option<u64> = None;
-    let mut ckpt_ok = 0u64;
-    let mut ckpt_failed = 0u64;
-    let mut ckpt_archived = 0u64;
-
-    // The tailing auditor runs in its own thread, polling the same file
-    // the server appends to. It stops once the writer is done AND a
-    // final poll finds nothing new (fully caught up, no torn tail).
-    let stop = Arc::new(AtomicBool::new(false));
-    let tailer = audit_tail.then(|| {
-        let stop = Arc::clone(&stop);
-        let path = path.clone();
-        std::thread::spawn(move || {
-            let mut tail = hka::audit::TailAuditor::open(&path, cfg);
-            let mut polls = 0u64;
-            loop {
-                let done = stop.load(Ordering::SeqCst);
-                let poll = tail.poll();
-                polls += 1;
-                for (offset, v) in &poll.new_violations {
-                    eprintln!(
-                        "violation at offset {offset} (seq {}): {} — {}",
-                        v.seq,
-                        v.kind.as_str(),
-                        v.detail
-                    );
-                }
-                if poll.chain_error.is_some() {
-                    break;
-                }
-                if done && poll.new_records == 0 && poll.torn_bytes == 0 {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(interval));
-            }
-            (tail, polls)
-        })
-    });
-
-    // Drive the workload in `segments` slices with a simulated crash
-    // between consecutive slices: the sink is dropped, a torn
-    // half-record (no trailing newline — the only shape a single-write
-    // append can tear into) is left at the tail, `recover` truncates
-    // it, and the writer re-chains from the recovered head. The live
-    // tailer must ride through every cycle without a false alarm.
-    let chunk = world.events.len().div_ceil(segments).max(1);
-    let mut recoveries = 0u64;
-    let mut errors = 0u64;
-    let mut req_id = 0u64;
-    for (i, slice) in world.events.chunks(chunk).enumerate() {
-        if i > 0 {
-            drop(ts.take_journal()); // flushes buffered records on drop
-            {
-                use std::io::Write as _;
-                let mut f = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .expect("journal exists");
-                f.write_all(br#"{"hash":"torn-mid-append"#).expect("append");
-            }
-            let (journal, report) = hka::obs::recover(&path).unwrap_or_else(|e| {
-                eprintln!("recovery failed: {e}");
-                std::process::exit(1);
-            });
-            assert!(report.truncated_bytes > 0, "the torn bytes were truncated");
-            recoveries += 1;
-            let next_seq = journal.next_seq();
-            let head = journal.head().to_string();
-            ts.attach_journal(hka::obs::Journal::resume(
-                Box::new(std::io::BufWriter::new(journal.into_inner()))
-                    as Box<dyn std::io::Write + Send + Sync>,
-                next_seq,
-                head,
-            ));
-        }
-        for e in slice {
-            // Delivery goes through the transport-agnostic seam — the
-            // same interface the TCP gateway serves — so the drill
-            // rehearses exactly the path a served deployment exercises.
-            match e.kind {
-                EventKind::Location => {
-                    RequestService::submit(
-                        &mut ts,
-                        &RequestEnvelope::location(req_id, e.user, e.at),
-                    );
-                    req_id += 1;
-                }
-                EventKind::Request { service } => {
-                    for at in arrivals(injector.as_ref(), e.at) {
-                        RequestService::submit(
-                            &mut ts,
-                            &RequestEnvelope::request(req_id, e.user, at, ServiceId(service)),
-                        );
-                        req_id += 1;
-                    }
-                    errors += RequestService::drain(&mut ts)
-                        .iter()
-                        .filter(|r| r.outcome == WireOutcome::Rejected)
-                        .count() as u64;
-                }
-            }
-            if let Some(cp) = cp.as_mut() {
-                // A checkpoint covers a chain position, so the cadence
-                // is journal growth, not event count — most workload
-                // events journal nothing, and re-snapshotting an
-                // unchanged chain would buy two fsyncs for no new
-                // state. `seq + 1` because the previous anchor record
-                // itself sits at `last_ckpt_seq`.
-                let due = match (ts.journal_position(), last_ckpt_seq) {
-                    (Some((records, _)), Some(seq)) => {
-                        records.saturating_sub(seq + 1) >= checkpoint_every
-                    }
-                    (Some((records, _)), None) => records >= checkpoint_every,
-                    (None, _) => false,
-                };
-                if due {
-                    match cp.checkpoint(&mut ts, truncate) {
-                        Ok(receipt) => {
-                            ckpt_ok += 1;
-                            ckpt_archived += receipt.truncated_bytes;
-                            last_ckpt_seq = Some(receipt.seq);
-                            // Restore fidelity: a server rebuilt from the
-                            // just-written snapshot must be identical to
-                            // the live one at this instant.
-                            let (restored, _, _) = cp
-                                .restore_server(TsConfig {
-                                    backend,
-                                    ..TsConfig::default()
-                                })
-                                .unwrap_or_else(|e| {
-                                    eprintln!("recovery scan failed: {e}");
-                                    std::process::exit(1);
-                                });
-                            let same = restored.server_meta() == ts.server_meta()
-                                && restored.log().stats() == ts.log().stats()
-                                && hka::trajectory::state::store_to_json(restored.store())
-                                    .to_string()
-                                    == hka::trajectory::state::store_to_json(ts.store())
-                                        .to_string();
-                            if !same {
-                                eprintln!(
-                                    "restore fidelity: MISMATCH at checkpoint seq {}",
-                                    receipt.seq
-                                );
-                                std::process::exit(1);
-                            }
-                        }
-                        Err(_) => ckpt_failed += 1,
-                    }
-                }
-            }
-            if pace_us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(pace_us));
-            }
-        }
-    }
-    drop(ts.take_journal()); // final flush: the journal is complete
-    stop.store(true, Ordering::SeqCst);
-
-    println!(
-        "serve-drill: {} events over {segments} segment(s), {recoveries} recoveries, \
-         {errors} rejected requests",
-        world.events.len()
-    );
-    if checkpoint_every > 0 {
-        println!(
-            "checkpoints: {ckpt_ok} written, {ckpt_failed} failed, \
-             {ckpt_archived} prefix bytes archived"
-        );
-    }
-    let offline = hka::audit::replay_file(&path, cfg).unwrap_or_else(|e| {
-        eprintln!("cannot read {journal_path}: {e}");
-        std::process::exit(1);
-    });
-
-    let mut code = 0;
-    if let Some(handle) = tailer {
-        let (tail, polls) = handle.join().expect("tailer thread");
-        let snapshot = tail.snapshot();
-        println!(
-            "tail: {} records in {polls} polls, {} violations, head {}",
-            tail.records(),
-            tail.auditor().violations().len(),
-            &tail.head()[..12.min(tail.head().len())]
-        );
-        let tail_json = snapshot.to_json().to_string();
-        let offline_json = offline.to_json().to_string();
-        if tail_json == offline_json {
-            println!(
-                "equivalence: OK (tail report == offline audit, {} bytes)",
-                tail_json.len()
-            );
-        } else {
-            eprintln!("equivalence: MISMATCH between live tail and offline audit");
-            code = 1;
-        }
-        if let Some(out) = flags.get("report").filter(|p| p.as_str() != "true") {
-            std::fs::write(out, tail_json + "\n").unwrap_or_else(|e| {
-                eprintln!("cannot write {out}: {e}");
-                std::process::exit(2);
-            });
-        }
-        if tail.chain_error().is_some() {
-            eprintln!("chain failed: {}", tail.chain_error().unwrap());
-            code = 1;
-        }
-        if !tail.auditor().violations().is_empty() {
-            code = 2;
-        }
-    } else {
-        print!("{}", offline.render());
-        if !offline.chain.verified() {
-            code = 1;
-        } else if !offline.ok() {
-            code = 2;
-        }
-    }
-    if let Some(last) = cp.as_ref().and_then(|c| c.last_snapshot()) {
-        match hka::audit::resume_from_snapshot(&path, last) {
-            Ok(resumed) => {
-                if truncate {
-                    // The genesis prefix was archived at the anchor; the
-                    // resumed report is the authoritative full-history
-                    // view, so there is no genesis replay to compare to.
-                    println!("checkpoint resume: OK (snapshot+suffix report over archived prefix)");
-                } else if resumed.to_json().to_string() == offline.to_json().to_string() {
-                    println!("checkpoint equivalence: OK (snapshot+suffix == genesis replay)");
-                } else {
-                    eprintln!(
-                        "checkpoint equivalence: MISMATCH (snapshot+suffix != genesis replay)"
-                    );
-                    code = 1;
-                }
-            }
-            Err(e) => {
-                eprintln!("checkpoint resume failed: {e}");
-                code = 1;
-            }
-        }
-    } else if checkpoint_every > 0 {
-        println!("checkpoint equivalence: skipped (no checkpoint survived the run)");
-    }
-    println!("journal: {journal_path}");
     std::process::exit(code);
 }
 
@@ -1283,9 +788,9 @@ fn cmd_serve(flags: HashMap<String, String>) {
         .filter(|a| a.as_str() != "true")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let journal_path = flags.get("journal").filter(|p| p.as_str() != "true");
+    let journal_path = path_flag(&flags, "journal");
 
-    let open_sink = |path: &String| -> std::fs::File {
+    let open_sink = |path: &str| -> std::fs::File {
         std::fs::File::create(path).unwrap_or_else(|e| {
             eprintln!("cannot create {path}: {e}");
             std::process::exit(1);
@@ -1348,7 +853,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(first) = args.first() else {
         eprintln!(
-            "usage: hka-sim <simulate|plan|derive|attack|export|chaos|audit|watch|trace|serve|serve-drill> [--flags]"
+            "usage: hka-sim <simulate|plan|derive|attack|export|chaos|audit|watch|trace|serve> [--flags]"
         );
         std::process::exit(2);
     };
@@ -1378,10 +883,9 @@ fn main() {
         "chaos" => cmd_chaos(flags),
         "audit" => cmd_audit(flags),
         "serve" => cmd_serve(flags),
-        "serve-drill" => cmd_serve_drill(flags),
         other => {
             eprintln!(
-                "unknown command '{other}' (use simulate|plan|derive|attack|export|chaos|audit|watch|trace|serve|serve-drill)"
+                "unknown command '{other}' (use simulate|plan|derive|attack|export|chaos|audit|watch|trace|serve)"
             );
             std::process::exit(2);
         }

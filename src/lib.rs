@@ -137,6 +137,153 @@ pub fn collect_forwards_daily(
     forwards
 }
 
+/// A server with the protected world registered: both services
+/// (navigation, and 9e6 m² / 10 min for the anchor service), every
+/// agent (commuters at `level`, everyone else off), and each
+/// commuter's commute LBQID.
+pub fn commuter_server(
+    config: core::TsConfig,
+    world: &mobility::World,
+    level: core::PrivacyLevel,
+) -> core::TrustedServer {
+    let mut ts = core::TrustedServer::new(config);
+    ts.register_service(
+        anonymity::ServiceId(mobility::BACKGROUND_SERVICE),
+        core::Tolerance::navigation(),
+    );
+    ts.register_service(
+        anonymity::ServiceId(mobility::ANCHOR_SERVICE),
+        core::Tolerance::new(9e6, 10 * geo::MINUTE),
+    );
+    let commuters: Vec<trajectory::UserId> = world.commuters().collect();
+    for agent in &world.agents {
+        let protected = commuters.contains(&agent.user);
+        let level = if protected {
+            level
+        } else {
+            core::PrivacyLevel::Off
+        };
+        ts.register_user(agent.user, level);
+    }
+    for &u in &commuters {
+        let home = world.home_of(u).expect("a commuter has a home");
+        let office = world.office_of(u).expect("a commuter has an office");
+        ts.add_lbqid(u, lbqid::Lbqid::example_commute(home, office));
+    }
+    ts
+}
+
+/// Arrival perturbation under a fault plan: a request is dropped,
+/// duplicated, or re-delivered with a stale (reordered) timestamp. With
+/// no plan, or no fault fired, it arrives once as sent.
+pub fn arrivals(injector: Option<&faults::FaultInjector>, at: geo::StPoint) -> Vec<geo::StPoint> {
+    match injector.and_then(|inj| inj.check(faults::sites::ARRIVAL)) {
+        Some(faults::FaultKind::Drop) => Vec::new(),
+        Some(faults::FaultKind::Duplicate) => vec![at, at],
+        Some(faults::FaultKind::Reorder) => {
+            let mut late = at;
+            late.t = geo::TimeSec(late.t.0.saturating_sub(300));
+            vec![late]
+        }
+        _ => vec![at],
+    }
+}
+
+/// What [`drive_chaos`] saw: every delivered request, how it ended, and
+/// how many forwards broke the fail-closed invariant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChaosTally {
+    /// Requests delivered, duplicates included, dropped ones not.
+    pub requests: u64,
+    /// Requests forwarded to the provider.
+    pub forwarded: u64,
+    /// Requests suppressed or refused.
+    pub suppressed: u64,
+    /// Faults the injector fired over the run, at every site.
+    pub faults_fired: u64,
+    /// Forwards that broke the fail-closed invariant.
+    pub violations: u64,
+    /// Requests decided in Degraded mode that put their user at risk:
+    /// each one a clamped, sub-k forward the gate must deny. Counted
+    /// only where the gate's mode is known.
+    pub degraded_at_risk: u64,
+    /// The server's mode after the last event.
+    pub final_mode: core::ServerMode,
+}
+
+/// Delivers `events` to `ts` under `injector`'s arrival perturbation
+/// ([`arrivals`]) and judges every delivered request by the fail-closed
+/// invariant (DESIGN.md §8.2): a request an injected fault touched is
+/// never forwarded; Degraded mode forwards only what is generalized
+/// and fully HK-anonymous; ReadOnly forwards nothing. A refused request
+/// (`try_handle_request` returning `Err`) is counted as suppressed. On
+/// a group journal every event ends with a commit, as after a client's
+/// barrier; a commit that fails reports through the mode ladder.
+pub fn drive_chaos(
+    ts: &mut core::TrustedServer,
+    events: &[mobility::Event],
+    injector: &faults::FaultInjector,
+) -> ChaosTally {
+    use faults::sites;
+    // Sites whose faults must fail the in-flight request closed.
+    // journal.io is excluded: its effect is the mode ladder, which
+    // `gate_mode` reads.
+    let request_sites = [sites::PHL_WRITE, sites::INDEX_QUERY, sites::MIXZONE];
+    let fired_now = || -> u64 { request_sites.iter().map(|s| injector.fired(s)).sum() };
+    let group = ts.log().group_commit();
+    let settle = |ts: &mut core::TrustedServer| {
+        if group {
+            let _ = ts.flush_journal();
+        }
+    };
+
+    let mut tally = ChaosTally {
+        requests: 0,
+        forwarded: 0,
+        suppressed: 0,
+        faults_fired: 0,
+        violations: 0,
+        degraded_at_risk: 0,
+        final_mode: core::ServerMode::Normal,
+    };
+    for e in events {
+        let mobility::EventKind::Request { service } = e.kind else {
+            ts.location_update(e.user, e.at);
+            settle(ts);
+            continue;
+        };
+        for at in arrivals(Some(injector), e.at) {
+            let mode_before = ts.mode();
+            let stats_before = ts.log().stats();
+            let before = fired_now();
+            let result = ts.try_handle_request(e.user, at, anonymity::ServiceId(service));
+            let gate_mode = gate_mode(ts, mode_before, &stats_before);
+            if gate_mode == Some(core::ServerMode::Degraded)
+                && ts.log().stats().at_risk > stats_before.at_risk
+            {
+                tally.degraded_at_risk += 1;
+            }
+            settle(ts);
+            tally.requests += 1;
+            match result {
+                Ok(core::RequestOutcome::Forwarded(_, disclosure)) => {
+                    tally.forwarded += 1;
+                    let faulted = fired_now() > before;
+                    if !forward_fails_closed(gate_mode, faulted, &disclosure) {
+                        tally.violations += 1;
+                    }
+                }
+                // A refused request (the read-only ladder) is fail-closed
+                // by definition.
+                Ok(core::RequestOutcome::Suppressed(_)) | Err(_) => tally.suppressed += 1,
+            }
+        }
+    }
+    tally.faults_fired = injector.total_fired();
+    tally.final_mode = ts.mode();
+    tally
+}
+
 /// The mode a request's fail-closed gate judged it in, as far as a
 /// chaos judge outside the server can tell: `before` and `stats` are
 /// the server's mode and statistics read just before the request, `ts`
@@ -153,7 +300,7 @@ pub fn collect_forwards_daily(
 /// again after the gate. So if the mode moved and such a record was
 /// journaled, the gate's mode is unknown; if none was, every move came
 /// after the gate, which read `before`.
-pub fn gate_mode(
+fn gate_mode(
     ts: &core::TrustedServer,
     before: core::ServerMode,
     stats: &core::TsStats,
@@ -171,12 +318,10 @@ pub fn gate_mode(
     (!journaled_before_gate).then_some(before)
 }
 
-/// Whether a forward kept the fail-closed invariant (DESIGN.md §8.2),
-/// judged on what it disclosed: a request an injected fault touched is
-/// never forwarded; Degraded mode forwards only what is generalized and
-/// fully HK-anonymous; ReadOnly forwards nothing. Where the gate's mode
-/// is unknown (see [`gate_mode`]) only the first rule applies.
-pub fn forward_fails_closed(
+/// Whether a forward kept the fail-closed invariant, judged on what it
+/// disclosed. Where the gate's mode is unknown (see [`gate_mode`]) only
+/// the rule on faulted requests applies.
+fn forward_fails_closed(
     gate_mode: Option<core::ServerMode>,
     faulted: bool,
     disclosure: &core::Disclosure,
@@ -231,4 +376,38 @@ pub mod prelude {
         brute, BruteIndex, CompactionPolicy, CompactionStats, GridIndex, GridIndexConfig,
         IndexBackend, Phl, SpatialIndex, TrajectoryStore, UserId,
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::{Disclosure, ServerMode};
+
+    /// The judge's table, on the disclosures the gate must tell apart:
+    /// an exact forward, a clamped sub-k one, and a fully anonymous one.
+    #[test]
+    fn the_judge_applies_each_modes_rule() {
+        let disclosure = |generalized, hk_ok| Disclosure {
+            generalized,
+            hk_ok,
+            k_req: 4,
+            k_got: if hk_ok { 4 } else { 2 },
+        };
+        let (exact, clamped, anonymous) = (
+            Disclosure::exact(),
+            disclosure(true, false),
+            disclosure(true, true),
+        );
+        for d in [&exact, &clamped, &anonymous] {
+            for mode in [None, Some(ServerMode::Normal)] {
+                assert!(forward_fails_closed(mode, false, d));
+            }
+            for mode in [None, Some(ServerMode::Normal), Some(ServerMode::Degraded)] {
+                assert!(!forward_fails_closed(mode, true, d), "faulted");
+            }
+            assert!(!forward_fails_closed(Some(ServerMode::ReadOnly), false, d));
+        }
+        let degraded = |d| forward_fails_closed(Some(ServerMode::Degraded), false, d);
+        assert!(!degraded(&exact) && !degraded(&clamped) && degraded(&anonymous));
+    }
 }

@@ -12,137 +12,20 @@ use hka::prelude::*;
 use std::io::Write;
 
 mod common;
-use common::SharedBuf;
-
-fn small_world(seed: u64) -> World {
-    World::generate(&WorldConfig {
-        seed,
-        days: 1,
-        n_commuters: 4,
-        n_roamers: 16,
-        n_poi_regulars: 2,
-        city: CityConfig {
-            width: 2_000.0,
-            height: 2_000.0,
-            ..CityConfig::default()
-        },
-        ..WorldConfig::default()
-    })
-}
-
-fn protected_server(world: &World, k: usize) -> TrustedServer {
-    let mut ts = TrustedServer::new(TsConfig::default());
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    let commuters: Vec<UserId> = world.commuters().collect();
-    for agent in &world.agents {
-        let level = if commuters.contains(&agent.user) {
-            PrivacyLevel::Custom(PrivacyParams {
-                k,
-                theta: 0.5,
-                k_init: 2 * k,
-                k_decrement: 1,
-                on_risk: RiskAction::Forward,
-            })
-        } else {
-            PrivacyLevel::Off
-        };
-        ts.register_user(agent.user, level);
-    }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
-    }
-    ts
-}
-
-struct ChaosOutcome {
-    requests: u64,
-    faults_fired: u64,
-    violations: u64,
-    /// Requests decided in Degraded mode that put their user at risk:
-    /// each one a clamped, sub-k forward the gate must deny. Counted only
-    /// where the gate's mode is known (see [`hka::gate_mode`]).
-    degraded_at_risk: u64,
-}
+use common::{protected, small_world, SharedBuf};
 
 /// Drives one seeded world under one randomized fault schedule and
-/// checks the fail-closed invariant on every delivered request.
-fn chaos_run(seed: u64) -> ChaosOutcome {
-    let world = small_world(seed);
-    let mut ts = protected_server(&world, 4);
+/// judges every delivered request.
+fn chaos_run(seed: u64) -> hka::ChaosTally {
+    let world = small_world(seed, 1);
+    let mut ts = hka::commuter_server(TsConfig::default(), &world, protected(4));
     let injector = FaultInjector::new(randomized_plan(seed));
     ts.attach_faults(injector.clone());
     ts.attach_journal(obs::Journal::new(Box::new(FaultyWriter::new(
         std::io::sink(),
         injector.clone(),
     )) as Box<dyn Write + Send + Sync>));
-    drive(&mut ts, &world, &injector)
-}
-
-/// Delivers the world's events to `ts` under arrival perturbation and
-/// judges every request's outcome by the gate's rule.
-fn drive(ts: &mut TrustedServer, world: &World, injector: &FaultInjector) -> ChaosOutcome {
-    // journal.io is excluded: its effect is the mode ladder, which
-    // `hka::gate_mode` reads.
-    let request_sites = [sites::PHL_WRITE, sites::INDEX_QUERY, sites::MIXZONE];
-    let fired_now =
-        |inj: &FaultInjector| -> u64 { request_sites.iter().map(|s| inj.fired(s)).sum() };
-
-    let mut out = ChaosOutcome {
-        requests: 0,
-        faults_fired: 0,
-        violations: 0,
-        degraded_at_risk: 0,
-    };
-    for e in &world.events {
-        match e.kind {
-            EventKind::Location => ts.location_update(e.user, e.at),
-            EventKind::Request { service } => {
-                let mut deliveries: Vec<StPoint> = Vec::with_capacity(2);
-                match injector.check(sites::ARRIVAL) {
-                    Some(FaultKind::Drop) => {}
-                    Some(FaultKind::Duplicate) => {
-                        deliveries.push(e.at);
-                        deliveries.push(e.at);
-                    }
-                    Some(FaultKind::Reorder) => {
-                        let mut late = e.at;
-                        late.t = TimeSec(late.t.0.saturating_sub(300));
-                        deliveries.push(late);
-                    }
-                    _ => deliveries.push(e.at),
-                }
-                for at in deliveries {
-                    let mode_before = ts.mode();
-                    let stats_before = ts.log().stats();
-                    let before = fired_now(injector);
-                    let outcome = ts.handle_request(e.user, at, ServiceId(service));
-                    let faulted = fired_now(injector) > before;
-                    let gate_mode = hka::gate_mode(ts, mode_before, &stats_before);
-                    out.requests += 1;
-                    if gate_mode == Some(ServerMode::Degraded)
-                        && ts.log().stats().at_risk > stats_before.at_risk
-                    {
-                        out.degraded_at_risk += 1;
-                    }
-                    let fail_closed = match &outcome {
-                        RequestOutcome::Suppressed(_) => true,
-                        RequestOutcome::Forwarded(_, disclosure) => {
-                            hka::forward_fails_closed(gate_mode, faulted, disclosure)
-                        }
-                    };
-                    if !fail_closed {
-                        out.violations += 1;
-                    }
-                }
-            }
-        }
-    }
-    out.faults_fired = injector.total_fired();
-    out
+    hka::drive_chaos(&mut ts, &world.events, &injector)
 }
 
 #[test]
@@ -183,8 +66,8 @@ fn thirty_two_seeded_schedules_never_fail_open() {
 #[test]
 fn a_degraded_server_never_forwards_an_at_risk_clamp() {
     let seed = 3;
-    let world = small_world(seed);
-    let mut ts = protected_server(&world, 4);
+    let world = small_world(seed, 1);
+    let mut ts = hka::commuter_server(TsConfig::default(), &world, protected(4));
     let injector = FaultInjector::new(FaultPlan::new(seed).with_rule(
         sites::JOURNAL_IO,
         Trigger::Always,
@@ -201,7 +84,7 @@ fn a_degraded_server_never_forwards_an_at_risk_clamp() {
             backoff_base: 0,
         },
     );
-    let r = drive(&mut ts, &world, &injector);
+    let r = hka::drive_chaos(&mut ts, &world.events, &injector);
     assert_eq!(ts.mode(), ServerMode::Degraded);
     assert!(
         r.degraded_at_risk > 0,
@@ -310,8 +193,8 @@ fn crashed_file_journal_recovers_and_extends_a_verified_chain() {
     // mid-append (models a crash), then keeps going: everything after
     // the tear is unrecoverable garbage from the chain's point of view.
     {
-        let world = small_world(11);
-        let mut ts = protected_server(&world, 3);
+        let world = small_world(11, 1);
+        let mut ts = hka::commuter_server(TsConfig::default(), &world, protected(3));
         let file = std::fs::File::create(&path).unwrap();
         let crashy = FaultInjector::new(FaultPlan::new(11).with_rule(
             sites::JOURNAL_IO,
@@ -372,8 +255,8 @@ fn crashed_file_journal_recovers_and_extends_a_verified_chain() {
 /// reconstruct from the durable record alone.
 #[test]
 fn audited_chaos_journal_replays_clean() {
-    let world = small_world(21);
-    let mut ts = protected_server(&world, 4);
+    let world = small_world(21, 1);
+    let mut ts = hka::commuter_server(TsConfig::default(), &world, protected(4));
     let plan = FaultPlan::new(21)
         .with_rule(sites::PHL_WRITE, Trigger::EveryNth(5), FaultKind::Drop)
         .with_rule(

@@ -14,6 +14,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+mod common;
+use common::{crash_and_recover, file_journal, protected, serve_event, small_world, torn_record};
+
 fn hka_sim(args: &[&str]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_hka-sim"))
         .args(args)
@@ -47,15 +50,6 @@ fn sp(x: f64, y: f64, t: i64) -> StPoint {
     StPoint::xyt(x, y, TimeSec(t))
 }
 
-fn file_journal(path: &Path) -> obs::BoxedJournal {
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .unwrap();
-    obs::Journal::new(Box::new(std::io::BufWriter::new(file)) as Box<dyn Write + Send + Sync>)
-}
-
 /// A server journaling to `dir/journal.jsonl`: one service, a static
 /// mix-zone, six users (half protected), a little location traffic.
 fn busy_server(dir: &Path) -> (TrustedServer, PathBuf) {
@@ -80,28 +74,6 @@ fn busy_server(dir: &Path) -> (TrustedServer, PathBuf) {
         ts.handle_request(UserId(u), sp(10.0 * u as f64, 20.0, 400), ServiceId(1));
     }
     (ts, journal)
-}
-
-/// Crash the sink, leave `torn` bytes at the tail, recover (truncating
-/// them), and re-attach a resumed sink.
-fn crash_and_recover(ts: &mut TrustedServer, journal: &Path, torn: &[u8]) -> obs::RecoveryReport {
-    drop(ts.take_journal());
-    if !torn.is_empty() {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(journal)
-            .unwrap();
-        f.write_all(torn).unwrap();
-    }
-    let (recovered, report) = obs::recover(journal).unwrap();
-    let next_seq = recovered.next_seq();
-    let head = recovered.head().to_string();
-    ts.attach_journal(obs::Journal::resume(
-        Box::new(std::io::BufWriter::new(recovered.into_inner())) as Box<dyn Write + Send + Sync>,
-        next_seq,
-        head,
-    ));
-    report
 }
 
 // --- recover → tail → recover with the anchor in the torn region -----
@@ -604,38 +576,100 @@ fn nesting(text: &str) -> usize {
     deepest
 }
 
-#[test]
-fn serve_drill_checkpoints_verify_restore_and_resume() {
-    let dir = TempDir::new("cli-drill");
-    let journal = dir.0.join("drill.jsonl");
-    let journal_s = journal.to_str().unwrap();
-    let (code, stdout, stderr) = hka_sim(&[
-        "serve-drill",
-        "--journal",
-        journal_s,
-        "--days",
-        "1",
-        "--commuters",
-        "4",
-        "--roamers",
-        "16",
-        "--segments",
-        "2",
-        "--checkpoint-every",
-        "100",
-    ]);
-    assert_eq!(code, 0, "stdout:\n{stdout}\nstderr:\n{stderr}");
-    assert!(stdout.contains("checkpoint equivalence: OK"), "{stdout}");
+/// What a checkpoint drill left behind.
+struct Drill {
+    journal: PathBuf,
+    cp: Checkpointer,
+    written: u64,
+    failed: u64,
+    archived: u64,
+}
 
-    // The snapshots the drill left behind resume both offline surfaces.
-    let ckpt_dir = PathBuf::from(format!("{journal_s}.ckpt"));
-    let mut snaps: Vec<_> = std::fs::read_dir(&ckpt_dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    snaps.sort();
-    let last = snaps.last().expect("the drill wrote a snapshot");
-    let last_s = last.to_str().unwrap();
+/// A serving process that checkpoints as it goes: a seeded world is
+/// delivered through `RequestService` into a file journal under `dir`
+/// in two segments, with a crash (a torn half-record, `obs::recover`,
+/// a resumed chain) between them. A checkpoint is taken whenever the
+/// journal has grown by 100 records since the last one, and each one
+/// that is written is restored at once: the restored server's
+/// `server_meta`, statistics and store must equal the live server's.
+/// `truncate` archives the prefix behind each checkpoint; `chaos`
+/// faults the checkpoint path itself (`checkpoint_chaos_plan`).
+fn checkpoint_drill(dir: &Path, truncate: bool, chaos: Option<u64>) -> Drill {
+    const EVERY: u64 = 100;
+    let journal = dir.join("drill.jsonl");
+    let world = small_world(1, 3);
+    let mut ts = hka::commuter_server(TsConfig::default(), &world, protected(4));
+    ts.attach_journal(file_journal(&journal));
+    let mut cp = Checkpointer::new(&journal, dir.join("snapshots"));
+    if let Some(seed) = chaos {
+        cp.attach_faults(FaultInjector::new(checkpoint_chaos_plan(seed)));
+    }
+    let store = |ts: &TrustedServer| hka::trajectory::state::store_to_json(ts.store()).to_string();
+    let (mut written, mut failed, mut archived) = (0, 0, 0);
+    // A checkpoint covers a chain position, so the cadence is journal
+    // growth: the anchor of the last one sits at `seq`.
+    let mut last_anchor: Option<u64> = None;
+    let chunk = world.events.len().div_ceil(2);
+    for (i, segment) in world.events.chunks(chunk).enumerate() {
+        if i > 0 {
+            let report = crash_and_recover(&mut ts, &journal, &torn_record());
+            assert!(report.truncated_bytes > 0, "the torn bytes stay");
+        }
+        for (id, e) in segment.iter().enumerate() {
+            assert_eq!(serve_event(&mut ts, id as u64, e, None), 0);
+            let (records, _) = ts.journal_position().unwrap();
+            if records - last_anchor.map_or(0, |seq| seq + 1) < EVERY {
+                continue;
+            }
+            let Ok(receipt) = cp.checkpoint(&mut ts, truncate) else {
+                failed += 1;
+                continue;
+            };
+            written += 1;
+            archived += receipt.truncated_bytes;
+            last_anchor = Some(receipt.seq);
+            let (restored, _, _) = cp.restore_server(TsConfig::default()).unwrap();
+            let at = receipt.seq;
+            assert_eq!(restored.server_meta(), ts.server_meta(), "seq {at}");
+            assert_eq!(restored.log().stats(), ts.log().stats(), "seq {at}");
+            assert!(
+                store(&restored) == store(&ts),
+                "seq {at}: the stores differ"
+            );
+        }
+    }
+    drop(ts.take_journal());
+    Drill {
+        journal,
+        cp,
+        written,
+        failed,
+        archived,
+    }
+}
+
+/// The drill on a healthy checkpoint path: every checkpoint restores
+/// faithfully, and the last snapshot plus the journal suffix audits
+/// byte-identically to genesis — in process and through both CLI
+/// surfaces (`audit --snapshot`, `watch --snapshot`).
+#[test]
+fn a_checkpoint_drill_restores_every_checkpoint_and_resumes_like_genesis() {
+    let dir = TempDir::new("drill");
+    let drill = checkpoint_drill(&dir.0, false, None);
+    assert!(drill.written >= 3, "{} checkpoints", drill.written);
+    assert_eq!(drill.failed, 0);
+    let last = drill
+        .cp
+        .last_snapshot()
+        .expect("the drill wrote a snapshot");
+    let genesis = audit::replay_file(&drill.journal, AuditConfig::default()).unwrap();
+    assert!(genesis.chain.verified() && genesis.ok());
+    let resumed = audit::resume_from_snapshot(&drill.journal, last).unwrap();
+    assert_eq!(
+        resumed.to_json().to_string(),
+        genesis.to_json().to_string(),
+        "snapshot + suffix == genesis"
+    );
 
     // A snapshot is the deepest document the system writes:
     // `sections.audit.users[].at_risk_windows[][]` holds 7 containers
@@ -644,6 +678,7 @@ fn serve_drill_checkpoints_verify_restore_and_resume() {
     assert_eq!(depth, 7);
     assert!(depth * 16 <= hka::obs::json::MAX_DEPTH);
 
+    let (journal_s, last_s) = (drill.journal.to_str().unwrap(), last.to_str().unwrap());
     let resume_json = dir.0.join("resume.json");
     let genesis_json = dir.0.join("genesis.json");
     let (code, _, stderr) = hka_sim(&[
@@ -686,62 +721,46 @@ fn serve_drill_checkpoints_verify_restore_and_resume() {
     assert!(stdout.contains("checkpoints="), "{stdout}");
 }
 
+/// The drill archiving the prefix behind each checkpoint, then under
+/// five checkpoint-path fault schedules. Truncation leaves a journal
+/// whose last snapshot resumes the full history. Under chaos, failed
+/// checkpoints leave the previous one authoritative: the chain
+/// verifies, and the newest valid checkpoint resumes byte-identically
+/// to genesis.
 #[test]
-fn serve_drill_checkpoint_chaos_and_truncation_still_exit_clean() {
-    let dir = TempDir::new("cli-chaos");
-    let journal = dir.0.join("chaos.jsonl");
-    let journal_s = journal.to_str().unwrap();
-    let (code, stdout, stderr) = hka_sim(&[
-        "serve-drill",
-        "--journal",
-        journal_s,
-        "--days",
-        "1",
-        "--commuters",
-        "4",
-        "--roamers",
-        "16",
-        "--segments",
-        "2",
-        "--checkpoint-every",
-        "100",
-        "--checkpoint-chaos",
-        "3",
-    ]);
-    assert_eq!(code, 0, "stdout:\n{stdout}\nstderr:\n{stderr}");
+fn a_checkpoint_drill_survives_truncation_and_checkpoint_chaos() {
+    let dir = TempDir::new("drill-truncate");
+    let drill = checkpoint_drill(&dir.0, true, None);
+    assert!(
+        drill.written > 0 && drill.archived > 0,
+        "the prefix was archived"
+    );
+    let last = drill.cp.last_snapshot().unwrap();
+    let resumed = audit::resume_from_snapshot(&drill.journal, last).unwrap();
+    assert!(resumed.chain.verified() && resumed.ok());
 
-    let dir2 = TempDir::new("cli-trunc");
-    let journal = dir2.0.join("trunc.jsonl");
-    let journal_s = journal.to_str().unwrap();
-    let (code, stdout, stderr) = hka_sim(&[
-        "serve-drill",
-        "--journal",
-        journal_s,
-        "--days",
-        "1",
-        "--commuters",
-        "4",
-        "--roamers",
-        "16",
-        "--segments",
-        "2",
-        "--checkpoint-every",
-        "100",
-        "--truncate",
-    ]);
-    assert_eq!(code, 0, "stdout:\n{stdout}\nstderr:\n{stderr}");
-    assert!(stdout.contains("checkpoint resume: OK"), "{stdout}");
-    assert!(stdout.contains("prefix bytes archived"), "{stdout}");
-
-    // Flag misuse is a usage error, not a silent degradation.
-    let (code, _, stderr) = hka_sim(&["serve-drill", "--truncate"]);
-    assert_eq!(code, 2, "{stderr}");
-    let (code, _, stderr) = hka_sim(&[
-        "serve-drill",
-        "--checkpoint-every",
-        "10",
-        "--truncate",
-        "--audit-tail",
-    ]);
-    assert_eq!(code, 2, "{stderr}");
+    let mut failed = 0;
+    for seed in [1u64, 2, 3, 5, 8] {
+        let dir = TempDir::new(&format!("drill-chaos-{seed}"));
+        let drill = checkpoint_drill(&dir.0, false, Some(seed));
+        failed += drill.failed;
+        let genesis = audit::replay_file(&drill.journal, AuditConfig::default()).unwrap();
+        assert!(genesis.chain.verified(), "seed {seed}");
+        let (found, _) = drill.cp.latest_valid().unwrap();
+        match found {
+            Some(rec) => {
+                let resumed = audit::resume_from_snapshot(&drill.journal, &rec.path).unwrap();
+                assert_eq!(
+                    resumed.to_json().to_string(),
+                    genesis.to_json().to_string(),
+                    "seed {seed}: the fallback checkpoint resumes byte-identically"
+                );
+            }
+            None => assert_eq!(
+                drill.written, 0,
+                "seed {seed}: a written checkpoint was lost"
+            ),
+        }
+    }
+    assert!(failed > 0, "no schedule failed a checkpoint");
 }

@@ -118,6 +118,60 @@ fn retired_shards_flag_and_unknown_commit_are_usage_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown commit cadence"));
 }
 
+/// A path flag given without its path is a usage error naming the
+/// flag, never a silent skip: `parse_flags` reads a bare `--flag` as a
+/// switch. Each run has a real journal, so nothing else can fail it.
+#[test]
+fn a_path_flag_without_a_path_is_a_usage_error() {
+    let dir = scratch("path-flags");
+    let journal = dir.join("ts.jsonl");
+    let j = journal.to_str().unwrap();
+    let (ok, stdout, _) = hka_sim(&["simulate", "--days", "1", "--trace-out", j]);
+    assert!(ok, "{stdout}");
+    let cases: [(&str, &[&str]); 9] = [
+        ("journal", &["audit", "--journal"]),
+        ("json", &["audit", "--journal", j, "--json", "--quiet"]),
+        (
+            "snapshot",
+            &["audit", "--journal", j, "--snapshot", "--quiet"],
+        ),
+        ("journal", &["serve", "--journal"]),
+        (
+            "trace-export",
+            &["simulate", "--days", "1", "--trace-export"],
+        ),
+        ("report", &["watch", j, "--idle-exit", "1", "--report"]),
+        ("journal", &["watch", "--journal"]),
+        ("out", &["export", "--out"]),
+        ("trace", &["plan", "--trace"]),
+    ];
+    for (flag, args) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_hka-sim"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--{flag} requires a file path")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `serve` is the one way to start a server; the retired drill command
+/// is an unknown one.
+#[test]
+fn the_retired_drill_command_is_unknown() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hka-sim"))
+        .args(["serve-drill", "--checkpoint-every", "100"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command 'serve-drill'"));
+}
+
 #[test]
 fn derive_runs_for_commuter_and_roamer() {
     let (ok, stdout, _) = hka_sim(&["derive", "--user", "0", "--days", "5"]);

@@ -51,37 +51,17 @@ fn build_world(seed: u64, days: i64) -> World {
     })
 }
 
-fn params() -> PrivacyParams {
-    PrivacyParams {
+/// A server with services, users, and LBQIDs registered: the
+/// commuters protected at k = 4.
+fn setup(config: TsConfig, world: &World) -> TrustedServer {
+    let level = PrivacyLevel::Custom(PrivacyParams {
         k: 4,
         theta: 0.5,
         k_init: 8,
         k_decrement: 1,
         on_risk: RiskAction::Forward,
-    }
-}
-
-/// A server with services, users, and LBQIDs registered.
-fn setup(config: TsConfig, world: &World) -> TrustedServer {
-    let mut ts = TrustedServer::new(config);
-    let commuters: Vec<UserId> = world.commuters().collect();
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    for agent in &world.agents {
-        let level = if commuters.contains(&agent.user) {
-            PrivacyLevel::Custom(params())
-        } else {
-            PrivacyLevel::Off
-        };
-        ts.register_user(agent.user, level);
-    }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
-    }
-    ts
+    });
+    hka::commuter_server(config, world, level)
 }
 
 fn envelopes(world: &World) -> Vec<RequestEnvelope> {

@@ -23,24 +23,7 @@ fn run_pipeline() -> (TrustedServer, SharedBuf, u64) {
         n_poi_regulars: 2,
         ..WorldConfig::default()
     });
-    let mut ts = TrustedServer::new(TsConfig::default());
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 600));
-    let commuters: Vec<UserId> = world.commuters().collect();
-    for agent in &world.agents {
-        let level = if commuters.contains(&agent.user) {
-            PrivacyLevel::Medium
-        } else {
-            PrivacyLevel::Off
-        };
-        ts.register_user(agent.user, level);
-    }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
-    }
+    let mut ts = hka::commuter_server(TsConfig::default(), &world, PrivacyLevel::Medium);
     let sink = SharedBuf::default();
     ts.attach_journal(obs::Journal::new(
         Box::new(sink.clone()) as Box<dyn Write + Send + Sync>

@@ -28,23 +28,7 @@ fn city(seed: u64, days: i64, params: PrivacyParams) -> (World, TrustedServer) {
         },
         ..WorldConfig::default()
     });
-    let mut ts = TrustedServer::new(TsConfig::default());
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    let commuters: Vec<UserId> = world.commuters().collect();
-    for agent in &world.agents {
-        if commuters.contains(&agent.user) {
-            ts.register_user(agent.user, PrivacyLevel::Custom(params));
-        } else {
-            ts.register_user(agent.user, PrivacyLevel::Off);
-        }
-    }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
-    }
+    let ts = hka::commuter_server(TsConfig::default(), &world, PrivacyLevel::Custom(params));
     (world, ts)
 }
 

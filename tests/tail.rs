@@ -2,8 +2,7 @@
 //! auditor must agree with the offline `hka-audit` replay **byte for
 //! byte** on every journal it watches — while the journal is still
 //! being written, across crash/recover cycles, and under seeded fault
-//! schedules — and the `hka-sim watch` / `serve-drill --audit-tail`
-//! surfaces must expose exactly that machinery.
+//! schedules — and `hka-sim watch` must expose exactly that machinery.
 //!
 //! The equivalence bar is deliberately strict: the tailer and the
 //! offline reader share one `ChainCursor`, so any divergence in what
@@ -11,15 +10,17 @@
 //! torn-tail handling, not an acceptable approximation.
 
 use hka::audit::{self, AuditConfig, TailAuditor};
-use hka::faults::sites;
 use hka::obs;
 use hka::prelude::*;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
+
+mod common;
+use common::{crash_and_recover, file_journal, protected, serve_event, small_world, torn_record};
 
 /// The lag test times a tailer against a paced writer, so it takes this
 /// lock to write and runs alone; every other test here, each driving a
@@ -125,35 +126,95 @@ fn a_paced_writer_is_tailed_within_a_second() {
     assert!(p99 < Duration::from_secs(1), "lag p99 {p99:?}");
 }
 
-// --- CLI surface ------------------------------------------------------
+// --- The live-tail drill ----------------------------------------------
 
+/// Follows the journal at `path` on a thread of its own, polling every
+/// 2 ms, until the chain fails or a poll after the writer set `done`
+/// finds nothing new.
+fn follow(path: &Path, done: &Arc<AtomicBool>) -> std::thread::JoinHandle<TailAuditor> {
+    let (path, done) = (path.to_path_buf(), Arc::clone(done));
+    std::thread::spawn(move || {
+        let mut tail = TailAuditor::open(&path, AuditConfig::default());
+        loop {
+            let finished = done.load(Ordering::SeqCst);
+            let poll = tail.poll();
+            if poll.chain_error.is_some() || (finished && poll.new_records == 0) {
+                return tail;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    })
+}
+
+/// A serving process with a live auditor beside it: a `TailAuditor`
+/// thread follows the file journal at `path` while a seeded world is
+/// delivered through `RequestService` in three segments. Between
+/// segments the writer crashes: it leaves a torn half-record, which
+/// `obs::recover` truncates, and resumes the chain. With `chaos`, a
+/// request-path schedule (`tail_chaos_plan`: journal I/O excluded, so a
+/// violation the tail reports is a false one) faults the server and
+/// perturbs arrivals. The tail must end with no chain error and no
+/// violation, its report byte-identical to the offline replay.
+fn live_tail_drill(path: &Path, chaos: Option<u64>) {
+    let _ = std::fs::remove_file(path);
+    let world = small_world(1, 1);
+    let mut ts = hka::commuter_server(TsConfig::default(), &world, protected(4));
+    let injector = chaos.map(|seed| FaultInjector::new(tail_chaos_plan(seed)));
+    if let Some(injector) = &injector {
+        ts.attach_faults(injector.clone());
+    }
+    ts.attach_journal(file_journal(path));
+    let done = Arc::new(AtomicBool::new(false));
+    let tailer = follow(path, &done);
+
+    let chunk = world.events.len().div_ceil(3);
+    let mut rejected = 0;
+    for (i, segment) in world.events.chunks(chunk).enumerate() {
+        if i > 0 {
+            let report = crash_and_recover(&mut ts, path, &torn_record());
+            assert!(report.truncated_bytes > 0, "{chaos:?}: the torn bytes stay");
+        }
+        for (id, e) in segment.iter().enumerate() {
+            rejected += serve_event(&mut ts, id as u64, e, injector.as_ref());
+        }
+    }
+    assert_eq!(rejected, 0, "{chaos:?}: a healthy journal refuses nothing");
+    if let Some(injector) = &injector {
+        assert!(
+            injector.total_fired() > 0,
+            "{chaos:?}: the plan never fired"
+        );
+    }
+    drop(ts.take_journal());
+    done.store(true, Ordering::SeqCst);
+    let tail = tailer.join().expect("tailer thread");
+
+    assert!(
+        tail.chain_error().is_none(),
+        "{chaos:?}: {:?}",
+        tail.chain_error()
+    );
+    let violations = tail.auditor().violations();
+    assert!(violations.is_empty(), "{chaos:?}: {violations:?}");
+    let offline = audit::replay_file(path, AuditConfig::default()).unwrap();
+    assert!(offline.chain.verified() && offline.ok(), "{chaos:?}");
+    assert_eq!(
+        tail.snapshot().to_json().to_string(),
+        offline.to_json().to_string(),
+        "{chaos:?}: tail and offline reports diverged"
+    );
+}
+
+/// The drill with no faults; the journal it leaves is then watchable
+/// after the fact, and the watch report is byte-identical to the
+/// offline audit's.
 #[test]
-fn serve_drill_with_live_tail_is_clean_and_watchable() {
+fn a_live_tail_follows_a_crashing_writer_and_watch_matches_audit() {
     let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
     let path = tmp("drill.journal");
-    let path_s = path.to_str().unwrap();
-    let (code, stdout, stderr) = hka_sim(&[
-        "serve-drill",
-        "--audit-tail",
-        "--journal",
-        path_s,
-        "--days",
-        "1",
-        "--commuters",
-        "4",
-        "--roamers",
-        "16",
-        "--segments",
-        "2",
-        "--interval-ms",
-        "5",
-    ]);
-    assert_eq!(code, 0, "stdout:\n{stdout}\nstderr:\n{stderr}");
-    assert!(stdout.contains("equivalence: OK"), "{stdout}");
-    assert!(stdout.contains("0 violations"), "{stdout}");
+    live_tail_drill(&path, None);
 
-    // The journal the drill leaves behind is watchable after the fact,
-    // and the watch report is byte-identical to the offline audit.
+    let path_s = path.to_str().unwrap();
     let watch = tmp("drill-watch.json");
     let offline = tmp("drill-offline.json");
     let (code, stdout, _) = hka_sim(&[
@@ -186,40 +247,18 @@ fn serve_drill_with_live_tail_is_clean_and_watchable() {
     }
 }
 
+/// The drill under three request-path fault schedules.
 #[test]
-fn chaos_under_tail_never_reports_a_false_violation() {
+fn a_live_tail_under_request_chaos_reports_no_false_violation() {
     let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
-    // Request-path chaos (tail_chaos_plan: journal I/O excluded) plus
-    // crash/recover cycles at every segment boundary: the tailing
-    // auditor must ride through all of it with zero violations and a
-    // final report byte-identical to the offline replay.
     for seed in [3u64, 7, 42] {
         let path = tmp(&format!("chaos-{seed}.journal"));
-        let path_s = path.to_str().unwrap();
-        let (code, stdout, stderr) = hka_sim(&[
-            "serve-drill",
-            "--audit-tail",
-            "--journal",
-            path_s,
-            "--days",
-            "1",
-            "--commuters",
-            "4",
-            "--roamers",
-            "16",
-            "--segments",
-            "3",
-            "--interval-ms",
-            "5",
-            "--chaos",
-            &seed.to_string(),
-        ]);
-        assert_eq!(code, 0, "seed {seed}: stdout:\n{stdout}\nstderr:\n{stderr}");
-        assert!(stdout.contains("equivalence: OK"), "seed {seed}: {stdout}");
-        assert!(stdout.contains("0 violations"), "seed {seed}: {stdout}");
+        live_tail_drill(&path, Some(seed));
         let _ = std::fs::remove_file(path);
     }
 }
+
+// --- CLI surface ------------------------------------------------------
 
 #[test]
 fn watch_flags_a_violation_with_its_journal_offset() {
@@ -289,6 +328,61 @@ fn watch_and_audit_agree_on_an_empty_journal() {
     assert_eq!(
         std::fs::read(&watch).unwrap(),
         std::fs::read(&offline).unwrap()
+    );
+    for p in [path, watch, offline] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// A line that is not UTF-8 is one verdict for both readers: `watch
+/// --report` and `audit --json` on the same journal write the same
+/// bytes, naming the line as malformed.
+#[test]
+fn watch_and_audit_agree_on_a_line_that_is_not_utf8() {
+    let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
+    let path = tmp("not-utf8.journal");
+    let mut journal = obs::Journal::new(Vec::new());
+    for at in 0..8 {
+        journal
+            .append("ts.forwarded", forwarded(1, 100 * at, false, true))
+            .unwrap();
+    }
+    let mut bytes = journal.into_inner();
+    let line6 = bytes
+        .split_inclusive(|&b| b == b'\n')
+        .take(5)
+        .map(<[u8]>::len)
+        .sum::<usize>();
+    bytes[line6 + 1] = 0xff;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let watch = tmp("not-utf8-watch.json");
+    let offline = tmp("not-utf8-offline.json");
+    let (code, _, stderr) = hka_sim(&[
+        "watch",
+        path.to_str().unwrap(),
+        "--idle-exit",
+        "1",
+        "--report",
+        watch.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stderr.contains("line 6: malformed record: record is not valid UTF-8"),
+        "{stderr}"
+    );
+    let (code, _, _) = hka_sim(&[
+        "audit",
+        "--journal",
+        path.to_str().unwrap(),
+        "--json",
+        offline.to_str().unwrap(),
+        "--quiet",
+    ]);
+    assert_eq!(code, 1);
+    assert_eq!(
+        std::fs::read_to_string(&watch).unwrap(),
+        std::fs::read_to_string(&offline).unwrap()
     );
     for p in [path, watch, offline] {
         let _ = std::fs::remove_file(p);
@@ -370,50 +464,6 @@ fn tail_survives_recovery_truncation_and_rechain() {
     let _ = std::fs::remove_file(path);
 }
 
-fn small_world(seed: u64) -> World {
-    World::generate(&WorldConfig {
-        seed,
-        days: 1,
-        n_commuters: 4,
-        n_roamers: 16,
-        n_poi_regulars: 2,
-        city: CityConfig {
-            width: 2_000.0,
-            height: 2_000.0,
-            ..CityConfig::default()
-        },
-        ..WorldConfig::default()
-    })
-}
-
-fn protected_server(world: &World, k: usize) -> TrustedServer {
-    let mut ts = TrustedServer::new(TsConfig::default());
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 10 * MINUTE));
-    let commuters: Vec<UserId> = world.commuters().collect();
-    for agent in &world.agents {
-        let level = if commuters.contains(&agent.user) {
-            PrivacyLevel::Custom(PrivacyParams {
-                k,
-                theta: 0.5,
-                k_init: 2 * k,
-                k_decrement: 1,
-                on_risk: RiskAction::Forward,
-            })
-        } else {
-            PrivacyLevel::Off
-        };
-        ts.register_user(agent.user, level);
-    }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
-    }
-    ts
-}
-
 #[test]
 fn journal_fault_chaos_tail_matches_offline_audit_byte_for_byte() {
     let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
@@ -429,8 +479,8 @@ fn journal_fault_chaos_tail_matches_offline_audit_byte_for_byte() {
     for seed in 0..6u64 {
         let path = tmp(&format!("jfault-{seed}.journal"));
         let _ = std::fs::remove_file(&path);
-        let world = small_world(seed);
-        let mut ts = protected_server(&world, 3);
+        let world = small_world(seed, 1);
+        let mut ts = hka::commuter_server(TsConfig::default(), &world, protected(3));
         let injector = FaultInjector::new(randomized_plan(seed));
         ts.attach_faults(injector.clone());
         let file = std::fs::File::create(&path).unwrap();
@@ -439,47 +489,9 @@ fn journal_fault_chaos_tail_matches_offline_audit_byte_for_byte() {
         ));
 
         let done = Arc::new(AtomicBool::new(false));
-        let tailer = {
-            let done = Arc::clone(&done);
-            let path = path.clone();
-            std::thread::spawn(move || {
-                let mut tail = TailAuditor::open(&path, AuditConfig::default());
-                loop {
-                    let finished = done.load(Ordering::SeqCst);
-                    let poll = tail.poll();
-                    if poll.chain_error.is_some() || (finished && poll.new_records == 0) {
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-                tail
-            })
-        };
+        let tailer = follow(&path, &done);
 
-        for e in &world.events {
-            match e.kind {
-                EventKind::Location => ts.location_update(e.user, e.at),
-                EventKind::Request { service } => {
-                    let mut deliveries: Vec<StPoint> = Vec::with_capacity(2);
-                    match injector.check(sites::ARRIVAL) {
-                        Some(FaultKind::Drop) => {}
-                        Some(FaultKind::Duplicate) => {
-                            deliveries.push(e.at);
-                            deliveries.push(e.at);
-                        }
-                        Some(FaultKind::Reorder) => {
-                            let mut late = e.at;
-                            late.t = TimeSec(late.t.0.saturating_sub(300));
-                            deliveries.push(late);
-                        }
-                        _ => deliveries.push(e.at),
-                    }
-                    for at in deliveries {
-                        let _ = ts.handle_request(e.user, at, ServiceId(service));
-                    }
-                }
-            }
-        }
+        hka::drive_chaos(&mut ts, &world.events, &injector);
         drop(ts.take_journal());
         done.store(true, Ordering::SeqCst);
         let mut tail = tailer.join().expect("tailer thread");

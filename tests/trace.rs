@@ -46,30 +46,13 @@ fn build_world(days: i64) -> World {
 
 /// A server on a group journal over `sink`.
 fn setup_group(world: &World, sink: impl obs::DurableSink + 'static) -> TrustedServer {
-    let mut ts = TrustedServer::new(TsConfig::default());
+    let mut ts = hka::commuter_server(TsConfig::default(), world, PrivacyLevel::Medium);
     ts.attach_group_journal(obs::Journal::new(
         Box::new(sink) as Box<dyn obs::DurableSink>
     ));
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 600));
-    let commuters: Vec<UserId> = world.commuters().collect();
-    for agent in &world.agents {
-        let level = if commuters.contains(&agent.user) {
-            PrivacyLevel::Medium
-        } else {
-            PrivacyLevel::Off
-        };
-        ts.register_user(agent.user, level);
-    }
-    for &u in &commuters {
-        ts.add_lbqid(
-            u,
-            Lbqid::example_commute(world.home_of(u).unwrap(), world.office_of(u).unwrap()),
-        );
-    }
     // Explicit privacy-off overrides: the background traffic takes the
     // exact-forward path, which does not commit the journal before it runs.
-    for &u in &commuters {
+    for u in world.commuters() {
         ts.set_service_privacy(u, ServiceId(BACKGROUND_SERVICE), PrivacyLevel::Off)
             .expect("registered");
     }

@@ -594,19 +594,7 @@ fn pipeline_journal() -> Vec<u8> {
         n_roamers: 20,
         ..WorldConfig::default()
     });
-    let mut ts = TrustedServer::new(TsConfig::default());
-    ts.register_service(ServiceId(BACKGROUND_SERVICE), Tolerance::navigation());
-    ts.register_service(ServiceId(ANCHOR_SERVICE), Tolerance::new(9e6, 600));
-    let commuters: Vec<UserId> = world.commuters().collect();
-    for agent in &world.agents {
-        let protected = commuters.contains(&agent.user);
-        let level = [PrivacyLevel::Off, PrivacyLevel::Medium][protected as usize];
-        ts.register_user(agent.user, level);
-    }
-    for &u in &commuters {
-        let (home, office) = (world.home_of(u).unwrap(), world.office_of(u).unwrap());
-        ts.add_lbqid(u, Lbqid::example_commute(home, office));
-    }
+    let mut ts = hka::commuter_server(TsConfig::default(), &world, PrivacyLevel::Medium);
     let sink = common::SharedBuf::default();
     ts.attach_journal(Journal::new(Box::new(sink.clone()) as _));
     hka::collect_forwards(&mut ts, &world.events);
@@ -735,6 +723,13 @@ fn hostile_lines_at_a_seam_and_inside_a_block_replay_as_the_lending_read() {
         bytes.extend_from_slice(lines[at + 1..].concat().as_bytes());
         let outcome = replays_agree(&bytes);
         assert_eq!(outcome.chain.records, at as u64);
+        assert_eq!(
+            outcome.chain.error.unwrap(),
+            format!(
+                "line {}: malformed record: record is not valid UTF-8",
+                at + 1
+            )
+        );
         for _ in 0..MUTANTS * 2 {
             lines[at] = mutant(&mut rng, &good);
             replays_agree(lines.concat().as_bytes());
